@@ -15,6 +15,7 @@ Exit codes are a contract:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -202,7 +203,7 @@ def cmd_ablate(args) -> int:
                                       seed=args.seed)
         world = cfg.world
         mode = args.mode or cfg.mode
-        replicates = args.replicates or cfg.replicates
+        replicates = cfg.replicates if args.replicates is None else args.replicates
     else:
         world = load_world(_data_path("demo_world.json"), args.seed)
         mode = args.mode or "argmax"
@@ -237,10 +238,10 @@ def cmd_perturb(args) -> int:
         default = dumps_canonical({"world_path": "perturb_grid.json"})
         cfg = parse_experiment_config(default, base_dir=_data_path(""),
                                       seed=args.seed)
+    replicates = cfg.replicates if args.replicates is None else args.replicates
     report = run_weight_perturbation(
         cfg.world, budget=cfg.budget, perturbations=cfg.perturbations,
-        mode=args.mode or cfg.mode, replicates=args.replicates or cfg.replicates,
-        jobs=args.jobs)
+        mode=args.mode or cfg.mode, replicates=replicates, jobs=args.jobs)
     _write_out(args, dumps_canonical(report_to_obj(report)) + "\n")
     return 0
 
@@ -267,6 +268,11 @@ def cmd_tiil_check(args) -> int:
                      else "IRREVERSIBILITY BOUND VIOLATED")
         _write_out(args, "\n".join(lines) + "\n")
     if not result["all_hold"]:
+        _print_err(*(f"violated: {d['task_id']}/{d['dimension']} "
+                     f"decoder={row['decoder']} slack={row['slack']:.3e} "
+                     f"accuracy={row['accuracy']:.4f}"
+                     for d in result["dims"] for row in d["decoders"]
+                     if not row["ok"]))
         _print_err("internal error: irreversibility bound violated; "
                    "this indicates a bug in the oracle")
         return 3
@@ -308,6 +314,26 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+# Numeric option types: argparse reports a rejected value as
+# "argument --flag: must be ..." and exits 2, like any other usage error.
+
+def _number(parse, valid, requirement: str):
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return convert
+
+
+_positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_finite_float = _number(float, math.isfinite, "a finite number")
+_theta_pub = _number(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -351,10 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--world", default=None,
                    help="world config for oracle privacy labels")
-    p.add_argument("--theta-pub", type=float, default=None)
-    p.add_argument("--r-threshold", type=float, default=0.5)
-    p.add_argument("--f-threshold", type=float, default=0.5)
-    p.add_argument("--max-drift", type=float, default=None,
+    p.add_argument("--theta-pub", type=_theta_pub, default=None)
+    p.add_argument("--r-threshold", type=_finite_float, default=0.5)
+    p.add_argument("--f-threshold", type=_finite_float, default=0.5)
+    p.add_argument("--max-drift", type=_finite_float, default=None,
                    help="gate: exit 1 when d_drift exceeds this")
     p.add_argument("--timestamp", default=None,
                    help="fixed RFC 3339 timestamp (for reproducible output)")
@@ -364,22 +390,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the FULL + single-dimension ablation design")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--mode", choices=("argmax", "sample"), default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--replicates", type=_positive_int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("perturb", parents=[common],
                        help="run the weight-perturbation experiment")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--mode", choices=("argmax", "sample"), default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--replicates", type=_positive_int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("tiil-check", parents=[common],
                        help="verify the irreversibility bounds on a world")
     p.add_argument("--world", default=None, help="world config JSON")
-    p.add_argument("--theta-pub", type=float, default=THETA_PUB_DEFAULT)
+    p.add_argument("--theta-pub", type=_theta_pub, default=THETA_PUB_DEFAULT)
     p.set_defaults(func=cmd_tiil_check)
 
     p = sub.add_parser("report", parents=[common],
@@ -389,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", parents=[common],
                        help="run the shipped report-task scenario end to end")
-    p.add_argument("--max-drift", type=float, default=None)
+    p.add_argument("--max-drift", type=_finite_float, default=None)
     p.add_argument("--timestamp", default=None)
     p.set_defaults(func=cmd_demo)
 

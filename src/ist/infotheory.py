@@ -6,6 +6,13 @@ explicit row-stochastic maps from evidence cells to output
 distributions, and the data processing inequality is checked by
 literally computing both mutual informations. No estimation anywhere.
 
+A world dimension's channel depends only on its alphabet size K and
+mixture weight lambda, so tiil_check enumerates each distinct (K, lambda)
+channel once (joint, verdict, constant and Bayes decoders) and checks
+only the task-keyed random decoder per task. Its report is byte-identical
+to running the whole battery per dimension; the tests keep that per-
+dimension loop as the reference.
+
 Units are bits (log base 2) throughout.
 """
 
@@ -250,6 +257,12 @@ def verify_dpi(joint: DiscreteJoint, decoder: Decoder) -> DpiReport:
     if not v_group:
         raise DomainMismatch("decoder evidence covers every variable")
     i_v_e = mutual_information(joint, v_group, decoder.evidence_vars)
+    return _dpi_report(joint, decoder, v_group, i_v_e)
+
+
+def _dpi_report(joint: DiscreteJoint, decoder: Decoder, v_group: tuple,
+                i_v_e: float) -> DpiReport:
+    """verify_dpi given I(v; evidence), computed once by the caller."""
     extended = apply_decoder(joint, decoder)
     i_v_g = mutual_information(extended, v_group, decoder.output_var)
     return DpiReport(i_v_evidence=i_v_e, i_v_g=i_v_g,
@@ -289,26 +302,34 @@ def chance_level(joint: DiscreteJoint, v) -> float:
 # world channels and privacy classification
 # ---------------------------------------------------------------------------
 
-def _regeneration_channel(dim: WorldDim, mode: str) -> np.ndarray:
-    """p(v, y) by enumeration over user-value redraws.
+def _regeneration_channel(k: int, lam: float, mode: str) -> np.ndarray:
+    """p(v, y) of a (K, lambda) channel, in closed form.
 
     The user value v is uniform over K; the model emits y from the
-    mixture prior built around v, either sampled (rows are the prior
-    itself) or by argmax (point mass, ties to lowest index).
+    mixture prior around v, which has (1 - lam)/K off v and that plus
+    lam at v. Sampled rows are the prior itself over K; argmax rows are
+    a point mass at v, or at token 0 when lam is below the float
+    resolution of the prior and every entry ties. These are the same
+    floats as building and dividing the prior for each v in turn.
     """
-    k = dim.k
     if k * k > CELL_CAP:
         raise WorldTooLarge(k * k, CELL_CAP)
-    base = (1.0 - dim.lam) / k
-    table = np.zeros((k, k))
-    for u in range(k):
-        prior = np.full(k, base)
-        prior[u] += dim.lam
-        if mode == "sample":
-            table[u, :] = prior / k
-        else:
-            table[u, int(np.argmax(prior))] = 1.0 / k
+    base = (1.0 - lam) / k
+    if mode == "sample":
+        table = np.full((k, k), base / k)
+        np.fill_diagonal(table, (base + lam) / k)
+    else:
+        table = np.zeros((k, k))
+        picks = np.arange(k) if base + lam > base else np.zeros(k, dtype=np.int64)
+        table[np.arange(k), picks] = 1.0 / k
     return table
+
+
+def _world_dim(world: SyntheticWorld, task_id: str, dim_id: str) -> WorldDim:
+    for dim in world.task(task_id).dims:
+        if dim.id == dim_id:
+            return dim
+    raise UnknownVariable(dim_id)
 
 
 def dimension_channel_joint(world: SyntheticWorld, task_id: str, dim_id: str,
@@ -316,11 +337,8 @@ def dimension_channel_joint(world: SyntheticWorld, task_id: str, dim_id: str,
     """Joint of (v, y) for one carrier-absent dimension."""
     if mode not in ("argmax", "sample"):
         raise DomainMismatch(f"mode must be 'argmax' or 'sample', got {mode!r}")
-    task = world.task(task_id)
-    for dim in task.dims:
-        if dim.id == dim_id:
-            return DiscreteJoint(("v", "y"), _regeneration_channel(dim, mode))
-    raise UnknownVariable(dim_id)
+    dim = _world_dim(world, task_id, dim_id)
+    return DiscreteJoint(("v", "y"), _regeneration_channel(dim.k, dim.lam, mode))
 
 
 @dataclass(frozen=True)
@@ -332,6 +350,28 @@ class PrivacyVerdict:
     label: str  # public | private
 
 
+def _check_theta_pub(theta_pub: float) -> None:
+    if not 0.0 < theta_pub <= 1.0:
+        raise RangeError(f"theta_pub = {theta_pub}, outside (0, 1]")
+
+
+def _channel_verdict(dim: WorldDim, theta_pub: float,
+                     ) -> tuple[DiscreteJoint, PrivacyVerdict]:
+    """Sample-mode joint of the dimension's (K, lambda) channel and its verdict.
+
+    The one channel evaluation behind classify_privacy and tiil_check;
+    the verdict depends on the dimension only through K and lambda.
+    """
+    joint = DiscreteJoint(("v", "y"), _regeneration_channel(dim.k, dim.lam, "sample"))
+    acc = bayes_accuracy(joint, "v", "y")
+    chance = chance_level(joint, "v")
+    mi = mutual_information(joint, "v", "y")
+    public = acc >= theta_pub and acc >= chance + CHANCE_FLOOR
+    return joint, PrivacyVerdict(dimension=dim.id, mi_bits=mi, bayes_accuracy=acc,
+                                 chance=chance,
+                                 label="public" if public else "private")
+
+
 def classify_privacy(world: SyntheticWorld, task_id: str, dim_id: str,
                      theta_pub: float = THETA_PUB_DEFAULT) -> PrivacyVerdict:
     """Operational public/private call for one dimension.
@@ -341,15 +381,20 @@ def classify_privacy(world: SyntheticWorld, task_id: str, dim_id: str,
     (chance + 0.1); everything else is private. Relative to this world's
     prior, never an intrinsic property of the dimension.
     """
-    if not 0.0 < theta_pub <= 1.0:
-        raise RangeError(f"theta_pub = {theta_pub}, outside (0, 1]")
-    joint = dimension_channel_joint(world, task_id, dim_id, mode="sample")
-    acc = bayes_accuracy(joint, "v", "y")
-    chance = chance_level(joint, "v")
-    mi = mutual_information(joint, "v", "y")
-    public = acc >= theta_pub and acc >= chance + CHANCE_FLOOR
-    return PrivacyVerdict(dimension=dim_id, mi_bits=mi, bayes_accuracy=acc,
-                          chance=chance, label="public" if public else "private")
+    _check_theta_pub(theta_pub)
+    return _channel_verdict(_world_dim(world, task_id, dim_id), theta_pub)[1]
+
+
+def _decoder_row(name: str, joint: DiscreteJoint, decoder: Decoder,
+                 verdict: PrivacyVerdict, chance_level_dim: bool) -> dict:
+    """One decoder's line of the battery; I(v; y) is the verdict's."""
+    rep = _dpi_report(joint, decoder, ("v",), verdict.mi_bits)
+    acc = decoder_accuracy(joint, decoder, "v")
+    beats_chance = acc > verdict.chance + DPI_TOL
+    ok = rep.holds and not (chance_level_dim and
+                            (beats_chance or rep.i_v_g > DPI_TOL))
+    return {"decoder": name, "dpi_holds": rep.holds, "slack": rep.slack,
+            "accuracy": acc, "i_v_g": rep.i_v_g, "ok": ok}
 
 
 def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
@@ -360,40 +405,41 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
     then check the three decoder families against the DPI bound. For
     chance-level channels (Bayes accuracy == chance), additionally
     record that no decoder beats generic substitution.
+
+    Everything but the task-keyed random decoder depends only on the
+    dimension's (K, lambda) channel, so dimensions are grouped by
+    channel and each channel's joint, verdict, constant and Bayes rows
+    are enumerated once; the random decoder is checked per task. The
+    report lists dimensions in world order, with the same bytes as
+    checking each dimension on its own.
     """
-    dims_report = []
-    all_hold = True
-    for task in world.tasks:
-        for dim in task.dims:
-            joint = dimension_channel_joint(world, task.task_id, dim.id)
-            verdict = classify_privacy(world, task.task_id, dim.id, theta_pub)
-            decoders = [
-                constant_decoder(("y",), (dim.k,), dim.k),
-                random_deterministic_decoder(("y",), (dim.k,), dim.k,
-                                             seed=derive(seed, task.index)),
-                bayes_decoder(joint, "v", ("y",)),
-            ]
-            chance_level_dim = verdict.bayes_accuracy <= verdict.chance + DPI_TOL
-            decoder_rows = []
-            for name, dec in zip(("constant", "random_deterministic", "bayes"),
-                                 decoders):
-                rep = verify_dpi(joint, dec)
-                extended = apply_decoder(joint, dec)
-                acc = decoder_accuracy(joint, dec, "v")
-                i_v_g = mutual_information(extended, "v", dec.output_var)
-                beats_chance = acc > verdict.chance + DPI_TOL
-                ok = rep.holds and not (chance_level_dim and
-                                        (beats_chance or i_v_g > DPI_TOL))
-                all_hold = all_hold and ok
-                decoder_rows.append({
-                    "decoder": name,
-                    "dpi_holds": rep.holds,
-                    "slack": rep.slack,
-                    "accuracy": acc,
-                    "i_v_g": i_v_g,
-                    "ok": ok,
-                })
-            dims_report.append({
+    _check_theta_pub(theta_pub)
+    dims = [(task, dim) for task in world.tasks for dim in task.dims]
+    by_channel: dict[tuple[int, float], list[int]] = {}
+    for i, (_, dim) in enumerate(dims):
+        by_channel.setdefault((dim.k, dim.lam), []).append(i)
+    dims_report: list = [None] * len(dims)
+    for members in by_channel.values():
+        first = dims[members[0]][1]
+        joint, verdict = _channel_verdict(first, theta_pub)
+        k = first.k
+        chance_level_dim = verdict.bayes_accuracy <= verdict.chance + DPI_TOL
+        constant_row = _decoder_row(
+            "constant", joint, constant_decoder(("y",), (k,), k),
+            verdict, chance_level_dim)
+        bayes_row = _decoder_row(
+            "bayes", joint, bayes_decoder(joint, "v", ("y",)),
+            verdict, chance_level_dim)
+        random_rows: dict[int, dict] = {}
+        for i in members:
+            task, dim = dims[i]
+            if task.index not in random_rows:
+                decoder = random_deterministic_decoder(
+                    ("y",), (k,), k, seed=derive(seed, task.index))
+                random_rows[task.index] = _decoder_row(
+                    "random_deterministic", joint, decoder, verdict,
+                    chance_level_dim)
+            dims_report[i] = {
                 "task_id": task.task_id,
                 "dimension": dim.id,
                 "lambda": dim.lam,
@@ -402,6 +448,8 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
                 "bayes_accuracy": verdict.bayes_accuracy,
                 "chance": verdict.chance,
                 "chance_level": chance_level_dim,
-                "decoders": decoder_rows,
-            })
+                "decoders": [dict(constant_row), dict(random_rows[task.index]),
+                             dict(bayes_row)],
+            }
+    all_hold = all(row["ok"] for d in dims_report for row in d["decoders"])
     return {"theta_pub": theta_pub, "all_hold": all_hold, "dims": dims_report}

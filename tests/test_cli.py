@@ -243,6 +243,31 @@ def test_tiil_check_json(capsys):
     assert labels["what"] == "public" and labels["why"] == "private"
 
 
+def test_tiil_check_names_each_violation(capsys, monkeypatch):
+    import ist.infotheory as infotheory
+    # a negative DPI tolerance makes every low-slack decoder row fail
+    monkeypatch.setattr(infotheory, "DPI_TOL", -1.0)
+    code, out, err = run(capsys, "tiil-check", "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["all_hold"] is False
+    failing = [f"violated: {d['task_id']}/{d['dimension']} "
+               f"decoder={row['decoder']} slack={row['slack']:.3e} "
+               f"accuracy={row['accuracy']:.4f}"
+               for d in doc["dims"] for row in d["decoders"] if not row["ok"]]
+    rows = sum(len(d["decoders"]) for d in doc["dims"])
+    assert 0 < len(failing) < rows
+    lines = err.splitlines()
+    assert lines[:-1] == failing
+    assert lines[-1].startswith("internal error: irreversibility bound violated")
+    # the report on stdout keeps its shape; the list goes to stderr only
+    code, out, err = run(capsys, "tiil-check")
+    assert code == 3
+    assert out.splitlines()[-1] == "IRREVERSIBILITY BOUND VIOLATED"
+    assert "violated:" not in out
+    assert err.splitlines()[:-1] == failing
+
+
 # -- report ------------------------------------------------------------------
 
 def audit_jsonl(capsys, data_dir, tmp_path):
@@ -402,6 +427,36 @@ def test_every_subcommand_and_format(capsys, data_dir, tmp_path, command, fmt):
 
 
 # -- argparse-level behavior -------------------------------------------------
+
+AUDIT_ARGS = ("--spec", "report_task.json", "--carrier", "report_carrier.json",
+              "--output", "report_output.json")
+
+# one case per numeric flag: (subcommand args, flag the message must name)
+BAD_NUMERICS = {
+    "tiil-check-theta-pub-nan": (["tiil-check", "--theta-pub", "nan"], "--theta-pub"),
+    "tiil-check-theta-pub-zero": (["tiil-check", "--theta-pub", "0"], "--theta-pub"),
+    "tiil-check-theta-pub-above-one": (["tiil-check", "--theta-pub", "1.5"], "--theta-pub"),
+    # the packaged spec carries privacy hints, so theta_pub would go unused
+    "audit-theta-pub": (["audit", *AUDIT_ARGS, "--theta-pub", "-0.2"], "--theta-pub"),
+    "ablate-replicates": (["ablate", "--replicates", "0"], "--replicates"),
+    "perturb-replicates": (["perturb", "--replicates", "-1"], "--replicates"),
+    "ablate-jobs": (["ablate", "--jobs", "0"], "--jobs"),
+    "perturb-jobs": (["perturb", "--jobs", "-3"], "--jobs"),
+    "audit-max-drift": (["audit", *AUDIT_ARGS, "--max-drift", "nan"], "--max-drift"),
+    "demo-max-drift": (["demo", "--max-drift", "inf"], "--max-drift"),
+    "audit-r-threshold": (["audit", *AUDIT_ARGS, "--r-threshold", "inf"], "--r-threshold"),
+    "audit-f-threshold": (["audit", *AUDIT_ARGS, "--f-threshold=-inf"], "--f-threshold"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_NUMERICS))
+def test_bad_numeric_flag_exits_2(capsys, data_dir, case):
+    argv, flag = BAD_NUMERICS[case]
+    argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
 
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:

@@ -12,6 +12,8 @@ from ist.errors import (
     WorldTooLarge,
 )
 from ist.infotheory import (
+    CHANCE_FLOOR,
+    DPI_TOL,
     DiscreteJoint,
     apply_decoder,
     bayes_accuracy,
@@ -28,6 +30,8 @@ from ist.infotheory import (
     tiil_check,
     verify_dpi,
 )
+from ist.rng import derive
+from ist.spec_io import dumps_canonical
 from ist.worlds import build_world
 
 H_THREE_QUARTERS = 0.8112781244591328  # -(0.75 log2 0.75 + 0.25 log2 0.25)
@@ -312,3 +316,133 @@ def test_tiil_check_demo_world(demo_world_config):
     for entry in out["dims"]:
         for dec in entry["decoders"]:
             assert dec["dpi_holds"] and dec["ok"]
+
+
+# -- reference oracle: the per-dimension battery, one dimension at a time ---
+
+def prior_loop_channel(k, lam, mode):
+    """p(v, y) by building the mixture prior for each user value v."""
+    base = (1.0 - lam) / k
+    table = np.zeros((k, k))
+    for u in range(k):
+        prior = np.full(k, base)
+        prior[u] += lam
+        if mode == "sample":
+            table[u, :] = prior / k
+        else:
+            table[u, int(np.argmax(prior))] = 1.0 / k
+    return table
+
+
+def tiil_check_reference(world, theta_pub=0.9, seed=0):
+    """tiil_check as a plain loop: every dimension's joint, verdict and
+    three decoders computed anew, nothing shared or cached."""
+    dims_report = []
+    all_hold = True
+    for task in world.tasks:
+        for dim in task.dims:
+            joint = DiscreteJoint(("v", "y"), prior_loop_channel(dim.k, dim.lam, "sample"))
+            acc_bayes = bayes_accuracy(joint, "v", "y")
+            chance = chance_level(joint, "v")
+            mi = mutual_information(joint, "v", "y")
+            public = acc_bayes >= theta_pub and acc_bayes >= chance + CHANCE_FLOOR
+            chance_level_dim = acc_bayes <= chance + DPI_TOL
+            decoders = [
+                ("constant", constant_decoder(("y",), (dim.k,), dim.k)),
+                ("random_deterministic", random_deterministic_decoder(
+                    ("y",), (dim.k,), dim.k, seed=derive(seed, task.index))),
+                ("bayes", bayes_decoder(joint, "v", ("y",))),
+            ]
+            rows = []
+            for name, dec in decoders:
+                rep = verify_dpi(joint, dec)
+                extended = apply_decoder(joint, dec)
+                acc = decoder_accuracy(joint, dec, "v")
+                i_v_g = mutual_information(extended, "v", dec.output_var)
+                beats_chance = acc > chance + DPI_TOL
+                ok = rep.holds and not (chance_level_dim and
+                                        (beats_chance or i_v_g > DPI_TOL))
+                all_hold = all_hold and ok
+                rows.append({"decoder": name, "dpi_holds": rep.holds,
+                             "slack": rep.slack, "accuracy": acc,
+                             "i_v_g": i_v_g, "ok": ok})
+            dims_report.append({
+                "task_id": task.task_id, "dimension": dim.id,
+                "lambda": dim.lam, "label": "public" if public else "private",
+                "mi_bits": mi, "bayes_accuracy": acc_bayes, "chance": chance,
+                "chance_level": chance_level_dim, "decoders": rows})
+    return {"theta_pub": theta_pub, "all_hold": all_hold, "dims": dims_report}
+
+
+def random_world_config(rng, channel, n_tasks, n_dims):
+    tasks = []
+    for t in range(n_tasks):
+        n = rng.randint(1, n_dims)
+        dims = []
+        for i in range(n):
+            k, lam = channel()
+            dims.append({"id": f"d{i}", "weight": 1.0 / n, "K": k, "lambda": lam})
+        dims[-1]["weight"] = 1.0 - sum(d["weight"] for d in dims[:-1])
+        tasks.append({"task_id": f"t{t}", "dims": dims})
+    return {"tasks": tasks}
+
+
+def reference_worlds():
+    rng = random.Random(31)
+    repeating = [(3, 0.0), (3, 0.5), (4, 1.0), (10, 0.25), (10, 0.0)]
+    kinds = {
+        "repeating": (lambda: rng.choice(repeating), 6, 6),
+        "distinct": (lambda: (rng.randint(2, 12), rng.random()), 5, 5),
+        "large_k": (lambda: (rng.choice((2, 17, 33, 64)),
+                             rng.choice((0.0, 0.3, 1.0))), 2, 3),
+        "edge_lambda": (lambda: (rng.randint(2, 9),
+                                 rng.choice((0.0, 5e-324, 1.0))), 5, 5),
+    }
+    for kind, (channel, n_tasks, n_dims) in kinds.items():
+        for world_seed in (0, 13):
+            cfg = random_world_config(rng, channel, n_tasks, n_dims)
+            yield kind, build_world(cfg, seed=world_seed)
+
+
+def test_tiil_check_bytes_match_reference(demo_world_config):
+    worlds = [("demo", build_world(demo_world_config))]
+    worlds += list(reference_worlds())
+    kinds = set()
+    for kind, world in worlds:
+        for theta in (0.5, 0.9, 1.0):
+            for seed in (0, 7):
+                got = dumps_canonical(tiil_check(world, theta_pub=theta, seed=seed))
+                want = dumps_canonical(tiil_check_reference(world, theta, seed))
+                assert got == want, (kind, theta, seed)
+        kinds.add(kind)
+    assert kinds == {"demo", "repeating", "distinct", "large_k", "edge_lambda"}
+
+
+def test_classify_privacy_matches_reference():
+    for _, world in reference_worlds():
+        ref = tiil_check_reference(world, theta_pub=0.5)
+        for entry in ref["dims"]:
+            v = classify_privacy(world, entry["task_id"], entry["dimension"], 0.5)
+            assert v.dimension == entry["dimension"]
+            assert (v.mi_bits, v.bayes_accuracy, v.chance, v.label) == (
+                entry["mi_bits"], entry["bayes_accuracy"], entry["chance"],
+                entry["label"])
+
+
+def test_channel_closed_form_is_bit_identical():
+    lams = [0.0, 5e-324, 1e-310, 1e-300, 2.2e-16, 1e-9, 0.1, 0.25, 1 / 3,
+            0.5, 0.9, 1.0 - 1e-16, 1.0]
+    for k in (2, 3, 7, 10, 33, 64):
+        for lam in lams:
+            world = one_dim_world(lam, k)
+            for mode in ("sample", "argmax"):
+                got = dimension_channel_joint(world, "t", "d", mode=mode).table
+                want = prior_loop_channel(k, lam, mode)
+                assert got.tobytes() == want.tobytes(), (k, lam, mode)
+
+
+def test_tiil_check_rejects_bad_theta():
+    world = one_dim_world(0.5, 4)
+    for theta in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(RangeError):
+            tiil_check(world, theta_pub=theta)

@@ -28,6 +28,15 @@ def restore_backend():
     set_backend(before)
 
 
+def entropy_bits_reference(p) -> float:
+    """The plain loop: -sum of x * log2(x) over positive cells, in order."""
+    total = 0.0
+    for x in np.asarray(p, dtype=np.float64).ravel().tolist():
+        if x > 0.0:
+            total += x * math.log2(x)
+    return -total
+
+
 def random_match_args(rng):
     n_dims = rng.randint(1, 5)
     ks = [rng.randint(2, 9) for _ in range(n_dims)]
@@ -65,6 +74,66 @@ def test_entropy_bits_returns_python_float(restore_backend):
     for name in ("numpy", "numba") if HAVE_NUMBA else ("numpy",):
         set_backend(name)
         assert type(entropy_bits(p)) is float
+
+
+def entropy_cases():
+    # sizes on both sides of the kernel's 256-positive-cell switch
+    rng = np.random.default_rng(5)
+    raw = rng.random(1000)
+    yield raw / raw.sum()                                # all distinct
+    yield np.array([1.0])                                # one cell
+    yield np.array([0.0, 0.0, 1.0, 0.0])                 # zeros around a point mass
+    yield np.zeros(3)                                    # no positive cell
+    yield np.array([0.5, 0.0, 0.25, 0.0, 0.25])          # zeros and repeats
+    yield np.array([5e-324, 1e-310, 2.5e-308, 1.0 - 2.5e-308])  # subnormals
+    tiny = np.full(16, 5e-324)
+    tiny[0] = 1.0
+    yield tiny
+    yield np.tile([5e-324, 1e-310, 0.0, 0.5], 300)       # subnormals, repeated
+    big = rng.random(10 ** 6)
+    big[::7] = 0.0
+    yield big / big.sum()                                # 10^6 cells
+    k = 64
+    table = np.full((k, k), 0.3 / k / k)
+    np.fill_diagonal(table, (0.3 / k + 0.7) / k)
+    yield table                                          # a channel joint
+
+
+def test_entropy_bits_is_exact_against_reference(restore_backend):
+    # bit equality, not a tolerance: the vectorized kernel must give the
+    # same float as the sequential loop, so tiil-check's bytes cannot move
+    set_backend("numpy")
+    for p in entropy_cases():
+        got = entropy_bits(p)
+        assert type(got) is float
+        want = entropy_bits_reference(p)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), p.size
+
+
+def test_entropy_bits_exact_on_random_arrays(restore_backend):
+    set_backend("numpy")
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(1, 700))
+        p = rng.random(n) ** int(rng.integers(1, 40))
+        p[rng.random(n) < 0.2] = 0.0
+        if trial % 3 == 0:  # few distinct values, as in channel tables
+            p = rng.choice(p, size=n)
+        total = p.sum()
+        p = p / total if total > 0 else p
+        assert entropy_bits(p) == entropy_bits_reference(p)
+
+
+def test_entropy_bits_log2_is_exact_per_value(restore_backend):
+    # numpy's SIMD log2 differs from math.log2 in the last bit on some
+    # machines and values. In each array the largest terms decide the
+    # last bit: two cells (running sum), 300 halvings each twice (one log2
+    # per distinct value) and 300 halvings once (one log2 per cell).
+    set_backend("numpy")
+    halvings = 0.5 ** np.arange(300)
+    for x in np.random.default_rng(17).random(2000).tolist():
+        for p in (np.array([x, x]), np.repeat(x * halvings, 2), x * halvings):
+            assert entropy_bits(p) == entropy_bits_reference(p), (x, p.size)
 
 
 @needs_numba
