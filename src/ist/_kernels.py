@@ -1,13 +1,10 @@
 """Hot numeric loops, compiled with numba when available.
 
 Two kernels live here: Shannon entropy over a dense probability table,
-and the Monte Carlo match counter behind mean-fidelity estimates. The
-numpy entropy kernel is exact: it gives the same float, bit for bit, as
-summing x * log2(x) over the positive cells one at a time, and on large
-tables it is vectorized with one log2 per distinct value. The match
-counter falls back to a pure-Python loop whose integer counts equal the
-compiled ones. The compiled entropy uses numba's log2 and agrees within
-float noise.
+and the Monte Carlo match counter behind mean-fidelity estimates. Both
+have pure-Python/numpy fallbacks that produce the same values (bit-equal
+for the counter, which is integer; within float reassociation noise for
+entropy).
 
 Backend selection: numba is used when importable unless the environment
 variable IST_NUMBA is set to 0/false/off. Tests can force a backend at
@@ -37,36 +34,16 @@ except ImportError:
 
 
 # ---------------------------------------------------------------------------
-# numpy implementations
+# reference (pure) implementations
 # ---------------------------------------------------------------------------
 
-# Below this many positive cells a running sum beats numpy's per-call
-# overhead; above it, taking log2 once per distinct value wins on the
-# channel tables the oracle builds (a 64x64 one: 0.14 ms against 0.29 ms).
-_RUNNING_SUM_MAX_CELLS = 256
-
-
-def _log2(values: np.ndarray) -> np.ndarray:
-    # math.log2, not np.log2: numpy's SIMD log2 may differ in the last bit
-    return np.fromiter(map(math.log2, values.tolist()), np.float64, values.size)
-
-
-def _entropy_bits_np(p: np.ndarray) -> float:
-    # Both paths give the same float as a running sum of x * log2(x) over
-    # the positive cells: the vector path forms the terms in cell order
-    # and cumsum adds them left to right (np.sum would add pairwise).
-    pos = p[p > 0.0]
-    if pos.size <= _RUNNING_SUM_MAX_CELLS:
-        total = 0.0
-        for x in pos.tolist():
+def _entropy_bits_py(p: np.ndarray) -> float:
+    # tolist() yields Python floats, so the sum is a float, not np.float64
+    total = 0.0
+    for x in p.tolist():
+        if x > 0.0:
             total += x * math.log2(x)
-        return -total
-    values = np.unique(pos)
-    if values.size < pos.size:
-        logs = _log2(values)[np.searchsorted(values, pos)]
-    else:
-        logs = _log2(pos)
-    return -float(np.cumsum(pos * logs)[-1])
+    return -total
 
 
 def _match_counts_py(master: int, task_ix: int, dim_ixs: np.ndarray,
@@ -194,7 +171,7 @@ def entropy_bits(p) -> float:
     arr = np.ascontiguousarray(np.asarray(p, dtype=np.float64).ravel())
     if _backend == "numba":
         return float(_entropy_bits_nb(arr))
-    return _entropy_bits_np(arr)
+    return _entropy_bits_py(arr)
 
 
 def match_counts(master: int, task_ix: int, dim_ixs, user_ixs, cdfs, ks,
