@@ -1,177 +1,36 @@
-"""Hot numeric loops, compiled with numba when available.
+"""Hot numeric loops: Shannon entropy and the Monte Carlo match counter.
 
-Two kernels live here: Shannon entropy over a dense probability table,
-and the Monte Carlo match counter behind mean-fidelity estimates. Both
-have pure-Python/numpy fallbacks that produce the same values (bit-equal
-for the counter, which is integer; within float reassociation noise for
-entropy).
-
-Backend selection: numba is used when importable unless the environment
-variable IST_NUMBA is set to 0/false/off. Tests can force a backend at
-runtime with set_backend(). Record files are never affected by the
-choice: per-record scores go through the plain path by construction.
+Entropy is a running sum over a dense probability table, returned as a
+Python float. The match counter behind mean-fidelity estimates hashes
+whole blocks of draw indices at once with rng.derive, so its counts are
+bit-identical to simulating each record in turn.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from .rng import MASK64, SAMPLE_STREAM, derive, unit_float
+from .rng import SAMPLE_STREAM, derive, unit_float
 
-_ENV_FLAG = os.environ.get("IST_NUMBA", "1").strip().lower()
-_NUMBA_WANTED = _ENV_FLAG not in ("0", "false", "off", "no")
+__all__ = ["entropy_bits", "match_counts"]
 
-try:
-    if _NUMBA_WANTED:
-        from numba import njit
-    else:
-        njit = None
-except ImportError:
-    njit = None
-
-
-# ---------------------------------------------------------------------------
-# reference (pure) implementations
-# ---------------------------------------------------------------------------
-
-def _entropy_bits_py(p: np.ndarray) -> float:
-    # tolist() yields Python floats, so the sum is a float, not np.float64
-    total = 0.0
-    for x in p.tolist():
-        if x > 0.0:
-            total += x * math.log2(x)
-    return -total
-
-
-def _match_counts_py(master: int, task_ix: int, dim_ixs: np.ndarray,
-                     user_ixs: np.ndarray, cdfs: np.ndarray,
-                     ks: np.ndarray, n_draws: int) -> np.ndarray:
-    counts = np.zeros(len(dim_ixs), dtype=np.int64)
-    for j in range(len(dim_ixs)):
-        dim_ix = int(dim_ixs[j])
-        user_ix = int(user_ixs[j])
-        k = int(ks[j])
-        row = cdfs[j]
-        hits = 0
-        for draw in range(n_draws):
-            h = derive(master, SAMPLE_STREAM, task_ix, dim_ix, draw)
-            u = unit_float(h)
-            lo, hi = 0, k
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if u < row[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            tok = lo if lo < k else k - 1
-            if tok == user_ix:
-                hits += 1
-        counts[j] = hits
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same arithmetic on uint64)
-# ---------------------------------------------------------------------------
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _splitmix64_nb(x):
-        x = (x + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(MASK64)
-        x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(MASK64)
-        x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & np.uint64(MASK64)
-        return x ^ (x >> np.uint64(31))
-
-    @njit(cache=True)
-    def _entropy_bits_nb(p):
-        total = 0.0
-        for i in range(p.shape[0]):
-            x = p[i]
-            if x > 0.0:
-                total += x * np.log2(x)
-        return -total
-
-    @njit(cache=True)
-    def _match_counts_nb(master, task_ix, dim_ixs, user_ixs, cdfs, ks, n_draws):
-        counts = np.zeros(dim_ixs.shape[0], dtype=np.int64)
-        stream = np.uint64(SAMPLE_STREAM)
-        for j in range(dim_ixs.shape[0]):
-            dim_ix = np.uint64(dim_ixs[j])
-            user_ix = user_ixs[j]
-            k = ks[j]
-            hits = 0
-            for draw in range(n_draws):
-                h = _splitmix64_nb(np.uint64(master))
-                h = _splitmix64_nb(h ^ stream)
-                h = _splitmix64_nb(h ^ np.uint64(task_ix))
-                h = _splitmix64_nb(h ^ dim_ix)
-                h = _splitmix64_nb(h ^ np.uint64(draw))
-                u = (h >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-                lo = 0
-                hi = k
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if u < cdfs[j, mid]:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                tok = lo if lo < k else k - 1
-                if tok == user_ix:
-                    hits += 1
-            counts[j] = hits
-        return counts
-
-else:
-    _entropy_bits_nb = None
-    _match_counts_nb = None
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-_backend = "numba" if njit is not None else "numpy"
-
-
-def set_backend(name: str | None) -> str:
-    """Force 'numba' or 'numpy'; None re-selects automatically."""
-    global _backend
-    if name is None:
-        _backend = "numba" if njit is not None else "numpy"
-    elif name == "numba":
-        if njit is None:
-            raise RuntimeError("numba backend unavailable")
-        _backend = "numba"
-    elif name == "numpy":
-        _backend = "numpy"
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-    return _backend
-
-
-def active_backend() -> str:
-    return _backend
-
-
-def using_numba() -> bool:
-    return _backend == "numba"
+# draws hashed per block; bounds peak memory for any n_draws
+_CHUNK_DRAWS = 65_536
 
 
 def entropy_bits(p) -> float:
     """-sum(p log2 p) in bits over a flat nonnegative array.
 
-    Returns a Python float on either backend: callers compare the value
-    and the resulting bools reach dumps_canonical, which rejects numpy
-    scalars.
+    Returns a Python float: callers compare the value and the resulting
+    bools reach dumps_canonical, which rejects numpy scalars.
     """
-    arr = np.ascontiguousarray(np.asarray(p, dtype=np.float64).ravel())
-    if _backend == "numba":
-        return float(_entropy_bits_nb(arr))
-    return _entropy_bits_py(arr)
+    total = 0.0
+    for x in np.asarray(p, dtype=np.float64).ravel().tolist():
+        if x > 0.0:
+            total += x * math.log2(x)
+    return -total
 
 
 def match_counts(master: int, task_ix: int, dim_ixs, user_ixs, cdfs, ks,
@@ -179,15 +38,21 @@ def match_counts(master: int, task_ix: int, dim_ixs, user_ixs, cdfs, ks,
     """Per-dimension counts of sampled token == user token over n draws.
 
     The draw stream is derive(master, SAMPLE_STREAM, task_ix, dim_ix, draw),
-    identical to the per-record simulation path, so a mean computed from
-    these counts equals the mean over individually simulated records.
+    and a draw picks token bisect_right(cdf[:k], u) clamped to k - 1, as
+    worlds.sample_token_index does; a mean computed from these counts
+    therefore equals the mean over individually simulated records.
     """
-    dim_ixs = np.ascontiguousarray(dim_ixs, dtype=np.int64)
-    user_ixs = np.ascontiguousarray(user_ixs, dtype=np.int64)
-    ks = np.ascontiguousarray(ks, dtype=np.int64)
-    cdfs = np.ascontiguousarray(cdfs, dtype=np.float64)
-    if _backend == "numba":
-        return _match_counts_nb(np.uint64(master), np.uint64(task_ix),
-                                dim_ixs, user_ixs, cdfs, ks, int(n_draws))
-    return _match_counts_py(int(master), int(task_ix), dim_ixs, user_ixs,
-                            cdfs, ks, int(n_draws))
+    master, task_ix, n_draws = int(master), int(task_ix), int(n_draws)
+    dim_ixs = np.asarray(dim_ixs).tolist()
+    cdfs = np.asarray(cdfs, dtype=np.float64)
+    counts = np.zeros(len(dim_ixs), dtype=np.int64)
+    for j, (dim_ix, user_ix, k) in enumerate(zip(
+            dim_ixs, np.asarray(user_ixs).tolist(), np.asarray(ks).tolist())):
+        row = cdfs[j, :k]
+        for start in range(0, n_draws, _CHUNK_DRAWS):
+            draws = np.arange(start, min(start + _CHUNK_DRAWS, n_draws),
+                              dtype=np.uint64)
+            u = unit_float(derive(master, SAMPLE_STREAM, task_ix, dim_ix, draws))
+            tok = np.minimum(np.searchsorted(row, u, side="right"), k - 1)
+            counts[j] += np.count_nonzero(tok == user_ix)
+    return counts

@@ -14,7 +14,6 @@ knowledge is reported as absence of knowledge, never guessed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Iterable, Iterator, Mapping
@@ -32,8 +31,9 @@ from .spec_io import (
     _check_keys,
     _get_number,
     _get_str,
-    _reject_constant,
+    _read_jsonl,
     _require_obj,
+    _write_jsonl,
     compute_mask,
     dumps_canonical,
 )
@@ -222,30 +222,12 @@ def audit_record_from_obj(doc, *, path: str = "$") -> AuditRecord:
 
 
 def write_audit_records(path, records: Iterable[AuditRecord]) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(dumps_canonical(audit_record_to_obj(rec)))
-            fh.write("\n")
-            n += 1
-    return n
+    return _write_jsonl(path, records,
+                        lambda rec: dumps_canonical(audit_record_to_obj(rec)))
 
 
 def read_audit_records(path) -> Iterator[AuditRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line, parse_constant=_reject_constant)
-            except json.JSONDecodeError as e:
-                raise SchemaError("$", f"invalid JSON: {e.msg}", line=lineno) from None
-            except SchemaError as e:
-                raise SchemaError(e.path, e.reason, line=lineno) from None
-            try:
-                yield audit_record_from_obj(doc)
-            except SchemaError as e:
-                raise SchemaError(e.path, e.reason, line=lineno) from None
+    yield from _read_jsonl(path, audit_record_from_obj)
 
 
 # ---------------------------------------------------------------------------

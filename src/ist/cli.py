@@ -339,30 +339,35 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="override the master seed where one applies")
-    common.add_argument("--format", choices=("text", "markdown", "json"),
-                        default="text", help="output format")
     common.add_argument("--lenient", action="store_true",
                         help="warn on unknown input fields instead of failing")
     common.add_argument("--out", default=None,
                         help="write the primary result to this file")
+    any_format = argparse.ArgumentParser(add_help=False)
+    any_format.add_argument("--format", choices=("text", "markdown", "json"),
+                            default="text", help="output format")
+    # demo, audit, ablate and perturb print JSON only, so they reject the others
+    json_only = argparse.ArgumentParser(add_help=False)
+    json_only.add_argument("--format", choices=("json",), default="json",
+                           help="output format")
 
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Intent-signal metrics, synthetic prior worlds, and audits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate", parents=[common, any_format],
                        help="check an intent spec file")
     p.add_argument("spec", help="intent spec JSON")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("mask", parents=[common],
+    p = sub.add_parser("mask", parents=[common, any_format],
                        help="compute the encoding mask and L_enc")
     p.add_argument("--spec", required=True)
     p.add_argument("--carrier", required=True)
     p.set_defaults(func=cmd_mask)
 
-    p = sub.add_parser("score", parents=[common],
+    p = sub.add_parser("score", parents=[common, any_format],
                        help="score realized values against a spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--output", required=True, help="output document JSON")
@@ -370,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional carrier (enables l_enc)")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("audit", parents=[common],
+    p = sub.add_parser("audit", parents=[common, json_only],
                        help="emit an audit record for one interaction")
     p.add_argument("--spec", required=True)
     p.add_argument("--carrier", required=True)
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed RFC 3339 timestamp (for reproducible output)")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("ablate", parents=[common],
+    p = sub.add_parser("ablate", parents=[common, json_only],
                        help="run the FULL + single-dimension ablation design")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--mode", choices=("argmax", "sample"), default=None)
@@ -394,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("perturb", parents=[common],
+    p = sub.add_parser("perturb", parents=[common, json_only],
                        help="run the weight-perturbation experiment")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--mode", choices=("argmax", "sample"), default=None)
@@ -402,18 +407,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_perturb)
 
-    p = sub.add_parser("tiil-check", parents=[common],
+    p = sub.add_parser("tiil-check", parents=[common, any_format],
                        help="verify the irreversibility bounds on a world")
     p.add_argument("--world", default=None, help="world config JSON")
     p.add_argument("--theta-pub", type=_theta_pub, default=THETA_PUB_DEFAULT)
     p.set_defaults(func=cmd_tiil_check)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[common, any_format],
                        help="render an audit record batch")
     p.add_argument("--records", required=True, help="AuditRecord JSONL file")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("demo", parents=[common],
+    p = sub.add_parser("demo", parents=[common, json_only],
                        help="run the shipped report-task scenario end to end")
     p.add_argument("--max-drift", type=_finite_float, default=None)
     p.add_argument("--timestamp", default=None)

@@ -31,7 +31,7 @@ from .errors import (
     WorldTooLarge,
 )
 from .rng import DECODER_STREAM, derive, uniform_index
-from .worlds import SyntheticWorld, WorldDim
+from .worlds import SyntheticWorld, WorldDim, _argmax_finds_user
 
 CELL_CAP = 10 ** 6
 _SUM_TOL = 1e-9
@@ -320,7 +320,8 @@ def _regeneration_channel(k: int, lam: float, mode: str) -> np.ndarray:
         np.fill_diagonal(table, (base + lam) / k)
     else:
         table = np.zeros((k, k))
-        picks = np.arange(k) if base + lam > base else np.zeros(k, dtype=np.int64)
+        picks = (np.arange(k) if _argmax_finds_user(k, lam)
+                 else np.zeros(k, dtype=np.int64))
         table[np.arange(k), picks] = 1.0 / k
     return table
 

@@ -242,14 +242,6 @@ def flatten(spec: IntentSpec) -> list[FlatDimension]:
     return out
 
 
-def flat_ids(spec: IntentSpec) -> list[str]:
-    return [f.id for f in flatten(spec)]
-
-
-def flat_weights(spec: IntentSpec) -> list[float]:
-    return [f.weight for f in flatten(spec)]
-
-
 def refine_dimension(spec: IntentSpec, target: str,
                      sub_dims: list[Dimension]) -> IntentSpec:
     """Return a new spec where the target leaf is split into sub-dimensions.

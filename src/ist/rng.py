@@ -36,7 +36,11 @@ def splitmix64(x: int) -> int:
 
 
 def derive(master: int, *indices: int) -> int:
-    """Mix a chain of indices into the master seed (order-sensitive)."""
+    """Mix a chain of indices into the master seed (order-sensitive).
+
+    The last index may be a np.uint64 array: the result is then the
+    array of hashes, one per element, equal to the scalar ones.
+    """
     h = splitmix64(master & MASK64)
     for ix in indices:
         h = splitmix64(h ^ (ix & MASK64))
@@ -44,7 +48,8 @@ def derive(master: int, *indices: int) -> int:
 
 
 def unit_float(h: int) -> float:
-    """Map a 64-bit hash to [0, 1) with 53-bit resolution."""
+    """Map a 64-bit hash, or a np.uint64 array of them, to [0, 1) with
+    53-bit resolution."""
     return (h >> 11) * 2.0 ** -53
 
 

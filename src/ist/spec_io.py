@@ -30,7 +30,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -444,15 +443,43 @@ def record_to_line(rec: OutputRecord) -> str:
     return dumps_canonical(record_to_obj(rec))
 
 
-def write_records(path, records: Iterable[OutputRecord]) -> int:
-    """Write records as JSONL; returns the number written."""
+def _write_jsonl(path, items: Iterable, to_line: Callable[[object], str]) -> int:
+    """Write one to_line(item) per line; returns the number written."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(record_to_line(rec))
+        for item in items:
+            fh.write(to_line(item))
             fh.write("\n")
             n += 1
     return n
+
+
+def _read_jsonl(path, from_obj: Callable[[object], object], *,
+                fail_fast: bool = False,
+                on_error: Callable[[SchemaError], None] | None = None) -> Iterator:
+    """Stream from_obj(doc) per nonblank line; errors as read_records says."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                try:
+                    item = from_obj(json.loads(line, parse_constant=_reject_constant))
+                except json.JSONDecodeError as e:
+                    raise SchemaError("$", f"invalid JSON: {e.msg}", line=lineno) from None
+                except SchemaError as e:
+                    raise SchemaError(e.path, e.reason, line=lineno) from None
+            except SchemaError as err:
+                if on_error is not None and not fail_fast:
+                    on_error(err)
+                    continue
+                raise
+            yield item
+
+
+def write_records(path, records: Iterable[OutputRecord]) -> int:
+    """Write records as JSONL; returns the number written."""
+    return _write_jsonl(path, records, record_to_line)
 
 
 def read_records(path, *, fail_fast: bool = False, lenient: bool = False,
@@ -464,26 +491,8 @@ def read_records(path, *, fail_fast: bool = False, lenient: bool = False,
     ``on_error`` given and ``fail_fast`` false, errors are reported to the
     callback and reading continues.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                try:
-                    doc = json.loads(line, parse_constant=_reject_constant)
-                except json.JSONDecodeError as e:
-                    raise SchemaError("$", f"invalid JSON: {e.msg}", line=lineno) from None
-                except SchemaError as e:
-                    raise SchemaError(e.path, e.reason, line=lineno) from None
-                try:
-                    yield record_from_obj(doc, lenient=lenient)
-                except SchemaError as e:
-                    raise SchemaError(e.path, e.reason, line=lineno) from None
-            except SchemaError as err:
-                if on_error is not None and not fail_fast:
-                    on_error(err)
-                    continue
-                raise
+    yield from _read_jsonl(path, lambda doc: record_from_obj(doc, lenient=lenient),
+                           fail_fast=fail_fast, on_error=on_error)
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +520,6 @@ def parse_output_document(data: bytes | str, *, lenient: bool = False) -> Output
         text = _get_str(obj, "text", "$")
     return OutputDocument(task_id=_get_str(obj, "task_id", "$"),
                           realized_values=realized, text=text)
-
-
-def output_document_to_obj(doc: OutputDocument) -> dict:
-    out: dict = {
-        "task_id": doc.task_id,
-        "realized_values": {k: _value_ref_obj(v)
-                            for k, v in doc.realized_values.items()},
-    }
-    if doc.text is not None:
-        out["text"] = doc.text
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +552,3 @@ def parse_spec_document(data: bytes | str, *, lenient: bool = False) -> SpecDocu
         outputs = tuple(record_from_obj(r, path=f"$.outputs[{i}]", lenient=lenient)
                         for i, r in enumerate(raw))
     return SpecDocument(FORMAT_VERSION, spec, carrier, outputs)
-
-
-def read_file(path) -> bytes:
-    return Path(path).read_bytes()

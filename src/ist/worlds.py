@@ -258,20 +258,24 @@ def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
 # analytic expectations and Monte Carlo means
 # ---------------------------------------------------------------------------
 
+def _argmax_finds_user(k: int, lam: float) -> bool:
+    """Whether argmax of the (K, lambda) prior lands on the user value.
+
+    The user's entry is base + lam over a flat base = (1 - lam)/K. When
+    lam is below the float resolution of base, every entry ties and
+    argmax picks token 0, whatever the user value.
+    """
+    base = (1.0 - lam) / k
+    return base + lam > base
+
+
 def _argmax_match_prob(dim: WorldDim) -> float:
     """P(argmax of prior == user value) under world regeneration.
 
-    Exact enumeration: rebuild the mixture for each of the K candidate
-    user values and check whether argmax lands on it.
+    Certain when lam lifts the user's entry; otherwise argmax is token 0,
+    which is the user value for 1 of the K equally likely values.
     """
-    base = (1.0 - dim.lam) / dim.k
-    hits = 0
-    for u in range(dim.k):
-        prior = np.full(dim.k, base, dtype=np.float64)
-        prior[u] += dim.lam
-        if int(np.argmax(prior)) == u:
-            hits += 1
-    return hits / dim.k
+    return 1.0 if _argmax_finds_user(dim.k, dim.lam) else 1.0 / dim.k
 
 
 def expected_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
@@ -279,8 +283,8 @@ def expected_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     """Closed-form E[f_icmw] for simulated outputs under this mask.
 
     Sample mode: E[f_i | m_i = 0] = prior(user_value). Argmax mode takes
-    the expectation over world regeneration (user values redrawn), by
-    enumeration. Encoded dimensions contribute 1 either way.
+    the expectation over world regeneration (user values redrawn).
+    Encoded dimensions contribute 1 either way.
     """
     if mode not in ("argmax", "sample"):
         raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")

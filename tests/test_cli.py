@@ -412,10 +412,20 @@ def packaged_args(command, capsys, data_dir, tmp_path):
     return []  # ablate and tiil-check default to the packaged demo world
 
 
+# these print JSON only, so a text or markdown request is a usage error
+JSON_ONLY = ("demo", "audit", "ablate", "perturb")
+
+
 @pytest.mark.parametrize("fmt", ["text", "markdown", "json"])
 @pytest.mark.parametrize("command", list(EXIT_CODES))
 def test_every_subcommand_and_format(capsys, data_dir, tmp_path, command, fmt):
     args = packaged_args(command, capsys, data_dir, tmp_path)
+    if command in JSON_ONLY and fmt != "json":
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", fmt, *args])
+        assert exc.value.code == 2
+        assert "argument --format: invalid choice" in capsys.readouterr().err
+        return
     code, out, err = run(capsys, command, "--format", fmt, *args)
     assert code == EXIT_CODES[command], err
     if fmt == "json":

@@ -1,31 +1,11 @@
 import math
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from ist import _kernels
-from ist._kernels import (
-    active_backend,
-    entropy_bits,
-    match_counts,
-    set_backend,
-    using_numba,
-)
-
-HAVE_NUMBA = _kernels.njit is not None
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
-
-@pytest.fixture
-def restore_backend():
-    before = active_backend()
-    yield
-    set_backend(before)
+from ist._kernels import entropy_bits, match_counts
+from ist.rng import SAMPLE_STREAM, derive, unit_float
 
 
 def entropy_bits_reference(p) -> float:
@@ -37,43 +17,67 @@ def entropy_bits_reference(p) -> float:
     return -total
 
 
-def random_match_args(rng):
-    n_dims = rng.randint(1, 5)
-    ks = [rng.randint(2, 9) for _ in range(n_dims)]
-    kmax = max(ks)
-    cdfs = np.ones((n_dims, kmax))
+def match_counts_reference(master, task_ix, dim_ixs, user_ixs, cdfs, ks,
+                           n_draws) -> np.ndarray:
+    """One scalar derive per draw and a hand-written bisect_right over cdf[:k]."""
+    counts = np.zeros(len(dim_ixs), dtype=np.int64)
+    for j in range(len(dim_ixs)):
+        k = int(ks[j])
+        row = cdfs[j]
+        hits = 0
+        for draw in range(n_draws):
+            u = unit_float(derive(master, SAMPLE_STREAM, task_ix, int(dim_ixs[j]), draw))
+            lo, hi = 0, k
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if u < row[mid]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            tok = lo if lo < k else k - 1
+            if tok == int(user_ixs[j]):
+                hits += 1
+        counts[j] = hits
+    return counts
+
+
+def random_match_args(rng, n_draws=None):
+    """Seeded kernel inputs: K from 2 to 64, 64-bit master, indices above
+    2^32, and some CDFs that top out below 1 so the clamp to k - 1 runs.
+    Cells past a row's k hold zeros, which the kernel must never read."""
+    n_dims = rng.randint(1, 4)
+    ks = [rng.choice([2, 64, rng.randint(2, 64)]) for _ in range(n_dims)]
+    cdfs = np.zeros((n_dims, max(ks)))
     for row, k in enumerate(ks):
         raw = np.array([rng.random() + 0.05 for _ in range(k)])
         cdf = np.cumsum(raw / raw.sum())
         cdf[-1] = 1.0
+        if rng.random() < 0.3:
+            cdf *= rng.uniform(0.3, 0.99)
         cdfs[row, :k] = cdf
     return (
-        rng.getrandbits(63),
-        rng.randint(0, 50),
-        np.array([rng.randint(0, 30) for _ in range(n_dims)], dtype=np.int64),
+        rng.getrandbits(64),
+        rng.choice([rng.randint(0, 50), 2 ** 32 + rng.getrandbits(31)]),
+        np.array([rng.choice([rng.randint(0, 30), 2 ** 32 + rng.getrandbits(31)])
+                  for _ in range(n_dims)], dtype=np.int64),
         np.array([rng.randint(0, k - 1) for k in ks], dtype=np.int64),
         cdfs,
         np.array(ks, dtype=np.int64),
-        rng.randint(1, 300),
+        rng.choice([1, rng.randint(1, 300)]) if n_draws is None else n_draws,
     )
 
 
-def test_entropy_bits_matches_math(restore_backend):
-    set_backend("numpy")
+def test_entropy_bits_matches_math():
     assert entropy_bits(np.array([0.25, 0.25, 0.25, 0.25])) == 2.0
     p = np.array([0.75, 0.25])
     direct = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
     assert abs(entropy_bits(p) - direct) < 1e-15
 
 
-def test_entropy_bits_returns_python_float(restore_backend):
+def test_entropy_bits_returns_python_float():
     # np.float64 here would turn DPI comparisons into np.bool_, which
     # canonical JSON rejects; the type is part of the contract
-    p = np.array([0.5, 0.25, 0.25, 0.0])
-    assert type(entropy_bits(p)) is float
-    for name in ("numpy", "numba") if HAVE_NUMBA else ("numpy",):
-        set_backend(name)
-        assert type(entropy_bits(p)) is float
+    assert type(entropy_bits(np.array([0.5, 0.25, 0.25, 0.0]))) is float
 
 
 def entropy_cases():
@@ -98,10 +102,9 @@ def entropy_cases():
     yield table                                          # a channel joint
 
 
-def test_entropy_bits_is_exact_against_reference(restore_backend):
+def test_entropy_bits_is_exact_against_reference():
     # bit equality, not a tolerance: the numpy kernel must give the same
     # float as the sequential loop, so tiil-check's bytes cannot move
-    set_backend("numpy")
     for p in entropy_cases():
         got = entropy_bits(p)
         assert type(got) is float
@@ -109,45 +112,15 @@ def test_entropy_bits_is_exact_against_reference(restore_backend):
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), p.size
 
 
-def test_entropy_bits_log2_is_exact_per_value(restore_backend):
+def test_entropy_bits_log2_is_exact_per_value():
     # numpy's SIMD log2 differs from math.log2 in the last bit on some
     # machines and values; with two equal cells that bit decides the sum
-    set_backend("numpy")
     for x in np.random.default_rng(17).random(2000).tolist():
         p = np.array([x, x])
         assert entropy_bits(p) == entropy_bits_reference(p), x
 
 
-@needs_numba
-def test_entropy_backends_agree(restore_backend):
-    rng = random.Random(2)
-    for _ in range(50):
-        n = rng.randint(1, 40)
-        raw = np.array([rng.random() for _ in range(n)]) + 1e-9
-        p = raw / raw.sum()
-        set_backend("numpy")
-        a = entropy_bits(p)
-        set_backend("numba")
-        b = entropy_bits(p)
-        assert abs(a - b) < 1e-12
-
-
-@needs_numba
-def test_match_counts_backends_identical(restore_backend):
-    # integer counts must agree bit for bit, not just approximately
-    rng = random.Random(3)
-    for _ in range(25):
-        args = random_match_args(rng)
-        set_backend("numpy")
-        a = match_counts(*args)
-        set_backend("numba")
-        b = match_counts(*args)
-        assert a.dtype == b.dtype == np.int64
-        assert np.array_equal(a, b)
-
-
-def test_match_counts_bounds(restore_backend):
-    set_backend("numpy")
+def test_match_counts_bounds():
     rng = random.Random(4)
     for _ in range(10):
         args = random_match_args(rng)
@@ -156,8 +129,7 @@ def test_match_counts_bounds(restore_backend):
         assert np.all(counts >= 0) and np.all(counts <= n_draws)
 
 
-def test_match_counts_point_mass(restore_backend):
-    set_backend("numpy")
+def test_match_counts_point_mass():
     # cdf [1.0, ...] means token 0 always; user at 0 -> all draws match
     cdfs = np.ones((1, 3))
     counts = match_counts(7, 0, np.array([0], dtype=np.int64),
@@ -170,49 +142,44 @@ def test_match_counts_point_mass(restore_backend):
     assert counts[0] == 0
 
 
-def test_set_backend_validation(restore_backend):
-    with pytest.raises(ValueError):
-        set_backend("fortran")
-    assert set_backend("numpy") == "numpy"
-    assert active_backend() == "numpy"
-    assert using_numba() is False
-    default = set_backend(None)
-    assert default == ("numba" if HAVE_NUMBA else "numpy")
+def test_match_counts_equals_reference():
+    rng = random.Random(3)
+    for case in range(150):
+        args = random_match_args(rng)
+        got = match_counts(*args)
+        assert got.dtype == np.int64, case
+        assert np.array_equal(got, match_counts_reference(*args)), case
 
 
-@needs_numba
-def test_backend_switch_roundtrip(restore_backend):
-    set_backend("numba")
-    assert using_numba() is True
-    set_backend("numpy")
-    assert using_numba() is False
+def test_match_counts_equals_reference_across_chunks():
+    # one draw past a block boundary, so the last block holds a single draw;
+    # the second dimension always samples its user token, so a dropped or
+    # repeated draw anywhere shows in its count
+    n = _kernels._CHUNK_DRAWS + 1
+    master, task_ix, dim_ixs, user_ixs, cdfs, ks, _ = random_match_args(random.Random(8))
+    k = int(ks[0])
+    cdfs = np.vstack([cdfs[0, :k], np.ones(k)])
+    args = (master, task_ix, np.array([dim_ixs[0], 2 ** 33]),
+            np.array([user_ixs[0], 0]), cdfs, np.array([k, k]), n)
+    got = match_counts(*args)
+    assert got.dtype == np.int64 and got[1] == n
+    assert np.array_equal(got, match_counts_reference(*args))
 
 
-def test_env_flag_disables_numba():
-    code = ("import ist._kernels as k; "
-            "print(k.active_backend(), k.using_numba())")
-    # A minimal env keeps a caller's IST_NUMBA out of the child; PYTHONPATH
-    # points at the directory holding the ist package under test, so the
-    # child imports it whether it is installed or run from a source tree.
-    package_parent = Path(_kernels.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "IST_NUMBA": "0",
-             "PYTHONPATH": str(package_parent)})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["numpy", "False"]
+def test_match_counts_clamps_a_short_cdf():
+    # u >= cdf[-1] must land on token k-1, not past the alphabet
+    cdfs = np.array([[0.1, 0.2, 0.5]])
+    args = (2 ** 64 - 1, 2 ** 40, np.array([2 ** 33]), np.array([2]), cdfs,
+            np.array([3]), 2000)
+    got = match_counts(*args)
+    assert np.array_equal(got, match_counts_reference(*args))
+    assert got[0] > 1200  # about 0.8 of the draws
 
 
-def test_world_results_do_not_depend_on_backend(restore_backend):
-    from ist.worlds import build_world, full_mask, mask_without, mc_mean_f_icmw
-    cfg = {"tasks": [{"task_id": "t", "dims": [
-        {"id": "a", "weight": 0.6, "K": 7, "lambda": 0.3},
-        {"id": "b", "weight": 0.4, "K": 5, "lambda": 0.0}]}]}
-    world = build_world(cfg, seed=12)
-    mask = mask_without(world.tasks[0], {"b"})
-    set_backend("numpy")
-    a = mc_mean_f_icmw(world, "t", mask, n=500)
-    if HAVE_NUMBA:
-        set_backend("numba")
-        assert mc_mean_f_icmw(world, "t", mask, n=500) == a
+def test_match_counts_tie_goes_right():
+    # a draw equal to a cdf entry takes the next token, as bisect_right does
+    master, task_ix, dim_ix = 99, 3, 5
+    u0 = unit_float(derive(master, SAMPLE_STREAM, task_ix, dim_ix, 0))
+    args = (master, task_ix, np.array([dim_ix]), np.array([1]),
+            np.array([[u0, 1.0]]), np.array([2]), 1)
+    assert match_counts(*args)[0] == match_counts_reference(*args)[0] == 1

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 try:
@@ -13,6 +14,7 @@ from ist.errors import BadConfig, LengthMismatch, UnknownTask
 from ist.metrics import bundle_for_output, score_output, weighted_sum
 from ist.model import EncodingMask, validate_spec
 from ist.worlds import (
+    _argmax_match_prob,
     build_world,
     expected_f_icmw,
     full_mask,
@@ -212,6 +214,28 @@ def test_expected_argmax_enumerates_user_values():
     got2 = expected_f_icmw(world2, "t", EncodingMask(("d",), (0,)),
                            mode="argmax")
     assert got2 == 1.0
+
+
+def argmax_match_prob_reference(k, lam):
+    """Enumerate the K user values: rebuild the prior around each one and
+    check whether argmax (ties to the lowest index) lands on it."""
+    base = (1.0 - lam) / k
+    hits = 0
+    for u in range(k):
+        prior = np.full(k, base, dtype=np.float64)
+        prior[u] += lam
+        if int(np.argmax(prior)) == u:
+            hits += 1
+    return hits / k
+
+
+def test_argmax_match_prob_equals_enumeration():
+    # lambdas below the float resolution of the base make every entry tie
+    lams = (0.0, 5e-324, 1e-300, 1e-17, 5e-17, 1e-16, 1e-12, 1e-3, 0.5, 1.0)
+    for k in (2, 3, 4, 7, 10, 33, 64, 100):
+        for lam in lams:
+            dim = build_world(one_dim_config(lam, k), seed=3).tasks[0].dims[0]
+            assert _argmax_match_prob(dim) == argmax_match_prob_reference(k, lam), (k, lam)
 
 
 def test_mc_matches_mean_of_simulated_records():
