@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import Inconsistent, SchemaError
 from .metrics import (
-    DimensionScores,
     Matcher,
     SPLIT_ZONE_THRESHOLD,
     build_bundle,

@@ -13,29 +13,33 @@ Two experiment designs live here:
   a WAS delta of exactly zero (the plateau); inverting the ranking
   displaces high-weight private dimensions and craters WAS (the cliff).
 
-Every record's draw index is a pure function of its plan position, so
-results are identical at any parallelism level.
+Both designs share one record engine (_TaskDraws): a draw index is a
+pure function of plan position and never of the mask, so each task's
+draws are hashed as one token matrix, every mask is applied to it at
+once, and the bytes are those of simulating and scoring each record in
+turn (the tests keep that per-record loop as the reference).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     BadBudget,
     BadConfig,
     BadPerturbation,
     Inconsistent,
+    InvalidSpec,
     MissingCondition,
     ZeroSignal,
 )
-from .metrics import score_output, synthesize_ga, weighted_sum
-from .model import EncodingMask, normalize_weights
+from .metrics import synthesize_ga, weighted_sum
+from .model import EncodingMask, ValueRef, normalize_weights, validate_spec
 from .rng import PERTURB_STREAM, derive, unit_float
 from .spec_io import OutputRecord
 from .worlds import (
@@ -44,8 +48,8 @@ from .worlds import (
     build_world,
     full_mask,
     mask_without,
-    simulate_output,
     to_intent_spec,
+    token,
 )
 
 FULL_CONDITION = "FULL"
@@ -92,51 +96,96 @@ def _conditions(task: WorldTask) -> list[tuple[str, EncodingMask]]:
     return conds
 
 
-def _score_simulated(world: SyntheticWorld, task: WorldTask, condition: str,
-                     mask: EncodingMask, mode: str, draw: int) -> OutputRecord:
-    out = simulate_output(world, task.task_id, mask, mode, draw)
-    scores = score_output(to_intent_spec(task), out.realized_values)
-    s = weighted_sum(task.weights, scores.r)
-    f = weighted_sum(task.weights, scores.f)
-    return OutputRecord(
-        task_id=task.task_id,
-        condition=condition,
-        model_tag=world.tag,
-        mask=mask,
-        realized_values=out.realized_values,
-        ga=synthesize_ga(s),
-        s_icmw=s,
-        f_icmw=f,
-    )
+class _TaskDraws:
+    """One task's draws as (draws x dims) token matrices, scored by row.
+
+    Row i of tokens(start, stop) holds every dimension's prior default
+    (argmax mode) or its sampled token at draw start + i (sample mode).
+    Draws never depend on the mask, so one matrix serves every mask.
+    Scoring is exact match against the user value: a record's fidelity
+    row is mask | (token == user), and its f_icmw is weighted_sum of
+    that 0/1 row, computed once per distinct row.
+    """
+
+    def __init__(self, world: SyntheticWorld, task: WorldTask, mode: str):
+        # records are scored against the task's spec, as score_output would
+        report = validate_spec(to_intent_spec(task))
+        if report:
+            raise InvalidSpec(report)
+        self._seed = world.seed
+        self._task = task
+        self._mode = mode
+        self._weights = task.weights
+        self._user = np.array([d.user_index for d in task.dims])
+        self._f_icmw: dict[tuple, float] = {}
+
+    def tokens(self, start: int, stop: int) -> np.ndarray:
+        dims = self._task.dims
+        if self._mode == "argmax":
+            return np.broadcast_to(np.array([d.argmax_index for d in dims]),
+                                   (stop - start, len(dims)))
+        draws = np.arange(start, stop, dtype=np.uint64)
+        return np.stack(
+            [_kernels.sample_tokens(self._seed, self._task.index, dim_ix,
+                                    draws, d.cdf, d.k)
+             for dim_ix, d in enumerate(dims)], axis=1)
+
+    def realize(self, bits, tokens: np.ndarray) -> np.ndarray:
+        """Realized tokens under mask bits, given per row or once for all
+        rows: encoded dimensions copy the user value, the rest keep the
+        drawn token."""
+        return np.where(np.asarray(bits, dtype=bool), self._user, tokens)
+
+    def f_icmw(self, real: np.ndarray) -> list[float]:
+        """f_icmw per row of realized tokens."""
+        out = []
+        for hits in (real == self._user).tolist():
+            key = tuple(hits)
+            f = self._f_icmw.get(key)
+            if f is None:
+                f = self._f_icmw[key] = weighted_sum(self._weights, hits)
+            out.append(f)
+        return out
 
 
-def run_ablation(world: SyntheticWorld, plan: AblationPlan,
-                 jobs: int = 1) -> Iterator[OutputRecord]:
+class _TokenRefs(dict):
+    """Token index -> ValueRef, each made once and shared by records."""
+
+    def __missing__(self, j: int) -> ValueRef:
+        ref = self[j] = ValueRef.token(token(j))
+        return ref
+
+
+def run_ablation(world: SyntheticWorld, plan: AblationPlan) -> Iterator[OutputRecord]:
     """Emit one record per (task, condition, replicate), in plan order.
 
     The draw index is condition_index * replicates + replicate, fixed by
-    plan position alone; with jobs > 1 the records are computed in a
-    thread pool but still yielded in plan order, so output bytes do not
-    depend on the parallelism level.
+    plan position alone, so a task's records are one block of draws and
+    output bytes never depend on evaluation order.
     """
-    work = []
+    refs = _TokenRefs()
     for task_id in plan.task_ids:
         task = world.task(task_id)
-        for cond_ix, (condition, mask) in enumerate(_conditions(task)):
-            for rep in range(plan.replicates):
-                draw = cond_ix * plan.replicates + rep
-                work.append((task, condition, mask, draw))
-    if jobs <= 1:
-        for task, condition, mask, draw in work:
-            yield _score_simulated(world, task, condition, mask, plan.mode, draw)
-        return
-
-    def job(args):
-        task, condition, mask, draw = args
-        return _score_simulated(world, task, condition, mask, plan.mode, draw)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(job, work)
+        conds = _conditions(task)
+        draws = _TaskDraws(world, task, plan.mode)
+        real = draws.realize(
+            np.repeat([m.bits for _, m in conds], plan.replicates, axis=0),
+            draws.tokens(0, len(conds) * plan.replicates))
+        s = weighted_sum(task.weights, [1.0] * len(task.dims))
+        ga = synthesize_ga(s)
+        ids = task.dim_ids
+        for row, (tokens, f) in enumerate(zip(real.tolist(), draws.f_icmw(real))):
+            condition, mask = conds[row // plan.replicates]
+            yield OutputRecord(
+                task_id=task.task_id,
+                condition=condition,
+                model_tag=world.tag,
+                mask=mask,
+                realized_values={d: refs[j] for d, j in zip(ids, tokens)},
+                ga=ga,
+                s_icmw=s,
+                f_icmw=f,
+            )
 
 
 def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, float]:
@@ -306,24 +355,26 @@ class PerturbationReport:
     mean_inversion_drop: float | None
 
 
-def _was_for_mask(world: SyntheticWorld, task: WorldTask, mask: EncodingMask,
-                  mode: str, replicates: int) -> float:
-    """Mean f_icmw under TRUE weights; draws depend on replicate only,
-    never on which perturbation produced the mask."""
-    total = 0.0
-    for rep in range(replicates):
-        out = simulate_output(world, task.task_id, mask, mode, draw=rep)
-        scores = score_output(to_intent_spec(task), out.realized_values)
-        total += weighted_sum(task.weights, scores.f)
-    return total / replicates
+def _was_for_masks(draws: _TaskDraws, masks: Sequence[EncodingMask],
+                   replicates: int) -> list[float]:
+    """Mean f_icmw under TRUE weights per mask, each summed in replicate
+    order. Replicate r is draw r whatever the mask, so each block of
+    draws is hashed once and every mask applied to it; blocks bound the
+    memory for any replicate count."""
+    totals = [0.0] * len(masks)
+    for start in range(0, replicates, _kernels._CHUNK_DRAWS):
+        tokens = draws.tokens(start, min(start + _kernels._CHUNK_DRAWS, replicates))
+        for m, mask in enumerate(masks):
+            for f in draws.f_icmw(draws.realize(mask.bits, tokens)):
+                totals[m] += f
+    return [total / replicates for total in totals]
 
 
 def run_weight_perturbation(world: SyntheticWorld,
                             budget: int | None = None,
                             perturbations: Sequence[PerturbationSpec] | None = None,
                             mode: str = "argmax",
-                            replicates: int | None = None,
-                            jobs: int = 1) -> PerturbationReport:
+                            replicates: int | None = None) -> PerturbationReport:
     """WAS per (task, perturbation) plus plateau and cliff rates.
 
     Baseline is the identity perturbation (always evaluated, listed or
@@ -346,34 +397,25 @@ def run_weight_perturbation(world: SyntheticWorld,
         b = default_budget(n) if budget is None else budget
         w_true = list(task.weights)
         base_mask = encode_with_budget(task.dim_ids, w_true, b)
-        baseline = _was_for_mask(world, task, base_mask, mode, replicates)
-        rows = []
+        draws = _TaskDraws(world, task, mode)
+        masks = []
         for p_ix, p in enumerate(specs):
             w_p = perturb_weights(
                 w_true, p, seed=derive(world.seed, PERTURB_STREAM,
                                        task.index, p_ix))
-            mask_p = encode_with_budget(task.dim_ids, w_p, b)
-            # Always recomputed, even for identical masks: the exact-zero
-            # plateau is a consequence of mask-independent draws, not of
-            # result caching.
-            was = _was_for_mask(world, task, mask_p, mode, replicates)
-            rows.append(CellSummary(
-                task_id=task.task_id,
-                model_tag=world.tag,
-                perturbation=p.name,
-                was=was,
-                delta_vs_baseline=was - baseline,
-                mask_changed=mask_p.bits != base_mask.bits,
-            ))
-        return rows
+            masks.append(encode_with_budget(task.dim_ids, w_p, b))
+        # The exact-zero plateau follows from mask-independent draws: an
+        # identical mask gives identical fidelity rows.
+        baseline, *was = _was_for_masks(draws, [base_mask, *masks], replicates)
+        return [CellSummary(task_id=task.task_id,
+                            model_tag=world.tag,
+                            perturbation=p.name,
+                            was=w,
+                            delta_vs_baseline=w - baseline,
+                            mask_changed=mask.bits != base_mask.bits)
+                for p, mask, w in zip(specs, masks, was)]
 
-    tasks = list(world.tasks)
-    if jobs <= 1:
-        per_task = [run_task(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_task = list(pool.map(run_task, tasks))
-    cells = tuple(c for rows in per_task for c in rows)
+    cells = tuple(c for t in world.tasks for c in run_task(t))
 
     preserving = [c for c in cells
                   if c.perturbation != "identity" and not c.mask_changed]

@@ -30,6 +30,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -94,13 +95,15 @@ def _emit(value, parts: list[str]) -> None:
     elif type(value) is float:
         parts.append(_fmt_float(value))
     elif isinstance(value, str):
-        parts.append(json.dumps(value, ensure_ascii=False))
+        # what json.dumps(value, ensure_ascii=False) returns, without
+        # building a JSONEncoder per string
+        parts.append(encode_basestring(value))
     elif isinstance(value, dict):
         parts.append("{")
         for i, (k, v) in enumerate(value.items()):
             if i:
                 parts.append(",")
-            parts.append(json.dumps(str(k), ensure_ascii=False))
+            parts.append(encode_basestring(str(k)))
             parts.append(":")
             _emit(v, parts)
         parts.append("}")

@@ -22,8 +22,8 @@ is no shared PRNG state and calls are safe to run in any order.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from . import _kernels
 from .errors import BadConfig, LengthMismatch, SpecSyntaxError, UnknownTask
 from .metrics import weighted_sum
 from .model import Dimension, EncodingMask, IntentSpec, ValueRef, normalize_weights
-from .rng import SAMPLE_STREAM, USER_VALUE_STREAM, derive, uniform_index, unit_float
+from .rng import USER_VALUE_STREAM, derive, uniform_index
 from .spec_io import loads_strict
 
 
@@ -84,11 +84,17 @@ class SyntheticWorld:
     tag: str
     tasks: tuple[WorldTask, ...]
 
+    @cached_property
+    def _tasks_by_id(self) -> dict[str, WorldTask]:
+        # built from the end so that, as with a scan, the first of any
+        # duplicate ids wins (build_world itself rejects duplicates)
+        return {t.task_id: t for t in reversed(self.tasks)}
+
     def task(self, task_id: str) -> WorldTask:
-        for t in self.tasks:
-            if t.task_id == task_id:
-                return t
-        raise UnknownTask(task_id)
+        try:
+            return self._tasks_by_id[task_id]
+        except KeyError:
+            raise UnknownTask(task_id) from None
 
 
 @dataclass(frozen=True)
@@ -218,14 +224,6 @@ def _check_mask(task: WorldTask, mask: EncodingMask) -> None:
                              f"mask dims {mask.dims!r} vs task dims {task.dim_ids!r}")
 
 
-def sample_token_index(world_seed: int, task: WorldTask, dim_ix: int,
-                       draw: int) -> int:
-    dim = task.dims[dim_ix]
-    h = derive(world_seed, SAMPLE_STREAM, task.index, dim_ix, draw)
-    j = bisect_right(dim.cdf, unit_float(h))
-    return j if j < dim.k else dim.k - 1
-
-
 def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
                     mode: str = "argmax", draw: int = 0) -> SimulatedOutput:
     """Fill every slot: copy encoded dims, default or sample the rest.
@@ -248,7 +246,8 @@ def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
             realized[dim.id] = ValueRef.token(token(dim.argmax_index))
             provenance[dim.id] = "prior_default"
         else:
-            j = sample_token_index(world.seed, task, dim_ix, draw)
+            j = int(_kernels.sample_tokens(world.seed, task.index, dim_ix,
+                                           draw, dim.cdf, dim.k))
             realized[dim.id] = ValueRef.token(token(j))
             provenance[dim.id] = "prior_sample"
     return SimulatedOutput(realized_values=realized, provenance=provenance)

@@ -468,6 +468,21 @@ def test_bad_numeric_flag_exits_2(capsys, data_dir, case):
     assert err.value.code == 2
     assert f"argument {flag}: must be" in capsys.readouterr().err
 
+
+def test_internal_error_names_the_subcommand(capsys, monkeypatch):
+    import ist.cli as cli
+
+    def boom(args):
+        raise TypeError("unexpected None")
+
+    # dispatch reads the module global when the parser is built
+    monkeypatch.setattr(cli, "cmd_ablate", boom)
+    code, out, err = run(capsys, "ablate")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error in ablate: TypeError: unexpected None\n"
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

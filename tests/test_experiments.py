@@ -1,18 +1,27 @@
+import json
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from ist import _kernels
 from ist.errors import (
     BadBudget,
     BadConfig,
     BadPerturbation,
     Inconsistent,
+    InvalidSpec,
     MissingCondition,
     ZeroSignal,
 )
 from ist.experiments import (
+    ABLATION_PREFIX,
+    FULL_CONDITION,
     AblationPlan,
+    CellSummary,
+    PerturbationReport,
     PerturbationSpec,
     default_budget,
     default_perturbations,
@@ -22,10 +31,24 @@ from ist.experiments import (
     parse_experiment_config,
     perturb_weights,
     plan_for_world,
+    report_to_obj,
     run_ablation,
     run_weight_perturbation,
 )
-from ist.worlds import build_world, expected_f_icmw, mask_without
+from ist.metrics import score_output, synthesize_ga, weighted_sum
+from ist.rng import PERTURB_STREAM, derive
+from ist.spec_io import OutputRecord, dumps_canonical, record_to_line
+from ist.worlds import (
+    SyntheticWorld,
+    build_world,
+    expected_f_icmw,
+    full_mask,
+    mask_without,
+    simulate_output,
+    to_intent_spec,
+)
+
+from conftest import DATA
 
 
 def world_from(dims, seed=1, task_id="t"):
@@ -188,14 +211,6 @@ def test_ablating_private_dimension_drops_by_weight():
         assert abs(oracle - (1.0 - w * (1 - 1 / 1000))) < 1e-12
 
 
-def test_run_ablation_parallel_matches_serial():
-    world = world_from(private_dims([0.4, 0.35, 0.25], k=12), seed=5)
-    plan = plan_for_world(world, mode="sample", replicates=6)
-    serial = list(run_ablation(world, plan, jobs=1))
-    parallel = list(run_ablation(world, plan, jobs=4))
-    assert serial == parallel
-
-
 def test_plan_validation():
     world = world_from(private_dims([1.0]), seed=1)
     with pytest.raises(BadConfig):
@@ -283,13 +298,6 @@ def test_perturbation_grid_plateau_and_cliff(grid_config):
         assert 0.0 <= cell.was <= 1.0
 
 
-def test_perturbation_parallel_matches_serial(grid_config):
-    world = build_world(grid_config)
-    a = run_weight_perturbation(world, jobs=1)
-    b = run_weight_perturbation(world, jobs=3)
-    assert a == b
-
-
 def test_full_budget_is_degenerate():
     world = world_from(private_dims([0.5, 0.3, 0.2], k=20), seed=4)
     report = run_weight_perturbation(world, budget=3)
@@ -336,3 +344,159 @@ def test_parse_experiment_config_rejects_bad_shapes():
     with pytest.raises(BadConfig):
         parse_experiment_config(
             b'{"world_config": {"tasks": []}, "mystery": true}')
+
+
+# -- the record engine against the per-record reference -----------------------
+
+def score_simulated_reference(world, task, condition, mask, mode, draw):
+    """One record the plain way: simulate, score, aggregate."""
+    out = simulate_output(world, task.task_id, mask, mode, draw)
+    scores = score_output(to_intent_spec(task), out.realized_values)
+    s = weighted_sum(task.weights, scores.r)
+    return OutputRecord(
+        task_id=task.task_id,
+        condition=condition,
+        model_tag=world.tag,
+        mask=mask,
+        realized_values=out.realized_values,
+        ga=synthesize_ga(s),
+        s_icmw=s,
+        f_icmw=weighted_sum(task.weights, scores.f),
+    )
+
+
+def run_ablation_reference(world, plan):
+    for task_id in plan.task_ids:
+        task = world.task(task_id)
+        conds = [(FULL_CONDITION, full_mask(task))] + [
+            (ABLATION_PREFIX + d.id, mask_without(task, {d.id})) for d in task.dims]
+        for cond_ix, (condition, mask) in enumerate(conds):
+            for rep in range(plan.replicates):
+                yield score_simulated_reference(
+                    world, task, condition, mask, plan.mode,
+                    cond_ix * plan.replicates + rep)
+
+
+def was_for_mask_reference(world, task, mask, mode, replicates):
+    """Mean f_icmw over replicates, one simulated record at a time."""
+    total = 0.0
+    for rep in range(replicates):
+        out = simulate_output(world, task.task_id, mask, mode, draw=rep)
+        scores = score_output(to_intent_spec(task), out.realized_values)
+        total += weighted_sum(task.weights, scores.f)
+    return total / replicates
+
+
+def run_weight_perturbation_reference(world, perturbations, mode, replicates):
+    cells = []
+    for task in world.tasks:
+        b = default_budget(len(task.dims))
+        w_true = list(task.weights)
+        base_mask = encode_with_budget(task.dim_ids, w_true, b)
+        baseline = was_for_mask_reference(world, task, base_mask, mode, replicates)
+        for p_ix, p in enumerate(perturbations):
+            w_p = perturb_weights(w_true, p, seed=derive(
+                world.seed, PERTURB_STREAM, task.index, p_ix))
+            mask_p = encode_with_budget(task.dim_ids, w_p, b)
+            was = was_for_mask_reference(world, task, mask_p, mode, replicates)
+            cells.append(CellSummary(task.task_id, world.tag, p.name, was,
+                                     was - baseline, mask_p.bits != base_mask.bits))
+    preserving = [c for c in cells
+                  if c.perturbation != "identity" and not c.mask_changed]
+    inversions = [c for c in cells if c.perturbation == "full_inversion"]
+    return PerturbationReport(
+        cells=tuple(cells),
+        plateau_rate=(sum(c.delta_vs_baseline == 0.0 for c in preserving)
+                      / len(preserving)) if preserving else None,
+        cliff_rate=(sum(c.delta_vs_baseline < 0.0 for c in inversions)
+                    / len(inversions)) if inversions else None,
+        mean_inversion_drop=float(np.mean([-c.delta_vs_baseline for c in inversions]))
+                            if inversions else None,
+    )
+
+
+def random_world(seed, n_dims, n_tasks=3):
+    """K from 2 to 64, lambda at 0, 1 or in between, a 64-bit master seed."""
+    rng = random.Random(seed)
+    tasks = []
+    for t in range(n_tasks):
+        raw = [rng.uniform(0.01, 1.0) for _ in range(n_dims)]
+        total = math.fsum(raw)
+        tasks.append({"task_id": f"r{t}", "dims": [
+            {"id": f"d{i}", "weight": x / total,
+             "K": rng.choice([2, 64, rng.randint(2, 64)]),
+             "lambda": rng.choice([0.0, 1.0, rng.random()])}
+            for i, x in enumerate(raw)]})
+    return build_world({"tag": "rand", "tasks": tasks}, seed=rng.getrandbits(64))
+
+
+def scaled_world(world, factor):
+    """The same world with every weight scaled, so weights sum to about
+    factor: s_icmw must come from the weights, not a constant 1."""
+    tasks = tuple(replace(t, dims=tuple(replace(d, weight=d.weight * factor)
+                                        for d in t.dims))
+                  for t in world.tasks)
+    return SyntheticWorld(seed=world.seed, tag=world.tag, tasks=tasks)
+
+
+ENGINE_WORLDS = {
+    "demo": lambda: build_world(json.loads((DATA / "demo_world.json").read_text())),
+    "grid": lambda: build_world(json.loads((DATA / "perturb_grid.json").read_text())),
+    **{f"random-d{d}": (lambda d=d: random_world(100 + d, d)) for d in (1, 8, 9, 20)},
+    # inside the 1e-6 tolerance that spec validation allows
+    "scaled": lambda: scaled_world(random_world(7, 5), 1.0 - 5e-7),
+}
+
+
+def test_engine_worlds_cover_inexact_weight_sums():
+    for task in ENGINE_WORLDS["scaled"]().tasks:
+        assert abs(math.fsum(task.weights) - (1.0 - 5e-7)) < 1e-12
+
+
+@pytest.mark.parametrize("replicates", [1, 7])
+@pytest.mark.parametrize("mode", ["argmax", "sample"])
+@pytest.mark.parametrize("name", list(ENGINE_WORLDS))
+def test_run_ablation_equals_reference(name, mode, replicates):
+    world = ENGINE_WORLDS[name]()
+    plan = plan_for_world(world, mode, replicates)
+    got = [record_to_line(r) for r in run_ablation(world, plan)]
+    want = [record_to_line(r) for r in run_ablation_reference(world, plan)]
+    assert got == want
+
+
+@pytest.mark.parametrize("replicates", [1, 7])
+@pytest.mark.parametrize("mode", ["argmax", "sample"])
+@pytest.mark.parametrize("name", list(ENGINE_WORLDS))
+def test_run_weight_perturbation_equals_reference(name, mode, replicates):
+    world = ENGINE_WORLDS[name]()
+    specs = default_perturbations()
+    if min(len(t.dims) for t in world.tasks) < 2:
+        specs = [p for p in specs if p.kind != "adjacent_swap"]
+    got = run_weight_perturbation(world, perturbations=specs, mode=mode,
+                                  replicates=replicates)
+    want = run_weight_perturbation_reference(world, specs, mode, replicates)
+    assert dumps_canonical(report_to_obj(got)) == dumps_canonical(report_to_obj(want))
+
+
+@pytest.mark.parametrize("name", ["grid", "random-d9"])
+def test_perturbation_draw_blocks_equal_reference(monkeypatch, name):
+    # 7 replicates in blocks of 3: sums must run on across block edges
+    monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", 3)
+    world = ENGINE_WORLDS[name]()
+    specs = default_perturbations()
+    got = run_weight_perturbation(world, perturbations=specs, mode="sample",
+                                  replicates=7)
+    want = run_weight_perturbation_reference(world, specs, "sample", 7)
+    assert dumps_canonical(report_to_obj(got)) == dumps_canonical(report_to_obj(want))
+
+
+def test_engine_rejects_weights_the_reference_rejects():
+    # weights far from summing to 1 fail spec validation when scored
+    world = scaled_world(random_world(7, 5), 0.6)
+    plan = plan_for_world(world, "sample", 2)
+    with pytest.raises(InvalidSpec):
+        list(run_ablation_reference(world, plan))
+    with pytest.raises(InvalidSpec):
+        list(run_ablation(world, plan))
+    with pytest.raises(InvalidSpec):
+        run_weight_perturbation(world)

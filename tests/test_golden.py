@@ -1,0 +1,54 @@
+"""Golden bytes: sha256 of ablate and perturb output on the packaged data.
+
+The digests pin the record and report bytes, so a change that moves any
+of them fails here, however it is made; a change that means to move them
+must update these digests and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from ist.cli import main
+
+ABLATE_ARGMAX_RECORDS = "bef5d9fbdcfe2321dedb1dcdfa70d815759ab0f430a93988ca58133015253f79"
+ABLATE_ARGMAX_SUMMARY = "8780a9be568b71345fbc535cc207315d06f0781d25abc877752049f3fa225a2f"
+ABLATE_SAMPLE_RECORDS = "0b8802c55e1ef0ee62950b0772288d824d8a673a25fe128f7675a455ad499883"
+ABLATE_SAMPLE_SUMMARY = "ff9dd1b6616641d3f0e19c312ab6a114026262c02686aa8027fc71d140c55864"
+PERTURB_REPORT = "c7bb06f8b6e89c25f0f587bf4405f0ee1be3f4328f69ad38428ccf9d6161a668"
+
+ABLATE_CASES = {
+    "argmax": ([], ABLATE_ARGMAX_RECORDS, ABLATE_ARGMAX_SUMMARY),
+    "sample-r3": (["--mode", "sample", "--replicates", "3"],
+                  ABLATE_SAMPLE_RECORDS, ABLATE_SAMPLE_SUMMARY),
+}
+
+
+def sha256(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(ABLATE_CASES))
+def test_ablate_golden_bytes(capsys, tmp_path, case):
+    args, records, summary = ABLATE_CASES[case]
+    # records to stdout, summary to stderr
+    assert main(["ablate", "--seed", "1", *args]) == 0
+    captured = capsys.readouterr()
+    assert (sha256(captured.out), sha256(captured.err)) == (records, summary)
+    # records to --out, summary to stdout
+    out = tmp_path / "records.jsonl"
+    assert main(["ablate", "--seed", "1", *args, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert (sha256(out.read_bytes()), sha256(captured.out)) == (records, summary)
+    assert captured.err == ""
+
+
+def test_perturb_golden_bytes(capsys, tmp_path):
+    assert main(["perturb", "--seed", "1"]) == 0
+    assert sha256(capsys.readouterr().out) == PERTURB_REPORT
+    out = tmp_path / "report.json"
+    assert main(["perturb", "--seed", "1", "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == PERTURB_REPORT
+    assert capsys.readouterr().out == ""

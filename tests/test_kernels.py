@@ -4,7 +4,7 @@ import random
 import numpy as np
 
 from ist import _kernels
-from ist._kernels import entropy_bits, match_counts
+from ist._kernels import entropy_bits, match_counts, sample_tokens
 from ist.rng import SAMPLE_STREAM, derive, unit_float
 
 
@@ -17,27 +17,29 @@ def entropy_bits_reference(p) -> float:
     return -total
 
 
+def sample_token_reference(master, task_ix, dim_ix, draw, cdf, k) -> int:
+    """One scalar derive and a hand-written bisect_right over cdf[:k]."""
+    u = unit_float(derive(master, SAMPLE_STREAM, task_ix, dim_ix, draw))
+    lo, hi = 0, k
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if u < cdf[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo if lo < k else k - 1
+
+
 def match_counts_reference(master, task_ix, dim_ixs, user_ixs, cdfs, ks,
                            n_draws) -> np.ndarray:
-    """One scalar derive per draw and a hand-written bisect_right over cdf[:k]."""
+    """Per-draw sample_token_reference, counted against the user token."""
     counts = np.zeros(len(dim_ixs), dtype=np.int64)
     for j in range(len(dim_ixs)):
         k = int(ks[j])
-        row = cdfs[j]
-        hits = 0
-        for draw in range(n_draws):
-            u = unit_float(derive(master, SAMPLE_STREAM, task_ix, int(dim_ixs[j]), draw))
-            lo, hi = 0, k
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if u < row[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            tok = lo if lo < k else k - 1
-            if tok == int(user_ixs[j]):
-                hits += 1
-        counts[j] = hits
+        counts[j] = sum(
+            sample_token_reference(master, task_ix, int(dim_ixs[j]), draw,
+                                   cdfs[j], k) == int(user_ixs[j])
+            for draw in range(n_draws))
     return counts
 
 
@@ -118,6 +120,21 @@ def test_entropy_bits_log2_is_exact_per_value():
     for x in np.random.default_rng(17).random(2000).tolist():
         p = np.array([x, x])
         assert entropy_bits(p) == entropy_bits_reference(p), x
+
+
+def test_sample_tokens_equals_reference():
+    # the array of draws and a single int draw give the scalar rule's token
+    rng = random.Random(6)
+    for case in range(60):
+        master, task_ix, dim_ixs, _, cdfs, ks, n_draws = random_match_args(rng)
+        dim_ix, k = int(dim_ixs[0]), int(ks[0])
+        start = rng.choice([0, 2 ** 40])
+        draws = np.arange(start, start + n_draws, dtype=np.uint64)
+        got = sample_tokens(master, task_ix, dim_ix, draws, cdfs[0], k)
+        want = [sample_token_reference(master, task_ix, dim_ix, d, cdfs[0], k)
+                for d in range(start, start + n_draws)]
+        assert got.tolist() == want, case
+        assert int(sample_tokens(master, task_ix, dim_ix, start, cdfs[0], k)) == want[0]
 
 
 def test_match_counts_bounds():

@@ -74,6 +74,27 @@ def test_canonical_rejects_numpy_scalars():
         dumps_canonical({1, 2})
 
 
+STRINGS = {
+    "empty": "",
+    "quote": 'say "hi"',
+    "backslash": "back\\slash /",
+    "controls": "".join(chr(c) for c in range(0x20)) + "\x7f",
+    "line-separators": "line\u2028sep\u2029para",
+    "non-ascii": "caf\u00e9 \u4e2d\u6587 \u0416",
+    "astral": "astral \U0001F600 \U00010348",
+    "lone-surrogate": "lone \ud800 surrogate \udfff",
+}
+
+
+@pytest.mark.parametrize("name", list(STRINGS))
+def test_canonical_strings_match_json_dumps(name):
+    s = STRINGS[name]
+    want = json.dumps(s, ensure_ascii=False)
+    assert dumps_canonical(s) == want
+    assert dumps_canonical([s]) == f"[{want}]"
+    assert dumps_canonical({s: s}) == f"{{{want}:{want}}}"
+
+
 def test_parse_rejects_nan_tokens():
     with pytest.raises(SchemaError):
         parse_intent_spec('{"format_version": NaN}')

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ except ImportError:
 
 from ist.errors import BadConfig, LengthMismatch, UnknownTask
 from ist.metrics import bundle_for_output, score_output, weighted_sum
-from ist.model import EncodingMask, validate_spec
+from ist.model import EncodingMask, ValueRef, validate_spec
+from ist.rng import SAMPLE_STREAM, derive, unit_float
 from ist.worlds import (
     _argmax_match_prob,
     build_world,
@@ -170,6 +172,32 @@ def test_sample_mode_frequency_uniform():
         counts[int(out.realized_values["d"].value[1:])] += 1
     for c in counts:
         assert abs(c / n - 0.25) < 0.04
+
+
+def sample_token_index_reference(world_seed, task, dim_ix, draw):
+    """The scalar sampling rule: one derive, then bisect_right on the CDF."""
+    dim = task.dims[dim_ix]
+    h = derive(world_seed, SAMPLE_STREAM, task.index, dim_ix, draw)
+    j = bisect_right(dim.cdf, unit_float(h))
+    return j if j < dim.k else dim.k - 1
+
+
+def test_sample_mode_equals_scalar_reference():
+    rng = random.Random(21)
+    for trial in range(40):
+        dims = [{"id": f"d{i}", "weight": 1.0 / 3,
+                 "K": rng.choice([2, 64, rng.randint(2, 64)]),
+                 "lambda": rng.choice([0.0, 1.0, rng.random()])}
+                for i in range(3)]
+        world = build_world({"tasks": [{"task_id": "t", "dims": dims}]},
+                            seed=rng.getrandbits(64))
+        task = world.tasks[0]
+        for draw in (0, 1, rng.randrange(10 ** 6), 2 ** 40 + trial):
+            out = simulate_output(world, "t", EncodingMask(task.dim_ids, (0, 0, 0)),
+                                  mode="sample", draw=draw)
+            for dim_ix, dim in enumerate(task.dims):
+                want = sample_token_index_reference(world.seed, task, dim_ix, draw)
+                assert out.realized_values[dim.id] == ValueRef.token(token(want))
 
 
 def test_simulate_deterministic_per_draw():
