@@ -10,128 +10,50 @@ The package is organized bottom-up:
 * experiments: ablation and weight-perturbation harnesses
 * audit: per-interaction audit records and reports
 * cli: the `ist` command
+
+Public names load lazily (PEP 562): `from ist import X` imports only the
+module that defines X, so `errors`, `model`, `spec_io`, `metrics` and
+`audit` work without importing numpy.
 """
 
-from .errors import IstError
-from .metrics import (
-    DimensionScores,
-    MetricBundle,
-    SPLIT_ZONE_THRESHOLD,
-    build_bundle,
-    bundle_for_output,
-    detect_split_zone,
-    encoding_loss,
-    score_output,
-    synthesize_ga,
-)
-from .model import (
-    Carrier,
-    Dimension,
-    EncodingMask,
-    IntentSpec,
-    ValueRef,
-    flatten,
-    refine_dimension,
-    validate_spec,
-)
-from .spec_io import (
-    OutputRecord,
-    compute_mask,
-    parse_carrier,
-    parse_intent_spec,
-    read_records,
-    serialize_carrier,
-    serialize_intent_spec,
-    write_records,
-)
-from .worlds import (
-    SyntheticWorld,
-    build_world,
-    expected_f_icmw,
-    mc_mean_f_icmw,
-    simulate_output,
-)
-from .infotheory import (
-    Decoder,
-    DiscreteJoint,
-    PrivacyVerdict,
-    apply_decoder,
-    bayes_accuracy,
-    classify_privacy,
-    entropy,
-    mutual_information,
-    verify_dpi,
-)
-from .experiments import (
-    AblationPlan,
-    PerturbationSpec,
-    encode_with_budget,
-    estimate_weights_by_ablation,
-    perturb_weights,
-    run_ablation,
-    run_weight_perturbation,
-)
-from .audit import (
-    AuditRecord,
-    AuditThresholds,
-    build_audit_record,
-    render_report,
-    resolve_privacy_labels,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AblationPlan",
-    "AuditRecord",
-    "AuditThresholds",
-    "Carrier",
-    "Decoder",
-    "Dimension",
-    "DimensionScores",
-    "DiscreteJoint",
-    "EncodingMask",
-    "IntentSpec",
-    "IstError",
-    "MetricBundle",
-    "OutputRecord",
-    "PerturbationSpec",
-    "PrivacyVerdict",
-    "SPLIT_ZONE_THRESHOLD",
-    "SyntheticWorld",
-    "ValueRef",
-    "apply_decoder",
-    "bayes_accuracy",
-    "build_audit_record",
-    "build_bundle",
-    "build_world",
-    "bundle_for_output",
-    "classify_privacy",
-    "compute_mask",
-    "detect_split_zone",
-    "encode_with_budget",
-    "encoding_loss",
-    "entropy",
-    "estimate_weights_by_ablation",
-    "expected_f_icmw",
-    "flatten",
-    "mc_mean_f_icmw",
-    "mutual_information",
-    "parse_carrier",
-    "parse_intent_spec",
-    "perturb_weights",
-    "read_records",
-    "refine_dimension",
-    "render_report",
-    "resolve_privacy_labels",
-    "run_ablation",
-    "run_weight_perturbation",
-    "score_output",
-    "serialize_carrier",
-    "serialize_intent_spec",
-    "simulate_output",
-    "synthesize_ga",
-    "validate_spec",
-    "verify_dpi",
-    "write_records",
-]
+# public name -> defining module; the one list of the package's names
+_EXPORTS = {name: module for module, names in {
+    "errors": "IstError",
+    "model": "Carrier Dimension EncodingMask IntentSpec ValueRef flatten "
+             "refine_dimension validate_spec",
+    "spec_io": "OutputRecord compute_mask parse_carrier parse_intent_spec "
+               "read_records serialize_carrier serialize_intent_spec "
+               "write_records",
+    "metrics": "DimensionScores MetricBundle SPLIT_ZONE_THRESHOLD build_bundle "
+               "bundle_for_output detect_split_zone encoding_loss "
+               "score_output synthesize_ga",
+    "worlds": "SyntheticWorld build_world expected_f_icmw mc_mean_f_icmw "
+              "simulate_output",
+    "infotheory": "Decoder DiscreteJoint PrivacyVerdict apply_decoder "
+                  "bayes_accuracy classify_privacy dimension_channel_joint "
+                  "entropy identity_decoder mutual_information verify_dpi",
+    "experiments": "AblationPlan PerturbationSpec encode_with_budget "
+                   "estimate_weights_by_ablation perturb_weights run_ablation "
+                   "run_weight_perturbation",
+    "audit": "AuditRecord AuditThresholds build_audit_record render_report "
+             "resolve_privacy_labels write_audit_records",
+}.items() for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

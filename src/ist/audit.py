@@ -14,8 +14,8 @@ knowledge is reported as absence of knowledge, never guessed.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import Inconsistent, SchemaError
@@ -66,7 +66,7 @@ class AuditRecord:
 
 
 def now_rfc3339() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def resolve_privacy_labels(spec: IntentSpec, world=None,
@@ -221,6 +221,8 @@ def audit_record_from_obj(doc, *, path: str = "$") -> AuditRecord:
 
 
 def write_audit_records(path, records: Iterable[AuditRecord]) -> int:
+    """Write records as canonical JSONL, the input of `ist report`; returns
+    how many were written."""
     return _write_jsonl(path, records,
                         lambda rec: dumps_canonical(audit_record_to_obj(rec)))
 

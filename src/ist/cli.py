@@ -9,7 +9,7 @@ Exit codes are a contract:
   1  audit gate violated (split zone detected, or d_drift > --max-drift)
   2  input parse/validation error
   3  internal error (including oracle invariant violations, which would
-     mean the math here is broken)
+     mean the math here is broken); `ist --debug ...` adds the traceback
 """
 
 from __future__ import annotations
@@ -17,28 +17,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
-from .audit import (
-    AuditThresholds,
-    build_audit_record,
-    audit_record_to_obj,
-    read_audit_records,
-    render_report,
-    resolve_privacy_labels,
-)
 from .errors import BadConfig, IstError, ValidationError
-from .experiments import (
-    estimate_weights_by_ablation,
-    parse_experiment_config,
-    plan_for_world,
-    report_to_obj,
-    run_ablation,
-    run_weight_perturbation,
-)
-from .infotheory import THETA_PUB_DEFAULT, tiil_check
-from .metrics import bundle_for_output
 from .model import flatten
 from .spec_io import (
     compute_mask,
@@ -50,13 +31,16 @@ from .spec_io import (
     record_to_line,
     write_records,
 )
-from .worlds import load_world
+
+# Past the parsing layer, each subcommand imports what it runs, so
+# validate, mask, score, report, demo and audit without --world never
+# load numpy.
 
 PROG = "ist"
 
 
 def _data_path(name: str) -> Path:
-    return Path(str(resources.files("ist").joinpath("data", name)))
+    return Path(__file__).parent / "data" / name
 
 
 def _read(path) -> bytes:
@@ -96,6 +80,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_mask(args) -> int:
+    from .metrics import encoding_loss
+
     spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
     carrier = parse_carrier(_read(args.carrier), lenient=args.lenient)
     if carrier.task_id != spec.task_id:
@@ -103,7 +89,6 @@ def cmd_mask(args) -> int:
                         f"spec task {spec.task_id!r}")
     mask = compute_mask(spec, carrier)
     flat = flatten(spec)
-    from .metrics import encoding_loss
     l_enc = encoding_loss([d.weight for d in flat], mask)
     if args.format == "json":
         _write_out(args, dumps_canonical({
@@ -120,6 +105,8 @@ def cmd_mask(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .metrics import bundle_for_output
+
     spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
     out_doc = parse_output_document(_read(args.output), lenient=args.lenient)
     if out_doc.task_id != spec.task_id:
@@ -171,6 +158,9 @@ def _gate_exit(record, max_drift: float | None) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .audit import (AuditThresholds, audit_record_to_obj,
+                        build_audit_record, resolve_privacy_labels)
+
     spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
     carrier = parse_carrier(_read(args.carrier), lenient=args.lenient)
     out_doc = parse_output_document(_read(args.output), lenient=args.lenient)
@@ -179,6 +169,7 @@ def cmd_audit(args) -> int:
                         f"spec task {spec.task_id!r}")
     world = None
     if args.world:
+        from .worlds import load_world
         world = load_world(args.world, args.seed)
     labels, source = resolve_privacy_labels(spec, world, args.theta_pub)
     record = build_audit_record(
@@ -197,6 +188,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    from .experiments import (estimate_weights_by_ablation,
+                              parse_experiment_config, plan_for_world,
+                              run_ablation)
+    from .worlds import load_world
+
     if args.config:
         cfg = parse_experiment_config(_read(args.config),
                                       base_dir=Path(args.config).parent,
@@ -233,6 +229,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    from .experiments import (parse_experiment_config, report_to_obj,
+                              run_weight_perturbation)
+
     if args.config:
         cfg = parse_experiment_config(_read(args.config),
                                       base_dir=Path(args.config).parent,
@@ -250,9 +249,13 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_tiil_check(args) -> int:
+    from .infotheory import THETA_PUB_DEFAULT, tiil_check
+    from .worlds import load_world
+
     path = args.world or _data_path("demo_world.json")
     world = load_world(path, args.seed)
-    result = tiil_check(world, theta_pub=args.theta_pub, seed=args.seed or 0)
+    theta_pub = THETA_PUB_DEFAULT if args.theta_pub is None else args.theta_pub
+    result = tiil_check(world, theta_pub=theta_pub, seed=args.seed or 0)
     if args.format == "json":
         _write_out(args, dumps_canonical(result) + "\n")
     else:
@@ -283,12 +286,17 @@ def cmd_tiil_check(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .audit import read_audit_records, render_report
+
     records = list(read_audit_records(args.records))
     _write_out(args, render_report(records, args.format))
     return 0
 
 
 def cmd_demo(args) -> int:
+    from .audit import (audit_record_to_obj, build_audit_record,
+                        resolve_privacy_labels)
+
     spec = parse_intent_spec(_read(_data_path("report_task.json")))
     carrier = parse_carrier(_read(_data_path("report_carrier.json")))
     out_doc = parse_output_document(_read(_data_path("report_output.json")))
@@ -362,6 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Intent-signal metrics, synthetic prior worlds, and audits.")
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback of an internal error (exit 3)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", parents=[common, any_format],
@@ -418,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tiil-check", parents=[common, any_format],
                        help="verify the irreversibility bounds on a world")
     p.add_argument("--world", default=None, help="world config JSON")
-    p.add_argument("--theta-pub", type=_theta_pub, default=THETA_PUB_DEFAULT)
+    p.add_argument("--theta-pub", type=_theta_pub, default=None)
     p.set_defaults(func=cmd_tiil_check)
 
     p = sub.add_parser("report", parents=[common, any_format],
@@ -455,6 +465,9 @@ def main(argv=None) -> int:
         # error is a bug in the toolkit, reported by subcommand, type and
         # message.
         _print_err(f"internal error in {args.command}: {type(e).__name__}: {e}")
+        if args.debug:
+            import traceback
+            traceback.print_exc()
         return 3
 
 

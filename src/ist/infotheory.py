@@ -35,7 +35,7 @@ from .worlds import SyntheticWorld, WorldDim, _argmax_finds_user
 
 CELL_CAP = 10 ** 6
 _SUM_TOL = 1e-9
-_MI_NEG_TOL = 1e-12
+_MI_NEG_TOL = 1e-12  # per bit of entropy summed; see mutual_information
 DPI_TOL = 1e-9
 THETA_PUB_DEFAULT = 0.9
 # Public additionally requires clearing chance by this margin, so a world
@@ -118,8 +118,10 @@ def _as_group(x) -> tuple[str, ...]:
 def mutual_information(joint: DiscreteJoint, x, y) -> float:
     """I(x; y) = H(x) + H(y) - H(x, y) over variable groups, in bits.
 
-    Tiny negative results (cancellation noise, within -1e-12) clamp to
-    zero; anything more negative is treated as a bug and raised.
+    Tiny negative results clamp to zero; anything more negative is
+    treated as a bug and raised. The rounding error of each entropy's
+    running sum grows with the entropy, so the tolerance is 1e-12 times
+    H(x) + H(y) + H(x, y), and never less than 1e-12.
     """
     gx, gy = _as_group(x), _as_group(y)
     if set(gx) & set(gy):
@@ -129,8 +131,9 @@ def mutual_information(joint: DiscreteJoint, x, y) -> float:
     hxy = entropy(joint.marginal(*gx, *gy))
     mi = hx + hy - hxy
     if mi < 0.0:
-        if mi < -_MI_NEG_TOL:
-            raise RangeError(f"mutual information {mi} below -1e-12")
+        tol = _MI_NEG_TOL * max(1.0, hx + hy + hxy)
+        if mi < -tol:
+            raise RangeError(f"mutual information {mi} below -{tol:.3g}")
         return 0.0
     return mi
 
@@ -181,6 +184,7 @@ def constant_decoder(evidence_vars, evidence_sizes, output_size: int,
 
 
 def identity_decoder(var: str, size: int, output_var: str = "g") -> Decoder:
+    """Copy one evidence variable to the output: g = var, I(v; g) = I(v; var)."""
     return Decoder((var,), output_var, np.eye(size))
 
 
@@ -335,7 +339,11 @@ def _world_dim(world: SyntheticWorld, task_id: str, dim_id: str) -> WorldDim:
 
 def dimension_channel_joint(world: SyntheticWorld, task_id: str, dim_id: str,
                             mode: str = "sample") -> DiscreteJoint:
-    """Joint of (v, y) for one carrier-absent dimension."""
+    """Joint of (v, y) for one carrier-absent dimension of a world.
+
+    v is the user value and y the model's output token; the table is
+    the (K, lambda) channel tiil_check and classify_privacy evaluate.
+    """
     if mode not in ("argmax", "sample"):
         raise DomainMismatch(f"mode must be 'argmax' or 'sample', got {mode!r}")
     dim = _world_dim(world, task_id, dim_id)

@@ -17,10 +17,9 @@ configurable but 0.8 is the calibrated default.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
-
-import numpy as np
 
 from .errors import LengthMismatch, MissingScores, RangeError, UnknownDimension
 from .model import EncodingMask, FlatDimension, IntentSpec, ValueRef, flatten
@@ -85,13 +84,14 @@ def weighted_sum(weights, values) -> float:
     the reduction is monotone per term: v <= v' pointwise implies
     weighted_sum(w, v) <= weighted_sum(w, v'), in actual floats.
     Weights that sum to exactly 1.0 give exactly 1.0 on all-ones
-    values.
+    values. Values go through float(), so bools and 0/1 mask bits
+    weigh as 1.0 and 0.0.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if w.shape != v.shape:
-        raise LengthMismatch(w.shape[0], v.shape[0], "weighted values")
-    return _clamp_unit(math.fsum(w * v))
+    w = list(map(float, weights))
+    v = list(map(float, values))
+    if len(w) != len(v):
+        raise LengthMismatch(len(w), len(v), "weighted values")
+    return _clamp_unit(math.fsum(map(operator.mul, w, v)))
 
 
 def encoding_loss(weights, mask: EncodingMask) -> float:
@@ -112,7 +112,7 @@ def synthesize_ga(s_icmw: float) -> int:
     """
     if not 0.0 <= s_icmw <= 1.0:
         raise RangeError(f"s_icmw = {s_icmw}, outside [0, 1]")
-    grade = 1 + int(np.floor(4.0 * s_icmw + 0.5))
+    grade = 1 + math.floor(4.0 * s_icmw + 0.5)
     return max(1, min(5, grade))
 
 

@@ -27,7 +27,6 @@ to warnings on the ``ist.spec_io`` logger.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -50,7 +49,6 @@ from .model import (
     validate_spec,
 )
 
-log = logging.getLogger("ist.spec_io")
 
 FORMAT_VERSION = "1"
 
@@ -151,7 +149,9 @@ def _check_keys(obj: dict, path: str, required: set, optional: set,
     for key in obj:
         if key not in required and key not in optional:
             if lenient:
-                log.warning("%s: ignoring unknown field %r", path, key)
+                import logging  # only lenient parsing logs
+                logging.getLogger("ist.spec_io").warning(
+                    "%s: ignoring unknown field %r", path, key)
             else:
                 raise SchemaError(path, f"unknown field {key!r}")
 
@@ -524,34 +524,3 @@ def parse_output_document(data: bytes | str, *, lenient: bool = False) -> Output
     return OutputDocument(task_id=_get_str(obj, "task_id", "$"),
                           realized_values=realized, text=text)
 
-
-# ---------------------------------------------------------------------------
-# bundled documents
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpecDocument:
-    """A spec file optionally bundling its carrier and prior outputs."""
-
-    format_version: str
-    spec: IntentSpec
-    carrier: Carrier | None = None
-    outputs: tuple[OutputRecord, ...] = ()
-
-
-def parse_spec_document(data: bytes | str, *, lenient: bool = False) -> SpecDocument:
-    doc = loads_strict(data)
-    obj = _require_obj(doc, "$")
-    spec_obj = {k: v for k, v in obj.items() if k not in ("carrier", "outputs")}
-    spec = spec_from_obj(spec_obj, lenient=lenient)
-    carrier = None
-    if obj.get("carrier") is not None:
-        carrier = carrier_from_obj(obj["carrier"], path="$.carrier", lenient=lenient)
-    outputs = ()
-    if obj.get("outputs") is not None:
-        raw = obj["outputs"]
-        if not isinstance(raw, list):
-            raise SchemaError("$.outputs", "expected array")
-        outputs = tuple(record_from_obj(r, path=f"$.outputs[{i}]", lenient=lenient)
-                        for i, r in enumerate(raw))
-    return SpecDocument(FORMAT_VERSION, spec, carrier, outputs)

@@ -268,6 +268,19 @@ def test_tiil_check_names_each_violation(capsys, monkeypatch):
     assert err.splitlines()[:-1] == failing
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-17])
+def test_tiil_check_accepts_flat_priors_at_every_k(capsys, tmp_path, lam):
+    # a flat prior's MI is 0, but the rounding noise of H(v) + H(y) - H(v, y)
+    # grows with K and passes -1e-12 at K = 79, 80, 95, ...
+    path = tmp_path / "flat.json"
+    for k in range(2, 101):
+        path.write_text(json.dumps({"tag": "flat", "seed": 1, "tasks": [{
+            "task_id": "t",
+            "dims": [{"id": "d", "weight": 1.0, "K": k, "lambda": lam}]}]}))
+        code, out, err = run(capsys, "tiil-check", "--world", str(path))
+        assert (code, out.splitlines()[-1:]) == (0, ["all bounds hold"]), (k, err)
+
+
 # -- report ------------------------------------------------------------------
 
 def audit_jsonl(capsys, data_dir, tmp_path):
@@ -481,6 +494,23 @@ def test_internal_error_names_the_subcommand(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error in ablate: TypeError: unexpected None\n"
+
+
+def test_debug_prints_the_traceback_of_an_internal_error(capsys, monkeypatch):
+    import ist.cli as cli
+
+    def boom(args):
+        raise TypeError("unexpected None")
+
+    monkeypatch.setattr(cli, "cmd_report", boom)
+    head = "internal error in report: TypeError: unexpected None\n"
+    code, out, err = run(capsys, "report", "--records", "r.jsonl")
+    assert (code, out, err) == (3, "", head)
+    code, out, err = run(capsys, "--debug", "report", "--records", "r.jsonl")
+    assert (code, out) == (3, "")
+    assert err.startswith(head + "Traceback (most recent call last):\n")
+    assert err.endswith("TypeError: unexpected None\n")
+    assert 'raise TypeError("unexpected None")' in err
 
 
 def test_unknown_subcommand_exits_2():

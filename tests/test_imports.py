@@ -1,0 +1,80 @@
+"""Import boundary: the light subcommands run without numpy, and the
+package's public names load lazily from one export table."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ist
+from ist.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = SRC / "ist" / "data"
+TRIPLE = ["--spec", str(DATA / "report_task.json"),
+          "--carrier", str(DATA / "report_carrier.json"),
+          "--output", str(DATA / "report_output.json")]
+TS = "2026-08-15T00:00:00Z"
+
+# run one `ist` command in a fresh interpreter; report its exit code and
+# whether numpy was imported
+CHILD = """
+import contextlib, io, json, sys
+from ist.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def run_child(*argv) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def records(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("audit") / "records.jsonl"
+    assert main(["audit", *TRIPLE, "--timestamp", TS, "--out", str(path)]) == 1
+    return str(path)
+
+
+LIGHT = {
+    "validate": ([str(DATA / "report_task.json")], 0),
+    "mask": (TRIPLE[:4], 0),
+    "score": (TRIPLE, 0),
+    "demo": (["--timestamp", TS], 1),
+    "audit": ([*TRIPLE, "--timestamp", TS], 1),
+}
+
+
+@pytest.mark.parametrize("command", [*LIGHT, "report"])
+def test_light_subcommands_do_not_import_numpy(command, records):
+    args, code = LIGHT.get(command, (["--records", records], 0))
+    assert run_child(command, *args) == {"code": code, "numpy": False}
+
+
+def test_audit_with_a_world_imports_numpy():
+    got = run_child("audit", *TRIPLE, "--timestamp", TS,
+                    "--world", str(DATA / "demo_world.json"))
+    assert got == {"code": 1, "numpy": True}
+
+
+def test_every_public_name_resolves_lazily():
+    assert ist.__all__ == sorted(ist.__all__)
+    listed = dir(ist)
+    for name in ist.__all__:
+        assert name in listed
+        module = importlib.import_module(f"ist.{ist._EXPORTS[name]}")
+        assert getattr(ist, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ist.no_such_name
+    with pytest.raises(ImportError):
+        from ist import no_such_name  # noqa: F401

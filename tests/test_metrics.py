@@ -10,9 +10,10 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
-from ist.errors import MissingScores, RangeError, UnknownDimension
+from ist.errors import LengthMismatch, MissingScores, RangeError, UnknownDimension
 from ist.metrics import (
     DimensionScores,
+    _clamp_unit,
     aggregate,
     build_bundle,
     bundle_for_output,
@@ -253,3 +254,85 @@ if HAVE_HYPOTHESIS:
     def test_complement_exact_for_any_f(f):
         d = 1.0 - f
         assert d + f == 1.0
+
+
+# -- pure-Python reduction against the numpy forms it replaced -----------------
+
+def numpy_weighted_sum(weights, values) -> float:
+    """weighted_sum as a float64-array product, the reference it must equal."""
+    import numpy as np
+
+    w = np.asarray(weights, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
+    if w.shape != v.shape:
+        raise LengthMismatch(w.shape[0], v.shape[0], "weighted values")
+    return _clamp_unit(math.fsum(w * v))
+
+
+def numpy_synthesize_ga(s_icmw: float) -> int:
+    import numpy as np
+
+    return max(1, min(5, 1 + int(np.floor(4.0 * s_icmw + 0.5))))
+
+
+def outcome(fn, *args):
+    """Result bits, or the error's type and message."""
+    try:
+        return fn(*args).hex()
+    except RangeError as e:
+        return type(e).__name__, str(e)
+
+
+def test_ga_matches_numpy_floor_on_every_eighth():
+    for k in range(9):
+        s = k / 8
+        near = (math.nextafter(s, -1.0), s, math.nextafter(s, 2.0))
+        for x in (v for v in near if 0.0 <= v <= 1.0):
+            assert synthesize_ga(x) == numpy_synthesize_ga(x), x
+
+
+def test_length_mismatch_message_unchanged():
+    for w, v in (([0.5, 0.5], [1.0]), ([1.0], [1, 0, 1]), ([], [True])):
+        with pytest.raises(LengthMismatch) as want:
+            numpy_weighted_sum(w, v)
+        with pytest.raises(LengthMismatch) as got:
+            weighted_sum(w, v)
+        assert str(got.value) == str(want.value)
+        assert (got.value.expected, got.value.got) == (len(w), len(v))
+
+
+if HAVE_HYPOTHESIS:
+
+    @st.composite
+    def weights_and_values(draw):
+        n = draw(st.integers(min_value=0, max_value=16))
+        w = draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                          min_size=n, max_size=n))
+        value = draw(st.sampled_from([
+            st.floats(min_value=0.0, max_value=1.0),
+            st.integers(min_value=0, max_value=1),
+            st.booleans(),
+        ]))
+        return w, draw(st.lists(value, min_size=n, max_size=n))
+
+    @given(weights_and_values(), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_weighted_sum_bit_equal_to_numpy(wv, normalize):
+        w, v = wv
+        if normalize and sum(w) > 0:
+            w = normalize_weights(w)
+        assert outcome(weighted_sum, w, v) == outcome(numpy_weighted_sum, w, v)
+
+    @given(st.lists(st.floats(min_value=0.001, max_value=1.0), min_size=1,
+                    max_size=16).map(normalize_weights), st.randoms())
+    @settings(max_examples=300, deadline=None)
+    def test_mask_bits_bit_equal_to_numpy(w, rng):
+        bits = tuple(rng.randint(0, 1) for _ in w)
+        mask = EncodingMask(tuple(f"d{i}" for i in range(len(w))), bits)
+        assert outcome(weighted_sum, w, mask.bits) == outcome(numpy_weighted_sum, w, bits)
+        assert encoding_loss(w, mask) == _clamp_unit(1.0 - numpy_weighted_sum(w, bits))
+
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=500, deadline=None)
+    def test_ga_bit_equal_to_numpy(s):
+        assert synthesize_ga(s) == numpy_synthesize_ga(s)

@@ -19,7 +19,6 @@ from ist.spec_io import (
     parse_carrier,
     parse_intent_spec,
     parse_output_document,
-    parse_spec_document,
     read_records,
     record_from_obj,
     record_to_line,
@@ -303,13 +302,3 @@ def test_output_document_parse():
     assert doc.task_id == "t1"
     assert doc.realized_values["what"] == ValueRef.token("a")
     assert doc.text == "hello"
-
-
-def test_spec_document_with_carrier_and_outputs():
-    spec_doc = json.loads(minimal_spec_json())
-    spec_doc["carrier"] = {"task_id": "t1", "encoded_dimensions": ["what"]}
-    spec_doc["outputs"] = [json.loads(record_to_line(make_record(0)))]
-    bundle = parse_spec_document(json.dumps(spec_doc))
-    assert bundle.carrier.encoded_dimensions == frozenset({"what"})
-    assert len(bundle.outputs) == 1
-    assert bundle.spec.task_id == "t1"
