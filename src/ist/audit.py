@@ -176,11 +176,11 @@ def _get_str_list(obj: dict, key: str, path: str) -> tuple[str, ...]:
 def audit_record_from_obj(doc, *, path: str = "$") -> AuditRecord:
     obj = _require_obj(doc, path)
     _check_keys(obj, path,
-                {"task_id", "timestamp", "encoded_dims", "absent_dims",
+                ("task_id", "timestamp", "encoded_dims", "absent_dims",
                  "private_at_risk", "structurally_recovered",
                  "fidelity_preserved", "l_enc", "s_icmw", "f_icmw",
-                 "d_drift", "ga", "split_zone", "privacy_source"},
-                set(), False)
+                 "d_drift", "ga", "split_zone", "privacy_source"),
+                (), False)
     ga = obj["ga"]
     if isinstance(ga, bool) or not isinstance(ga, int) or not 1 <= ga <= 5:
         raise SchemaError(f"{path}.ga", f"expected integer in 1..5, got {ga!r}")

@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import BadConfig, IstError, ValidationError
@@ -28,7 +30,6 @@ from .spec_io import (
     parse_carrier,
     parse_intent_spec,
     parse_output_document,
-    record_to_line,
     write_records,
 )
 
@@ -205,25 +206,20 @@ def cmd_ablate(args) -> int:
         mode = args.mode or "argmax"
         replicates = args.replicates
     plan = plan_for_world(world, mode, replicates)
-    records = []
-    by_task: dict[str, list] = {}
-    for rec in run_ablation(world, plan):
-        records.append(rec)
-        by_task.setdefault(rec.task_id, []).append(rec)
+    records = list(run_ablation(world, plan))
     summaries = {}
-    for task_id in plan.task_ids:
+    # run_ablation yields each task's records as one run, in plan order
+    for task_id, task_records in groupby(records, attrgetter("task_id")):
         try:
-            summaries[task_id] = estimate_weights_by_ablation(by_task.get(task_id, []))
+            summaries[task_id] = estimate_weights_by_ablation(task_records)
         except IstError as e:
             summaries[task_id] = None
             _print_err(f"{task_id}: weights not estimable ({e})")
     summary_text = dumps_canonical({"estimated_weights": summaries}) + "\n"
+    write_records(args.out or sys.stdout, records)
     if args.out:
-        write_records(args.out, records)
         sys.stdout.write(summary_text)
     else:
-        for rec in records:
-            sys.stdout.write(record_to_line(rec) + "\n")
         _print_err(summary_text.rstrip("\n"))
     return 0
 

@@ -18,7 +18,9 @@ File formats (all UTF-8, NaN/Infinity forbidden):
 
 Serialization is canonical: fixed key order, floats rendered with 17
 significant digits, optional fields omitted when absent. Equal values
-always produce byte-identical output.
+always produce byte-identical output. Record lines are joined from
+canonical fragments that one write call renders once by the same rules;
+the tests keep ``dumps_canonical(record_to_obj(r))`` as the reference.
 
 Parsing is strict by default; ``lenient=True`` downgrades unknown fields
 to warnings on the ``ist.spec_io`` logger.
@@ -141,8 +143,10 @@ def _require_obj(value, path: str) -> dict:
     return value
 
 
-def _check_keys(obj: dict, path: str, required: set, optional: set,
+def _check_keys(obj: dict, path: str, required: tuple, optional: tuple,
                 lenient: bool) -> None:
+    # tuples, not sets: the first missing field named must not depend on
+    # the hash seed
     for key in required:
         if key not in obj:
             raise SchemaError(path, f"missing required field {key!r}")
@@ -179,7 +183,7 @@ def _get_number(obj: dict, key: str, path: str) -> float:
 
 def _parse_value_ref(value, path: str, lenient: bool) -> ValueRef:
     obj = _require_obj(value, path)
-    _check_keys(obj, path, {"kind", "value"}, set(), lenient)
+    _check_keys(obj, path, ("kind", "value"), (), lenient)
     kind = _get_str(obj, "kind", path)
     if kind not in ("token", "text"):
         raise SchemaError(f"{path}.kind", f"expected 'token' or 'text', got {kind!r}")
@@ -188,8 +192,8 @@ def _parse_value_ref(value, path: str, lenient: bool) -> ValueRef:
 
 def _parse_dimension(value, path: str, lenient: bool) -> Dimension:
     obj = _require_obj(value, path)
-    _check_keys(obj, path, {"id", "weight"},
-                {"intended_value", "privacy_hint", "children"}, lenient)
+    _check_keys(obj, path, ("id", "weight"),
+                ("intended_value", "privacy_hint", "children"), lenient)
     dim_id = _get_str(obj, "id", path)
     weight = _get_number(obj, "weight", path)
     if weight < 0:
@@ -226,8 +230,8 @@ def parse_intent_spec(data: bytes | str, *, lenient: bool = False) -> IntentSpec
 
 def spec_from_obj(doc, *, path: str = "$", lenient: bool = False) -> IntentSpec:
     obj = _require_obj(doc, path)
-    _check_keys(obj, path, {"format_version", "task_id", "task_type", "dimensions"},
-                set(), lenient)
+    _check_keys(obj, path, ("format_version", "task_id", "task_type", "dimensions"),
+                (), lenient)
     version = _get_str(obj, "format_version", path)
     if version != FORMAT_VERSION:
         raise SchemaError(f"{path}.format_version",
@@ -304,7 +308,7 @@ def parse_carrier(data: bytes | str, *, lenient: bool = False) -> Carrier:
 
 def carrier_from_obj(doc, *, path: str = "$", lenient: bool = False) -> Carrier:
     obj = _require_obj(doc, path)
-    _check_keys(obj, path, {"task_id", "encoded_dimensions"}, {"text"}, lenient)
+    _check_keys(obj, path, ("task_id", "encoded_dimensions"), ("text",), lenient)
     raw = obj["encoded_dimensions"]
     if not isinstance(raw, list):
         raise SchemaError(f"{path}.encoded_dimensions", "expected array")
@@ -359,7 +363,7 @@ def mask_from_obj(value, path: str, lenient: bool = False) -> EncodingMask:
     dims, bits = [], []
     for i, item in enumerate(value):
         obj = _require_obj(item, f"{path}[{i}]")
-        _check_keys(obj, f"{path}[{i}]", {"dimension", "m"}, set(), lenient)
+        _check_keys(obj, f"{path}[{i}]", ("dimension", "m"), (), lenient)
         dims.append(_get_str(obj, "dimension", f"{path}[{i}]"))
         m = obj["m"]
         if m not in (0, 1) or isinstance(m, bool):
@@ -407,9 +411,9 @@ def record_to_obj(rec: OutputRecord) -> dict:
 def record_from_obj(doc, *, path: str = "$", lenient: bool = False) -> OutputRecord:
     obj = _require_obj(doc, path)
     _check_keys(obj, path,
-                {"task_id", "condition", "model_tag", "mask",
-                 "realized_values", "ga", "s_icmw", "f_icmw"},
-                {"text"}, lenient)
+                ("task_id", "condition", "model_tag", "mask",
+                 "realized_values", "ga", "s_icmw", "f_icmw"),
+                ("text",), lenient)
     ga = obj["ga"]
     if isinstance(ga, bool) or not isinstance(ga, int):
         raise SchemaError(f"{path}.ga", "expected integer")
@@ -442,18 +446,57 @@ def record_from_obj(doc, *, path: str = "$", lenient: bool = False) -> OutputRec
     )
 
 
+def _record_writer() -> Callable[[OutputRecord], str]:
+    """A record-to-line function for one write.
+
+    It renders each distinct mask and each distinct (dimension id, value)
+    pair once, with dumps_canonical, and joins those cached fragments with
+    the encoded ids, text and scores, in record_to_obj's key order. Its
+    caches live only as long as the returned function.
+    """
+    masks: dict[EncodingMask, str] = {}
+    values: dict[tuple[str, str, str], str] = {}
+
+    def to_line(rec: OutputRecord) -> str:
+        mask = masks.get(rec.mask)
+        if mask is None:
+            mask = masks[rec.mask] = dumps_canonical(mask_to_obj(rec.mask))
+        realized = []
+        for dim_id, ref in rec.realized_values.items():
+            # ValueRef's own hash is Python code; its fields hash in C
+            key = (dim_id, ref.kind, ref.value)
+            frag = values.get(key)
+            if frag is None:
+                frag = values[key] = (encode_basestring(str(dim_id)) + ":"
+                                      + dumps_canonical(_value_ref_obj(ref)))
+            realized.append(frag)
+        text = "" if rec.text is None else ',"text":' + encode_basestring(rec.text)
+        return (f'{{"task_id":{encode_basestring(rec.task_id)}'
+                f',"condition":{encode_basestring(rec.condition)}'
+                f',"model_tag":{encode_basestring(rec.model_tag)}'
+                f',"mask":{mask},"realized_values":{{{",".join(realized)}}}'
+                f',"ga":{int(rec.ga)}'
+                f',"s_icmw":{_fmt_float(float(rec.s_icmw))}'
+                f',"f_icmw":{_fmt_float(float(rec.f_icmw))}{text}}}')
+
+    return to_line
+
+
 def record_to_line(rec: OutputRecord) -> str:
-    return dumps_canonical(record_to_obj(rec))
+    """One record's canonical JSON line, without the newline."""
+    return _record_writer()(rec)
 
 
-def _write_jsonl(path, items: Iterable, to_line: Callable[[object], str]) -> int:
-    """Write one to_line(item) per line; returns the number written."""
+def _write_jsonl(dest, items: Iterable, to_line: Callable[[object], str]) -> int:
+    """Write one to_line(item) per line to a path or an open text stream;
+    returns the number written."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="utf-8") as fh:
+            return _write_jsonl(fh, items, to_line)
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(to_line(item))
-            fh.write("\n")
-            n += 1
+    for item in items:
+        dest.write(to_line(item) + "\n")
+        n += 1
     return n
 
 
@@ -481,8 +524,9 @@ def _read_jsonl(path, from_obj: Callable[[object], object], *,
 
 
 def write_records(path, records: Iterable[OutputRecord]) -> int:
-    """Write records as JSONL; returns the number written."""
-    return _write_jsonl(path, records, record_to_line)
+    """Write records as JSONL to a path or an open text stream; returns the
+    number written."""
+    return _write_jsonl(path, records, _record_writer())
 
 
 def read_records(path, *, fail_fast: bool = False, lenient: bool = False,
@@ -512,7 +556,7 @@ class OutputDocument:
 def parse_output_document(data: bytes | str, *, lenient: bool = False) -> OutputDocument:
     doc = loads_strict(data)
     obj = _require_obj(doc, "$")
-    _check_keys(obj, "$", {"task_id", "realized_values"}, {"text"}, lenient)
+    _check_keys(obj, "$", ("task_id", "realized_values"), ("text",), lenient)
     raw = _require_obj(obj["realized_values"], "$.realized_values")
     realized = {
         k: _parse_value_ref(v, f"$.realized_values.{k}", lenient)

@@ -1,12 +1,25 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ist.model import Dimension, IntentSpec, ValueRef, normalize_weights
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "ist" / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = SRC / "ist" / "data"
+
+
+def run_ist(*argv, hash_seed: int) -> subprocess.CompletedProcess:
+    """Run `python -m ist ARGV` in a fresh interpreter under PYTHONHASHSEED,
+    so that runs with other str hashes can be compared."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ist", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
 
 
 @pytest.fixture

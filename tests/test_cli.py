@@ -15,6 +15,8 @@ from ist.spec_io import (
 )
 from ist.worlds import build_world, to_intent_spec
 
+from conftest import run_ist
+
 TS = "2026-08-15T00:00:00Z"
 
 
@@ -327,6 +329,29 @@ def test_report_corrupt_line(capsys, tmp_path):
     code, _, err = run(capsys, "report", "--records", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("command", ["report", "score"])
+def test_missing_field_error_does_not_depend_on_the_hash_seed(
+        capsys, data_dir, tmp_path, command):
+    # both inputs lack several required fields; the first one the caller
+    # lists is named, whatever the str hashes are
+    if command == "report":
+        records = tmp_path / "records.jsonl"
+        assert main(["ablate", "--seed", "1", "--out", str(records)]) == 0
+        capsys.readouterr()
+        argv = ["report", "--records", records]
+    else:
+        argv = ["score", "--spec", data_dir / "report_task.json",
+                "--carrier", data_dir / "demo_world.json",
+                "--output", data_dir / "report_output.json"]
+    errs = []
+    for hash_seed in (0, 1):
+        proc = run_ist(*argv, hash_seed=hash_seed)
+        assert proc.returncode == 2
+        errs.append(proc.stderr)
+    assert "missing required field" in errs[0]
+    assert errs[0] == errs[1]
 
 
 # -- ablate ------------------------------------------------------------------

@@ -11,6 +11,8 @@ import pytest
 
 from ist.cli import main
 
+from conftest import run_ist
+
 ABLATE_ARGMAX_RECORDS = "bef5d9fbdcfe2321dedb1dcdfa70d815759ab0f430a93988ca58133015253f79"
 ABLATE_ARGMAX_SUMMARY = "8780a9be568b71345fbc535cc207315d06f0781d25abc877752049f3fa225a2f"
 ABLATE_SAMPLE_RECORDS = "0b8802c55e1ef0ee62950b0772288d824d8a673a25fe128f7675a455ad499883"
@@ -52,3 +54,14 @@ def test_perturb_golden_bytes(capsys, tmp_path):
     assert main(["perturb", "--seed", "1", "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == PERTURB_REPORT
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("hash_seed", [0, 1])
+def test_ablate_bytes_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    # a cache keyed by str would leak hash order into the bytes here
+    out = tmp_path / "records.jsonl"
+    proc = run_ist("ablate", "--seed", "1", "--mode", "sample", "--replicates", "3",
+                   "--out", out, hash_seed=hash_seed)
+    assert proc.returncode == 0, proc.stderr
+    assert (sha256(out.read_bytes()), sha256(proc.stdout)) == (
+        ABLATE_SAMPLE_RECORDS, ABLATE_SAMPLE_SUMMARY)

@@ -1,9 +1,17 @@
 import json
 import logging
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+try:
+    from hypothesis import HealthCheck, given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 from ist.errors import (
     SchemaError,
@@ -22,6 +30,7 @@ from ist.spec_io import (
     read_records,
     record_from_obj,
     record_to_line,
+    record_to_obj,
     serialize_carrier,
     serialize_intent_spec,
     write_records,
@@ -289,6 +298,81 @@ def test_record_mask_bit_must_be_binary():
     obj["mask"][0]["m"] = 2
     with pytest.raises(SchemaError):
         record_from_obj(obj)
+
+
+def reference_bytes(records) -> bytes:
+    return "".join(dumps_canonical(record_to_obj(r)) + "\n"
+                   for r in records).encode("utf-8")
+
+
+def test_write_records_twice_with_new_values(tmp_path):
+    # same dimension ids, other values: nothing carries over between writes
+    for first in (0, 3):
+        records = [make_record(i) for i in range(first, first + 3)]
+        path = tmp_path / f"records{first}.jsonl"
+        write_records(path, records)
+        assert path.read_bytes() == reference_bytes(records)
+        assert [record_to_line(r) for r in records] == \
+            [dumps_canonical(record_to_obj(r)) for r in records]
+
+
+@pytest.mark.parametrize("field", ["s_icmw", "f_icmw"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_write_records_rejects_non_finite_scores(tmp_path, field, bad):
+    rec = replace(make_record(0), **{field: bad})
+    with pytest.raises(ValueError):
+        record_to_line(rec)
+    with pytest.raises(ValueError):
+        write_records(tmp_path / "records.jsonl", [rec])
+
+
+if HAVE_HYPOTHESIS:
+
+    # the characters of STRINGS but its lone surrogates, which a UTF-8 file
+    # cannot hold, and any other character
+    TEXT = st.text(st.one_of(
+        st.sampled_from(sorted(set("".join(STRINGS.values())) - {"\ud800", "\udfff"})),
+        st.characters(codec="utf-8")), max_size=6)
+    SCORES = st.floats(allow_nan=False, allow_infinity=False)
+
+    @st.composite
+    def record_lists(draw, dims, shared):
+        records = []
+        for _ in range(draw(st.integers(0, 6))):
+            bits = draw(st.lists(st.integers(0, 1), min_size=len(dims),
+                                 max_size=len(dims)))
+            # each record makes its own mask object; equal masks recur
+            mask = EncodingMask(tuple(dims), tuple(bits))
+            values = {}
+            for d in dims:
+                ref = draw(st.sampled_from(shared))
+                if draw(st.booleans()):
+                    ref = ValueRef(ref.kind, ref.value)  # equal, not the same
+                values[d] = ref
+            records.append(OutputRecord(
+                task_id=draw(TEXT), condition=draw(TEXT),
+                model_tag=draw(TEXT), mask=mask, realized_values=values,
+                ga=draw(st.one_of(st.integers(1, 5), st.integers(1, 5).map(np.int64))),
+                s_icmw=draw(st.one_of(SCORES, SCORES.map(np.float64))),
+                f_icmw=draw(st.one_of(SCORES, SCORES.map(np.float64))),
+                text=draw(st.none() | TEXT)))
+        return records
+
+    @st.composite
+    def two_writes(draw):
+        dims = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+        refs = st.builds(ValueRef, st.sampled_from(["token", "text"]), TEXT)
+        return [draw(record_lists(dims, draw(st.lists(refs, min_size=1, max_size=3))))
+                for _ in range(2)]
+
+    @given(two_writes())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_write_records_matches_reference_lines(tmp_path, writes):
+        path = tmp_path / "records.jsonl"
+        for records in writes:
+            assert write_records(path, records) == len(records)
+            assert path.read_bytes() == reference_bytes(records)
 
 
 # --- other documents --------------------------------------------------------
