@@ -1,10 +1,11 @@
-"""Hot numeric loops: Shannon entropy and the Monte Carlo match counter.
+"""Hot numeric loops: Shannon entropy, token sampling, a match counter.
 
 Entropy is a running sum over a dense probability table, returned as a
 Python float. sample_tokens is the one draw-to-token rule: it hashes a
-whole block of draw indices at once with rng.derive. The match counter
-behind mean-fidelity estimates and the record engine of the experiments
-both sample through it, so their counts and records are bit-identical to
+whole block of draw indices at once with rng.derive. The record engine
+of worlds, behind the experiments and every mean-fidelity estimate,
+samples through it, and so does match_counts, a per-dimension hit
+counter that the kernel rate probe times; both are bit-identical to
 simulating each record in turn.
 """
 

@@ -151,9 +151,11 @@ def cmd_score(args) -> int:
 
 
 def _gate_exit(record, max_drift: float | None) -> int:
-    if record.split_zone:
-        return 1
-    if max_drift is not None and record.d_drift > max_drift:
+    """1, with an `audit gate:` line on stderr, when the record is in the
+    split zone or drifts past max_drift; 0 otherwise."""
+    if record.split_zone or (max_drift is not None and record.d_drift > max_drift):
+        _print_err(f"audit gate: split_zone={record.split_zone} "
+                   f"d_drift={record.d_drift:.4f}")
         return 1
     return 0
 
@@ -181,32 +183,29 @@ def cmd_audit(args) -> int:
         timestamp=args.timestamp,
     )
     _write_out(args, dumps_canonical(audit_record_to_obj(record)) + "\n")
-    code = _gate_exit(record, args.max_drift)
-    if code:
-        _print_err(f"audit gate: split_zone={record.split_zone} "
-                   f"d_drift={record.d_drift:.4f}")
-    return code
+    return _gate_exit(record, args.max_drift)
 
 
-def cmd_ablate(args) -> int:
-    from .experiments import (estimate_weights_by_ablation,
-                              parse_experiment_config, plan_for_world,
-                              run_ablation)
+def _experiment_config(args, default_world: str):
+    """The --config experiment, else the packaged world with defaults."""
+    from .experiments import ExperimentConfig, parse_experiment_config
     from .worlds import load_world
 
     if args.config:
-        cfg = parse_experiment_config(_read(args.config),
-                                      base_dir=Path(args.config).parent,
-                                      seed=args.seed)
-        world = cfg.world
-        mode = args.mode or cfg.mode
-        replicates = cfg.replicates if args.replicates is None else args.replicates
-    else:
-        world = load_world(_data_path("demo_world.json"), args.seed)
-        mode = args.mode or "argmax"
-        replicates = args.replicates
-    plan = plan_for_world(world, mode, replicates)
-    records = list(run_ablation(world, plan))
+        return parse_experiment_config(_read(args.config),
+                                       base_dir=Path(args.config).parent,
+                                       seed=args.seed)
+    return ExperimentConfig(world=load_world(_data_path(default_world), args.seed))
+
+
+def cmd_ablate(args) -> int:
+    from .experiments import (estimate_weights_by_ablation, plan_for_world,
+                              run_ablation)
+
+    cfg = _experiment_config(args, "demo_world.json")
+    replicates = cfg.replicates if args.replicates is None else args.replicates
+    plan = plan_for_world(cfg.world, args.mode or cfg.mode, replicates)
+    records = list(run_ablation(cfg.world, plan))
     summaries = {}
     # run_ablation yields each task's records as one run, in plan order
     for task_id, task_records in groupby(records, attrgetter("task_id")):
@@ -225,17 +224,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    from .experiments import (parse_experiment_config, report_to_obj,
-                              run_weight_perturbation)
+    from .experiments import report_to_obj, run_weight_perturbation
 
-    if args.config:
-        cfg = parse_experiment_config(_read(args.config),
-                                      base_dir=Path(args.config).parent,
-                                      seed=args.seed)
-    else:
-        default = dumps_canonical({"world_path": "perturb_grid.json"})
-        cfg = parse_experiment_config(default, base_dir=_data_path(""),
-                                      seed=args.seed)
+    cfg = _experiment_config(args, "perturb_grid.json")
     replicates = cfg.replicates if args.replicates is None else args.replicates
     report = run_weight_perturbation(
         cfg.world, budget=cfg.budget, perturbations=cfg.perturbations,
@@ -311,11 +302,7 @@ def cmd_demo(args) -> int:
         f"demo: drift {record.d_drift:.2f}, split_zone={record.split_zone}, "
         f"at risk: {', '.join(record.private_at_risk)}.",
     )
-    code = _gate_exit(record, args.max_drift)
-    if code:
-        _print_err(f"audit gate: split_zone={record.split_zone} "
-                   f"d_drift={record.d_drift:.4f}")
-    return code
+    return _gate_exit(record, args.max_drift)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +437,8 @@ def main(argv=None) -> int:
         for v in e.violations:
             _print_err(f"  {v}")
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
+        # a path that is missing, a directory or unreadable is an input error
         _print_err(f"error: {e}")
         return 2
     except IstError as e:

@@ -13,10 +13,10 @@ Two experiment designs live here:
   a WAS delta of exactly zero (the plateau); inverting the ranking
   displaces high-weight private dimensions and craters WAS (the cliff).
 
-Both designs share one record engine (_TaskDraws): a draw index is a
-pure function of plan position and never of the mask, so each task's
-draws are hashed as one token matrix, every mask is applied to it at
-once, and the bytes are those of simulating and scoring each record in
+Both designs run on the record engine of worlds (_TaskDraws), which
+also backs mc_mean_f_icmw: a draw index is a pure function of plan
+position and never of the mask, so one block of draws serves every
+mask, and the bytes are those of simulating and scoring each record in
 turn (the tests keep that per-record loop as the reference).
 """
 
@@ -28,27 +28,25 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     BadBudget,
     BadConfig,
     BadPerturbation,
     Inconsistent,
-    InvalidSpec,
     MissingCondition,
     ZeroSignal,
 )
 from .metrics import synthesize_ga, weighted_sum
-from .model import EncodingMask, ValueRef, normalize_weights, validate_spec
+from .model import EncodingMask, ValueRef, normalize_weights
 from .rng import PERTURB_STREAM, derive, unit_float
 from .spec_io import OutputRecord
 from .worlds import (
     SyntheticWorld,
     WorldTask,
+    _TaskDraws,
     build_world,
     full_mask,
     mask_without,
-    to_intent_spec,
     token,
 )
 
@@ -94,58 +92,6 @@ def _conditions(task: WorldTask) -> list[tuple[str, EncodingMask]]:
     for dim in task.dims:
         conds.append((ABLATION_PREFIX + dim.id, mask_without(task, {dim.id})))
     return conds
-
-
-class _TaskDraws:
-    """One task's draws as (draws x dims) token matrices, scored by row.
-
-    Row i of tokens(start, stop) holds every dimension's prior default
-    (argmax mode) or its sampled token at draw start + i (sample mode).
-    Draws never depend on the mask, so one matrix serves every mask.
-    Scoring is exact match against the user value: a record's fidelity
-    row is mask | (token == user), and its f_icmw is weighted_sum of
-    that 0/1 row, computed once per distinct row.
-    """
-
-    def __init__(self, world: SyntheticWorld, task: WorldTask, mode: str):
-        # records are scored against the task's spec, as score_output would
-        report = validate_spec(to_intent_spec(task))
-        if report:
-            raise InvalidSpec(report)
-        self._seed = world.seed
-        self._task = task
-        self._mode = mode
-        self._weights = task.weights
-        self._user = np.array([d.user_index for d in task.dims])
-        self._f_icmw: dict[tuple, float] = {}
-
-    def tokens(self, start: int, stop: int) -> np.ndarray:
-        dims = self._task.dims
-        if self._mode == "argmax":
-            return np.broadcast_to(np.array([d.argmax_index for d in dims]),
-                                   (stop - start, len(dims)))
-        draws = np.arange(start, stop, dtype=np.uint64)
-        return np.stack(
-            [_kernels.sample_tokens(self._seed, self._task.index, dim_ix,
-                                    draws, d.cdf, d.k)
-             for dim_ix, d in enumerate(dims)], axis=1)
-
-    def realize(self, bits, tokens: np.ndarray) -> np.ndarray:
-        """Realized tokens under mask bits, given per row or once for all
-        rows: encoded dimensions copy the user value, the rest keep the
-        drawn token."""
-        return np.where(np.asarray(bits, dtype=bool), self._user, tokens)
-
-    def f_icmw(self, real: np.ndarray) -> list[float]:
-        """f_icmw per row of realized tokens."""
-        out = []
-        for hits in (real == self._user).tolist():
-            key = tuple(hits)
-            f = self._f_icmw.get(key)
-            if f is None:
-                f = self._f_icmw[key] = weighted_sum(self._weights, hits)
-            out.append(f)
-        return out
 
 
 class _TokenRefs(dict):
@@ -355,21 +301,6 @@ class PerturbationReport:
     mean_inversion_drop: float | None
 
 
-def _was_for_masks(draws: _TaskDraws, masks: Sequence[EncodingMask],
-                   replicates: int) -> list[float]:
-    """Mean f_icmw under TRUE weights per mask, each summed in replicate
-    order. Replicate r is draw r whatever the mask, so each block of
-    draws is hashed once and every mask applied to it; blocks bound the
-    memory for any replicate count."""
-    totals = [0.0] * len(masks)
-    for start in range(0, replicates, _kernels._CHUNK_DRAWS):
-        tokens = draws.tokens(start, min(start + _kernels._CHUNK_DRAWS, replicates))
-        for m, mask in enumerate(masks):
-            for f in draws.f_icmw(draws.realize(mask.bits, tokens)):
-                totals[m] += f
-    return [total / replicates for total in totals]
-
-
 def run_weight_perturbation(world: SyntheticWorld,
                             budget: int | None = None,
                             perturbations: Sequence[PerturbationSpec] | None = None,
@@ -406,7 +337,7 @@ def run_weight_perturbation(world: SyntheticWorld,
             masks.append(encode_with_budget(task.dim_ids, w_p, b))
         # The exact-zero plateau follows from mask-independent draws: an
         # identical mask gives identical fidelity rows.
-        baseline, *was = _was_for_masks(draws, [base_mask, *masks], replicates)
+        baseline, *was = draws.mean_f_icmw([base_mask, *masks], replicates)
         return [CellSummary(task_id=task.task_id,
                             model_tag=world.tag,
                             perturbation=p.name,
@@ -465,24 +396,32 @@ class ExperimentConfig:
     mode: str = "argmax"
 
 
+# the one parameter field each parameterized kind takes besides "kind"
+_PERTURBATION_PARAMS = {"jitter": "epsilon", "adjacent_swap": "count"}
+
+
 def _parse_perturbation(item, where: str) -> PerturbationSpec:
     if isinstance(item, str):
-        kind = item
-        params: dict = {}
-    elif isinstance(item, dict):
-        kind = item.get("kind")
-        params = item
-    else:
+        item = {"kind": item}
+    elif not isinstance(item, dict):
         raise BadConfig(f"{where}: expected string or object")
+    kind = item.get("kind")
     if not isinstance(kind, str):
         raise BadConfig(f"{where}: perturbation needs a string kind")
+    unknown = set(item) - {"kind", _PERTURBATION_PARAMS.get(kind)}
+    if unknown:
+        raise BadConfig(f"{where}: unknown fields {sorted(unknown)!r} for {kind!r}")
     try:
         if kind == "jitter":
-            return PerturbationSpec("jitter",
-                                    epsilon=float(params.get("epsilon", 0.05)))
+            epsilon = item.get("epsilon", 0.05)
+            if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+                raise BadConfig(f"{where}: epsilon must be a number, got {epsilon!r}")
+            return PerturbationSpec("jitter", epsilon=float(epsilon))
         if kind == "adjacent_swap":
-            return PerturbationSpec("adjacent_swap",
-                                    count=int(params.get("count", 1)))
+            count = item.get("count", 1)
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise BadConfig(f"{where}: count must be an integer, got {count!r}")
+            return PerturbationSpec("adjacent_swap", count=count)
         return PerturbationSpec(kind)
     except BadPerturbation as e:
         raise BadConfig(f"{where}: {e}") from None
@@ -513,7 +452,10 @@ def parse_experiment_config(data: bytes | str, *, base_dir=None,
     if "world_config" in doc:
         world = build_world(doc["world_config"], seed)
     else:
-        path = Path(doc["world_path"])
+        path = doc["world_path"]
+        if not isinstance(path, str):
+            raise BadConfig(f"world_path must be a string, got {path!r}")
+        path = Path(path)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
         world = load_world(path, seed)

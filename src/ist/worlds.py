@@ -14,6 +14,12 @@ absent ones from the prior, either by argmax (ties to the lowest token
 index) or by sampling. Slots are always filled, so structure is always
 perfect and only fidelity varies.
 
+The record engine (_TaskDraws) simulates a task's outputs in bulk:
+draws never depend on the mask, so each task's draws are hashed as one
+token matrix and every mask is applied to it at once. The ablation and
+perturbation experiments and mc_mean_f_icmw all run on it, and its
+records are those of simulate_output and score_output, bit for bit.
+
 All randomness is derived by a keyed 64-bit mix of
 (master seed, stream, task index, dimension index, draw index); there
 is no shared PRNG state and calls are safe to run in any order.
@@ -24,14 +30,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from . import _kernels
-from .errors import BadConfig, LengthMismatch, SpecSyntaxError, UnknownTask
+from .errors import (BadConfig, InvalidSpec, LengthMismatch, SpecSyntaxError,
+                     UnknownTask)
 from .metrics import weighted_sum
-from .model import Dimension, EncodingMask, IntentSpec, ValueRef, normalize_weights
+from .model import (Dimension, EncodingMask, IntentSpec, ValueRef,
+                    normalize_weights, validate_spec)
 from .rng import USER_VALUE_STREAM, derive, uniform_index
 from .spec_io import loads_strict
 
@@ -58,9 +67,8 @@ class WorldDim:
 
     @property
     def argmax_index(self) -> int:
-        # np.argmax breaks ties toward the lowest index, which is the
-        # documented tie rule (lam=0 therefore always argmaxes to v0).
-        return int(np.argmax(self.prior))
+        # ties go to the lowest index, so lam=0 always argmaxes to v0
+        return self.user_index if _argmax_finds_user(self.k, self.lam) else 0
 
 
 @dataclass(frozen=True)
@@ -119,10 +127,9 @@ def _build_dim(dim_cfg: dict, weight: float, task_ix: int, dim_ix: int,
     if not 0.0 <= lam <= 1.0 or math.isnan(lam):
         raise BadConfig(f"{where}: lambda must be in [0, 1], got {lam}")
     user_index = uniform_index(derive(seed, USER_VALUE_STREAM, task_ix, dim_ix), k)
-    base = (1.0 - lam) / k
-    prior = np.full(k, base, dtype=np.float64)
+    prior = [(1.0 - lam) / k] * k
     prior[user_index] += lam
-    cdf = np.cumsum(prior)
+    cdf = list(accumulate(prior))
     cdf[-1] = 1.0  # kill accumulated rounding at the top end
     return WorldDim(
         id=str(dim_cfg["id"]).lower(),
@@ -130,8 +137,8 @@ def _build_dim(dim_cfg: dict, weight: float, task_ix: int, dim_ix: int,
         k=k,
         lam=lam,
         user_index=user_index,
-        prior=tuple(float(x) for x in prior),
-        cdf=tuple(float(x) for x in cdf),
+        prior=tuple(prior),
+        cdf=tuple(cdf),
     )
 
 
@@ -253,6 +260,71 @@ def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     return SimulatedOutput(realized_values=realized, provenance=provenance)
 
 
+class _TaskDraws:
+    """One task's draws as (draws x dims) token matrices, scored by row.
+
+    Row i of tokens(start, stop) holds every dimension's prior default
+    (argmax mode) or its sampled token at draw start + i (sample mode).
+    Draws never depend on the mask, so one matrix serves every mask.
+    Scoring is exact match against the user value: a record's fidelity
+    row is mask | (token == user), and its f_icmw is weighted_sum of
+    that 0/1 row, computed once per distinct row.
+    """
+
+    def __init__(self, world: SyntheticWorld, task: WorldTask, mode: str):
+        # records are scored against the task's spec, as score_output would
+        report = validate_spec(to_intent_spec(task))
+        if report:
+            raise InvalidSpec(report)
+        self._seed = world.seed
+        self._task = task
+        self._mode = mode
+        self._weights = task.weights
+        self._user = np.array([d.user_index for d in task.dims])
+        self._f_icmw: dict[tuple, float] = {}
+
+    def tokens(self, start: int, stop: int) -> np.ndarray:
+        dims = self._task.dims
+        if self._mode == "argmax":
+            return np.broadcast_to(np.array([d.argmax_index for d in dims]),
+                                   (stop - start, len(dims)))
+        draws = np.arange(start, stop, dtype=np.uint64)
+        return np.stack(
+            [_kernels.sample_tokens(self._seed, self._task.index, dim_ix,
+                                    draws, d.cdf, d.k)
+             for dim_ix, d in enumerate(dims)], axis=1)
+
+    def realize(self, bits, tokens: np.ndarray) -> np.ndarray:
+        """Realized tokens under mask bits, given per row or once for all
+        rows: encoded dimensions copy the user value, the rest keep the
+        drawn token."""
+        return np.where(np.asarray(bits, dtype=bool), self._user, tokens)
+
+    def f_icmw(self, real: np.ndarray) -> list[float]:
+        """f_icmw per row of realized tokens."""
+        out = []
+        for hits in (real == self._user).tolist():
+            key = tuple(hits)
+            f = self._f_icmw.get(key)
+            if f is None:
+                f = self._f_icmw[key] = weighted_sum(self._weights, hits)
+            out.append(f)
+        return out
+
+    def mean_f_icmw(self, masks: list[EncodingMask], n: int) -> list[float]:
+        """Mean f_icmw over draws 0..n-1 per mask, each summed in draw
+        order, as a loop over simulated records would sum it. Draw i is
+        the same whatever the mask, so each block of draws is hashed once
+        and every mask applied to it; blocks bound the memory for any n."""
+        totals = [0.0] * len(masks)
+        for start in range(0, n, _kernels._CHUNK_DRAWS):
+            tokens = self.tokens(start, min(start + _kernels._CHUNK_DRAWS, n))
+            for m, mask in enumerate(masks):
+                for f in self.f_icmw(self.realize(mask.bits, tokens)):
+                    totals[m] += f
+        return [total / n for total in totals]
+
+
 # ---------------------------------------------------------------------------
 # analytic expectations and Monte Carlo means
 # ---------------------------------------------------------------------------
@@ -302,31 +374,14 @@ def expected_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
 
 def mc_mean_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
                    n: int = 10_000) -> float:
-    """Mean f_icmw over n sample-mode outputs, via the match-count kernel.
+    """Mean f_icmw over n sample-mode outputs (draws 0..n-1).
 
-    Equals the mean of per-record f_icmw values by linearity; the kernel
-    replays the exact per-record draw stream, so this is a fast path,
-    not an approximation of a different quantity.
+    Runs the record engine, so the value equals the mean of the per-record
+    f_icmw of simulate_output and score_output, bit for bit.
     """
     task = world.task(task_id)
     _check_mask(task, mask)
-    absent = [i for i in range(len(task.dims)) if mask.bits[i] == 0]
-    e = [1.0] * len(task.dims)
-    if absent:
-        kmax = max(task.dims[i].k for i in absent)
-        cdfs = np.ones((len(absent), kmax), dtype=np.float64)
-        for row, i in enumerate(absent):
-            cdfs[row, :task.dims[i].k] = task.dims[i].cdf
-        counts = _kernels.match_counts(
-            world.seed, task.index,
-            np.array(absent, dtype=np.int64),
-            np.array([task.dims[i].user_index for i in absent], dtype=np.int64),
-            cdfs,
-            np.array([task.dims[i].k for i in absent], dtype=np.int64),
-            n)
-        for row, i in enumerate(absent):
-            e[i] = counts[row] / n
-    return weighted_sum(task.weights, e)
+    return _TaskDraws(world, task, "sample").mean_f_icmw([mask], n)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from ist.spec_io import (
 )
 from ist.worlds import build_world, to_intent_spec
 
-from conftest import run_ist
+from conftest import DATA, run_ist
 
 TS = "2026-08-15T00:00:00Z"
 
@@ -505,6 +505,61 @@ def test_bad_numeric_flag_exits_2(capsys, data_dir, case):
         main(argv)
     assert err.value.code == 2
     assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+def assert_input_error(code, err):
+    assert code == 2, err
+    assert err.startswith("error: ")
+    assert not any(line.startswith("internal error") for line in err.splitlines())
+
+
+# paths that name a directory rather than a readable or writable file;
+# "DIR" stands for a directory that exists
+BAD_PATHS = {
+    "validate-directory": ["validate", "DIR"],
+    "report-directory": ["report", "--records", "DIR"],
+    "demo-out-directory": ["demo", "--timestamp", TS, "--out", "DIR"],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PATHS))
+def test_path_that_is_not_a_file_exits_2(capsys, tmp_path, case):
+    argv = [str(tmp_path) if a == "DIR" else a for a in BAD_PATHS[case]]
+    code, _, err = run(capsys, *argv)
+    assert_input_error(code, err)
+
+
+GRID = str(DATA / "perturb_grid.json")
+
+# experiment configs that ablate and perturb must reject as input errors,
+# with a fragment of the message each must print
+BAD_EXPERIMENT_CONFIGS = {
+    "world-path-number": ({"world_path": 5}, "world_path"),
+    "world-path-directory": ({"world_path": "."}, "Is a directory"),
+    "jitter-epsilon-text": ({"kind": "jitter", "epsilon": "abc"}, "perturbations[1]"),
+    "jitter-epsilon-numeric-text": ({"kind": "jitter", "epsilon": "0.1"}, "perturbations[1]"),
+    "jitter-unknown-field": ({"kind": "jitter", "eps": 0.1}, "perturbations[1]"),
+    "swap-count-text": ({"kind": "adjacent_swap", "count": "x"}, "perturbations[1]"),
+    "swap-count-list": ({"kind": "adjacent_swap", "count": [1]}, "perturbations[1]"),
+    "swap-count-fraction": ({"kind": "adjacent_swap", "count": 1.7}, "perturbations[1]"),
+    "swap-count-bool": ({"kind": "adjacent_swap", "count": True}, "perturbations[1]"),
+    "identity-unknown-field": ({"kind": "identity", "count": 1}, "perturbations[1]"),
+}
+
+
+@pytest.mark.parametrize("command", ["ablate", "perturb"])
+@pytest.mark.parametrize("case", list(BAD_EXPERIMENT_CONFIGS))
+def test_bad_experiment_config_exits_2(capsys, tmp_path, command, case):
+    item, fragment = BAD_EXPERIMENT_CONFIGS[case]
+    doc = dict(item) if "world_path" in item else {
+        "world_path": GRID, "perturbations": ["identity", item]}
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, command, "--config", str(cfg),
+                         "--out", str(tmp_path / "out.json"))
+    assert_input_error(code, err)
+    assert fragment in err
+    assert out == ""
 
 
 def test_internal_error_names_the_subcommand(capsys, monkeypatch):

@@ -18,6 +18,7 @@ ABLATE_ARGMAX_SUMMARY = "8780a9be568b71345fbc535cc207315d06f0781d25abc877752049f
 ABLATE_SAMPLE_RECORDS = "0b8802c55e1ef0ee62950b0772288d824d8a673a25fe128f7675a455ad499883"
 ABLATE_SAMPLE_SUMMARY = "ff9dd1b6616641d3f0e19c312ab6a114026262c02686aa8027fc71d140c55864"
 PERTURB_REPORT = "c7bb06f8b6e89c25f0f587bf4405f0ee1be3f4328f69ad38428ccf9d6161a668"
+PERTURB_SAMPLE_REPORT = "9997e04d51b4d088601f4f3988259edeee8c7abd0b49315ccc5db11399478765"
 
 ABLATE_CASES = {
     "argmax": ([], ABLATE_ARGMAX_RECORDS, ABLATE_ARGMAX_SUMMARY),
@@ -54,6 +55,12 @@ def test_perturb_golden_bytes(capsys, tmp_path):
     assert main(["perturb", "--seed", "1", "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == PERTURB_REPORT
     assert capsys.readouterr().out == ""
+
+
+def test_perturb_sample_golden_bytes(capsys):
+    # sample mode hashes a token per draw; argmax repeats each prior default
+    assert main(["perturb", "--seed", "1", "--mode", "sample", "--replicates", "3"]) == 0
+    assert sha256(capsys.readouterr().out) == PERTURB_SAMPLE_REPORT
 
 
 @pytest.mark.parametrize("hash_seed", [0, 1])

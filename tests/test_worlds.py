@@ -11,6 +11,7 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
+from ist import _kernels
 from ist.errors import BadConfig, LengthMismatch, UnknownTask
 from ist.metrics import bundle_for_output, score_output, weighted_sum
 from ist.model import EncodingMask, ValueRef, validate_spec
@@ -277,9 +278,65 @@ def test_mc_matches_mean_of_simulated_records():
         out = simulate_output(world, "t", mask, mode="sample", draw=draw)
         sc = score_output(spec, out.realized_values)
         acc += weighted_sum(task.weights, sc.f)
-    direct = acc / n
-    kernel = mc_mean_f_icmw(world, "t", mask, n=n)
-    assert abs(kernel - direct) < 1e-12
+    assert mc_mean_f_icmw(world, "t", mask, n=n) == acc / n
+
+
+def test_mc_sums_run_across_draw_blocks(monkeypatch):
+    # 7 draws in blocks of 3: the running sum must carry over block edges
+    monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", 3)
+    config = {"tasks": [{"task_id": "t", "dims": [
+        {"id": "a", "weight": 0.1, "K": 3, "lambda": 0.2},
+        {"id": "b", "weight": 0.2, "K": 2, "lambda": 0.0},
+        {"id": "c", "weight": 0.7, "K": 4, "lambda": 0.5}]}]}
+    # at these seeds, summing each block apart and then adding the block
+    # sums rounds differently from one running sum, for one mask or the other
+    for seed in (8, 17):
+        world = build_world(config, seed=seed)
+        task = world.tasks[0]
+        spec = to_intent_spec(task)
+        for mask in (mask_without(task, {"b"}), mask_without(task, {"a", "b", "c"})):
+            acc = 0.0
+            for draw in range(7):
+                out = simulate_output(world, "t", mask, mode="sample", draw=draw)
+                acc += weighted_sum(task.weights, score_output(spec, out.realized_values).f)
+            assert mc_mean_f_icmw(world, "t", mask, n=7) == acc / 7, seed
+
+
+def build_dim_reference(k, lam, user_index):
+    """The numpy build: flat base plus lam at the user, cumsum, top set to 1."""
+    prior = np.full(k, (1.0 - lam) / k, dtype=np.float64)
+    prior[user_index] += lam
+    cdf = np.cumsum(prior)
+    cdf[-1] = 1.0
+    return prior.tolist(), cdf.tolist(), int(np.argmax(prior))
+
+
+def assert_dim_matches_reference(dim):
+    prior, cdf, argmax = build_dim_reference(dim.k, dim.lam, dim.user_index)
+    # bit for bit: compare the IEEE-754 encodings, not values within a tolerance
+    assert [x.hex() for x in dim.prior] == [x.hex() for x in prior], (dim.k, dim.lam)
+    assert [x.hex() for x in dim.cdf] == [x.hex() for x in cdf], (dim.k, dim.lam)
+    assert dim.argmax_index == argmax, (dim.k, dim.lam)
+    assert all(type(x) is float for x in dim.prior + dim.cdf)
+    assert type(dim.argmax_index) is int
+
+
+def test_build_dim_equals_numpy_reference_on_the_tie_grid():
+    lams = (0.0, 5e-324, 1e-300, 1e-17, 5e-17, 1e-16, 1e-12, 1e-3, 0.5, 1.0)
+    for k in (2, 3, 4, 7, 10, 33, 64, 100):
+        for lam in lams:
+            for seed in range(4):
+                assert_dim_matches_reference(
+                    build_world(one_dim_config(lam, k), seed=seed).tasks[0].dims[0])
+
+
+def test_build_dim_equals_numpy_reference_on_random_dims():
+    rng = random.Random(5)
+    for _ in range(300):
+        k = rng.randint(2, 200)
+        lam = rng.choice([0.0, 5e-324, 1e-17, 1.0, rng.random()])
+        world = build_world(one_dim_config(lam, k), seed=rng.getrandbits(64))
+        assert_dim_matches_reference(world.tasks[0].dims[0])
 
 
 def test_mc_agrees_with_expectation():
