@@ -13,11 +13,12 @@ Two experiment designs live here:
   a WAS delta of exactly zero (the plateau); inverting the ranking
   displaces high-weight private dimensions and craters WAS (the cliff).
 
-Both designs run on the record engine of worlds (_TaskDraws), which
-also backs mc_mean_f_icmw: a draw index is a pure function of plan
-position and never of the mask, so one block of draws serves every
-mask, and the bytes are those of simulating and scoring each record in
-turn (the tests keep that per-record loop as the reference).
+Both designs run on the record engine of worlds, which also backs
+mc_mean_f_icmw: a draw index is a pure function of plan position and
+never of the mask, so the engine hashes the draws of a block of tasks at
+once and every mask reuses them, and the bytes are those of simulating
+and scoring each record in turn (the tests keep that per-record loop as
+the reference).
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .spec_io import OutputRecord
 from .worlds import (
     SyntheticWorld,
     WorldTask,
+    _check_count,
+    _task_draws,
     _TaskDraws,
     build_world,
     full_mask,
@@ -75,8 +78,7 @@ class AblationPlan:
     def __post_init__(self):
         if self.mode not in ("argmax", "sample"):
             raise BadConfig(f"mode must be 'argmax' or 'sample', got {self.mode!r}")
-        if self.replicates < 1:
-            raise BadConfig(f"replicates must be >= 1, got {self.replicates}")
+        _check_count("replicates", self.replicates)
 
 
 def plan_for_world(world: SyntheticWorld, mode: str = "argmax",
@@ -106,32 +108,35 @@ def run_ablation(world: SyntheticWorld, plan: AblationPlan) -> Iterator[OutputRe
     """Emit one record per (task, condition, replicate), in plan order.
 
     The draw index is condition_index * replicates + replicate, fixed by
-    plan position alone, so a task's records are one block of draws and
+    plan position alone, so a task's records are one run of draws and
     output bytes never depend on evaluation order.
     """
     refs = _TokenRefs()
-    for task_id in plan.task_ids:
-        task = world.task(task_id)
+    reps = plan.replicates
+    tasks = [world.task(task_id) for task_id in plan.task_ids]
+    counts = [(1 + len(task.dims)) * reps for task in tasks]
+    for draws, pieces in _task_draws(world, tasks, counts, plan.mode):
+        task = draws.task
         conds = _conditions(task)
-        draws = _TaskDraws(world, task, plan.mode)
-        real = draws.realize(
-            np.repeat([m.bits for _, m in conds], plan.replicates, axis=0),
-            draws.tokens(0, len(conds) * plan.replicates))
+        bits = np.array([m.bits for _, m in conds])
         s = weighted_sum(task.weights, [1.0] * len(task.dims))
         ga = synthesize_ga(s)
         ids = task.dim_ids
-        for row, (tokens, f) in enumerate(zip(real.tolist(), draws.f_icmw(real))):
-            condition, mask = conds[row // plan.replicates]
-            yield OutputRecord(
-                task_id=task.task_id,
-                condition=condition,
-                model_tag=world.tag,
-                mask=mask,
-                realized_values={d: refs[j] for d, j in zip(ids, tokens)},
-                ga=ga,
-                s_icmw=s,
-                f_icmw=f,
-            )
+        for start, tokens in pieces:
+            cond_ixs = np.arange(start, start + len(tokens)) // reps
+            real = draws.realize(bits[cond_ixs], tokens)
+            for c, row, f in zip(cond_ixs.tolist(), real.tolist(), draws.f_icmw(real)):
+                condition, mask = conds[c]
+                yield OutputRecord(
+                    task_id=task.task_id,
+                    condition=condition,
+                    model_tag=world.tag,
+                    mask=mask,
+                    realized_values={d: refs[j] for d, j in zip(ids, row)},
+                    ga=ga,
+                    s_icmw=s,
+                    f_icmw=f,
+                )
 
 
 def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, float]:
@@ -317,18 +322,19 @@ def run_weight_perturbation(world: SyntheticWorld,
         raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
     if replicates is None:
         replicates = default_replicates(mode)
+    _check_count("replicates", replicates)
     if perturbations is None:
         perturbations = default_perturbations()
     specs = list(perturbations)
     if not any(p.kind == "identity" for p in specs):
         specs.insert(0, PerturbationSpec("identity"))
 
-    def run_task(task: WorldTask) -> list[CellSummary]:
+    def run_task(draws: _TaskDraws, pieces) -> list[CellSummary]:
+        task = draws.task
         n = len(task.dims)
         b = default_budget(n) if budget is None else budget
         w_true = list(task.weights)
         base_mask = encode_with_budget(task.dim_ids, w_true, b)
-        draws = _TaskDraws(world, task, mode)
         masks = []
         for p_ix, p in enumerate(specs):
             w_p = perturb_weights(
@@ -337,7 +343,7 @@ def run_weight_perturbation(world: SyntheticWorld,
             masks.append(encode_with_budget(task.dim_ids, w_p, b))
         # The exact-zero plateau follows from mask-independent draws: an
         # identical mask gives identical fidelity rows.
-        baseline, *was = draws.mean_f_icmw([base_mask, *masks], replicates)
+        baseline, *was = draws.mean_f_icmw([base_mask, *masks], pieces, replicates)
         return [CellSummary(task_id=task.task_id,
                             model_tag=world.tag,
                             perturbation=p.name,
@@ -346,7 +352,10 @@ def run_weight_perturbation(world: SyntheticWorld,
                             mask_changed=mask.bits != base_mask.bits)
                 for p, mask, w in zip(specs, masks, was)]
 
-    cells = tuple(c for t in world.tasks for c in run_task(t))
+    tasks = world.tasks
+    cells = tuple(c for draws, pieces in _task_draws(
+        world, tasks, [replicates] * len(tasks), mode)
+        for c in run_task(draws, pieces))
 
     preserving = [c for c in cells
                   if c.perturbation != "identity" and not c.mask_changed]
@@ -467,8 +476,7 @@ def parse_experiment_config(data: bytes | str, *, base_dir=None,
         raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
     replicates = doc.get("replicates")
     if replicates is not None:
-        if isinstance(replicates, bool) or not isinstance(replicates, int) or replicates < 1:
-            raise BadConfig(f"replicates must be a positive integer, got {replicates!r}")
+        _check_count("replicates", replicates)
     if "perturbations" in doc:
         raw = doc["perturbations"]
         if not isinstance(raw, list) or not raw:

@@ -38,8 +38,9 @@ def splitmix64(x: int) -> int:
 def derive(master: int, *indices: int) -> int:
     """Mix a chain of indices into the master seed (order-sensitive).
 
-    The last index may be a np.uint64 array: the result is then the
-    array of hashes, one per element, equal to the scalar ones.
+    Any index may be a np.uint64 array, and the array indices broadcast
+    against each other: the result is then the array of hashes over the
+    broadcast grid, each equal to the scalar one for its indices.
     """
     h = splitmix64(master & MASK64)
     for ix in indices:

@@ -14,10 +14,11 @@ absent ones from the prior, either by argmax (ties to the lowest token
 index) or by sampling. Slots are always filled, so structure is always
 perfect and only fidelity varies.
 
-The record engine (_TaskDraws) simulates a task's outputs in bulk:
-draws never depend on the mask, so each task's draws are hashed as one
-token matrix and every mask is applied to it at once. The ablation and
-perturbation experiments and mc_mean_f_icmw all run on it, and its
+The record engine simulates outputs in bulk: draws never depend on the
+mask, so the draws of a block of tasks are hashed together, one
+_kernels.sample_block call per block of bounded size, and every mask is
+applied to each task's token matrix at once (_TaskDraws). The ablation
+and perturbation experiments and mc_mean_f_icmw all run on it, and its
 records are those of simulate_output and score_output, bit for bit.
 
 All randomness is derived by a keyed 64-bit mix of
@@ -30,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +245,9 @@ def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
         raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
     task = world.task(task_id)
     _check_mask(task, mask)
+    if mode == "sample":
+        sampled = _sample_grid(world.seed, [task],
+                               np.array([draw], dtype=np.uint64))[0, :, 0].tolist()
     realized: dict[str, ValueRef] = {}
     provenance: dict[str, str] = {}
     for dim_ix, dim in enumerate(task.dims):
@@ -253,46 +258,115 @@ def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
             realized[dim.id] = ValueRef.token(token(dim.argmax_index))
             provenance[dim.id] = "prior_default"
         else:
-            j = int(_kernels.sample_tokens(world.seed, task.index, dim_ix,
-                                           draw, dim.cdf, dim.k))
-            realized[dim.id] = ValueRef.token(token(j))
+            realized[dim.id] = ValueRef.token(token(sampled[dim_ix]))
             provenance[dim.id] = "prior_sample"
     return SimulatedOutput(realized_values=realized, provenance=provenance)
 
 
-class _TaskDraws:
-    """One task's draws as (draws x dims) token matrices, scored by row.
+def _sample_grid(seed: int, tasks, draws: np.ndarray) -> np.ndarray:
+    """Sampled tokens (tasks x dims x draws) by one sample_block call.
 
-    Row i of tokens(start, stop) holds every dimension's prior default
-    (argmax mode) or its sampled token at draw start + i (sample mode).
+    Each dimension's CDF is padded with +inf to the largest K, and a task
+    with fewer dimensions than the widest gets +inf rows whose tokens
+    nobody reads.
+    """
+    n_dims = max(len(t.dims) for t in tasks)
+    k = max(d.k for t in tasks for d in t.dims)
+    pad = (math.inf,) * k
+    cdfs, ks = [], []
+    for task in tasks:
+        for d in task.dims:
+            cdfs.append(d.cdf + pad[d.k:])
+            ks.append(d.k)
+        gap = n_dims - len(task.dims)
+        cdfs += [pad] * gap
+        ks += [1] * gap
+    shape = (len(tasks), n_dims)
+    return _kernels.sample_block(
+        seed, np.array([t.index for t in tasks], dtype=np.uint64),
+        np.arange(n_dims, dtype=np.uint64), draws,
+        np.array(cdfs).reshape(*shape, k), np.array(ks).reshape(shape))
+
+
+def _blocks(tasks, counts):
+    """Draws 0..counts[i]-1 of each task, cut into (position, start, stop)
+    ranges and grouped into blocks, in task then draw order.
+
+    The ranges of a block share one start. Its hash grid (ranges x
+    widest task's dims x longest range) and its CDF table (ranges x
+    widest task's dims x largest K) each hold at most
+    _kernels._CHUNK_DRAWS cells, unless one task alone needs more: a
+    task's draws are cut into ranges that fit, and consecutive ranges
+    join a block while both still fit.
+    """
+    budget = _kernels._CHUNK_DRAWS
+    block, shape = [], (0, 0, 0)  # the block's dims, draws and K so far
+    for pos, (task, n) in enumerate(zip(tasks, counts)):
+        dims, k = len(task.dims), max(d.k for d in task.dims)
+        step = max(1, budget // dims)
+        for start in range(0, n, step):
+            rows = min(step, n - start)
+            grown = (max(shape[0], dims), max(shape[1], rows), max(shape[2], k))
+            if block and (start != block[0][1] or
+                          (len(block) + 1) * grown[0] * max(grown[1:]) > budget):
+                yield block
+                block, grown = [], (dims, rows, k)
+            block.append((pos, start, start + rows))
+            shape = grown
+    if block:
+        yield block
+
+
+def _draw_pieces(world: SyntheticWorld, tasks, counts, mode: str):
+    """(position, start, tokens) for draws 0..counts[i]-1 of each task, in
+    task then draw order. tokens is a (draws x dims) matrix holding each
+    dimension's prior default (argmax mode) or its sampled token (sample
+    mode) per draw; sample mode hashes each block with one call."""
+    for block in _blocks(tasks, counts):
+        if mode == "sample":
+            start = block[0][1]
+            stop = max(stop for _, _, stop in block)
+            grid = _sample_grid(world.seed, [tasks[pos] for pos, _, _ in block],
+                                np.arange(start, stop, dtype=np.uint64))
+        for t, (pos, start, stop) in enumerate(block):
+            task_dims = tasks[pos].dims
+            if mode == "sample":
+                tokens = grid[t, :len(task_dims), :stop - start].T
+            else:
+                tokens = np.broadcast_to([d.argmax_index for d in task_dims],
+                                         (stop - start, len(task_dims)))
+            yield pos, start, tokens
+
+
+def _task_draws(world: SyntheticWorld, tasks, counts, mode: str):
+    """(_TaskDraws, pieces) per task, in order: pieces yields (start,
+    tokens) for the task's draws 0..counts[i]-1. Blocks are hashed ahead,
+    but each task is validated only when its turn comes."""
+    for pos, group in groupby(_draw_pieces(world, tasks, counts, mode),
+                              itemgetter(0)):
+        yield (_TaskDraws(tasks[pos]),
+               ((start, tokens) for _, start, tokens in group))
+
+
+class _TaskDraws:
+    """One task's scoring of (draws x dims) token matrices, by row.
+
+    Row i of a piece holds every dimension's token at draw start + i.
     Draws never depend on the mask, so one matrix serves every mask.
     Scoring is exact match against the user value: a record's fidelity
     row is mask | (token == user), and its f_icmw is weighted_sum of
     that 0/1 row, computed once per distinct row.
     """
 
-    def __init__(self, world: SyntheticWorld, task: WorldTask, mode: str):
+    def __init__(self, task: WorldTask):
         # records are scored against the task's spec, as score_output would
         report = validate_spec(to_intent_spec(task))
         if report:
             raise InvalidSpec(report)
-        self._seed = world.seed
-        self._task = task
-        self._mode = mode
+        self.task = task
         self._weights = task.weights
         self._user = np.array([d.user_index for d in task.dims])
         self._f_icmw: dict[tuple, float] = {}
-
-    def tokens(self, start: int, stop: int) -> np.ndarray:
-        dims = self._task.dims
-        if self._mode == "argmax":
-            return np.broadcast_to(np.array([d.argmax_index for d in dims]),
-                                   (stop - start, len(dims)))
-        draws = np.arange(start, stop, dtype=np.uint64)
-        return np.stack(
-            [_kernels.sample_tokens(self._seed, self._task.index, dim_ix,
-                                    draws, d.cdf, d.k)
-             for dim_ix, d in enumerate(dims)], axis=1)
 
     def realize(self, bits, tokens: np.ndarray) -> np.ndarray:
         """Realized tokens under mask bits, given per row or once for all
@@ -311,18 +385,21 @@ class _TaskDraws:
             out.append(f)
         return out
 
-    def mean_f_icmw(self, masks: list[EncodingMask], n: int) -> list[float]:
-        """Mean f_icmw over draws 0..n-1 per mask, each summed in draw
-        order, as a loop over simulated records would sum it. Draw i is
-        the same whatever the mask, so each block of draws is hashed once
-        and every mask applied to it; blocks bound the memory for any n."""
+    def mean_f_icmw(self, masks: list[EncodingMask], pieces, n: int) -> list[float]:
+        """Mean f_icmw per mask over the n draws in pieces, each summed in
+        draw order, as a loop over simulated records would sum it; every
+        mask is applied to each piece in turn."""
         totals = [0.0] * len(masks)
-        for start in range(0, n, _kernels._CHUNK_DRAWS):
-            tokens = self.tokens(start, min(start + _kernels._CHUNK_DRAWS, n))
+        for _, tokens in pieces:
             for m, mask in enumerate(masks):
                 for f in self.f_icmw(self.realize(mask.bits, tokens)):
                     totals[m] += f
         return [total / n for total in totals]
+
+
+def _check_count(name: str, n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise BadConfig(f"{name} must be a positive integer, got {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +456,11 @@ def mc_mean_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     Runs the record engine, so the value equals the mean of the per-record
     f_icmw of simulate_output and score_output, bit for bit.
     """
+    _check_count("n", n)
     task = world.task(task_id)
     _check_mask(task, mask)
-    return _TaskDraws(world, task, "sample").mean_f_icmw([mask], n)[0]
+    draws, pieces = next(_task_draws(world, [task], [n], "sample"))
+    return draws.mean_f_icmw([mask], pieces, n)[0]
 
 
 # ---------------------------------------------------------------------------

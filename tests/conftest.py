@@ -11,6 +11,7 @@ from ist.model import Dimension, IntentSpec, ValueRef, normalize_weights
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "ist" / "data"
+TESTS_DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_ist(*argv, hash_seed: int) -> subprocess.CompletedProcess:

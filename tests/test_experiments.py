@@ -40,6 +40,7 @@ from ist.rng import PERTURB_STREAM, derive
 from ist.spec_io import OutputRecord, dumps_canonical, record_to_line
 from ist.worlds import (
     SyntheticWorld,
+    _draw_pieces,
     build_world,
     expected_f_icmw,
     full_mask,
@@ -48,7 +49,8 @@ from ist.worlds import (
     to_intent_spec,
 )
 
-from conftest import DATA
+from conftest import DATA, TESTS_DATA
+from test_worlds import sample_token_index_reference
 
 
 def world_from(dims, seed=1, task_id="t"):
@@ -445,6 +447,9 @@ ENGINE_WORLDS = {
     **{f"random-d{d}": (lambda d=d: random_world(100 + d, d)) for d in (1, 8, 9, 20)},
     # inside the 1e-6 tolerance that spec validation allows
     "scaled": lambda: scaled_world(random_world(7, 5), 1.0 - 5e-7),
+    # 1-9 dims per task and K from 2 to 200: CDFs padded within and across tasks
+    "mixed": lambda: parse_experiment_config(
+        (TESTS_DATA / "mixed_experiment.json").read_bytes()).world,
 }
 
 
@@ -478,16 +483,148 @@ def test_run_weight_perturbation_equals_reference(name, mode, replicates):
     assert dumps_canonical(report_to_obj(got)) == dumps_canonical(report_to_obj(want))
 
 
-@pytest.mark.parametrize("name", ["grid", "random-d9"])
+@pytest.mark.parametrize("name", ["grid", "random-d9", "mixed"])
 def test_perturbation_draw_blocks_equal_reference(monkeypatch, name):
-    # 7 replicates in blocks of 3: sums must run on across block edges
-    monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", 3)
+    # blocks of 3 or 7 compare cells hold at most a few draws: 7 replicates
+    # split inside each task, and sums must run on across block edges
     world = ENGINE_WORLDS[name]()
     specs = default_perturbations()
-    got = run_weight_perturbation(world, perturbations=specs, mode="sample",
-                                  replicates=7)
+    if min(len(t.dims) for t in world.tasks) < 2:
+        specs = [p for p in specs if p.kind != "adjacent_swap"]
     want = run_weight_perturbation_reference(world, specs, "sample", 7)
-    assert dumps_canonical(report_to_obj(got)) == dumps_canonical(report_to_obj(want))
+    for budget in (3, 7):
+        monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
+        got = run_weight_perturbation(world, perturbations=specs, mode="sample",
+                                      replicates=7)
+        assert dumps_canonical(report_to_obj(got)) == dumps_canonical(report_to_obj(want))
+
+
+@pytest.mark.parametrize("name", ["random-d9", "mixed"])
+def test_ablation_draw_blocks_equal_reference(monkeypatch, name):
+    world = ENGINE_WORLDS[name]()
+    plan = plan_for_world(world, "sample", 7)
+    want = [record_to_line(r) for r in run_ablation_reference(world, plan)]
+    for budget in (3, 7):
+        monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
+        assert [record_to_line(r) for r in run_ablation(world, plan)] == want, budget
+
+
+def spy_on_sample_block(monkeypatch) -> list[tuple]:
+    """Record (task indices, draws, cdf_pad shape) of each sample_block call."""
+    calls = []
+    sample_block = _kernels.sample_block
+
+    def spy(master, task_ixs, dim_ixs, draws, cdf_pad, ks):
+        calls.append((task_ixs.tolist(), draws.tolist(), cdf_pad.shape))
+        return sample_block(master, task_ixs, dim_ixs, draws, cdf_pad, ks)
+
+    monkeypatch.setattr(_kernels, "sample_block", spy)
+    return calls
+
+
+BLOCK_CASES = [(budget, counts) for budget in (3, 7, 20, None)
+               for counts in ("ablation", "random", "tails") if budget or counts != "tails"]
+
+
+@pytest.mark.parametrize("budget,counts", BLOCK_CASES)
+def test_block_tokens_equal_scalar_reference(monkeypatch, budget, counts):
+    # every sampled token of every piece, against the scalar rule. "tails"
+    # ends every other task's draws in a one-draw range, followed by a
+    # one-draw task: both would fit one grid, but not at one shared start.
+    # None keeps the default budget, where one block pads every task to
+    # 9 dims and K=200
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
+    world = ENGINE_WORLDS["mixed"]()
+    tasks = world.tasks
+    rng = random.Random(budget)
+    counts = [{"ablation": (1 + len(t.dims)) * 7,
+               "random": rng.randint(1, 12),
+               "tails": 1 if pos % 2 else 2 * ((budget or 1) // len(t.dims)) + 1}[counts]
+              for pos, t in enumerate(tasks)]
+    pieces = []
+    for pos, start, tokens in _draw_pieces(world, tasks, counts, "sample"):
+        task = tasks[pos]
+        want = [[sample_token_index_reference(world.seed, task, j, draw)
+                 for j in range(len(task.dims))]
+                for draw in range(start, start + len(tokens))]
+        assert tokens.tolist() == want, (pos, start)
+        pieces.append((pos, start, start + len(tokens)))
+    # task then draw order, each draw once
+    assert [(pos, draw) for pos, start, stop in pieces for draw in range(start, stop)] \
+        == [(pos, draw) for pos, n in enumerate(counts) for draw in range(n)]
+
+
+@pytest.mark.parametrize("budget", [7, None])
+def test_blocks_span_tasks_and_split_tasks(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
+    calls = spy_on_sample_block(monkeypatch)
+    world = ENGINE_WORLDS["mixed"]()
+    list(_draw_pieces(world, world.tasks, [1] * len(world.tasks), "sample"))
+    assert max(len(task_ixs) for task_ixs, _, _ in calls) > 1
+    calls.clear()
+    # 9 dims: the hashes of one draw more than a block holds
+    wide = world.tasks[5]
+    list(_draw_pieces(world, [wide], [_kernels._CHUNK_DRAWS // 9 + 2], "sample"))
+    assert len(calls) == 2 and calls[1][1][0] > 0
+
+
+def test_sampled_blocks_stay_within_the_cell_budget(monkeypatch):
+    # a block's hash grid and its CDF table, padded to its largest K, each
+    # stay within the budget; sizing blocks by hashes alone would put all
+    # 60 tasks of the perturbation in one block, whose CDF table, padded
+    # to K=2,000, holds 7 times the budget
+    calls = spy_on_sample_block(monkeypatch)
+    dims = [{"id": "small", "weight": 0.25, "K": 2, "lambda": 0.5},
+            {"id": "wide", "weight": 0.25, "K": 2000, "lambda": 0.0},
+            {"id": "wide2", "weight": 0.25, "K": 2000, "lambda": 0.5},
+            {"id": "tiny", "weight": 0.25, "K": 2, "lambda": 0.0}]
+    world = build_world({"tasks": [
+        {"task_id": f"t{i}", "dims": dims if i % 2 else [
+            {**d, "K": 2} for d in dims]} for i in range(60)]}, seed=5)
+    run_weight_perturbation(world, mode="sample", replicates=40)
+    list(run_ablation(world, plan_for_world(world, "sample", 60)))
+    budget = _kernels._CHUNK_DRAWS
+    hashes = [n_tasks * n_dims * len(draws) for _, draws, (n_tasks, n_dims, _) in calls]
+    cdf_cells = [math.prod(shape) for _, _, shape in calls]
+    assert max(hashes) <= budget and max(cdf_cells) <= budget
+    assert any(shape[2] == 2000 for _, _, shape in calls)
+    assert max(cdf_cells) > budget // 2  # blocks do fill up
+
+
+def test_invalid_task_mid_block_yields_earlier_records_first(monkeypatch):
+    # task r1's weights fail validation; r0's records come out before it
+    # raises, although one block hashes the draws of all three tasks
+    calls = spy_on_sample_block(monkeypatch)
+    world = random_world(11, 4)
+    bad = replace(world.tasks[1], dims=tuple(
+        replace(d, weight=d.weight * 0.6) for d in world.tasks[1].dims))
+    world = SyntheticWorld(seed=world.seed, tag=world.tag,
+                           tasks=(world.tasks[0], bad, world.tasks[2]))
+    plan = plan_for_world(world, "sample", 3)
+    records = run_ablation(world, plan)
+    want = run_ablation_reference(world, plan)
+    for _ in range(5 * 3):
+        assert record_to_line(next(records)) == record_to_line(next(want))
+    assert calls[0][0] == [0, 1, 2]  # the engine's one block (then the reference's)
+    with pytest.raises(InvalidSpec):
+        next(records)
+    with pytest.raises(InvalidSpec):
+        next(want)
+    with pytest.raises(InvalidSpec):
+        run_weight_perturbation(world, mode="sample")
+
+
+@pytest.mark.parametrize("replicates", [0, -2, 1.5, True])
+def test_run_weight_perturbation_rejects_bad_replicates(demo_world_config, replicates):
+    # 0 divided by zero and -2 gave plateau_rate 1.0 with every WAS -0.0
+    world = build_world(demo_world_config)
+    for mode in ("argmax", "sample"):
+        with pytest.raises(BadConfig, match="replicates must be a positive integer"):
+            run_weight_perturbation(world, mode=mode, replicates=replicates)
+    with pytest.raises(BadConfig, match="replicates must be a positive integer"):
+        plan_for_world(world, "sample", replicates)
 
 
 def test_engine_rejects_weights_the_reference_rejects():

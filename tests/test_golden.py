@@ -1,4 +1,5 @@
-"""Golden bytes: sha256 of ablate and perturb output on the packaged data.
+"""Golden bytes: sha256 of ablate and perturb output on the packaged data
+and on tests/data/mixed_experiment.json.
 
 The digests pin the record and report bytes, so a change that moves any
 of them fails here, however it is made; a change that means to move them
@@ -11,7 +12,7 @@ import pytest
 
 from ist.cli import main
 
-from conftest import run_ist
+from conftest import TESTS_DATA, run_ist
 
 ABLATE_ARGMAX_RECORDS = "bef5d9fbdcfe2321dedb1dcdfa70d815759ab0f430a93988ca58133015253f79"
 ABLATE_ARGMAX_SUMMARY = "8780a9be568b71345fbc535cc207315d06f0781d25abc877752049f3fa225a2f"
@@ -19,6 +20,11 @@ ABLATE_SAMPLE_RECORDS = "0b8802c55e1ef0ee62950b0772288d824d8a673a25fe128f7675a45
 ABLATE_SAMPLE_SUMMARY = "ff9dd1b6616641d3f0e19c312ab6a114026262c02686aa8027fc71d140c55864"
 PERTURB_REPORT = "c7bb06f8b6e89c25f0f587bf4405f0ee1be3f4328f69ad38428ccf9d6161a668"
 PERTURB_SAMPLE_REPORT = "9997e04d51b4d088601f4f3988259edeee8c7abd0b49315ccc5db11399478765"
+# the mixed world: 1-9 dims per task, K in {2, 3, 10, 64, 200}, lambda in
+# {0, 5e-324, 1e-17, 0.5, 1}, so sampling pads CDFs within and across tasks
+MIXED_ABLATE_RECORDS = "4fdad26d169563de38e2d67f82297b2c0190a0e03a7709ab3f7511ee7538c5e2"
+MIXED_ABLATE_SUMMARY = "06bba41bcf0a547d47a5270d37124909b5ffaf5afd2c14b69b585218887592df"
+MIXED_PERTURB_REPORT = "c16d5ddd0d99ef66e9f8d43370d08be97bb9cec3ec7d7c6582a014f08425d6e2"
 
 ABLATE_CASES = {
     "argmax": ([], ABLATE_ARGMAX_RECORDS, ABLATE_ARGMAX_SUMMARY),
@@ -61,6 +67,17 @@ def test_perturb_sample_golden_bytes(capsys):
     # sample mode hashes a token per draw; argmax repeats each prior default
     assert main(["perturb", "--seed", "1", "--mode", "sample", "--replicates", "3"]) == 0
     assert sha256(capsys.readouterr().out) == PERTURB_SAMPLE_REPORT
+
+
+def test_mixed_world_golden_bytes(capsys):
+    config = str(TESTS_DATA / "mixed_experiment.json")
+    sample = ["--config", config, "--mode", "sample", "--replicates", "3"]
+    assert main(["ablate", *sample]) == 0
+    captured = capsys.readouterr()
+    assert (sha256(captured.out), sha256(captured.err)) == (
+        MIXED_ABLATE_RECORDS, MIXED_ABLATE_SUMMARY)
+    assert main(["perturb", *sample]) == 0
+    assert sha256(capsys.readouterr().out) == MIXED_PERTURB_REPORT
 
 
 @pytest.mark.parametrize("hash_seed", [0, 1])

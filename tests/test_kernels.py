@@ -4,7 +4,7 @@ import random
 import numpy as np
 
 from ist import _kernels
-from ist._kernels import entropy_bits, match_counts, sample_tokens
+from ist._kernels import entropy_bits, match_counts, sample_block
 from ist.rng import SAMPLE_STREAM, derive, unit_float
 
 
@@ -122,19 +122,46 @@ def test_entropy_bits_log2_is_exact_per_value():
         assert entropy_bits(p) == entropy_bits_reference(p), x
 
 
-def test_sample_tokens_equals_reference():
-    # the array of draws and a single int draw give the scalar rule's token
+def inf_padded(cdfs, ks):
+    """Each row's cdf[:k], padded with +inf to the table's width."""
+    return np.where(np.arange(cdfs.shape[1]) < ks[:, None], cdfs, np.inf)
+
+
+def test_sample_block_equals_reference():
+    # every cell of a (tasks x dims x draws) grid gives the scalar rule's token
     rng = random.Random(6)
     for case in range(60):
-        master, task_ix, dim_ixs, _, cdfs, ks, n_draws = random_match_args(rng)
-        dim_ix, k = int(dim_ixs[0]), int(ks[0])
+        master, _, dim_ixs, _, cdfs, ks, n_draws = random_match_args(rng)
+        task_ixs = [rng.choice([rng.randint(0, 50), 2 ** 32 + rng.getrandbits(31)])
+                    for _ in range(rng.randint(1, 3))]
         start = rng.choice([0, 2 ** 40])
-        draws = np.arange(start, start + n_draws, dtype=np.uint64)
-        got = sample_tokens(master, task_ix, dim_ix, draws, cdfs[0], k)
-        want = [sample_token_reference(master, task_ix, dim_ix, d, cdfs[0], k)
-                for d in range(start, start + n_draws)]
+        n_draws = min(n_draws, 60)
+        shape = (len(task_ixs), len(ks))
+        got = sample_block(master, np.array(task_ixs, dtype=np.uint64),
+                           dim_ixs.astype(np.uint64),
+                           np.arange(start, start + n_draws, dtype=np.uint64),
+                           np.broadcast_to(inf_padded(cdfs, ks), (*shape, cdfs.shape[1])),
+                           np.broadcast_to(ks, shape))
+        want = [[[sample_token_reference(master, t, int(d), i, cdfs[j], int(ks[j]))
+                  for i in range(start, start + n_draws)]
+                 for j, d in enumerate(dim_ixs)]
+                for t in task_ixs]
         assert got.tolist() == want, case
-        assert int(sample_tokens(master, task_ix, dim_ix, start, cdfs[0], k)) == want[0]
+
+
+def test_sample_block_clamps_and_ties_go_right():
+    # row 0 ends below 1, so a draw past its top must land on token k-1;
+    # row 1 has a cdf entry equal to the draw's u, which takes the next token
+    master, task_ix = 99, 3
+    u = unit_float(derive(master, SAMPLE_STREAM, task_ix, 1, 0))
+    cdfs = np.array([[0.0, 0.0, 0.0, 0.0], [u, 1.0, 0.0, 0.0]])
+    ks = np.array([4, 2])
+    got = sample_block(master, np.array([task_ix], dtype=np.uint64),
+                       np.array([0, 1], dtype=np.uint64), np.array([0], dtype=np.uint64),
+                       inf_padded(cdfs, ks)[None], ks[None])
+    assert got[:, :, 0].tolist() == [[3, 1]]
+    assert [sample_token_reference(master, task_ix, j, 0, cdfs[j], int(ks[j]))
+            for j in (0, 1)] == [3, 1]
 
 
 def test_match_counts_bounds():
@@ -200,3 +227,13 @@ def test_match_counts_tie_goes_right():
     args = (master, task_ix, np.array([dim_ix]), np.array([1]),
             np.array([[u0, 1.0]]), np.array([2]), 1)
     assert match_counts(*args)[0] == match_counts_reference(*args)[0] == 1
+
+
+def test_match_counts_ignores_cells_past_k():
+    # callers pad short rows with zeros; read as CDF entries, they would
+    # count as <= every draw and push each token to the clamp
+    cdfs = np.array([[0.5, 1.0, 0.0, 0.0], [0.25, 0.5, 0.75, 1.0]])
+    args = (5, 1, np.array([0, 1]), np.array([0, 0]), cdfs, np.array([2, 4]), 400)
+    got = match_counts(*args)
+    assert np.array_equal(got, match_counts_reference(*args))
+    assert 120 < got[0] < 280

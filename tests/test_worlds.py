@@ -302,6 +302,15 @@ def test_mc_sums_run_across_draw_blocks(monkeypatch):
             assert mc_mean_f_icmw(world, "t", mask, n=7) == acc / 7, seed
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5, True])
+def test_mc_rejects_bad_draw_counts(demo_world_config, n):
+    # n=0 divided by zero and n=-1 returned -0.0
+    world = build_world(demo_world_config)
+    task = world.tasks[0]
+    with pytest.raises(BadConfig, match="n must be a positive integer"):
+        mc_mean_f_icmw(world, task.task_id, mask_without(task, {task.dims[0].id}), n=n)
+
+
 def build_dim_reference(k, lam, user_index):
     """The numpy build: flat base plus lam at the user, cumsum, top set to 1."""
     prior = np.full(k, (1.0 - lam) / k, dtype=np.float64)
