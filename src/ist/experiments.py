@@ -19,6 +19,9 @@ never of the mask, so the engine hashes the draws of a block of tasks at
 once and every mask reuses them, and the bytes are those of simulating
 and scoring each record in turn (the tests keep that per-record loop as
 the reference).
+
+Perturbation masks are planned by rows (perturb_weight_rows and
+encode_rows), for all tasks with one dimension count at once.
 """
 
 from __future__ import annotations
@@ -39,14 +42,13 @@ from .errors import (
 )
 from .metrics import synthesize_ga, weighted_sum
 from .model import EncodingMask, ValueRef, normalize_weights
-from .rng import PERTURB_STREAM, derive, unit_float
+from .rng import MASK64, PERTURB_STREAM, derive, unit_float
 from .spec_io import OutputRecord
 from .worlds import (
     SyntheticWorld,
     WorldTask,
     _check_count,
     _task_draws,
-    _TaskDraws,
     build_world,
     full_mask,
     mask_without,
@@ -186,23 +188,31 @@ def default_budget(n_dims: int) -> int:
     return math.ceil(n_dims / 2)
 
 
+def encode_rows(weights: np.ndarray, budget: int) -> np.ndarray:
+    """Top-`budget` mask bits of each row of a weight array, as a bool
+    array of its shape (rows run along the last axis).
+
+    Ties break toward earlier flatten order (one stable sort of each row's
+    negated weights).
+    """
+    n = weights.shape[-1]
+    if not isinstance(budget, int) or isinstance(budget, bool) or not 0 <= budget <= n:
+        raise BadBudget(f"budget must be an integer in [0, {n}], got {budget!r}")
+    order = np.argsort(-weights, axis=-1, kind="stable")
+    bits = np.zeros(weights.shape, dtype=bool)
+    np.put_along_axis(bits, order[..., :budget], True, axis=-1)
+    return bits
+
+
 def encode_with_budget(dim_ids: Sequence[str], assumed_weights: Sequence[float],
                        budget: int) -> EncodingMask:
-    """Mask the top-`budget` dimensions by assumed weight.
-
-    Ties break toward earlier flatten order (stable sort on the negated
-    weights).
-    """
+    """Mask the top-`budget` dimensions by assumed weight: encode_rows on
+    one row."""
     n = len(dim_ids)
     if len(assumed_weights) != n:
         raise BadBudget(f"{n} ids vs {len(assumed_weights)} weights")
-    if not isinstance(budget, int) or isinstance(budget, bool) or not 0 <= budget <= n:
-        raise BadBudget(f"budget must be an integer in [0, {n}], got {budget!r}")
-    order = np.argsort(-np.asarray(assumed_weights, dtype=np.float64),
-                       kind="stable")
-    chosen = set(int(i) for i in order[:budget])
-    return EncodingMask(tuple(dim_ids),
-                        tuple(1 if i in chosen else 0 for i in range(n)))
+    bits = encode_rows(np.array([assumed_weights], dtype=np.float64), budget)
+    return EncodingMask(tuple(dim_ids), tuple(bits[0].astype(int).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +256,10 @@ def default_perturbations(epsilon: float = 0.05) -> list[PerturbationSpec]:
     ]
 
 
-def perturb_weights(weights: Sequence[float], spec: PerturbationSpec,
-                    seed: int = 0) -> list[float]:
-    """Apply one perturbation; the result is a valid weight vector.
+def perturb_weight_rows(weights: np.ndarray, spec: PerturbationSpec,
+                        seeds: np.ndarray) -> np.ndarray:
+    """Apply one perturbation to each row of a (rows x dims) weight matrix;
+    row i uses seeds[i] (np.uint64) and is a valid weight vector.
 
     jitter multiplies each weight by a factor uniform in [1-eps, 1+eps]
     and renormalizes (eps <= 0.2 keeps well-separated rankings intact).
@@ -257,36 +268,62 @@ def perturb_weights(weights: Sequence[float], spec: PerturbationSpec,
     full_inversion hands the largest value to the lowest-ranked
     dimension and so on, preserving the multiset of values.
     """
-    w = [float(x) for x in weights]
-    n = len(w)
+    n = weights.shape[1]
     if n == 0:
         raise BadPerturbation("empty weight vector")
     if spec.kind == "identity":
-        return w
+        return weights
     if spec.kind == "jitter":
         eps = spec.epsilon
-        factors = [1.0 - eps + 2.0 * eps * unit_float(derive(seed, PERTURB_STREAM, i))
-                   for i in range(n)]
-        return normalize_weights([wi * fi for wi, fi in zip(w, factors)])
-    order = np.argsort(-np.asarray(w), kind="stable")
-    out = list(w)
+        u = unit_float(derive(seeds[:, None], PERTURB_STREAM,
+                              np.arange(n, dtype=np.uint64)))
+        jittered = weights * (1.0 - eps + 2.0 * eps * u)
+        return np.array([normalize_weights(row) for row in jittered.tolist()])
+    order = np.argsort(-weights, axis=1, kind="stable")
+    rows = np.arange(len(weights))[:, None]
+    out = weights.copy()
     if spec.kind == "adjacent_swap":
         if spec.count > n // 2:
             raise BadPerturbation(
                 f"adjacent_swap({spec.count}) needs {2 * spec.count} dims, have {n}")
-        for j in range(spec.count):
-            a, b = int(order[2 * j]), int(order[2 * j + 1])
-            out[a], out[b] = w[b], w[a]
+        a, b = order[:, 0:2 * spec.count:2], order[:, 1:2 * spec.count:2]
+        out[rows, a], out[rows, b] = weights[rows, b], weights[rows, a]
         return out
     # full_inversion
-    for rank, ix in enumerate(order):
-        out[int(ix)] = w[int(order[n - 1 - rank])]
+    out[rows, order] = weights[rows, order[:, ::-1]]
     return out
+
+
+def perturb_weights(weights: Sequence[float], spec: PerturbationSpec,
+                    seed: int = 0) -> list[float]:
+    """Apply one perturbation to one weight vector: perturb_weight_rows on
+    one row."""
+    w = np.array([[float(x) for x in weights]], dtype=np.float64)
+    seeds = np.array([seed & MASK64], dtype=np.uint64)
+    return perturb_weight_rows(w, spec, seeds)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
 # the perturbation experiment
 # ---------------------------------------------------------------------------
+
+def _plan_masks(world: SyntheticWorld, tasks: Sequence[WorldTask],
+                specs: Sequence[PerturbationSpec], budget: int | None) -> np.ndarray:
+    """Mask bits (tasks x (1 + specs) x dims) of tasks that share one
+    dimension count: the top-budget mask of the true weights, then that
+    of each perturbation's weights, perturbed with the seed
+    derive(world seed, PERTURB_STREAM, task index, perturbation index)."""
+    n = len(tasks[0].dims)
+    b = default_budget(n) if budget is None else budget
+    weights = np.array([t.weights for t in tasks], dtype=np.float64)
+    base = encode_rows(weights, b)
+    seeds = derive(world.seed, PERTURB_STREAM,
+                   np.array([t.index for t in tasks], dtype=np.uint64)[:, None],
+                   np.arange(len(specs), dtype=np.uint64))
+    perturbed = np.stack([perturb_weight_rows(weights, p, seeds[:, p_ix])
+                          for p_ix, p in enumerate(specs)], axis=1)
+    return np.concatenate([base[:, None], encode_rows(perturbed, b)], axis=1)
+
 
 @dataclass(frozen=True)
 class CellSummary:
@@ -317,6 +354,10 @@ def run_weight_perturbation(world: SyntheticWorld,
     not). plateau_rate is the share of non-identity, mask-preserving
     cells whose WAS delta is exactly zero; cliff_rate is the share of
     tasks where full inversion lands strictly below baseline.
+
+    The masks of all tasks with one dimension count are planned at once
+    when the first of them comes up, after its spec check, so that every
+    error is raised where planning task by task raises it.
     """
     if mode not in ("argmax", "sample"):
         raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
@@ -329,33 +370,30 @@ def run_weight_perturbation(world: SyntheticWorld,
     if not any(p.kind == "identity" for p in specs):
         specs.insert(0, PerturbationSpec("identity"))
 
-    def run_task(draws: _TaskDraws, pieces) -> list[CellSummary]:
+    groups: dict[int, list[WorldTask]] = {}
+    for task in world.tasks:
+        groups.setdefault(len(task.dims), []).append(task)
+    plans: dict[int, Iterator[np.ndarray]] = {}
+    cells = []
+    for draws, pieces in _task_draws(world, world.tasks,
+                                     [replicates] * len(world.tasks), mode):
         task = draws.task
         n = len(task.dims)
-        b = default_budget(n) if budget is None else budget
-        w_true = list(task.weights)
-        base_mask = encode_with_budget(task.dim_ids, w_true, b)
-        masks = []
-        for p_ix, p in enumerate(specs):
-            w_p = perturb_weights(
-                w_true, p, seed=derive(world.seed, PERTURB_STREAM,
-                                       task.index, p_ix))
-            masks.append(encode_with_budget(task.dim_ids, w_p, b))
+        if n not in plans:
+            try:
+                plans[n] = iter(_plan_masks(world, groups[n], specs, budget))
+            except Exception:
+                # a later task's weights, not yet spec-checked, can fail a
+                # perturbation: plan each task alone, at its turn
+                plans[n] = (_plan_masks(world, [t], specs, budget)[0]
+                            for t in groups[n])
+        bits = next(plans[n])
         # The exact-zero plateau follows from mask-independent draws: an
         # identical mask gives identical fidelity rows.
-        baseline, *was = draws.mean_f_icmw([base_mask, *masks], pieces, replicates)
-        return [CellSummary(task_id=task.task_id,
-                            model_tag=world.tag,
-                            perturbation=p.name,
-                            was=w,
-                            delta_vs_baseline=w - baseline,
-                            mask_changed=mask.bits != base_mask.bits)
-                for p, mask, w in zip(specs, masks, was)]
-
-    tasks = world.tasks
-    cells = tuple(c for draws, pieces in _task_draws(
-        world, tasks, [replicates] * len(tasks), mode)
-        for c in run_task(draws, pieces))
+        baseline, *was = draws.mean_f_icmw(bits, pieces, replicates)
+        changed = (bits[1:] != bits[0]).any(axis=1).tolist()
+        cells += [CellSummary(task.task_id, world.tag, p.name, w, w - baseline, c)
+                  for p, w, c in zip(specs, was, changed)]
 
     preserving = [c for c in cells
                   if c.perturbation != "identity" and not c.mask_changed]
@@ -366,7 +404,7 @@ def run_weight_perturbation(world: SyntheticWorld,
                   / len(inversions)) if inversions else None
     mean_drop = (float(np.mean([-c.delta_vs_baseline for c in inversions]))
                  if inversions else None)
-    return PerturbationReport(cells=cells, plateau_rate=plateau_rate,
+    return PerturbationReport(cells=tuple(cells), plateau_rate=plateau_rate,
                               cliff_rate=cliff_rate,
                               mean_inversion_drop=mean_drop)
 

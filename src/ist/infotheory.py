@@ -235,6 +235,10 @@ def apply_decoder(joint: DiscreteJoint, decoder: Decoder) -> DiscreteJoint:
     letters = "abcdefghijklmnopqrstuvwxyz"
     if joint.table.ndim + 1 > len(letters):
         raise DomainMismatch("too many variables to extend")
+    # the cap the extended joint would fail, checked before einsum builds it
+    cells = joint.table.size * decoder.output_size
+    if cells > CELL_CAP:
+        raise WorldTooLarge(cells, CELL_CAP)
     j_sub = letters[:joint.table.ndim]
     out_letter = letters[joint.table.ndim]
     r_sub = "".join(j_sub[joint.axis(n)] for n in decoder.evidence_vars) + out_letter

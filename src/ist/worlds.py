@@ -369,9 +369,9 @@ class _TaskDraws:
         self._f_icmw: dict[tuple, float] = {}
 
     def realize(self, bits, tokens: np.ndarray) -> np.ndarray:
-        """Realized tokens under mask bits, given per row or once for all
-        rows: encoded dimensions copy the user value, the rest keep the
-        drawn token."""
+        """Realized tokens under mask bits that broadcast against tokens:
+        encoded dimensions copy the user value, the rest keep the drawn
+        token."""
         return np.where(np.asarray(bits, dtype=bool), self._user, tokens)
 
     def f_icmw(self, real: np.ndarray) -> list[float]:
@@ -385,14 +385,17 @@ class _TaskDraws:
             out.append(f)
         return out
 
-    def mean_f_icmw(self, masks: list[EncodingMask], pieces, n: int) -> list[float]:
-        """Mean f_icmw per mask over the n draws in pieces, each summed in
-        draw order, as a loop over simulated records would sum it; every
-        mask is applied to each piece in turn."""
-        totals = [0.0] * len(masks)
+    def mean_f_icmw(self, bits: np.ndarray, pieces, n: int) -> list[float]:
+        """Mean f_icmw per row of a (masks x dims) bit matrix over the n
+        draws in pieces. One np.where realizes every mask of a piece, and
+        each mask's sum runs on in draw order across pieces, as a loop
+        over simulated records would sum it."""
+        totals = [0.0] * len(bits)
         for _, tokens in pieces:
-            for m, mask in enumerate(masks):
-                for f in self.f_icmw(self.realize(mask.bits, tokens)):
+            rows, dims = tokens.shape
+            fs = self.f_icmw(self.realize(bits[:, None], tokens).reshape(-1, dims))
+            for m in range(len(totals)):
+                for f in fs[m * rows:(m + 1) * rows]:
                     totals[m] += f
         return [total / n for total in totals]
 
@@ -460,7 +463,7 @@ def mc_mean_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     task = world.task(task_id)
     _check_mask(task, mask)
     draws, pieces = next(_task_draws(world, [task], [n], "sample"))
-    return draws.mean_f_icmw([mask], pieces, n)[0]
+    return draws.mean_f_icmw(np.array([mask.bits]), pieces, n)[0]
 
 
 # ---------------------------------------------------------------------------

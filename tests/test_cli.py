@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -15,7 +17,7 @@ from ist.spec_io import (
 )
 from ist.worlds import build_world, to_intent_spec
 
-from conftest import DATA, run_ist
+from conftest import DATA, SRC, run_ist
 
 TS = "2026-08-15T00:00:00Z"
 
@@ -281,6 +283,34 @@ def test_tiil_check_accepts_flat_priors_at_every_k(capsys, tmp_path, lam):
             "dims": [{"id": "d", "weight": 1.0, "K": k, "lambda": lam}]}]}))
         code, out, err = run(capsys, "tiil-check", "--world", str(path))
         assert (code, out.splitlines()[-1:]) == (0, ["all bounds hold"]), (k, err)
+
+
+def test_tiil_check_refuses_k_1000_within_bounded_memory(tmp_path):
+    # the K=1000 channel's decoders would extend to K**3 = 10**9 cells (8 GB)
+    # if built before the cap is checked; under a 1.5 GB address-space limit
+    # the child must still exit 2 with WorldTooLarge's message
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"seed": 1, "tasks": [{
+        "task_id": "t", "dims": [{"id": "d", "weight": 1.0, "K": 1000, "lambda": 0.5}]}]}))
+    limit = 1536 * 2 ** 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out, err = tmp_path / "out", tmp_path / "err"
+    with open(out, "w") as out_f, open(err, "w") as err_f:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ist", "tiil-check", "--world", str(path)],
+            env=env, stdout=out_f, stderr=err_f, preexec_fn=cap_address_space)
+        # wait4 reaps the child and gives its own peak RSS (KiB on Linux)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 2, err.read_text()
+    assert err.read_text() == "error: enumeration would need 1000000000 cells (cap 1000000)\n"
+    assert out.read_text() == ""
+    assert usage.ru_maxrss < 400 * 1024
 
 
 # -- report ------------------------------------------------------------------

@@ -1,18 +1,27 @@
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
 from ist import _kernels
+from ist.cli import main
 from ist.errors import (
     BadBudget,
     BadConfig,
     BadPerturbation,
     Inconsistent,
     InvalidSpec,
+    IstError,
     MissingCondition,
     ZeroSignal,
 )
@@ -26,9 +35,11 @@ from ist.experiments import (
     default_budget,
     default_perturbations,
     default_replicates,
+    encode_rows,
     encode_with_budget,
     estimate_weights_by_ablation,
     parse_experiment_config,
+    perturb_weight_rows,
     perturb_weights,
     plan_for_world,
     report_to_obj,
@@ -36,7 +47,8 @@ from ist.experiments import (
     run_weight_perturbation,
 )
 from ist.metrics import score_output, synthesize_ga, weighted_sum
-from ist.rng import PERTURB_STREAM, derive
+from ist.model import EncodingMask, normalize_weights
+from ist.rng import PERTURB_STREAM, derive, unit_float
 from ist.spec_io import OutputRecord, dumps_canonical, record_to_line
 from ist.worlds import (
     SyntheticWorld,
@@ -175,6 +187,134 @@ def test_perturbation_names():
     assert PerturbationSpec("jitter", epsilon=0.05).name == "jitter(0.05)"
     assert PerturbationSpec("adjacent_swap", count=2).name == "adjacent_swap(2)"
     assert PerturbationSpec("identity").name == "identity"
+
+
+# -- row functions against the plain per-row bodies --------------------------
+
+def encode_with_budget_reference(dim_ids, assumed_weights, budget):
+    """Top-`budget` mask of one weight vector: one stable argsort, a set."""
+    n = len(dim_ids)
+    if len(assumed_weights) != n:
+        raise BadBudget(f"{n} ids vs {len(assumed_weights)} weights")
+    if not isinstance(budget, int) or isinstance(budget, bool) or not 0 <= budget <= n:
+        raise BadBudget(f"budget must be an integer in [0, {n}], got {budget!r}")
+    order = np.argsort(-np.asarray(assumed_weights, dtype=np.float64),
+                       kind="stable")
+    chosen = set(int(i) for i in order[:budget])
+    return EncodingMask(tuple(dim_ids),
+                        tuple(1 if i in chosen else 0 for i in range(n)))
+
+
+def perturb_weights_reference(weights, spec, seed=0):
+    """One perturbation of one weight vector, with a scalar derive per
+    jitter factor."""
+    w = [float(x) for x in weights]
+    n = len(w)
+    if n == 0:
+        raise BadPerturbation("empty weight vector")
+    if spec.kind == "identity":
+        return w
+    if spec.kind == "jitter":
+        eps = spec.epsilon
+        factors = [1.0 - eps + 2.0 * eps * unit_float(derive(seed, PERTURB_STREAM, i))
+                   for i in range(n)]
+        return normalize_weights([wi * fi for wi, fi in zip(w, factors)])
+    order = np.argsort(-np.asarray(w), kind="stable")
+    out = list(w)
+    if spec.kind == "adjacent_swap":
+        if spec.count > n // 2:
+            raise BadPerturbation(
+                f"adjacent_swap({spec.count}) needs {2 * spec.count} dims, have {n}")
+        for j in range(spec.count):
+            a, b = int(order[2 * j]), int(order[2 * j + 1])
+            out[a], out[b] = w[b], w[a]
+        return out
+    # full_inversion
+    for rank, ix in enumerate(order):
+        out[int(ix)] = w[int(order[n - 1 - rank])]
+    return out
+
+
+def outcome(fn, *args):
+    """fn's result, or the IstError it raises."""
+    try:
+        return fn(*args)
+    except IstError as e:
+        return e
+
+
+def assert_same_outcome(got_fn, want):
+    """got_fn() returns what want holds, bit for bit, or raises the same
+    exception type with the same message."""
+    if isinstance(want, IstError):
+        with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+            got_fn()
+    else:
+        assert np.asarray(got_fn(), dtype=np.float64).tobytes() == \
+            np.asarray(want, dtype=np.float64).tobytes()
+
+
+def test_perturb_weights_keeps_every_int_seed():
+    # derive masks seeds to 64 bits; so does the one-row call
+    spec = PerturbationSpec("jitter", epsilon=0.2)
+    w = [0.5, 0.3, 0.2]
+    for seed in (-1, 2**64 + 5, 2**64 - 1):
+        assert perturb_weights(w, spec, seed) == perturb_weights_reference(w, spec, seed)
+
+
+if HAVE_HYPOTHESIS:
+    # ties, zeros and subnormals among plain floats in [0, 1]
+    WEIGHTS = st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1,
+                         0.25, 1 / 3, 0.5, 1.0]),
+        st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True))
+    SPECS = st.one_of(
+        st.sampled_from([PerturbationSpec("identity"),
+                         PerturbationSpec("full_inversion")]),
+        st.builds(lambda eps: PerturbationSpec("jitter", epsilon=eps),
+                  st.one_of(st.sampled_from([1e-9, 0.05, 0.2, 0.5, 0.999]),
+                            st.floats(min_value=0.0, max_value=1.0,
+                                      exclude_min=True, exclude_max=True))),
+        st.builds(lambda c: PerturbationSpec("adjacent_swap", count=c),
+                  st.integers(min_value=1, max_value=5)))
+
+    @st.composite
+    def weight_rows(draw):
+        n = draw(st.integers(min_value=1, max_value=9))
+        return draw(st.lists(st.lists(WEIGHTS, min_size=n, max_size=n),
+                             min_size=1, max_size=6))
+
+    @given(weight_rows(), SPECS,
+           st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                    min_size=6, max_size=6))
+    @settings(max_examples=400, deadline=None)
+    def test_row_functions_equal_per_row_reference(rows, spec, seeds):
+        seeds = seeds[:len(rows)]
+        weights = np.array(rows, dtype=np.float64)
+        want = [outcome(perturb_weights_reference, row, spec, seed)
+                for row, seed in zip(rows, seeds)]
+        errors = [e for e in want if isinstance(e, IstError)]
+        assert_same_outcome(
+            lambda: perturb_weight_rows(weights, spec, np.array(seeds, dtype=np.uint64)),
+            errors[0] if errors else want)
+        for row, seed, w in zip(rows, seeds, want):
+            assert_same_outcome(lambda: perturb_weights(row, spec, seed), w)
+        n = weights.shape[1]
+        ids = tuple(f"d{i}" for i in range(n))
+        for budget in range(n + 2):
+            want = [outcome(encode_with_budget_reference, ids, row, budget)
+                    for row in rows]
+            if isinstance(want[0], IstError):
+                assert_same_outcome(lambda: encode_rows(weights, budget), want[0])
+                assert_same_outcome(lambda: encode_with_budget(ids, rows[0], budget),
+                                    want[0])
+                continue
+            bits = [m.bits for m in want]
+            assert encode_rows(weights, budget).astype(int).tolist() == \
+                [list(b) for b in bits]
+            assert encode_rows(weights[None], budget)[0].astype(int).tolist() == \
+                [list(b) for b in bits]
+            assert [encode_with_budget(ids, row, budget) for row in rows] == want
 
 
 # -- ablation ----------------------------------------------------------------
@@ -389,17 +529,21 @@ def was_for_mask_reference(world, task, mask, mode, replicates):
     return total / replicates
 
 
-def run_weight_perturbation_reference(world, perturbations, mode, replicates):
+def run_weight_perturbation_reference(world, perturbations, mode, replicates,
+                                      budget=None):
+    """Task by task, each mask from the per-row reference bodies."""
+    if not any(p.kind == "identity" for p in perturbations):
+        perturbations = [PerturbationSpec("identity"), *perturbations]
     cells = []
     for task in world.tasks:
-        b = default_budget(len(task.dims))
+        b = default_budget(len(task.dims)) if budget is None else budget
         w_true = list(task.weights)
-        base_mask = encode_with_budget(task.dim_ids, w_true, b)
+        base_mask = encode_with_budget_reference(task.dim_ids, w_true, b)
         baseline = was_for_mask_reference(world, task, base_mask, mode, replicates)
         for p_ix, p in enumerate(perturbations):
-            w_p = perturb_weights(w_true, p, seed=derive(
+            w_p = perturb_weights_reference(w_true, p, seed=derive(
                 world.seed, PERTURB_STREAM, task.index, p_ix))
-            mask_p = encode_with_budget(task.dim_ids, w_p, b)
+            mask_p = encode_with_budget_reference(task.dim_ids, w_p, b)
             was = was_for_mask_reference(world, task, mask_p, mode, replicates)
             cells.append(CellSummary(task.task_id, world.tag, p.name, was,
                                      was - baseline, mask_p.bits != base_mask.bits))
@@ -418,10 +562,11 @@ def run_weight_perturbation_reference(world, perturbations, mode, replicates):
 
 
 def random_world(seed, n_dims, n_tasks=3):
-    """K from 2 to 64, lambda at 0, 1 or in between, a 64-bit master seed."""
+    """K from 2 to 64, lambda at 0, 1 or in between, a 64-bit master seed;
+    n_dims dims per task, or one task per entry of a list of dim counts."""
     rng = random.Random(seed)
     tasks = []
-    for t in range(n_tasks):
+    for t, n_dims in enumerate([n_dims] * n_tasks if isinstance(n_dims, int) else n_dims):
         raw = [rng.uniform(0.01, 1.0) for _ in range(n_dims)]
         total = math.fsum(raw)
         tasks.append({"task_id": f"r{t}", "dims": [
@@ -450,7 +595,41 @@ ENGINE_WORLDS = {
     # 1-9 dims per task and K from 2 to 200: CDFs padded within and across tasks
     "mixed": lambda: parse_experiment_config(
         (TESTS_DATA / "mixed_experiment.json").read_bytes()).world,
+    # dim counts in mixed order, so tasks are planned in interleaved groups
+    "hetero": lambda: random_world(23, [5, 2, 9, 5, 3, 9, 2, 3, 5, 4]),
+    "ladder": lambda: LADDER_CONFIG.world,
 }
+
+# 4-9 dims per task, tied and zero weights, budget 2, adjacent_swap(2)
+LADDER_CONFIG = parse_experiment_config(
+    (TESTS_DATA / "ladder_experiment.json").read_bytes())
+
+# (budget, ladder) of the worlds that do not run the default ladder; neither
+# ladder lists identity, so the inserted baseline is reported
+CUSTOM_LADDERS = {
+    "hetero": (None, [PerturbationSpec("full_inversion"),
+                      PerturbationSpec("jitter", epsilon=0.5),
+                      PerturbationSpec("adjacent_swap", count=1),
+                      PerturbationSpec("jitter", epsilon=0.01)]),
+    "ladder": (LADDER_CONFIG.budget, list(LADDER_CONFIG.perturbations)),
+}
+
+
+def ladder_for(name, world):
+    """The budget and perturbation ladder a world is run with."""
+    if name in CUSTOM_LADDERS:
+        return CUSTOM_LADDERS[name]
+    specs = default_perturbations()
+    if min(len(t.dims) for t in world.tasks) < 2:
+        specs = [p for p in specs if p.kind != "adjacent_swap"]
+    return None, specs
+
+
+def test_ladder_world_has_ties_and_zeros():
+    weights = [t.weights for t in LADDER_CONFIG.world.tasks]
+    assert any(len(set(w)) < len(w) for w in weights)
+    assert any(0.0 in w for w in weights)
+    assert LADDER_CONFIG.budget == 2
 
 
 def test_engine_worlds_cover_inexact_weight_sums():
@@ -474,28 +653,24 @@ def test_run_ablation_equals_reference(name, mode, replicates):
 @pytest.mark.parametrize("name", list(ENGINE_WORLDS))
 def test_run_weight_perturbation_equals_reference(name, mode, replicates):
     world = ENGINE_WORLDS[name]()
-    specs = default_perturbations()
-    if min(len(t.dims) for t in world.tasks) < 2:
-        specs = [p for p in specs if p.kind != "adjacent_swap"]
-    got = run_weight_perturbation(world, perturbations=specs, mode=mode,
-                                  replicates=replicates)
-    want = run_weight_perturbation_reference(world, specs, mode, replicates)
+    budget, specs = ladder_for(name, world)
+    got = run_weight_perturbation(world, budget=budget, perturbations=specs,
+                                  mode=mode, replicates=replicates)
+    want = run_weight_perturbation_reference(world, specs, mode, replicates, budget)
     assert dumps_canonical(report_to_obj(got)) == dumps_canonical(report_to_obj(want))
 
 
-@pytest.mark.parametrize("name", ["grid", "random-d9", "mixed"])
+@pytest.mark.parametrize("name", ["grid", "random-d9", "mixed", "ladder"])
 def test_perturbation_draw_blocks_equal_reference(monkeypatch, name):
     # blocks of 3 or 7 compare cells hold at most a few draws: 7 replicates
     # split inside each task, and sums must run on across block edges
     world = ENGINE_WORLDS[name]()
-    specs = default_perturbations()
-    if min(len(t.dims) for t in world.tasks) < 2:
-        specs = [p for p in specs if p.kind != "adjacent_swap"]
-    want = run_weight_perturbation_reference(world, specs, "sample", 7)
+    mask_budget, specs = ladder_for(name, world)
+    want = run_weight_perturbation_reference(world, specs, "sample", 7, mask_budget)
     for budget in (3, 7):
         monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
-        got = run_weight_perturbation(world, perturbations=specs, mode="sample",
-                                      replicates=7)
+        got = run_weight_perturbation(world, budget=mask_budget, perturbations=specs,
+                                      mode="sample", replicates=7)
         assert dumps_canonical(report_to_obj(got)) == dumps_canonical(report_to_obj(want))
 
 
@@ -637,3 +812,64 @@ def test_engine_rejects_weights_the_reference_rejects():
         list(run_ablation(world, plan))
     with pytest.raises(InvalidSpec):
         run_weight_perturbation(world)
+
+
+# -- errors surface where planning task by task raises them -------------------
+
+def dims_config(prefix, n, empty_id_at=None):
+    return [{"id": "" if i == empty_id_at else f"{prefix}{i}", "weight": 1 / n,
+             "K": 10, "lambda": 0.0} for i in range(n)]
+
+
+# (budget, ladder, dims of the narrow task): too narrow for the budget, or
+# for adjacent_swap(2)
+NARROW_CASES = {
+    "budget": (3, ["identity", {"kind": "jitter", "epsilon": 0.1}], 2),
+    "swap": (None, [{"kind": "jitter", "epsilon": 0.1},
+                    {"kind": "adjacent_swap", "count": 2}, "full_inversion"], 3),
+}
+
+
+@pytest.mark.parametrize("with_invalid_task", [True, False])
+@pytest.mark.parametrize("case", list(NARROW_CASES))
+def test_group_errors_match_the_task_by_task_reference(capsys, tmp_path, case,
+                                                       with_invalid_task):
+    # a 6-dim task with an empty dimension id (InvalidSpec), then a narrower
+    # task whose group cannot be planned: the first task's error comes
+    # first, and without it the narrow task's BadBudget or BadPerturbation
+    budget, ladder, narrow = NARROW_CASES[case]
+    tasks = [{"task_id": "narrow", "dims": dims_config("n", narrow)}]
+    if with_invalid_task:
+        tasks.insert(0, {"task_id": "bad-id", "dims": dims_config("b", 6, empty_id_at=2)})
+    config = {"seed": 5, "world_config": {"tasks": tasks}, "perturbations": ladder}
+    if budget is not None:
+        config["budget"] = budget
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    cfg = parse_experiment_config(path.read_bytes())
+    specs = list(cfg.perturbations)
+    want = outcome(run_weight_perturbation_reference, cfg.world, specs, "sample", 2,
+                   cfg.budget)
+    assert type(want) is ((InvalidSpec if with_invalid_task else
+                           {"budget": BadBudget, "swap": BadPerturbation}[case]))
+    assert_same_outcome(lambda: run_weight_perturbation(
+        cfg.world, budget=cfg.budget, perturbations=specs, mode="sample",
+        replicates=2), want)
+    assert main(["perturb", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
+def test_task_that_breaks_its_groups_plan_raises_at_its_turn():
+    # task r1's negative weight fails its jitter's normalization when its
+    # group is planned at r0's turn; the error must still be r1's
+    # InvalidSpec, raised when r1's turn comes, as task by task
+    world = random_world(11, 4)
+    bad = replace(world.tasks[1], dims=(
+        replace(world.tasks[1].dims[0], weight=-0.1), *world.tasks[1].dims[1:]))
+    world = SyntheticWorld(seed=world.seed, tag=world.tag,
+                           tasks=(world.tasks[0], bad, world.tasks[2]))
+    specs = default_perturbations()
+    want = outcome(run_weight_perturbation_reference, world, specs, "sample", 2)
+    assert isinstance(want, InvalidSpec)
+    assert_same_outcome(lambda: run_weight_perturbation(
+        world, perturbations=specs, mode="sample", replicates=2), want)

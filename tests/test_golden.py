@@ -1,5 +1,5 @@
 """Golden bytes: sha256 of ablate and perturb output on the packaged data
-and on tests/data/mixed_experiment.json.
+and on tests/data/mixed_experiment.json and ladder_experiment.json.
 
 The digests pin the record and report bytes, so a change that moves any
 of them fails here, however it is made; a change that means to move them
@@ -25,6 +25,12 @@ PERTURB_SAMPLE_REPORT = "9997e04d51b4d088601f4f3988259edeee8c7abd0b49315ccc5db11
 MIXED_ABLATE_RECORDS = "4fdad26d169563de38e2d67f82297b2c0190a0e03a7709ab3f7511ee7538c5e2"
 MIXED_ABLATE_SUMMARY = "06bba41bcf0a547d47a5270d37124909b5ffaf5afd2c14b69b585218887592df"
 MIXED_PERTURB_REPORT = "c16d5ddd0d99ef66e9f8d43370d08be97bb9cec3ec7d7c6582a014f08425d6e2"
+# the ladder world: 4-9 dims per task in mixed order, tied and zero weights,
+# an explicit budget of 2 and a ladder without identity (so the inserted
+# baseline is reported), with adjacent_swap(2)
+LADDER_PERTURB_SAMPLE_REPORT = "2c47ccaa4e3b5d7aac041e0d1b82320e8c5d5a73fa006035f86d3a736b96e7a4"
+LADDER_PERTURB_REPORT = "d76eec50ed73a0e1aefdf80fec85a3258eaa008db50267ba6c326aef78839074"
+LADDER_CONFIG = TESTS_DATA / "ladder_experiment.json"
 
 ABLATE_CASES = {
     "argmax": ([], ABLATE_ARGMAX_RECORDS, ABLATE_ARGMAX_SUMMARY),
@@ -78,6 +84,25 @@ def test_mixed_world_golden_bytes(capsys):
         MIXED_ABLATE_RECORDS, MIXED_ABLATE_SUMMARY)
     assert main(["perturb", *sample]) == 0
     assert sha256(capsys.readouterr().out) == MIXED_PERTURB_REPORT
+
+
+@pytest.mark.parametrize("args,digest", [
+    (["--mode", "sample", "--replicates", "3"], LADDER_PERTURB_SAMPLE_REPORT),
+    ([], LADDER_PERTURB_REPORT),
+])
+def test_ladder_world_golden_bytes(capsys, args, digest):
+    assert main(["perturb", "--config", str(LADDER_CONFIG), *args]) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("hash_seed", [0, 1])
+def test_perturb_bytes_do_not_depend_on_the_hash_seed(hash_seed):
+    # tasks are planned in groups by dimension count; grouping that
+    # iterated a set or a str-keyed hash order would leak into the bytes
+    proc = run_ist("perturb", "--config", LADDER_CONFIG, "--mode", "sample",
+                   "--replicates", "3", hash_seed=hash_seed)
+    assert proc.returncode == 0, proc.stderr
+    assert sha256(proc.stdout) == LADDER_PERTURB_SAMPLE_REPORT
 
 
 @pytest.mark.parametrize("hash_seed", [0, 1])

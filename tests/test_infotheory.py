@@ -141,6 +141,23 @@ def test_cell_cap_enforced():
                       np.zeros((101, 100, 100)))
 
 
+def test_apply_decoder_checks_the_cap_before_it_allocates(monkeypatch):
+    # the extended joint of a K=101 channel holds 101**3 > CELL_CAP cells;
+    # it is refused before einsum builds it, and K=100 (exactly the cap) runs
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("einsum ran")
+
+    joint = DiscreteJoint(("v", "y"), np.full((101, 101), 1 / 101 ** 2))
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    with pytest.raises(WorldTooLarge, match=r"^enumeration would need 1030301 cells "
+                                            r"\(cap 1000000\)$"):
+        apply_decoder(joint, constant_decoder(("y",), (101,), 101))
+    monkeypatch.undo()
+    joint = DiscreteJoint(("v", "y"), np.full((100, 100), 1 / 100 ** 2))
+    ext = apply_decoder(joint, constant_decoder(("y",), (100,), 100))
+    assert ext.table.size == 10 ** 6
+
+
 def test_decoder_validation():
     with pytest.raises(InvalidDistribution):
         from ist.infotheory import Decoder
