@@ -355,9 +355,11 @@ def run_weight_perturbation(world: SyntheticWorld,
     cells whose WAS delta is exactly zero; cliff_rate is the share of
     tasks where full inversion lands strictly below baseline.
 
-    The masks of all tasks with one dimension count are planned at once
-    when the first of them comes up, after its spec check, so that every
-    error is raised where planning task by task raises it.
+    The masks of all tasks with one dimension count are planned at once,
+    group by group in order of first appearance, before any draw. In a
+    built (so valid) world only a budget or a perturbation that does not
+    fit a dimension count fails, so the first error is the one that
+    planning task by task raises.
     """
     if mode not in ("argmax", "sample"):
         raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
@@ -373,21 +375,13 @@ def run_weight_perturbation(world: SyntheticWorld,
     groups: dict[int, list[WorldTask]] = {}
     for task in world.tasks:
         groups.setdefault(len(task.dims), []).append(task)
-    plans: dict[int, Iterator[np.ndarray]] = {}
+    plans = {n: iter(_plan_masks(world, tasks, specs, budget))
+             for n, tasks in groups.items()}
     cells = []
     for draws, pieces in _task_draws(world, world.tasks,
                                      [replicates] * len(world.tasks), mode):
         task = draws.task
-        n = len(task.dims)
-        if n not in plans:
-            try:
-                plans[n] = iter(_plan_masks(world, groups[n], specs, budget))
-            except Exception:
-                # a later task's weights, not yet spec-checked, can fail a
-                # perturbation: plan each task alone, at its turn
-                plans[n] = (_plan_masks(world, [t], specs, budget)[0]
-                            for t in groups[n])
-        bits = next(plans[n])
+        bits = next(plans[len(task.dims)])
         # The exact-zero plateau follows from mask-independent draws: an
         # identical mask gives identical fidelity rows.
         baseline, *was = draws.mean_f_icmw(bits, pieces, replicates)

@@ -36,6 +36,7 @@ from .worlds import SyntheticWorld, WorldDim, _argmax_finds_user
 CELL_CAP = 10 ** 6
 _SUM_TOL = 1e-9
 _MI_NEG_TOL = 1e-12  # per bit of entropy summed; see mutual_information
+_TERM_ULPS = 4  # rounding of one p log2 p term, in units of 2**-53
 DPI_TOL = 1e-9
 THETA_PUB_DEFAULT = 0.9
 # Public additionally requires clearing chance by this margin, so a world
@@ -119,19 +120,23 @@ def mutual_information(joint: DiscreteJoint, x, y) -> float:
     """I(x; y) = H(x) + H(y) - H(x, y) over variable groups, in bits.
 
     Tiny negative results clamp to zero; anything more negative is
-    treated as a bug and raised. The rounding error of each entropy's
-    running sum grows with the entropy, so the tolerance is 1e-12 times
-    H(x) + H(y) + H(x, y), and never less than 1e-12.
+    treated as a bug and raised. A running sum of n nonnegative terms
+    errs by at most (n - 1) * 2**-53 of its value, and each p log2 p term
+    by a few ulps, so each entropy H over n cells contributes
+    (n - 1 + _TERM_ULPS) * 2**-53 * H to the tolerance; it is never less
+    than 1e-12 times H(x) + H(y) + H(x, y), nor less than 1e-12.
     """
     gx, gy = _as_group(x), _as_group(y)
     if set(gx) & set(gy):
         raise DomainMismatch(f"groups overlap: {gx!r} vs {gy!r}")
-    hx = entropy(joint.marginal(*gx))
-    hy = entropy(joint.marginal(*gy))
-    hxy = entropy(joint.marginal(*gx, *gy))
+    tables = [joint.marginal(*gx), joint.marginal(*gy), joint.marginal(*gx, *gy)]
+    hs = [entropy(t) for t in tables]
+    hx, hy, hxy = hs
     mi = hx + hy - hxy
     if mi < 0.0:
-        tol = _MI_NEG_TOL * max(1.0, hx + hy + hxy)
+        tol = max(_MI_NEG_TOL * max(1.0, sum(hs)),
+                  sum((t.table.size - 1 + _TERM_ULPS) * 2.0 ** -53 * h
+                      for t, h in zip(tables, hs)))
         if mi < -tol:
             raise RangeError(f"mutual information {mi} below -{tol:.3g}")
         return 0.0

@@ -14,6 +14,14 @@ absent ones from the prior, either by argmax (ties to the lowest token
 index) or by sampling. Slots are always filled, so structure is always
 perfect and only fidelity varies.
 
+A SyntheticWorld is valid once it is built. Its constructor applies the
+rules of a flat intent spec to every task (a task id no other task uses;
+non-empty dimension ids, distinct after lower-casing; weights in [0, 1]
+whose fsum is within model.TOP_WEIGHT_TOL of 1, so at least one
+dimension) and raises BadConfig naming tasks[i]. build_world also
+rejects unknown fields and non-finite weights. Nothing that runs on a
+world checks it again.
+
 The record engine simulates outputs in bulk: draws never depend on the
 mask, so the draws of a block of tasks are hashed together, one
 _kernels.sample_block call per block of bounded size, and every mask is
@@ -29,6 +37,7 @@ is no shared PRNG state and calls are safe to run in any order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, groupby
@@ -38,13 +47,13 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import (BadConfig, InvalidSpec, LengthMismatch, SpecSyntaxError,
+from .errors import (BadConfig, IstError, LengthMismatch, SpecSyntaxError,
                      UnknownTask)
 from .metrics import weighted_sum
-from .model import (Dimension, EncodingMask, IntentSpec, ValueRef,
-                    normalize_weights, validate_spec)
+from .model import (TOP_WEIGHT_TOL, Dimension, EncodingMask, IntentSpec,
+                    ValueRef, normalize_weights)
 from .rng import USER_VALUE_STREAM, derive, uniform_index
-from .spec_io import loads_strict
+from .spec_io import _check_keys, loads_strict
 
 
 def token(index: int) -> str:
@@ -94,11 +103,30 @@ class SyntheticWorld:
     tag: str
     tasks: tuple[WorldTask, ...]
 
+    def __post_init__(self):
+        # the rules validate_spec applies to a flat spec, on the dims (a
+        # task without dims fails the weight sum)
+        task_ids = set()
+        for task_ix, task in enumerate(self.tasks):
+            where = f"tasks[{task_ix}]"
+            if task.task_id in task_ids:
+                raise BadConfig(f"{where}: duplicate task_id {task.task_id!r}")
+            task_ids.add(task.task_id)
+            for dim_ix, d in enumerate(task.dims):
+                if not d.id:
+                    raise BadConfig(f"{where}.dims[{dim_ix}]: empty dimension id")
+                if not 0.0 <= d.weight <= 1.0:
+                    raise BadConfig(f"{where}.dims[{dim_ix}]: weight {d.weight!r} "
+                                    "outside [0, 1]")
+            if len({d.id.lower() for d in task.dims}) != len(task.dims):
+                raise BadConfig(f"{where}: duplicate dimension ids")
+            total = math.fsum(task.weights)
+            if abs(total - 1.0) > TOP_WEIGHT_TOL:
+                raise BadConfig(f"{where}: weights sum to {total!r}, expected 1")
+
     @cached_property
     def _tasks_by_id(self) -> dict[str, WorldTask]:
-        # built from the end so that, as with a scan, the first of any
-        # duplicate ids wins (build_world itself rejects duplicates)
-        return {t.task_id: t for t in reversed(self.tasks)}
+        return {t.task_id: t for t in self.tasks}
 
     def task(self, task_id: str) -> WorldTask:
         try:
@@ -125,9 +153,9 @@ def _build_dim(dim_cfg: dict, weight: float, task_ix: int, dim_ix: int,
     lam = dim_cfg.get("lambda")
     if isinstance(lam, bool) or not isinstance(lam, (int, float)):
         raise BadConfig(f"{where}: lambda must be a number, got {lam!r}")
+    if not 0 <= lam <= 1:  # exact for any int, false for NaN
+        raise BadConfig(f"{where}: lambda must be in [0, 1], got {lam!r}")
     lam = float(lam)
-    if not 0.0 <= lam <= 1.0 or math.isnan(lam):
-        raise BadConfig(f"{where}: lambda must be in [0, 1], got {lam}")
     user_index = uniform_index(derive(seed, USER_VALUE_STREAM, task_ix, dim_ix), k)
     prior = [(1.0 - lam) / k] * k
     prior[user_index] += lam
@@ -148,11 +176,12 @@ def build_world(config: dict, seed: int | None = None) -> SyntheticWorld:
     """Deterministically instantiate a world from its config dict.
 
     Config shape: {"tasks": [{"task_id", "dims": [{"id", "weight", "K",
-    "lambda"}]}], "seed"?, "tag"?}. An explicit seed argument wins over
-    the config's.
+    "lambda"}]}], "seed"?, "tag"?}; any other field is rejected. An
+    explicit seed argument wins over the config's.
     """
     if not isinstance(config, dict):
         raise BadConfig(f"config must be an object, got {type(config).__name__}")
+    _check_keys(config, "world config", (), ("tasks", "seed", "tag"), False)
     if seed is None:
         seed = config.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -165,15 +194,11 @@ def build_world(config: dict, seed: int | None = None) -> SyntheticWorld:
         raise BadConfig("config needs a non-empty 'tasks' array")
 
     tasks = []
-    seen_ids = set()
     for task_ix, t in enumerate(raw_tasks):
         where = f"tasks[{task_ix}]"
         if not isinstance(t, dict) or not isinstance(t.get("task_id"), str):
             raise BadConfig(f"{where}: needs a string task_id")
-        task_id = t["task_id"]
-        if task_id in seen_ids:
-            raise BadConfig(f"{where}: duplicate task_id {task_id!r}")
-        seen_ids.add(task_id)
+        _check_keys(t, where, (), ("task_id", "dims"), False)
         raw_dims = t.get("dims")
         if not isinstance(raw_dims, list) or not raw_dims:
             raise BadConfig(f"{where}: needs a non-empty 'dims' array")
@@ -181,25 +206,25 @@ def build_world(config: dict, seed: int | None = None) -> SyntheticWorld:
         for dim_ix, d in enumerate(raw_dims):
             if not isinstance(d, dict) or not isinstance(d.get("id"), str):
                 raise BadConfig(f"{where}.dims[{dim_ix}]: needs a string id")
+            _check_keys(d, f"{where}.dims[{dim_ix}]", (),
+                        ("id", "weight", "K", "lambda"), False)
             w = d.get("weight")
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
-                raise BadConfig(f"{where}.dims[{dim_ix}]: weight must be a number")
+            if isinstance(w, bool) or not isinstance(w, (int, float)) \
+                    or not abs(w) <= sys.float_info.max:
+                raise BadConfig(f"{where}.dims[{dim_ix}]: weight must be a finite number")
             raw_weights.append(float(w))
         total = math.fsum(raw_weights)
         if abs(total - 1.0) > 1e-6:
             raise BadConfig(f"{where}: weights sum to {total!r}, expected 1")
         try:
             weights = normalize_weights(raw_weights)
-        except Exception as e:
+        except IstError as e:
             raise BadConfig(f"{where}: {e}") from None
         dims = tuple(
             _build_dim(d, weights[dim_ix], task_ix, dim_ix, seed,
                        f"{where}.dims[{dim_ix}]")
             for dim_ix, d in enumerate(raw_dims))
-        ids = [d.id for d in dims]
-        if len(set(ids)) != len(ids):
-            raise BadConfig(f"{where}: duplicate dimension ids")
-        tasks.append(WorldTask(task_id=task_id, index=task_ix, dims=dims))
+        tasks.append(WorldTask(task_id=t["task_id"], index=task_ix, dims=dims))
     return SyntheticWorld(seed=seed, tag=tag, tasks=tuple(tasks))
 
 
@@ -340,8 +365,7 @@ def _draw_pieces(world: SyntheticWorld, tasks, counts, mode: str):
 
 def _task_draws(world: SyntheticWorld, tasks, counts, mode: str):
     """(_TaskDraws, pieces) per task, in order: pieces yields (start,
-    tokens) for the task's draws 0..counts[i]-1. Blocks are hashed ahead,
-    but each task is validated only when its turn comes."""
+    tokens) for the task's draws 0..counts[i]-1."""
     for pos, group in groupby(_draw_pieces(world, tasks, counts, mode),
                               itemgetter(0)):
         yield (_TaskDraws(tasks[pos]),
@@ -359,10 +383,6 @@ class _TaskDraws:
     """
 
     def __init__(self, task: WorldTask):
-        # records are scored against the task's spec, as score_output would
-        report = validate_spec(to_intent_spec(task))
-        if report:
-            raise InvalidSpec(report)
         self.task = task
         self._weights = task.weights
         self._user = np.array([d.user_index for d in task.dims])

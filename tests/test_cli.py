@@ -313,6 +313,91 @@ def test_tiil_check_refuses_k_1000_within_bounded_memory(tmp_path):
     assert usage.ru_maxrss < 400 * 1024
 
 
+def flat_k331_world(tmp_path):
+    path = tmp_path / "k331.json"
+    path.write_text(json.dumps({"seed": 1, "tasks": [{
+        "task_id": "t", "dims": [{"id": "d", "weight": 1.0, "K": 331, "lambda": 0.0}]}]}))
+    return path
+
+
+def test_tiil_check_at_k_331_names_world_too_large(capsys, tmp_path):
+    # the MI check passes; the decoder battery's K**3 cells then exceed the cap
+    code, out, err = run(capsys, "tiil-check", "--world", str(flat_k331_world(tmp_path)))
+    assert code == 2 and out == ""
+    assert err == f"error: enumeration would need {331 ** 3} cells (cap 1000000)\n"
+
+
+def test_audit_labels_a_flat_k_331_dimension_private(capsys, tmp_path):
+    path = flat_k331_world(tmp_path)
+    spec = to_intent_spec(build_world(json.loads(path.read_text())).tasks[0])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(serialize_intent_spec(spec))
+    carrier_path = tmp_path / "carrier.json"
+    carrier_path.write_text(json.dumps({"task_id": "t", "encoded_dimensions": []}))
+    out_path = tmp_path / "out.json"
+    out_path.write_text(json.dumps({"task_id": "t", "realized_values": {
+        "d": {"kind": "token", "value": spec.dimensions[0].intended_value.value}}}))
+    code, out, err = run(capsys, "audit", "--timestamp", TS, "--world", str(path),
+                         "--spec", str(spec_path), "--carrier", str(carrier_path),
+                         "--output", str(out_path))
+    assert code == 0, err
+    rec = audit_record_from_obj(json.loads(out))
+    assert rec.privacy_source == "oracle"
+    assert rec.private_at_risk == ("d",)
+
+
+# -- world configs: one set of rules, the same error in every subcommand ----
+
+def world_dims(*dims):
+    return [{"id": dim_id, "weight": w, "K": 4, "lambda": 0.5, **extra}
+            for dim_id, w, extra in dims]
+
+
+BAD_WORLDS = {
+    "empty-id": ({"tasks": [{"task_id": "t", "dims": world_dims(
+        ("a", 0.5, {}), ("", 0.5, {}))}]},
+        "tasks[0].dims[1]: empty dimension id"),
+    "case-folded-ids": ({"tasks": [{"task_id": "t", "dims": world_dims(
+        ("Tone", 0.5, {}), ("tone", 0.5, {}))}]},
+        "tasks[0]: duplicate dimension ids"),
+    "unknown-top-field": ({"tasks": [{"task_id": "t", "dims": world_dims(
+        ("a", 1.0, {}))}], "sede": 3},
+        "world config: unknown field 'sede'"),
+    "unknown-task-field": ({"tasks": [{"task_id": "t", "dim": [], "dims": world_dims(
+        ("a", 1.0, {}))}]},
+        "tasks[0]: unknown field 'dim'"),
+    "unknown-dim-field": ({"tasks": [{"task_id": "t", "dims": world_dims(
+        ("a", 0.5, {}), ("b", 0.5, {"lamda": 0.9}))}]},
+        "tasks[0].dims[1]: unknown field 'lamda'"),
+    "infinite-weights": ("""{"seed": 1, "tasks": [{"task_id": "t", "dims": [
+        {"id": "a", "weight": 1e309, "K": 4, "lambda": 0.5},
+        {"id": "b", "weight": -1e309, "K": 4, "lambda": 0.5}]}]}""",
+        "tasks[0].dims[0]: weight must be a finite number"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_WORLDS))
+def test_bad_world_config_exits_2_alike_in_every_subcommand(tmp_path, case):
+    config, message = BAD_WORLDS[case]
+    world = tmp_path / "world.json"
+    world.write_text(config if isinstance(config, str)
+                     else json.dumps({"seed": 1, **config}))
+    experiment = tmp_path / "experiment.json"
+    experiment.write_text(json.dumps({"world_path": "world.json"}))
+    calls = {
+        "tiil-check": ["tiil-check", "--world", world],
+        "audit": ["audit", "--world", world, "--spec", DATA / "report_task.json",
+                  "--carrier", DATA / "report_carrier.json",
+                  "--output", DATA / "report_output.json"],
+        "ablate": ["ablate", "--config", experiment],
+        "perturb": ["perturb", "--config", experiment],
+    }
+    for name, argv in calls.items():
+        proc = run_ist(*argv, hash_seed=0)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", f"error: {message}\n"), name
+
+
 # -- report ------------------------------------------------------------------
 
 def audit_jsonl(capsys, data_dir, tmp_path):

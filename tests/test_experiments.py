@@ -20,7 +20,6 @@ from ist.errors import (
     BadConfig,
     BadPerturbation,
     Inconsistent,
-    InvalidSpec,
     IstError,
     MissingCondition,
     ZeroSignal,
@@ -46,6 +45,7 @@ from ist.experiments import (
     run_ablation,
     run_weight_perturbation,
 )
+from ist.infotheory import tiil_check
 from ist.metrics import score_output, synthesize_ga, weighted_sum
 from ist.model import EncodingMask, normalize_weights
 from ist.rng import PERTURB_STREAM, derive, unit_float
@@ -768,29 +768,6 @@ def test_sampled_blocks_stay_within_the_cell_budget(monkeypatch):
     assert max(cdf_cells) > budget // 2  # blocks do fill up
 
 
-def test_invalid_task_mid_block_yields_earlier_records_first(monkeypatch):
-    # task r1's weights fail validation; r0's records come out before it
-    # raises, although one block hashes the draws of all three tasks
-    calls = spy_on_sample_block(monkeypatch)
-    world = random_world(11, 4)
-    bad = replace(world.tasks[1], dims=tuple(
-        replace(d, weight=d.weight * 0.6) for d in world.tasks[1].dims))
-    world = SyntheticWorld(seed=world.seed, tag=world.tag,
-                           tasks=(world.tasks[0], bad, world.tasks[2]))
-    plan = plan_for_world(world, "sample", 3)
-    records = run_ablation(world, plan)
-    want = run_ablation_reference(world, plan)
-    for _ in range(5 * 3):
-        assert record_to_line(next(records)) == record_to_line(next(want))
-    assert calls[0][0] == [0, 1, 2]  # the engine's one block (then the reference's)
-    with pytest.raises(InvalidSpec):
-        next(records)
-    with pytest.raises(InvalidSpec):
-        next(want)
-    with pytest.raises(InvalidSpec):
-        run_weight_perturbation(world, mode="sample")
-
-
 @pytest.mark.parametrize("replicates", [0, -2, 1.5, True])
 def test_run_weight_perturbation_rejects_bad_replicates(demo_world_config, replicates):
     # 0 divided by zero and -2 gave plateau_rate 1.0 with every WAS -0.0
@@ -802,16 +779,109 @@ def test_run_weight_perturbation_rejects_bad_replicates(demo_world_config, repli
         plan_for_world(world, "sample", replicates)
 
 
-def test_engine_rejects_weights_the_reference_rejects():
-    # weights far from summing to 1 fail spec validation when scored
-    world = scaled_world(random_world(7, 5), 0.6)
-    plan = plan_for_world(world, "sample", 2)
-    with pytest.raises(InvalidSpec):
-        list(run_ablation_reference(world, plan))
-    with pytest.raises(InvalidSpec):
-        list(run_ablation(world, plan))
-    with pytest.raises(InvalidSpec):
-        run_weight_perturbation(world)
+# -- a world is valid once built ----------------------------------------------
+
+def _break_task(task, case):
+    """task with one rule broken; "duplicate-task-id" takes tasks[0]'s id."""
+    dims = task.dims
+    if case == "weight-sum":
+        dims = tuple(replace(d, weight=d.weight * 0.6) for d in dims)
+    elif case == "negative-weight":
+        dims = (replace(dims[0], weight=-0.1), *dims[1:])
+    elif case == "nan-weight":
+        dims = (replace(dims[0], weight=math.nan), *dims[1:])
+    elif case == "empty-id":
+        dims = (replace(dims[0], id=""), *dims[1:])
+    elif case == "case-folded-ids":
+        dims = (dims[0], replace(dims[1], id=dims[0].id.upper()), *dims[2:])
+    elif case == "duplicate-task-id":
+        return replace(task, task_id="r0")
+    return replace(task, dims=dims)
+
+
+INVALID_WORLD_CASES = {
+    "weight-sum": r"tasks\[1\]: weights sum to 0\.6\d*, expected 1",
+    "negative-weight": r"tasks\[1\]\.dims\[0\]: weight -0\.1 outside \[0, 1\]",
+    "nan-weight": r"tasks\[1\]\.dims\[0\]: weight nan outside \[0, 1\]",
+    "empty-id": r"tasks\[1\]\.dims\[0\]: empty dimension id",
+    "case-folded-ids": r"tasks\[1\]: duplicate dimension ids",
+    "duplicate-task-id": r"tasks\[1\]: duplicate task_id 'r0'",
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_WORLD_CASES))
+def test_hand_built_invalid_world_fails_at_construction(case):
+    # each rule fails at construction and names its task, so the engine
+    # and the planner never meet a broken task
+    world = random_world(11, 4)
+    tasks = (world.tasks[0], _break_task(world.tasks[1], case), world.tasks[2])
+    with pytest.raises(BadConfig, match=f"^{INVALID_WORLD_CASES[case]}$"):
+        SyntheticWorld(seed=world.seed, tag=world.tag, tasks=tasks)
+
+
+def test_scaled_weights_fail_when_the_world_is_built():
+    world = random_world(11, 4)
+    SyntheticWorld(seed=world.seed, tag=world.tag, tasks=world.tasks)
+    with pytest.raises(BadConfig, match=r"^tasks\[0\]: weights sum to 0\.6\d*, expected 1$"):
+        scaled_world(world, 0.6)
+
+
+if HAVE_HYPOTHESIS:
+    JUNK = [None, True, "x", [], {}, -1, 0, 1, 2, 2.5, -0.5, 1.5, 1e-17,
+            math.inf, -math.inf, math.nan]
+    # K stays small (an unbounded K is its own open item); other numbers
+    # may also be too large for a float
+    FIELD_JUNK = {"K": JUNK, "weight": JUNK + [10 ** 400, -(10 ** 400)],
+                  "lambda": JUNK + [10 ** 400], "seed": JUNK + [10 ** 400]}
+
+    @st.composite
+    def mutated_world_configs(draw):
+        """A small valid world config with a few fields mutated: junk
+        values, unknown or dropped fields, duplicated or case-folded ids,
+        weights scaled within or beyond the sum tolerance."""
+        config = {"seed": draw(st.integers(0, 2 ** 64)), "tag": "fuzz", "tasks": []}
+        dims = []  # (task, dim) pairs
+        for t in range(draw(st.integers(1, 3))):
+            n = draw(st.integers(2, 4))
+            weights = normalize_weights(draw(st.lists(
+                st.floats(0.05, 1.0), min_size=n, max_size=n)))
+            task = {"task_id": f"t{t}", "dims": [
+                {"id": f"d{i}", "weight": w, "K": draw(st.integers(2, 6)),
+                 "lambda": draw(st.sampled_from([0.0, 1e-17, 0.5, 1.0]))}
+                for i, w in enumerate(weights)]}
+            config["tasks"].append(task)
+            dims += [(task, d) for d in task["dims"]]
+        for _ in range(draw(st.integers(0, 3))):
+            task, dim = draw(st.sampled_from(dims))
+            target = draw(st.sampled_from([config, task, dim]))
+            key = draw(st.sampled_from(sorted(target) or ["extra"]))
+            kind = draw(st.sampled_from(["junk", "unknown", "drop", "id", "scale"]))
+            if kind == "junk":
+                target[key] = draw(st.sampled_from(FIELD_JUNK.get(key, JUNK)))
+            elif kind == "unknown":
+                target[draw(st.sampled_from(["lamda", "Weight", "extra"]))] = 1
+            elif kind == "drop":
+                target.pop(key, None)
+            elif kind == "id":
+                dim["id"] = draw(st.sampled_from(["", "D0", "t0", "d1"]))
+                task["task_id"] = draw(st.sampled_from([task.get("task_id"), "t0"]))
+            elif isinstance(dim.get("weight"), float):
+                dim["weight"] *= draw(st.sampled_from([1.0 - 1e-7, 0.0, 1.5]))
+        return config
+
+    @given(mutated_world_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_a_built_world_runs_every_experiment(config):
+        # build_world either refuses the config with an input error or
+        # returns a world that every experiment and the oracle accept
+        try:
+            world = build_world(config)
+        except IstError:
+            return
+        for mode in ("argmax", "sample"):
+            list(run_ablation(world, plan_for_world(world, mode, 2)))
+            run_weight_perturbation(world, mode=mode, replicates=2)
+        tiil_check(world)
 
 
 # -- errors surface where planning task by task raises them -------------------
@@ -834,9 +904,9 @@ NARROW_CASES = {
 @pytest.mark.parametrize("case", list(NARROW_CASES))
 def test_group_errors_match_the_task_by_task_reference(capsys, tmp_path, case,
                                                        with_invalid_task):
-    # a 6-dim task with an empty dimension id (InvalidSpec), then a narrower
-    # task whose group cannot be planned: the first task's error comes
-    # first, and without it the narrow task's BadBudget or BadPerturbation
+    # a 6-dim task with an empty dimension id, then a narrower task whose
+    # group cannot be planned: the empty id fails the world's build, and
+    # without it the narrow task's BadBudget or BadPerturbation comes first
     budget, ladder, narrow = NARROW_CASES[case]
     tasks = [{"task_id": "narrow", "dims": dims_config("n", narrow)}]
     if with_invalid_task:
@@ -846,30 +916,19 @@ def test_group_errors_match_the_task_by_task_reference(capsys, tmp_path, case,
         config["budget"] = budget
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    cfg = parse_experiment_config(path.read_bytes())
-    specs = list(cfg.perturbations)
-    want = outcome(run_weight_perturbation_reference, cfg.world, specs, "sample", 2,
-                   cfg.budget)
-    assert type(want) is ((InvalidSpec if with_invalid_task else
-                           {"budget": BadBudget, "swap": BadPerturbation}[case]))
-    assert_same_outcome(lambda: run_weight_perturbation(
-        cfg.world, budget=cfg.budget, perturbations=specs, mode="sample",
-        replicates=2), want)
+    if with_invalid_task:
+        with pytest.raises(BadConfig) as built:
+            parse_experiment_config(path.read_bytes())
+        want = built.value
+        assert str(want) == "tasks[0].dims[2]: empty dimension id"
+    else:
+        cfg = parse_experiment_config(path.read_bytes())
+        specs = list(cfg.perturbations)
+        want = outcome(run_weight_perturbation_reference, cfg.world, specs, "sample", 2,
+                       cfg.budget)
+        assert type(want) is {"budget": BadBudget, "swap": BadPerturbation}[case]
+        assert_same_outcome(lambda: run_weight_perturbation(
+            cfg.world, budget=cfg.budget, perturbations=specs, mode="sample",
+            replicates=2), want)
     assert main(["perturb", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {want}\n"
-
-
-def test_task_that_breaks_its_groups_plan_raises_at_its_turn():
-    # task r1's negative weight fails its jitter's normalization when its
-    # group is planned at r0's turn; the error must still be r1's
-    # InvalidSpec, raised when r1's turn comes, as task by task
-    world = random_world(11, 4)
-    bad = replace(world.tasks[1], dims=(
-        replace(world.tasks[1].dims[0], weight=-0.1), *world.tasks[1].dims[1:]))
-    world = SyntheticWorld(seed=world.seed, tag=world.tag,
-                           tasks=(world.tasks[0], bad, world.tasks[2]))
-    specs = default_perturbations()
-    want = outcome(run_weight_perturbation_reference, world, specs, "sample", 2)
-    assert isinstance(want, InvalidSpec)
-    assert_same_outcome(lambda: run_weight_perturbation(
-        world, perturbations=specs, mode="sample", replicates=2), want)

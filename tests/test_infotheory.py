@@ -290,6 +290,31 @@ def test_classify_mid_mixture():
         classify_privacy(one_dim_world(0.6, 4), "t", "d", theta_pub=0.0)
 
 
+# K from 300 to 1,000 at a stride, plus K that failed the MI check at 1e-12
+# times the entropies (331 and 346 at lambda 0, 1000 at all four)
+FLAT_KS = sorted({331, 346, 1000, *range(300, 1001, 70)})
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-17, 1e-12, 1e-9])
+def test_classify_privacy_accepts_flat_priors_up_to_k_1000(lam):
+    # the rounding of H(v, y)'s running sum grows with its K**2 cells
+    for k in FLAT_KS:
+        v = classify_privacy(one_dim_world(lam, k), "t", "d")
+        assert v.label == "private", k
+        assert 0.0 <= v.mi_bits < 1e-9, k
+
+
+def test_mutual_information_still_raises_beyond_rounding(monkeypatch):
+    import ist.infotheory as infotheory
+    joint = dimension_channel_joint(one_dim_world(0.0, 331), "t", "d")
+    entropy_of = infotheory.entropy
+    # H(v, y) overstated by 1e-6 bits: far beyond any rounding of the sums
+    monkeypatch.setattr(infotheory, "entropy", lambda d: entropy_of(d) + (
+        1e-6 if d.table.ndim == 2 else 0.0))
+    with pytest.raises(RangeError, match=r"^mutual information -1\.0000\d*e-06 below -"):
+        mutual_information(joint, "v", "y")
+
+
 def test_boundary_migration_single_flip():
     for k in (4, 10):
         for theta in (0.7, 0.9):
