@@ -16,15 +16,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import Inconsistent, SchemaError
-from .metrics import (
-    Matcher,
-    SPLIT_ZONE_THRESHOLD,
-    build_bundle,
-    score_output,
-)
+from .metrics import Matcher, SPLIT_ZONE_THRESHOLD, bundle_for_output
 from .model import Carrier, IntentSpec, ValueRef, flatten
 from .spec_io import (
     _check_keys,
@@ -99,7 +94,6 @@ def build_audit_record(spec: IntentSpec,
                        privacy_source: str = "unlabeled",
                        thresholds: AuditThresholds = AuditThresholds(),
                        timestamp: str | None = None,
-                       clock: Callable[[], str] = now_rfc3339,
                        matcher: Matcher | None = None) -> AuditRecord:
     """Assemble one audit record; deterministic given an explicit timestamp."""
     if carrier.task_id != spec.task_id:
@@ -109,15 +103,13 @@ def build_audit_record(spec: IntentSpec,
         raise Inconsistent(f"bad privacy_source {privacy_source!r}")
     if privacy_labels is None:
         privacy_labels, privacy_source = resolve_privacy_labels(spec)
-    flat = flatten(spec)
-    known = {d.id for d in flat}
+    mask = compute_mask(spec, carrier)
+    known = set(mask.dims)
     for dim_id in privacy_labels:
         if dim_id not in known:
             raise Inconsistent(f"privacy label for unknown dimension {dim_id!r}")
-    mask = compute_mask(spec, carrier)
-    scores = score_output(spec, realized_values, matcher)
-    bundle = build_bundle([d.weight for d in flat], scores, mask,
-                          thresholds.split_threshold)
+    scores, bundle = bundle_for_output(spec, realized_values, mask, matcher,
+                                       thresholds.split_threshold)
     encoded = tuple(d for d, b in zip(mask.dims, mask.bits) if b == 1)
     absent = tuple(d for d, b in zip(mask.dims, mask.bits) if b == 0)
     at_risk = tuple(d for d in absent if privacy_labels.get(d) == "private")
@@ -127,7 +119,7 @@ def build_audit_record(spec: IntentSpec,
                       if f >= thresholds.f_threshold)
     return AuditRecord(
         task_id=spec.task_id,
-        timestamp=timestamp if timestamp is not None else clock(),
+        timestamp=timestamp if timestamp is not None else now_rfc3339(),
         encoded_dims=encoded,
         absent_dims=absent,
         private_at_risk=at_risk,

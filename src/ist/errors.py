@@ -49,15 +49,6 @@ class ChildWeightSum(IstError):
         self.total = total
 
 
-class InvalidSpec(IstError):
-    """Raised when an operation requires a spec that fails validation."""
-
-    def __init__(self, violations):
-        msgs = "; ".join(str(v) for v in violations) or "invalid spec"
-        super().__init__(msgs)
-        self.violations = list(violations)
-
-
 # --- parsing / serialization ------------------------------------------------
 
 class SpecSyntaxError(IstError):
@@ -65,6 +56,7 @@ class SpecSyntaxError(IstError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
+        self.msg = message
         self.line = line
         self.col = col
 
@@ -83,7 +75,7 @@ class SchemaError(IstError):
 
 
 class ValidationError(IstError):
-    """Parsed object violates a spec invariant."""
+    """An intent spec violates a spec invariant (raised when it is built)."""
 
     def __init__(self, violations):
         msgs = "; ".join(str(v) for v in violations) or "validation failed"

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -43,7 +44,7 @@ from .errors import (
 from .metrics import synthesize_ga, weighted_sum
 from .model import EncodingMask, ValueRef, normalize_weights
 from .rng import MASK64, PERTURB_STREAM, derive, unit_float
-from .spec_io import OutputRecord
+from .spec_io import OutputRecord, loads_strict
 from .worlds import (
     SyntheticWorld,
     WorldTask,
@@ -51,6 +52,7 @@ from .worlds import (
     _task_draws,
     build_world,
     full_mask,
+    load_world,
     mask_without,
     token,
 )
@@ -473,11 +475,6 @@ def parse_experiment_config(data: bytes | str, *, base_dir=None,
     """Parse {world_config | world_path, budget, perturbations,
     replicates, mode, seed}; relative world_path resolves against
     base_dir."""
-    from pathlib import Path
-
-    from .spec_io import loads_strict
-    from .worlds import load_world
-
     doc = loads_strict(data)
     if not isinstance(doc, dict):
         raise BadConfig("experiment config must be a JSON object")

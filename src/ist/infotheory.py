@@ -31,9 +31,8 @@ from .errors import (
     WorldTooLarge,
 )
 from .rng import DECODER_STREAM, derive, uniform_index
-from .worlds import SyntheticWorld, WorldDim, _argmax_finds_user
+from .worlds import CELL_CAP, SyntheticWorld, WorldDim, _argmax_finds_user
 
-CELL_CAP = 10 ** 6
 _SUM_TOL = 1e-9
 _MI_NEG_TOL = 1e-12  # per bit of entropy summed; see mutual_information
 _TERM_ULPS = 4  # rounding of one p log2 p term, in units of 2**-53

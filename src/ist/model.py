@@ -6,6 +6,9 @@ was explicitly written down for the model; an :class:`EncodingMask` records,
 per flattened dimension, whether the carrier represents it.
 
 All types are immutable after construction and safe to share across workers.
+An IntentSpec is valid once it is built: its constructor runs
+:func:`validate_spec` and raises ValidationError listing every violated
+rule, so nothing that takes a spec checks it again.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import dataclass, replace
 from .errors import (
     ChildWeightSum,
     EmptyWeights,
-    InvalidSpec,
     NegativeWeight,
     NotALeaf,
     UnknownDimension,
+    ValidationError,
     ZeroMass,
 )
 
@@ -89,7 +92,10 @@ class Dimension:
 
 @dataclass(frozen=True)
 class IntentSpec:
-    """A task-conditioned weighted dimension set with intended values."""
+    """A task-conditioned weighted dimension set with intended values.
+
+    Raises ValidationError when the dimensions break a validate_spec rule.
+    """
 
     task_id: str
     task_type: str
@@ -97,6 +103,9 @@ class IntentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dimensions", tuple(self.dimensions))
+        report = validate_spec(self)
+        if report:
+            raise ValidationError(report)
 
 
 @dataclass(frozen=True)
@@ -138,16 +147,6 @@ class EncodingMask:
     def encoded_ids(self) -> frozenset[str]:
         return frozenset(d for d, b in zip(self.dims, self.bits) if b)
 
-    @staticmethod
-    def full(dims) -> "EncodingMask":
-        dims = tuple(dims)
-        return EncodingMask(dims, (1,) * len(dims))
-
-    @staticmethod
-    def empty(dims) -> "EncodingMask":
-        dims = tuple(dims)
-        return EncodingMask(dims, (0,) * len(dims))
-
 
 @dataclass(frozen=True)
 class FlatDimension:
@@ -173,7 +172,8 @@ class Violation:
 
 
 def validate_spec(spec: IntentSpec) -> list[Violation]:
-    """Check every type invariant; violations are data, not exceptions."""
+    """Every type invariant the spec breaks; violations are data here, and
+    IntentSpec's constructor raises them."""
     report: list[Violation] = []
     if not spec.dimensions:
         report.append(Violation("NoDimensions", None, "spec has no dimensions"))
@@ -221,12 +221,8 @@ def flatten(spec: IntentSpec) -> list[FlatDimension]:
     """Depth-first leaves with effective weights (path products).
 
     Declaration order is canonical: every aligned vector in the toolkit
-    (masks, score vectors) follows this order. Raises InvalidSpec if the
-    spec fails validation.
+    (masks, score vectors) follows this order.
     """
-    report = validate_spec(spec)
-    if report:
-        raise InvalidSpec(report)
     out: list[FlatDimension] = []
 
     def walk(dim: Dimension, scale: float) -> None:
@@ -247,7 +243,8 @@ def refine_dimension(spec: IntentSpec, target: str,
     """Return a new spec where the target leaf is split into sub-dimensions.
 
     Sub-dimension weights are relative to the target and must sum to 1, so
-    the total flattened weight mass is unchanged.
+    the total flattened weight mass is unchanged. A refinement that breaks
+    another rule (a duplicate id, say) raises ValidationError.
     """
     target = target.lower()
     sub_dims = tuple(sub_dims)

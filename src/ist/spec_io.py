@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator
@@ -38,7 +39,6 @@ from .errors import (
     SchemaError,
     SpecSyntaxError,
     UnknownDimension,
-    ValidationError,
 )
 from .model import (
     Carrier,
@@ -48,7 +48,6 @@ from .model import (
     TOP_WEIGHT_TOL,
     ValueRef,
     flatten,
-    validate_spec,
 )
 
 
@@ -124,13 +123,26 @@ def _reject_constant(name: str):
 
 
 def loads_strict(data: bytes | str):
-    """json.loads that rejects NaN/Infinity and reports line/column."""
+    """The one JSON decode path: json.loads that rejects bytes that are not
+    UTF-8, NaN/Infinity and integer literals past Python's digit limit, as
+    SpecSyntaxError (with line/column) or SchemaError."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line_start = data.rfind(b"\n", 0, e.start) + 1
+            raise SpecSyntaxError(f"not UTF-8: {e.reason}",
+                                  data.count(b"\n", 0, e.start) + 1,
+                                  e.start - line_start + 1) from None
     try:
         return json.loads(data, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise SpecSyntaxError(e.msg, e.lineno, e.colno) from None
+    except ValueError:  # the only other one: the int digit limit
+        raise SchemaError("$", "integer literal longer than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise SchemaError("$", "arrays or objects nested too deep") from None
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +231,7 @@ def _parse_dimension(value, path: str, lenient: bool) -> Dimension:
 
 
 def parse_intent_spec(data: bytes | str, *, lenient: bool = False) -> IntentSpec:
-    """Parse and validate an intent spec document.
+    """Parse an intent spec document; IntentSpec validates it.
 
     Top-level weights off 1 by at most 1e-6 are renormalized silently;
     larger deviations are validation errors.
@@ -244,15 +256,11 @@ def spec_from_obj(doc, *, path: str = "$", lenient: bool = False) -> IntentSpec:
         for i, d in enumerate(raw_dims)
     ]
     dims = _renormalize_top(dims)
-    spec = IntentSpec(
+    return IntentSpec(
         task_id=_get_str(obj, "task_id", path),
         task_type=_get_str(obj, "task_type", path),
         dimensions=tuple(dims),
     )
-    report = validate_spec(spec)
-    if report:
-        raise ValidationError(report)
-    return spec
 
 
 def _renormalize_top(dims: list[Dimension]) -> list[Dimension]:
@@ -291,9 +299,6 @@ def spec_to_obj(spec: IntentSpec) -> dict:
 
 def serialize_intent_spec(spec: IntentSpec) -> bytes:
     """Canonical bytes; parse(serialize(spec)) reproduces spec exactly."""
-    report = validate_spec(spec)
-    if report:
-        raise ValidationError(report)
     return (dumps_canonical(spec_to_obj(spec)) + "\n").encode("utf-8")
 
 
@@ -501,25 +506,27 @@ def _write_jsonl(dest, items: Iterable, to_line: Callable[[object], str]) -> int
 
 
 def _read_jsonl(path, from_obj: Callable[[object], object], *,
-                fail_fast: bool = False,
                 on_error: Callable[[SchemaError], None] | None = None) -> Iterator:
     """Stream from_obj(doc) per nonblank line; errors as read_records says."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        # split as text mode would (\n, \r\n or \r), but decode each line
+        # in loads_strict so that bytes that are not UTF-8 name their line
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 try:
-                    item = from_obj(json.loads(line, parse_constant=_reject_constant))
-                except json.JSONDecodeError as e:
+                    item = from_obj(loads_strict(line))
+                except SpecSyntaxError as e:
                     raise SchemaError("$", f"invalid JSON: {e.msg}", line=lineno) from None
                 except SchemaError as e:
                     raise SchemaError(e.path, e.reason, line=lineno) from None
             except SchemaError as err:
-                if on_error is not None and not fail_fast:
-                    on_error(err)
-                    continue
-                raise
+                if on_error is None:
+                    raise
+                on_error(err)
+                continue
             yield item
 
 
@@ -529,17 +536,17 @@ def write_records(path, records: Iterable[OutputRecord]) -> int:
     return _write_jsonl(path, records, _record_writer())
 
 
-def read_records(path, *, fail_fast: bool = False, lenient: bool = False,
+def read_records(path, *, lenient: bool = False,
                  on_error: Callable[[SchemaError], None] | None = None,
                  ) -> Iterator[OutputRecord]:
     """Stream records from a JSONL file (constant memory in record count).
 
     Malformed lines raise a SchemaError naming the line number. With
-    ``on_error`` given and ``fail_fast`` false, errors are reported to the
-    callback and reading continues.
+    ``on_error`` given, errors are reported to the callback and reading
+    continues.
     """
     yield from _read_jsonl(path, lambda doc: record_from_obj(doc, lenient=lenient),
-                           fail_fast=fail_fast, on_error=on_error)
+                           on_error=on_error)
 
 
 # ---------------------------------------------------------------------------

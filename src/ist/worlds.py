@@ -55,6 +55,10 @@ from .model import (TOP_WEIGHT_TOL, Dimension, EncodingMask, IntentSpec,
 from .rng import USER_VALUE_STREAM, derive, uniform_index
 from .spec_io import _check_keys, loads_strict
 
+# The most cells one table may hold: a dimension's alphabet (K) here, a
+# joint in infotheory.
+CELL_CAP = 10 ** 6
+
 
 def token(index: int) -> str:
     return f"v{index}"
@@ -150,6 +154,8 @@ def _build_dim(dim_cfg: dict, weight: float, task_ix: int, dim_ix: int,
     k = dim_cfg.get("K")
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise BadConfig(f"{where}: K must be an integer >= 2, got {k!r}")
+    if k > CELL_CAP:
+        raise BadConfig(f"{where}: K is larger than the cap of {CELL_CAP}")
     lam = dim_cfg.get("lambda")
     if isinstance(lam, bool) or not isinstance(lam, (int, float)):
         raise BadConfig(f"{where}: lambda must be a number, got {lam!r}")

@@ -6,14 +6,12 @@ both as a FAIL line and as the pytest assertion.
 """
 
 import json
-import math
 import random
 import subprocess
 import sys
 import time
 
 import numpy as np
-import pytest
 
 from ist.cli import main as cli_main
 from ist.experiments import (

@@ -5,7 +5,6 @@ import pytest
 
 from ist.audit import (
     Aggregate,
-    AuditRecord,
     AuditThresholds,
     aggregate_records,
     audit_record_from_obj,

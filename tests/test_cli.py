@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import ist.model
 from ist.audit import audit_record_from_obj
 from ist.cli import main
 from ist.model import flatten
@@ -84,6 +85,23 @@ def test_validate_rejects_bad_weights(capsys, tmp_path):
     assert "validation" in err and "WeightSum" in err
 
 
+def test_validate_lists_each_violation(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "format_version": "1", "task_id": "t", "task_type": "x",
+        "dimensions": [
+            {"id": "a", "weight": 0.5},
+            {"id": "A", "weight": 0.5},
+            {"id": "b", "weight": 0.0, "children": [
+                {"id": "c", "weight": 0.5}]},
+        ]}), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (2, "")
+    assert err == ("error: spec failed validation:\n"
+                   "  DuplicateId [a]: id declared more than once\n"
+                   "  ChildWeightSum [b]: child weights sum to 0.5, expected 1\n")
+
+
 def test_validate_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert code == 2
@@ -144,6 +162,21 @@ def test_score_task_mismatch(capsys, data_dir, tmp_path):
                        "--output", str(other))
     assert code == 2
     assert "does not match" in err
+
+
+@pytest.mark.parametrize("command", ["audit", "score"])
+def test_packaged_triple_validates_the_spec_once(capsys, data_dir, monkeypatch,
+                                                 command):
+    calls = []
+    validate_spec = ist.model.validate_spec
+    monkeypatch.setattr(ist.model, "validate_spec",
+                        lambda spec: calls.append(spec) or validate_spec(spec))
+    code, _, err = run(capsys, command,
+                       "--spec", str(data_dir / "report_task.json"),
+                       "--carrier", str(data_dir / "report_carrier.json"),
+                       "--output", str(data_dir / "report_output.json"))
+    assert code in (0, 1), err
+    assert len(calls) == 1
 
 
 # -- audit -------------------------------------------------------------------
@@ -369,6 +402,9 @@ BAD_WORLDS = {
     "unknown-dim-field": ({"tasks": [{"task_id": "t", "dims": world_dims(
         ("a", 0.5, {}), ("b", 0.5, {"lamda": 0.9}))}]},
         "tasks[0].dims[1]: unknown field 'lamda'"),
+    "k-above-cap": ({"tasks": [{"task_id": "t", "dims": [
+        {"id": "a", "weight": 1.0, "K": 10 ** 400, "lambda": 0.5}]}]},
+        "tasks[0].dims[0]: K is larger than the cap of 1000000"),
     "infinite-weights": ("""{"seed": 1, "tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1e309, "K": 4, "lambda": 0.5},
         {"id": "b", "weight": -1e309, "K": 4, "lambda": 0.5}]}]}""",
@@ -635,6 +671,35 @@ BAD_PATHS = {
     "report-directory": ["report", "--records", "DIR"],
     "demo-out-directory": ["demo", "--timestamp", TS, "--out", "DIR"],
 }
+
+
+# files that json.loads cannot decode: every reader decodes in loads_strict
+UNDECODABLE = {
+    "not-utf8": (b"\xff\xfe{}", "not UTF-8"),
+    "long-int": (b'{"seed": 1' + b"0" * 5000 + b"}", "integer literal longer than"),
+    "deep-nesting": (b"[" * 100_000, "nested too deep"),
+}
+UNDECODABLE_CALLS = {
+    "validate": ["validate", "FILE"],
+    "tiil-check": ["tiil-check", "--world", "FILE"],
+    "report": ["report", "--records", "FILE"],
+    "audit": ["audit", "--spec", "FILE", "--carrier", DATA / "report_carrier.json",
+              "--output", DATA / "report_output.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(UNDECODABLE_CALLS))
+@pytest.mark.parametrize("case", list(UNDECODABLE))
+def test_undecodable_input_exits_2(capsys, tmp_path, case, command):
+    data, fragment = UNDECODABLE[case]
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\n" + data)
+    argv = [str(path) if a == "FILE" else str(a) for a in UNDECODABLE_CALLS[command]]
+    code, out, err = run(capsys, *argv)
+    assert_input_error(code, err)
+    assert fragment in err and out == ""
+    if command == "report":
+        assert err.startswith("error: line 2: ")
 
 
 @pytest.mark.parametrize("case", list(BAD_PATHS))

@@ -6,10 +6,10 @@ import pytest
 from ist.errors import (
     ChildWeightSum,
     EmptyWeights,
-    InvalidSpec,
     NegativeWeight,
     NotALeaf,
     UnknownDimension,
+    ValidationError,
     ZeroMass,
 )
 from ist.model import (
@@ -72,16 +72,22 @@ def test_validate_clean_spec_is_clean():
     assert validate_spec(spec) == []
 
 
+def violations_of(*dims):
+    """The violations building spec_of(*dims) raises."""
+    with pytest.raises(ValidationError) as ei:
+        spec_of(*dims)
+    return ei.value.violations
+
+
 def test_validate_duplicate_id():
-    spec = spec_of(leaf("what", 0.5), leaf("what", 0.5))
-    rules = [v.rule for v in validate_spec(spec)]
+    rules = [v.rule for v in violations_of(leaf("what", 0.5), leaf("what", 0.5))]
     assert rules.count("DuplicateId") == 1
 
 
 def test_validate_child_weight_sum():
     bad = Dimension(id="p", weight=1.0, children=(
         leaf("a", 0.6), leaf("b", 0.6)))
-    report = validate_spec(spec_of(bad))
+    report = violations_of(bad)
     assert [v.rule for v in report] == ["ChildWeightSum"]
     assert report[0].dimension == "p"
 
@@ -90,8 +96,19 @@ def test_validate_weight_sum_tolerance():
     # 1e-7 off: fine. 1e-3 off: violation.
     ok = spec_of(leaf("a", 0.5), leaf("b", 0.5 + 1e-7))
     assert validate_spec(ok) == []
-    bad = spec_of(leaf("a", 0.5), leaf("b", 0.501))
-    assert "TopLevelWeightSum" in [v.rule for v in validate_spec(bad)]
+    bad = violations_of(leaf("a", 0.5), leaf("b", 0.501))
+    assert "TopLevelWeightSum" in [v.rule for v in bad]
+
+
+@pytest.mark.parametrize("dims, rule", [
+    ((), "NoDimensions"),
+    ((leaf("", 1.0),), "EmptyId"),
+    ((leaf("a", 1.5), leaf("b", -0.5)), "WeightRange"),
+    ((leaf("a", 1.0, privacy_hint="secret"),), "BadPrivacyHint"),
+    ((Dimension("a", 1.0, ValueRef("number", "1")),), "BadValueKind"),
+])
+def test_every_rule_raises_when_built(dims, rule):
+    assert rule in [v.rule for v in violations_of(*dims)]
 
 
 def test_ids_stored_lowercase():
@@ -119,9 +136,10 @@ def test_flatten_single_dim():
     assert len(flat) == 1 and flat[0].weight == 1.0
 
 
-def test_flatten_rejects_invalid():
-    with pytest.raises(InvalidSpec):
-        flatten(spec_of(leaf("a", 0.9)))
+def test_spec_rejects_invalid_when_built():
+    with pytest.raises(ValidationError) as ei:
+        spec_of(leaf("a", 0.9))
+    assert [v.rule for v in ei.value.violations] == ["TopLevelWeightSum"]
 
 
 def test_flatten_mass_on_random_trees():
@@ -162,6 +180,14 @@ def test_refine_errors():
     once = refine_dimension(spec, "a", [leaf("x", 1.0)])
     with pytest.raises(NotALeaf):
         refine_dimension(once, "a", [leaf("y", 1.0)])
+
+
+def test_refine_duplicate_id_raises():
+    spec = spec_of(leaf("a", 0.4), leaf("b", 0.6))
+    with pytest.raises(ValidationError) as ei:
+        refine_dimension(spec, "a", [leaf("b", 0.5), leaf("a2", 0.5)])
+    assert [(v.rule, v.dimension) for v in ei.value.violations] == [
+        ("DuplicateId", "b")]
 
 
 def test_refine_preserves_mass_randomly():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 import sys
@@ -17,3 +18,30 @@ def test_declared_dependencies_import():
     for dep in deps:
         name = re.match(r"[A-Za-z0-9_.-]+", dep).group(0).replace("-", "_")
         importlib.import_module(name)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    root = PYPROJECT.parent
+    paths = sorted((root / "src" / "ist").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    unused = [hit for path in paths if path.name != "__init__.py"
+              for hit in _unused_imports(path)]
+    assert unused == []

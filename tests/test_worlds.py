@@ -17,6 +17,7 @@ from ist.metrics import bundle_for_output, score_output, weighted_sum
 from ist.model import EncodingMask, ValueRef, validate_spec
 from ist.rng import SAMPLE_STREAM, derive, unit_float
 from ist.worlds import (
+    CELL_CAP,
     _argmax_match_prob,
     build_world,
     expected_f_icmw,
@@ -85,6 +86,14 @@ def test_build_world_rejects_bad_config():
     off = one_dim_config(0.0, 4, weight=0.4)
     with pytest.raises(BadConfig):
         build_world(off, seed=1)  # weights sum far from 1
+
+
+def test_k_is_bounded_by_the_cell_cap():
+    dim = build_world(one_dim_config(0.5, CELL_CAP), seed=1).tasks[0].dims[0]
+    assert len(dim.prior) == CELL_CAP
+    for k in (CELL_CAP + 1, 10 ** 400):
+        with pytest.raises(BadConfig, match=r"tasks\[0\]\.dims\[0\]: K is larger"):
+            build_world(one_dim_config(0.5, k), seed=1)
 
 
 def test_build_world_deterministic():
