@@ -36,10 +36,10 @@ _EXPORTS = {name: module for module, names in {
     "infotheory": "Decoder DiscreteJoint PrivacyVerdict apply_decoder "
                   "bayes_accuracy classify_privacy dimension_channel_joint "
                   "entropy identity_decoder mutual_information verify_dpi",
-    "experiments": "AblationPlan PerturbationSpec encode_with_budget "
+    "experiments": "PerturbationSpec encode_with_budget "
                    "estimate_weights_by_ablation perturb_weights run_ablation "
                    "run_weight_perturbation",
-    "audit": "AuditRecord AuditThresholds build_audit_record render_report "
+    "audit": "AuditRecord build_audit_record render_report "
              "resolve_privacy_labels write_audit_records",
 }.items() for name in names.split()}
 

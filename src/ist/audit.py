@@ -6,10 +6,13 @@ are believed private (and therefore unrecoverable in principle), which
 slots the output structurally filled, which survived with fidelity, and
 what the drift score is.
 
-Privacy labels resolve in priority order: explicit hints in the spec,
-then oracle verdicts when a prior world is supplied, else "unlabeled".
-An unlabeled record has an empty private_at_risk list; absence of
-knowledge is reported as absence of knowledge, never guessed.
+build_audit_record resolves the privacy labels itself, in priority
+order: explicit hints in the spec, then oracle verdicts when a prior
+world is supplied, else "unlabeled". An unlabeled record has an empty
+private_at_risk list; absence of knowledge is reported as absence of
+knowledge, never guessed. The split zone uses the one metrics threshold,
+SPLIT_ZONE_THRESHOLD, so a record read back is checked against its
+scores: d_drift, ga and split_zone must all follow from them.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import Inconsistent, SchemaError
-from .metrics import Matcher, SPLIT_ZONE_THRESHOLD, bundle_for_output
+from .errors import SchemaError
+from .metrics import Matcher, bundle_for_output, detect_split_zone, synthesize_ga
 from .model import Carrier, IntentSpec, ValueRef, flatten
 from .spec_io import (
     _check_keys,
@@ -33,13 +36,6 @@ from .spec_io import (
 )
 
 PRIVACY_SOURCES = ("hint", "oracle", "unlabeled")
-
-
-@dataclass(frozen=True)
-class AuditThresholds:
-    r_threshold: float = 0.5
-    f_threshold: float = 0.5
-    split_threshold: float = SPLIT_ZONE_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -90,33 +86,24 @@ def resolve_privacy_labels(spec: IntentSpec, world=None,
 def build_audit_record(spec: IntentSpec,
                        carrier: Carrier,
                        realized_values: Mapping[str, ValueRef],
-                       privacy_labels: Mapping[str, str | None] | None = None,
-                       privacy_source: str = "unlabeled",
-                       thresholds: AuditThresholds = AuditThresholds(),
+                       world=None,
+                       theta_pub: float | None = None,
+                       r_threshold: float = 0.5,
+                       f_threshold: float = 0.5,
                        timestamp: str | None = None,
                        matcher: Matcher | None = None) -> AuditRecord:
-    """Assemble one audit record; deterministic given an explicit timestamp."""
-    if carrier.task_id != spec.task_id:
-        raise Inconsistent(
-            f"carrier is for task {carrier.task_id!r}, spec for {spec.task_id!r}")
-    if privacy_source not in PRIVACY_SOURCES:
-        raise Inconsistent(f"bad privacy_source {privacy_source!r}")
-    if privacy_labels is None:
-        privacy_labels, privacy_source = resolve_privacy_labels(spec)
+    """Assemble one audit record; deterministic given an explicit timestamp.
+
+    Privacy labels come from resolve_privacy_labels(spec, world, theta_pub).
+    """
+    labels, source = resolve_privacy_labels(spec, world, theta_pub)
     mask = compute_mask(spec, carrier)
-    known = set(mask.dims)
-    for dim_id in privacy_labels:
-        if dim_id not in known:
-            raise Inconsistent(f"privacy label for unknown dimension {dim_id!r}")
-    scores, bundle = bundle_for_output(spec, realized_values, mask, matcher,
-                                       thresholds.split_threshold)
+    scores, bundle = bundle_for_output(spec, realized_values, mask, matcher)
     encoded = tuple(d for d, b in zip(mask.dims, mask.bits) if b == 1)
     absent = tuple(d for d, b in zip(mask.dims, mask.bits) if b == 0)
-    at_risk = tuple(d for d in absent if privacy_labels.get(d) == "private")
-    recovered = tuple(d for d, r in zip(scores.dims, scores.r)
-                      if r >= thresholds.r_threshold)
-    preserved = tuple(d for d, f in zip(scores.dims, scores.f)
-                      if f >= thresholds.f_threshold)
+    at_risk = tuple(d for d in absent if labels[d] == "private")
+    recovered = tuple(d for d, r in zip(scores.dims, scores.r) if r >= r_threshold)
+    preserved = tuple(d for d, f in zip(scores.dims, scores.f) if f >= f_threshold)
     return AuditRecord(
         task_id=spec.task_id,
         timestamp=timestamp if timestamp is not None else now_rfc3339(),
@@ -131,7 +118,7 @@ def build_audit_record(spec: IntentSpec,
         d_drift=bundle.d_drift,
         ga=bundle.ga,
         split_zone=bundle.split_zone,
-        privacy_source=privacy_source,
+        privacy_source=source,
     )
 
 
@@ -209,6 +196,14 @@ def audit_record_from_obj(doc, *, path: str = "$") -> AuditRecord:
     if abs(rec.d_drift - (1.0 - rec.f_icmw)) > 1e-12:
         raise SchemaError(
             path, f"d_drift {rec.d_drift!r} is not 1 - f_icmw ({rec.f_icmw!r})")
+    want_ga = synthesize_ga(rec.s_icmw)
+    if ga != want_ga:
+        raise SchemaError(f"{path}.ga", f"expected {want_ga} for s_icmw "
+                                        f"{rec.s_icmw!r}, got {ga}")
+    want_split = detect_split_zone(ga, rec.f_icmw)
+    if split != want_split:
+        raise SchemaError(f"{path}.split_zone", f"expected {want_split} for ga "
+                                                f"{ga} and f_icmw {rec.f_icmw!r}, got {split}")
     return rec
 
 

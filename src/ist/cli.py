@@ -85,9 +85,6 @@ def cmd_mask(args) -> int:
 
     spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
     carrier = parse_carrier(_read(args.carrier), lenient=args.lenient)
-    if carrier.task_id != spec.task_id:
-        raise BadConfig(f"carrier task {carrier.task_id!r} does not match "
-                        f"spec task {spec.task_id!r}")
     mask = compute_mask(spec, carrier)
     flat = flatten(spec)
     l_enc = encoding_loss([d.weight for d in flat], mask)
@@ -116,9 +113,6 @@ def cmd_score(args) -> int:
     mask = None
     if args.carrier:
         carrier = parse_carrier(_read(args.carrier), lenient=args.lenient)
-        if carrier.task_id != spec.task_id:
-            raise BadConfig(f"carrier task {carrier.task_id!r} does not match "
-                            f"spec task {spec.task_id!r}")
         mask = compute_mask(spec, carrier)
     scores, bundle = bundle_for_output(spec, out_doc.realized_values, mask)
     if args.format == "json":
@@ -160,29 +154,33 @@ def _gate_exit(record, max_drift: float | None) -> int:
     return 0
 
 
-def cmd_audit(args) -> int:
-    from .audit import (AuditThresholds, audit_record_to_obj,
-                        build_audit_record, resolve_privacy_labels)
+def _audit(args, spec_path, carrier_path, output_path, lenient=False,
+           world_path=None, seed=None, **thresholds):
+    """Parse one (spec, carrier, output) triple, build its audit record
+    with oracle labels from the world at world_path when given, and write
+    the record; returns it."""
+    from .audit import audit_record_to_obj, build_audit_record
 
-    spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
-    carrier = parse_carrier(_read(args.carrier), lenient=args.lenient)
-    out_doc = parse_output_document(_read(args.output), lenient=args.lenient)
+    spec = parse_intent_spec(_read(spec_path), lenient=lenient)
+    carrier = parse_carrier(_read(carrier_path), lenient=lenient)
+    out_doc = parse_output_document(_read(output_path), lenient=lenient)
     if out_doc.task_id != spec.task_id:
         raise BadConfig(f"output task {out_doc.task_id!r} does not match "
                         f"spec task {spec.task_id!r}")
     world = None
-    if args.world:
+    if world_path:
         from .worlds import load_world
-        world = load_world(args.world, args.seed)
-    labels, source = resolve_privacy_labels(spec, world, args.theta_pub)
-    record = build_audit_record(
-        spec, carrier, out_doc.realized_values,
-        privacy_labels=labels, privacy_source=source,
-        thresholds=AuditThresholds(r_threshold=args.r_threshold,
-                                   f_threshold=args.f_threshold),
-        timestamp=args.timestamp,
-    )
+        world = load_world(world_path, seed)
+    record = build_audit_record(spec, carrier, out_doc.realized_values, world,
+                                timestamp=args.timestamp, **thresholds)
     _write_out(args, dumps_canonical(audit_record_to_obj(record)) + "\n")
+    return record
+
+
+def cmd_audit(args) -> int:
+    record = _audit(args, args.spec, args.carrier, args.output, args.lenient,
+                    args.world, args.seed, theta_pub=args.theta_pub,
+                    r_threshold=args.r_threshold, f_threshold=args.f_threshold)
     return _gate_exit(record, args.max_drift)
 
 
@@ -199,15 +197,13 @@ def _experiment_config(args, default_world: str):
 
 
 def cmd_ablate(args) -> int:
-    from .experiments import (estimate_weights_by_ablation, plan_for_world,
-                              run_ablation)
+    from .experiments import estimate_weights_by_ablation, run_ablation
 
     cfg = _experiment_config(args, "demo_world.json")
     replicates = cfg.replicates if args.replicates is None else args.replicates
-    plan = plan_for_world(cfg.world, args.mode or cfg.mode, replicates)
-    records = list(run_ablation(cfg.world, plan))
+    records = list(run_ablation(cfg.world, args.mode or cfg.mode, replicates))
     summaries = {}
-    # run_ablation yields each task's records as one run, in plan order
+    # run_ablation yields each task's records as one run, in world order
     for task_id, task_records in groupby(records, attrgetter("task_id")):
         try:
             summaries[task_id] = estimate_weights_by_ablation(task_records)
@@ -281,19 +277,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    from .audit import (audit_record_to_obj, build_audit_record,
-                        resolve_privacy_labels)
-
-    spec = parse_intent_spec(_read(_data_path("report_task.json")))
-    carrier = parse_carrier(_read(_data_path("report_carrier.json")))
-    out_doc = parse_output_document(_read(_data_path("report_output.json")))
-    labels, source = resolve_privacy_labels(spec)
-    record = build_audit_record(
-        spec, carrier, out_doc.realized_values,
-        privacy_labels=labels, privacy_source=source,
-        timestamp=args.timestamp,
-    )
-    _write_out(args, dumps_canonical(audit_record_to_obj(record)) + "\n")
+    record = _audit(args, *(_data_path(f"report_{name}.json")
+                            for name in ("task", "carrier", "output")))
     _print_err(
         "demo: structured report task; carrier encodes only the public "
         "dimensions (what/when/where/how_much).",
@@ -334,21 +319,27 @@ _theta_pub = _number(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _JOBS_HELP = "accepted for compatibility; has no effect"
 
 
+def _parent(*flags, **options) -> argparse.ArgumentParser:
+    """A parent parser that adds one option."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **options)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the master seed where one applies")
-    common.add_argument("--lenient", action="store_true",
-                        help="warn on unknown input fields instead of failing")
-    common.add_argument("--out", default=None,
-                        help="write the primary result to this file")
-    any_format = argparse.ArgumentParser(add_help=False)
-    any_format.add_argument("--format", choices=("text", "markdown", "json"),
-                            default="text", help="output format")
-    # demo, audit, ablate and perturb print JSON only, so they reject the others
-    json_only = argparse.ArgumentParser(add_help=False)
-    json_only.add_argument("--format", choices=("json",), default="json",
+    # each subcommand takes only the options it honours
+    out = _parent("--out", default=None,
+                  help="write the primary result to this file")
+    seed = _parent("--seed", type=int, default=None,
+                   help="override the world's master seed")
+    lenient = _parent("--lenient", action="store_true",
+                      help="warn on unknown input fields instead of failing")
+    text_or_json = _parent("--format", choices=("text", "json"), default="text",
                            help="output format")
+    # demo, audit, ablate and perturb print JSON only; they take --format
+    # json for compatibility and reject the others
+    json_only = _parent("--format", choices=("json",), default="json",
+                        help="output format")
 
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -357,18 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the traceback of an internal error (exit 3)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common, any_format],
+    p = sub.add_parser("validate", parents=[out, lenient, text_or_json],
                        help="check an intent spec file")
     p.add_argument("spec", help="intent spec JSON")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("mask", parents=[common, any_format],
+    p = sub.add_parser("mask", parents=[out, lenient, text_or_json],
                        help="compute the encoding mask and L_enc")
     p.add_argument("--spec", required=True)
     p.add_argument("--carrier", required=True)
     p.set_defaults(func=cmd_mask)
 
-    p = sub.add_parser("score", parents=[common, any_format],
+    p = sub.add_parser("score", parents=[out, lenient, text_or_json],
                        help="score realized values against a spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--output", required=True, help="output document JSON")
@@ -376,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional carrier (enables l_enc)")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("audit", parents=[common, json_only],
+    p = sub.add_parser("audit", parents=[out, seed, lenient, json_only],
                        help="emit an audit record for one interaction")
     p.add_argument("--spec", required=True)
     p.add_argument("--carrier", required=True)
@@ -392,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed RFC 3339 timestamp (for reproducible output)")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("ablate", parents=[common, json_only],
+    p = sub.add_parser("ablate", parents=[out, seed, json_only],
                        help="run the FULL + single-dimension ablation design")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--mode", choices=("argmax", "sample"), default=None)
@@ -400,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("perturb", parents=[common, json_only],
+    p = sub.add_parser("perturb", parents=[out, seed, json_only],
                        help="run the weight-perturbation experiment")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--mode", choices=("argmax", "sample"), default=None)
@@ -408,18 +399,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=cmd_perturb)
 
-    p = sub.add_parser("tiil-check", parents=[common, any_format],
+    p = sub.add_parser("tiil-check", parents=[out, seed, text_or_json],
                        help="verify the irreversibility bounds on a world")
     p.add_argument("--world", default=None, help="world config JSON")
     p.add_argument("--theta-pub", type=_theta_pub, default=None)
     p.set_defaults(func=cmd_tiil_check)
 
-    p = sub.add_parser("report", parents=[common, any_format],
+    p = sub.add_parser("report", parents=[out],
                        help="render an audit record batch")
     p.add_argument("--records", required=True, help="AuditRecord JSONL file")
+    p.add_argument("--format", choices=("text", "markdown", "json"),
+                   default="text", help="output format")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("demo", parents=[common, json_only],
+    p = sub.add_parser("demo", parents=[out, json_only],
                        help="run the shipped report-task scenario end to end")
     p.add_argument("--max-drift", type=_finite_float, default=None)
     p.add_argument("--timestamp", default=None)

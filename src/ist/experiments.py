@@ -1,6 +1,8 @@
 """Ablation and weight-perturbation harnesses over synthetic worlds.
 
-Two experiment designs live here:
+Two experiment designs live here. Each runs every task of a world, in
+order, and takes the world, a mode ("argmax" or "sample") and a
+replicate count that defaults to default_replicates(mode):
 
 * run_ablation: FULL condition plus one condition per dimension with
   that dimension's mask bit zeroed. Fidelity drops under ablation
@@ -49,6 +51,7 @@ from .worlds import (
     SyntheticWorld,
     WorldTask,
     _check_count,
+    _check_mode,
     _task_draws,
     build_world,
     full_mask,
@@ -69,29 +72,18 @@ def default_replicates(mode: str) -> int:
     return ARGMAX_REPLICATES if mode == "argmax" else SAMPLE_REPLICATES
 
 
+def _replicates(mode: str, replicates: int | None) -> int:
+    """replicates, or the mode's default; raises on a bad mode or count."""
+    _check_mode(mode)
+    if replicates is None:
+        replicates = default_replicates(mode)
+    _check_count("replicates", replicates)
+    return replicates
+
+
 # ---------------------------------------------------------------------------
 # ablation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AblationPlan:
-    task_ids: tuple[str, ...]
-    mode: str = "argmax"
-    replicates: int = ARGMAX_REPLICATES
-
-    def __post_init__(self):
-        if self.mode not in ("argmax", "sample"):
-            raise BadConfig(f"mode must be 'argmax' or 'sample', got {self.mode!r}")
-        _check_count("replicates", self.replicates)
-
-
-def plan_for_world(world: SyntheticWorld, mode: str = "argmax",
-                   replicates: int | None = None) -> AblationPlan:
-    if replicates is None:
-        replicates = default_replicates(mode)
-    return AblationPlan(task_ids=tuple(t.task_id for t in world.tasks),
-                        mode=mode, replicates=replicates)
-
 
 def _conditions(task: WorldTask) -> list[tuple[str, EncodingMask]]:
     conds = [(FULL_CONDITION, full_mask(task))]
@@ -108,18 +100,23 @@ class _TokenRefs(dict):
         return ref
 
 
-def run_ablation(world: SyntheticWorld, plan: AblationPlan) -> Iterator[OutputRecord]:
-    """Emit one record per (task, condition, replicate), in plan order.
+def run_ablation(world: SyntheticWorld, mode: str = "argmax",
+                 replicates: int | None = None) -> Iterator[OutputRecord]:
+    """Records of one (task, condition, replicate) each, in world order.
 
-    The draw index is condition_index * replicates + replicate, fixed by
-    plan position alone, so a task's records are one run of draws and
+    A bad mode or replicates raises here, before any record is made. The
+    draw index is condition_index * replicates + replicate, fixed by the
+    record's position alone, so a task's records are one run of draws and
     output bytes never depend on evaluation order.
     """
+    return _ablation_records(world, mode, _replicates(mode, replicates))
+
+
+def _ablation_records(world: SyntheticWorld, mode: str,
+                      reps: int) -> Iterator[OutputRecord]:
     refs = _TokenRefs()
-    reps = plan.replicates
-    tasks = [world.task(task_id) for task_id in plan.task_ids]
-    counts = [(1 + len(task.dims)) * reps for task in tasks]
-    for draws, pieces in _task_draws(world, tasks, counts, plan.mode):
+    counts = [(1 + len(task.dims)) * reps for task in world.tasks]
+    for draws, pieces in _task_draws(world, world.tasks, counts, mode):
         task = draws.task
         conds = _conditions(task)
         bits = np.array([m.bits for _, m in conds])
@@ -363,11 +360,7 @@ def run_weight_perturbation(world: SyntheticWorld,
     fit a dimension count fails, so the first error is the one that
     planning task by task raises.
     """
-    if mode not in ("argmax", "sample"):
-        raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
-    if replicates is None:
-        replicates = default_replicates(mode)
-    _check_count("replicates", replicates)
+    replicates = _replicates(mode, replicates)
     if perturbations is None:
         perturbations = default_perturbations()
     specs = list(perturbations)
@@ -501,8 +494,7 @@ def parse_experiment_config(data: bytes | str, *, base_dir=None,
     if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)):
         raise BadConfig(f"budget must be an integer, got {budget!r}")
     mode = doc.get("mode", "argmax")
-    if mode not in ("argmax", "sample"):
-        raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
+    _check_mode(mode)
     replicates = doc.get("replicates")
     if replicates is not None:
         _check_count("replicates", replicates)

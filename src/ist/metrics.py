@@ -10,8 +10,7 @@ hold in floating point, not just in exact arithmetic:
 * d_drift = 1 - f_icmw               (the exact same float)
 * ga = 1 + round(4 * s_icmw), half away from zero, clamped to [1, 5]
 
-Split zone: ga == 5 while f_icmw < 0.8 (strict). The threshold is
-configurable but 0.8 is the calibrated default.
+Split zone: ga == 5 while f_icmw < SPLIT_ZONE_THRESHOLD = 0.8 (strict).
 """
 
 from __future__ import annotations
@@ -116,10 +115,9 @@ def synthesize_ga(s_icmw: float) -> int:
     return max(1, min(5, grade))
 
 
-def detect_split_zone(ga: int, f_icmw: float,
-                      threshold: float = SPLIT_ZONE_THRESHOLD) -> bool:
+def detect_split_zone(ga: int, f_icmw: float) -> bool:
     """Structurally perfect but semantically degraded: ga 5, f below cut."""
-    return ga == 5 and f_icmw < threshold
+    return ga == 5 and f_icmw < SPLIT_ZONE_THRESHOLD
 
 
 def exact_match(expected: ValueRef, realized: ValueRef) -> float:
@@ -171,8 +169,7 @@ def score_output(spec: IntentSpec,
 
 
 def build_bundle(weights, scores: DimensionScores,
-                 mask: EncodingMask | None = None,
-                 split_threshold: float = SPLIT_ZONE_THRESHOLD) -> MetricBundle:
+                 mask: EncodingMask | None = None) -> MetricBundle:
     """Assemble the full bundle; d_drift is literally 1 - f_icmw."""
     s, fi = aggregate(weights, scores)
     ga = synthesize_ga(s)
@@ -181,7 +178,7 @@ def build_bundle(weights, scores: DimensionScores,
         f_icmw=fi,
         d_drift=1.0 - fi,
         ga=ga,
-        split_zone=detect_split_zone(ga, fi, split_threshold),
+        split_zone=detect_split_zone(ga, fi),
         l_enc=None if mask is None else encoding_loss(weights, mask),
     )
 
@@ -190,10 +187,9 @@ def bundle_for_output(spec: IntentSpec,
                       realized_values: Mapping[str, ValueRef],
                       mask: EncodingMask | None = None,
                       matcher: Matcher | None = None,
-                      split_threshold: float = SPLIT_ZONE_THRESHOLD,
                       ) -> tuple[DimensionScores, MetricBundle]:
     """Score then aggregate in one call; returns both layers."""
     flat = flatten(spec)
     weights = [d.weight for d in flat]
     scores = score_output(spec, realized_values, matcher)
-    return scores, build_bundle(weights, scores, mask, split_threshold)
+    return scores, build_bundle(weights, scores, mask)

@@ -36,6 +36,7 @@ from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
+    Inconsistent,
     SchemaError,
     SpecSyntaxError,
     UnknownDimension,
@@ -346,7 +347,11 @@ def serialize_carrier(carrier: Carrier) -> bytes:
 # ---------------------------------------------------------------------------
 
 def compute_mask(spec: IntentSpec, carrier: Carrier) -> EncodingMask:
-    """Bit per flattened dimension: 1 exactly when the carrier encodes it."""
+    """Bit per flattened dimension: 1 exactly when the carrier encodes it.
+    The carrier must be for the spec's task."""
+    if carrier.task_id != spec.task_id:
+        raise Inconsistent(f"carrier task {carrier.task_id!r} does not match "
+                           f"spec task {spec.task_id!r}")
     flat = flatten(spec)
     ids = [f.id for f in flat]
     known = set(ids)

@@ -272,8 +272,7 @@ def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     distinguishes replicates and never depends on the mask, so equal
     masks give equal outputs across conditions.
     """
-    if mode not in ("argmax", "sample"):
-        raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
+    _check_mode(mode)
     task = world.task(task_id)
     _check_mask(task, mask)
     if mode == "sample":
@@ -431,6 +430,11 @@ def _check_count(name: str, n) -> None:
         raise BadConfig(f"{name} must be a positive integer, got {n!r}")
 
 
+def _check_mode(mode) -> None:
+    if mode not in ("argmax", "sample"):
+        raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
+
+
 # ---------------------------------------------------------------------------
 # analytic expectations and Monte Carlo means
 # ---------------------------------------------------------------------------
@@ -463,8 +467,7 @@ def expected_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     the expectation over world regeneration (user values redrawn).
     Encoded dimensions contribute 1 either way.
     """
-    if mode not in ("argmax", "sample"):
-        raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
+    _check_mode(mode)
     task = world.task(task_id)
     _check_mask(task, mask)
     e = []

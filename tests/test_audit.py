@@ -5,7 +5,6 @@ import pytest
 
 from ist.audit import (
     Aggregate,
-    AuditThresholds,
     aggregate_records,
     audit_record_from_obj,
     audit_record_to_obj,
@@ -125,7 +124,7 @@ def test_oracle_labels_from_world(demo_world_config):
     carrier = carrier_for(spec, ["what", "when", "where", "how_much"])
     rec = build_audit_record(
         spec, carrier, generic_fill(spec, set(carrier.encoded_dimensions)),
-        privacy_labels=labels, privacy_source=source, timestamp=TS)
+        world=world, timestamp=TS)
     assert rec.privacy_source == "oracle"
     assert set(rec.private_at_risk) == {"why", "who", "how_to", "how_feel"}
 
@@ -146,12 +145,12 @@ def test_custom_thresholds():
 
     rec = build_audit_record(
         spec, carrier_for(spec, ["what"]), generic_fill(spec, {"what"}),
-        thresholds=AuditThresholds(r_threshold=0.5, f_threshold=0.6),
+        r_threshold=0.5, f_threshold=0.6,
         matcher=half_matcher, timestamp=TS)
     assert rec.fidelity_preserved == ("what",)
     relaxed = build_audit_record(
         spec, carrier_for(spec, ["what"]), generic_fill(spec, {"what"}),
-        thresholds=AuditThresholds(r_threshold=0.5, f_threshold=0.5),
+        r_threshold=0.5, f_threshold=0.5,
         matcher=half_matcher, timestamp=TS)
     assert relaxed.fidelity_preserved == tuple(d.id for d in spec.dimensions)
 
@@ -160,19 +159,10 @@ def test_inconsistent_inputs():
     spec = five_dim_spec()
     wrong_task = Carrier(task_id="other", text=None,
                          encoded_dimensions=frozenset({"what"}))
-    with pytest.raises(Inconsistent):
+    with pytest.raises(Inconsistent, match="carrier task 'other' does not "
+                                           "match spec task 't1'"):
         build_audit_record(spec, wrong_task, generic_fill(spec, {"what"}),
                            timestamp=TS)
-    with pytest.raises(Inconsistent):
-        build_audit_record(
-            spec, carrier_for(spec, ["what"]), generic_fill(spec, {"what"}),
-            privacy_labels={"nонsense": "private"}, privacy_source="hint",
-            timestamp=TS)
-    with pytest.raises(Inconsistent):
-        build_audit_record(
-            spec, carrier_for(spec, ["what"]), generic_fill(spec, {"what"}),
-            privacy_labels={"what": "public"}, privacy_source="rumor",
-            timestamp=TS)
 
 
 def test_now_rfc3339_shape():
@@ -223,6 +213,13 @@ def test_record_from_obj_rejects_violations():
     bad["ga"] = 6
     with pytest.raises(SchemaError):
         audit_record_from_obj(bad)
+
+    # sample_record: s_icmw 1.0 and f_icmw 0.3, so ga 5 and in the split zone
+    for field, value in (("ga", 1), ("split_zone", False)):
+        bad = dict(good)
+        bad[field] = value
+        with pytest.raises(SchemaError, match=rf"^\$\.{field}: expected"):
+            audit_record_from_obj(bad)
 
     bad = dict(good)
     bad["privacy_source"] = "gossip"

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -8,7 +9,7 @@ import pytest
 
 import ist.model
 from ist.audit import audit_record_from_obj
-from ist.cli import main
+from ist.cli import build_parser, main
 from ist.model import flatten
 from ist.spec_io import (
     loads_strict,
@@ -466,6 +467,19 @@ def test_report_markdown_and_json(capsys, data_dir, tmp_path):
     assert json.loads(out)["aggregate"]["split_zone_rate"] == 1.0
 
 
+@pytest.mark.parametrize("field,value", [("ga", 1), ("split_zone", False)])
+def test_report_rejects_a_grade_its_scores_contradict(capsys, data_dir, tmp_path,
+                                                      field, value):
+    # the demo record has s_icmw 1.0 and f_icmw 0.5: ga 5, in the split zone
+    path = audit_jsonl(capsys, data_dir, tmp_path)
+    rec = json.loads(path.read_text(encoding="utf-8"))
+    rec[field] = value
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "report", "--records", str(path))
+    assert (code, out) == (2, "")
+    assert f"line 1: $.{field}: expected" in err
+
+
 def test_report_empty_file(capsys, tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
@@ -601,15 +615,18 @@ def packaged_args(command, capsys, data_dir, tmp_path):
     return []  # ablate and tiil-check default to the packaged demo world
 
 
-# these print JSON only, so a text or markdown request is a usage error
+# only report renders markdown; these print JSON only; the rest print text
+# or JSON; any other format is a usage error
 JSON_ONLY = ("demo", "audit", "ablate", "perturb")
+FORMATS = {"report": ("text", "markdown", "json"),
+           **dict.fromkeys(JSON_ONLY, ("json",))}
 
 
 @pytest.mark.parametrize("fmt", ["text", "markdown", "json"])
 @pytest.mark.parametrize("command", list(EXIT_CODES))
 def test_every_subcommand_and_format(capsys, data_dir, tmp_path, command, fmt):
     args = packaged_args(command, capsys, data_dir, tmp_path)
-    if command in JSON_ONLY and fmt != "json":
+    if fmt not in FORMATS.get(command, ("text", "json")):
         with pytest.raises(SystemExit) as exc:
             main([command, "--format", fmt, *args])
         assert exc.value.code == 2
@@ -625,7 +642,54 @@ def test_every_subcommand_and_format(capsys, data_dir, tmp_path, command, fmt):
             loads_strict(doc)
 
 
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records each attribute read once _reads is set."""
+
+    _reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "_reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("command", list(EXIT_CODES))
+def test_every_parsed_option_is_read(capsys, data_dir, tmp_path, command):
+    # an option that a subcommand parses but never reads is accepted and
+    # ignored; --jobs and the JSON-only --format are kept for compatibility
+    argv = [command, *packaged_args(command, capsys, data_dir, tmp_path)]
+    if command == "audit":
+        argv += ["--world", str(data_dir / "demo_world.json")]
+    args = build_parser().parse_args(argv, namespace=ReadRecorder())
+    args._reads = set()
+    assert args.func(args) == EXIT_CODES[command]
+    options = set(vars(args)) - {"command", "func", "debug", "_reads", "jobs"}
+    if command in JSON_ONLY:
+        options.discard("format")
+    assert options - args._reads == set()
+
+
 # -- argparse-level behavior -------------------------------------------------
+
+# options a subcommand used to accept and ignore
+IGNORED_OPTIONS = {
+    **{f"{c}-seed": [c, "--seed", "99"]
+       for c in ("validate", "mask", "score", "report", "demo")},
+    **{f"{c}-lenient": [c, "--lenient"]
+       for c in ("ablate", "perturb", "tiil-check", "report", "demo")},
+}
+
+
+@pytest.mark.parametrize("case", list(IGNORED_OPTIONS))
+def test_option_a_subcommand_ignores_exits_2(capsys, data_dir, tmp_path, case):
+    command, *option = IGNORED_OPTIONS[case]
+    argv = [command, *packaged_args(command, capsys, data_dir, tmp_path), *option]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
 
 AUDIT_ARGS = ("--spec", "report_task.json", "--carrier", "report_carrier.json",
               "--output", "report_output.json")

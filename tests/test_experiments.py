@@ -27,7 +27,6 @@ from ist.errors import (
 from ist.experiments import (
     ABLATION_PREFIX,
     FULL_CONDITION,
-    AblationPlan,
     CellSummary,
     PerturbationReport,
     PerturbationSpec,
@@ -40,7 +39,6 @@ from ist.experiments import (
     parse_experiment_config,
     perturb_weight_rows,
     perturb_weights,
-    plan_for_world,
     report_to_obj,
     run_ablation,
     run_weight_perturbation,
@@ -321,8 +319,7 @@ if HAVE_HYPOTHESIS:
 
 def test_run_ablation_record_count_and_conditions():
     world = world_from(private_dims([0.5, 0.3, 0.2]), seed=2)
-    plan = plan_for_world(world, mode="sample", replicates=4)
-    records = list(run_ablation(world, plan))
+    records = list(run_ablation(world, mode="sample", replicates=4))
     assert len(records) == (1 + 3) * 4
     conditions = {r.condition for r in records}
     assert conditions == {"FULL", "ABL_d0", "ABL_d1", "ABL_d2"}
@@ -334,7 +331,7 @@ def test_run_ablation_record_count_and_conditions():
 
 def test_ablating_public_dimension_costs_nothing():
     world = world_from(public_dims([0.6, 0.4]), seed=3)
-    records = list(run_ablation(world, plan_for_world(world, mode="argmax")))
+    records = list(run_ablation(world, mode="argmax"))
     assert all(r.f_icmw == 1.0 for r in records)
 
 
@@ -344,7 +341,7 @@ def test_ablating_private_dimension_drops_by_weight():
     task = world.tasks[0]
     assert all(d.user_index != 0 for d in task.dims)
     records = {r.condition: r for r in
-               run_ablation(world, plan_for_world(world, mode="argmax"))}
+               run_ablation(world, mode="argmax")}
     for i, w in enumerate([0.5, 0.3, 0.2]):
         got = records[f"ABL_d{i}"].f_icmw
         oracle = expected_f_icmw(world, "t",
@@ -353,12 +350,12 @@ def test_ablating_private_dimension_drops_by_weight():
         assert abs(oracle - (1.0 - w * (1 - 1 / 1000))) < 1e-12
 
 
-def test_plan_validation():
+def test_run_ablation_checks_its_arguments_when_called():
     world = world_from(private_dims([1.0]), seed=1)
     with pytest.raises(BadConfig):
-        plan_for_world(world, mode="nope")
+        run_ablation(world, mode="nope")
     with pytest.raises(BadConfig):
-        AblationPlan(task_ids=("t",), mode="sample", replicates=0)
+        run_ablation(world, mode="sample", replicates=0)
     assert default_replicates("sample") == 50
     assert default_replicates("argmax") == 1
 
@@ -367,7 +364,7 @@ def test_plan_validation():
 
 def test_estimate_weights_analytic():
     world = world_from(private_dims([0.5, 0.3, 0.2], k=1000), seed=1)
-    records = list(run_ablation(world, plan_for_world(world, mode="argmax")))
+    records = list(run_ablation(world, mode="argmax"))
     got = estimate_weights_by_ablation(records)
     l1 = sum(abs(got[f"d{i}"] - w) for i, w in enumerate([0.5, 0.3, 0.2]))
     assert l1 <= 1e-9
@@ -375,8 +372,8 @@ def test_estimate_weights_analytic():
 
 def test_estimate_weights_sampling():
     world = world_from(private_dims([0.5, 0.3, 0.2], k=50), seed=2)
-    plan = plan_for_world(world, mode="sample", replicates=600)
-    got = estimate_weights_by_ablation(run_ablation(world, plan))
+    got = estimate_weights_by_ablation(
+        run_ablation(world, mode="sample", replicates=600))
     l1 = sum(abs(got[f"d{i}"] - w) for i, w in enumerate([0.5, 0.3, 0.2]))
     assert l1 <= 0.08
 
@@ -385,8 +382,7 @@ def test_estimate_weights_mixed_world_oracle():
     dims = [{"id": "a", "weight": 0.6, "K": 4, "lambda": 0.5},
             {"id": "b", "weight": 0.4, "K": 8, "lambda": 0.0}]
     world = world_from(dims, seed=3)
-    records = list(run_ablation(world, plan_for_world(world, mode="sample",
-                                                      replicates=4000)))
+    records = list(run_ablation(world, mode="sample", replicates=4000))
     got = estimate_weights_by_ablation(records)
     # drops converge to w_i * (1 - prior_i(user)) normalized
     raw = [0.6 * (1 - (0.5 + 0.5 / 4)), 0.4 * (1 - 1 / 8)]
@@ -397,14 +393,14 @@ def test_estimate_weights_mixed_world_oracle():
 
 def test_estimate_weights_zero_signal():
     world = world_from(public_dims([0.5, 0.5]), seed=1)
-    records = list(run_ablation(world, plan_for_world(world, mode="argmax")))
+    records = list(run_ablation(world, mode="argmax"))
     with pytest.raises(ZeroSignal):
         estimate_weights_by_ablation(records)
 
 
 def test_estimate_weights_missing_condition():
     world = world_from(private_dims([0.5, 0.5], k=30), seed=1)
-    records = [r for r in run_ablation(world, plan_for_world(world, "argmax"))
+    records = [r for r in run_ablation(world, "argmax")
                if r.condition != "ABL_d1"]
     with pytest.raises(MissingCondition):
         estimate_weights_by_ablation(records)
@@ -415,8 +411,7 @@ def test_estimate_weights_missing_condition():
 def test_estimate_weights_rejects_mixed_tasks():
     w1 = world_from(private_dims([0.5, 0.5], k=30), seed=1, task_id="t1")
     w2 = world_from(private_dims([0.5, 0.5], k=30), seed=1, task_id="t2")
-    records = list(run_ablation(w1, plan_for_world(w1, "argmax"))) \
-        + list(run_ablation(w2, plan_for_world(w2, "argmax")))
+    records = list(run_ablation(w1, "argmax")) + list(run_ablation(w2, "argmax"))
     with pytest.raises(Inconsistent):
         estimate_weights_by_ablation(records)
 
@@ -507,16 +502,14 @@ def score_simulated_reference(world, task, condition, mask, mode, draw):
     )
 
 
-def run_ablation_reference(world, plan):
-    for task_id in plan.task_ids:
-        task = world.task(task_id)
+def run_ablation_reference(world, mode, replicates):
+    for task in world.tasks:
         conds = [(FULL_CONDITION, full_mask(task))] + [
             (ABLATION_PREFIX + d.id, mask_without(task, {d.id})) for d in task.dims]
         for cond_ix, (condition, mask) in enumerate(conds):
-            for rep in range(plan.replicates):
+            for rep in range(replicates):
                 yield score_simulated_reference(
-                    world, task, condition, mask, plan.mode,
-                    cond_ix * plan.replicates + rep)
+                    world, task, condition, mask, mode, cond_ix * replicates + rep)
 
 
 def was_for_mask_reference(world, task, mask, mode, replicates):
@@ -642,9 +635,8 @@ def test_engine_worlds_cover_inexact_weight_sums():
 @pytest.mark.parametrize("name", list(ENGINE_WORLDS))
 def test_run_ablation_equals_reference(name, mode, replicates):
     world = ENGINE_WORLDS[name]()
-    plan = plan_for_world(world, mode, replicates)
-    got = [record_to_line(r) for r in run_ablation(world, plan)]
-    want = [record_to_line(r) for r in run_ablation_reference(world, plan)]
+    got = [record_to_line(r) for r in run_ablation(world, mode, replicates)]
+    want = [record_to_line(r) for r in run_ablation_reference(world, mode, replicates)]
     assert got == want
 
 
@@ -677,11 +669,10 @@ def test_perturbation_draw_blocks_equal_reference(monkeypatch, name):
 @pytest.mark.parametrize("name", ["random-d9", "mixed"])
 def test_ablation_draw_blocks_equal_reference(monkeypatch, name):
     world = ENGINE_WORLDS[name]()
-    plan = plan_for_world(world, "sample", 7)
-    want = [record_to_line(r) for r in run_ablation_reference(world, plan)]
+    want = [record_to_line(r) for r in run_ablation_reference(world, "sample", 7)]
     for budget in (3, 7):
         monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
-        assert [record_to_line(r) for r in run_ablation(world, plan)] == want, budget
+        assert [record_to_line(r) for r in run_ablation(world, "sample", 7)] == want, budget
 
 
 def spy_on_sample_block(monkeypatch) -> list[tuple]:
@@ -759,7 +750,7 @@ def test_sampled_blocks_stay_within_the_cell_budget(monkeypatch):
         {"task_id": f"t{i}", "dims": dims if i % 2 else [
             {**d, "K": 2} for d in dims]} for i in range(60)]}, seed=5)
     run_weight_perturbation(world, mode="sample", replicates=40)
-    list(run_ablation(world, plan_for_world(world, "sample", 60)))
+    list(run_ablation(world, "sample", 60))
     budget = _kernels._CHUNK_DRAWS
     hashes = [n_tasks * n_dims * len(draws) for _, draws, (n_tasks, n_dims, _) in calls]
     cdf_cells = [math.prod(shape) for _, _, shape in calls]
@@ -776,7 +767,7 @@ def test_run_weight_perturbation_rejects_bad_replicates(demo_world_config, repli
         with pytest.raises(BadConfig, match="replicates must be a positive integer"):
             run_weight_perturbation(world, mode=mode, replicates=replicates)
     with pytest.raises(BadConfig, match="replicates must be a positive integer"):
-        plan_for_world(world, "sample", replicates)
+        run_ablation(world, "sample", replicates)
 
 
 # -- a world is valid once built ----------------------------------------------
@@ -879,7 +870,7 @@ if HAVE_HYPOTHESIS:
         except IstError:
             return
         for mode in ("argmax", "sample"):
-            list(run_ablation(world, plan_for_world(world, mode, 2)))
+            list(run_ablation(world, mode, 2))
             run_weight_perturbation(world, mode=mode, replicates=2)
         tiil_check(world)
 

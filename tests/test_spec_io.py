@@ -14,6 +14,7 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from ist.errors import (
+    Inconsistent,
     SchemaError,
     SpecSyntaxError,
     UnknownDimension,
@@ -231,6 +232,13 @@ def test_compute_mask_unknown_dimension():
     spec = parse_intent_spec(minimal_spec_json())
     with pytest.raises(UnknownDimension):
         compute_mask(spec, Carrier("t1", frozenset({"nope"})))
+
+
+def test_compute_mask_rejects_another_tasks_carrier():
+    spec = parse_intent_spec(minimal_spec_json())
+    with pytest.raises(Inconsistent, match="carrier task 'other' does not "
+                                           "match spec task 't1'"):
+        compute_mask(spec, Carrier("other", frozenset({"what"})))
 
 
 # --- records ----------------------------------------------------------------
