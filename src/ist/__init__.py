@@ -5,6 +5,8 @@ The package is organized bottom-up:
 * model: weighted intent specs, carriers, masks, validation, flattening
 * spec_io: canonical JSON serialization and the record formats
 * metrics: encoding loss, s_icmw/f_icmw/drift, GA synthesis, split zone
+* priors: the world-config check pass and the (K, lambda) privacy label
+  rule, in pure Python
 * worlds: finite-alphabet prior simulation with derived seeds
 * infotheory: dense-enumeration entropy/MI, decoders, DPI, privacy
 * experiments: ablation and weight-perturbation harnesses

@@ -8,9 +8,12 @@ what the drift score is.
 
 build_audit_record resolves the privacy labels itself, in priority
 order: explicit hints in the spec, then oracle verdicts when a prior
-world is supplied, else "unlabeled". An unlabeled record has an empty
-private_at_risk list; absence of knowledge is reported as absence of
-knowledge, never guessed. The split zone uses the one metrics threshold,
+world is supplied, else "unlabeled". An oracle verdict is
+priors.privacy_label of the dimension's (K, lambda), read from a built
+SyntheticWorld or from the rows of priors.check_world_config, so
+labelling needs no world build and no numpy. An unlabeled record has an
+empty private_at_risk list; absence of knowledge is reported as absence
+of knowledge, never guessed. The split zone uses the one metrics threshold,
 SPLIT_ZONE_THRESHOLD, so a record read back is checked against its
 scores: d_drift, ga and split_zone must all follow from them.
 """
@@ -21,17 +24,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import SchemaError
-from .metrics import Matcher, bundle_for_output, detect_split_zone, synthesize_ga
-from .model import Carrier, IntentSpec, ValueRef, flatten
+from .errors import SchemaError, UnknownTask, UnknownVariable
+from .metrics import Matcher, _bundle_flat, detect_split_zone, synthesize_ga
+from .model import Carrier, FlatDimension, IntentSpec, ValueRef, flatten
 from .spec_io import (
     _check_keys,
     _get_number,
     _get_str,
+    _mask_flat,
     _read_jsonl,
     _require_obj,
     _write_jsonl,
-    compute_mask,
     dumps_canonical,
 )
 
@@ -67,20 +70,42 @@ def resolve_privacy_labels(spec: IntentSpec, world=None,
 
     Hints win when any dimension carries one; dimensions without a hint
     (or hinted "unknown") stay None and never count as at risk. With no
-    hints and a world given, every dimension gets an oracle verdict.
+    hints and a world given, every dimension gets an oracle label from
+    the (K, lambda) of its world dimension. world is a built
+    SyntheticWorld or the rows of priors.check_world_config.
     """
-    flat = flatten(spec)
+    return _labels_flat(spec.task_id, flatten(spec), world, theta_pub)
+
+
+def _labels_flat(task_id: str, flat: list[FlatDimension], world,
+                 theta_pub: float | None) -> tuple[dict[str, str | None], str]:
+    """resolve_privacy_labels on the spec's task id and flattened dimensions."""
     hinted = {d.id: d.privacy_hint for d in flat
               if d.privacy_hint in ("public", "private")}
     if hinted:
         return {d.id: hinted.get(d.id) for d in flat}, "hint"
-    if world is not None:
-        from .infotheory import THETA_PUB_DEFAULT, classify_privacy
-        theta = THETA_PUB_DEFAULT if theta_pub is None else theta_pub
-        labels = {d.id: classify_privacy(world, spec.task_id, d.id, theta).label
-                  for d in flat}
-        return labels, "oracle"
-    return {d.id: None for d in flat}, "unlabeled"
+    if world is None:
+        return {d.id: None for d in flat}, "unlabeled"
+    from .priors import THETA_PUB_DEFAULT, check_theta_pub, privacy_label
+    theta = THETA_PUB_DEFAULT if theta_pub is None else theta_pub
+    check_theta_pub(theta)
+    channels = _task_channels(world, task_id)
+    labels = {}
+    for d in flat:
+        if d.id not in channels:
+            raise UnknownVariable(d.id)
+        labels[d.id] = privacy_label(*channels[d.id], theta)[2]
+    return labels, "oracle"
+
+
+def _task_channels(world, task_id: str) -> dict[str, tuple[int, float]]:
+    """{dimension id: (K, lambda)} of one task of a world."""
+    if isinstance(world, list):  # check_world_config rows
+        for row_task_id, dims in world:
+            if row_task_id == task_id:
+                return {dim_id: (k, lam) for dim_id, _, k, lam in dims}
+        raise UnknownTask(task_id)
+    return {d.id: (d.k, d.lam) for d in world.task(task_id).dims}
 
 
 def build_audit_record(spec: IntentSpec,
@@ -95,10 +120,12 @@ def build_audit_record(spec: IntentSpec,
     """Assemble one audit record; deterministic given an explicit timestamp.
 
     Privacy labels come from resolve_privacy_labels(spec, world, theta_pub).
+    The spec is flattened once, and labels, mask and scores share it.
     """
-    labels, source = resolve_privacy_labels(spec, world, theta_pub)
-    mask = compute_mask(spec, carrier)
-    scores, bundle = bundle_for_output(spec, realized_values, mask, matcher)
+    flat = flatten(spec)
+    labels, source = _labels_flat(spec.task_id, flat, world, theta_pub)
+    mask = _mask_flat(spec.task_id, flat, carrier)
+    scores, bundle = _bundle_flat(flat, realized_values, mask, matcher)
     encoded = tuple(d for d, b in zip(mask.dims, mask.bits) if b == 1)
     absent = tuple(d for d, b in zip(mask.dims, mask.bits) if b == 0)
     at_risk = tuple(d for d in absent if labels[d] == "private")

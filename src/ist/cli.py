@@ -34,8 +34,7 @@ from .spec_io import (
 )
 
 # Past the parsing layer, each subcommand imports what it runs, so
-# validate, mask, score, report, demo and audit without --world never
-# load numpy.
+# validate, mask, score, report, demo and audit never load numpy.
 
 PROG = "ist"
 
@@ -158,7 +157,8 @@ def _audit(args, spec_path, carrier_path, output_path, lenient=False,
            world_path=None, seed=None, **thresholds):
     """Parse one (spec, carrier, output) triple, build its audit record
     with oracle labels from the world at world_path when given, and write
-    the record; returns it."""
+    the record; returns it. The world is only checked, never built: a
+    label needs just the (K, lambda) of its dimension."""
     from .audit import audit_record_to_obj, build_audit_record
 
     spec = parse_intent_spec(_read(spec_path), lenient=lenient)
@@ -169,8 +169,8 @@ def _audit(args, spec_path, carrier_path, output_path, lenient=False,
                         f"spec task {spec.task_id!r}")
     world = None
     if world_path:
-        from .worlds import load_world
-        world = load_world(world_path, seed)
+        from .priors import check_world_config, parse_world_config
+        world = check_world_config(parse_world_config(_read(world_path)), seed)[2]
     record = build_audit_record(spec, carrier, out_doc.realized_values, world,
                                 timestamp=args.timestamp, **thresholds)
     _write_out(args, dumps_canonical(audit_record_to_obj(record)) + "\n")
@@ -178,6 +178,8 @@ def _audit(args, spec_path, carrier_path, output_path, lenient=False,
 
 
 def cmd_audit(args) -> int:
+    if args.seed is not None and not args.world:
+        raise BadConfig("--seed applies only with --world")
     record = _audit(args, args.spec, args.carrier, args.output, args.lenient,
                     args.world, args.seed, theta_pub=args.theta_pub,
                     r_threshold=args.r_threshold, f_threshold=args.f_threshold)
@@ -201,17 +203,23 @@ def cmd_ablate(args) -> int:
 
     cfg = _experiment_config(args, "demo_world.json")
     replicates = cfg.replicates if args.replicates is None else args.replicates
-    records = list(run_ablation(cfg.world, args.mode or cfg.mode, replicates))
+    records = run_ablation(cfg.world, args.mode or cfg.mode, replicates)
     summaries = {}
-    # run_ablation yields each task's records as one run, in world order
-    for task_id, task_records in groupby(records, attrgetter("task_id")):
-        try:
-            summaries[task_id] = estimate_weights_by_ablation(task_records)
-        except IstError as e:
-            summaries[task_id] = None
-            _print_err(f"{task_id}: weights not estimable ({e})")
+
+    def estimated():
+        # run_ablation yields each task's records as one run, in world
+        # order: estimate each task's weights, then pass its records on
+        for task_id, task_records in groupby(records, attrgetter("task_id")):
+            task_records = list(task_records)
+            try:
+                summaries[task_id] = estimate_weights_by_ablation(task_records)
+            except IstError as e:
+                summaries[task_id] = None
+                _print_err(f"{task_id}: weights not estimable ({e})")
+            yield from task_records
+
+    write_records(args.out or sys.stdout, estimated())
     summary_text = dumps_canonical({"estimated_weights": summaries}) + "\n"
-    write_records(args.out or sys.stdout, records)
     if args.out:
         sys.stdout.write(summary_text)
     else:

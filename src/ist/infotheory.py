@@ -13,6 +13,12 @@ only the task-keyed random decoder per task. Its report is byte-identical
 to running the whole battery per dimension; the tests keep that per-
 dimension loop as the reference.
 
+A verdict's Bayes accuracy, chance level and label come from the one
+(K, lambda) label rule, priors.privacy_label, which sums in numpy's
+order without building the joint, so `ist audit --world` labels without
+numpy; the tests keep bayes_accuracy and chance_level on the joint as
+its reference. Mutual information is computed here, on the joint.
+
 Units are bits (log base 2) throughout.
 """
 
@@ -30,18 +36,14 @@ from .errors import (
     UnknownVariable,
     WorldTooLarge,
 )
+from .priors import CELL_CAP, THETA_PUB_DEFAULT, check_theta_pub, privacy_label
 from .rng import DECODER_STREAM, derive, uniform_index
-from .worlds import CELL_CAP, SyntheticWorld, WorldDim, _argmax_finds_user
+from .worlds import SyntheticWorld, WorldDim, _argmax_finds_user
 
 _SUM_TOL = 1e-9
 _MI_NEG_TOL = 1e-12  # per bit of entropy summed; see mutual_information
 _TERM_ULPS = 4  # rounding of one p log2 p term, in units of 2**-53
 DPI_TOL = 1e-9
-THETA_PUB_DEFAULT = 0.9
-# Public additionally requires clearing chance by this margin, so a world
-# where the best decoder is no better than blind guessing can never be
-# labeled public no matter how low theta_pub is set.
-CHANCE_FLOOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -367,26 +369,19 @@ class PrivacyVerdict:
     label: str  # public | private
 
 
-def _check_theta_pub(theta_pub: float) -> None:
-    if not 0.0 < theta_pub <= 1.0:
-        raise RangeError(f"theta_pub = {theta_pub}, outside (0, 1]")
-
-
 def _channel_verdict(dim: WorldDim, theta_pub: float,
                      ) -> tuple[DiscreteJoint, PrivacyVerdict]:
     """Sample-mode joint of the dimension's (K, lambda) channel and its verdict.
 
     The one channel evaluation behind classify_privacy and tiil_check;
-    the verdict depends on the dimension only through K and lambda.
+    the verdict depends on the dimension only through K and lambda, and
+    its accuracy, chance and label are privacy_label's.
     """
+    acc, chance, label = privacy_label(dim.k, dim.lam, theta_pub)
     joint = DiscreteJoint(("v", "y"), _regeneration_channel(dim.k, dim.lam, "sample"))
-    acc = bayes_accuracy(joint, "v", "y")
-    chance = chance_level(joint, "v")
     mi = mutual_information(joint, "v", "y")
-    public = acc >= theta_pub and acc >= chance + CHANCE_FLOOR
     return joint, PrivacyVerdict(dimension=dim.id, mi_bits=mi, bayes_accuracy=acc,
-                                 chance=chance,
-                                 label="public" if public else "private")
+                                 chance=chance, label=label)
 
 
 def classify_privacy(world: SyntheticWorld, task_id: str, dim_id: str,
@@ -398,7 +393,7 @@ def classify_privacy(world: SyntheticWorld, task_id: str, dim_id: str,
     (chance + 0.1); everything else is private. Relative to this world's
     prior, never an intrinsic property of the dimension.
     """
-    _check_theta_pub(theta_pub)
+    check_theta_pub(theta_pub)
     return _channel_verdict(_world_dim(world, task_id, dim_id), theta_pub)[1]
 
 
@@ -430,7 +425,7 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
     report lists dimensions in world order, with the same bytes as
     checking each dimension on its own.
     """
-    _check_theta_pub(theta_pub)
+    check_theta_pub(theta_pub)
     dims = [(task, dim) for task in world.tasks for dim in task.dims]
     by_channel: dict[tuple[int, float], list[int]] = {}
     for i, (_, dim) in enumerate(dims):

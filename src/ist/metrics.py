@@ -139,7 +139,13 @@ def score_output(spec: IntentSpec,
     the default matcher demands exact equality with the intended value.
     Keys not present in the spec are an error, not silently ignored.
     """
-    flat = flatten(spec)
+    return _score_flat(flatten(spec), realized_values, matcher)
+
+
+def _score_flat(flat: list[FlatDimension],
+                realized_values: Mapping[str, ValueRef],
+                matcher: Matcher | None) -> DimensionScores:
+    """score_output on the spec's flattened dimensions."""
     known = {d.id for d in flat}
     for key in realized_values:
         if key.lower() not in known:
@@ -189,7 +195,13 @@ def bundle_for_output(spec: IntentSpec,
                       matcher: Matcher | None = None,
                       ) -> tuple[DimensionScores, MetricBundle]:
     """Score then aggregate in one call; returns both layers."""
-    flat = flatten(spec)
-    weights = [d.weight for d in flat]
-    scores = score_output(spec, realized_values, matcher)
-    return scores, build_bundle(weights, scores, mask)
+    return _bundle_flat(flatten(spec), realized_values, mask, matcher)
+
+
+def _bundle_flat(flat: list[FlatDimension],
+                 realized_values: Mapping[str, ValueRef],
+                 mask: EncodingMask | None,
+                 matcher: Matcher | None) -> tuple[DimensionScores, MetricBundle]:
+    """bundle_for_output on the spec's flattened dimensions."""
+    scores = _score_flat(flat, realized_values, matcher)
+    return scores, build_bundle([d.weight for d in flat], scores, mask)

@@ -1,0 +1,255 @@
+"""World configs and (K, lambda) privacy labels, in pure Python.
+
+Two rules about synthetic prior worlds that need no world and no numpy:
+
+* check_world_config is the one check pass of a world config. It makes
+  every check a world build makes and returns the checked, normalized
+  rows, one (task_id, [(id, weight, K, lambda)]) per task, and
+  `ist audit --world` labels from them alone. It is check_world_fields
+  then check_flat_tasks, the rules of a flat intent spec. build_world
+  realizes the rows of check_world_fields into a SyntheticWorld, whose
+  constructor applies check_flat_tasks, so the rules run once there too.
+* privacy_label is the one public/private rule of a (K, lambda) channel.
+  It computes the channel's Bayes accuracy and chance level bit for bit
+  as infotheory's bayes_accuracy and chance_level compute them on the
+  numpy joint, by numpy's float64 pairwise summation, without building
+  the K x K table.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from typing import Iterator
+
+from .errors import BadConfig, IstError, RangeError, SpecSyntaxError, WorldTooLarge
+from .model import TOP_WEIGHT_TOL, normalize_weights
+from .spec_io import _check_keys, loads_strict
+
+# The most cells one table may hold: a dimension's alphabet (K) in a
+# world, a joint in infotheory.
+CELL_CAP = 10 ** 6
+THETA_PUB_DEFAULT = 0.9
+# Public additionally requires clearing chance by this margin, so a world
+# where the best decoder is no better than blind guessing can never be
+# labeled public no matter how low theta_pub is set.
+CHANCE_FLOOR = 0.1
+
+
+# ---------------------------------------------------------------------------
+# the world-config check pass
+# ---------------------------------------------------------------------------
+
+def parse_world_config(data: bytes | str) -> dict:
+    try:
+        doc = loads_strict(data)
+    except SpecSyntaxError as exc:
+        raise BadConfig(f"world config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BadConfig("world config must be a JSON object")
+    return doc
+
+
+def check_flat_tasks(tasks) -> None:
+    """The rules validate_spec applies to a flat spec, on (task_id,
+    dimension ids, weights) triples: a task id no other task uses;
+    non-empty dimension ids, distinct after lower-casing; weights in
+    [0, 1] whose fsum is within TOP_WEIGHT_TOL of 1 (a task without dims
+    fails the sum). Raises BadConfig naming tasks[i]."""
+    task_ids = set()
+    for task_ix, (task_id, ids, weights) in enumerate(tasks):
+        where = f"tasks[{task_ix}]"
+        if task_id in task_ids:
+            raise BadConfig(f"{where}: duplicate task_id {task_id!r}")
+        task_ids.add(task_id)
+        for dim_ix, (dim_id, weight) in enumerate(zip(ids, weights)):
+            if not dim_id:
+                raise BadConfig(f"{where}.dims[{dim_ix}]: empty dimension id")
+            if not 0.0 <= weight <= 1.0:
+                raise BadConfig(f"{where}.dims[{dim_ix}]: weight {weight!r} "
+                                "outside [0, 1]")
+        if len({i.lower() for i in ids}) != len(ids):
+            raise BadConfig(f"{where}: duplicate dimension ids")
+        total = math.fsum(weights)
+        if abs(total - 1.0) > TOP_WEIGHT_TOL:
+            raise BadConfig(f"{where}: weights sum to {total!r}, expected 1")
+
+
+def _check_channel(dim_cfg: dict, where: str) -> tuple[int, float]:
+    k = dim_cfg.get("K")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+        raise BadConfig(f"{where}: K must be an integer >= 2, got {k!r}")
+    if k > CELL_CAP:
+        raise BadConfig(f"{where}: K is larger than the cap of {CELL_CAP}")
+    lam = dim_cfg.get("lambda")
+    if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+        raise BadConfig(f"{where}: lambda must be a number, got {lam!r}")
+    if not 0 <= lam <= 1:  # exact for any int, false for NaN
+        raise BadConfig(f"{where}: lambda must be in [0, 1], got {lam!r}")
+    return k, float(lam)
+
+
+def check_world_config(config: dict, seed: int | None = None,
+                       ) -> tuple[int, str, list]:
+    """(seed, tag, rows) of a valid world config, else BadConfig.
+
+    Config shape: {"tasks": [{"task_id", "dims": [{"id", "weight", "K",
+    "lambda"}]}], "seed"?, "tag"?}; any other field is rejected. An
+    explicit seed argument wins over the config's. rows holds one
+    (task_id, [(id, weight, K, lambda)]) per task, ids lower-cased and
+    weights normalized. Every task's field, weight, K and lambda checks
+    come before the flat-spec rules of check_flat_tasks.
+    """
+    seed, tag, rows = check_world_fields(config, seed)
+    rows = list(rows)
+    check_flat_tasks((task_id, [d[0] for d in dims], [d[1] for d in dims])
+                     for task_id, dims in rows)
+    return seed, tag, rows
+
+
+def check_world_fields(config: dict, seed: int | None = None,
+                       ) -> tuple[int, str, Iterator]:
+    """check_world_config up to the flat-spec rules, which a built
+    SyntheticWorld applies itself. The top-level fields are checked here;
+    each task's row is checked as it is taken, so a world build holds one
+    task's row at a time."""
+    if not isinstance(config, dict):
+        raise BadConfig(f"config must be an object, got {type(config).__name__}")
+    _check_keys(config, "world config", (), ("tasks", "seed", "tag"), False)
+    if seed is None:
+        seed = config.get("seed")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise BadConfig(f"seed must be an integer, got {seed!r}")
+    tag = config.get("tag", "synthetic")
+    if not isinstance(tag, str) or not tag:
+        raise BadConfig(f"tag must be a non-empty string, got {tag!r}")
+    raw_tasks = config.get("tasks")
+    if not isinstance(raw_tasks, list) or not raw_tasks:
+        raise BadConfig("config needs a non-empty 'tasks' array")
+    return seed, tag, _task_rows(raw_tasks)
+
+
+def _task_rows(raw_tasks: list) -> Iterator[tuple[str, list]]:
+    for task_ix, t in enumerate(raw_tasks):
+        where = f"tasks[{task_ix}]"
+        if not isinstance(t, dict) or not isinstance(t.get("task_id"), str):
+            raise BadConfig(f"{where}: needs a string task_id")
+        _check_keys(t, where, (), ("task_id", "dims"), False)
+        raw_dims = t.get("dims")
+        if not isinstance(raw_dims, list) or not raw_dims:
+            raise BadConfig(f"{where}: needs a non-empty 'dims' array")
+        raw_weights = []
+        for dim_ix, d in enumerate(raw_dims):
+            if not isinstance(d, dict) or not isinstance(d.get("id"), str):
+                raise BadConfig(f"{where}.dims[{dim_ix}]: needs a string id")
+            _check_keys(d, f"{where}.dims[{dim_ix}]", (),
+                        ("id", "weight", "K", "lambda"), False)
+            w = d.get("weight")
+            if isinstance(w, bool) or not isinstance(w, (int, float)) \
+                    or not abs(w) <= sys.float_info.max:
+                raise BadConfig(f"{where}.dims[{dim_ix}]: weight must be a finite number")
+            raw_weights.append(float(w))
+        total = math.fsum(raw_weights)
+        if abs(total - 1.0) > TOP_WEIGHT_TOL:
+            raise BadConfig(f"{where}: weights sum to {total!r}, expected 1")
+        try:
+            weights = normalize_weights(raw_weights)
+        except IstError as e:
+            raise BadConfig(f"{where}: {e}") from None
+        yield t["task_id"], [
+            (d["id"].lower(), w, *_check_channel(d, f"{where}.dims[{dim_ix}]"))
+            for dim_ix, (d, w) in enumerate(zip(raw_dims, weights))]
+
+
+# ---------------------------------------------------------------------------
+# the (K, lambda) label rule
+# ---------------------------------------------------------------------------
+
+_PW_BLOCK = 128  # numpy's PW_BLOCKSIZE: the largest sum one leaf adds
+
+
+def _leaf_sum(xs: list) -> float:
+    """numpy's float64 pairwise sum of at most _PW_BLOCK values: a plain
+    loop below 8, else eight accumulators, combined as a tree, then the
+    rest in a plain loop."""
+    n = len(xs)
+    if n < 8:
+        res = 0.0
+        for x in xs:
+            res += x
+        return res
+    r = xs[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        for j in range(8):
+            r[j] += xs[i + j]
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[tail:]:
+        res += x
+    return res
+
+
+def _split(n: int) -> int:
+    # half, rounded down to a multiple of the 8 accumulators
+    return n // 2 - n // 2 % 8
+
+
+def _pairwise_sum(xs: list) -> float:
+    """numpy's float64 sum of xs, as np.add.reduce computes it."""
+    if len(xs) <= _PW_BLOCK:
+        return _leaf_sum(xs)
+    n2 = _split(len(xs))
+    return _pairwise_sum(xs[:n2]) + _pairwise_sum(xs[n2:])
+
+
+def _max_row_sum(n: int, off: float, diag: float) -> float:
+    """Max over p of the pairwise sum of n cells, all off but cell p,
+    which is diag: the largest row sum of a table with off off the
+    diagonal.
+
+    Rounding is monotone, so a node's largest sum is the larger of its
+    left child's largest plus its right child's all-off sum and the
+    reverse. In a leaf's eight-accumulator part only diag's step matters,
+    not its accumulator, since all accumulators hold equal values and are
+    combined symmetrically; so only the cells of accumulator 0 and those
+    of the plain tail are tried.
+    """
+    if n > _PW_BLOCK:
+        n2 = _split(n)
+        return max(_max_row_sum(n2, off, diag) + _pairwise_sum([off] * (n - n2)),
+                   _pairwise_sum([off] * n2) + _max_row_sum(n - n2, off, diag))
+    tail = n - n % 8 if n >= 8 else 0
+    row = [off] * n
+    best = 0.0
+    for p in [*range(0, tail, 8), *range(tail, n)]:
+        row[p] = diag
+        best = max(best, _leaf_sum(row))
+        row[p] = off
+    return best
+
+
+def check_theta_pub(theta_pub: float) -> None:
+    if not 0.0 < theta_pub <= 1.0:
+        raise RangeError(f"theta_pub = {theta_pub}, outside (0, 1]")
+
+
+def privacy_label(k: int, lam: float, theta_pub: float,
+                  ) -> tuple[float, float, str]:
+    """(Bayes accuracy, chance, label) of the sampled (K, lambda) channel.
+
+    The channel's joint has base/K off the diagonal and (base + lam)/K on
+    it, with base = (1 - lam)/K. Bayes accuracy sums the K column maxima,
+    chance is the largest row sum, each by numpy's summation order, so
+    both equal infotheory's bayes_accuracy and chance_level on that
+    joint. Public means accuracy at least theta_pub and at least
+    chance + CHANCE_FLOOR; a channel with K*K > CELL_CAP raises
+    WorldTooLarge, as its joint would.
+    """
+    if k * k > CELL_CAP:
+        raise WorldTooLarge(k * k, CELL_CAP)
+    base = (1.0 - lam) / k
+    off, diag = base / k, (base + lam) / k
+    acc = _pairwise_sum([diag] * k)
+    chance = _max_row_sum(k, off, diag)
+    public = acc >= theta_pub and acc >= chance + CHANCE_FLOOR
+    return acc, chance, "public" if public else "private"

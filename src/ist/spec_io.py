@@ -45,6 +45,7 @@ from .model import (
     Carrier,
     Dimension,
     EncodingMask,
+    FlatDimension,
     IntentSpec,
     TOP_WEIGHT_TOL,
     ValueRef,
@@ -349,10 +350,15 @@ def serialize_carrier(carrier: Carrier) -> bytes:
 def compute_mask(spec: IntentSpec, carrier: Carrier) -> EncodingMask:
     """Bit per flattened dimension: 1 exactly when the carrier encodes it.
     The carrier must be for the spec's task."""
-    if carrier.task_id != spec.task_id:
+    return _mask_flat(spec.task_id, flatten(spec), carrier)
+
+
+def _mask_flat(task_id: str, flat: list[FlatDimension],
+               carrier: Carrier) -> EncodingMask:
+    """compute_mask on the spec's task id and flattened dimensions."""
+    if carrier.task_id != task_id:
         raise Inconsistent(f"carrier task {carrier.task_id!r} does not match "
-                           f"spec task {spec.task_id!r}")
-    flat = flatten(spec)
+                           f"spec task {task_id!r}")
     ids = [f.id for f in flat]
     known = set(ids)
     for dim_id in carrier.encoded_dimensions:

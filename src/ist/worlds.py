@@ -15,12 +15,15 @@ index) or by sampling. Slots are always filled, so structure is always
 perfect and only fidelity varies.
 
 A SyntheticWorld is valid once it is built. Its constructor applies the
-rules of a flat intent spec to every task (a task id no other task uses;
-non-empty dimension ids, distinct after lower-casing; weights in [0, 1]
-whose fsum is within model.TOP_WEIGHT_TOL of 1, so at least one
-dimension) and raises BadConfig naming tasks[i]. build_world also
-rejects unknown fields and non-finite weights. Nothing that runs on a
-world checks it again.
+rules of a flat intent spec to every task (priors.check_flat_tasks: a
+task id no other task uses; non-empty dimension ids, distinct after
+lower-casing; weights in [0, 1] whose fsum is within
+model.TOP_WEIGHT_TOL of 1, so at least one dimension) and raises
+BadConfig naming tasks[i]. build_world realizes the rows of
+priors.check_world_fields, which rejects unknown fields, bad K and
+lambda and non-finite weights, so with the constructor's rules it makes
+the one check pass, priors.check_world_config, and no check of its own.
+Nothing that runs on a world checks it again.
 
 The record engine simulates outputs in bulk: draws never depend on the
 mask, so the draws of a block of tasks are hashed together, one
@@ -37,7 +40,6 @@ is no shared PRNG state and calls are safe to run in any order.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, groupby
@@ -47,17 +49,11 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import (BadConfig, IstError, LengthMismatch, SpecSyntaxError,
-                     UnknownTask)
+from .errors import BadConfig, LengthMismatch, UnknownTask
 from .metrics import weighted_sum
-from .model import (TOP_WEIGHT_TOL, Dimension, EncodingMask, IntentSpec,
-                    ValueRef, normalize_weights)
+from .model import Dimension, EncodingMask, IntentSpec, ValueRef
+from .priors import check_flat_tasks, check_world_fields, parse_world_config
 from .rng import USER_VALUE_STREAM, derive, uniform_index
-from .spec_io import _check_keys, loads_strict
-
-# The most cells one table may hold: a dimension's alphabet (K) here, a
-# joint in infotheory.
-CELL_CAP = 10 ** 6
 
 
 def token(index: int) -> str:
@@ -108,25 +104,7 @@ class SyntheticWorld:
     tasks: tuple[WorldTask, ...]
 
     def __post_init__(self):
-        # the rules validate_spec applies to a flat spec, on the dims (a
-        # task without dims fails the weight sum)
-        task_ids = set()
-        for task_ix, task in enumerate(self.tasks):
-            where = f"tasks[{task_ix}]"
-            if task.task_id in task_ids:
-                raise BadConfig(f"{where}: duplicate task_id {task.task_id!r}")
-            task_ids.add(task.task_id)
-            for dim_ix, d in enumerate(task.dims):
-                if not d.id:
-                    raise BadConfig(f"{where}.dims[{dim_ix}]: empty dimension id")
-                if not 0.0 <= d.weight <= 1.0:
-                    raise BadConfig(f"{where}.dims[{dim_ix}]: weight {d.weight!r} "
-                                    "outside [0, 1]")
-            if len({d.id.lower() for d in task.dims}) != len(task.dims):
-                raise BadConfig(f"{where}: duplicate dimension ids")
-            total = math.fsum(task.weights)
-            if abs(total - 1.0) > TOP_WEIGHT_TOL:
-                raise BadConfig(f"{where}: weights sum to {total!r}, expected 1")
+        check_flat_tasks((t.task_id, t.dim_ids, t.weights) for t in self.tasks)
 
     @cached_property
     def _tasks_by_id(self) -> dict[str, WorldTask]:
@@ -149,89 +127,31 @@ class SimulatedOutput:
 # construction
 # ---------------------------------------------------------------------------
 
-def _build_dim(dim_cfg: dict, weight: float, task_ix: int, dim_ix: int,
-               seed: int, where: str) -> WorldDim:
-    k = dim_cfg.get("K")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise BadConfig(f"{where}: K must be an integer >= 2, got {k!r}")
-    if k > CELL_CAP:
-        raise BadConfig(f"{where}: K is larger than the cap of {CELL_CAP}")
-    lam = dim_cfg.get("lambda")
-    if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-        raise BadConfig(f"{where}: lambda must be a number, got {lam!r}")
-    if not 0 <= lam <= 1:  # exact for any int, false for NaN
-        raise BadConfig(f"{where}: lambda must be in [0, 1], got {lam!r}")
-    lam = float(lam)
+def _build_dim(dim_id: str, weight: float, k: int, lam: float, task_ix: int,
+               dim_ix: int, seed: int) -> WorldDim:
     user_index = uniform_index(derive(seed, USER_VALUE_STREAM, task_ix, dim_ix), k)
     prior = [(1.0 - lam) / k] * k
     prior[user_index] += lam
     cdf = list(accumulate(prior))
     cdf[-1] = 1.0  # kill accumulated rounding at the top end
-    return WorldDim(
-        id=str(dim_cfg["id"]).lower(),
-        weight=weight,
-        k=k,
-        lam=lam,
-        user_index=user_index,
-        prior=tuple(prior),
-        cdf=tuple(cdf),
-    )
+    return WorldDim(id=dim_id, weight=weight, k=k, lam=lam,
+                    user_index=user_index, prior=tuple(prior), cdf=tuple(cdf))
 
 
 def build_world(config: dict, seed: int | None = None) -> SyntheticWorld:
-    """Deterministically instantiate a world from its config dict.
+    """Deterministically instantiate a world from its config dict: the
+    rows of priors.check_world_fields(config, seed), realized; the world
+    then applies the flat-spec rules."""
+    seed, tag, rows = check_world_fields(config, seed)
+    return SyntheticWorld(seed=seed, tag=tag, tasks=tuple(
+        WorldTask(task_id=task_id, index=task_ix, dims=tuple(
+            _build_dim(*dim, task_ix, dim_ix, seed)
+            for dim_ix, dim in enumerate(dims)))
+        for task_ix, (task_id, dims) in enumerate(rows)))
 
-    Config shape: {"tasks": [{"task_id", "dims": [{"id", "weight", "K",
-    "lambda"}]}], "seed"?, "tag"?}; any other field is rejected. An
-    explicit seed argument wins over the config's.
-    """
-    if not isinstance(config, dict):
-        raise BadConfig(f"config must be an object, got {type(config).__name__}")
-    _check_keys(config, "world config", (), ("tasks", "seed", "tag"), False)
-    if seed is None:
-        seed = config.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise BadConfig(f"seed must be an integer, got {seed!r}")
-    tag = config.get("tag", "synthetic")
-    if not isinstance(tag, str) or not tag:
-        raise BadConfig(f"tag must be a non-empty string, got {tag!r}")
-    raw_tasks = config.get("tasks")
-    if not isinstance(raw_tasks, list) or not raw_tasks:
-        raise BadConfig("config needs a non-empty 'tasks' array")
 
-    tasks = []
-    for task_ix, t in enumerate(raw_tasks):
-        where = f"tasks[{task_ix}]"
-        if not isinstance(t, dict) or not isinstance(t.get("task_id"), str):
-            raise BadConfig(f"{where}: needs a string task_id")
-        _check_keys(t, where, (), ("task_id", "dims"), False)
-        raw_dims = t.get("dims")
-        if not isinstance(raw_dims, list) or not raw_dims:
-            raise BadConfig(f"{where}: needs a non-empty 'dims' array")
-        raw_weights = []
-        for dim_ix, d in enumerate(raw_dims):
-            if not isinstance(d, dict) or not isinstance(d.get("id"), str):
-                raise BadConfig(f"{where}.dims[{dim_ix}]: needs a string id")
-            _check_keys(d, f"{where}.dims[{dim_ix}]", (),
-                        ("id", "weight", "K", "lambda"), False)
-            w = d.get("weight")
-            if isinstance(w, bool) or not isinstance(w, (int, float)) \
-                    or not abs(w) <= sys.float_info.max:
-                raise BadConfig(f"{where}.dims[{dim_ix}]: weight must be a finite number")
-            raw_weights.append(float(w))
-        total = math.fsum(raw_weights)
-        if abs(total - 1.0) > 1e-6:
-            raise BadConfig(f"{where}: weights sum to {total!r}, expected 1")
-        try:
-            weights = normalize_weights(raw_weights)
-        except IstError as e:
-            raise BadConfig(f"{where}: {e}") from None
-        dims = tuple(
-            _build_dim(d, weights[dim_ix], task_ix, dim_ix, seed,
-                       f"{where}.dims[{dim_ix}]")
-            for dim_ix, d in enumerate(raw_dims))
-        tasks.append(WorldTask(task_id=t["task_id"], index=task_ix, dims=dims))
-    return SyntheticWorld(seed=seed, tag=tag, tasks=tuple(tasks))
+def load_world(path, seed: int | None = None) -> SyntheticWorld:
+    return build_world(parse_world_config(Path(path).read_bytes()), seed)
 
 
 def to_intent_spec(task: WorldTask, task_type: str = "synthetic") -> IntentSpec:
@@ -493,21 +413,3 @@ def mc_mean_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     _check_mask(task, mask)
     draws, pieces = next(_task_draws(world, [task], [n], "sample"))
     return draws.mean_f_icmw(np.array([mask.bits]), pieces, n)[0]
-
-
-# ---------------------------------------------------------------------------
-# config parsing (JSON side)
-# ---------------------------------------------------------------------------
-
-def parse_world_config(data: bytes | str) -> dict:
-    try:
-        doc = loads_strict(data)
-    except SpecSyntaxError as exc:
-        raise BadConfig(f"world config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise BadConfig("world config must be a JSON object")
-    return doc
-
-
-def load_world(path, seed: int | None = None) -> SyntheticWorld:
-    return build_world(parse_world_config(Path(path).read_bytes()), seed)

@@ -3,6 +3,10 @@ import re
 
 import pytest
 
+import ist.audit
+import ist.metrics
+import ist.model
+import ist.spec_io
 from ist.audit import (
     Aggregate,
     aggregate_records,
@@ -15,9 +19,12 @@ from ist.audit import (
     resolve_privacy_labels,
     write_audit_records,
 )
-from ist.errors import Inconsistent, SchemaError
-from ist.model import Carrier, Dimension, IntentSpec, ValueRef
-from ist.worlds import build_world
+from ist.errors import (Inconsistent, RangeError, SchemaError, UnknownTask,
+                        UnknownVariable, WorldTooLarge)
+from ist.infotheory import classify_privacy
+from ist.model import Carrier, Dimension, IntentSpec, ValueRef, flatten
+from ist.priors import check_world_config
+from ist.worlds import build_world, to_intent_spec
 
 TS = "2026-08-15T00:00:00Z"
 
@@ -115,7 +122,6 @@ def test_unlabeled_never_flags_risk():
 def test_oracle_labels_from_world(demo_world_config):
     world = build_world(demo_world_config)
     task = world.tasks[0]
-    from ist.worlds import to_intent_spec
     spec = to_intent_spec(task)
     labels, source = resolve_privacy_labels(spec, world=world)
     assert source == "oracle"
@@ -127,6 +133,61 @@ def test_oracle_labels_from_world(demo_world_config):
         world=world, timestamp=TS)
     assert rec.privacy_source == "oracle"
     assert set(rec.private_at_risk) == {"why", "who", "how_to", "how_feel"}
+
+
+def test_oracle_labels_from_checked_rows_equal_the_built_world(demo_world_config):
+    # rows of the check pass label alike to a built world, and to the
+    # numpy verdict of classify_privacy
+    world = build_world(demo_world_config)
+    rows = check_world_config(demo_world_config)[2]
+    spec = to_intent_spec(world.tasks[0])
+    for theta in (None, 0.5, 0.99):
+        got = resolve_privacy_labels(spec, rows, theta)
+        assert got == resolve_privacy_labels(spec, world, theta)
+        assert got[0] == {d.id: classify_privacy(world, spec.task_id, d.id,
+                                                 theta or 0.9).label
+                          for d in spec.dimensions}
+
+
+def test_oracle_label_errors_keep_their_order():
+    # theta, then the task, then each dimension: unknown, then too large
+    config = {"seed": 1, "tasks": [{"task_id": "t", "dims": [
+        {"id": "big", "weight": 0.5, "K": 1001, "lambda": 0.5},
+        {"id": "d", "weight": 0.5, "K": 4, "lambda": 0.5}]}]}
+    spec = IntentSpec(task_id="t", task_type="report", dimensions=tuple(
+        Dimension(id=d, weight=0.5, intended_value=ValueRef.token("v0"))
+        for d in ("big", "other")))
+    stranger = IntentSpec(task_id="nope", task_type="report",
+                          dimensions=spec.dimensions)
+    narrow = IntentSpec(task_id="t", task_type="report", dimensions=tuple(
+        Dimension(id=d, weight=0.5, intended_value=ValueRef.token("v0"))
+        for d in ("other", "big")))
+    for world in (build_world(config), check_world_config(config)[2]):
+        with pytest.raises(RangeError):
+            resolve_privacy_labels(stranger, world, 1.5)
+        with pytest.raises(UnknownTask):
+            resolve_privacy_labels(stranger, world)
+        with pytest.raises(UnknownVariable, match="'other'"):
+            resolve_privacy_labels(narrow, world)
+        with pytest.raises(WorldTooLarge):
+            resolve_privacy_labels(spec, world)
+
+
+def test_build_audit_record_flattens_the_spec_once(monkeypatch, demo_world_config):
+    calls = []
+
+    def counting_flatten(spec):
+        calls.append(spec.task_id)
+        return flatten(spec)
+    for module in (ist.audit, ist.metrics, ist.model, ist.spec_io):
+        monkeypatch.setattr(module, "flatten", counting_flatten)
+    world = build_world(demo_world_config)
+    oracle_spec = to_intent_spec(world.tasks[0])
+    for spec, world in ((five_dim_spec(), None), (oracle_spec, world)):
+        calls.clear()
+        build_audit_record(spec, carrier_for(spec, ["what"]),
+                           generic_fill(spec, {"what"}), world, timestamp=TS)
+        assert calls == [spec.task_id]
 
 
 def test_hints_beat_world(demo_world_config):

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import ist.cli
+import ist.experiments
 import ist.model
 from ist.audit import audit_record_from_obj
 from ist.cli import build_parser, main
@@ -19,7 +21,7 @@ from ist.spec_io import (
 )
 from ist.worlds import build_world, to_intent_spec
 
-from conftest import DATA, SRC, run_ist
+from conftest import DATA, SRC, TESTS_DATA, run_ist
 
 TS = "2026-08-15T00:00:00Z"
 
@@ -380,6 +382,22 @@ def test_audit_labels_a_flat_k_331_dimension_private(capsys, tmp_path):
     assert rec.private_at_risk == ("d",)
 
 
+def test_audit_seed_needs_a_world(capsys, data_dir, tmp_path):
+    triple = packaged_args("audit", capsys, data_dir, tmp_path)
+    code, out, err = run(capsys, "audit", *triple, "--seed", "5")
+    assert (code, out, err) == (2, "", "error: --seed applies only with --world\n")
+    # with --world it is the world's seed, which a config may leave out
+    config = json.loads((data_dir / "demo_world.json").read_text())
+    del config["seed"]
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(config))
+    code, out, err = run(capsys, "audit", *triple, "--world", str(world))
+    assert (code, out, err) == (2, "", "error: seed must be an integer, got None\n")
+    code, out, _ = run(capsys, "audit", *triple, "--world", str(world), "--seed", "5")
+    assert code == 1
+    assert json.loads(out)["privacy_source"] == "hint"
+
+
 # -- world configs: one set of rules, the same error in every subcommand ----
 
 def world_dims(*dims):
@@ -410,6 +428,13 @@ BAD_WORLDS = {
         {"id": "a", "weight": 1e309, "K": 4, "lambda": 0.5},
         {"id": "b", "weight": -1e309, "K": 4, "lambda": 0.5}]}]}""",
         "tasks[0].dims[0]: weight must be a finite number"),
+    # every task's field, K and lambda checks come before the flat-spec
+    # rules: the duplicate ids of tasks[0] and the duplicate task id of
+    # tasks[1] go unreported
+    "faults-in-two-tasks": ({"tasks": [
+        {"task_id": "t", "dims": world_dims(("a", 0.5, {}), ("A", 0.5, {}))},
+        {"task_id": "t", "dims": world_dims(("b", 1.0, {"lambda": 2}))}]},
+        "tasks[1].dims[0]: lambda must be in [0, 1], got 2"),
 }
 
 
@@ -567,6 +592,35 @@ def test_ablate_with_config(capsys, tmp_path):
     assert code == 0
     weights = json.loads(out)["estimated_weights"]["w"]
     assert abs(weights["a"] - 0.7) < 1e-9 and abs(weights["b"] - 0.3) < 1e-9
+
+
+def test_ablate_writes_a_tasks_records_before_the_last_task_is_simulated(
+        capsys, monkeypatch, tmp_path):
+    events = []
+    task_draws = ist.experiments._task_draws
+
+    def logged_task_draws(*args):
+        for draws, pieces in task_draws(*args):
+            events.append(("simulate", draws.task.task_id))
+            yield draws, pieces
+
+    def logged_writer(dest, records):
+        n = 0
+        for rec in records:
+            events.append(("write", rec.task_id))
+            n += 1
+        return n
+    monkeypatch.setattr(ist.experiments, "_task_draws", logged_task_draws)
+    monkeypatch.setattr(ist.cli, "write_records", logged_writer)
+    code, out, _ = run(capsys, "ablate", "--config",
+                       str(TESTS_DATA / "mixed_experiment.json"),
+                       "--out", str(tmp_path / "r.jsonl"))
+    assert code == 0
+    tasks = [task_id for kind, task_id in events if kind == "simulate"]
+    assert len(tasks) == 14
+    assert events.index(("write", tasks[0])) < events.index(("simulate", tasks[-1]))
+    # every task's estimate is still in the summary, in world order
+    assert list(json.loads(out)["estimated_weights"]) == tasks
 
 
 # -- perturb -----------------------------------------------------------------

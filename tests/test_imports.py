@@ -1,5 +1,6 @@
-"""Import boundary: the light subcommands run without numpy, and the
-package's public names load lazily from one export table."""
+"""Import boundary: the light subcommands, and audit with a world, run
+without numpy, and the package's public names load lazily from one
+export table."""
 
 import importlib
 import json
@@ -12,6 +13,8 @@ import pytest
 
 import ist
 from ist.cli import main
+from ist.spec_io import serialize_intent_spec
+from ist.worlds import load_world, to_intent_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "ist" / "data"
@@ -61,10 +64,28 @@ def test_light_subcommands_do_not_import_numpy(command, records):
     assert run_child(command, *args) == {"code": code, "numpy": False}
 
 
-def test_audit_with_a_world_imports_numpy():
-    got = run_child("audit", *TRIPLE, "--timestamp", TS,
+def oracle_triple(tmp_path) -> list[str]:
+    """A hint-free triple for the packaged world's task whose output is
+    faithful, so its labels come from the world and the gate passes."""
+    spec = to_intent_spec(load_world(DATA / "demo_world.json").tasks[0])
+    paths = [tmp_path / f"{name}.json" for name in ("spec", "carrier", "output")]
+    paths[0].write_bytes(serialize_intent_spec(spec))
+    paths[1].write_text(json.dumps({"task_id": spec.task_id,
+                                    "encoded_dimensions": ["what", "when"]}))
+    paths[2].write_text(json.dumps({"task_id": spec.task_id, "realized_values": {
+        d.id: {"kind": "token", "value": d.intended_value.value}
+        for d in spec.dimensions}}))
+    return [arg for flag, path in zip(("--spec", "--carrier", "--output"), paths)
+            for arg in (flag, str(path))]
+
+
+@pytest.mark.parametrize("triple", ["hinted", "oracle"])
+def test_audit_with_a_world_does_not_import_numpy(tmp_path, triple):
+    # the world is checked, not built, and labels come from (K, lambda)
+    args, code = (TRIPLE, 1) if triple == "hinted" else (oracle_triple(tmp_path), 0)
+    got = run_child("audit", *args, "--timestamp", TS,
                     "--world", str(DATA / "demo_world.json"))
-    assert got == {"code": 1, "numpy": True}
+    assert got == {"code": code, "numpy": False}
 
 
 def test_every_public_name_resolves_lazily():

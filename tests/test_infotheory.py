@@ -12,7 +12,6 @@ from ist.errors import (
     WorldTooLarge,
 )
 from ist.infotheory import (
-    CHANCE_FLOOR,
     DPI_TOL,
     DiscreteJoint,
     apply_decoder,
@@ -30,6 +29,7 @@ from ist.infotheory import (
     tiil_check,
     verify_dpi,
 )
+from ist.priors import CHANCE_FLOOR, privacy_label
 from ist.rng import derive
 from ist.spec_io import dumps_canonical
 from ist.worlds import build_world
@@ -488,3 +488,47 @@ def test_tiil_check_rejects_bad_theta():
     for theta in (0.0, -0.5, 1.5, float("nan")):
         with pytest.raises(RangeError):
             tiil_check(world, theta_pub=theta)
+
+
+# -- the (K, lambda) label rule against the numpy verdict --------------------
+
+EDGE_LAMBDAS = (0.0, 5e-324, 1e-300, 1e-17, 1e-12, 1e-9, 1.0 - 1e-16, 1.0)
+
+
+def numpy_verdict(k, lam):
+    """Accuracy and chance on the dense numpy joint, and the label rule on
+    them as a function of theta: the reference."""
+    joint = DiscreteJoint(("v", "y"), prior_loop_channel(k, lam, "sample"))
+    acc = bayes_accuracy(joint, "v", "y")
+    chance = chance_level(joint, "v")
+
+    def label(theta_pub):
+        public = acc >= theta_pub and acc >= chance + CHANCE_FLOOR
+        return "public" if public else "private"
+    return acc, chance, label
+
+
+def label_rule_cases():
+    rng = random.Random(14)
+    ks = [*range(2, 131), *sorted(rng.sample(range(131, 1000), 10)), 1000]
+    for k in ks:
+        for lam in (*EDGE_LAMBDAS, rng.random(), rng.random() ** 8):
+            yield k, lam
+
+
+def test_privacy_label_equals_the_numpy_verdict_bit_for_bit():
+    for k, lam in label_rule_cases():
+        acc, chance, label = numpy_verdict(k, lam)
+        # theta exactly at the accuracy (public iff clear of chance) and
+        # exactly at the chance floor
+        for theta in (acc, chance + CHANCE_FLOOR):
+            got = privacy_label(k, lam, theta)
+            assert [x.hex() for x in got[:2]] == [acc.hex(), chance.hex()], (k, lam)
+            assert got[2] == label(theta), (k, lam, theta)
+
+
+def test_privacy_label_refuses_k_past_the_cell_cap():
+    assert privacy_label(1000, 0.5, 0.9)[2] == "private"
+    with pytest.raises(WorldTooLarge, match=r"^enumeration would need 1002001 "
+                                            r"cells \(cap 1000000\)$"):
+        privacy_label(1001, 0.5, 0.9)

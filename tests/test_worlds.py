@@ -15,9 +15,9 @@ from ist import _kernels
 from ist.errors import BadConfig, LengthMismatch, UnknownTask
 from ist.metrics import bundle_for_output, score_output, weighted_sum
 from ist.model import EncodingMask, ValueRef, validate_spec
+from ist.priors import CELL_CAP, check_world_config
 from ist.rng import SAMPLE_STREAM, derive, unit_float
 from ist.worlds import (
-    CELL_CAP,
     _argmax_match_prob,
     build_world,
     expected_f_icmw,
@@ -94,6 +94,31 @@ def test_k_is_bounded_by_the_cell_cap():
     for k in (CELL_CAP + 1, 10 ** 400):
         with pytest.raises(BadConfig, match=r"tasks\[0\]\.dims\[0\]: K is larger"):
             build_world(one_dim_config(0.5, k), seed=1)
+
+
+def test_check_pass_rows_are_the_built_world(grid_config):
+    seed, tag, rows = check_world_config(grid_config, seed=3)
+    world = build_world(grid_config, seed=3)
+    assert (seed, tag) == (world.seed, world.tag)
+    assert rows == [(t.task_id, [(d.id, d.weight, d.k, d.lam) for d in t.dims])
+                    for t in world.tasks]
+
+
+def test_check_pass_reports_field_faults_before_the_flat_spec_rules():
+    # tasks[0] repeats a dimension id and tasks[1] its task id, but the bad
+    # K of tasks[2] is the first error, from the check pass and the build
+    config = {"seed": 1, "tasks": [
+        {"task_id": "t", "dims": [{"id": "a", "weight": 0.5, "K": 4, "lambda": 0.5},
+                                  {"id": "A", "weight": 0.5, "K": 4, "lambda": 0.5}]},
+        {"task_id": "t", "dims": [{"id": "b", "weight": 1.0, "K": 4, "lambda": 0.5}]},
+        {"task_id": "u", "dims": [{"id": "c", "weight": 1.0, "K": 1, "lambda": 0.5}]}]}
+    for check in (check_world_config, build_world):
+        with pytest.raises(BadConfig, match=r"^tasks\[2\]\.dims\[0\]: K must "
+                                            r"be an integer >= 2, got 1$"):
+            check(config)
+        fixed = {**config, "tasks": config["tasks"][:2]}
+        with pytest.raises(BadConfig, match=r"^tasks\[0\]: duplicate dimension ids$"):
+            check(fixed)
 
 
 def test_build_world_deterministic():
