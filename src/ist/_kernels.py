@@ -1,13 +1,13 @@
 """Hot numeric loops: Shannon entropy, token sampling, a match counter.
 
-Entropy is a running sum over a dense probability table, returned as a
-Python float. sample_block is the one draw-to-token rule: one rng.derive
-call hashes a whole (task, dim, draw) grid, and one bisect over the
-CDFs, padded with +inf to a common K, picks every token. The record
-engine of worlds, behind the experiments, simulate_output and every
-mean-fidelity estimate, samples through it, and so does match_counts, a
-per-dimension hit counter that the kernel rate probe times; both are
-bit-identical to simulating each record in turn.
+Entropy is a running sum over the positive cells of a dense probability
+table, returned as a Python float. sample_block is the one draw-to-token
+rule: one rng.derive call hashes a whole (task, dim, draw) grid, and one
+bisect over the CDFs, padded with +inf to a common K, picks every token.
+The record engine of worlds, behind the experiments, simulate_output and
+every mean-fidelity estimate, samples through it, and so does
+match_counts, a per-dimension hit counter that the kernel rate probe
+times; both are bit-identical to simulating each record in turn.
 """
 
 from __future__ import annotations
@@ -31,10 +31,12 @@ def entropy_bits(p) -> float:
     Returns a Python float: callers compare the value and the resulting
     bools reach dumps_canonical, which rejects numpy scalars.
     """
+    p = np.asarray(p, dtype=np.float64)
     total = 0.0
-    for x in np.asarray(p, dtype=np.float64).ravel().tolist():
-        if x > 0.0:
-            total += x * math.log2(x)
+    # the positive cells in C order: the terms of a loop over every cell
+    # that skips the rest, summed in the same order
+    for x in p[p > 0.0].tolist():
+        total += x * math.log2(x)
     return -total
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from .errors import BadConfig, IstError, ValidationError
 from .model import flatten
 from .spec_io import (
-    compute_mask,
+    _mask_flat,
     dumps_canonical,
     mask_to_obj,
     parse_carrier,
@@ -84,8 +84,8 @@ def cmd_mask(args) -> int:
 
     spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
     carrier = parse_carrier(_read(args.carrier), lenient=args.lenient)
-    mask = compute_mask(spec, carrier)
     flat = flatten(spec)
+    mask = _mask_flat(spec.task_id, flat, carrier)
     l_enc = encoding_loss([d.weight for d in flat], mask)
     if args.format == "json":
         _write_out(args, dumps_canonical({
@@ -102,20 +102,20 @@ def cmd_mask(args) -> int:
 
 
 def cmd_score(args) -> int:
-    from .metrics import bundle_for_output
+    from .metrics import _bundle_flat
 
     spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
     out_doc = parse_output_document(_read(args.output), lenient=args.lenient)
     if out_doc.task_id != spec.task_id:
         raise BadConfig(f"output task {out_doc.task_id!r} does not match "
                         f"spec task {spec.task_id!r}")
+    flat = flatten(spec)
     mask = None
     if args.carrier:
         carrier = parse_carrier(_read(args.carrier), lenient=args.lenient)
-        mask = compute_mask(spec, carrier)
-    scores, bundle = bundle_for_output(spec, out_doc.realized_values, mask)
+        mask = _mask_flat(spec.task_id, flat, carrier)
+    scores, bundle = _bundle_flat(flat, out_doc.realized_values, mask, None)
     if args.format == "json":
-        flat = flatten(spec)
         _write_out(args, dumps_canonical({
             "task_id": spec.task_id,
             "s_icmw": bundle.s_icmw,

@@ -19,6 +19,16 @@ order without building the joint, so `ist audit --world` labels without
 numpy; the tests keep bayes_accuracy and chance_level on the joint as
 its reference. Mutual information is computed here, on the joint.
 
+A joint is checked once, when it is built from outside: the public
+DiscreteJoint constructor checks rank, names, the cell cap, emptiness,
+that every entry is >= 0 (so NaN fails) and the total. Marginals and
+decoder extensions are derived from checked joints and decoders, which
+already guarantee all of that but the total, so they are built by
+DiscreteJoint._derived, which checks only the total: a marginal's total
+is the parent's summed in another order, and an extension compounds the
+joint's and the decoder's tolerances, so an input at the edge of the
+tolerance raises exactly where the checked constructor would.
+
 Units are bits (log base 2) throughout.
 """
 
@@ -64,13 +74,24 @@ class DiscreteJoint:
             raise WorldTooLarge(tab.size, CELL_CAP)
         if tab.size == 0:
             raise InvalidDistribution("empty table")
-        if np.any(tab < 0):
-            raise InvalidDistribution(f"negative entry {float(tab.min())}")
-        total = float(tab.sum())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise InvalidDistribution(f"table sums to {total!r}, expected 1")
-        tab.flags.writeable = False
+        _check_entries(tab)
+        _check_total(tab)
         object.__setattr__(self, "table", tab)
+
+    @classmethod
+    def _derived(cls, variables: tuple[str, ...], table: np.ndarray) -> "DiscreteJoint":
+        """A joint computed from checked joints and decoders.
+
+        table must be a C-contiguous float64 array of one axis per
+        distinct variable, within the cell cap, nonempty and nonnegative,
+        as every marginal and extension of checked inputs is; only its
+        total is checked.
+        """
+        _check_total(table)
+        joint = object.__new__(cls)
+        object.__setattr__(joint, "variables", variables)
+        object.__setattr__(joint, "table", table)
+        return joint
 
     def axis(self, name: str) -> int:
         try:
@@ -89,10 +110,26 @@ class DiscreteJoint:
         drop = tuple(i for i in range(self.table.ndim) if i not in keep)
         marg = self.table.sum(axis=drop) if drop else self.table
         # sum() put kept axes in original order; permute to requested order
-        order = np.argsort(keep, kind="stable")
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(len(keep))
-        return DiscreteJoint(tuple(names), np.transpose(marg, inverse))
+        kept = sorted(keep)
+        if kept != keep:
+            marg = np.ascontiguousarray(
+                np.transpose(marg, [kept.index(a) for a in keep]))
+        return DiscreteJoint._derived(tuple(names), marg)
+
+
+def _check_entries(p: np.ndarray) -> None:
+    """Every entry >= 0, written so that NaN fails; NaN is named first."""
+    if not np.all(p >= 0):
+        raise InvalidDistribution("NaN entry" if np.isnan(p).any()
+                                  else f"negative entry {float(p.min())}")
+
+
+def _check_total(tab: np.ndarray) -> None:
+    """The table sums to 1 within _SUM_TOL (NaN fails); freezes it."""
+    total = float(tab.sum())
+    if not abs(total - 1.0) <= _SUM_TOL:
+        raise InvalidDistribution(f"table sums to {total!r}, expected 1")
+    tab.flags.writeable = False
 
 
 def entropy(dist) -> float:
@@ -103,10 +140,10 @@ def entropy(dist) -> float:
         p = np.asarray(dist, dtype=np.float64)
         if p.size == 0:
             raise InvalidDistribution("empty distribution")
-        if np.any(p < 0):
-            raise InvalidDistribution(f"negative entry {float(p.min())}")
-        if abs(float(p.sum()) - 1.0) > _SUM_TOL:
-            raise InvalidDistribution(f"sums to {float(p.sum())!r}, expected 1")
+        _check_entries(p)
+        total = float(p.sum())
+        if not abs(total - 1.0) <= _SUM_TOL:
+            raise InvalidDistribution(f"sums to {total!r}, expected 1")
     h = _kernels.entropy_bits(p)
     return 0.0 if h < 0.0 else h
 
@@ -165,10 +202,11 @@ class Decoder:
         if rows.ndim != len(self.evidence_vars) + 1:
             raise InvalidDistribution(
                 f"rows rank {rows.ndim} for {len(self.evidence_vars)} evidence vars")
-        if np.any(rows < 0):
-            raise InvalidDistribution("negative decoder entry")
+        if not np.all(rows >= 0):
+            raise InvalidDistribution("NaN decoder entry" if np.isnan(rows).any()
+                                      else "negative decoder entry")
         sums = rows.sum(axis=-1)
-        if np.any(np.abs(sums - 1.0) > _SUM_TOL):
+        if not np.all(np.abs(sums - 1.0) <= _SUM_TOL):
             raise InvalidDistribution("decoder row does not sum to 1")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
@@ -199,11 +237,12 @@ def random_deterministic_decoder(evidence_vars, evidence_sizes,
                                  output_var: str = "g") -> Decoder:
     """Each evidence cell maps to one output token, chosen by keyed hash."""
     shape = tuple(evidence_sizes)
-    rows = np.zeros(shape + (output_size,))
-    flat = rows.reshape(-1, output_size)
-    for cell in range(flat.shape[0]):
-        flat[cell, uniform_index(derive(seed, DECODER_STREAM, cell), output_size)] = 1.0
-    return Decoder(tuple(evidence_vars), output_var, rows)
+    cells = np.arange(np.prod(shape, dtype=np.int64), dtype=np.uint64)
+    rows = np.zeros((cells.size, output_size))
+    rows[np.arange(cells.size), uniform_index(
+        derive(seed, DECODER_STREAM, cells), output_size)] = 1.0
+    return Decoder(tuple(evidence_vars), output_var,
+                   rows.reshape(shape + (output_size,)))
 
 
 def bayes_decoder(joint: DiscreteJoint, v: str, evidence_vars,
@@ -249,8 +288,8 @@ def apply_decoder(joint: DiscreteJoint, decoder: Decoder) -> DiscreteJoint:
     out_letter = letters[joint.table.ndim]
     r_sub = "".join(j_sub[joint.axis(n)] for n in decoder.evidence_vars) + out_letter
     new_table = np.einsum(f"{j_sub},{r_sub}->{j_sub}{out_letter}",
-                          joint.table, decoder.rows)
-    return DiscreteJoint(joint.variables + (decoder.output_var,), new_table)
+                          joint.table, decoder.rows, order="C")
+    return DiscreteJoint._derived(joint.variables + (decoder.output_var,), new_table)
 
 
 # ---------------------------------------------------------------------------

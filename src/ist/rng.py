@@ -55,6 +55,14 @@ def unit_float(h: int) -> float:
 
 
 def uniform_index(h: int, n: int) -> int:
-    """Map a hash to {0, ..., n-1}, uniform up to O(n / 2^53) bias."""
-    i = int(unit_float(h) * n)
-    return n - 1 if i >= n else i
+    """Map a hash to {0, ..., n-1}, uniform up to O(n / 2^53) bias.
+
+    h may be a np.uint64 array: the result is then the int64 array of
+    indices, each equal to the scalar one for its hash.
+    """
+    x = unit_float(h) * n
+    if isinstance(x, float):
+        i = int(x)
+        return n - 1 if i >= n else i
+    # astype truncates toward zero, as int() does on these nonnegative floats
+    return x.astype("int64").clip(max=n - 1)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -9,7 +10,9 @@ import pytest
 
 import ist.cli
 import ist.experiments
+import ist.metrics
 import ist.model
+import ist.spec_io
 from ist.audit import audit_record_from_obj
 from ist.cli import build_parser, main
 from ist.model import flatten
@@ -152,6 +155,39 @@ def test_score_without_carrier_omits_l_enc(capsys, data_dir):
                        "--output", str(data_dir / "report_output.json"))
     assert code == 0
     assert json.loads(out)["l_enc"] is None
+
+
+# sha256 of the packaged triple's score and mask output
+FLATTEN_ONCE_CASES = {
+    ("score", "json", True): "f3367a4195342a823e0b23545e62c4dfab85014faa314fbd94fd94903d88e59f",
+    ("score", "json", False): "2284317f6c3553cc18f583e796c543be0c59ddb3d324054044a8829e13de18c0",
+    ("score", "text", True): "be1515ea799893d0a559a227701e92d72d833ce17b240ea7f0e3d84492631c89",
+    ("score", "text", False): "70b47ca853d45c32e379b4c162a1d7c702356410af9ed7cac6299983e056e2b6",
+    ("mask", "json", True): "d117d385388c1acadc25cc8e7020c27b711621f6bf96ee89c47781797aa8e96c",
+    ("mask", "text", True): "2bbd95df26099cc309ece3538dd7d92049fb3eb3978fe009f9ec7a038c079be5",
+}
+
+
+@pytest.mark.parametrize("case", list(FLATTEN_ONCE_CASES), ids=lambda c: "-".join(
+    (c[0], c[1], "carrier" if c[2] else "bare")))
+def test_score_and_mask_flatten_the_spec_once(monkeypatch, capsys, data_dir, case):
+    command, fmt, with_carrier = case
+    calls = []
+
+    def counting_flatten(spec):
+        calls.append(spec.task_id)
+        return flatten(spec)
+    for module in (ist.cli, ist.metrics, ist.model, ist.spec_io):
+        monkeypatch.setattr(module, "flatten", counting_flatten)
+    argv = [command, "--format", fmt, "--spec", str(data_dir / "report_task.json")]
+    if with_carrier:
+        argv += ["--carrier", str(data_dir / "report_carrier.json")]
+    if command == "score":
+        argv += ["--output", str(data_dir / "report_output.json")]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == ["q3-status-report"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FLATTEN_ONCE_CASES[case]
 
 
 def test_score_task_mismatch(capsys, data_dir, tmp_path):

@@ -1,5 +1,6 @@
-"""Golden bytes: sha256 of ablate and perturb output on the packaged data
-and on tests/data/mixed_experiment.json and ladder_experiment.json.
+"""Golden bytes: sha256 of ablate, perturb and tiil-check output on the
+packaged data and on tests/data/mixed_experiment.json, ladder_experiment.json
+and tiil_world.json.
 
 The digests pin the record and report bytes, so a change that moves any
 of them fails here, however it is made; a change that means to move them
@@ -31,6 +32,19 @@ MIXED_PERTURB_REPORT = "c16d5ddd0d99ef66e9f8d43370d08be97bb9cec3ec7d7c6582a014f0
 LADDER_PERTURB_SAMPLE_REPORT = "2c47ccaa4e3b5d7aac041e0d1b82320e8c5d5a73fa006035f86d3a736b96e7a4"
 LADDER_PERTURB_REPORT = "d76eec50ed73a0e1aefdf80fec85a3258eaa008db50267ba6c326aef78839074"
 LADDER_CONFIG = TESTS_DATA / "ladder_experiment.json"
+# tiil-check on the packaged world (decoder seed 0) and on the tiil world:
+# K in {2, 4, 10, 32, 64} against lambda in {0, 5e-324, 1e-17, 0.3, 1}, every
+# pair once over five tasks and a sixth that repeats three channels
+TIIL_CONFIG = TESTS_DATA / "tiil_world.json"
+TIIL_CASES = {
+    "demo-text": ([], "470c99056fd359faa0c836f974e108e2da9ecd541a72ec2671cf5a2609c4f41f"),
+    "demo-json": (["--format", "json"],
+                  "aefce6c78c5206661dc5082c698743d61755cb2863132ab7bbffc0af764a0800"),
+    "mixed-text": (["--world", str(TIIL_CONFIG), "--seed", "5"],
+                   "4218ba346fbf98f75e14945ed792c5622594c795345084f409ccaa80f5934d0b"),
+    "mixed-json": (["--world", str(TIIL_CONFIG), "--seed", "5", "--format", "json"],
+                   "b067264db94c58ba5a142b9fa4e19a6723d9aa32417ab011e811d9dca2a1e58e"),
+}
 
 ABLATE_CASES = {
     "argmax": ([], ABLATE_ARGMAX_RECORDS, ABLATE_ARGMAX_SUMMARY),
@@ -93,6 +107,17 @@ def test_mixed_world_golden_bytes(capsys):
 def test_ladder_world_golden_bytes(capsys, args, digest):
     assert main(["perturb", "--config", str(LADDER_CONFIG), *args]) == 0
     assert sha256(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("case", list(TIIL_CASES))
+def test_tiil_check_golden_bytes(capsys, case):
+    # the json report pins every float of the oracle bit for bit; the text
+    # report pins the rounding and layout the CLI prints
+    args, digest = TIIL_CASES[case]
+    assert main(["tiil-check", *args]) == 0
+    captured = capsys.readouterr()
+    assert sha256(captured.out) == digest
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("hash_seed", [0, 1])

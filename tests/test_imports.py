@@ -88,6 +88,17 @@ def test_audit_with_a_world_does_not_import_numpy(tmp_path, triple):
     assert got == {"code": code, "numpy": False}
 
 
+def test_rng_imports_without_numpy():
+    # derive, unit_float and uniform_index take np.uint64 arrays by duck
+    # typing, so the hash module itself never needs numpy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ist.rng; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_every_public_name_resolves_lazily():
     assert ist.__all__ == sorted(ist.__all__)
     listed = dir(ist)

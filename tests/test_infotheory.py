@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ from ist.errors import (
 )
 from ist.infotheory import (
     DPI_TOL,
+    Decoder,
     DiscreteJoint,
     apply_decoder,
     bayes_accuracy,
@@ -29,8 +31,8 @@ from ist.infotheory import (
     tiil_check,
     verify_dpi,
 )
-from ist.priors import CHANCE_FLOOR, privacy_label
-from ist.rng import derive
+from ist.priors import CELL_CAP, CHANCE_FLOOR, privacy_label
+from ist.rng import DECODER_STREAM, MASK64, derive, uniform_index, unit_float
 from ist.spec_io import dumps_canonical
 from ist.worlds import build_world
 
@@ -160,11 +162,40 @@ def test_apply_decoder_checks_the_cap_before_it_allocates(monkeypatch):
 
 def test_decoder_validation():
     with pytest.raises(InvalidDistribution):
-        from ist.infotheory import Decoder
         Decoder(("x",), "g", np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(InvalidDistribution):
-        from ist.infotheory import Decoder
         Decoder(("x",), "g", np.array([[1.5, -0.5], [0.5, 0.5]]))
+
+
+def test_nan_is_rejected_and_named():
+    # a NaN compares False both ways, so neither "any entry < 0" nor
+    # "|total - 1| > tol" caught it; the checks are written to fail on it
+    nan = float("nan")
+    with pytest.raises(InvalidDistribution, match="^NaN entry$"):
+        joint2([[nan, 0.5], [0.25, 0.25]])
+    with pytest.raises(InvalidDistribution, match="^NaN entry$"):
+        joint2([[nan, -0.5], [0.25, 0.25]])
+    with pytest.raises(InvalidDistribution, match="^NaN decoder entry$"):
+        Decoder(("x",), "g", np.array([[nan, 1.0], [0.5, 0.5]]))
+    with pytest.raises(InvalidDistribution, match="^NaN entry$"):
+        entropy([nan, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: joint2([[1.2, -0.2], [0.0, 0.0]]), "negative entry -0.2"),
+    (lambda: joint2([[0.6, 0.6], [0.0, 0.0]]), "table sums to 1.2, expected 1"),
+    (lambda: joint2([[math.inf, 0.0], [0.0, 0.0]]), "table sums to inf, expected 1"),
+    (lambda: entropy([1.5, -0.5]), "negative entry -0.5"),
+    (lambda: entropy([0.5, 0.6]), "sums to 1.1, expected 1"),
+    (lambda: Decoder(("x",), "g", np.array([[1.5, -0.5], [0.5, 0.5]])),
+     "negative decoder entry"),
+    (lambda: Decoder(("x",), "g", np.array([[0.5, 0.4], [0.5, 0.5]])),
+     "decoder row does not sum to 1"),
+])
+def test_distribution_errors_keep_their_text(build, message):
+    with pytest.raises(InvalidDistribution) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_apply_identity_decoder_copies_evidence():
@@ -532,3 +563,186 @@ def test_privacy_label_refuses_k_past_the_cell_cap():
     with pytest.raises(WorldTooLarge, match=r"^enumeration would need 1002001 "
                                             r"cells \(cap 1000000\)$"):
         privacy_label(1001, 0.5, 0.9)
+
+
+# ---------------------------------------------------------------------------
+# check once: derived joints against the checked constructor
+# ---------------------------------------------------------------------------
+
+def checked_marginal(joint, names):
+    """The marginal as the checked constructor builds it from the table:
+    the other axes summed out, the rest permuted by argsort."""
+    keep = [joint.variables.index(n) for n in names]
+    drop = tuple(i for i in range(joint.table.ndim) if i not in keep)
+    marg = joint.table.sum(axis=drop) if drop else joint.table
+    order = np.argsort(keep, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(keep))
+    return DiscreteJoint(tuple(names), np.transpose(marg, inverse))
+
+
+def checked_extension(joint, decoder):
+    """The decoder extension as the checked constructor builds it."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    j_sub = letters[:joint.table.ndim]
+    out = letters[joint.table.ndim]
+    r_sub = "".join(j_sub[joint.variables.index(n)] for n in decoder.evidence_vars)
+    table = np.einsum(f"{j_sub},{r_sub}{out}->{j_sub}{out}", joint.table, decoder.rows)
+    return DiscreteJoint(joint.variables + (decoder.output_var,), table)
+
+
+def outcome(build):
+    """What a build gives: its variables and table bytes, or its error."""
+    try:
+        joint = build()
+    except InvalidDistribution as e:
+        return "raises", str(e)
+    assert not joint.table.flags.writeable
+    assert joint.table.flags.c_contiguous and joint.table.dtype == np.float64
+    return joint.variables, joint.table.shape, joint.table.tobytes()
+
+
+def awkward_joint(rng, names):
+    """A checked joint with zero, -0.0 and subnormal cells among its mass."""
+    shape = tuple(rng.randint(1, 4) for _ in names)
+    n = int(np.prod(shape))
+    table = np.array([rng.choice([0.0, -0.0, 5e-324, rng.random(), rng.random()])
+                      for _ in range(n)])
+    table[rng.randrange(n)] = 1.0
+    return DiscreteJoint(tuple(names), (table / table.sum()).reshape(shape))
+
+
+def random_rows(rng, sizes, output_size):
+    """Decoder rows mixing point masses and spread rows."""
+    rows = np.array([rng.random() for _ in range(int(np.prod(sizes)) * output_size)])
+    rows = rows.reshape(-1, output_size)
+    for row in rows[::2]:
+        row[:] = 0.0
+        row[rng.randrange(output_size)] = 1.0
+    return (rows / rows.sum(axis=1, keepdims=True)).reshape(tuple(sizes) + (output_size,))
+
+
+def test_every_marginal_is_bit_equal_to_the_checked_one():
+    rng = random.Random(41)
+    for trial in range(25):
+        names = ("a", "b", "c", "d")[:rng.randint(1, 4)]
+        joint = awkward_joint(rng, names)
+        for r in range(1, len(names) + 1):
+            for sub in itertools.permutations(names, r):
+                got = outcome(lambda: joint.marginal(*sub))
+                assert got == outcome(lambda: checked_marginal(joint, sub)), (trial, sub)
+                assert got[0] == sub
+
+
+def test_every_decoder_extension_is_bit_equal_to_the_checked_one():
+    rng = random.Random(43)
+    for trial in range(25):
+        names = ("a", "b", "c")[:rng.randint(1, 3)]
+        joint = awkward_joint(rng, names)
+        for r in range(1, len(names) + 1):
+            for ev in itertools.permutations(names, r):
+                sizes = tuple(joint.size(n) for n in ev)
+                out_size = rng.randint(1, 4)
+                for decoder in (
+                        constant_decoder(ev, sizes, out_size),
+                        random_deterministic_decoder(ev, sizes, out_size, seed=trial),
+                        Decoder(ev, "g", random_rows(rng, sizes, out_size))):
+                    got = outcome(lambda: apply_decoder(joint, decoder))
+                    assert got == outcome(lambda: checked_extension(joint, decoder))
+                    # and the marginals of the extension, as mutual_information takes them
+                    ext = apply_decoder(joint, decoder)
+                    for sub in (("g",), (names[0], "g"), ("g", *names)):
+                        assert (outcome(lambda: ext.marginal(*sub))
+                                == outcome(lambda: checked_marginal(ext, sub)))
+
+
+def test_derived_joints_raise_exactly_where_the_checked_ones_raise():
+    # totals scanned ulp by ulp across the 1e-9 edge: a marginal's total is
+    # its parent's summed in another order, and an extension's compounds the
+    # joint's and the decoder's tolerance, so each must keep its own check
+    base = np.random.default_rng(3).random((3, 4, 5))
+    base /= base.sum()
+    rows = np.random.default_rng(4).random((5, 3))
+    rows /= rows.sum(axis=1, keepdims=True)
+    seen = set()
+    for i in range(-60, 61):
+        try:
+            joint = DiscreteJoint(("a", "b", "c"),
+                                  base * ((1.0 + 1e-9) * (1.0 + i * 2.0 ** -52)))
+        except InvalidDistribution:
+            seen.add("joint raises")
+            continue
+        for r in (1, 2, 3):
+            for sub in itertools.permutations(("a", "b", "c"), r):
+                got = outcome(lambda: joint.marginal(*sub))
+                assert got == outcome(lambda: checked_marginal(joint, sub)), (i, sub)
+                seen.add("marginal " + ("raises" if got[0] == "raises" else "passes"))
+    # a joint and decoder rows each 0.5e-9 over 1: their extension's total
+    # sits at the edge
+    joint = DiscreteJoint(("a", "b", "c"), base * (1.0 + 0.5e-9))
+    for i in range(-60, 61):
+        decoder = Decoder(("c",), "g", rows * ((1.0 + 0.5e-9) * (1.0 + i * 2.0 ** -52)))
+        got = outcome(lambda: apply_decoder(joint, decoder))
+        assert got == outcome(lambda: checked_extension(joint, decoder)), i
+        seen.add("extension " + ("raises" if got[0] == "raises" else "passes"))
+    # a marginal of a joint that passed can fall past the edge, and does here
+    assert seen == {"joint raises", "marginal raises", "marginal passes",
+                    "extension raises", "extension passes"}
+
+
+def test_the_derived_total_check_fails_on_nan():
+    # derived tables hold no NaN when their inputs were checked; if one
+    # ever did, its total check would still refuse it
+    with pytest.raises(InvalidDistribution, match=r"^table sums to nan, expected 1$"):
+        DiscreteJoint._derived(("x",), np.array([math.nan, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the random decoder and the array uniform_index
+# ---------------------------------------------------------------------------
+
+def random_decoder_rows_reference(sizes, output_size, seed):
+    """One scalar derive and uniform_index per evidence cell."""
+    rows = np.zeros((int(np.prod(sizes)), output_size))
+    for cell in range(rows.shape[0]):
+        rows[cell, uniform_index(derive(seed, DECODER_STREAM, cell), output_size)] = 1.0
+    return rows.reshape(tuple(sizes) + (output_size,))
+
+
+RANDOM_DECODER_KS = [*range(2, 13), 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 130]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5, MASK64])
+def test_random_decoder_rows_equal_the_per_cell_reference(seed):
+    for k in RANDOM_DECODER_KS:
+        got = random_deterministic_decoder(("y",), (k,), k, seed=seed).rows
+        assert got.tobytes() == random_decoder_rows_reference((k,), k, seed).tobytes(), k
+    for sizes, out in (((3, 7), 5), ((4,), 9), ((2, 1, 3), 1), ((), 4), ((0,), 3)):
+        got = random_deterministic_decoder(tuple("xyz"[:len(sizes)]), sizes, out, seed)
+        want = random_decoder_rows_reference(sizes, out, seed)
+        assert got.rows.shape == want.shape and got.rows.tobytes() == want.tobytes()
+
+
+def edge_hashes(n):
+    """0, 2^64 - 1, and hashes whose unit_float * n lands next to an
+    integer m, from both sides, with the low 11 bits clear and set."""
+    yield 0
+    yield MASK64
+    for m in sorted({1, 2, n // 3, n // 2, n - 1, n}):
+        q = (m << 53) // n
+        for dq in (-2, -1, 0, 1, 2):
+            if 0 <= q + dq < 2 ** 53:
+                yield (q + dq) << 11
+                yield ((q + dq) << 11) | 0x7FF
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 64, 1000, 4099, 65_537, 999_983, CELL_CAP])
+def test_array_uniform_index_equals_the_scalar_one_on_edge_hashes(n):
+    hashes = list(edge_hashes(n))
+    near = [h for h in hashes
+            if abs(unit_float(h) * n - round(unit_float(h) * n)) <= math.ulp(n)]
+    assert len(near) >= 4  # the edge is exercised, not just sampled
+    want = [uniform_index(h, n) for h in hashes]
+    assert all(type(i) is int and 0 <= i < n for i in want)
+    got = uniform_index(np.array(hashes, dtype=np.uint64), n)
+    assert got.dtype == np.int64 and got.tolist() == want

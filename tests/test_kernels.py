@@ -9,7 +9,8 @@ from ist.rng import SAMPLE_STREAM, derive, unit_float
 
 
 def entropy_bits_reference(p) -> float:
-    """The plain loop: -sum of x * log2(x) over positive cells, in order."""
+    """The plain loop over every cell in C order: -sum of x * log2(x) over
+    the positive ones."""
     total = 0.0
     for x in np.asarray(p, dtype=np.float64).ravel().tolist():
         if x > 0.0:
@@ -102,6 +103,14 @@ def entropy_cases():
     table = np.full((k, k), 0.3 / k / k)
     np.fill_diagonal(table, (0.3 / k + 0.7) / k)
     yield table                                          # a channel joint
+    signed = np.array([[0.25, -0.0, 0.0], [5e-324, -0.0, 0.75 - 5e-324]])
+    yield signed                                         # -0.0 beside 0.0 and 5e-324
+    yield signed.T                                       # a transposed view
+    cube = np.zeros((4, 4, 4))
+    cube[::2, 1::2, ::3] = rng.random((2, 2, 2))
+    cube[1, 0, 3] = 5e-324
+    cube[3, 2, 1] = -0.0
+    yield (cube / cube.sum()).transpose(2, 0, 1)         # 3-D, mostly zeros
 
 
 def test_entropy_bits_is_exact_against_reference():
