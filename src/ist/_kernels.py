@@ -4,10 +4,10 @@ Entropy is a running sum over the positive cells of a dense probability
 table, returned as a Python float. sample_block is the one draw-to-token
 rule: one rng.derive call hashes a whole (task, dim, draw) grid, and one
 bisect over the CDFs, padded with +inf to a common K, picks every token.
-The record engine of worlds, behind the experiments, simulate_output and
-every mean-fidelity estimate, samples through it, and so does
-match_counts, a per-dimension hit counter that the kernel rate probe
-times; both are bit-identical to simulating each record in turn.
+The record engine of worlds (the experiments, simulate_output, every
+mean fidelity) samples through it, over a CDF table it builds in numpy
+per block, and so does match_counts, a per-dimension hit counter only
+the benchmark's kernel probe calls; both equal per-record simulation.
 """
 
 from __future__ import annotations

@@ -228,14 +228,14 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    from .experiments import report_to_obj, run_weight_perturbation
+    from .experiments import report_to_json, run_weight_perturbation
 
     cfg = _experiment_config(args, "perturb_grid.json")
     replicates = cfg.replicates if args.replicates is None else args.replicates
     report = run_weight_perturbation(
         cfg.world, budget=cfg.budget, perturbations=cfg.perturbations,
         mode=args.mode or cfg.mode, replicates=replicates)
-    _write_out(args, dumps_canonical(report_to_obj(report)) + "\n")
+    _write_out(args, report_to_json(report) + "\n")
     return 0
 
 

@@ -29,7 +29,9 @@ encode_rows), for all tasks with one dimension count at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cache
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -46,12 +48,13 @@ from .errors import (
 from .metrics import synthesize_ga, weighted_sum
 from .model import EncodingMask, ValueRef, normalize_weights
 from .rng import MASK64, PERTURB_STREAM, derive, unit_float
-from .spec_io import OutputRecord, loads_strict
+from .spec_io import OutputRecord, _fmt_float, dumps_canonical, loads_strict
 from .worlds import (
     SyntheticWorld,
     WorldTask,
     _check_count,
     _check_mode,
+    _mean_f_icmw,
     _task_draws,
     build_world,
     full_mask,
@@ -367,22 +370,24 @@ def run_weight_perturbation(world: SyntheticWorld,
     if not any(p.kind == "identity" for p in specs):
         specs.insert(0, PerturbationSpec("identity"))
 
-    groups: dict[int, list[WorldTask]] = {}
-    for task in world.tasks:
-        groups.setdefault(len(task.dims), []).append(task)
-    plans = {n: iter(_plan_masks(world, tasks, specs, budget))
-             for n, tasks in groups.items()}
+    groups: dict[int, list[int]] = {}
+    for pos, task in enumerate(world.tasks):
+        groups.setdefault(len(task.dims), []).append(pos)
+    bits, changed = [None] * len(world.tasks), [None] * len(world.tasks)
+    for positions in groups.values():
+        plan = _plan_masks(world, [world.tasks[pos] for pos in positions], specs, budget)
+        moved = (plan[:, 1:] != plan[:, :1]).any(axis=2).tolist()
+        for pos, task_bits, task_moved in zip(positions, plan, moved):
+            bits[pos], changed[pos] = task_bits, task_moved
+    names = [p.name for p in specs]
     cells = []
-    for draws, pieces in _task_draws(world, world.tasks,
-                                     [replicates] * len(world.tasks), mode):
-        task = draws.task
-        bits = next(plans[len(task.dims)])
-        # The exact-zero plateau follows from mask-independent draws: an
-        # identical mask gives identical fidelity rows.
-        baseline, *was = draws.mean_f_icmw(bits, pieces, replicates)
-        changed = (bits[1:] != bits[0]).any(axis=1).tolist()
-        cells += [CellSummary(task.task_id, world.tag, p.name, w, w - baseline, c)
-                  for p, w, c in zip(specs, was, changed)]
+    # The exact-zero plateau follows from mask-independent draws: an
+    # identical mask gives identical fidelity rows.
+    for task, (baseline, *was), moved in zip(
+            world.tasks, _mean_f_icmw(world, world.tasks, bits, replicates, mode),
+            changed):
+        cells += [CellSummary(task.task_id, world.tag, name, w, w - baseline, c)
+                  for name, w, c in zip(names, was, moved)]
 
     preserving = [c for c in cells
                   if c.perturbation != "identity" and not c.mask_changed]
@@ -398,24 +403,25 @@ def run_weight_perturbation(world: SyntheticWorld,
                               mean_inversion_drop=mean_drop)
 
 
-def cell_to_obj(c: CellSummary) -> dict:
-    return {
-        "task_id": c.task_id,
-        "model_tag": c.model_tag,
-        "perturbation": c.perturbation,
-        "was": c.was,
-        "delta_vs_baseline": c.delta_vs_baseline,
-        "mask_changed": c.mask_changed,
-    }
-
-
 def report_to_obj(rep: PerturbationReport) -> dict:
-    return {
-        "cells": [cell_to_obj(c) for c in rep.cells],
-        "plateau_rate": rep.plateau_rate,
-        "cliff_rate": rep.cliff_rate,
-        "mean_inversion_drop": rep.mean_inversion_drop,
-    }
+    """The report as JSON values, keys in field order, cells included."""
+    return asdict(rep)
+
+
+def report_to_json(rep: PerturbationReport) -> str:
+    """dumps_canonical(report_to_obj(rep)), joined from fragments: each
+    distinct task id, model tag and perturbation label is encoded once,
+    and floats take the canonical 17-digit form."""
+    enc = cache(encode_basestring)
+    cells = ",".join(
+        f'{{"task_id":{enc(c.task_id)},"model_tag":{enc(c.model_tag)}'
+        f',"perturbation":{enc(c.perturbation)},"was":{_fmt_float(c.was)}'
+        f',"delta_vs_baseline":{_fmt_float(c.delta_vs_baseline)}'
+        f',"mask_changed":{"true" if c.mask_changed else "false"}}}'
+        for c in rep.cells)
+    rates = {name: getattr(rep, name)
+             for name in ("plateau_rate", "cliff_rate", "mean_inversion_drop")}
+    return f'{{"cells":[{cells}],{dumps_canonical(rates)[1:]}'
 
 
 # ---------------------------------------------------------------------------

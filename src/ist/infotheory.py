@@ -14,20 +14,24 @@ to running the whole battery per dimension; the tests keep that per-
 dimension loop as the reference.
 
 A verdict's Bayes accuracy, chance level and label come from the one
-(K, lambda) label rule, priors.privacy_label, which sums in numpy's
-order without building the joint, so `ist audit --world` labels without
-numpy; the tests keep bayes_accuracy and chance_level on the joint as
-its reference. Mutual information is computed here, on the joint.
+(K, lambda) label rule, priors.privacy_label, which takes both in closed
+form, correctly rounded, without building the joint, so `ist audit
+--world` labels without numpy; the tests keep the exact fractions as its
+reference. Mutual information is computed here, on the joint.
 
 A joint is checked once, when it is built from outside: the public
-DiscreteJoint constructor checks rank, names, the cell cap, emptiness,
-that every entry is >= 0 (so NaN fails) and the total. Marginals and
+DiscreteJoint constructor copies the table (so the caller's array stays
+writeable and unchanged) and checks rank, names, the cell cap,
+emptiness, that every entry is >= 0 (so NaN fails) and the total. Marginals and
 decoder extensions are derived from checked joints and decoders, which
 already guarantee all of that but the total, so they are built by
 DiscreteJoint._derived, which checks only the total: a marginal's total
 is the parent's summed in another order, and an extension compounds the
 joint's and the decoder's tolerances, so an input at the edge of the
-tolerance raises exactly where the checked constructor would.
+tolerance raises exactly where the checked constructor would. Likewise
+the public Decoder constructor copies and checks its rows, while the
+constant, random and Bayes decoders, whose rows are point masses, are
+built by _point_mass_decoder, which checks only their rank.
 
 Units are bits (log base 2) throughout.
 """
@@ -64,7 +68,7 @@ class DiscreteJoint:
     table: np.ndarray
 
     def __post_init__(self):
-        tab = np.ascontiguousarray(np.asarray(self.table, dtype=np.float64))
+        tab = np.array(self.table, dtype=np.float64, order="C")
         if tab.ndim != len(self.variables):
             raise InvalidDistribution(
                 f"table has {tab.ndim} axes for {len(self.variables)} variables")
@@ -198,10 +202,8 @@ class Decoder:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.float64))
-        if rows.ndim != len(self.evidence_vars) + 1:
-            raise InvalidDistribution(
-                f"rows rank {rows.ndim} for {len(self.evidence_vars)} evidence vars")
+        rows = np.array(self.rows, dtype=np.float64, order="C")
+        _check_rank(rows, self.evidence_vars)
         if not np.all(rows >= 0):
             raise InvalidDistribution("NaN decoder entry" if np.isnan(rows).any()
                                       else "negative decoder entry")
@@ -220,11 +222,37 @@ class Decoder:
         return self.rows.shape[-1]
 
 
+def _check_rank(rows: np.ndarray, evidence_vars: tuple[str, ...]) -> None:
+    if rows.ndim != len(evidence_vars) + 1:
+        raise InvalidDistribution(
+            f"rows rank {rows.ndim} for {len(evidence_vars)} evidence vars")
+
+
+def _point_mass_decoder(evidence_vars, evidence_sizes, output_size: int, picks,
+                        output_var: str) -> Decoder:
+    """The decoder sending evidence cell i (in C order) to output picks[i].
+
+    Point-mass rows are nonnegative and sum to exactly 1, so they skip
+    the constructor's checks, all but the rank, which the names and the
+    sizes, given apart, fix.
+    """
+    shape = tuple(evidence_sizes)
+    rows = np.zeros((int(np.prod(shape, dtype=np.int64)), output_size))
+    rows[np.arange(len(rows)), picks] = 1.0
+    rows = rows.reshape(shape + (output_size,))
+    _check_rank(rows, evidence_vars)
+    rows.flags.writeable = False
+    decoder = object.__new__(Decoder)
+    for name, value in (("evidence_vars", tuple(evidence_vars)),
+                        ("output_var", output_var), ("rows", rows)):
+        object.__setattr__(decoder, name, value)
+    return decoder
+
+
 def constant_decoder(evidence_vars, evidence_sizes, output_size: int,
                      index: int = 0, output_var: str = "g") -> Decoder:
-    rows = np.zeros(tuple(evidence_sizes) + (output_size,))
-    rows[..., index] = 1.0
-    return Decoder(tuple(evidence_vars), output_var, rows)
+    return _point_mass_decoder(evidence_vars, evidence_sizes, output_size, index,
+                               output_var)
 
 
 def identity_decoder(var: str, size: int, output_var: str = "g") -> Decoder:
@@ -236,13 +264,10 @@ def random_deterministic_decoder(evidence_vars, evidence_sizes,
                                  output_size: int, seed: int,
                                  output_var: str = "g") -> Decoder:
     """Each evidence cell maps to one output token, chosen by keyed hash."""
-    shape = tuple(evidence_sizes)
-    cells = np.arange(np.prod(shape, dtype=np.int64), dtype=np.uint64)
-    rows = np.zeros((cells.size, output_size))
-    rows[np.arange(cells.size), uniform_index(
-        derive(seed, DECODER_STREAM, cells), output_size)] = 1.0
-    return Decoder(tuple(evidence_vars), output_var,
-                   rows.reshape(shape + (output_size,)))
+    cells = np.arange(np.prod(evidence_sizes, dtype=np.int64), dtype=np.uint64)
+    picks = uniform_index(derive(seed, DECODER_STREAM, cells), output_size)
+    return _point_mass_decoder(evidence_vars, evidence_sizes, output_size, picks,
+                               output_var)
 
 
 def bayes_decoder(joint: DiscreteJoint, v: str, evidence_vars,
@@ -255,12 +280,8 @@ def bayes_decoder(joint: DiscreteJoint, v: str, evidence_vars,
     ev = _as_group(evidence_vars)
     marg = joint.marginal(v, *ev)
     v_size = marg.table.shape[0]
-    flat = marg.table.reshape(v_size, -1)
-    picks = np.argmax(flat, axis=0)
-    rows = np.zeros((flat.shape[1], v_size))
-    rows[np.arange(flat.shape[1]), picks] = 1.0
-    shape = tuple(joint.size(n) for n in ev) + (v_size,)
-    return Decoder(tuple(ev), output_var, rows.reshape(shape))
+    picks = np.argmax(marg.table.reshape(v_size, -1), axis=0)
+    return _point_mass_decoder(ev, marg.table.shape[1:], v_size, picks, output_var)
 
 
 def apply_decoder(joint: DiscreteJoint, decoder: Decoder) -> DiscreteJoint:

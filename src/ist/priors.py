@@ -10,10 +10,9 @@ Two rules about synthetic prior worlds that need no world and no numpy:
   realizes the rows of check_world_fields into a SyntheticWorld, whose
   constructor applies check_flat_tasks, so the rules run once there too.
 * privacy_label is the one public/private rule of a (K, lambda) channel.
-  It computes the channel's Bayes accuracy and chance level bit for bit
-  as infotheory's bayes_accuracy and chance_level compute them on the
-  numpy joint, by numpy's float64 pairwise summation, without building
-  the K x K table.
+  It takes the channel's Bayes accuracy, (1 + (K - 1) lambda)/K, and its
+  chance level, 1/K, in closed form, each correctly rounded, without
+  building the K x K table.
 """
 
 from __future__ import annotations
@@ -75,18 +74,23 @@ def check_flat_tasks(tasks) -> None:
             raise BadConfig(f"{where}: weights sum to {total!r}, expected 1")
 
 
-def _check_channel(dim_cfg: dict, where: str) -> tuple[int, float]:
+def _check_channel(dim_cfg: dict, task_ix: int, dim_ix: int) -> tuple[int, float]:
     k = dim_cfg.get("K")
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise BadConfig(f"{where}: K must be an integer >= 2, got {k!r}")
+        raise BadConfig(f"{_where(task_ix, dim_ix)}: K must be an integer >= 2, got {k!r}")
     if k > CELL_CAP:
-        raise BadConfig(f"{where}: K is larger than the cap of {CELL_CAP}")
+        raise BadConfig(f"{_where(task_ix, dim_ix)}: K is larger than the cap of {CELL_CAP}")
     lam = dim_cfg.get("lambda")
     if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-        raise BadConfig(f"{where}: lambda must be a number, got {lam!r}")
+        raise BadConfig(f"{_where(task_ix, dim_ix)}: lambda must be a number, got {lam!r}")
     if not 0 <= lam <= 1:  # exact for any int, false for NaN
-        raise BadConfig(f"{where}: lambda must be in [0, 1], got {lam!r}")
+        raise BadConfig(f"{_where(task_ix, dim_ix)}: lambda must be in [0, 1], got {lam!r}")
     return k, float(lam)
+
+
+def _where(task_ix: int, dim_ix: int) -> str:
+    # built only for a message: a world build checks thousands of dims
+    return f"tasks[{task_ix}].dims[{dim_ix}]"
 
 
 def check_world_config(config: dict, seed: int | None = None,
@@ -101,18 +105,16 @@ def check_world_config(config: dict, seed: int | None = None,
     come before the flat-spec rules of check_flat_tasks.
     """
     seed, tag, rows = check_world_fields(config, seed)
-    rows = list(rows)
     check_flat_tasks((task_id, [d[0] for d in dims], [d[1] for d in dims])
                      for task_id, dims in rows)
     return seed, tag, rows
 
 
 def check_world_fields(config: dict, seed: int | None = None,
-                       ) -> tuple[int, str, Iterator]:
+                       ) -> tuple[int, str, list]:
     """check_world_config up to the flat-spec rules, which a built
-    SyntheticWorld applies itself. The top-level fields are checked here;
-    each task's row is checked as it is taken, so a world build holds one
-    task's row at a time."""
+    SyntheticWorld applies itself: the top-level fields, then each task's
+    row in turn."""
     if not isinstance(config, dict):
         raise BadConfig(f"config must be an object, got {type(config).__name__}")
     _check_keys(config, "world config", (), ("tasks", "seed", "tag"), False)
@@ -126,7 +128,11 @@ def check_world_fields(config: dict, seed: int | None = None,
     raw_tasks = config.get("tasks")
     if not isinstance(raw_tasks, list) or not raw_tasks:
         raise BadConfig("config needs a non-empty 'tasks' array")
-    return seed, tag, _task_rows(raw_tasks)
+    return seed, tag, list(_task_rows(raw_tasks))
+
+
+_DIM_FIELDS = ("id", "weight", "K", "lambda")
+_DIM_KEYS = frozenset(_DIM_FIELDS)
 
 
 def _task_rows(raw_tasks: list) -> Iterator[tuple[str, list]]:
@@ -141,13 +147,13 @@ def _task_rows(raw_tasks: list) -> Iterator[tuple[str, list]]:
         raw_weights = []
         for dim_ix, d in enumerate(raw_dims):
             if not isinstance(d, dict) or not isinstance(d.get("id"), str):
-                raise BadConfig(f"{where}.dims[{dim_ix}]: needs a string id")
-            _check_keys(d, f"{where}.dims[{dim_ix}]", (),
-                        ("id", "weight", "K", "lambda"), False)
+                raise BadConfig(f"{_where(task_ix, dim_ix)}: needs a string id")
+            if not d.keys() <= _DIM_KEYS:
+                _check_keys(d, _where(task_ix, dim_ix), (), _DIM_FIELDS, False)
             w = d.get("weight")
             if isinstance(w, bool) or not isinstance(w, (int, float)) \
                     or not abs(w) <= sys.float_info.max:
-                raise BadConfig(f"{where}.dims[{dim_ix}]: weight must be a finite number")
+                raise BadConfig(f"{_where(task_ix, dim_ix)}: weight must be a finite number")
             raw_weights.append(float(w))
         total = math.fsum(raw_weights)
         if abs(total - 1.0) > TOP_WEIGHT_TOL:
@@ -157,76 +163,13 @@ def _task_rows(raw_tasks: list) -> Iterator[tuple[str, list]]:
         except IstError as e:
             raise BadConfig(f"{where}: {e}") from None
         yield t["task_id"], [
-            (d["id"].lower(), w, *_check_channel(d, f"{where}.dims[{dim_ix}]"))
+            (d["id"].lower(), w, *_check_channel(d, task_ix, dim_ix))
             for dim_ix, (d, w) in enumerate(zip(raw_dims, weights))]
 
 
 # ---------------------------------------------------------------------------
 # the (K, lambda) label rule
 # ---------------------------------------------------------------------------
-
-_PW_BLOCK = 128  # numpy's PW_BLOCKSIZE: the largest sum one leaf adds
-
-
-def _leaf_sum(xs: list) -> float:
-    """numpy's float64 pairwise sum of at most _PW_BLOCK values: a plain
-    loop below 8, else eight accumulators, combined as a tree, then the
-    rest in a plain loop."""
-    n = len(xs)
-    if n < 8:
-        res = 0.0
-        for x in xs:
-            res += x
-        return res
-    r = xs[:8]
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        for j in range(8):
-            r[j] += xs[i + j]
-    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in xs[tail:]:
-        res += x
-    return res
-
-
-def _split(n: int) -> int:
-    # half, rounded down to a multiple of the 8 accumulators
-    return n // 2 - n // 2 % 8
-
-
-def _pairwise_sum(xs: list) -> float:
-    """numpy's float64 sum of xs, as np.add.reduce computes it."""
-    if len(xs) <= _PW_BLOCK:
-        return _leaf_sum(xs)
-    n2 = _split(len(xs))
-    return _pairwise_sum(xs[:n2]) + _pairwise_sum(xs[n2:])
-
-
-def _max_row_sum(n: int, off: float, diag: float) -> float:
-    """Max over p of the pairwise sum of n cells, all off but cell p,
-    which is diag: the largest row sum of a table with off off the
-    diagonal.
-
-    Rounding is monotone, so a node's largest sum is the larger of its
-    left child's largest plus its right child's all-off sum and the
-    reverse. In a leaf's eight-accumulator part only diag's step matters,
-    not its accumulator, since all accumulators hold equal values and are
-    combined symmetrically; so only the cells of accumulator 0 and those
-    of the plain tail are tried.
-    """
-    if n > _PW_BLOCK:
-        n2 = _split(n)
-        return max(_max_row_sum(n2, off, diag) + _pairwise_sum([off] * (n - n2)),
-                   _pairwise_sum([off] * n2) + _max_row_sum(n - n2, off, diag))
-    tail = n - n % 8 if n >= 8 else 0
-    row = [off] * n
-    best = 0.0
-    for p in [*range(0, tail, 8), *range(tail, n)]:
-        row[p] = diag
-        best = max(best, _leaf_sum(row))
-        row[p] = off
-    return best
-
 
 def check_theta_pub(theta_pub: float) -> None:
     if not 0.0 < theta_pub <= 1.0:
@@ -238,18 +181,18 @@ def privacy_label(k: int, lam: float, theta_pub: float,
     """(Bayes accuracy, chance, label) of the sampled (K, lambda) channel.
 
     The channel's joint has base/K off the diagonal and (base + lam)/K on
-    it, with base = (1 - lam)/K. Bayes accuracy sums the K column maxima,
-    chance is the largest row sum, each by numpy's summation order, so
-    both equal infotheory's bayes_accuracy and chance_level on that
-    joint. Public means accuracy at least theta_pub and at least
-    chance + CHANCE_FLOOR; a channel with K*K > CELL_CAP raises
+    it, with base = (1 - lam)/K. Its Bayes accuracy, the sum of the K
+    column maxima, is (1 + (K - 1) lam)/K, and its chance level, the
+    largest row sum, is 1/K. Both are computed from lam = a/b exactly and
+    rounded once (int true division is correctly rounded), so lam = 1 is
+    exactly 1 at every K. Public means accuracy at least theta_pub and at
+    least chance + CHANCE_FLOOR; a channel with K*K > CELL_CAP raises
     WorldTooLarge, as its joint would.
     """
     if k * k > CELL_CAP:
         raise WorldTooLarge(k * k, CELL_CAP)
-    base = (1.0 - lam) / k
-    off, diag = base / k, (base + lam) / k
-    acc = _pairwise_sum([diag] * k)
-    chance = _max_row_sum(k, off, diag)
+    a, b = float(lam).as_integer_ratio()
+    acc = (b + (k - 1) * a) / (k * b)
+    chance = 1 / k
     public = acc >= theta_pub and acc >= chance + CHANCE_FLOOR
     return acc, chance, "public" if public else "private"

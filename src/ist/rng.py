@@ -57,8 +57,9 @@ def unit_float(h: int) -> float:
 def uniform_index(h: int, n: int) -> int:
     """Map a hash to {0, ..., n-1}, uniform up to O(n / 2^53) bias.
 
-    h may be a np.uint64 array: the result is then the int64 array of
-    indices, each equal to the scalar one for its hash.
+    h may be a np.uint64 array, and n then an int or an int64 array that
+    broadcasts against it: the result is the int64 array of indices, each
+    equal to the scalar one for its hash and n.
     """
     x = unit_float(h) * n
     if isinstance(x, float):

@@ -25,12 +25,21 @@ lambda and non-finite weights, so with the constructor's rules it makes
 the one check pass, priors.check_world_config, and no check of its own.
 Nothing that runs on a world checks it again.
 
+build_world realizes a world in columns: one array rng.derive call
+hashes every (task, dimension) pair, and uniform_index maps the hashes
+to user indices. A WorldDim holds (id, weight, K, lambda, user index);
+its prior and CDF are computed when read, so a world's size does not
+grow with K.
+
 The record engine simulates outputs in bulk: draws never depend on the
 mask, so the draws of a block of tasks are hashed together, one
-_kernels.sample_block call per block of bounded size, and every mask is
-applied to each task's token matrix at once (_TaskDraws). The ablation
-and perturbation experiments and mc_mean_f_icmw all run on it, and its
-records are those of simulate_output and score_output, bit for bit.
+_kernels.sample_block call per block of bounded size, over a CDF table
+numpy builds for the block (each dimension's CDF, padded with +inf to
+the block's largest K). The ablation experiment applies every mask to
+each task's token matrix at once (_TaskDraws); the perturbation
+experiment and mc_mean_f_icmw score every mask of every task of a block
+at once (_mean_f_icmw). Their records and means are those of
+simulate_output and score_output, bit for bit.
 
 All randomness is derived by a keyed 64-bit mix of
 (master seed, stream, task index, dimension index, draw index); there
@@ -39,7 +48,6 @@ is no shared PRNG state and calls are safe to run in any order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, groupby
@@ -69,8 +77,17 @@ class WorldDim:
     k: int
     lam: float
     user_index: int
-    prior: tuple[float, ...]
-    cdf: tuple[float, ...]
+
+    @property
+    def prior(self) -> tuple[float, ...]:
+        prior = [(1.0 - self.lam) / self.k] * self.k
+        prior[self.user_index] += self.lam
+        return tuple(prior)
+
+    @property
+    def cdf(self) -> tuple[float, ...]:
+        # the top end is 1.0 exactly, whatever the accumulated rounding
+        return (*accumulate(self.prior[:-1]), 1.0)
 
     @property
     def user_value(self) -> str:
@@ -88,11 +105,11 @@ class WorldTask:
     index: int
     dims: tuple[WorldDim, ...]
 
-    @property
+    @cached_property
     def weights(self) -> tuple[float, ...]:
         return tuple(d.weight for d in self.dims)
 
-    @property
+    @cached_property
     def dim_ids(self) -> tuple[str, ...]:
         return tuple(d.id for d in self.dims)
 
@@ -127,26 +144,21 @@ class SimulatedOutput:
 # construction
 # ---------------------------------------------------------------------------
 
-def _build_dim(dim_id: str, weight: float, k: int, lam: float, task_ix: int,
-               dim_ix: int, seed: int) -> WorldDim:
-    user_index = uniform_index(derive(seed, USER_VALUE_STREAM, task_ix, dim_ix), k)
-    prior = [(1.0 - lam) / k] * k
-    prior[user_index] += lam
-    cdf = list(accumulate(prior))
-    cdf[-1] = 1.0  # kill accumulated rounding at the top end
-    return WorldDim(id=dim_id, weight=weight, k=k, lam=lam,
-                    user_index=user_index, prior=tuple(prior), cdf=tuple(cdf))
-
-
 def build_world(config: dict, seed: int | None = None) -> SyntheticWorld:
     """Deterministically instantiate a world from its config dict: the
     rows of priors.check_world_fields(config, seed), realized; the world
-    then applies the flat-spec rules."""
+    then applies the flat-spec rules. Dimension j of task i draws its
+    user index from derive(seed, USER_VALUE_STREAM, i, j), every pair in
+    one array call."""
     seed, tag, rows = check_world_fields(config, seed)
+    sizes = [len(dims) for _, dims in rows]
+    task_ixs = np.repeat(np.arange(len(rows)), sizes)
+    dim_ixs = np.arange(len(task_ixs)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    ks = np.array([dim[2] for _, dims in rows for dim in dims])
+    users = iter(uniform_index(derive(seed, USER_VALUE_STREAM, task_ixs.astype(np.uint64),
+                                      dim_ixs.astype(np.uint64)), ks).tolist())
     return SyntheticWorld(seed=seed, tag=tag, tasks=tuple(
-        WorldTask(task_id=task_id, index=task_ix, dims=tuple(
-            _build_dim(*dim, task_ix, dim_ix, seed)
-            for dim_ix, dim in enumerate(dims)))
+        WorldTask(task_id, task_ix, tuple(WorldDim(*dim, next(users)) for dim in dims))
         for task_ix, (task_id, dims) in enumerate(rows)))
 
 
@@ -213,29 +225,42 @@ def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     return SimulatedOutput(realized_values=realized, provenance=provenance)
 
 
+def _dim_arrays(tasks, **fills) -> dict[str, np.ndarray]:
+    """For each name=fill: a (tasks x widest task's dims) array of every
+    dimension's WorldDim attribute name, fill where a task has fewer
+    dimensions."""
+    lens = np.array([len(t.dims) for t in tasks])
+    present = np.arange(lens.max()) < lens[:, None]
+    dims = [d for t in tasks for d in t.dims]
+    out = {}
+    for name, fill in fills.items():
+        out[name] = np.full(present.shape, fill)
+        out[name][present] = [getattr(d, name) for d in dims]
+    return out
+
+
 def _sample_grid(seed: int, tasks, draws: np.ndarray) -> np.ndarray:
     """Sampled tokens (tasks x dims x draws) by one sample_block call.
 
-    Each dimension's CDF is padded with +inf to the largest K, and a task
-    with fewer dimensions than the widest gets +inf rows whose tokens
-    nobody reads.
+    Its CDF table (tasks x widest task's dims x largest K) is built in
+    columns: each row is the flat base (1 - lam)/K plus lam at the user
+    index, summed in order by np.cumsum (as WorldDim.cdf sums it), with
+    entry K - 1 set to 1 and the entries past K to +inf. A task with
+    fewer dimensions than the widest gets K = 1 rows whose tokens nobody
+    reads.
     """
-    n_dims = max(len(t.dims) for t in tasks)
-    k = max(d.k for t in tasks for d in t.dims)
-    pad = (math.inf,) * k
-    cdfs, ks = [], []
-    for task in tasks:
-        for d in task.dims:
-            cdfs.append(d.cdf + pad[d.k:])
-            ks.append(d.k)
-        gap = n_dims - len(task.dims)
-        cdfs += [pad] * gap
-        ks += [1] * gap
-    shape = (len(tasks), n_dims)
+    a = _dim_arrays(tasks, k=1, lam=0.0, user_index=-1)
+    ks, lam = a["k"], a["lam"][..., None]
+    cols = np.arange(ks.max())
+    # one table, filled in place: a task's K can make it the whole block
+    cdf = np.where(cols == a["user_index"][..., None], lam, 0.0)
+    cdf += (1.0 - lam) / ks[..., None]
+    np.cumsum(cdf, axis=-1, out=cdf)
+    cdf[cols == ks[..., None] - 1] = 1.0
+    cdf[cols >= ks[..., None]] = np.inf
     return _kernels.sample_block(
         seed, np.array([t.index for t in tasks], dtype=np.uint64),
-        np.arange(n_dims, dtype=np.uint64), draws,
-        np.array(cdfs).reshape(*shape, k), np.array(ks).reshape(shape))
+        np.arange(ks.shape[1], dtype=np.uint64), draws, cdf, ks)
 
 
 def _blocks(tasks, counts):
@@ -267,25 +292,33 @@ def _blocks(tasks, counts):
         yield block
 
 
+def _block_grids(world: SyntheticWorld, tasks, counts, mode: str):
+    """(block, grid) per block of _blocks(tasks, counts). grid[t, j, i] is
+    dimension j's prior default (argmax mode) or sampled token (sample
+    mode, one sample_block call per block) at draw start + i of the task
+    of block[t]; cells past that task's dims or that range's stop hold
+    tokens nobody reads."""
+    for block in _blocks(tasks, counts):
+        block_tasks = [tasks[pos] for pos, _, _ in block]
+        start = block[0][1]
+        stop = max(stop for _, _, stop in block)
+        if mode == "sample":
+            grid = _sample_grid(world.seed, block_tasks,
+                                np.arange(start, stop, dtype=np.uint64))
+        else:
+            argmax = _dim_arrays(block_tasks, argmax_index=0)["argmax_index"]
+            grid = np.broadcast_to(argmax[..., None], (*argmax.shape, stop - start))
+        yield block, grid
+
+
 def _draw_pieces(world: SyntheticWorld, tasks, counts, mode: str):
     """(position, start, tokens) for draws 0..counts[i]-1 of each task, in
     task then draw order. tokens is a (draws x dims) matrix holding each
     dimension's prior default (argmax mode) or its sampled token (sample
-    mode) per draw; sample mode hashes each block with one call."""
-    for block in _blocks(tasks, counts):
-        if mode == "sample":
-            start = block[0][1]
-            stop = max(stop for _, _, stop in block)
-            grid = _sample_grid(world.seed, [tasks[pos] for pos, _, _ in block],
-                                np.arange(start, stop, dtype=np.uint64))
+    mode) per draw."""
+    for block, grid in _block_grids(world, tasks, counts, mode):
         for t, (pos, start, stop) in enumerate(block):
-            task_dims = tasks[pos].dims
-            if mode == "sample":
-                tokens = grid[t, :len(task_dims), :stop - start].T
-            else:
-                tokens = np.broadcast_to([d.argmax_index for d in task_dims],
-                                         (stop - start, len(task_dims)))
-            yield pos, start, tokens
+            yield pos, start, grid[t, :len(tasks[pos].dims), :stop - start].T
 
 
 def _task_draws(world: SyntheticWorld, tasks, counts, mode: str):
@@ -302,16 +335,11 @@ class _TaskDraws:
 
     Row i of a piece holds every dimension's token at draw start + i.
     Draws never depend on the mask, so one matrix serves every mask.
-    Scoring is exact match against the user value: a record's fidelity
-    row is mask | (token == user), and its f_icmw is weighted_sum of
-    that 0/1 row, computed once per distinct row.
     """
 
     def __init__(self, task: WorldTask):
         self.task = task
-        self._weights = task.weights
         self._user = np.array([d.user_index for d in task.dims])
-        self._f_icmw: dict[tuple, float] = {}
 
     def realize(self, bits, tokens: np.ndarray) -> np.ndarray:
         """Realized tokens under mask bits that broadcast against tokens:
@@ -321,28 +349,59 @@ class _TaskDraws:
 
     def f_icmw(self, real: np.ndarray) -> list[float]:
         """f_icmw per row of realized tokens."""
-        out = []
-        for hits in (real == self._user).tolist():
-            key = tuple(hits)
-            f = self._f_icmw.get(key)
-            if f is None:
-                f = self._f_icmw[key] = weighted_sum(self._weights, hits)
-            out.append(f)
-        return out
+        keys = np.zeros(len(real), dtype=np.int64)
+        return _f_icmw([self.task], keys, real == self._user).tolist()
 
-    def mean_f_icmw(self, bits: np.ndarray, pieces, n: int) -> list[float]:
-        """Mean f_icmw per row of a (masks x dims) bit matrix over the n
-        draws in pieces. One np.where realizes every mask of a piece, and
-        each mask's sum runs on in draw order across pieces, as a loop
-        over simulated records would sum it."""
-        totals = [0.0] * len(bits)
-        for _, tokens in pieces:
-            rows, dims = tokens.shape
-            fs = self.f_icmw(self.realize(bits[:, None], tokens).reshape(-1, dims))
-            for m in range(len(totals)):
-                for f in fs[m * rows:(m + 1) * rows]:
-                    totals[m] += f
-        return [total / n for total in totals]
+
+def _f_icmw(tasks, keys: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """f_icmw of each record i, a record of tasks[keys[i]] whose fidelity
+    row is hits[i] (records x dims; True where the record holds the user
+    value): weighted_sum of that 0/1 row under the task's weights, once
+    per distinct (task, row). Rows are told apart by their key and the
+    bits of 32 columns at a time."""
+    ids = keys
+    for lo in range(0, hits.shape[1], 32):
+        part = hits[:, lo:lo + 32]
+        code = part @ (1 << np.arange(part.shape[1], dtype=np.int64))
+        ids = np.unique((ids << 32) | code, return_inverse=True)[1].reshape(-1)
+    first = np.empty(ids.max() + 1, dtype=np.intp)
+    first[ids] = np.arange(len(ids))
+    return np.array([weighted_sum(tasks[k].weights, row[:len(tasks[k].dims)])
+                     for k, row in zip(keys[first].tolist(), hits[first].tolist())])[ids]
+
+
+def _mean_f_icmw(world: SyntheticWorld, tasks, bits, n: int, mode: str):
+    """Mean f_icmw of each task over its draws 0..n-1 under each row of
+    bits[i], task i's (masks x dims) bit matrix; one list per task, in
+    task order. Every task has the same number of masks.
+
+    Each block scores every mask of each of its tasks on every draw at
+    once: a record's fidelity row is mask | (token == user). Each (task,
+    mask) sum runs on in draw order across blocks (np.cumsum adds in
+    order), as a loop over simulated records would sum it.
+    """
+    carry = {}  # position -> the sums of a task whose draws run on
+    for block, grid in _block_grids(world, tasks, [n] * len(tasks), mode):
+        block_tasks = [tasks[pos] for pos, _, _ in block]
+        b, d, draws = grid.shape
+        masks = np.zeros((b, len(bits[block[0][0]]), 1, d), dtype=bool)
+        for t, (pos, _, _) in enumerate(block):
+            masks[t, :, 0, :len(tasks[pos].dims)] = bits[pos]
+        user = _dim_arrays(block_tasks, user_index=-1)["user_index"]
+        hits = masks | (grid == user[..., None]).transpose(0, 2, 1)[:, None]
+        keys = np.arange(b).repeat(hits[0].size // d)
+        f = _f_icmw(block_tasks, keys, hits.reshape(-1, d)).reshape(hits.shape[:3])
+        # draws past a range's stop add 0.0, which leaves a sum as it is
+        lens = np.array([stop - start for _, start, stop in block])
+        f = np.where(np.arange(draws) < lens[:, None, None], f, 0.0)
+        carried = np.array([carry.pop(pos, np.zeros(masks.shape[1]))
+                            for pos, _, _ in block])
+        sums = np.cumsum(np.concatenate([carried[..., None], f], axis=-1), axis=-1)
+        for t, (pos, _, stop) in enumerate(block):
+            if stop == n:
+                yield (sums[t, :, -1] / n).tolist()
+            else:
+                carry[pos] = sums[t, :, -1]
 
 
 def _check_count(name: str, n) -> None:
@@ -395,7 +454,7 @@ def expected_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
         if mask.bits[dim_ix] == 1:
             e.append(1.0)
         elif mode == "sample":
-            e.append(dim.prior[dim.user_index])
+            e.append((1.0 - dim.lam) / dim.k + dim.lam)  # the prior's user entry
         else:
             e.append(_argmax_match_prob(dim))
     return weighted_sum(task.weights, e)
@@ -411,5 +470,5 @@ def mc_mean_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     _check_count("n", n)
     task = world.task(task_id)
     _check_mask(task, mask)
-    draws, pieces = next(_task_draws(world, [task], [n], "sample"))
-    return draws.mean_f_icmw(np.array([mask.bits]), pieces, n)[0]
+    return next(_mean_f_icmw(world, [task], [np.array([mask.bits], dtype=bool)],
+                             n, "sample"))[0]

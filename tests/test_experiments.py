@@ -39,6 +39,7 @@ from ist.experiments import (
     parse_experiment_config,
     perturb_weight_rows,
     perturb_weights,
+    report_to_json,
     report_to_obj,
     run_ablation,
     run_weight_perturbation,
@@ -51,6 +52,7 @@ from ist.spec_io import OutputRecord, dumps_canonical, record_to_line
 from ist.worlds import (
     SyntheticWorld,
     _draw_pieces,
+    _mean_f_icmw,
     build_world,
     expected_f_icmw,
     full_mask,
@@ -582,7 +584,7 @@ def scaled_world(world, factor):
 ENGINE_WORLDS = {
     "demo": lambda: build_world(json.loads((DATA / "demo_world.json").read_text())),
     "grid": lambda: build_world(json.loads((DATA / "perturb_grid.json").read_text())),
-    **{f"random-d{d}": (lambda d=d: random_world(100 + d, d)) for d in (1, 8, 9, 20)},
+    **{f"random-d{d}": (lambda d=d: random_world(100 + d, d)) for d in (1, 8, 9, 20, 40)},
     # inside the 1e-6 tolerance that spec validation allows
     "scaled": lambda: scaled_world(random_world(7, 5), 1.0 - 5e-7),
     # 1-9 dims per task and K from 2 to 200: CDFs padded within and across tasks
@@ -759,6 +761,43 @@ def test_sampled_blocks_stay_within_the_cell_budget(monkeypatch):
     assert max(cdf_cells) > budget // 2  # blocks do fill up
 
 
+def means_reference(world, bits, n, mode):
+    """Mean f_icmw per (task, mask) row of bits, one simulated and scored
+    record at a time, summed in draw order."""
+    means = []
+    for task, task_bits in zip(world.tasks, bits):
+        spec = to_intent_spec(task)
+        row_means = []
+        for row in task_bits.tolist():
+            mask = EncodingMask(task.dim_ids, tuple(int(b) for b in row))
+            total = 0.0
+            for draw in range(n):
+                out = simulate_output(world, task.task_id, mask, mode, draw)
+                total += weighted_sum(task.weights, score_output(spec, out.realized_values).f)
+            row_means.append(total / n)
+        means.append(row_means)
+    return means
+
+
+@pytest.mark.parametrize("mode", ["argmax", "sample"])
+@pytest.mark.parametrize("budget,n", [(7, 20), (40, 33), (None, 3)])
+def test_block_means_equal_a_per_record_loop(monkeypatch, mode, budget, n):
+    # tasks of 2-9 dims under four random masks each: with a small budget
+    # every task's draws span several blocks, and a block ends inside one
+    # task's draws and holds the next tasks' first draws
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
+    calls = spy_on_sample_block(monkeypatch)
+    world = ENGINE_WORLDS["hetero"]()
+    rng = random.Random(n)
+    bits = [np.array([[rng.random() < 0.5 for _ in task.dims] for _ in range(4)])
+            for task in world.tasks]
+    got = list(_mean_f_icmw(world, world.tasks, bits, n, mode))
+    if mode == "sample":
+        assert (len(calls) > len(world.tasks)) == (budget is not None)
+    assert got == means_reference(world, bits, n, mode)
+
+
 @pytest.mark.parametrize("replicates", [0, -2, 1.5, True])
 def test_run_weight_perturbation_rejects_bad_replicates(demo_world_config, replicates):
     # 0 divided by zero and -2 gave plateau_rate 1.0 with every WAS -0.0
@@ -818,6 +857,31 @@ def test_scaled_weights_fail_when_the_world_is_built():
 
 
 if HAVE_HYPOTHESIS:
+    # quotes, backslashes, controls and text past ASCII and the BMP
+    REPORT_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028é中\U0001F600'),
+                                    st.characters(codec="utf-8")), max_size=5)
+    EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                   1.0 - 2.0 ** -53, 1.0, -1.0, 0.1, 1.7976931348623157e308]
+    REPORT_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                              st.floats(allow_nan=False, allow_infinity=False))
+
+    @st.composite
+    def reports(draw):
+        ids = draw(st.lists(REPORT_TEXT, min_size=1, max_size=3))
+        labels = draw(st.lists(REPORT_TEXT, min_size=1, max_size=3))
+        tag = draw(REPORT_TEXT)
+        cells = tuple(CellSummary(draw(st.sampled_from(ids)), tag,
+                                  draw(st.sampled_from(labels)), draw(REPORT_FLOATS),
+                                  draw(REPORT_FLOATS), draw(st.booleans()))
+                      for _ in range(draw(st.integers(0, 8))))
+        rates = [draw(st.none() | REPORT_FLOATS) for _ in range(3)]
+        return PerturbationReport(cells, *rates)
+
+    @given(reports())
+    @settings(max_examples=200, deadline=None)
+    def test_report_writer_equals_the_canonical_dump(rep):
+        assert report_to_json(rep) == dumps_canonical(report_to_obj(rep))
+
     JUNK = [None, True, "x", [], {}, -1, 0, 1, 2, 2.5, -0.5, 1.5, 1e-17,
             math.inf, -math.inf, math.nan]
     # K stays small (an unbounded K is its own open item); other numbers

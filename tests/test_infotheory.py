@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -407,6 +408,13 @@ def prior_loop_channel(k, lam, mode):
     return table
 
 
+def exact_accuracy_and_chance(k, lam):
+    """The (K, lambda) channel's Bayes accuracy, (1 + (K - 1) lam)/K, and
+    chance level, 1/K, each the float nearest the exact fraction of the
+    float lam: the reference of the label rule."""
+    return float((1 + (k - 1) * Fraction(lam)) / k), float(Fraction(1, k))
+
+
 def tiil_check_reference(world, theta_pub=0.9, seed=0):
     """tiil_check as a plain loop: every dimension's joint, verdict and
     three decoders computed anew, nothing shared or cached."""
@@ -415,8 +423,7 @@ def tiil_check_reference(world, theta_pub=0.9, seed=0):
     for task in world.tasks:
         for dim in task.dims:
             joint = DiscreteJoint(("v", "y"), prior_loop_channel(dim.k, dim.lam, "sample"))
-            acc_bayes = bayes_accuracy(joint, "v", "y")
-            chance = chance_level(joint, "v")
+            acc_bayes, chance = exact_accuracy_and_chance(dim.k, dim.lam)
             mi = mutual_information(joint, "v", "y")
             public = acc_bayes >= theta_pub and acc_bayes >= chance + CHANCE_FLOOR
             chance_level_dim = acc_bayes <= chance + DPI_TOL
@@ -521,22 +528,9 @@ def test_tiil_check_rejects_bad_theta():
             tiil_check(world, theta_pub=theta)
 
 
-# -- the (K, lambda) label rule against the numpy verdict --------------------
+# -- the (K, lambda) label rule against the exact verdict --------------------
 
 EDGE_LAMBDAS = (0.0, 5e-324, 1e-300, 1e-17, 1e-12, 1e-9, 1.0 - 1e-16, 1.0)
-
-
-def numpy_verdict(k, lam):
-    """Accuracy and chance on the dense numpy joint, and the label rule on
-    them as a function of theta: the reference."""
-    joint = DiscreteJoint(("v", "y"), prior_loop_channel(k, lam, "sample"))
-    acc = bayes_accuracy(joint, "v", "y")
-    chance = chance_level(joint, "v")
-
-    def label(theta_pub):
-        public = acc >= theta_pub and acc >= chance + CHANCE_FLOOR
-        return "public" if public else "private"
-    return acc, chance, label
 
 
 def label_rule_cases():
@@ -547,15 +541,34 @@ def label_rule_cases():
             yield k, lam
 
 
-def test_privacy_label_equals_the_numpy_verdict_bit_for_bit():
+def test_privacy_label_equals_the_exact_verdict_bit_for_bit():
     for k, lam in label_rule_cases():
-        acc, chance, label = numpy_verdict(k, lam)
+        acc, chance = exact_accuracy_and_chance(k, lam)
         # theta exactly at the accuracy (public iff clear of chance) and
         # exactly at the chance floor
         for theta in (acc, chance + CHANCE_FLOOR):
             got = privacy_label(k, lam, theta)
             assert [x.hex() for x in got[:2]] == [acc.hex(), chance.hex()], (k, lam)
-            assert got[2] == label(theta), (k, lam, theta)
+            public = acc >= theta and acc >= chance + CHANCE_FLOOR
+            assert got[2] == ("public" if public else "private"), (k, lam, theta)
+
+
+def test_privacy_label_is_the_joints_accuracy_and_chance():
+    # the closed form is the quantity bayes_accuracy and chance_level sum
+    # on the dense joint, which rounds each of its K terms
+    for k, lam in label_rule_cases():
+        if k % 16 and k < 1000:
+            continue
+        joint = DiscreteJoint(("v", "y"), prior_loop_channel(k, lam, "sample"))
+        acc, chance, _ = privacy_label(k, lam, 0.9)
+        assert abs(acc - bayes_accuracy(joint, "v", "y")) <= k * 2.0 ** -53, (k, lam)
+        assert abs(chance - chance_level(joint, "v")) <= k * 2.0 ** -53, (k, lam)
+
+
+def test_exact_channels_are_public_at_theta_one():
+    # the sum of K rounded diagonal cells fell below 1.0 at K = 6
+    for k in range(2, 1001):
+        assert privacy_label(k, 1.0, 1.0) == (1.0, 1 / k, "public"), k
 
 
 def test_privacy_label_refuses_k_past_the_cell_cap():
@@ -697,6 +710,43 @@ def test_the_derived_total_check_fails_on_nan():
         DiscreteJoint._derived(("x",), np.array([math.nan, 1.0]))
 
 
+def test_constructors_leave_the_callers_array_alone():
+    # a C-contiguous float64 input was frozen in place, not copied
+    t = np.eye(2) / 2
+    joint = DiscreteJoint(("a", "b"), t)
+    rows = np.eye(2)
+    decoder = Decoder(("b",), "g", rows)
+    for given, kept, want in ((t, joint.table, np.eye(2) / 2),
+                              (rows, decoder.rows, np.eye(2))):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert kept is not given and not np.shares_memory(kept, given)
+        given[0, 0] = 0.25
+        assert kept.tobytes() == want.tobytes()
+
+
+def test_builder_decoders_equal_the_checked_ones():
+    # point-mass rows skip the checks; they must be what the checked
+    # constructor would make of them
+    rng = random.Random(47)
+    for trial in range(20):
+        joint = awkward_joint(rng, ("v", "a", "b"))
+        ev = ("a", "b")[:rng.randint(1, 2)]
+        sizes = tuple(joint.size(n) for n in ev)
+        k = joint.size("v")
+        for decoder in (constant_decoder(ev, sizes, k, index=k - 1),
+                        random_deterministic_decoder(ev, sizes, k, seed=trial),
+                        bayes_decoder(joint, "v", ev)):
+            checked = Decoder(ev, "g", decoder.rows)
+            assert (decoder.evidence_vars, decoder.output_var) == (ev, "g")
+            assert not decoder.rows.flags.writeable
+            assert decoder.rows.flags.c_contiguous and decoder.rows.dtype == np.float64
+            assert decoder.rows.tobytes() == checked.rows.tobytes()
+            assert decoder.rows.shape == checked.rows.shape
+    # the rank still follows the names given apart from the sizes
+    with pytest.raises(InvalidDistribution, match=r"^rows rank 3 for 1 evidence vars$"):
+        constant_decoder(("y",), (2, 3), 4)
+
+
 # ---------------------------------------------------------------------------
 # the random decoder and the array uniform_index
 # ---------------------------------------------------------------------------
@@ -746,3 +796,12 @@ def test_array_uniform_index_equals_the_scalar_one_on_edge_hashes(n):
     assert all(type(i) is int and 0 <= i < n for i in want)
     got = uniform_index(np.array(hashes, dtype=np.uint64), n)
     assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_array_uniform_index_takes_an_array_of_sizes():
+    ns = [1, 2, 3, 7, 10, 64, 1000, 65_537, CELL_CAP]
+    pairs = [(h, n) for n in ns for h in edge_hashes(n)]
+    got = uniform_index(np.array([h for h, _ in pairs], dtype=np.uint64),
+                        np.array([n for _, n in pairs]))
+    assert got.dtype == np.int64
+    assert got.tolist() == [uniform_index(h, n) for h, n in pairs]

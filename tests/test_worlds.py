@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -16,7 +20,7 @@ from ist.errors import BadConfig, LengthMismatch, UnknownTask
 from ist.metrics import bundle_for_output, score_output, weighted_sum
 from ist.model import EncodingMask, ValueRef, validate_spec
 from ist.priors import CELL_CAP, check_world_config
-from ist.rng import SAMPLE_STREAM, derive, unit_float
+from ist.rng import SAMPLE_STREAM, USER_VALUE_STREAM, derive, uniform_index, unit_float
 from ist.worlds import (
     _argmax_match_prob,
     build_world,
@@ -29,6 +33,8 @@ from ist.worlds import (
     to_intent_spec,
     token,
 )
+
+from conftest import SRC
 
 
 def one_dim_config(lam, k, weight=1.0):
@@ -380,6 +386,51 @@ def test_build_dim_equals_numpy_reference_on_random_dims():
         lam = rng.choice([0.0, 5e-324, 1e-17, 1.0, rng.random()])
         world = build_world(one_dim_config(lam, k), seed=rng.getrandbits(64))
         assert_dim_matches_reference(world.tasks[0].dims[0])
+
+
+def test_every_dim_of_a_built_world_equals_the_scalar_build():
+    # the one array derive of the build against one scalar derive and
+    # uniform_index per (task, dim), and every prior and CDF against numpy
+    rng = random.Random(9)
+    tasks = []
+    for t in range(40):
+        n = rng.randint(1, 9)
+        tasks.append({"task_id": f"t{t}", "dims": [
+            {"id": f"d{i}", "weight": 1.0 / n,
+             "K": rng.choice([2, 3, 64, 1000, rng.randint(2, 300)]),
+             "lambda": rng.choice([0.0, 5e-324, 1e-17, 1.0, rng.random()])}
+            for i in range(n)]})
+    for seed in (0, 77, 2 ** 64 - 1, -3, 2 ** 70 + 1):
+        world = build_world({"tasks": tasks}, seed=seed)
+        assert [len(t.dims) for t in world.tasks] == [len(t["dims"]) for t in tasks]
+        for task_ix, task in enumerate(world.tasks):
+            assert task.index == task_ix
+            for dim_ix, dim in enumerate(task.dims):
+                want = uniform_index(derive(seed, USER_VALUE_STREAM, task_ix, dim_ix), dim.k)
+                assert type(dim.user_index) is int and dim.user_index == want
+                assert_dim_matches_reference(dim)
+
+
+def test_a_world_holds_no_table_per_dim(tmp_path):
+    # prior and cdf are computed when read: 50 dims at K = 10**6 load
+    # under an address-space limit that two 10**6-float tuples per dim
+    # (about 40 MB each dim) would exceed
+    dims = [{"id": f"d{i}", "weight": 0.02, "K": CELL_CAP, "lambda": 0.5}
+            for i in range(50)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"seed": 1, "tasks": [{"task_id": "t", "dims": dims}]}))
+    resource = pytest.importorskip("resource")
+    code = ("import sys; from ist.worlds import load_world; "
+            "w = load_world(sys.argv[1]); print(len(w.tasks[0].dims))")
+
+    def cap():  # 1 GiB of address space, in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, preexec_fn=cap, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "50\n"), proc.stderr[-2000:]
 
 
 def test_mc_agrees_with_expectation():
