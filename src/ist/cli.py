@@ -17,8 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
 
 from .errors import BadConfig, IstError, ValidationError
@@ -30,7 +28,6 @@ from .spec_io import (
     parse_carrier,
     parse_intent_spec,
     parse_output_document,
-    write_records,
 )
 
 # Past the parsing layer, each subcommand imports what it runs, so
@@ -199,26 +196,20 @@ def _experiment_config(args, default_world: str):
 
 
 def cmd_ablate(args) -> int:
-    from .experiments import estimate_weights_by_ablation, run_ablation
+    from .experiments import _weights_from_means, write_ablation
 
     cfg = _experiment_config(args, "demo_world.json")
     replicates = cfg.replicates if args.replicates is None else args.replicates
-    records = run_ablation(cfg.world, args.mode or cfg.mode, replicates)
     summaries = {}
-
-    def estimated():
-        # run_ablation yields each task's records as one run, in world
-        # order: estimate each task's weights, then pass its records on
-        for task_id, task_records in groupby(records, attrgetter("task_id")):
-            task_records = list(task_records)
-            try:
-                summaries[task_id] = estimate_weights_by_ablation(task_records)
-            except IstError as e:
-                summaries[task_id] = None
-                _print_err(f"{task_id}: weights not estimable ({e})")
-            yield from task_records
-
-    write_records(args.out or sys.stdout, estimated())
+    # each task's condition means arrive once its records are written
+    for task, means in write_ablation(args.out or sys.stdout, cfg.world,
+                                      args.mode or cfg.mode, replicates):
+        try:
+            summaries[task.task_id] = _weights_from_means(task.task_id,
+                                                          task.dim_ids, means)
+        except IstError as e:
+            summaries[task.task_id] = None
+            _print_err(f"{task.task_id}: weights not estimable ({e})")
     summary_text = dumps_canonical({"estimated_weights": summaries}) + "\n"
     if args.out:
         sys.stdout.write(summary_text)

@@ -7,6 +7,10 @@ replicate count that defaults to default_replicates(mode):
 * run_ablation: FULL condition plus one condition per dimension with
   that dimension's mask bit zeroed. Fidelity drops under ablation
   identify the weights (estimate_weights_by_ablation).
+  write_ablation, behind `ist ablate`, writes the same records as JSONL
+  joined from fragments of each task's token and f_icmw columns, with no
+  record object, and hands back each condition's mean f_icmw; a task
+  holds only its f_icmw floats.
 
 * run_weight_perturbation: encode a carrier under a budget using
   perturbed weights, score it under the true weights (WAS). Because a
@@ -48,7 +52,13 @@ from .errors import (
 from .metrics import synthesize_ga, weighted_sum
 from .model import EncodingMask, ValueRef, normalize_weights
 from .rng import MASK64, PERTURB_STREAM, derive, unit_float
-from .spec_io import OutputRecord, _fmt_float, dumps_canonical, loads_strict
+from .spec_io import (
+    OutputRecord,
+    _fmt_float,
+    dumps_canonical,
+    loads_strict,
+    mask_to_obj,
+)
 from .worlds import (
     SyntheticWorld,
     WorldTask,
@@ -95,6 +105,34 @@ def _conditions(task: WorldTask) -> list[tuple[str, EncodingMask]]:
     return conds
 
 
+def _ablation_columns(world: SyntheticWorld, mode: str, reps: int):
+    """The ablation's record engine: (task, s_icmw, ga, pieces) per task, in
+    world order. pieces yields (conds, real, f) for each run of the task's
+    draws, in draw order: the condition index of each draw (FULL is 0,
+    the ablation of dimension i is 1 + i), the realized tokens (draws x
+    dims) and the f_icmw column.
+
+    The draw index is condition_index * reps + replicate, fixed by the
+    record's position alone, so a task's records are one run of draws and
+    output bytes never depend on evaluation order.
+    """
+    counts = [(1 + len(task.dims)) * reps for task in world.tasks]
+    for draws, pieces in _task_draws(world, world.tasks, counts, mode):
+        task = draws.task
+        s = weighted_sum(task.weights, [1.0] * len(task.dims))
+        yield task, s, synthesize_ga(s), _ablation_pieces(draws, pieces, reps)
+
+
+def _ablation_pieces(draws, pieces, reps: int):
+    n = len(draws.task.dims)
+    bits = np.ones((1 + n, n), dtype=bool)  # the mask bits of each condition
+    bits[np.arange(1, 1 + n), np.arange(n)] = False
+    for start, tokens in pieces:
+        conds = np.arange(start, start + len(tokens)) // reps
+        real = draws.realize(bits[conds], tokens)
+        yield conds, real, draws.f_icmw(real)
+
+
 class _TokenRefs(dict):
     """Token index -> ValueRef, each made once and shared by records."""
 
@@ -107,10 +145,7 @@ def run_ablation(world: SyntheticWorld, mode: str = "argmax",
                  replicates: int | None = None) -> Iterator[OutputRecord]:
     """Records of one (task, condition, replicate) each, in world order.
 
-    A bad mode or replicates raises here, before any record is made. The
-    draw index is condition_index * replicates + replicate, fixed by the
-    record's position alone, so a task's records are one run of draws and
-    output bytes never depend on evaluation order.
+    A bad mode or replicates raises here, before any record is made.
     """
     return _ablation_records(world, mode, _replicates(mode, replicates))
 
@@ -118,18 +153,11 @@ def run_ablation(world: SyntheticWorld, mode: str = "argmax",
 def _ablation_records(world: SyntheticWorld, mode: str,
                       reps: int) -> Iterator[OutputRecord]:
     refs = _TokenRefs()
-    counts = [(1 + len(task.dims)) * reps for task in world.tasks]
-    for draws, pieces in _task_draws(world, world.tasks, counts, mode):
-        task = draws.task
+    for task, s, ga, pieces in _ablation_columns(world, mode, reps):
         conds = _conditions(task)
-        bits = np.array([m.bits for _, m in conds])
-        s = weighted_sum(task.weights, [1.0] * len(task.dims))
-        ga = synthesize_ga(s)
         ids = task.dim_ids
-        for start, tokens in pieces:
-            cond_ixs = np.arange(start, start + len(tokens)) // reps
-            real = draws.realize(bits[cond_ixs], tokens)
-            for c, row, f in zip(cond_ixs.tolist(), real.tolist(), draws.f_icmw(real)):
+        for cond_ixs, real, f in pieces:
+            for c, row, f_icmw in zip(cond_ixs.tolist(), real.tolist(), f.tolist()):
                 condition, mask = conds[c]
                 yield OutputRecord(
                     task_id=task.task_id,
@@ -139,16 +167,80 @@ def _ablation_records(world: SyntheticWorld, mode: str,
                     realized_values={d: refs[j] for d, j in zip(ids, row)},
                     ga=ga,
                     s_icmw=s,
-                    f_icmw=f,
+                    f_icmw=f_icmw,
                 )
+
+
+# lines per write call of write_ablation: bounds the text held at once
+_WRITE_LINES = 4096
+
+
+def write_ablation(dest, world: SyntheticWorld, mode: str = "argmax",
+                   replicates: int | None = None,
+                   ) -> Iterator[tuple[WorldTask, list[float]]]:
+    """Write the records of run_ablation to dest, a path or an open text
+    stream, with the bytes of write_records, and yield (task, means)
+    for each task once its lines are written: means holds each
+    condition's mean f_icmw, FULL's first, then each dimension's ablation.
+
+    A bad mode or replicates raises here, before dest is opened. Lines
+    are joined from canonical fragments, each rendered once: the
+    condition, model tag and mask per condition of a tuple of dimension
+    ids, and per run of a task's draws the realized values and f_icmw of
+    each distinct token row. No record object is made, and a task holds
+    only its f_icmw column, conditions x replicates floats.
+    """
+    return _write_ablation(dest, world, mode, _replicates(mode, replicates))
+
+
+def _write_ablation(dest, world: SyntheticWorld, mode: str, reps: int):
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="utf-8") as fh:
+            yield from _write_ablation(fh, world, mode, reps)
+        return
+    enc = cache(encode_basestring)
+    heads: dict[tuple[str, ...], list[str]] = {}  # dim ids -> per condition
+    for task, s, ga, pieces in _ablation_columns(world, mode, reps):
+        ids = task.dim_ids
+        cond_heads = heads.get(ids)
+        if cond_heads is None:
+            cond_heads = heads[ids] = [
+                dumps_canonical({"condition": condition, "model_tag": world.tag,
+                                 "mask": mask_to_obj(mask)})[1:-1]
+                for condition, mask in _conditions(task)]
+        starts = [f'{{"task_id":{enc(task.task_id)},{head},"realized_values":{{'
+                  for head in cond_heads]
+        keys = [f'{enc(d)}:{{"kind":"token","value":"v' for d in ids]
+        scores = f'}},"ga":{ga},"s_icmw":{_fmt_float(s)},"f_icmw":'
+        column = np.empty(len(starts) * reps)
+        done = 0
+        for cond_ixs, real, f in pieces:
+            column[done:done + len(f)] = f
+            done += len(f)
+            tails: dict[tuple[int, ...], str] = {}  # token row -> rest of line
+            for lo in range(0, len(f), _WRITE_LINES):
+                batch = slice(lo, lo + _WRITE_LINES)
+                lines = []
+                for c, row, f_icmw in zip(cond_ixs[batch].tolist(),
+                                          map(tuple, real[batch].tolist()),
+                                          f[batch].tolist()):
+                    tail = tails.get(row)
+                    if tail is None:
+                        tail = tails[row] = (
+                            ",".join([f'{key}{j}"}}' for key, j in zip(keys, row)])
+                            + scores + _fmt_float(f_icmw) + "}\n")
+                    lines.append(starts[c] + tail)
+                dest.write("".join(lines))
+        # each row's mean is np.mean of that condition's f_icmw list, bit for bit
+        yield task, column.reshape(len(starts), reps).mean(axis=1).tolist()
 
 
 def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, float]:
     """Infer dimension weights from fidelity drops under ablation.
 
     drop_i = mean f_icmw(FULL) - mean f_icmw(ABL_i), floored at zero,
-    then normalized. All-zero drops mean the world is all-public and the
-    weights are unidentifiable by this method.
+    then normalized (_weights_from_means). All-zero drops mean the world
+    is all-public and the weights are unidentifiable by this method.
     """
     by_condition: dict[str, list[float]] = {}
     dims: tuple[str, ...] | None = None
@@ -165,20 +257,27 @@ def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, f
         raise MissingCondition(FULL_CONDITION)
     if FULL_CONDITION not in by_condition:
         raise MissingCondition(FULL_CONDITION)
-    full_mean = float(np.mean(by_condition[FULL_CONDITION]))
-    drops = []
+    means = [float(np.mean(by_condition[FULL_CONDITION]))]
     for dim_id in dims:
         cond = ABLATION_PREFIX + dim_id
         if cond not in by_condition:
             raise MissingCondition(cond)
-        drop = full_mean - float(np.mean(by_condition[cond]))
-        drops.append(max(0.0, drop))
+        means.append(float(np.mean(by_condition[cond])))
+    return _weights_from_means(task_id, dims, means)
+
+
+def _weights_from_means(task_id: str, dims: Sequence[str],
+                        means: Sequence[float]) -> dict[str, float]:
+    """Weights from each condition's mean f_icmw, FULL's first, then the
+    ablation of each of dims: the drops from FULL, floored at zero and
+    normalized. ZeroSignal when every drop is zero."""
+    full, *ablated = means
+    drops = [max(0.0, full - mean) for mean in ablated]
     if all(d == 0.0 for d in drops):
         raise ZeroSignal(
             f"no fidelity drop under any ablation of task {task_id!r}; "
             "weights unidentifiable (all-public world?)")
-    inferred = normalize_weights(drops)
-    return dict(zip(dims, inferred))
+    return dict(zip(dims, normalize_weights(drops)))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,12 @@ def weighted_sum(weights, values) -> float:
     v = list(map(float, values))
     if len(w) != len(v):
         raise LengthMismatch(len(w), len(v), "weighted values")
+    return _float_weighted_sum(w, v)
+
+
+def _float_weighted_sum(w, v) -> float:
+    """weighted_sum of float weights w and values v of one length, neither
+    converted nor checked: the clamped exact fsum of their products."""
     return _clamp_unit(math.fsum(map(operator.mul, w, v)))
 
 

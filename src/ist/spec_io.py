@@ -18,9 +18,9 @@ File formats (all UTF-8, NaN/Infinity forbidden):
 
 Serialization is canonical: fixed key order, floats rendered with 17
 significant digits, optional fields omitted when absent. Equal values
-always produce byte-identical output. Record lines are joined from
-canonical fragments that one write call renders once by the same rules;
-the tests keep ``dumps_canonical(record_to_obj(r))`` as the reference.
+always produce byte-identical output. A record line is
+``dumps_canonical(record_to_obj(r))``; ``ist ablate`` joins the same
+bytes from fragments (experiments.write_ablation).
 
 Parsing is strict by default; ``lenient=True`` downgrades unknown fields
 to warnings on the ``ist.spec_io`` logger.
@@ -462,45 +462,9 @@ def record_from_obj(doc, *, path: str = "$", lenient: bool = False) -> OutputRec
     )
 
 
-def _record_writer() -> Callable[[OutputRecord], str]:
-    """A record-to-line function for one write.
-
-    It renders each distinct mask and each distinct (dimension id, value)
-    pair once, with dumps_canonical, and joins those cached fragments with
-    the encoded ids, text and scores, in record_to_obj's key order. Its
-    caches live only as long as the returned function.
-    """
-    masks: dict[EncodingMask, str] = {}
-    values: dict[tuple[str, str, str], str] = {}
-
-    def to_line(rec: OutputRecord) -> str:
-        mask = masks.get(rec.mask)
-        if mask is None:
-            mask = masks[rec.mask] = dumps_canonical(mask_to_obj(rec.mask))
-        realized = []
-        for dim_id, ref in rec.realized_values.items():
-            # ValueRef's own hash is Python code; its fields hash in C
-            key = (dim_id, ref.kind, ref.value)
-            frag = values.get(key)
-            if frag is None:
-                frag = values[key] = (encode_basestring(str(dim_id)) + ":"
-                                      + dumps_canonical(_value_ref_obj(ref)))
-            realized.append(frag)
-        text = "" if rec.text is None else ',"text":' + encode_basestring(rec.text)
-        return (f'{{"task_id":{encode_basestring(rec.task_id)}'
-                f',"condition":{encode_basestring(rec.condition)}'
-                f',"model_tag":{encode_basestring(rec.model_tag)}'
-                f',"mask":{mask},"realized_values":{{{",".join(realized)}}}'
-                f',"ga":{int(rec.ga)}'
-                f',"s_icmw":{_fmt_float(float(rec.s_icmw))}'
-                f',"f_icmw":{_fmt_float(float(rec.f_icmw))}{text}}}')
-
-    return to_line
-
-
 def record_to_line(rec: OutputRecord) -> str:
     """One record's canonical JSON line, without the newline."""
-    return _record_writer()(rec)
+    return dumps_canonical(record_to_obj(rec))
 
 
 def _write_jsonl(dest, items: Iterable, to_line: Callable[[object], str]) -> int:
@@ -544,7 +508,7 @@ def _read_jsonl(path, from_obj: Callable[[object], object], *,
 def write_records(path, records: Iterable[OutputRecord]) -> int:
     """Write records as JSONL to a path or an open text stream; returns the
     number written."""
-    return _write_jsonl(path, records, _record_writer())
+    return _write_jsonl(path, records, record_to_line)
 
 
 def read_records(path, *, lenient: bool = False,

@@ -58,7 +58,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BadConfig, LengthMismatch, UnknownTask
-from .metrics import weighted_sum
+from .metrics import _float_weighted_sum, weighted_sum
 from .model import Dimension, EncodingMask, IntentSpec, ValueRef
 from .priors import check_flat_tasks, check_world_fields, parse_world_config
 from .rng import USER_VALUE_STREAM, derive, uniform_index
@@ -347,18 +347,18 @@ class _TaskDraws:
         token."""
         return np.where(np.asarray(bits, dtype=bool), self._user, tokens)
 
-    def f_icmw(self, real: np.ndarray) -> list[float]:
+    def f_icmw(self, real: np.ndarray) -> np.ndarray:
         """f_icmw per row of realized tokens."""
         keys = np.zeros(len(real), dtype=np.int64)
-        return _f_icmw([self.task], keys, real == self._user).tolist()
+        return _f_icmw([self.task], keys, real == self._user)
 
 
 def _f_icmw(tasks, keys: np.ndarray, hits: np.ndarray) -> np.ndarray:
     """f_icmw of each record i, a record of tasks[keys[i]] whose fidelity
     row is hits[i] (records x dims; True where the record holds the user
-    value): weighted_sum of that 0/1 row under the task's weights, once
-    per distinct (task, row). Rows are told apart by their key and the
-    bits of 32 columns at a time."""
+    value): weighted_sum of that 0/1 row under the task's weights (made
+    floats once), once per distinct (task, row). Rows are told apart by
+    their key and the bits of 32 columns at a time."""
     ids = keys
     for lo in range(0, hits.shape[1], 32):
         part = hits[:, lo:lo + 32]
@@ -366,7 +366,8 @@ def _f_icmw(tasks, keys: np.ndarray, hits: np.ndarray) -> np.ndarray:
         ids = np.unique((ids << 32) | code, return_inverse=True)[1].reshape(-1)
     first = np.empty(ids.max() + 1, dtype=np.intp)
     first[ids] = np.arange(len(ids))
-    return np.array([weighted_sum(tasks[k].weights, row[:len(tasks[k].dims)])
+    weights = [list(map(float, t.weights)) for t in tasks]
+    return np.array([_float_weighted_sum(weights[k], row[:len(weights[k])])
                      for k, row in zip(keys[first].tolist(), hits[first].tolist())])[ids]
 
 

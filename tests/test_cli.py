@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import resource
@@ -15,6 +16,7 @@ import ist.model
 import ist.spec_io
 from ist.audit import audit_record_from_obj
 from ist.cli import build_parser, main
+from ist.errors import BadConfig
 from ist.model import flatten
 from ist.spec_io import (
     loads_strict,
@@ -631,7 +633,7 @@ def test_ablate_with_config(capsys, tmp_path):
 
 
 def test_ablate_writes_a_tasks_records_before_the_last_task_is_simulated(
-        capsys, monkeypatch, tmp_path):
+        capsys, monkeypatch):
     events = []
     task_draws = ist.experiments._task_draws
 
@@ -640,23 +642,90 @@ def test_ablate_writes_a_tasks_records_before_the_last_task_is_simulated(
             events.append(("simulate", draws.task.task_id))
             yield draws, pieces
 
-    def logged_writer(dest, records):
-        n = 0
-        for rec in records:
-            events.append(("write", rec.task_id))
-            n += 1
-        return n
+    class LoggedStdout(io.StringIO):
+        def write(self, text):
+            events.extend(("write", json.loads(line)["task_id"])
+                          for line in text.splitlines())
+            return super().write(text)
+
     monkeypatch.setattr(ist.experiments, "_task_draws", logged_task_draws)
-    monkeypatch.setattr(ist.cli, "write_records", logged_writer)
-    code, out, _ = run(capsys, "ablate", "--config",
-                       str(TESTS_DATA / "mixed_experiment.json"),
-                       "--out", str(tmp_path / "r.jsonl"))
+    monkeypatch.setattr(sys, "stdout", LoggedStdout())
+    code = main(["ablate", "--config", str(TESTS_DATA / "mixed_experiment.json")])
     assert code == 0
     tasks = [task_id for kind, task_id in events if kind == "simulate"]
     assert len(tasks) == 14
     assert events.index(("write", tasks[0])) < events.index(("simulate", tasks[-1]))
     # every task's estimate is still in the summary, in world order
-    assert list(json.loads(out)["estimated_weights"]) == tasks
+    summary = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert list(summary["estimated_weights"]) == tasks
+
+
+def test_ablate_builds_no_output_record(capsys, monkeypatch, tmp_path):
+    made = []
+    init = ist.spec_io.OutputRecord.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ist.spec_io.OutputRecord, "__init__", counted_init)
+    world = build_world(json.loads((DATA / "demo_world.json").read_text()))
+    assert len(list(ist.experiments.run_ablation(world))) == len(made) == 9
+    made.clear()
+    for args in ([], ["--out", str(tmp_path / "r.jsonl")], ["--mode", "sample"]):
+        assert run(capsys, "ablate", *args)[0] == 0
+    assert made == []
+
+
+def test_ablate_bad_mode_exits_2_before_opening_out(capsys, tmp_path):
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"world_path": str(DATA / "demo_world.json"),
+                                  "mode": "greedy"}))
+    out = tmp_path / "records.jsonl"
+    code, stdout, err = run(capsys, "ablate", "--config", str(config), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: mode must be 'argmax' or 'sample', got 'greedy'\n"
+    assert not out.exists()
+    world = build_world(json.loads((DATA / "demo_world.json").read_text()))
+    for mode, replicates in (("greedy", None), ("sample", 0)):
+        with pytest.raises(BadConfig):
+            ist.experiments.write_ablation(out, world, mode, replicates)
+        assert not out.exists()
+
+
+# runs ARGV and prints its exit code and peak RSS (KiB). A process's
+# ru_maxrss starts at its parent's size at the fork, so the test runs ist
+# under this small launcher, not straight from pytest.
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_ablate_memory_does_not_grow_with_replicates(tmp_path):
+    # a task holds its f_icmw column (conditions x replicates floats), not
+    # its records: 200,000 records of a one-dim world peak within 20 MB of
+    # 2,000 (they grew by ~80 MB when a task's records were held)
+    config = tmp_path / "one_dim.json"
+    config.write_text(json.dumps({"seed": 1, "world_config": {"tasks": [{
+        "task_id": "t", "dims": [{"id": "a", "weight": 1.0, "K": 10, "lambda": 0.5}]}]}}))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    peak = {}
+    for replicates in (1000, 100_000):
+        out = tmp_path / f"r{replicates}.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, "-m", "ist",
+             "ablate", "--config", str(config), "--mode", "sample",
+             "--replicates", str(replicates), "--out", str(out)],
+            env=env, capture_output=True, text=True, check=True)
+        code, peak[replicates] = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        with open(out, "rb") as fh:
+            assert sum(1 for _ in fh) == 2 * replicates
+    assert peak[100_000] - peak[1000] < 20 * 1024, peak
 
 
 # -- perturb -----------------------------------------------------------------

@@ -3,6 +3,9 @@ import math
 import random
 import re
 from dataclasses import replace
+from functools import cache
+from itertools import groupby, product
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -48,10 +51,13 @@ from ist.infotheory import tiil_check
 from ist.metrics import score_output, synthesize_ga, weighted_sum
 from ist.model import EncodingMask, normalize_weights
 from ist.rng import PERTURB_STREAM, derive, unit_float
-from ist.spec_io import OutputRecord, dumps_canonical, record_to_line
+from ist.spec_io import OutputRecord, dumps_canonical, record_to_line, record_to_obj
 from ist.worlds import (
     SyntheticWorld,
+    WorldDim,
+    WorldTask,
     _draw_pieces,
+    _f_icmw,
     _mean_f_icmw,
     build_world,
     expected_f_icmw,
@@ -400,6 +406,19 @@ def test_estimate_weights_zero_signal():
         estimate_weights_by_ablation(records)
 
 
+def test_estimate_weights_floors_a_negative_drop_at_zero():
+    # records from elsewhere (a real model's outputs) can score better under
+    # an ablation: that dimension weighs 0, and if every ablation scores
+    # better there is no signal
+    records = list(run_ablation(world_from(private_dims([0.5, 0.5]))))
+    f = {"FULL": 0.5, "ABL_d0": 0.75, "ABL_d1": 0.25}
+    records = [replace(r, f_icmw=f[r.condition]) for r in records]
+    assert estimate_weights_by_ablation(records) == {"d0": 0.0, "d1": 1.0}
+    with pytest.raises(ZeroSignal):
+        estimate_weights_by_ablation(
+            [replace(r, f_icmw=0.5 if r.condition == "FULL" else 0.75) for r in records])
+
+
 def test_estimate_weights_missing_condition():
     world = world_from(private_dims([0.5, 0.5], k=30), seed=1)
     records = [r for r in run_ablation(world, "argmax")
@@ -677,6 +696,132 @@ def test_ablation_draw_blocks_equal_reference(monkeypatch, name):
         assert [record_to_line(r) for r in run_ablation(world, "sample", 7)] == want, budget
 
 
+def ablate_reference(world, mode, replicates):
+    """What `ist ablate` writes, the plain way: (records, not-estimable
+    lines, summary line). Each record of run_ablation_reference is
+    dumps_canonical(record_to_obj(r)), and each task's weights come from
+    estimate_weights_by_ablation over its records."""
+    lines, errors, summaries = [], [], {}
+    for task_id, records in groupby(run_ablation_reference(world, mode, replicates),
+                                    attrgetter("task_id")):
+        records = list(records)
+        lines += [dumps_canonical(record_to_obj(r)) + "\n" for r in records]
+        try:
+            summaries[task_id] = estimate_weights_by_ablation(records)
+        except IstError as e:
+            summaries[task_id] = None
+            errors.append(f"{task_id}: weights not estimable ({e})\n")
+    return ("".join(lines), "".join(errors),
+            dumps_canonical({"estimated_weights": summaries}) + "\n")
+
+
+# a quote, a backslash and a control character need JSON escapes; U+2028
+# and text past ASCII and the BMP pass through unescaped
+ESCAPED = ['"', "\\", "\u2028", "é", "中", "\U0001F600", "\x01"]
+
+
+def escaped_experiment(seed):
+    """An experiment config of 1-9 dims per task, K from 2 to 200, whose
+    task ids, dimension ids and tag need JSON escapes; its last task is
+    all-public, so its weights are not estimable."""
+    rng = random.Random(seed)
+    tasks = []
+    for t in range(7):
+        n = rng.randint(1, 9) if t < 6 else 3
+        raw = [rng.choice([1.0, 2.0, rng.uniform(0.01, 1.0)]) for _ in range(n)]
+        total = math.fsum(raw)
+        tasks.append({
+            "task_id": f"{rng.choice(ESCAPED)}t{t}{rng.choice(ESCAPED)}",
+            "dims": [{"id": f"{ESCAPED[(t + i) % len(ESCAPED)]}d{i}", "weight": x / total,
+                      "K": rng.choice([2, 3, 10, 200, rng.randint(2, 200)]),
+                      "lambda": 1.0 if t == 6 else rng.choice([0.0, 1.0, 1e-17,
+                                                               rng.random()])}
+                     for i, x in enumerate(raw)]})
+    return {"seed": rng.getrandbits(64),
+            "world_config": {"tag": 'tag"\\\u2028é', "tasks": tasks}}
+
+
+ABLATE_EXPERIMENTS = {
+    "mixed": lambda: json.loads((TESTS_DATA / "mixed_experiment.json").read_text()),
+    "escaped": lambda: escaped_experiment(3),
+}
+
+
+@cache
+def cached_ablate_reference(name, mode, replicates):
+    config = ABLATE_EXPERIMENTS[name]()
+    world = build_world(config["world_config"], config["seed"])
+    return ablate_reference(world, mode, replicates)
+
+
+@pytest.mark.parametrize("replicates,budget", [(1, None), (3, None), (7, None), (50, None),
+                                                (1, 7), (7, 7)])
+@pytest.mark.parametrize("mode", ["argmax", "sample"])
+@pytest.mark.parametrize("name", list(ABLATE_EXPERIMENTS))
+def test_ablate_cli_equals_the_record_reference(capsys, monkeypatch, tmp_path, name,
+                                                mode, replicates, budget):
+    # a block of 7 hash cells holds less than one draw of a wide task, so
+    # each task's draws span blocks
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
+    records, errors, summary = cached_ablate_reference(name, mode, replicates)
+    if name == "escaped":
+        assert "t6" in errors  # the all-public task
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(ABLATE_EXPERIMENTS[name]()), encoding="utf-8")
+    args = ["ablate", "--config", str(path), "--mode", mode,
+            "--replicates", str(replicates)]
+    assert main(args) == 0
+    assert capsys.readouterr() == (records, errors + summary)
+    out = tmp_path / "records.jsonl"
+    assert main([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr() == (summary, errors)
+    assert out.read_bytes() == records.encode("utf-8")
+
+
+@pytest.mark.parametrize("replicates", [1, 3, 7, 8, 9, 50, 127, 128, 129, 8191, 8192,
+                                        8193, 16_385, 100_000])
+def test_row_means_are_np_mean_of_each_list(replicates):
+    # write_ablation takes each condition's mean as a row of one axis=1
+    # mean over the task's (conditions x replicates) f_icmw column;
+    # estimate_weights_by_ablation takes np.mean of a list per condition.
+    # Rows past numpy's pairwise block (128) and buffer (8192) included.
+    rng = np.random.default_rng(replicates)
+    columns = [rng.random((9, replicates)),
+               rng.choice([0.0, 0.1, 1 / 3, 0.30000000000000004, 0.7, 1.0], (9, replicates)),
+               rng.random((2, replicates)) * 10.0 ** rng.integers(-300, 1, (2, replicates))]
+    for column in columns:
+        assert_same_floats(column.mean(axis=1).tolist(),
+                           [float(np.mean(row.tolist())) for row in column])
+
+
+def all_rows(n):
+    return np.array(list(product([False, True], repeat=n)))
+
+
+def assert_same_floats(got, want):
+    # float.hex tells every bit apart, -0.0 from 0.0 included
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("name", ["mixed", "ladder"])
+def test_block_scorer_f_icmw_is_weighted_sum_bit_for_bit(name):
+    # every 0/1 row of every task, alone and with every task in one block
+    tasks = ENGINE_WORLDS[name]().tasks
+    width = max(len(t.dims) for t in tasks)
+    keys, hits, want = [], [], []
+    for k, task in enumerate(tasks):
+        rows = all_rows(len(task.dims))
+        got = _f_icmw([task], np.zeros(len(rows), dtype=np.int64), rows).tolist()
+        task_want = [weighted_sum(task.weights, row) for row in rows.tolist()]
+        assert_same_floats(got, task_want)
+        keys += [k] * len(rows)
+        hits += [row + [True] * (width - len(row)) for row in rows.tolist()]
+        want += task_want
+    got = _f_icmw(tasks, np.array(keys), np.array(hits)).tolist()
+    assert_same_floats(got, want)
+
+
 def spy_on_sample_block(monkeypatch) -> list[tuple]:
     """Record (task indices, draws, cdf_pad shape) of each sample_block call."""
     calls = []
@@ -881,6 +1026,35 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=200, deadline=None)
     def test_report_writer_equals_the_canonical_dump(rep):
         assert report_to_json(rep) == dumps_canonical(report_to_obj(rep))
+
+    # tied and zero weights, -0.0 among them; 40 dims spans two 32-column codes
+    TIED_WEIGHTS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 0.1, 0.25, 0.5]),
+                                      st.floats(0.0, 1.0)), min_size=1, max_size=40)
+
+    @st.composite
+    def scored_blocks(draw):
+        tasks = []
+        for k in range(draw(st.integers(1, 3))):
+            raw = draw(TIED_WEIGHTS)
+            total = math.fsum(raw)
+            weights = [w / total for w in raw] if total > 0 else raw
+            tasks.append(WorldTask(f"t{k}", k, tuple(
+                WorldDim(f"d{i}", w, 2, 0.0, 0) for i, w in enumerate(weights))))
+        width = max(len(t.dims) for t in tasks)
+        keys = draw(st.lists(st.integers(0, len(tasks) - 1), min_size=1, max_size=30))
+        # cells past a task's dims hold bits nobody may read
+        hits = [draw(st.lists(st.booleans(), min_size=width, max_size=width))
+                for _ in keys]
+        return tasks, keys, hits
+
+    @given(scored_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_block_scorer_f_icmw_is_weighted_sum_on_any_rows(block):
+        tasks, keys, hits = block
+        got = _f_icmw(tasks, np.array(keys), np.array(hits)).tolist()
+        want = [weighted_sum(tasks[k].weights, row[:len(tasks[k].dims)])
+                for k, row in zip(keys, hits)]
+        assert_same_floats(got, want)
 
     JUNK = [None, True, "x", [], {}, -1, 0, 1, 2, 2.5, -0.5, 1.5, 1e-17,
             math.inf, -math.inf, math.nan]
