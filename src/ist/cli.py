@@ -333,12 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the world's master seed")
     lenient = _parent("--lenient", action="store_true",
                       help="warn on unknown input fields instead of failing")
+    # demo, audit, ablate and perturb print JSON only and take no --format
     text_or_json = _parent("--format", choices=("text", "json"), default="text",
                            help="output format")
-    # demo, audit, ablate and perturb print JSON only; they take --format
-    # json for compatibility and reject the others
-    json_only = _parent("--format", choices=("json",), default="json",
-                        help="output format")
 
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -366,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional carrier (enables l_enc)")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("audit", parents=[out, seed, lenient, json_only],
+    p = sub.add_parser("audit", parents=[out, seed, lenient],
                        help="emit an audit record for one interaction")
     p.add_argument("--spec", required=True)
     p.add_argument("--carrier", required=True)
@@ -382,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed RFC 3339 timestamp (for reproducible output)")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("ablate", parents=[out, seed, json_only],
+    p = sub.add_parser("ablate", parents=[out, seed],
                        help="run the FULL + single-dimension ablation design")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--mode", choices=("argmax", "sample"), default=None)
@@ -390,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("perturb", parents=[out, seed, json_only],
+    p = sub.add_parser("perturb", parents=[out, seed],
                        help="run the weight-perturbation experiment")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--mode", choices=("argmax", "sample"), default=None)
@@ -411,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text", help="output format")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("demo", parents=[out, json_only],
+    p = sub.add_parser("demo", parents=[out],
                        help="run the shipped report-task scenario end to end")
     p.add_argument("--max-drift", type=_finite_float, default=None)
     p.add_argument("--timestamp", default=None)

@@ -8,7 +8,7 @@ replicate count that defaults to default_replicates(mode):
   that dimension's mask bit zeroed. Fidelity drops under ablation
   identify the weights (estimate_weights_by_ablation).
   write_ablation, behind `ist ablate`, writes the same records as JSONL
-  joined from fragments of each task's token and f_icmw columns, with no
+  joined from fragments of each run's token and f_icmw columns, with no
   record object, and hands back each condition's mean f_icmw; a task
   holds only its f_icmw floats.
 
@@ -22,9 +22,10 @@ replicate count that defaults to default_replicates(mode):
 Both designs run on the record engine of worlds, which also backs
 mc_mean_f_icmw: a draw index is a pure function of plan position and
 never of the mask, so the engine hashes the draws of a block of tasks at
-once and every mask reuses them, and the bytes are those of simulating
-and scoring each record in turn (the tests keep that per-record loop as
-the reference).
+once and every mask reuses them. Each design realizes and scores a
+whole block per _f_icmw call, so ablation output streams a block at a
+time, and the bytes are those of simulating and scoring each record in
+turn (the tests keep that per-record loop as the reference).
 
 Perturbation masks are planned by rows (perturb_weight_rows and
 encode_rows), for all tasks with one dimension count at once.
@@ -35,7 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cache
+from itertools import groupby
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -62,10 +65,12 @@ from .spec_io import (
 from .worlds import (
     SyntheticWorld,
     WorldTask,
+    _block_grids,
     _check_count,
     _check_mode,
+    _dim_arrays,
+    _f_icmw,
     _mean_f_icmw,
-    _task_draws,
     build_world,
     full_mask,
     load_world,
@@ -114,23 +119,35 @@ def _ablation_columns(world: SyntheticWorld, mode: str, reps: int):
 
     The draw index is condition_index * reps + replicate, fixed by the
     record's position alone, so a task's records are one run of draws and
-    output bytes never depend on evaluation order.
+    output bytes never depend on evaluation order. Records stream a block
+    of tasks at a time (_ablation_runs).
     """
-    counts = [(1 + len(task.dims)) * reps for task in world.tasks]
-    for draws, pieces in _task_draws(world, world.tasks, counts, mode):
-        task = draws.task
+    for pos, group in groupby(_ablation_runs(world, mode, reps), itemgetter(0)):
+        task = world.tasks[pos]
         s = weighted_sum(task.weights, [1.0] * len(task.dims))
-        yield task, s, synthesize_ga(s), _ablation_pieces(draws, pieces, reps)
+        yield task, s, synthesize_ga(s), map(itemgetter(1), group)
 
 
-def _ablation_pieces(draws, pieces, reps: int):
-    n = len(draws.task.dims)
-    bits = np.ones((1 + n, n), dtype=bool)  # the mask bits of each condition
-    bits[np.arange(1, 1 + n), np.arange(n)] = False
-    for start, tokens in pieces:
-        conds = np.arange(start, start + len(tokens)) // reps
-        real = draws.realize(bits[conds], tokens)
-        yield conds, real, draws.f_icmw(real)
+def _ablation_runs(world: SyntheticWorld, mode: str, reps: int):
+    """(position, (conds, real, f)) per run of draws, a block at a time:
+    every task of a block is realized at once (under condition c each
+    dimension but the (c - 1)-th copies the user value) and scored with
+    one _f_icmw call. Cells past a task's dims or a run's stop are
+    realized and scored too, and never read."""
+    counts = [(1 + len(task.dims)) * reps for task in world.tasks]
+    for block, grid in _block_grids(world, world.tasks, counts, mode):
+        block_tasks = [world.tasks[pos] for pos, _, _ in block]
+        b, d, n = grid.shape
+        conds = np.arange(block[0][1], block[0][1] + n) // reps
+        user = _dim_arrays(block_tasks, user_index=-1)["user_index"][:, None]
+        real = np.where(conds[:, None] != np.arange(1, d + 1), user,
+                        grid.transpose(0, 2, 1))
+        f = _f_icmw(block_tasks, np.arange(b).repeat(n),
+                    (real == user).reshape(-1, d)).reshape(b, n)
+        for t, (pos, start, stop) in enumerate(block):
+            rows = stop - start
+            yield pos, (conds[:rows], real[t, :rows, :len(block_tasks[t].dims)],
+                        f[t, :rows])
 
 
 class _TokenRefs(dict):

@@ -35,10 +35,11 @@ The record engine simulates outputs in bulk: draws never depend on the
 mask, so the draws of a block of tasks are hashed together, one
 _kernels.sample_block call per block of bounded size, over a CDF table
 numpy builds for the block (each dimension's CDF, padded with +inf to
-the block's largest K). The ablation experiment applies every mask to
-each task's token matrix at once (_TaskDraws); the perturbation
-experiment and mc_mean_f_icmw score every mask of every task of a block
-at once (_mean_f_icmw). Their records and means are those of
+the block's largest K). Both experiments realize and score a whole
+block per _f_icmw call, over the grids of _block_grids: the ablation
+realizes each draw under its condition's mask (experiments), and the
+perturbation experiment and mc_mean_f_icmw score every mask of every
+task of a block (_mean_f_icmw). Their records and means are those of
 simulate_output and score_output, bit for bit.
 
 All randomness is derived by a keyed 64-bit mix of
@@ -50,8 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -309,48 +309,6 @@ def _block_grids(world: SyntheticWorld, tasks, counts, mode: str):
             argmax = _dim_arrays(block_tasks, argmax_index=0)["argmax_index"]
             grid = np.broadcast_to(argmax[..., None], (*argmax.shape, stop - start))
         yield block, grid
-
-
-def _draw_pieces(world: SyntheticWorld, tasks, counts, mode: str):
-    """(position, start, tokens) for draws 0..counts[i]-1 of each task, in
-    task then draw order. tokens is a (draws x dims) matrix holding each
-    dimension's prior default (argmax mode) or its sampled token (sample
-    mode) per draw."""
-    for block, grid in _block_grids(world, tasks, counts, mode):
-        for t, (pos, start, stop) in enumerate(block):
-            yield pos, start, grid[t, :len(tasks[pos].dims), :stop - start].T
-
-
-def _task_draws(world: SyntheticWorld, tasks, counts, mode: str):
-    """(_TaskDraws, pieces) per task, in order: pieces yields (start,
-    tokens) for the task's draws 0..counts[i]-1."""
-    for pos, group in groupby(_draw_pieces(world, tasks, counts, mode),
-                              itemgetter(0)):
-        yield (_TaskDraws(tasks[pos]),
-               ((start, tokens) for _, start, tokens in group))
-
-
-class _TaskDraws:
-    """One task's scoring of (draws x dims) token matrices, by row.
-
-    Row i of a piece holds every dimension's token at draw start + i.
-    Draws never depend on the mask, so one matrix serves every mask.
-    """
-
-    def __init__(self, task: WorldTask):
-        self.task = task
-        self._user = np.array([d.user_index for d in task.dims])
-
-    def realize(self, bits, tokens: np.ndarray) -> np.ndarray:
-        """Realized tokens under mask bits that broadcast against tokens:
-        encoded dimensions copy the user value, the rest keep the drawn
-        token."""
-        return np.where(np.asarray(bits, dtype=bool), self._user, tokens)
-
-    def f_icmw(self, real: np.ndarray) -> np.ndarray:
-        """f_icmw per row of realized tokens."""
-        keys = np.zeros(len(real), dtype=np.int64)
-        return _f_icmw([self.task], keys, real == self._user)
 
 
 def _f_icmw(tasks, keys: np.ndarray, hits: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ import ist.experiments
 import ist.metrics
 import ist.model
 import ist.spec_io
+import ist.worlds
+from ist import _kernels
 from ist.audit import audit_record_from_obj
 from ist.cli import build_parser, main
 from ist.errors import BadConfig
@@ -632,15 +634,25 @@ def test_ablate_with_config(capsys, tmp_path):
     assert abs(weights["a"] - 0.7) < 1e-9 and abs(weights["b"] - 0.3) < 1e-9
 
 
+def spy_on_block_grids(monkeypatch, events):
+    """Log ("sample", block) in events as the ablation engine samples each
+    block of _block_grids."""
+    block_grids = ist.experiments._block_grids
+
+    def logged_block_grids(*args):
+        for block, grid in block_grids(*args):
+            events.append(("sample", tuple(block)))
+            yield block, grid
+
+    monkeypatch.setattr(ist.experiments, "_block_grids", logged_block_grids)
+
+
 def test_ablate_writes_a_tasks_records_before_the_last_task_is_simulated(
         capsys, monkeypatch):
+    # the engine samples, realizes and scores a block at a time; at 200
+    # cells a block, the mixed world's ablation spans 12 blocks
+    monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", 200)
     events = []
-    task_draws = ist.experiments._task_draws
-
-    def logged_task_draws(*args):
-        for draws, pieces in task_draws(*args):
-            events.append(("simulate", draws.task.task_id))
-            yield draws, pieces
 
     class LoggedStdout(io.StringIO):
         def write(self, text):
@@ -648,16 +660,42 @@ def test_ablate_writes_a_tasks_records_before_the_last_task_is_simulated(
                           for line in text.splitlines())
             return super().write(text)
 
-    monkeypatch.setattr(ist.experiments, "_task_draws", logged_task_draws)
+    spy_on_block_grids(monkeypatch, events)
     monkeypatch.setattr(sys, "stdout", LoggedStdout())
     code = main(["ablate", "--config", str(TESTS_DATA / "mixed_experiment.json")])
     assert code == 0
-    tasks = [task_id for kind, task_id in events if kind == "simulate"]
-    assert len(tasks) == 14
-    assert events.index(("write", tasks[0])) < events.index(("simulate", tasks[-1]))
+    blocks = [event for event in events if event[0] == "sample"]
+    assert len(blocks) == 12
+    tasks = list(dict.fromkeys(task_id for kind, task_id in events if kind == "write"))
+    assert tasks == [f"mixed-{i:02d}" for i in range(14)]
+    assert events.index(("write", tasks[0])) < events.index(blocks[-1])
     # every task's estimate is still in the summary, in world order
     summary = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert list(summary["estimated_weights"]) == tasks
+
+
+@pytest.mark.parametrize("budget,blocks", [(None, 1), (200, 12)])
+def test_ablate_scores_each_block_with_one_f_icmw_call(capsys, monkeypatch,
+                                                       budget, blocks):
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
+    events = []
+    f_icmw = ist.worlds._f_icmw
+
+    def logged_f_icmw(*args):
+        events.append(("score", len(args[0])))
+        return f_icmw(*args)
+
+    # wherever the engine looks the scorer up
+    for module in (ist.worlds, ist.experiments):
+        monkeypatch.setattr(module, "_f_icmw", logged_f_icmw)
+    spy_on_block_grids(monkeypatch, events)
+    code, _, _ = run(capsys, "ablate", "--config",
+                     str(TESTS_DATA / "mixed_experiment.json"))
+    assert code == 0
+    # each block is sampled, then scored once, all its tasks together
+    assert [kind for kind, _ in events] == ["sample", "score"] * blocks
+    assert [len(block) for _, block in events[::2]] == [n for _, n in events[1::2]]
 
 
 def test_ablate_builds_no_output_record(capsys, monkeypatch, tmp_path):
@@ -731,7 +769,7 @@ def test_ablate_memory_does_not_grow_with_replicates(tmp_path):
 # -- perturb -----------------------------------------------------------------
 
 def test_perturb_default_grid(capsys):
-    code, out, _ = run(capsys, "perturb", "--format", "json")
+    code, out, _ = run(capsys, "perturb")
     assert code == 0
     doc = json.loads(out)
     assert doc["plateau_rate"] == 1.0
@@ -774,11 +812,10 @@ def packaged_args(command, capsys, data_dir, tmp_path):
     return []  # ablate and tiil-check default to the packaged demo world
 
 
-# only report renders markdown; these print JSON only; the rest print text
-# or JSON; any other format is a usage error
+# only report renders markdown; these print JSON only and take no --format;
+# the rest print text or JSON; any other format is a usage error
 JSON_ONLY = ("demo", "audit", "ablate", "perturb")
-FORMATS = {"report": ("text", "markdown", "json"),
-           **dict.fromkeys(JSON_ONLY, ("json",))}
+FORMATS = {"report": ("text", "markdown", "json"), **dict.fromkeys(JSON_ONLY, ())}
 
 
 @pytest.mark.parametrize("fmt", ["text", "markdown", "json"])
@@ -789,11 +826,15 @@ def test_every_subcommand_and_format(capsys, data_dir, tmp_path, command, fmt):
         with pytest.raises(SystemExit) as exc:
             main([command, "--format", fmt, *args])
         assert exc.value.code == 2
-        assert "argument --format: invalid choice" in capsys.readouterr().err
-        return
-    code, out, err = run(capsys, command, "--format", fmt, *args)
+        assert (f"unrecognized arguments: --format {fmt}" if command in JSON_ONLY
+                else "argument --format: invalid choice") in capsys.readouterr().err
+        if command not in JSON_ONLY:
+            return
+    # a JSON-only command's plain output is the JSON checked below
+    options = [] if command in JSON_ONLY else ["--format", fmt]
+    code, out, err = run(capsys, command, *options, *args)
     assert code == EXIT_CODES[command], err
-    if fmt == "json":
+    if fmt == "json" or command in JSON_ONLY:
         # ablate streams JSONL records; every other command prints one document
         docs = out.splitlines() if command == "ablate" else [out]
         assert docs
@@ -816,7 +857,7 @@ class ReadRecorder(argparse.Namespace):
 @pytest.mark.parametrize("command", list(EXIT_CODES))
 def test_every_parsed_option_is_read(capsys, data_dir, tmp_path, command):
     # an option that a subcommand parses but never reads is accepted and
-    # ignored; --jobs and the JSON-only --format are kept for compatibility
+    # ignored; --jobs is kept for compatibility
     argv = [command, *packaged_args(command, capsys, data_dir, tmp_path)]
     if command == "audit":
         argv += ["--world", str(data_dir / "demo_world.json")]
@@ -824,8 +865,6 @@ def test_every_parsed_option_is_read(capsys, data_dir, tmp_path, command):
     args._reads = set()
     assert args.func(args) == EXIT_CODES[command]
     options = set(vars(args)) - {"command", "func", "debug", "_reads", "jobs"}
-    if command in JSON_ONLY:
-        options.discard("format")
     assert options - args._reads == set()
 
 

@@ -56,7 +56,7 @@ from ist.worlds import (
     SyntheticWorld,
     WorldDim,
     WorldTask,
-    _draw_pieces,
+    _block_grids,
     _f_icmw,
     _mean_f_icmw,
     build_world,
@@ -856,13 +856,15 @@ def test_block_tokens_equal_scalar_reference(monkeypatch, budget, counts):
                "tails": 1 if pos % 2 else 2 * ((budget or 1) // len(t.dims)) + 1}[counts]
               for pos, t in enumerate(tasks)]
     pieces = []
-    for pos, start, tokens in _draw_pieces(world, tasks, counts, "sample"):
-        task = tasks[pos]
-        want = [[sample_token_index_reference(world.seed, task, j, draw)
-                 for j in range(len(task.dims))]
-                for draw in range(start, start + len(tokens))]
-        assert tokens.tolist() == want, (pos, start)
-        pieces.append((pos, start, start + len(tokens)))
+    for block, grid in _block_grids(world, tasks, counts, "sample"):
+        for t, (pos, start, stop) in enumerate(block):
+            task = tasks[pos]
+            tokens = grid[t, :len(task.dims), :stop - start].T
+            want = [[sample_token_index_reference(world.seed, task, j, draw)
+                     for j in range(len(task.dims))]
+                    for draw in range(start, stop)]
+            assert tokens.tolist() == want, (pos, start)
+            pieces.append((pos, start, stop))
     # task then draw order, each draw once
     assert [(pos, draw) for pos, start, stop in pieces for draw in range(start, stop)] \
         == [(pos, draw) for pos, n in enumerate(counts) for draw in range(n)]
@@ -874,12 +876,12 @@ def test_blocks_span_tasks_and_split_tasks(monkeypatch, budget):
         monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
     calls = spy_on_sample_block(monkeypatch)
     world = ENGINE_WORLDS["mixed"]()
-    list(_draw_pieces(world, world.tasks, [1] * len(world.tasks), "sample"))
+    list(_block_grids(world, world.tasks, [1] * len(world.tasks), "sample"))
     assert max(len(task_ixs) for task_ixs, _, _ in calls) > 1
     calls.clear()
     # 9 dims: the hashes of one draw more than a block holds
     wide = world.tasks[5]
-    list(_draw_pieces(world, [wide], [_kernels._CHUNK_DRAWS // 9 + 2], "sample"))
+    list(_block_grids(world, [wide], [_kernels._CHUNK_DRAWS // 9 + 2], "sample"))
     assert len(calls) == 2 and calls[1][1][0] > 0
 
 
