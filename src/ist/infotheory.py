@@ -13,6 +13,15 @@ only the task-keyed random decoder per task. Its report is byte-identical
 to running the whole battery per dimension; the tests keep that per-
 dimension loop as the reference.
 
+Every decoder of the battery is a point mass, so tiil_check scores a
+channel's decoders in batches, with no einsum or DiscreteJoint per
+extension, and gets each marginal's float exactly: numpy sums an
+extension over y, and over (v, y), in order, as np.bincount does; it
+sums the v marginal pairwise over each (y, g) row, where the zeros'
+places set the order, so that one is summed over extensions laid out in
+full, in one reused buffer. Entropies come row-wise from entropy()'s
+kernel.
+
 A verdict's Bayes accuracy, chance level and label come from the one
 (K, lambda) label rule, priors.privacy_label, which takes both in closed
 form, correctly rounded, without building the joint, so `ist audit
@@ -130,10 +139,18 @@ def _check_entries(p: np.ndarray) -> None:
 
 def _check_total(tab: np.ndarray) -> None:
     """The table sums to 1 within _SUM_TOL (NaN fails); freezes it."""
-    total = float(tab.sum())
-    if not abs(total - 1.0) <= _SUM_TOL:
-        raise InvalidDistribution(f"table sums to {total!r}, expected 1")
+    _check_totals(tab.sum())
     tab.flags.writeable = False
+
+
+def _check_totals(totals) -> None:
+    """Each total is 1 within _SUM_TOL (NaN fails); the first that is
+    not is named."""
+    totals = np.ravel(totals)
+    bad = ~(np.abs(totals - 1.0) <= _SUM_TOL)
+    if bad.any():
+        raise InvalidDistribution(
+            f"table sums to {float(totals[bad][0])!r}, expected 1")
 
 
 def entropy(dist) -> float:
@@ -148,7 +165,11 @@ def entropy(dist) -> float:
         total = float(p.sum())
         if not abs(total - 1.0) <= _SUM_TOL:
             raise InvalidDistribution(f"sums to {total!r}, expected 1")
-    h = _kernels.entropy_bits(p)
+    return _nonnegative(_kernels.entropy_bits(p))
+
+
+def _nonnegative(h: float) -> float:
+    """An entropy's rounding below zero clamped away (-0.0 stays)."""
     return 0.0 if h < 0.0 else h
 
 
@@ -172,13 +193,19 @@ def mutual_information(joint: DiscreteJoint, x, y) -> float:
     if set(gx) & set(gy):
         raise DomainMismatch(f"groups overlap: {gx!r} vs {gy!r}")
     tables = [joint.marginal(*gx), joint.marginal(*gy), joint.marginal(*gx, *gy)]
-    hs = [entropy(t) for t in tables]
+    return _mi_of_entropies([entropy(t) for t in tables],
+                            [t.table.size for t in tables])
+
+
+def _mi_of_entropies(hs, sizes) -> float:
+    """H(x) + H(y) - H(x, y) from the three entropies and the cell counts
+    of their tables, clamped or raised as mutual_information says."""
     hx, hy, hxy = hs
     mi = hx + hy - hxy
     if mi < 0.0:
         tol = max(_MI_NEG_TOL * max(1.0, sum(hs)),
-                  sum((t.table.size - 1 + _TERM_ULPS) * 2.0 ** -53 * h
-                      for t, h in zip(tables, hs)))
+                  sum((n - 1 + _TERM_ULPS) * 2.0 ** -53 * h
+                      for n, h in zip(sizes, hs)))
         if mi < -tol:
             raise RangeError(f"mutual information {mi} below -{tol:.3g}")
         return 0.0
@@ -331,12 +358,6 @@ def verify_dpi(joint: DiscreteJoint, decoder: Decoder) -> DpiReport:
     if not v_group:
         raise DomainMismatch("decoder evidence covers every variable")
     i_v_e = mutual_information(joint, v_group, decoder.evidence_vars)
-    return _dpi_report(joint, decoder, v_group, i_v_e)
-
-
-def _dpi_report(joint: DiscreteJoint, decoder: Decoder, v_group: tuple,
-                i_v_e: float) -> DpiReport:
-    """verify_dpi given I(v; evidence), computed once by the caller."""
     extended = apply_decoder(joint, decoder)
     i_v_g = mutual_information(extended, v_group, decoder.output_var)
     return DpiReport(i_v_evidence=i_v_e, i_v_g=i_v_g,
@@ -457,16 +478,57 @@ def classify_privacy(world: SyntheticWorld, task_id: str, dim_id: str,
     return _channel_verdict(_world_dim(world, task_id, dim_id), theta_pub)[1]
 
 
-def _decoder_row(name: str, joint: DiscreteJoint, decoder: Decoder,
-                 verdict: PrivacyVerdict, chance_level_dim: bool) -> dict:
-    """One decoder's line of the battery; I(v; y) is the verdict's."""
-    rep = _dpi_report(joint, decoder, ("v",), verdict.mi_bits)
-    acc = decoder_accuracy(joint, decoder, "v")
-    beats_chance = acc > verdict.chance + DPI_TOL
-    ok = rep.holds and not (chance_level_dim and
-                            (beats_chance or rep.i_v_g > DPI_TOL))
-    return {"decoder": name, "dpi_holds": rep.holds, "slack": rep.slack,
-            "accuracy": acc, "i_v_g": rep.i_v_g, "ok": ok}
+def _point_mass_rows(p: np.ndarray, picks: np.ndarray, verdict: PrivacyVerdict,
+                     chance_level_dim: bool) -> list[dict]:
+    """The battery's line, less its name, for each decoder y -> picks[d, y]
+    of a (v, y) channel p; I(v; y) is the verdict's.
+
+    Each value is the float verify_dpi, decoder_accuracy and
+    mutual_information give on the decoder's _point_mass_decoder, whose
+    extension (v, y, g) holds p[v, y] at g = picks[d, y] and zeros
+    elsewhere. Decoders are scored a block at a time, as many as fit
+    their extensions in _kernels._CHUNK_DRAWS cells (at least one), so
+    memory holds one block. The (v, g) and g marginals are bincounts
+    over the (v, y) cells in C order. The v marginal's pairwise sums
+    depend on where the zeros lie, so each block's extensions are laid
+    out in a zeroed buffer, whose cells are cleared again after the
+    block. decoder_accuracy's einsum adds p[picks[d, y], y] over y in
+    order, as np.cumsum does. Every extension's total and every
+    marginal's total is checked, as DiscreteJoint._derived would.
+    """
+    i_v_y, chance = verdict.mi_bits, verdict.chance
+    n, k = picks.shape
+    v = np.arange(k)[:, None]
+    per_block = max(1, _kernels._CHUNK_DRAWS // k ** 3)
+    buf = np.zeros((min(n, per_block), k, k * k))
+    rows = []
+    for start in range(0, n, per_block):
+        block = picks[start:start + per_block]
+        m = len(block)
+        d = np.arange(m)[:, None, None]
+        cells = ((d * k + v) * k + np.arange(k)) * k + block[:, None, :]
+        buf.reshape(-1)[cells] = p
+        vm = buf[:m].sum(axis=2)
+        totals = buf[:m].reshape(m, -1).sum(axis=1)
+        buf.reshape(-1)[cells] = 0.0
+        weights = np.broadcast_to(p, (m, k, k)).ravel()
+        vg = np.bincount(((d * k + v) * k + block[:, None, :]).ravel(), weights,
+                         m * k * k).reshape(m, k * k)
+        g = np.bincount(np.broadcast_to(d * k + block[:, None, :], (m, k, k)).ravel(),
+                        weights, m * k).reshape(m, k)
+        for t in (totals, vm.sum(axis=1), g.sum(axis=1), vg.sum(axis=1)):
+            _check_totals(t)
+        accuracy = np.cumsum(p[block, np.arange(k)], axis=1)[:, -1].tolist()
+        hs = [[_nonnegative(h) for h in _kernels.entropy_bits(t, rows=True)]
+              for t in (vm, g, vg)]
+        for acc, h_v, h_g, h_vg in zip(accuracy, *hs):
+            i_v_g = _mi_of_entropies([h_v, h_g, h_vg], [k, k, k * k])
+            holds = i_v_g <= i_v_y + DPI_TOL
+            beats_chance = acc > chance + DPI_TOL
+            ok = holds and not (chance_level_dim and (beats_chance or i_v_g > DPI_TOL))
+            rows.append({"dpi_holds": holds, "slack": i_v_y - i_v_g,
+                         "accuracy": acc, "i_v_g": i_v_g, "ok": ok})
+    return rows
 
 
 def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
@@ -481,9 +543,15 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
     Everything but the task-keyed random decoder depends only on the
     dimension's (K, lambda) channel, so dimensions are grouped by
     channel and each channel's joint, verdict, constant and Bayes rows
-    are enumerated once; the random decoder is checked per task. The
-    report lists dimensions in world order, with the same bytes as
-    checking each dimension on its own.
+    are enumerated once; the random decoder is checked per task. Every
+    decoder is a point mass, so a channel's decoders are one (decoders x
+    K) matrix of picks, one rng.derive call hashes every task's random
+    row, and _point_mass_rows scores them all at once, each marginal
+    exactly: numpy sums an extension over y, and over (v, y), in order,
+    so the (v, g) and g marginals are bincounts, and the v marginal is
+    summed pairwise over each extension's (y, g) row laid out in full,
+    as marginal("v") sums it. The report lists dimensions in world
+    order, with the same bytes as checking each dimension on its own.
     """
     check_theta_pub(theta_pub)
     dims = [(task, dim) for task in world.tasks for dim in task.dims]
@@ -496,21 +564,24 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
         joint, verdict = _channel_verdict(first, theta_pub)
         k = first.k
         chance_level_dim = verdict.bayes_accuracy <= verdict.chance + DPI_TOL
-        constant_row = _decoder_row(
-            "constant", joint, constant_decoder(("y",), (k,), k),
-            verdict, chance_level_dim)
-        bayes_row = _decoder_row(
-            "bayes", joint, bayes_decoder(joint, "v", ("y",)),
-            verdict, chance_level_dim)
-        random_rows: dict[int, dict] = {}
+        # the cap each decoder's extension (v, y, g) would fail, checked
+        # before anything of the battery is allocated
+        if k ** 3 > CELL_CAP:
+            raise WorldTooLarge(k ** 3, CELL_CAP)
+        tasks = list(dict.fromkeys(dims[i][0].index for i in members))
+        picks = np.zeros((2 + len(tasks), k), dtype=np.int64)  # constant: token 0
+        picks[1] = np.argmax(joint.table, axis=0)  # bayes_decoder's picks
+        # random_deterministic_decoder's picks, seeded derive(seed, task)
+        masters = derive(seed, np.array(tasks, dtype=np.uint64))
+        picks[2:] = uniform_index(derive(masters[:, None], DECODER_STREAM,
+                                         np.arange(k, dtype=np.uint64)), k)
+        rows = [{"decoder": name, **row} for name, row in zip(
+            ["constant", "bayes"] + ["random_deterministic"] * len(tasks),
+            _point_mass_rows(joint.table, picks, verdict, chance_level_dim))]
+        constant_row, bayes_row = rows[:2]
+        random_rows = dict(zip(tasks, rows[2:]))
         for i in members:
             task, dim = dims[i]
-            if task.index not in random_rows:
-                decoder = random_deterministic_decoder(
-                    ("y",), (k,), k, seed=derive(seed, task.index))
-                random_rows[task.index] = _decoder_row(
-                    "random_deterministic", joint, decoder, verdict,
-                    chance_level_dim)
             dims_report[i] = {
                 "task_id": task.task_id,
                 "dimension": dim.id,

@@ -38,9 +38,10 @@ def splitmix64(x: int) -> int:
 def derive(master: int, *indices: int) -> int:
     """Mix a chain of indices into the master seed (order-sensitive).
 
-    Any index may be a np.uint64 array, and the array indices broadcast
-    against each other: the result is then the array of hashes over the
-    broadcast grid, each equal to the scalar one for its indices.
+    The master and any index may be np.uint64 arrays, and the arrays
+    broadcast against each other: the result is then the array of hashes
+    over the broadcast grid, each equal to the scalar one for its master
+    and indices.
     """
     h = splitmix64(master & MASK64)
     for ix in indices:

@@ -389,6 +389,54 @@ def test_tiil_check_refuses_k_1000_within_bounded_memory(tmp_path):
     assert usage.ru_maxrss < 400 * 1024
 
 
+# ru_maxrss survives fork and exec, so a child of this process would
+# report at least this process's own peak; a grandchild started from a
+# small interpreter reports its own
+PEAK_RSS_PROBE = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "ist", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def one_dim_world_path(tmp_path, k, lam=0.5):
+    path = tmp_path / f"k{k}.json"
+    path.write_text(json.dumps({"seed": 1, "tasks": [{
+        "task_id": "t", "dims": [{"id": "d", "weight": 1.0, "K": k, "lambda": lam}]}]}))
+    return path
+
+
+def tiil_check_peak_rss_kib(tmp_path, k):
+    """Peak RSS of `ist tiil-check --format json` on one K-token dimension,
+    as os.wait4 reports it (KiB on Linux)."""
+    path = one_dim_world_path(tmp_path, k)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_PROBE, "tiil-check", "--world", str(path),
+         "--format", "json"], env=env, capture_output=True, text=True, check=True)
+    code, peak_kib = map(int, probe.stdout.split())
+    assert code == 0, (k, probe.stderr)
+    return peak_kib
+
+
+def test_tiil_check_holds_one_extension_at_a_time(tmp_path):
+    # at K = 100 one decoder's extension is 10**6 cells (8 MB): the battery's
+    # buffer may hold one of them, never the three decoders' at once
+    gap_kib = tiil_check_peak_rss_kib(tmp_path, 100) - tiil_check_peak_rss_kib(tmp_path, 4)
+    assert gap_kib <= 12 * 1024, gap_kib
+
+
+def test_tiil_check_at_k_101_names_world_too_large(capsys, tmp_path):
+    # 101**3 = 1,030,301 cells per decoder extension: the first K past the cap
+    code, out, err = run(capsys, "tiil-check", "--world",
+                         str(one_dim_world_path(tmp_path, 101)))
+    assert code == 2 and out == ""
+    assert err == "error: enumeration would need 1030301 cells (cap 1000000)\n"
+
+
 def flat_k331_world(tmp_path):
     path = tmp_path / "k331.json"
     path.write_text(json.dumps({"seed": 1, "tasks": [{

@@ -140,3 +140,14 @@ def test_ablate_bytes_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
     assert proc.returncode == 0, proc.stderr
     assert (sha256(out.read_bytes()), sha256(proc.stdout)) == (
         ABLATE_SAMPLE_RECORDS, ABLATE_SAMPLE_SUMMARY)
+
+
+@pytest.mark.parametrize("hash_seed", [0, 1])
+def test_tiil_check_bytes_do_not_depend_on_the_hash_seed(hash_seed):
+    # channels are grouped in a dict keyed by (K, lambda) and a channel's
+    # tasks are deduplicated in first-seen order; neither may follow str hashes
+    for case in ("mixed-text", "mixed-json"):
+        args, digest = TIIL_CASES[case]
+        proc = run_ist("tiil-check", *args, hash_seed=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        assert (sha256(proc.stdout), proc.stderr) == (digest, ""), case

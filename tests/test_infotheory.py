@@ -498,6 +498,54 @@ def test_tiil_check_bytes_match_reference(demo_world_config):
     assert kinds == {"demo", "repeating", "distinct", "large_k", "edge_lambda"}
 
 
+TIIL_EDGE_LAMBDAS = (0.0, 5e-324, 1e-17, 1e-12, 1.0 - 2.0 ** -53, 1.0 - 1e-16, 1.0)
+
+
+def shared_channel_world(k):
+    """Task t0 holds every edge lambda at K; t1..t6 each hold one dimension
+    on t0's lambda = 1e-12 channel, so that channel has 2 + 7 decoders."""
+    tasks = [{"task_id": "t0", "dims": [
+        {"id": f"d{i}", "weight": 1.0 / len(TIIL_EDGE_LAMBDAS), "K": k, "lambda": lam}
+        for i, lam in enumerate(TIIL_EDGE_LAMBDAS)]}]
+    tasks[0]["dims"][-1]["weight"] = 1.0 - sum(d["weight"] for d in tasks[0]["dims"][:-1])
+    tasks += [{"task_id": f"t{t}", "dims": [
+        {"id": "shared", "weight": 1.0, "K": k, "lambda": 1e-12}]} for t in range(1, 7)]
+    return build_world({"tasks": tasks}, seed=k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 99, 100])
+def test_tiil_check_bytes_match_reference_across_blocks(monkeypatch, k):
+    # a channel's decoders are scored in blocks of extensions; at one and
+    # at two per block the 9 decoders of the shared channel span several
+    # blocks, the last one short, and the bytes must not move. K = 100
+    # puts exactly CELL_CAP cells in each extension.
+    from ist import _kernels
+    world = shared_channel_world(k)
+    for seed in (0, 7, MASK64):
+        want = dumps_canonical(tiil_check_reference(world, 0.9, seed))
+        for budget in (None, k ** 3, 2 * k ** 3):
+            if budget is not None:
+                monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
+            got = dumps_canonical(tiil_check(world, theta_pub=0.9, seed=seed))
+            assert got == want, (k, seed, budget)
+            monkeypatch.undo()
+
+
+def test_tiil_check_refuses_k_101_before_the_battery(monkeypatch):
+    # 101**3 cells per extension pass the cap; nothing of the decoder
+    # battery may be hashed or allocated first
+    import ist.infotheory as infotheory
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(infotheory, "derive", boom)
+    monkeypatch.setattr(infotheory, "_point_mass_rows", boom)
+    with pytest.raises(WorldTooLarge, match=r"^enumeration would need 1030301 cells "
+                                            r"\(cap 1000000\)$"):
+        tiil_check(one_dim_world(0.5, 101))
+
+
 def test_classify_privacy_matches_reference():
     for _, world in reference_worlds():
         ref = tiil_check_reference(world, theta_pub=0.5)
@@ -771,6 +819,17 @@ def test_random_decoder_rows_equal_the_per_cell_reference(seed):
         got = random_deterministic_decoder(tuple("xyz"[:len(sizes)]), sizes, out, seed)
         want = random_decoder_rows_reference(sizes, out, seed)
         assert got.rows.shape == want.shape and got.rows.tobytes() == want.tobytes()
+
+
+def test_derive_takes_an_array_of_masters():
+    # tiil_check hashes every task's random decoder in one call, over a
+    # (tasks x cells) grid of derive(seed, task) masters
+    masters = [0, 1, 2 ** 63 + 5, MASK64, derive(7, 3)]
+    cells = np.arange(5, dtype=np.uint64)
+    got = derive(np.array(masters, dtype=np.uint64)[:, None], DECODER_STREAM, cells)
+    assert got.dtype == np.uint64 and got.shape == (len(masters), len(cells))
+    assert got.tolist() == [[derive(m, DECODER_STREAM, c) for c in range(5)]
+                            for m in masters]
 
 
 def edge_hashes(n):
