@@ -15,7 +15,8 @@ labelling needs no world build and no numpy. An unlabeled record has an
 empty private_at_risk list; absence of knowledge is reported as absence
 of knowledge, never guessed. The split zone uses the one metrics threshold,
 SPLIT_ZONE_THRESHOLD, so a record read back is checked against its
-scores: d_drift, ga and split_zone must all follow from them.
+scores: d_drift, ga and split_zone must all follow from them. Labels,
+mask and scores all read the spec's one flattened view, IntentSpec.flat.
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .errors import SchemaError, UnknownTask, UnknownVariable
-from .metrics import Matcher, _bundle_flat, detect_split_zone, synthesize_ga
-from .model import Carrier, FlatDimension, IntentSpec, ValueRef, flatten
+from .metrics import Matcher, bundle_for_output, detect_split_zone, synthesize_ga
+from .model import Carrier, IntentSpec, ValueRef
 from .spec_io import (
     _check_keys,
     _get_number,
     _get_str,
-    _mask_flat,
     _read_jsonl,
     _require_obj,
     _write_jsonl,
+    compute_mask,
     dumps_canonical,
 )
 
@@ -66,7 +67,7 @@ def now_rfc3339() -> str:
 def resolve_privacy_labels(spec: IntentSpec, world=None,
                            theta_pub: float | None = None,
                            ) -> tuple[dict[str, str | None], str]:
-    """(labels, source) for the spec's flattened dimensions.
+    """(labels, source) for the spec's flattened dimensions (spec.flat).
 
     Hints win when any dimension carries one; dimensions without a hint
     (or hinted "unknown") stay None and never count as at risk. With no
@@ -74,12 +75,7 @@ def resolve_privacy_labels(spec: IntentSpec, world=None,
     the (K, lambda) of its world dimension. world is a built
     SyntheticWorld or the rows of priors.check_world_config.
     """
-    return _labels_flat(spec.task_id, flatten(spec), world, theta_pub)
-
-
-def _labels_flat(task_id: str, flat: list[FlatDimension], world,
-                 theta_pub: float | None) -> tuple[dict[str, str | None], str]:
-    """resolve_privacy_labels on the spec's task id and flattened dimensions."""
+    flat = spec.flat
     hinted = {d.id: d.privacy_hint for d in flat
               if d.privacy_hint in ("public", "private")}
     if hinted:
@@ -89,7 +85,7 @@ def _labels_flat(task_id: str, flat: list[FlatDimension], world,
     from .priors import THETA_PUB_DEFAULT, check_theta_pub, privacy_label
     theta = THETA_PUB_DEFAULT if theta_pub is None else theta_pub
     check_theta_pub(theta)
-    channels = _task_channels(world, task_id)
+    channels = _task_channels(world, spec.task_id)
     labels = {}
     for d in flat:
         if d.id not in channels:
@@ -120,12 +116,10 @@ def build_audit_record(spec: IntentSpec,
     """Assemble one audit record; deterministic given an explicit timestamp.
 
     Privacy labels come from resolve_privacy_labels(spec, world, theta_pub).
-    The spec is flattened once, and labels, mask and scores share it.
     """
-    flat = flatten(spec)
-    labels, source = _labels_flat(spec.task_id, flat, world, theta_pub)
-    mask = _mask_flat(spec.task_id, flat, carrier)
-    scores, bundle = _bundle_flat(flat, realized_values, mask, matcher)
+    labels, source = resolve_privacy_labels(spec, world, theta_pub)
+    mask = compute_mask(spec, carrier)
+    scores, bundle = bundle_for_output(spec, realized_values, mask, matcher)
     encoded = tuple(d for d, b in zip(mask.dims, mask.bits) if b == 1)
     absent = tuple(d for d, b in zip(mask.dims, mask.bits) if b == 0)
     at_risk = tuple(d for d in absent if labels[d] == "private")

@@ -20,9 +20,8 @@ import sys
 from pathlib import Path
 
 from .errors import BadConfig, IstError, ValidationError
-from .model import flatten
 from .spec_io import (
-    _mask_flat,
+    compute_mask,
     dumps_canonical,
     mask_to_obj,
     parse_carrier,
@@ -62,17 +61,16 @@ def _print_err(*lines: str) -> None:
 
 def cmd_validate(args) -> int:
     spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
-    flat = flatten(spec)
     if args.format == "json":
         _write_out(args, dumps_canonical({
             "task_id": spec.task_id,
             "task_type": spec.task_type,
-            "dimensions": [{"id": d.id, "weight": d.weight} for d in flat],
+            "dimensions": [{"id": d.id, "weight": d.weight} for d in spec.flat],
             "valid": True,
         }) + "\n")
     else:
         _write_out(args, f"ok: task {spec.task_id!r} ({spec.task_type}), "
-                         f"{len(flat)} flattened dimensions\n")
+                         f"{len(spec.flat)} flattened dimensions\n")
     return 0
 
 
@@ -81,9 +79,8 @@ def cmd_mask(args) -> int:
 
     spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
     carrier = parse_carrier(_read(args.carrier), lenient=args.lenient)
-    flat = flatten(spec)
-    mask = _mask_flat(spec.task_id, flat, carrier)
-    l_enc = encoding_loss([d.weight for d in flat], mask)
+    mask = compute_mask(spec, carrier)
+    l_enc = encoding_loss([d.weight for d in spec.flat], mask)
     if args.format == "json":
         _write_out(args, dumps_canonical({
             "task_id": spec.task_id,
@@ -99,19 +96,18 @@ def cmd_mask(args) -> int:
 
 
 def cmd_score(args) -> int:
-    from .metrics import _bundle_flat
+    from .metrics import bundle_for_output
 
     spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
     out_doc = parse_output_document(_read(args.output), lenient=args.lenient)
     if out_doc.task_id != spec.task_id:
         raise BadConfig(f"output task {out_doc.task_id!r} does not match "
                         f"spec task {spec.task_id!r}")
-    flat = flatten(spec)
     mask = None
     if args.carrier:
         carrier = parse_carrier(_read(args.carrier), lenient=args.lenient)
-        mask = _mask_flat(spec.task_id, flat, carrier)
-    scores, bundle = _bundle_flat(flat, out_doc.realized_values, mask, None)
+        mask = compute_mask(spec, carrier)
+    scores, bundle = bundle_for_output(spec, out_doc.realized_values, mask)
     if args.format == "json":
         _write_out(args, dumps_canonical({
             "task_id": spec.task_id,
@@ -123,7 +119,7 @@ def cmd_score(args) -> int:
             "l_enc": bundle.l_enc,
             "dimensions": [
                 {"id": d, "weight": fd.weight, "r": r, "f": f}
-                for d, fd, r, f in zip(scores.dims, flat, scores.r, scores.f)
+                for d, fd, r, f in zip(scores.dims, spec.flat, scores.r, scores.f)
             ],
         }) + "\n")
     else:

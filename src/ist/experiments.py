@@ -270,8 +270,6 @@ def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, f
             raise Inconsistent(
                 f"records mix tasks {task_id!r} and {rec.task_id!r}")
         by_condition.setdefault(rec.condition, []).append(rec.f_icmw)
-    if dims is None:
-        raise MissingCondition(FULL_CONDITION)
     if FULL_CONDITION not in by_condition:
         raise MissingCondition(FULL_CONDITION)
     means = [float(np.mean(by_condition[FULL_CONDITION]))]

@@ -1,8 +1,9 @@
 """Core metric suite: encoding loss, weighted structure/fidelity, drift.
 
 All aggregates share one reduction (an exactly-accumulated weighted sum
-over the flattened dimension order) so that identities between them
-hold in floating point, not just in exact arithmetic:
+over the flattened dimension order, IntentSpec.flat, which a spec computes
+once) so that identities between them hold in floating point, not just in
+exact arithmetic:
 
 * s_icmw = sum_i w_i * r_i           (structural coverage)
 * f_icmw = sum_i w_i * f_i           (semantic fidelity)
@@ -20,8 +21,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import LengthMismatch, MissingScores, RangeError, UnknownDimension
-from .model import EncodingMask, FlatDimension, IntentSpec, ValueRef, flatten
+from .errors import (Inconsistent, LengthMismatch, MissingScores, RangeError,
+                     UnknownDimension)
+from .model import EncodingMask, FlatDimension, IntentSpec, ValueRef
 
 SPLIT_ZONE_THRESHOLD = 0.8
 
@@ -138,25 +140,28 @@ Matcher = Callable[[FlatDimension, ValueRef], float]
 def score_output(spec: IntentSpec,
                  realized_values: Mapping[str, ValueRef],
                  matcher: Matcher | None = None) -> DimensionScores:
-    """Score realized values against the spec's flattened dimensions.
+    """Score realized values against the spec's dimensions (spec.flat).
 
     r_i is presence: 1 when the output realizes dimension i at all.
     f_i is the matcher's verdict on the realized value (0 when absent);
     the default matcher demands exact equality with the intended value.
-    Keys not present in the spec are an error, not silently ignored.
+    Keys match ids case-insensitively. A key not present in the spec,
+    and two keys equal after case folding, are errors, not silently
+    resolved.
     """
-    return _score_flat(flatten(spec), realized_values, matcher)
-
-
-def _score_flat(flat: list[FlatDimension],
-                realized_values: Mapping[str, ValueRef],
-                matcher: Matcher | None) -> DimensionScores:
-    """score_output on the spec's flattened dimensions."""
+    flat = spec.flat
     known = {d.id for d in flat}
     for key in realized_values:
         if key.lower() not in known:
             raise UnknownDimension(key)
-    lowered = {k.lower(): v for k, v in realized_values.items()}
+    lowered: dict[str, ValueRef] = {}
+    for key, value in realized_values.items():
+        low = key.lower()
+        if low in lowered:
+            first = next(k for k in realized_values if k.lower() == low)
+            raise Inconsistent(f"realized keys {first!r} and {key!r} both "
+                               f"name dimension {low!r}")
+        lowered[low] = value
     r, f = [], []
     for dim in flat:
         got = lowered.get(dim.id)
@@ -201,13 +206,5 @@ def bundle_for_output(spec: IntentSpec,
                       matcher: Matcher | None = None,
                       ) -> tuple[DimensionScores, MetricBundle]:
     """Score then aggregate in one call; returns both layers."""
-    return _bundle_flat(flatten(spec), realized_values, mask, matcher)
-
-
-def _bundle_flat(flat: list[FlatDimension],
-                 realized_values: Mapping[str, ValueRef],
-                 mask: EncodingMask | None,
-                 matcher: Matcher | None) -> tuple[DimensionScores, MetricBundle]:
-    """bundle_for_output on the spec's flattened dimensions."""
-    scores = _score_flat(flat, realized_values, matcher)
-    return scores, build_bundle([d.weight for d in flat], scores, mask)
+    scores = score_output(spec, realized_values, matcher)
+    return scores, build_bundle([d.weight for d in spec.flat], scores, mask)

@@ -8,13 +8,16 @@ per flattened dimension, whether the carrier represents it.
 All types are immutable after construction and safe to share across workers.
 An IntentSpec is valid once it is built: its constructor runs
 :func:`validate_spec` and raises ValidationError listing every violated
-rule, so nothing that takes a spec checks it again.
+rule, so nothing that takes a spec checks it again. A spec flattens once:
+:attr:`IntentSpec.flat` holds its leaves in :func:`flatten` order from the
+first use on, and masks, scores and privacy labels all read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import (
     ChildWeightSum,
@@ -106,6 +109,13 @@ class IntentSpec:
         report = validate_spec(self)
         if report:
             raise ValidationError(report)
+
+    @cached_property
+    def flat(self) -> tuple[FlatDimension, ...]:
+        """flatten(self), computed on first use. The spec is frozen, so the
+        view cannot go stale; it is not a field, so equality, hashing and
+        serialization ignore it."""
+        return tuple(flatten(self))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ always produce byte-identical output. A record line is
 bytes from fragments (experiments.write_ablation).
 
 Parsing is strict by default; ``lenient=True`` downgrades unknown fields
-to warnings on the ``ist.spec_io`` logger.
+to warnings on the ``ist.spec_io`` logger. compute_mask reads the spec's
+one flattened view, ``IntentSpec.flat``.
 """
 
 from __future__ import annotations
@@ -45,11 +46,9 @@ from .model import (
     Carrier,
     Dimension,
     EncodingMask,
-    FlatDimension,
     IntentSpec,
     TOP_WEIGHT_TOL,
     ValueRef,
-    flatten,
 )
 
 
@@ -348,18 +347,12 @@ def serialize_carrier(carrier: Carrier) -> bytes:
 # ---------------------------------------------------------------------------
 
 def compute_mask(spec: IntentSpec, carrier: Carrier) -> EncodingMask:
-    """Bit per flattened dimension: 1 exactly when the carrier encodes it.
-    The carrier must be for the spec's task."""
-    return _mask_flat(spec.task_id, flatten(spec), carrier)
-
-
-def _mask_flat(task_id: str, flat: list[FlatDimension],
-               carrier: Carrier) -> EncodingMask:
-    """compute_mask on the spec's task id and flattened dimensions."""
-    if carrier.task_id != task_id:
+    """Bit per flattened dimension (spec.flat): 1 exactly when the carrier
+    encodes it. The carrier must be for the spec's task."""
+    if carrier.task_id != spec.task_id:
         raise Inconsistent(f"carrier task {carrier.task_id!r} does not match "
-                           f"spec task {task_id!r}")
-    ids = [f.id for f in flat]
+                           f"spec task {spec.task_id!r}")
+    ids = [f.id for f in spec.flat]
     known = set(ids)
     for dim_id in carrier.encoded_dimensions:
         if dim_id not in known:

@@ -22,8 +22,10 @@ from ist.audit import (
 from ist.errors import (Inconsistent, RangeError, SchemaError, UnknownTask,
                         UnknownVariable, WorldTooLarge)
 from ist.infotheory import classify_privacy
+from ist.metrics import bundle_for_output, score_output
 from ist.model import Carrier, Dimension, IntentSpec, ValueRef, flatten
 from ist.priors import check_world_config
+from ist.spec_io import compute_mask
 from ist.worlds import build_world, to_intent_spec
 
 TS = "2026-08-15T00:00:00Z"
@@ -179,14 +181,17 @@ def test_build_audit_record_flattens_the_spec_once(monkeypatch, demo_world_confi
     def counting_flatten(spec):
         calls.append(spec.task_id)
         return flatten(spec)
-    for module in (ist.audit, ist.metrics, ist.model, ist.spec_io):
-        monkeypatch.setattr(module, "flatten", counting_flatten)
+    monkeypatch.setattr(ist.model, "flatten", counting_flatten)
     world = build_world(demo_world_config)
     oracle_spec = to_intent_spec(world.tasks[0])
     for spec, world in ((five_dim_spec(), None), (oracle_spec, world)):
         calls.clear()
-        build_audit_record(spec, carrier_for(spec, ["what"]),
-                           generic_fill(spec, {"what"}), world, timestamp=TS)
+        carrier, values = carrier_for(spec, ["what"]), generic_fill(spec, {"what"})
+        mask = compute_mask(spec, carrier)
+        score_output(spec, values)
+        bundle_for_output(spec, values, mask)
+        resolve_privacy_labels(spec, world)
+        build_audit_record(spec, carrier, values, world, timestamp=TS)
         assert calls == [spec.task_id]
 
 

@@ -181,8 +181,7 @@ def test_score_and_mask_flatten_the_spec_once(monkeypatch, capsys, data_dir, cas
     def counting_flatten(spec):
         calls.append(spec.task_id)
         return flatten(spec)
-    for module in (ist.cli, ist.metrics, ist.model, ist.spec_io):
-        monkeypatch.setattr(module, "flatten", counting_flatten)
+    monkeypatch.setattr(ist.model, "flatten", counting_flatten)
     argv = [command, "--format", fmt, "--spec", str(data_dir / "report_task.json")]
     if with_carrier:
         argv += ["--carrier", str(data_dir / "report_carrier.json")]
@@ -192,6 +191,25 @@ def test_score_and_mask_flatten_the_spec_once(monkeypatch, capsys, data_dir, cas
     assert code == 0
     assert calls == ["q3-status-report"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FLATTEN_ONCE_CASES[case]
+
+
+@pytest.mark.parametrize("keys", [("what", "WHAT"), ("WHAT", "what")])
+@pytest.mark.parametrize("command", ["score", "audit"])
+def test_keys_equal_after_case_folding_exit_2(capsys, data_dir, tmp_path,
+                                              command, keys):
+    doc = json.loads((data_dir / "report_output.json").read_text(encoding="utf-8"))
+    intended = doc["realized_values"].pop("what")
+    generic = {"kind": "text", "value": "generic"}
+    doc["realized_values"] = {keys[0]: intended, keys[1]: generic,
+                              **doc["realized_values"]}
+    output = tmp_path / "output.json"
+    output.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, command,
+                         "--spec", str(data_dir / "report_task.json"),
+                         "--carrier", str(data_dir / "report_carrier.json"),
+                         "--output", str(output))
+    assert (code, out) == (2, "")
+    assert f"{keys[0]!r} and {keys[1]!r}" in err
 
 
 def test_score_task_mismatch(capsys, data_dir, tmp_path):

@@ -10,7 +10,8 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
-from ist.errors import LengthMismatch, MissingScores, RangeError, UnknownDimension
+from ist.errors import (Inconsistent, LengthMismatch, MissingScores, RangeError,
+                        UnknownDimension)
 from ist.metrics import (
     DimensionScores,
     _clamp_unit,
@@ -144,6 +145,22 @@ def test_score_output_absent_slot():
 def test_score_output_unknown_key():
     with pytest.raises(UnknownDimension):
         score_output(make_spec(), {"nope": ValueRef.token("x")})
+
+
+@pytest.mark.parametrize("keys", [("what", "WHAT"), ("WHAT", "what")])
+def test_score_output_refuses_keys_equal_after_case_folding(keys):
+    values = dict(zip(keys, (ValueRef.token("alpha"), ValueRef.token("generic"))))
+    for score in (score_output, bundle_for_output):
+        with pytest.raises(Inconsistent) as ei:
+            score(make_spec(), values)
+        assert f"{keys[0]!r} and {keys[1]!r}" in str(ei.value)
+
+
+def test_score_output_single_upper_case_key_still_scores():
+    sc = score_output(make_spec(), {"WHAT": ValueRef.token("alpha"),
+                                    "Who": ValueRef.token("WRONG")})
+    assert sc.dims == ("what", "who")
+    assert sc.r == (1.0, 1.0) and sc.f == (1.0, 0.0)
 
 
 def test_score_output_kind_mismatch_is_zero():

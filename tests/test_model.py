@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from ist.model import (
     refine_dimension,
     validate_spec,
 )
+
+from ist.spec_io import serialize_intent_spec
 
 from conftest import random_spec
 
@@ -199,6 +202,35 @@ def test_refine_preserves_mass_randomly():
         refined = refine_dimension(spec, target, subs)
         total = sum(d.weight for d in flatten(refined))
         assert abs(total - 1.0) <= 1e-9
+
+
+def test_flat_is_the_flattened_spec():
+    rng = random.Random(5)
+    for _ in range(50):
+        spec = random_spec(rng)
+        assert spec.flat == tuple(flatten(spec))
+        assert spec.flat is spec.flat
+
+
+def test_refine_and_replace_give_a_fresh_flat():
+    spec = spec_of(leaf("a", 0.4), leaf("b", 0.6))
+    assert [d.id for d in spec.flat] == ["a", "b"]
+    refined = refine_dimension(spec, "a", [leaf("a1", 0.5), leaf("a2", 0.5)])
+    assert [(d.id, d.weight) for d in refined.flat] == [
+        ("a1", 0.2), ("a2", 0.2), ("b", 0.6)]
+    swapped = dataclasses.replace(spec, dimensions=(leaf("c", 1.0),))
+    assert [(d.id, d.weight) for d in swapped.flat] == [("c", 1.0)]
+    assert [d.id for d in spec.flat] == ["a", "b"]
+
+
+def test_flat_is_not_a_field():
+    fresh = spec_of(leaf("a", 0.4), leaf("b", 0.6))
+    used = spec_of(leaf("a", 0.4), leaf("b", 0.6))
+    blob = serialize_intent_spec(used)
+    assert used.flat
+    assert "flat" not in {f.name for f in dataclasses.fields(IntentSpec)}
+    assert used == fresh and hash(used) == hash(fresh)
+    assert serialize_intent_spec(used) == blob == serialize_intent_spec(fresh)
 
 
 def test_mask_validation():

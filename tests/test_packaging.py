@@ -45,3 +45,27 @@ def test_no_unused_imports():
     unused = [hit for path in paths if path.name != "__init__.py"
               for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _unused_private_definitions(paths: list[Path]) -> list[str]:
+    """Module-level _-prefixed functions and classes (dunders aside) that no
+    code in paths names outside the definition itself."""
+    defined, used = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and owner.startswith("_") and not owner.startswith("__"):
+                defined.append((path.name, owner))
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and name != owner:
+                    used.add(name)
+    return [f"{module}: {name}" for module, name in defined if name not in used]
+
+
+def test_no_unused_private_definitions():
+    paths = sorted((PYPROJECT.parent / "src" / "ist").glob("*.py"))
+    assert _unused_private_definitions(paths) == []
