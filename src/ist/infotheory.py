@@ -14,13 +14,14 @@ to running the whole battery per dimension; the tests keep that per-
 dimension loop as the reference.
 
 Every decoder of the battery is a point mass, so tiil_check scores a
-channel's decoders in batches, with no einsum or DiscreteJoint per
-extension, and gets each marginal's float exactly: numpy sums an
-extension over y, and over (v, y), in order, as np.bincount does; it
-sums the v marginal pairwise over each (y, g) row, where the zeros'
-places set the order, so that one is summed over extensions laid out in
-full, in one reused buffer. Entropies come row-wise from entropy()'s
-kernel.
+channel's decoders in blocks of (v, y) cells, with no einsum or
+DiscreteJoint per extension and nothing of K**3 cells: numpy sums an
+extension over y, and over (v, y), in order, as np.bincount does, so the
+(v, g) and g marginals are bincounts; every extension (v, y, g) has the
+channel's v marginal, so H(v) is taken once per channel, from the float
+I(v; y) uses. verify_dpi on an explicit extension sums H(v) over its K**3
+cells instead, so its I(v; g) may differ in the last ulps. Entropies
+come row-wise from entropy()'s kernel.
 
 A verdict's Bayes accuracy, chance level and label come from the one
 (K, lambda) label rule, priors.privacy_label, which takes both in closed
@@ -483,45 +484,44 @@ def _point_mass_rows(p: np.ndarray, picks: np.ndarray, verdict: PrivacyVerdict,
     """The battery's line, less its name, for each decoder y -> picks[d, y]
     of a (v, y) channel p; I(v; y) is the verdict's.
 
-    Each value is the float verify_dpi, decoder_accuracy and
-    mutual_information give on the decoder's _point_mass_decoder, whose
-    extension (v, y, g) holds p[v, y] at g = picks[d, y] and zeros
-    elsewhere. Decoders are scored a block at a time, as many as fit
-    their extensions in _kernels._CHUNK_DRAWS cells (at least one), so
-    memory holds one block. The (v, g) and g marginals are bincounts
-    over the (v, y) cells in C order. The v marginal's pairwise sums
-    depend on where the zeros lie, so each block's extensions are laid
-    out in a zeroed buffer, whose cells are cleared again after the
-    block. decoder_accuracy's einsum adds p[picks[d, y], y] over y in
-    order, as np.cumsum does. Every extension's total and every
-    marginal's total is checked, as DiscreteJoint._derived would.
+    Each decoder's extension (v, y, g) holds p[v, y] at g = picks[d, y]
+    and zeros elsewhere, so its v marginal and its total are the
+    channel's: H(v) is taken once, from p.sum(axis=1) as
+    mutual_information sums it for I(v; y), and the total is p's,
+    checked when the joint was built. H(g), H(v, g) and the accuracy are
+    the floats mutual_information and decoder_accuracy give on the
+    decoder's _point_mass_decoder: the (v, g) and g marginals are
+    bincounts over the (v, y) cells in C order, as numpy sums an
+    extension over y and over (v, y), each total checked as
+    DiscreteJoint._derived would, and decoder_accuracy's einsum adds
+    p[picks[d, y], y] over y in order, as np.cumsum does. Decoders are
+    scored a block at a time, as many as fit in _kernels._CHUNK_DRAWS // 4
+    cells of (v, y) (at least one): the index, the weights, the (v, g)
+    table and the entropy's sort each hold one 8-byte value per cell, so
+    a block's arrays stay near _CHUNK_DRAWS * 8 bytes (512 KB) until one
+    channel's K**2 cells pass that, and none holds K**3 cells.
     """
     i_v_y, chance = verdict.mi_bits, verdict.chance
     n, k = picks.shape
     v = np.arange(k)[:, None]
-    per_block = max(1, _kernels._CHUNK_DRAWS // k ** 3)
-    buf = np.zeros((min(n, per_block), k, k * k))
+    h_v = _nonnegative(_kernels.entropy_bits(p.sum(axis=1)))
+    per_block = max(1, _kernels._CHUNK_DRAWS // (4 * k * k))
     rows = []
     for start in range(0, n, per_block):
         block = picks[start:start + per_block]
         m = len(block)
         d = np.arange(m)[:, None, None]
-        cells = ((d * k + v) * k + np.arange(k)) * k + block[:, None, :]
-        buf.reshape(-1)[cells] = p
-        vm = buf[:m].sum(axis=2)
-        totals = buf[:m].reshape(m, -1).sum(axis=1)
-        buf.reshape(-1)[cells] = 0.0
         weights = np.broadcast_to(p, (m, k, k)).ravel()
         vg = np.bincount(((d * k + v) * k + block[:, None, :]).ravel(), weights,
                          m * k * k).reshape(m, k * k)
         g = np.bincount(np.broadcast_to(d * k + block[:, None, :], (m, k, k)).ravel(),
                         weights, m * k).reshape(m, k)
-        for t in (totals, vm.sum(axis=1), g.sum(axis=1), vg.sum(axis=1)):
+        for t in (g.sum(axis=1), vg.sum(axis=1)):
             _check_totals(t)
         accuracy = np.cumsum(p[block, np.arange(k)], axis=1)[:, -1].tolist()
         hs = [[_nonnegative(h) for h in _kernels.entropy_bits(t, rows=True)]
-              for t in (vm, g, vg)]
-        for acc, h_v, h_g, h_vg in zip(accuracy, *hs):
+              for t in (g, vg)]
+        for acc, h_g, h_vg in zip(accuracy, *hs):
             i_v_g = _mi_of_entropies([h_v, h_g, h_vg], [k, k, k * k])
             holds = i_v_g <= i_v_y + DPI_TOL
             beats_chance = acc > chance + DPI_TOL
@@ -546,12 +546,11 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
     are enumerated once; the random decoder is checked per task. Every
     decoder is a point mass, so a channel's decoders are one (decoders x
     K) matrix of picks, one rng.derive call hashes every task's random
-    row, and _point_mass_rows scores them all at once, each marginal
-    exactly: numpy sums an extension over y, and over (v, y), in order,
-    so the (v, g) and g marginals are bincounts, and the v marginal is
-    summed pairwise over each extension's (y, g) row laid out in full,
-    as marginal("v") sums it. The report lists dimensions in world
-    order, with the same bytes as checking each dimension on its own.
+    row, and _point_mass_rows scores them a block at a time, with H(v)
+    taken once per channel. The one cap is the channel's K**2 cells,
+    which privacy_label checks before anything of the battery is hashed
+    or allocated. The report lists dimensions in world order, with the
+    same bytes as checking each dimension on its own.
     """
     check_theta_pub(theta_pub)
     dims = [(task, dim) for task in world.tasks for dim in task.dims]
@@ -564,10 +563,6 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
         joint, verdict = _channel_verdict(first, theta_pub)
         k = first.k
         chance_level_dim = verdict.bayes_accuracy <= verdict.chance + DPI_TOL
-        # the cap each decoder's extension (v, y, g) would fail, checked
-        # before anything of the battery is allocated
-        if k ** 3 > CELL_CAP:
-            raise WorldTooLarge(k ** 3, CELL_CAP)
         tasks = list(dict.fromkeys(dims[i][0].index for i in members))
         picks = np.zeros((2 + len(tasks), k), dtype=np.int64)  # constant: token 0
         picks[1] = np.argmax(joint.table, axis=0)  # bayes_decoder's picks

@@ -122,6 +122,8 @@ def check_world_fields(config: dict, seed: int | None = None,
         seed = config.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise BadConfig(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2 ** 64:  # rng.derive would wrap it onto another seed
+        raise BadConfig(f"seed must be in [0, 2**64), got {seed!r}")
     tag = config.get("tag", "synthetic")
     if not isinstance(tag, str) or not tag:
         raise BadConfig(f"tag must be a non-empty string, got {tag!r}")

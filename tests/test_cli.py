@@ -379,13 +379,13 @@ def test_tiil_check_accepts_flat_priors_at_every_k(capsys, tmp_path, lam):
         assert (code, out.splitlines()[-1:]) == (0, ["all bounds hold"]), (k, err)
 
 
-def test_tiil_check_refuses_k_1000_within_bounded_memory(tmp_path):
-    # the K=1000 channel's decoders would extend to K**3 = 10**9 cells (8 GB)
-    # if built before the cap is checked; under a 1.5 GB address-space limit
-    # the child must still exit 2 with WorldTooLarge's message
+def test_tiil_check_refuses_the_largest_k_within_bounded_memory(tmp_path):
+    # a config accepts K up to CELL_CAP, whose channel would be K**2 = 10**12
+    # cells (8 TB) if built before the cap is checked; under a 1.5 GB
+    # address-space limit the child must still exit 2 with WorldTooLarge's message
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"seed": 1, "tasks": [{
-        "task_id": "t", "dims": [{"id": "d", "weight": 1.0, "K": 1000, "lambda": 0.5}]}]}))
+        "task_id": "t", "dims": [{"id": "d", "weight": 1.0, "K": 10 ** 6, "lambda": 0.5}]}]}))
     limit = 1536 * 2 ** 20
 
     def cap_address_space():
@@ -402,7 +402,7 @@ def test_tiil_check_refuses_k_1000_within_bounded_memory(tmp_path):
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 2, err.read_text()
-    assert err.read_text() == "error: enumeration would need 1000000000 cells (cap 1000000)\n"
+    assert err.read_text() == "error: enumeration would need 1000000000000 cells (cap 1000000)\n"
     assert out.read_text() == ""
     assert usage.ru_maxrss < 400 * 1024
 
@@ -447,12 +447,21 @@ def test_tiil_check_holds_one_extension_at_a_time(tmp_path):
     assert gap_kib <= 12 * 1024, gap_kib
 
 
-def test_tiil_check_at_k_101_names_world_too_large(capsys, tmp_path):
-    # 101**3 = 1,030,301 cells per decoder extension: the first K past the cap
+def test_tiil_check_runs_to_k_1000_within_one_block(tmp_path):
+    # at K = 1000 a block is one decoder, 10**6 cells of (v, y): the channel
+    # table, the block's weights and (v, g) table and the entropy kernel's
+    # sort over one of them stay under 12 arrays of K**2 floats (96 MB)
+    gap_kib = tiil_check_peak_rss_kib(tmp_path, 1000) - tiil_check_peak_rss_kib(tmp_path, 4)
+    assert gap_kib <= 12 * 8 * 1000 ** 2 // 1024, gap_kib
+
+
+def test_tiil_check_at_k_1001_names_world_too_large(capsys, tmp_path):
+    # 1001**2 = 1,002,001 channel cells: the first K past the cap (that
+    # nothing of the battery runs first is test_infotheory's)
     code, out, err = run(capsys, "tiil-check", "--world",
-                         str(one_dim_world_path(tmp_path, 101)))
+                         str(one_dim_world_path(tmp_path, 1001)))
     assert code == 2 and out == ""
-    assert err == "error: enumeration would need 1030301 cells (cap 1000000)\n"
+    assert err == "error: enumeration would need 1002001 cells (cap 1000000)\n"
 
 
 def flat_k331_world(tmp_path):
@@ -462,11 +471,16 @@ def flat_k331_world(tmp_path):
     return path
 
 
-def test_tiil_check_at_k_331_names_world_too_large(capsys, tmp_path):
-    # the MI check passes; the decoder battery's K**3 cells then exceed the cap
-    code, out, err = run(capsys, "tiil-check", "--world", str(flat_k331_world(tmp_path)))
-    assert code == 2 and out == ""
-    assert err == f"error: enumeration would need {331 ** 3} cells (cap 1000000)\n"
+def test_tiil_check_runs_flat_k_331_and_edge_lambda_k_1000_worlds(capsys, tmp_path):
+    # K**3 past the cap no longer matters: the battery holds K**2 cells
+    edge = tmp_path / "edge.json"
+    lams = (0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0)
+    edge.write_text(json.dumps({"seed": 1, "tasks": [{"task_id": "t", "dims": [
+        {"id": f"d{i}", "weight": 0.25, "K": 1000, "lambda": lam}
+        for i, lam in enumerate(lams)]}]}))
+    for path in (flat_k331_world(tmp_path), edge):
+        code, out, err = run(capsys, "tiil-check", "--world", str(path))
+        assert (code, err, out.splitlines()[-1]) == (0, "", "all bounds hold"), path
 
 
 def test_audit_labels_a_flat_k_331_dimension_private(capsys, tmp_path):
@@ -502,6 +516,26 @@ def test_audit_seed_needs_a_world(capsys, data_dir, tmp_path):
     code, out, _ = run(capsys, "audit", *triple, "--world", str(world), "--seed", "5")
     assert code == 1
     assert json.loads(out)["privacy_source"] == "hint"
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_exits_2(capsys, tmp_path, seed):
+    # derive reduces a seed mod 2**64, so -1 would print the bytes of
+    # 2**64 - 1 and 2**64 those of 0: --seed and a config's seed are refused
+    message = f"error: seed must be in [0, 2**64), got {seed}\n"
+    config = json.loads((DATA / "demo_world.json").read_text())
+    config["seed"] = seed
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(config))
+    experiment = tmp_path / "experiment.json"
+    experiment.write_text(json.dumps({"world_config": config}))
+    out = tmp_path / "records.jsonl"
+    for argv in (["tiil-check", "--seed", str(seed)],
+                 ["tiil-check", "--world", str(world)],
+                 ["ablate", "--seed", str(seed), "--out", str(out)],
+                 ["ablate", "--config", str(experiment), "--out", str(out)]):
+        assert run(capsys, *argv) == (2, "", message), argv
+    assert not out.exists()
 
 
 # -- world configs: one set of rules, the same error in every subcommand ----

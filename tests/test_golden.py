@@ -35,16 +35,17 @@ LADDER_CONFIG = TESTS_DATA / "ladder_experiment.json"
 # tiil-check on the packaged world (decoder seed 0) and on the tiil world:
 # K in {2, 4, 10, 32, 64} against lambda in {0, 5e-324, 1e-17, 0.3, 1}, every
 # pair once over five tasks and a sixth that repeats three channels. The
-# json digests pin bayes_accuracy and chance correctly rounded.
+# json digests pin bayes_accuracy and chance correctly rounded, and every
+# I(v; g) with H(v) taken from the channel's v marginal.
 TIIL_CONFIG = TESTS_DATA / "tiil_world.json"
 TIIL_CASES = {
     "demo-text": ([], "470c99056fd359faa0c836f974e108e2da9ecd541a72ec2671cf5a2609c4f41f"),
     "demo-json": (["--format", "json"],
                   "8fa1278bfb71bf3034734660df26540ec47a7eceea79db967149487b694fc48a"),
     "mixed-text": (["--world", str(TIIL_CONFIG), "--seed", "5"],
-                   "4218ba346fbf98f75e14945ed792c5622594c795345084f409ccaa80f5934d0b"),
+                   "b1d366e774daa675fdbfd433afe9b071b5fc39435e6bd9d50c6816c782fcdc06"),
     "mixed-json": (["--world", str(TIIL_CONFIG), "--seed", "5", "--format", "json"],
-                   "5201dea0515262c95ede7badeeca28eb7bf996827c16aa397562df79b6fa7c58"),
+                   "6820244460881819f9e19b95ae8dd440f3f7254ed0ebdc26c08c631d7fc4e3fc"),
 }
 
 ABLATE_CASES = {

@@ -17,6 +17,7 @@ from ist.infotheory import (
     DPI_TOL,
     Decoder,
     DiscreteJoint,
+    _mi_of_entropies,
     apply_decoder,
     bayes_accuracy,
     bayes_decoder,
@@ -417,7 +418,12 @@ def exact_accuracy_and_chance(k, lam):
 
 def tiil_check_reference(world, theta_pub=0.9, seed=0):
     """tiil_check as a plain loop: every dimension's joint, verdict and
-    three decoders computed anew, nothing shared or cached."""
+    three decoders computed anew, nothing shared or cached.
+
+    I(v; g) takes H(v) from the channel, joint.marginal("v"), as I(v; y)
+    does: every extension has the channel's v marginal. verify_dpi on the
+    extension sums H(v) over its K**3 cells instead, so its I(v; g) may
+    differ in the last ulps, never in whether the bound holds."""
     dims_report = []
     all_hold = True
     for task in world.tasks:
@@ -433,18 +439,24 @@ def tiil_check_reference(world, theta_pub=0.9, seed=0):
                     ("y",), (dim.k,), dim.k, seed=derive(seed, task.index))),
                 ("bayes", bayes_decoder(joint, "v", ("y",))),
             ]
+            h_v = entropy(joint.marginal("v"))
             rows = []
             for name, dec in decoders:
-                rep = verify_dpi(joint, dec)
                 extended = apply_decoder(joint, dec)
                 acc = decoder_accuracy(joint, dec, "v")
-                i_v_g = mutual_information(extended, "v", dec.output_var)
+                i_v_g = _mi_of_entropies(
+                    [h_v, entropy(extended.marginal("g")),
+                     entropy(extended.marginal("v", "g"))], [dim.k, dim.k, dim.k ** 2])
+                holds = i_v_g <= mi + DPI_TOL
+                rep = verify_dpi(joint, dec)
+                assert rep.holds == holds and rep.i_v_evidence == mi
+                assert math.isclose(rep.i_v_g, i_v_g, rel_tol=1e-12, abs_tol=1e-12)
                 beats_chance = acc > chance + DPI_TOL
-                ok = rep.holds and not (chance_level_dim and
-                                        (beats_chance or i_v_g > DPI_TOL))
+                ok = holds and not (chance_level_dim and
+                                    (beats_chance or i_v_g > DPI_TOL))
                 all_hold = all_hold and ok
-                rows.append({"decoder": name, "dpi_holds": rep.holds,
-                             "slack": rep.slack, "accuracy": acc,
+                rows.append({"decoder": name, "dpi_holds": holds,
+                             "slack": mi - i_v_g, "accuracy": acc,
                              "i_v_g": i_v_g, "ok": ok})
             dims_report.append({
                 "task_id": task.task_id, "dimension": dim.id,
@@ -515,25 +527,35 @@ def shared_channel_world(k):
 
 @pytest.mark.parametrize("k", [2, 3, 99, 100])
 def test_tiil_check_bytes_match_reference_across_blocks(monkeypatch, k):
-    # a channel's decoders are scored in blocks of extensions; at one and
-    # at two per block the 9 decoders of the shared channel span several
-    # blocks, the last one short, and the bytes must not move. K = 100
-    # puts exactly CELL_CAP cells in each extension.
+    # a channel's decoders are scored in blocks of _CHUNK_DRAWS // 4 cells
+    # of (v, y); at one and at two decoders per block the 9 decoders of the
+    # shared channel span several blocks, the last one short, and the bytes
+    # must not move. K = 100 puts exactly CELL_CAP cells in each extension,
+    # the most the reference's apply_decoder builds.
     from ist import _kernels
     world = shared_channel_world(k)
     for seed in (0, 7, MASK64):
         want = dumps_canonical(tiil_check_reference(world, 0.9, seed))
-        for budget in (None, k ** 3, 2 * k ** 3):
-            if budget is not None:
-                monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
+        for per_block in (None, 1, 2):
+            if per_block is not None:
+                monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", 4 * per_block * k ** 2)
             got = dumps_canonical(tiil_check(world, theta_pub=0.9, seed=seed))
-            assert got == want, (k, seed, budget)
+            assert got == want, (k, seed, per_block)
             monkeypatch.undo()
 
 
-def test_tiil_check_refuses_k_101_before_the_battery(monkeypatch):
-    # 101**3 cells per extension pass the cap; nothing of the decoder
-    # battery may be hashed or allocated first
+@pytest.mark.parametrize("k", [101, 331, 1000])
+def test_tiil_check_runs_to_k_1000(k):
+    # the battery is capped at K**2 = CELL_CAP cells, as the channel is:
+    # K**3 past the cap no longer matters, since no block holds K**3 cells
+    report = tiil_check(shared_channel_world(k), theta_pub=0.9, seed=7)
+    assert report["all_hold"]
+    assert len(report["dims"]) == len(TIIL_EDGE_LAMBDAS) + 6
+
+
+def test_tiil_check_refuses_k_1001_before_the_battery(monkeypatch):
+    # 1001**2 cells pass the cap; nothing of the decoder battery may be
+    # hashed or allocated first
     import ist.infotheory as infotheory
 
     def boom(*args, **kwargs):
@@ -541,9 +563,9 @@ def test_tiil_check_refuses_k_101_before_the_battery(monkeypatch):
 
     monkeypatch.setattr(infotheory, "derive", boom)
     monkeypatch.setattr(infotheory, "_point_mass_rows", boom)
-    with pytest.raises(WorldTooLarge, match=r"^enumeration would need 1030301 cells "
+    with pytest.raises(WorldTooLarge, match=r"^enumeration would need 1002001 cells "
                                             r"\(cap 1000000\)$"):
-        tiil_check(one_dim_world(0.5, 101))
+        tiil_check(one_dim_world(0.5, 1001))
 
 
 def test_classify_privacy_matches_reference():

@@ -400,7 +400,7 @@ def test_every_dim_of_a_built_world_equals_the_scalar_build():
              "K": rng.choice([2, 3, 64, 1000, rng.randint(2, 300)]),
              "lambda": rng.choice([0.0, 5e-324, 1e-17, 1.0, rng.random()])}
             for i in range(n)]})
-    for seed in (0, 77, 2 ** 64 - 1, -3, 2 ** 70 + 1):
+    for seed in (0, 77, 2 ** 63 + 3, 2 ** 64 - 1):
         world = build_world({"tasks": tasks}, seed=seed)
         assert [len(t.dims) for t in world.tasks] == [len(t["dims"]) for t in tasks]
         for task_ix, task in enumerate(world.tasks):
