@@ -21,11 +21,12 @@ replicate count that defaults to default_replicates(mode):
 
 Both designs run on the record engine of worlds, which also backs
 mc_mean_f_icmw: a draw index is a pure function of plan position and
-never of the mask, so the engine hashes the draws of a block of tasks at
-once and every mask reuses them. Each design realizes and scores a
-whole block per _f_icmw call, so ablation output streams a block at a
-time, and the bytes are those of simulating and scoring each record in
-turn (the tests keep that per-record loop as the reference).
+never of the mask, so the engine hashes the draws of a block of tasks
+(consecutive, with one dimension count) at once and every mask reuses
+them. Each design realizes and scores a whole block by one
+worlds._score_block call, so ablation output streams a block at a time,
+and the bytes are those of simulating and scoring each record in turn
+(the tests keep that per-record loop as the reference).
 
 Perturbation masks are planned by rows (perturb_weight_rows and
 encode_rows), for all tasks with one dimension count at once.
@@ -68,9 +69,8 @@ from .worlds import (
     _block_grids,
     _check_count,
     _check_mode,
-    _dim_arrays,
-    _f_icmw,
     _mean_f_icmw,
+    _score_block,
     build_world,
     full_mask,
     load_world,
@@ -131,23 +131,15 @@ def _ablation_columns(world: SyntheticWorld, mode: str, reps: int):
 def _ablation_runs(world: SyntheticWorld, mode: str, reps: int):
     """(position, (conds, real, f)) per run of draws, a block at a time:
     every task of a block is realized at once (under condition c each
-    dimension but the (c - 1)-th copies the user value) and scored with
-    one _f_icmw call. Cells past a task's dims or a run's stop are
-    realized and scored too, and never read."""
+    dimension but the (c - 1)-th copies the user value) and scored by
+    one _score_block call."""
     counts = [(1 + len(task.dims)) * reps for task in world.tasks]
-    for block, grid in _block_grids(world, world.tasks, counts, mode):
-        block_tasks = [world.tasks[pos] for pos, _, _ in block]
-        b, d, n = grid.shape
-        conds = np.arange(block[0][1], block[0][1] + n) // reps
-        user = _dim_arrays(block_tasks, user_index=-1)["user_index"][:, None]
-        real = np.where(conds[:, None] != np.arange(1, d + 1), user,
-                        grid.transpose(0, 2, 1))
-        f = _f_icmw(block_tasks, np.arange(b).repeat(n),
-                    (real == user).reshape(-1, d)).reshape(b, n)
-        for t, (pos, start, stop) in enumerate(block):
-            rows = stop - start
-            yield pos, (conds[:rows], real[t, :rows, :len(block_tasks[t].dims)],
-                        f[t, :rows])
+    for (positions, start, stop), grid in _block_grids(world, world.tasks, counts, mode):
+        conds = np.arange(start, stop) // reps
+        real, f = _score_block(world.tasks[positions.start:positions.stop], grid,
+                               conds[:, None] != np.arange(1, grid.shape[1] + 1))
+        for t, pos in enumerate(positions):
+            yield pos, (conds, real[t, 0], f[t, 0])
 
 
 class _TokenRefs(dict):

@@ -61,7 +61,7 @@ from .errors import (
     WorldTooLarge,
 )
 from .priors import CELL_CAP, THETA_PUB_DEFAULT, check_theta_pub, privacy_label
-from .rng import DECODER_STREAM, derive, uniform_index
+from .rng import DECODER_STREAM, check_uint64, derive, uniform_index
 from .worlds import SyntheticWorld, WorldDim, _argmax_finds_user
 
 _SUM_TOL = 1e-9
@@ -550,9 +550,11 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
     taken once per channel. The one cap is the channel's K**2 cells,
     which privacy_label checks before anything of the battery is hashed
     or allocated. The report lists dimensions in world order, with the
-    same bytes as checking each dimension on its own.
+    same bytes as checking each dimension on its own. A seed outside
+    [0, 2**64), or a bool, raises BadConfig.
     """
     check_theta_pub(theta_pub)
+    check_uint64("seed", seed)
     dims = [(task, dim) for task in world.tasks for dim in task.dims]
     by_channel: dict[tuple[int, float], list[int]] = {}
     for i, (_, dim) in enumerate(dims):

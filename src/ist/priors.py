@@ -23,6 +23,7 @@ from typing import Iterator
 
 from .errors import BadConfig, IstError, RangeError, SpecSyntaxError, WorldTooLarge
 from .model import TOP_WEIGHT_TOL, normalize_weights
+from .rng import check_uint64
 from .spec_io import _check_keys, loads_strict
 
 # The most cells one table may hold: a dimension's alphabet (K) in a
@@ -120,10 +121,7 @@ def check_world_fields(config: dict, seed: int | None = None,
     _check_keys(config, "world config", (), ("tasks", "seed", "tag"), False)
     if seed is None:
         seed = config.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise BadConfig(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 2 ** 64:  # rng.derive would wrap it onto another seed
-        raise BadConfig(f"seed must be in [0, 2**64), got {seed!r}")
+    check_uint64("seed", seed)
     tag = config.get("tag", "synthetic")
     if not isinstance(tag, str) or not tag:
         raise BadConfig(f"tag must be a non-empty string, got {tag!r}")

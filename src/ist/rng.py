@@ -14,6 +14,8 @@ The mixing function is::
 
 from __future__ import annotations
 
+from .errors import BadConfig
+
 MASK64 = (1 << 64) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -47,6 +49,15 @@ def derive(master: int, *indices: int) -> int:
     for ix in indices:
         h = splitmix64(h ^ (ix & MASK64))
     return h
+
+
+def check_uint64(name: str, value) -> None:
+    """BadConfig unless value is an int, not a bool, in [0, 2**64): a seed
+    or draw index that derive would otherwise wrap onto another one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise BadConfig(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value < 2 ** 64:
+        raise BadConfig(f"{name} must be in [0, 2**64), got {value!r}")
 
 
 def unit_float(h: int) -> float:

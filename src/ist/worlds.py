@@ -33,14 +33,14 @@ grow with K.
 
 The record engine simulates outputs in bulk: draws never depend on the
 mask, so the draws of a block of tasks are hashed together, one
-_kernels.sample_block call per block of bounded size, over a CDF table
-numpy builds for the block (each dimension's CDF, padded with +inf to
-the block's largest K). Both experiments realize and score a whole
-block per _f_icmw call, over the grids of _block_grids: the ablation
-realizes each draw under its condition's mask (experiments), and the
-perturbation experiment and mc_mean_f_icmw score every mask of every
-task of a block (_mean_f_icmw). Their records and means are those of
-simulate_output and score_output, bit for bit.
+_kernels.sample_block call per block of bounded size. A block holds
+consecutive tasks with one dimension count and one run of draws, so its
+grid is a whole (tasks x dims x draws) array. Both experiments realize
+and score a block by one step, _score_block: the ablation under one mask
+per draw, its condition's (experiments), and the perturbation experiment
+and mc_mean_f_icmw under every mask of every task (_mean_f_icmw). Their
+records and means are those of simulate_output and score_output, bit
+for bit.
 
 All randomness is derived by a keyed 64-bit mix of
 (master seed, stream, task index, dimension index, draw index); there
@@ -51,7 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,7 @@ from .errors import BadConfig, LengthMismatch, UnknownTask
 from .metrics import _float_weighted_sum, weighted_sum
 from .model import Dimension, EncodingMask, IntentSpec, ValueRef
 from .priors import check_flat_tasks, check_world_fields, parse_world_config
-from .rng import USER_VALUE_STREAM, derive, uniform_index
+from .rng import USER_VALUE_STREAM, check_uint64, derive, uniform_index
 
 
 def token(index: int) -> str:
@@ -202,9 +203,11 @@ def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
 
     Deterministic in (world, task_id, mask, mode, draw); the draw index
     distinguishes replicates and never depends on the mask, so equal
-    masks give equal outputs across conditions.
+    masks give equal outputs across conditions. In either mode a draw
+    that is not an int in [0, 2**64), or is a bool, raises BadConfig.
     """
     _check_mode(mode)
+    check_uint64("draw", draw)
     task = world.task(task_id)
     _check_mask(task, mask)
     if mode == "sample":
@@ -225,35 +228,27 @@ def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     return SimulatedOutput(realized_values=realized, provenance=provenance)
 
 
-def _dim_arrays(tasks, **fills) -> dict[str, np.ndarray]:
-    """For each name=fill: a (tasks x widest task's dims) array of every
-    dimension's WorldDim attribute name, fill where a task has fewer
-    dimensions."""
-    lens = np.array([len(t.dims) for t in tasks])
-    present = np.arange(lens.max()) < lens[:, None]
-    dims = [d for t in tasks for d in t.dims]
-    out = {}
-    for name, fill in fills.items():
-        out[name] = np.full(present.shape, fill)
-        out[name][present] = [getattr(d, name) for d in dims]
-    return out
+def _dim_column(tasks, name: str) -> np.ndarray:
+    """Each dimension's WorldDim attribute name, as a (tasks x dims) array
+    of tasks that share one dimension count."""
+    get = attrgetter(name)
+    return np.array([list(map(get, t.dims)) for t in tasks])
 
 
 def _sample_grid(seed: int, tasks, draws: np.ndarray) -> np.ndarray:
-    """Sampled tokens (tasks x dims x draws) by one sample_block call.
+    """Sampled tokens (tasks x dims x draws) of tasks that share one
+    dimension count, by one sample_block call.
 
-    Its CDF table (tasks x widest task's dims x largest K) is built in
-    columns: each row is the flat base (1 - lam)/K plus lam at the user
-    index, summed in order by np.cumsum (as WorldDim.cdf sums it), with
-    entry K - 1 set to 1 and the entries past K to +inf. A task with
-    fewer dimensions than the widest gets K = 1 rows whose tokens nobody
-    reads.
+    Its CDF table (tasks x dims x largest K) is built in columns: each
+    row is the flat base (1 - lam)/K plus lam at the user index, summed
+    in order by np.cumsum (as WorldDim.cdf sums it), with entry K - 1 set
+    to 1 and the entries past K to +inf.
     """
-    a = _dim_arrays(tasks, k=1, lam=0.0, user_index=-1)
-    ks, lam = a["k"], a["lam"][..., None]
+    ks, user = _dim_column(tasks, "k"), _dim_column(tasks, "user_index")
+    lam = _dim_column(tasks, "lam")[..., None]
     cols = np.arange(ks.max())
     # one table, filled in place: a task's K can make it the whole block
-    cdf = np.where(cols == a["user_index"][..., None], lam, 0.0)
+    cdf = np.where(cols == user[..., None], lam, 0.0)
     cdf += (1.0 - lam) / ks[..., None]
     np.cumsum(cdf, axis=-1, out=cdf)
     cdf[cols == ks[..., None] - 1] = 1.0
@@ -264,51 +259,51 @@ def _sample_grid(seed: int, tasks, draws: np.ndarray) -> np.ndarray:
 
 
 def _blocks(tasks, counts):
-    """Draws 0..counts[i]-1 of each task, cut into (position, start, stop)
-    ranges and grouped into blocks, in task then draw order.
+    """Draws 0..counts[i]-1 of each task, as (positions, start, stop)
+    blocks in task then draw order: draws start..stop-1 of each task
+    tasks[p], p in the range positions.
 
-    The ranges of a block share one start. Its hash grid (ranges x
-    widest task's dims x longest range) and its CDF table (ranges x
-    widest task's dims x largest K) each hold at most
+    A block's tasks are consecutive and share one dimension count and
+    one draw count, so its hash grid (tasks x dims x draws) and its CDF
+    table (tasks x dims x largest K) are whole arrays. Each holds at most
     _kernels._CHUNK_DRAWS cells, unless one task alone needs more: a
-    task's draws are cut into ranges that fit, and consecutive ranges
-    join a block while both still fit.
+    task whose draws do not fit is cut into ranges that do, a block
+    each, and tasks whose draws fit one range join a block while both
+    arrays still fit.
     """
     budget = _kernels._CHUNK_DRAWS
-    block, shape = [], (0, 0, 0)  # the block's dims, draws and K so far
-    for pos, (task, n) in enumerate(zip(tasks, counts)):
-        dims, k = len(task.dims), max(d.k for d in task.dims)
+    hi = 0
+    for (dims, n), run in groupby(zip([len(t.dims) for t in tasks], counts)):
+        lo, hi = hi, hi + len(list(run))
         step = max(1, budget // dims)
-        for start in range(0, n, step):
-            rows = min(step, n - start)
-            grown = (max(shape[0], dims), max(shape[1], rows), max(shape[2], k))
-            if block and (start != block[0][1] or
-                          (len(block) + 1) * grown[0] * max(grown[1:]) > budget):
-                yield block
-                block, grown = [], (dims, rows, k)
-            block.append((pos, start, start + rows))
-            shape = grown
-    if block:
-        yield block
+        if n > step:
+            for pos in range(lo, hi):
+                for start in range(0, n, step):
+                    yield range(pos, pos + 1), start, min(start + step, n)
+            continue
+        first, k_max = lo, 0  # the block's first task and largest K so far
+        for pos, k in enumerate(_dim_column(tasks[lo:hi], "k").max(axis=1).tolist(), lo):
+            k_max = max(k_max, k)
+            if pos > first and (pos + 1 - first) * dims * max(n, k_max) > budget:
+                yield range(first, pos), 0, n
+                first, k_max = pos, k
+        yield range(first, hi), 0, n
 
 
 def _block_grids(world: SyntheticWorld, tasks, counts, mode: str):
-    """(block, grid) per block of _blocks(tasks, counts). grid[t, j, i] is
-    dimension j's prior default (argmax mode) or sampled token (sample
-    mode, one sample_block call per block) at draw start + i of the task
-    of block[t]; cells past that task's dims or that range's stop hold
-    tokens nobody reads."""
-    for block in _blocks(tasks, counts):
-        block_tasks = [tasks[pos] for pos, _, _ in block]
-        start = block[0][1]
-        stop = max(stop for _, _, stop in block)
+    """(block, grid) per block (positions, start, stop) of
+    _blocks(tasks, counts). grid[t, j, i] is dimension j's prior default
+    (argmax mode) or sampled token (sample mode, one sample_block call
+    per block) at draw start + i of tasks[positions[t]]."""
+    for positions, start, stop in _blocks(tasks, counts):
+        block_tasks = tasks[positions.start:positions.stop]
         if mode == "sample":
             grid = _sample_grid(world.seed, block_tasks,
                                 np.arange(start, stop, dtype=np.uint64))
         else:
-            argmax = _dim_arrays(block_tasks, argmax_index=0)["argmax_index"]
+            argmax = _dim_column(block_tasks, "argmax_index")
             grid = np.broadcast_to(argmax[..., None], (*argmax.shape, stop - start))
-        yield block, grid
+        yield (positions, start, stop), grid
 
 
 def _f_icmw(tasks, keys: np.ndarray, hits: np.ndarray) -> np.ndarray:
@@ -325,8 +320,21 @@ def _f_icmw(tasks, keys: np.ndarray, hits: np.ndarray) -> np.ndarray:
     first = np.empty(ids.max() + 1, dtype=np.intp)
     first[ids] = np.arange(len(ids))
     weights = [list(map(float, t.weights)) for t in tasks]
-    return np.array([_float_weighted_sum(weights[k], row[:len(weights[k])])
+    return np.array([_float_weighted_sum(weights[k], row)
                      for k, row in zip(keys[first].tolist(), hits[first].tolist())])[ids]
+
+
+def _score_block(tasks, grid: np.ndarray, masks: np.ndarray):
+    """(real, f) of the records of one block's grid: each record copies
+    the user value where its mask bit is set and takes its grid token
+    elsewhere. masks broadcasts to (tasks x masks x draws x dims); real
+    is the realized tokens in that shape and f the f_icmw of each
+    record, (tasks x masks x draws), scored by one _f_icmw call."""
+    user = _dim_column(tasks, "user_index")[:, None, None]
+    real = np.where(masks, user, grid.transpose(0, 2, 1)[:, None])
+    b, m, n, d = real.shape
+    f = _f_icmw(tasks, np.arange(b).repeat(m * n), (real == user).reshape(-1, d))
+    return real, f.reshape(b, m, n)
 
 
 def _mean_f_icmw(world: SyntheticWorld, tasks, bits, n: int, mode: str):
@@ -335,32 +343,20 @@ def _mean_f_icmw(world: SyntheticWorld, tasks, bits, n: int, mode: str):
     task order. Every task has the same number of masks.
 
     Each block scores every mask of each of its tasks on every draw at
-    once: a record's fidelity row is mask | (token == user). Each (task,
-    mask) sum runs on in draw order across blocks (np.cumsum adds in
-    order), as a loop over simulated records would sum it.
+    once. A task whose draws span blocks is alone in each, and they come
+    in draw order, so each (task, mask) sum runs on across them
+    (np.cumsum adds in order), as a loop over simulated records would
+    sum it.
     """
-    carry = {}  # position -> the sums of a task whose draws run on
-    for block, grid in _block_grids(world, tasks, [n] * len(tasks), mode):
-        block_tasks = [tasks[pos] for pos, _, _ in block]
-        b, d, draws = grid.shape
-        masks = np.zeros((b, len(bits[block[0][0]]), 1, d), dtype=bool)
-        for t, (pos, _, _) in enumerate(block):
-            masks[t, :, 0, :len(tasks[pos].dims)] = bits[pos]
-        user = _dim_arrays(block_tasks, user_index=-1)["user_index"]
-        hits = masks | (grid == user[..., None]).transpose(0, 2, 1)[:, None]
-        keys = np.arange(b).repeat(hits[0].size // d)
-        f = _f_icmw(block_tasks, keys, hits.reshape(-1, d)).reshape(hits.shape[:3])
-        # draws past a range's stop add 0.0, which leaves a sum as it is
-        lens = np.array([stop - start for _, start, stop in block])
-        f = np.where(np.arange(draws) < lens[:, None, None], f, 0.0)
-        carried = np.array([carry.pop(pos, np.zeros(masks.shape[1]))
-                            for pos, _, _ in block])
-        sums = np.cumsum(np.concatenate([carried[..., None], f], axis=-1), axis=-1)
-        for t, (pos, _, stop) in enumerate(block):
-            if stop == n:
-                yield (sums[t, :, -1] / n).tolist()
-            else:
-                carry[pos] = sums[t, :, -1]
+    counts = [n] * len(tasks)
+    for (positions, start, stop), grid in _block_grids(world, tasks, counts, mode):
+        lo, hi = positions.start, positions.stop
+        _, f = _score_block(tasks[lo:hi], grid, np.stack(bits[lo:hi])[:, :, None])
+        if start == 0:
+            sums = np.zeros(f.shape[:2])
+        sums = np.cumsum(np.concatenate([sums[..., None], f], axis=-1), axis=-1)[..., -1]
+        if stop == n:
+            yield from (sums / n).tolist()
 
 
 def _check_count(name: str, n) -> None:

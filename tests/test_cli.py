@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -774,11 +775,17 @@ def test_ablate_writes_a_tasks_records_before_the_last_task_is_simulated(
     assert list(summary["estimated_weights"]) == tasks
 
 
-@pytest.mark.parametrize("budget,blocks", [(None, 1), (200, 12)])
+# blocks=None: at the default budget, one block per run of consecutive
+# tasks with one dimension count
+@pytest.mark.parametrize("budget,blocks", [(None, None), (200, 12)])
 def test_ablate_scores_each_block_with_one_f_icmw_call(capsys, monkeypatch,
                                                        budget, blocks):
     if budget is not None:
         monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
+    if blocks is None:
+        config = json.loads((TESTS_DATA / "mixed_experiment.json").read_text())
+        dim_counts = [len(t["dims"]) for t in config["world_config"]["tasks"]]
+        blocks = len(list(itertools.groupby(dim_counts)))
     events = []
     f_icmw = ist.worlds._f_icmw
 
@@ -786,16 +793,16 @@ def test_ablate_scores_each_block_with_one_f_icmw_call(capsys, monkeypatch,
         events.append(("score", len(args[0])))
         return f_icmw(*args)
 
-    # wherever the engine looks the scorer up
-    for module in (ist.worlds, ist.experiments):
-        monkeypatch.setattr(module, "_f_icmw", logged_f_icmw)
+    # where the engine's one block step, _score_block, looks the scorer up
+    monkeypatch.setattr(ist.worlds, "_f_icmw", logged_f_icmw)
     spy_on_block_grids(monkeypatch, events)
     code, _, _ = run(capsys, "ablate", "--config",
                      str(TESTS_DATA / "mixed_experiment.json"))
     assert code == 0
     # each block is sampled, then scored once, all its tasks together
     assert [kind for kind, _ in events] == ["sample", "score"] * blocks
-    assert [len(block) for _, block in events[::2]] == [n for _, n in events[1::2]]
+    assert [len(positions) for _, (positions, _, _) in events[::2]] \
+        == [n for _, n in events[1::2]]
 
 
 def test_ablate_builds_no_output_record(capsys, monkeypatch, tmp_path):

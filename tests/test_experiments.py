@@ -57,6 +57,7 @@ from ist.worlds import (
     WorldDim,
     WorldTask,
     _block_grids,
+    _blocks,
     _f_icmw,
     _mean_f_icmw,
     build_world,
@@ -844,8 +845,8 @@ def test_block_tokens_equal_scalar_reference(monkeypatch, budget, counts):
     # every sampled token of every piece, against the scalar rule. "tails"
     # ends every other task's draws in a one-draw range, followed by a
     # one-draw task: both would fit one grid, but not at one shared start.
-    # None keeps the default budget, where one block pads every task to
-    # 9 dims and K=200
+    # None keeps the default budget, where each run of tasks with one
+    # dimension count is one block
     if budget is not None:
         monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
     world = ENGINE_WORLDS["mixed"]()
@@ -856,10 +857,11 @@ def test_block_tokens_equal_scalar_reference(monkeypatch, budget, counts):
                "tails": 1 if pos % 2 else 2 * ((budget or 1) // len(t.dims)) + 1}[counts]
               for pos, t in enumerate(tasks)]
     pieces = []
-    for block, grid in _block_grids(world, tasks, counts, "sample"):
-        for t, (pos, start, stop) in enumerate(block):
+    for (positions, start, stop), grid in _block_grids(world, tasks, counts, "sample"):
+        assert grid.shape == (len(positions), len(tasks[positions[0]].dims), stop - start)
+        for t, pos in enumerate(positions):
             task = tasks[pos]
-            tokens = grid[t, :len(task.dims), :stop - start].T
+            tokens = grid[t].T
             want = [[sample_token_index_reference(world.seed, task, j, draw)
                      for j in range(len(task.dims))]
                     for draw in range(start, stop)]
@@ -883,6 +885,29 @@ def test_blocks_span_tasks_and_split_tasks(monkeypatch, budget):
     wide = world.tasks[5]
     list(_block_grids(world, [wide], [_kernels._CHUNK_DRAWS // 9 + 2], "sample"))
     assert len(calls) == 2 and calls[1][1][0] > 0
+
+
+def test_mixed_ablation_hashes_only_the_cells_it_reads(monkeypatch):
+    # a block's tasks share one dimension count and one run of draws, so
+    # the ablation hashes each (task, dim, draw) cell a record reads once
+    # and nothing else: a plan that padded every task to its block's
+    # widest task hashed 63,000 cells here
+    calls = spy_on_sample_block(monkeypatch)
+    world = ENGINE_WORLDS["mixed"]()
+    counts = [(1 + len(t.dims)) * 50 for t in world.tasks]
+    blocks = list(_blocks(world.tasks, counts))
+    for positions, start, stop in blocks:
+        assert len({len(world.tasks[pos].dims) for pos in positions}) == 1
+        assert len({counts[pos] for pos in positions}) == 1
+        assert 0 <= start < stop <= counts[positions[0]]
+    records = list(run_ablation(world, "sample", 50))
+    assert [(task_ixs, draws) for task_ixs, draws, _ in calls] == [
+        ([world.tasks[pos].index for pos in positions], list(range(start, stop)))
+        for positions, start, stop in blocks]
+    hashed = sum(len(task_ixs) * n_dims * len(draws)
+                 for task_ixs, draws, (_, n_dims, _) in calls)
+    read = sum(len(r.realized_values) for r in records)
+    assert hashed == read == 17_200
 
 
 def test_sampled_blocks_stay_within_the_cell_budget(monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ist.errors import (
+    BadConfig,
     DomainMismatch,
     InvalidDistribution,
     RangeError,
@@ -589,6 +590,18 @@ def test_channel_closed_form_is_bit_identical():
                 got = dimension_channel_joint(world, "t", "d", mode=mode).table
                 want = prior_loop_channel(k, lam, mode)
                 assert got.tobytes() == want.tobytes(), (k, lam, mode)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, True, 1.5])
+def test_tiil_check_rejects_a_seed_derive_would_wrap(seed):
+    # derive reduces a seed mod 2**64: -1 gave the bytes of 2**64 - 1, and
+    # 2**64 those of 0; the message is that of a world config's seed
+    world = one_dim_world(0.5, 9)
+    rule = "an integer" if isinstance(seed, (bool, float)) else "in [0, 2**64)"
+    with pytest.raises(BadConfig) as info:
+        tiil_check(world, seed=seed)
+    assert str(info.value) == f"seed must be {rule}, got {seed!r}"
+    assert tiil_check(world, seed=2 ** 64 - 1) != tiil_check(world, seed=0)
 
 
 def test_tiil_check_rejects_bad_theta():

@@ -259,6 +259,21 @@ def test_simulate_errors():
         simulate_output(world, "t", EncodingMask(("d",), (1,)), mode="weird")
 
 
+@pytest.mark.parametrize("draw", [-1, 2 ** 64, 1.5, True, "0"])
+def test_simulate_rejects_a_draw_outside_uint64(draw):
+    # sample mode raised a bare OverflowError on -1 and 2**64, took 1.5 and
+    # True as draw 1 and sampled some draw for "0"; argmax mode took any value
+    world = build_world(one_dim_config(0.0, 4), seed=1)
+    mask = EncodingMask(("d",), (0,))
+    rule = "in [0, 2**64)" if type(draw) is int else "an integer"
+    for mode in ("argmax", "sample"):
+        with pytest.raises(BadConfig) as info:
+            simulate_output(world, "t", mask, mode=mode, draw=draw)
+        assert str(info.value) == f"draw must be {rule}, got {draw!r}"
+    for edge in (0, 2 ** 64 - 1):
+        simulate_output(world, "t", mask, mode="sample", draw=edge)
+
+
 def test_expected_examples():
     world = build_world(one_dim_config(0.0, 5), seed=4)
     assert expected_f_icmw(world, "t", full_mask(world.tasks[0])) == 1.0
