@@ -9,14 +9,15 @@ what the drift score is.
 build_audit_record resolves the privacy labels itself, in priority
 order: explicit hints in the spec, then oracle verdicts when a prior
 world is supplied, else "unlabeled". An oracle verdict is
-priors.privacy_label of the dimension's (K, lambda), read from a built
-SyntheticWorld or from the rows of priors.check_world_config, so
-labelling needs no world build and no numpy. An unlabeled record has an
-empty private_at_risk list; absence of knowledge is reported as absence
-of knowledge, never guessed. The split zone uses the one metrics threshold,
-SPLIT_ZONE_THRESHOLD, so a record read back is checked against its
-scores: d_drift, ga and split_zone must all follow from them. Labels,
-mask and scores all read the spec's one flattened view, IntentSpec.flat.
+priors.privacy_label of the dimension's (K, lambda), read from the ks
+and lams columns of the task, in a built SyntheticWorld or in the rows
+of priors.check_world_config, so labelling needs no world build and no
+numpy. An unlabeled record has an empty private_at_risk list; absence
+of knowledge is reported as absence of knowledge, never guessed. The
+split zone uses the one metrics threshold, SPLIT_ZONE_THRESHOLD, so a
+record read back is checked against its scores: d_drift, ga and
+split_zone must all follow from them. Labels, mask and scores all read
+the spec's one flattened view, IntentSpec.flat.
 """
 
 from __future__ import annotations
@@ -97,11 +98,14 @@ def resolve_privacy_labels(spec: IntentSpec, world=None,
 def _task_channels(world, task_id: str) -> dict[str, tuple[int, float]]:
     """{dimension id: (K, lambda)} of one task of a world."""
     if isinstance(world, list):  # check_world_config rows
-        for row_task_id, dims in world:
-            if row_task_id == task_id:
-                return {dim_id: (k, lam) for dim_id, _, k, lam in dims}
-        raise UnknownTask(task_id)
-    return {d.id: (d.k, d.lam) for d in world.task(task_id).dims}
+        row = next((row for row in world if row[0] == task_id), None)
+        if row is None:
+            raise UnknownTask(task_id)
+        _, dims, _, ks, lams = row
+    else:
+        task = world.task(task_id)
+        dims, ks, lams = task.dims, task.ks, task.lams
+    return dict(zip(dims, zip(ks, lams)))
 
 
 def build_audit_record(spec: IntentSpec,

@@ -202,7 +202,7 @@ def cmd_ablate(args) -> int:
                                       args.mode or cfg.mode, replicates):
         try:
             summaries[task.task_id] = _weights_from_means(task.task_id,
-                                                          task.dim_ids, means)
+                                                          task.dims, means)
         except IstError as e:
             summaries[task.task_id] = None
             _print_err(f"{task.task_id}: weights not estimable ({e})")

@@ -23,10 +23,10 @@ Both designs run on the record engine of worlds, which also backs
 mc_mean_f_icmw: a draw index is a pure function of plan position and
 never of the mask, so the engine hashes the draws of a block of tasks
 (consecutive, with one dimension count) at once and every mask reuses
-them. Each design realizes and scores a whole block by one
-worlds._score_block call, so ablation output streams a block at a time,
-and the bytes are those of simulating and scoring each record in turn
-(the tests keep that per-record loop as the reference).
+them. Each design scores a whole block by one worlds._score_block call,
+and the ablation realizes the block's tokens, so its output streams a
+block at a time; the bytes are those of simulating and scoring each
+record in turn (the tests keep that per-record loop as the reference).
 
 Perturbation masks are planned by rows (perturb_weight_rows and
 encode_rows), for all tasks with one dimension count at once.
@@ -55,7 +55,7 @@ from .errors import (
 )
 from .metrics import synthesize_ga, weighted_sum
 from .model import EncodingMask, ValueRef, normalize_weights
-from .rng import MASK64, PERTURB_STREAM, derive, unit_float
+from .rng import PERTURB_STREAM, check_uint64, derive, unit_float
 from .spec_io import (
     OutputRecord,
     _fmt_float,
@@ -69,6 +69,7 @@ from .worlds import (
     _block_grids,
     _check_count,
     _check_mode,
+    _dim_column,
     _mean_f_icmw,
     _score_block,
     build_world,
@@ -105,8 +106,8 @@ def _replicates(mode: str, replicates: int | None) -> int:
 
 def _conditions(task: WorldTask) -> list[tuple[str, EncodingMask]]:
     conds = [(FULL_CONDITION, full_mask(task))]
-    for dim in task.dims:
-        conds.append((ABLATION_PREFIX + dim.id, mask_without(task, {dim.id})))
+    for dim_id in task.dims:
+        conds.append((ABLATION_PREFIX + dim_id, mask_without(task, {dim_id})))
     return conds
 
 
@@ -135,11 +136,13 @@ def _ablation_runs(world: SyntheticWorld, mode: str, reps: int):
     one _score_block call."""
     counts = [(1 + len(task.dims)) * reps for task in world.tasks]
     for (positions, start, stop), grid in _block_grids(world, world.tasks, counts, mode):
+        tasks = world.tasks[positions.start:positions.stop]
         conds = np.arange(start, stop) // reps
-        real, f = _score_block(world.tasks[positions.start:positions.stop], grid,
-                               conds[:, None] != np.arange(1, grid.shape[1] + 1))
+        masks = conds[:, None] != np.arange(1, grid.shape[1] + 1)
+        real = np.where(masks, _dim_column(tasks, "users")[:, None], grid.transpose(0, 2, 1))
+        f = _score_block(tasks, grid, masks)
         for t, pos in enumerate(positions):
-            yield pos, (conds, real[t, 0], f[t, 0])
+            yield pos, (conds, real[t], f[t, 0])
 
 
 class _TokenRefs(dict):
@@ -164,7 +167,7 @@ def _ablation_records(world: SyntheticWorld, mode: str,
     refs = _TokenRefs()
     for task, s, ga, pieces in _ablation_columns(world, mode, reps):
         conds = _conditions(task)
-        ids = task.dim_ids
+        ids = task.dims
         for cond_ixs, real, f in pieces:
             for c, row, f_icmw in zip(cond_ixs.tolist(), real.tolist(), f.tolist()):
                 condition, mask = conds[c]
@@ -210,7 +213,7 @@ def _write_ablation(dest, world: SyntheticWorld, mode: str, reps: int):
     enc = cache(encode_basestring)
     heads: dict[tuple[str, ...], list[str]] = {}  # dim ids -> per condition
     for task, s, ga, pieces in _ablation_columns(world, mode, reps):
-        ids = task.dim_ids
+        ids = task.dims
         cond_heads = heads.get(ids)
         if cond_heads is None:
             cond_heads = heads[ids] = [
@@ -405,9 +408,11 @@ def perturb_weight_rows(weights: np.ndarray, spec: PerturbationSpec,
 def perturb_weights(weights: Sequence[float], spec: PerturbationSpec,
                     seed: int = 0) -> list[float]:
     """Apply one perturbation to one weight vector: perturb_weight_rows on
-    one row."""
+    one row. A seed that is not an int in [0, 2**64), or is a bool,
+    raises BadConfig."""
+    check_uint64("seed", seed)
     w = np.array([[float(x) for x in weights]], dtype=np.float64)
-    seeds = np.array([seed & MASK64], dtype=np.uint64)
+    seeds = np.array([seed], dtype=np.uint64)
     return perturb_weight_rows(w, spec, seeds)[0].tolist()
 
 

@@ -62,7 +62,7 @@ from .errors import (
 )
 from .priors import CELL_CAP, THETA_PUB_DEFAULT, check_theta_pub, privacy_label
 from .rng import DECODER_STREAM, check_uint64, derive, uniform_index
-from .worlds import SyntheticWorld, WorldDim, _argmax_finds_user
+from .worlds import SyntheticWorld, _argmax_finds_user
 
 _SUM_TOL = 1e-9
 _MI_NEG_TOL = 1e-12  # per bit of entropy summed; see mutual_information
@@ -422,11 +422,13 @@ def _regeneration_channel(k: int, lam: float, mode: str) -> np.ndarray:
     return table
 
 
-def _world_dim(world: SyntheticWorld, task_id: str, dim_id: str) -> WorldDim:
-    for dim in world.task(task_id).dims:
-        if dim.id == dim_id:
-            return dim
-    raise UnknownVariable(dim_id)
+def _world_channel(world: SyntheticWorld, task_id: str, dim_id: str) -> tuple[int, float]:
+    """(K, lambda) of one dimension of a world task."""
+    task = world.task(task_id)
+    if dim_id not in task.dims:
+        raise UnknownVariable(dim_id)
+    j = task.dims.index(dim_id)
+    return task.ks[j], task.lams[j]
 
 
 def dimension_channel_joint(world: SyntheticWorld, task_id: str, dim_id: str,
@@ -438,8 +440,8 @@ def dimension_channel_joint(world: SyntheticWorld, task_id: str, dim_id: str,
     """
     if mode not in ("argmax", "sample"):
         raise DomainMismatch(f"mode must be 'argmax' or 'sample', got {mode!r}")
-    dim = _world_dim(world, task_id, dim_id)
-    return DiscreteJoint(("v", "y"), _regeneration_channel(dim.k, dim.lam, mode))
+    return DiscreteJoint(("v", "y"),
+                         _regeneration_channel(*_world_channel(world, task_id, dim_id), mode))
 
 
 @dataclass(frozen=True)
@@ -451,18 +453,18 @@ class PrivacyVerdict:
     label: str  # public | private
 
 
-def _channel_verdict(dim: WorldDim, theta_pub: float,
+def _channel_verdict(dim_id: str, k: int, lam: float, theta_pub: float,
                      ) -> tuple[DiscreteJoint, PrivacyVerdict]:
-    """Sample-mode joint of the dimension's (K, lambda) channel and its verdict.
+    """Sample-mode joint of a dimension's (K, lambda) channel and its verdict.
 
     The one channel evaluation behind classify_privacy and tiil_check;
     the verdict depends on the dimension only through K and lambda, and
     its accuracy, chance and label are privacy_label's.
     """
-    acc, chance, label = privacy_label(dim.k, dim.lam, theta_pub)
-    joint = DiscreteJoint(("v", "y"), _regeneration_channel(dim.k, dim.lam, "sample"))
+    acc, chance, label = privacy_label(k, lam, theta_pub)
+    joint = DiscreteJoint(("v", "y"), _regeneration_channel(k, lam, "sample"))
     mi = mutual_information(joint, "v", "y")
-    return joint, PrivacyVerdict(dimension=dim.id, mi_bits=mi, bayes_accuracy=acc,
+    return joint, PrivacyVerdict(dimension=dim_id, mi_bits=mi, bayes_accuracy=acc,
                                  chance=chance, label=label)
 
 
@@ -476,7 +478,7 @@ def classify_privacy(world: SyntheticWorld, task_id: str, dim_id: str,
     prior, never an intrinsic property of the dimension.
     """
     check_theta_pub(theta_pub)
-    return _channel_verdict(_world_dim(world, task_id, dim_id), theta_pub)[1]
+    return _channel_verdict(dim_id, *_world_channel(world, task_id, dim_id), theta_pub)[1]
 
 
 def _point_mass_rows(p: np.ndarray, picks: np.ndarray, verdict: PrivacyVerdict,
@@ -555,15 +557,14 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
     """
     check_theta_pub(theta_pub)
     check_uint64("seed", seed)
-    dims = [(task, dim) for task in world.tasks for dim in task.dims]
+    dims = [(task, j) for task in world.tasks for j in range(len(task.dims))]
     by_channel: dict[tuple[int, float], list[int]] = {}
-    for i, (_, dim) in enumerate(dims):
-        by_channel.setdefault((dim.k, dim.lam), []).append(i)
+    for i, (task, j) in enumerate(dims):
+        by_channel.setdefault((task.ks[j], task.lams[j]), []).append(i)
     dims_report: list = [None] * len(dims)
-    for members in by_channel.values():
-        first = dims[members[0]][1]
-        joint, verdict = _channel_verdict(first, theta_pub)
-        k = first.k
+    for (k, lam), members in by_channel.items():
+        task, j = dims[members[0]]
+        joint, verdict = _channel_verdict(task.dims[j], k, lam, theta_pub)
         chance_level_dim = verdict.bayes_accuracy <= verdict.chance + DPI_TOL
         tasks = list(dict.fromkeys(dims[i][0].index for i in members))
         picks = np.zeros((2 + len(tasks), k), dtype=np.int64)  # constant: token 0
@@ -578,11 +579,11 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
         constant_row, bayes_row = rows[:2]
         random_rows = dict(zip(tasks, rows[2:]))
         for i in members:
-            task, dim = dims[i]
+            task, j = dims[i]
             dims_report[i] = {
                 "task_id": task.task_id,
-                "dimension": dim.id,
-                "lambda": dim.lam,
+                "dimension": task.dims[j],
+                "lambda": task.lams[j],
                 "label": verdict.label,
                 "mi_bits": verdict.mi_bits,
                 "bayes_accuracy": verdict.bayes_accuracy,

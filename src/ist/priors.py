@@ -4,8 +4,8 @@ Two rules about synthetic prior worlds that need no world and no numpy:
 
 * check_world_config is the one check pass of a world config. It makes
   every check a world build makes and returns the checked, normalized
-  rows, one (task_id, [(id, weight, K, lambda)]) per task, and
-  `ist audit --world` labels from them alone. It is check_world_fields
+  rows, one (task_id, ids, weights, Ks, lambdas) of columns per task,
+  and `ist audit --world` labels from them alone. It is check_world_fields
   then check_flat_tasks, the rules of a flat intent spec. build_world
   realizes the rows of check_world_fields into a SyntheticWorld, whose
   constructor applies check_flat_tasks, so the rules run once there too.
@@ -101,13 +101,13 @@ def check_world_config(config: dict, seed: int | None = None,
     Config shape: {"tasks": [{"task_id", "dims": [{"id", "weight", "K",
     "lambda"}]}], "seed"?, "tag"?}; any other field is rejected. An
     explicit seed argument wins over the config's. rows holds one
-    (task_id, [(id, weight, K, lambda)]) per task, ids lower-cased and
-    weights normalized. Every task's field, weight, K and lambda checks
-    come before the flat-spec rules of check_flat_tasks.
+    (task_id, ids, weights, ks, lams) per task, the last four tuples with
+    one entry per dimension, ids lower-cased and weights normalized.
+    Every task's field, weight, K and lambda checks come before the
+    flat-spec rules of check_flat_tasks.
     """
     seed, tag, rows = check_world_fields(config, seed)
-    check_flat_tasks((task_id, [d[0] for d in dims], [d[1] for d in dims])
-                     for task_id, dims in rows)
+    check_flat_tasks(row[:3] for row in rows)
     return seed, tag, rows
 
 
@@ -135,7 +135,7 @@ _DIM_FIELDS = ("id", "weight", "K", "lambda")
 _DIM_KEYS = frozenset(_DIM_FIELDS)
 
 
-def _task_rows(raw_tasks: list) -> Iterator[tuple[str, list]]:
+def _task_rows(raw_tasks: list) -> Iterator[tuple]:
     for task_ix, t in enumerate(raw_tasks):
         where = f"tasks[{task_ix}]"
         if not isinstance(t, dict) or not isinstance(t.get("task_id"), str):
@@ -162,9 +162,9 @@ def _task_rows(raw_tasks: list) -> Iterator[tuple[str, list]]:
             weights = normalize_weights(raw_weights)
         except IstError as e:
             raise BadConfig(f"{where}: {e}") from None
-        yield t["task_id"], [
-            (d["id"].lower(), w, *_check_channel(d, task_ix, dim_ix))
-            for dim_ix, (d, w) in enumerate(zip(raw_dims, weights))]
+        ks, lams = zip(*[_check_channel(d, task_ix, dim_ix)
+                         for dim_ix, d in enumerate(raw_dims)])
+        yield t["task_id"], tuple(d["id"].lower() for d in raw_dims), tuple(weights), ks, lams
 
 
 # ---------------------------------------------------------------------------

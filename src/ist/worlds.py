@@ -27,20 +27,22 @@ Nothing that runs on a world checks it again.
 
 build_world realizes a world in columns: one array rng.derive call
 hashes every (task, dimension) pair, and uniform_index maps the hashes
-to user indices. A WorldDim holds (id, weight, K, lambda, user index);
-its prior and CDF are computed when read, so a world's size does not
-grow with K.
+to user indices. A WorldTask is one row of columns: its dimensions'
+ids, weights, Ks, lambdas and user indices, one tuple each, so a
+world's size does not grow with K and the engine reads a column of a
+block of tasks with one attribute read per task.
 
 The record engine simulates outputs in bulk: draws never depend on the
 mask, so the draws of a block of tasks are hashed together, one
 _kernels.sample_block call per block of bounded size. A block holds
 consecutive tasks with one dimension count and one run of draws, so its
-grid is a whole (tasks x dims x draws) array. Both experiments realize
-and score a block by one step, _score_block: the ablation under one mask
-per draw, its condition's (experiments), and the perturbation experiment
-and mc_mean_f_icmw under every mask of every task (_mean_f_icmw). Their
-records and means are those of simulate_output and score_output, bit
-for bit.
+grid is a whole (tasks x dims x draws) array. Both experiments score a
+block by one step, _score_block, from where each record holds the user
+value: the ablation under one mask per draw, its condition's
+(experiments), and the perturbation experiment and mc_mean_f_icmw under
+every mask of every task (_mean_f_icmw). Only the ablation realizes
+tokens, for its records. Their records and means are those of
+simulate_output and score_output, bit for bit.
 
 All randomness is derived by a keyed 64-bit mix of
 (master seed, stream, task index, dimension index, draw index); there
@@ -51,8 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, groupby
-from operator import attrgetter
+from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -70,49 +71,18 @@ def token(index: int) -> str:
 
 
 @dataclass(frozen=True)
-class WorldDim:
-    """One dimension of one task: alphabet, prior, hidden user value."""
-
-    id: str
-    weight: float
-    k: int
-    lam: float
-    user_index: int
-
-    @property
-    def prior(self) -> tuple[float, ...]:
-        prior = [(1.0 - self.lam) / self.k] * self.k
-        prior[self.user_index] += self.lam
-        return tuple(prior)
-
-    @property
-    def cdf(self) -> tuple[float, ...]:
-        # the top end is 1.0 exactly, whatever the accumulated rounding
-        return (*accumulate(self.prior[:-1]), 1.0)
-
-    @property
-    def user_value(self) -> str:
-        return token(self.user_index)
-
-    @property
-    def argmax_index(self) -> int:
-        # ties go to the lowest index, so lam=0 always argmaxes to v0
-        return self.user_index if _argmax_finds_user(self.k, self.lam) else 0
-
-
-@dataclass(frozen=True)
 class WorldTask:
+    """One task of a world, in columns: dimension j has the lower-cased
+    id dims[j], weight weights[j], an alphabet of ks[j] tokens, prior
+    mix lams[j] and hidden user value token(users[j])."""
+
     task_id: str
     index: int
-    dims: tuple[WorldDim, ...]
-
-    @cached_property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(d.weight for d in self.dims)
-
-    @cached_property
-    def dim_ids(self) -> tuple[str, ...]:
-        return tuple(d.id for d in self.dims)
+    dims: tuple[str, ...]
+    weights: tuple[float, ...]
+    ks: tuple[int, ...]
+    lams: tuple[float, ...]
+    users: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -122,7 +92,7 @@ class SyntheticWorld:
     tasks: tuple[WorldTask, ...]
 
     def __post_init__(self):
-        check_flat_tasks((t.task_id, t.dim_ids, t.weights) for t in self.tasks)
+        check_flat_tasks((t.task_id, t.dims, t.weights) for t in self.tasks)
 
     @cached_property
     def _tasks_by_id(self) -> dict[str, WorldTask]:
@@ -147,20 +117,20 @@ class SimulatedOutput:
 
 def build_world(config: dict, seed: int | None = None) -> SyntheticWorld:
     """Deterministically instantiate a world from its config dict: the
-    rows of priors.check_world_fields(config, seed), realized; the world
-    then applies the flat-spec rules. Dimension j of task i draws its
-    user index from derive(seed, USER_VALUE_STREAM, i, j), every pair in
-    one array call."""
+    rows of priors.check_world_fields(config, seed), each with its slice
+    of the user indices; the world then applies the flat-spec rules.
+    Dimension j of task i draws its user index from
+    derive(seed, USER_VALUE_STREAM, i, j), every pair in one array call."""
     seed, tag, rows = check_world_fields(config, seed)
-    sizes = [len(dims) for _, dims in rows]
+    sizes = [len(row[1]) for row in rows]
     task_ixs = np.repeat(np.arange(len(rows)), sizes)
     dim_ixs = np.arange(len(task_ixs)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    ks = np.array([dim[2] for _, dims in rows for dim in dims])
+    ks = np.array([k for row in rows for k in row[3]])
     users = iter(uniform_index(derive(seed, USER_VALUE_STREAM, task_ixs.astype(np.uint64),
                                       dim_ixs.astype(np.uint64)), ks).tolist())
     return SyntheticWorld(seed=seed, tag=tag, tasks=tuple(
-        WorldTask(task_id, task_ix, tuple(WorldDim(*dim, next(users)) for dim in dims))
-        for task_ix, (task_id, dims) in enumerate(rows)))
+        WorldTask(task_id, task_ix, ids, *cols, tuple(islice(users, len(ids))))
+        for task_ix, (task_id, ids, *cols) in enumerate(rows)))
 
 
 def load_world(path, seed: int | None = None) -> SyntheticWorld:
@@ -169,20 +139,17 @@ def load_world(path, seed: int | None = None) -> SyntheticWorld:
 
 def to_intent_spec(task: WorldTask, task_type: str = "synthetic") -> IntentSpec:
     """Project a world task into a scoreable spec (intended = user values)."""
-    dims = tuple(
-        Dimension(id=d.id, weight=d.weight,
-                  intended_value=ValueRef.token(d.user_value))
-        for d in task.dims)
+    dims = tuple(Dimension(id=d, weight=w, intended_value=ValueRef.token(token(u)))
+                 for d, w, u in zip(task.dims, task.weights, task.users))
     return IntentSpec(task_id=task.task_id, task_type=task_type, dimensions=dims)
 
 
 def full_mask(task: WorldTask) -> EncodingMask:
-    return EncodingMask(task.dim_ids, (1,) * len(task.dims))
+    return EncodingMask(task.dims, (1,) * len(task.dims))
 
 
 def mask_without(task: WorldTask, ablated: set[str] | frozenset[str]) -> EncodingMask:
-    return EncodingMask(task.dim_ids,
-                        tuple(0 if d.id in ablated else 1 for d in task.dims))
+    return EncodingMask(task.dims, tuple(0 if d in ablated else 1 for d in task.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +157,11 @@ def mask_without(task: WorldTask, ablated: set[str] | frozenset[str]) -> Encodin
 # ---------------------------------------------------------------------------
 
 def _check_mask(task: WorldTask, mask: EncodingMask) -> None:
-    if mask.dims != task.dim_ids:
+    if mask.dims != task.dims:
         if len(mask.dims) != len(task.dims):
             raise LengthMismatch(len(task.dims), len(mask.dims), "mask bits")
         raise LengthMismatch(len(task.dims), len(mask.dims),
-                             f"mask dims {mask.dims!r} vs task dims {task.dim_ids!r}")
+                             f"mask dims {mask.dims!r} vs task dims {task.dims!r}")
 
 
 def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
@@ -211,28 +178,33 @@ def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     task = world.task(task_id)
     _check_mask(task, mask)
     if mode == "sample":
-        sampled = _sample_grid(world.seed, [task],
-                               np.array([draw], dtype=np.uint64))[0, :, 0].tolist()
+        picks = _sample_grid(world.seed, [task], np.array([draw], dtype=np.uint64))[0, :, 0]
+        source = "prior_sample"
+    else:
+        picks, source = _argmax_grid([task])[0], "prior_default"
     realized: dict[str, ValueRef] = {}
     provenance: dict[str, str] = {}
-    for dim_ix, dim in enumerate(task.dims):
-        if mask.bits[dim_ix] == 1:
-            realized[dim.id] = ValueRef.token(dim.user_value)
-            provenance[dim.id] = "copied_from_carrier"
-        elif mode == "argmax":
-            realized[dim.id] = ValueRef.token(token(dim.argmax_index))
-            provenance[dim.id] = "prior_default"
+    for dim_id, bit, user, pick in zip(task.dims, mask.bits, task.users, picks.tolist()):
+        if bit == 1:
+            realized[dim_id] = ValueRef.token(token(user))
+            provenance[dim_id] = "copied_from_carrier"
         else:
-            realized[dim.id] = ValueRef.token(token(sampled[dim_ix]))
-            provenance[dim.id] = "prior_sample"
+            realized[dim_id] = ValueRef.token(token(pick))
+            provenance[dim_id] = source
     return SimulatedOutput(realized_values=realized, provenance=provenance)
 
 
 def _dim_column(tasks, name: str) -> np.ndarray:
-    """Each dimension's WorldDim attribute name, as a (tasks x dims) array
-    of tasks that share one dimension count."""
-    get = attrgetter(name)
-    return np.array([list(map(get, t.dims)) for t in tasks])
+    """The WorldTask column name of tasks that share one dimension count,
+    as a (tasks x dims) array."""
+    return np.array([getattr(t, name) for t in tasks])
+
+
+def _argmax_grid(tasks) -> np.ndarray:
+    """Each dimension's prior default (tasks x dims): the user index
+    where _argmax_finds_user, else token 0."""
+    return np.where(_argmax_finds_user(_dim_column(tasks, "ks"), _dim_column(tasks, "lams")),
+                    _dim_column(tasks, "users"), 0)
 
 
 def _sample_grid(seed: int, tasks, draws: np.ndarray) -> np.ndarray:
@@ -241,11 +213,11 @@ def _sample_grid(seed: int, tasks, draws: np.ndarray) -> np.ndarray:
 
     Its CDF table (tasks x dims x largest K) is built in columns: each
     row is the flat base (1 - lam)/K plus lam at the user index, summed
-    in order by np.cumsum (as WorldDim.cdf sums it), with entry K - 1 set
-    to 1 and the entries past K to +inf.
+    in order by np.cumsum (as a running sum over the prior adds it), with
+    entry K - 1 set to 1 and the entries past K to +inf.
     """
-    ks, user = _dim_column(tasks, "k"), _dim_column(tasks, "user_index")
-    lam = _dim_column(tasks, "lam")[..., None]
+    ks, user = _dim_column(tasks, "ks"), _dim_column(tasks, "users")
+    lam = _dim_column(tasks, "lams")[..., None]
     cols = np.arange(ks.max())
     # one table, filled in place: a task's K can make it the whole block
     cdf = np.where(cols == user[..., None], lam, 0.0)
@@ -282,7 +254,7 @@ def _blocks(tasks, counts):
                     yield range(pos, pos + 1), start, min(start + step, n)
             continue
         first, k_max = lo, 0  # the block's first task and largest K so far
-        for pos, k in enumerate(_dim_column(tasks[lo:hi], "k").max(axis=1).tolist(), lo):
+        for pos, k in enumerate([max(t.ks) for t in tasks[lo:hi]], lo):
             k_max = max(k_max, k)
             if pos > first and (pos + 1 - first) * dims * max(n, k_max) > budget:
                 yield range(first, pos), 0, n
@@ -301,7 +273,7 @@ def _block_grids(world: SyntheticWorld, tasks, counts, mode: str):
             grid = _sample_grid(world.seed, block_tasks,
                                 np.arange(start, stop, dtype=np.uint64))
         else:
-            argmax = _dim_column(block_tasks, "argmax_index")
+            argmax = _argmax_grid(block_tasks)
             grid = np.broadcast_to(argmax[..., None], (*argmax.shape, stop - start))
         yield (positions, start, stop), grid
 
@@ -309,9 +281,9 @@ def _block_grids(world: SyntheticWorld, tasks, counts, mode: str):
 def _f_icmw(tasks, keys: np.ndarray, hits: np.ndarray) -> np.ndarray:
     """f_icmw of each record i, a record of tasks[keys[i]] whose fidelity
     row is hits[i] (records x dims; True where the record holds the user
-    value): weighted_sum of that 0/1 row under the task's weights (made
-    floats once), once per distinct (task, row). Rows are told apart by
-    their key and the bits of 32 columns at a time."""
+    value): weighted_sum of that 0/1 row under the task's weights, once
+    per distinct (task, row). Rows are told apart by their key and the
+    bits of 32 columns at a time."""
     ids = keys
     for lo in range(0, hits.shape[1], 32):
         part = hits[:, lo:lo + 32]
@@ -319,22 +291,20 @@ def _f_icmw(tasks, keys: np.ndarray, hits: np.ndarray) -> np.ndarray:
         ids = np.unique((ids << 32) | code, return_inverse=True)[1].reshape(-1)
     first = np.empty(ids.max() + 1, dtype=np.intp)
     first[ids] = np.arange(len(ids))
-    weights = [list(map(float, t.weights)) for t in tasks]
-    return np.array([_float_weighted_sum(weights[k], row)
+    return np.array([_float_weighted_sum(tasks[k].weights, row)
                      for k, row in zip(keys[first].tolist(), hits[first].tolist())])[ids]
 
 
-def _score_block(tasks, grid: np.ndarray, masks: np.ndarray):
-    """(real, f) of the records of one block's grid: each record copies
-    the user value where its mask bit is set and takes its grid token
-    elsewhere. masks broadcasts to (tasks x masks x draws x dims); real
-    is the realized tokens in that shape and f the f_icmw of each
-    record, (tasks x masks x draws), scored by one _f_icmw call."""
-    user = _dim_column(tasks, "user_index")[:, None, None]
-    real = np.where(masks, user, grid.transpose(0, 2, 1)[:, None])
-    b, m, n, d = real.shape
-    f = _f_icmw(tasks, np.arange(b).repeat(m * n), (real == user).reshape(-1, d))
-    return real, f.reshape(b, m, n)
+def _score_block(tasks, grid: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """f_icmw of the records of one block's grid, (tasks x masks x
+    draws), by one _f_icmw call: each record copies the user value where
+    its mask bit is set and takes its grid token elsewhere, so it holds
+    the user value where masks | (token == user). masks broadcasts to
+    (tasks x masks x draws x dims); no token is realized."""
+    users = _dim_column(tasks, "users")[:, None, None]
+    hits = masks | (grid.transpose(0, 2, 1)[:, None] == users)
+    b, m, n, d = hits.shape
+    return _f_icmw(tasks, np.arange(b).repeat(m * n), hits.reshape(-1, d)).reshape(b, m, n)
 
 
 def _mean_f_icmw(world: SyntheticWorld, tasks, bits, n: int, mode: str):
@@ -351,7 +321,7 @@ def _mean_f_icmw(world: SyntheticWorld, tasks, bits, n: int, mode: str):
     counts = [n] * len(tasks)
     for (positions, start, stop), grid in _block_grids(world, tasks, counts, mode):
         lo, hi = positions.start, positions.stop
-        _, f = _score_block(tasks[lo:hi], grid, np.stack(bits[lo:hi])[:, :, None])
+        f = _score_block(tasks[lo:hi], grid, np.stack(bits[lo:hi])[:, :, None])
         if start == 0:
             sums = np.zeros(f.shape[:2])
         sums = np.cumsum(np.concatenate([sums[..., None], f], axis=-1), axis=-1)[..., -1]
@@ -374,7 +344,8 @@ def _check_mode(mode) -> None:
 # ---------------------------------------------------------------------------
 
 def _argmax_finds_user(k: int, lam: float) -> bool:
-    """Whether argmax of the (K, lambda) prior lands on the user value.
+    """Whether argmax of the (K, lambda) prior lands on the user value;
+    elementwise on arrays of K and lambda.
 
     The user's entry is base + lam over a flat base = (1 - lam)/K. When
     lam is below the float resolution of base, every entry ties and
@@ -384,13 +355,13 @@ def _argmax_finds_user(k: int, lam: float) -> bool:
     return base + lam > base
 
 
-def _argmax_match_prob(dim: WorldDim) -> float:
+def _argmax_match_prob(k: int, lam: float) -> float:
     """P(argmax of prior == user value) under world regeneration.
 
     Certain when lam lifts the user's entry; otherwise argmax is token 0,
     which is the user value for 1 of the K equally likely values.
     """
-    return 1.0 if _argmax_finds_user(dim.k, dim.lam) else 1.0 / dim.k
+    return 1.0 if _argmax_finds_user(k, lam) else 1.0 / k
 
 
 def expected_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
@@ -405,13 +376,13 @@ def expected_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     task = world.task(task_id)
     _check_mask(task, mask)
     e = []
-    for dim_ix, dim in enumerate(task.dims):
-        if mask.bits[dim_ix] == 1:
+    for bit, k, lam in zip(mask.bits, task.ks, task.lams):
+        if bit == 1:
             e.append(1.0)
         elif mode == "sample":
-            e.append((1.0 - dim.lam) / dim.k + dim.lam)  # the prior's user entry
+            e.append((1.0 - lam) / k + lam)  # the prior's user entry
         else:
-            e.append(_argmax_match_prob(dim))
+            e.append(_argmax_match_prob(k, lam))
     return weighted_sum(task.weights, e)
 
 

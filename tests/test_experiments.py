@@ -54,7 +54,6 @@ from ist.rng import PERTURB_STREAM, derive, unit_float
 from ist.spec_io import OutputRecord, dumps_canonical, record_to_line, record_to_obj
 from ist.worlds import (
     SyntheticWorld,
-    WorldDim,
     WorldTask,
     _block_grids,
     _blocks,
@@ -261,12 +260,21 @@ def assert_same_outcome(got_fn, want):
             np.asarray(want, dtype=np.float64).tobytes()
 
 
-def test_perturb_weights_keeps_every_int_seed():
-    # derive masks seeds to 64 bits; so does the one-row call
+def test_perturb_weights_keeps_every_uint64_seed():
     spec = PerturbationSpec("jitter", epsilon=0.2)
     w = [0.5, 0.3, 0.2]
-    for seed in (-1, 2**64 + 5, 2**64 - 1):
+    for seed in (0, 1, 2**63 + 5, 2**64 - 1):
         assert perturb_weights(w, spec, seed) == perturb_weights_reference(w, spec, seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5])
+def test_perturb_weights_rejects_a_seed_outside_uint64(seed):
+    # the seed was wrapped mod 2**64: -1 gave the weights of 2**64 - 1,
+    # True those of 1, and 1.5 raised a bare TypeError
+    rule = "in [0, 2**64)" if type(seed) is int else "an integer"
+    with pytest.raises(BadConfig) as info:
+        perturb_weights([0.5, 0.3, 0.2], PerturbationSpec("jitter", epsilon=0.2), seed)
+    assert str(info.value) == f"seed must be {rule}, got {seed!r}"
 
 
 if HAVE_HYPOTHESIS:
@@ -348,7 +356,7 @@ def test_ablating_private_dimension_drops_by_weight():
     # user values off the argmax for every dim at this seed
     world = world_from(private_dims([0.5, 0.3, 0.2], k=1000), seed=1)
     task = world.tasks[0]
-    assert all(d.user_index != 0 for d in task.dims)
+    assert all(u != 0 for u in task.users)
     records = {r.condition: r for r in
                run_ablation(world, mode="argmax")}
     for i, w in enumerate([0.5, 0.3, 0.2]):
@@ -527,7 +535,7 @@ def score_simulated_reference(world, task, condition, mask, mode, draw):
 def run_ablation_reference(world, mode, replicates):
     for task in world.tasks:
         conds = [(FULL_CONDITION, full_mask(task))] + [
-            (ABLATION_PREFIX + d.id, mask_without(task, {d.id})) for d in task.dims]
+            (ABLATION_PREFIX + d, mask_without(task, {d})) for d in task.dims]
         for cond_ix, (condition, mask) in enumerate(conds):
             for rep in range(replicates):
                 yield score_simulated_reference(
@@ -553,12 +561,12 @@ def run_weight_perturbation_reference(world, perturbations, mode, replicates,
     for task in world.tasks:
         b = default_budget(len(task.dims)) if budget is None else budget
         w_true = list(task.weights)
-        base_mask = encode_with_budget_reference(task.dim_ids, w_true, b)
+        base_mask = encode_with_budget_reference(task.dims, w_true, b)
         baseline = was_for_mask_reference(world, task, base_mask, mode, replicates)
         for p_ix, p in enumerate(perturbations):
             w_p = perturb_weights_reference(w_true, p, seed=derive(
                 world.seed, PERTURB_STREAM, task.index, p_ix))
-            mask_p = encode_with_budget_reference(task.dim_ids, w_p, b)
+            mask_p = encode_with_budget_reference(task.dims, w_p, b)
             was = was_for_mask_reference(world, task, mask_p, mode, replicates)
             cells.append(CellSummary(task.task_id, world.tag, p.name, was,
                                      was - baseline, mask_p.bits != base_mask.bits))
@@ -595,8 +603,7 @@ def random_world(seed, n_dims, n_tasks=3):
 def scaled_world(world, factor):
     """The same world with every weight scaled, so weights sum to about
     factor: s_icmw must come from the weights, not a constant 1."""
-    tasks = tuple(replace(t, dims=tuple(replace(d, weight=d.weight * factor)
-                                        for d in t.dims))
+    tasks = tuple(replace(t, weights=tuple(w * factor for w in t.weights))
                   for t in world.tasks)
     return SyntheticWorld(seed=world.seed, tag=world.tag, tasks=tasks)
 
@@ -941,7 +948,7 @@ def means_reference(world, bits, n, mode):
         spec = to_intent_spec(task)
         row_means = []
         for row in task_bits.tolist():
-            mask = EncodingMask(task.dim_ids, tuple(int(b) for b in row))
+            mask = EncodingMask(task.dims, tuple(int(b) for b in row))
             total = 0.0
             for draw in range(n):
                 out = simulate_output(world, task.task_id, mask, mode, draw)
@@ -985,20 +992,20 @@ def test_run_weight_perturbation_rejects_bad_replicates(demo_world_config, repli
 
 def _break_task(task, case):
     """task with one rule broken; "duplicate-task-id" takes tasks[0]'s id."""
-    dims = task.dims
+    dims, weights = task.dims, task.weights
     if case == "weight-sum":
-        dims = tuple(replace(d, weight=d.weight * 0.6) for d in dims)
+        weights = tuple(w * 0.6 for w in weights)
     elif case == "negative-weight":
-        dims = (replace(dims[0], weight=-0.1), *dims[1:])
+        weights = (-0.1, *weights[1:])
     elif case == "nan-weight":
-        dims = (replace(dims[0], weight=math.nan), *dims[1:])
+        weights = (math.nan, *weights[1:])
     elif case == "empty-id":
-        dims = (replace(dims[0], id=""), *dims[1:])
+        dims = ("", *dims[1:])
     elif case == "case-folded-ids":
-        dims = (dims[0], replace(dims[1], id=dims[0].id.upper()), *dims[2:])
+        dims = (dims[0], dims[0].upper(), *dims[2:])
     elif case == "duplicate-task-id":
         return replace(task, task_id="r0")
-    return replace(task, dims=dims)
+    return replace(task, dims=dims, weights=weights)
 
 
 INVALID_WORLD_CASES = {
@@ -1065,8 +1072,9 @@ if HAVE_HYPOTHESIS:
             raw = draw(TIED_WEIGHTS)
             total = math.fsum(raw)
             weights = [w / total for w in raw] if total > 0 else raw
-            tasks.append(WorldTask(f"t{k}", k, tuple(
-                WorldDim(f"d{i}", w, 2, 0.0, 0) for i, w in enumerate(weights))))
+            n = len(weights)
+            tasks.append(WorldTask(f"t{k}", k, tuple(f"d{i}" for i in range(n)),
+                                   tuple(weights), (2,) * n, (0.0,) * n, (0,) * n))
         width = max(len(t.dims) for t in tasks)
         keys = draw(st.lists(st.integers(0, len(tasks) - 1), min_size=1, max_size=30))
         # cells past a task's dims hold bits nobody may read

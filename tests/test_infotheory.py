@@ -428,16 +428,16 @@ def tiil_check_reference(world, theta_pub=0.9, seed=0):
     dims_report = []
     all_hold = True
     for task in world.tasks:
-        for dim in task.dims:
-            joint = DiscreteJoint(("v", "y"), prior_loop_channel(dim.k, dim.lam, "sample"))
-            acc_bayes, chance = exact_accuracy_and_chance(dim.k, dim.lam)
+        for dim_id, k, lam in zip(task.dims, task.ks, task.lams):
+            joint = DiscreteJoint(("v", "y"), prior_loop_channel(k, lam, "sample"))
+            acc_bayes, chance = exact_accuracy_and_chance(k, lam)
             mi = mutual_information(joint, "v", "y")
             public = acc_bayes >= theta_pub and acc_bayes >= chance + CHANCE_FLOOR
             chance_level_dim = acc_bayes <= chance + DPI_TOL
             decoders = [
-                ("constant", constant_decoder(("y",), (dim.k,), dim.k)),
+                ("constant", constant_decoder(("y",), (k,), k)),
                 ("random_deterministic", random_deterministic_decoder(
-                    ("y",), (dim.k,), dim.k, seed=derive(seed, task.index))),
+                    ("y",), (k,), k, seed=derive(seed, task.index))),
                 ("bayes", bayes_decoder(joint, "v", ("y",))),
             ]
             h_v = entropy(joint.marginal("v"))
@@ -447,7 +447,7 @@ def tiil_check_reference(world, theta_pub=0.9, seed=0):
                 acc = decoder_accuracy(joint, dec, "v")
                 i_v_g = _mi_of_entropies(
                     [h_v, entropy(extended.marginal("g")),
-                     entropy(extended.marginal("v", "g"))], [dim.k, dim.k, dim.k ** 2])
+                     entropy(extended.marginal("v", "g"))], [k, k, k ** 2])
                 holds = i_v_g <= mi + DPI_TOL
                 rep = verify_dpi(joint, dec)
                 assert rep.holds == holds and rep.i_v_evidence == mi
@@ -460,8 +460,8 @@ def tiil_check_reference(world, theta_pub=0.9, seed=0):
                              "slack": mi - i_v_g, "accuracy": acc,
                              "i_v_g": i_v_g, "ok": ok})
             dims_report.append({
-                "task_id": task.task_id, "dimension": dim.id,
-                "lambda": dim.lam, "label": "public" if public else "private",
+                "task_id": task.task_id, "dimension": dim_id,
+                "lambda": lam, "label": "public" if public else "private",
                 "mi_bits": mi, "bayes_accuracy": acc_bayes, "chance": chance,
                 "chance_level": chance_level_dim, "decoders": rows})
     return {"theta_pub": theta_pub, "all_hold": all_hold, "dims": dims_report}

@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 from bisect import bisect_right
+from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +23,11 @@ from ist.metrics import bundle_for_output, score_output, weighted_sum
 from ist.model import EncodingMask, ValueRef, validate_spec
 from ist.priors import CELL_CAP, check_world_config
 from ist.rng import SAMPLE_STREAM, USER_VALUE_STREAM, derive, uniform_index, unit_float
+from ist.spec_io import dumps_canonical
 from ist.worlds import (
     _argmax_match_prob,
+    _block_grids,
+    _sample_grid,
     build_world,
     expected_f_icmw,
     full_mask,
@@ -48,31 +53,49 @@ def two_dim_config(lam2, k2):
         {"id": "b", "weight": 0.5, "K": k2, "lambda": lam2}]}]}
 
 
+def prior_reference(k, lam, user):
+    """The scalar prior of a (K, lambda) dimension with user index user:
+    the flat base (1 - lam)/K, plus lam at the user."""
+    prior = [(1.0 - lam) / k] * k
+    prior[user] += lam
+    return tuple(prior)
+
+
+def cdf_reference(prior):
+    # the top end is 1.0 exactly, whatever the accumulated rounding
+    return (*accumulate(prior[:-1]), 1.0)
+
+
+def task_prior(task, j):
+    """prior_reference of dimension j of a world task, from its columns."""
+    return prior_reference(task.ks[j], task.lams[j], task.users[j])
+
+
 def test_prior_point_mass():
-    world = build_world(one_dim_config(1.0, 10), seed=7)
-    dim = world.tasks[0].dims[0]
-    assert dim.prior[dim.user_index] == 1.0
-    assert sum(dim.prior) == 1.0
+    task = build_world(one_dim_config(1.0, 10), seed=7).tasks[0]
+    prior = task_prior(task, 0)
+    assert prior[task.users[0]] == 1.0
+    assert sum(prior) == 1.0
 
 
 def test_prior_uniform():
     world = build_world(one_dim_config(0.0, 4), seed=7)
-    assert world.tasks[0].dims[0].prior == (0.25, 0.25, 0.25, 0.25)
+    assert task_prior(world.tasks[0], 0) == (0.25, 0.25, 0.25, 0.25)
 
 
 def test_prior_mixture():
     # seed 2 places the user value at index 0 for this config
-    world = build_world(one_dim_config(0.5, 2), seed=2)
-    dim = world.tasks[0].dims[0]
-    assert dim.user_index == 0
-    assert dim.prior == (0.75, 0.25)
+    task = build_world(one_dim_config(0.5, 2), seed=2).tasks[0]
+    assert task.users[0] == 0
+    assert task_prior(task, 0) == (0.75, 0.25)
 
 
 def test_prior_mixture_any_seed():
     for seed in range(20):
-        dim = build_world(one_dim_config(0.5, 2), seed=seed).tasks[0].dims[0]
-        assert dim.prior[dim.user_index] == 0.75
-        assert abs(math.fsum(dim.prior) - 1.0) < 1e-12
+        task = build_world(one_dim_config(0.5, 2), seed=seed).tasks[0]
+        prior = task_prior(task, 0)
+        assert prior[task.users[0]] == 0.75
+        assert abs(math.fsum(prior) - 1.0) < 1e-12
 
 
 def test_build_world_rejects_bad_config():
@@ -95,19 +118,35 @@ def test_build_world_rejects_bad_config():
 
 
 def test_k_is_bounded_by_the_cell_cap():
-    dim = build_world(one_dim_config(0.5, CELL_CAP), seed=1).tasks[0].dims[0]
-    assert len(dim.prior) == CELL_CAP
+    task = build_world(one_dim_config(0.5, CELL_CAP), seed=1).tasks[0]
+    assert task.ks == (CELL_CAP,) and 0 <= task.users[0] < CELL_CAP
+    assert len(task_prior(task, 0)) == CELL_CAP
     for k in (CELL_CAP + 1, 10 ** 400):
         with pytest.raises(BadConfig, match=r"tasks\[0\]\.dims\[0\]: K is larger"):
             build_world(one_dim_config(0.5, k), seed=1)
 
 
 def test_check_pass_rows_are_the_built_world(grid_config):
-    seed, tag, rows = check_world_config(grid_config, seed=3)
-    world = build_world(grid_config, seed=3)
-    assert (seed, tag) == (world.seed, world.tag)
-    assert rows == [(t.task_id, [(d.id, d.weight, d.k, d.lam) for d in t.dims])
-                    for t in world.tasks]
+    # a task is one row of columns: dims holds the lower-cased ids, one per
+    # dimension, and every column value is a Python int or float
+    # (dumps_canonical rejects numpy scalars), whether the config gave ints
+    # or floats; the check pass returns the same columns
+    mixed = {"tasks": [{"task_id": "t", "dims": [
+        {"id": "Who", "weight": 1, "K": 3, "lambda": 1},
+        {"id": "WHAT", "weight": 0, "K": 4, "lambda": 0.5}]}]}
+    for config in (grid_config, mixed):
+        seed, tag, rows = check_world_config(config, seed=3)
+        world = build_world(config, seed=3)
+        assert (seed, tag) == (world.seed, world.tag)
+        assert rows == [(t.task_id, t.dims, t.weights, t.ks, t.lams) for t in world.tasks]
+        for task, raw in zip(world.tasks, config["tasks"]):
+            assert task.dims == tuple(d["id"].lower() for d in raw["dims"])
+            columns = (task.weights, task.ks, task.lams, task.users)
+            assert {len(c) for c in columns} == {len(task.dims)}
+            assert all(type(x) is float for x in task.weights + task.lams)
+            assert all(type(n) is int for n in task.ks + task.users + (task.index,))
+            dumps_canonical([list(c) for c in columns])
+    assert world.tasks[0].dims == ("who", "what")
 
 
 def test_check_pass_reports_field_faults_before_the_flat_spec_rules():
@@ -130,9 +169,9 @@ def test_check_pass_reports_field_faults_before_the_flat_spec_rules():
 def test_build_world_deterministic():
     a = build_world(two_dim_config(0.3, 6), seed=11)
     b = build_world(two_dim_config(0.3, 6), seed=11)
-    assert a.tasks[0].dims == b.tasks[0].dims
+    assert a.tasks == b.tasks
     c = build_world(two_dim_config(0.3, 6), seed=12)
-    assert a.tasks[0].dims != c.tasks[0].dims
+    assert a.tasks[0].users != c.tasks[0].users
 
 
 def test_to_intent_spec_shape():
@@ -140,8 +179,8 @@ def test_to_intent_spec_shape():
     spec = to_intent_spec(world.tasks[0])
     assert validate_spec(spec) == []
     assert [d.id for d in spec.dimensions] == ["a", "b"]
-    for d, wd in zip(spec.dimensions, world.tasks[0].dims):
-        assert d.intended_value.value == wd.user_value
+    for d, user in zip(spec.dimensions, world.tasks[0].users):
+        assert d.intended_value.value == token(user)
         assert d.privacy_hint is None
 
 
@@ -149,9 +188,9 @@ def test_simulate_full_mask_copies_user_values():
     world = build_world(two_dim_config(0.0, 8), seed=5)
     task = world.tasks[0]
     out = simulate_output(world, "t", full_mask(task))
-    for dim in task.dims:
-        assert out.realized_values[dim.id].value == dim.user_value
-        assert out.provenance[dim.id] == "copied_from_carrier"
+    for dim_id, user in zip(task.dims, task.users):
+        assert out.realized_values[dim_id].value == token(user)
+        assert out.provenance[dim_id] == "copied_from_carrier"
     spec = to_intent_spec(task)
     _, bundle = bundle_for_output(spec, out.realized_values)
     assert bundle.f_icmw == 1.0 and bundle.s_icmw == 1.0
@@ -163,7 +202,7 @@ def test_simulate_point_mass_recovers_when_absent():
     task = world.tasks[0]
     out = simulate_output(world, "t", mask_without(task, {"a"}), mode="argmax")
     # dim "a" has lambda = 1 so the prior argmax is the user value
-    assert out.realized_values["a"].value == task.dims[0].user_value
+    assert out.realized_values["a"].value == token(task.users[0])
     assert out.provenance["a"] == "prior_default"
 
 
@@ -175,13 +214,13 @@ def test_simulate_uniform_argmax_is_token_zero():
         out = simulate_output(world, "t",
                               EncodingMask(("d",), (0,)), mode="argmax")
         assert out.realized_values["d"].value == token(0)
-        match = out.realized_values["d"].value == task.dims[0].user_value
-        assert match == (task.dims[0].user_index == 0)
+        match = out.realized_values["d"].value == token(task.users[0])
+        assert match == (task.users[0] == 0)
 
 
 def test_uniform_argmax_match_rate_over_worlds():
     hits = sum(
-        build_world(one_dim_config(0.0, 10), seed=s).tasks[0].dims[0].user_index == 0
+        build_world(one_dim_config(0.0, 10), seed=s).tasks[0].users[0] == 0
         for s in range(200))
     assert 0.04 <= hits / 200 <= 0.18  # ~= 1/K
 
@@ -200,7 +239,7 @@ def test_sample_mode_respects_point_mass():
     for draw in range(50):
         out = simulate_output(world, "t", EncodingMask(("d",), (0,)),
                               mode="sample", draw=draw)
-        assert out.realized_values["d"].value == task.dims[0].user_value
+        assert out.realized_values["d"].value == token(task.users[0])
 
 
 def test_sample_mode_frequency_uniform():
@@ -217,10 +256,10 @@ def test_sample_mode_frequency_uniform():
 
 def sample_token_index_reference(world_seed, task, dim_ix, draw):
     """The scalar sampling rule: one derive, then bisect_right on the CDF."""
-    dim = task.dims[dim_ix]
+    k = task.ks[dim_ix]
     h = derive(world_seed, SAMPLE_STREAM, task.index, dim_ix, draw)
-    j = bisect_right(dim.cdf, unit_float(h))
-    return j if j < dim.k else dim.k - 1
+    j = bisect_right(cdf_reference(task_prior(task, dim_ix)), unit_float(h))
+    return j if j < k else k - 1
 
 
 def test_sample_mode_equals_scalar_reference():
@@ -234,11 +273,11 @@ def test_sample_mode_equals_scalar_reference():
                             seed=rng.getrandbits(64))
         task = world.tasks[0]
         for draw in (0, 1, rng.randrange(10 ** 6), 2 ** 40 + trial):
-            out = simulate_output(world, "t", EncodingMask(task.dim_ids, (0, 0, 0)),
+            out = simulate_output(world, "t", EncodingMask(task.dims, (0, 0, 0)),
                                   mode="sample", draw=draw)
-            for dim_ix, dim in enumerate(task.dims):
+            for dim_ix, dim_id in enumerate(task.dims):
                 want = sample_token_index_reference(world.seed, task, dim_ix, draw)
-                assert out.realized_values[dim.id] == ValueRef.token(token(want))
+                assert out.realized_values[dim_id] == ValueRef.token(token(want))
 
 
 def test_simulate_deterministic_per_draw():
@@ -318,8 +357,9 @@ def test_argmax_match_prob_equals_enumeration():
     lams = (0.0, 5e-324, 1e-300, 1e-17, 5e-17, 1e-16, 1e-12, 1e-3, 0.5, 1.0)
     for k in (2, 3, 4, 7, 10, 33, 64, 100):
         for lam in lams:
-            dim = build_world(one_dim_config(lam, k), seed=3).tasks[0].dims[0]
-            assert _argmax_match_prob(dim) == argmax_match_prob_reference(k, lam), (k, lam)
+            task = build_world(one_dim_config(lam, k), seed=3).tasks[0]
+            got = _argmax_match_prob(task.ks[0], task.lams[0])
+            assert got == argmax_match_prob_reference(k, lam), (k, lam)
 
 
 def test_mc_matches_mean_of_simulated_records():
@@ -363,7 +403,7 @@ def test_mc_rejects_bad_draw_counts(demo_world_config, n):
     world = build_world(demo_world_config)
     task = world.tasks[0]
     with pytest.raises(BadConfig, match="n must be a positive integer"):
-        mc_mean_f_icmw(world, task.task_id, mask_without(task, {task.dims[0].id}), n=n)
+        mc_mean_f_icmw(world, task.task_id, mask_without(task, {task.dims[0]}), n=n)
 
 
 def build_dim_reference(k, lam, user_index):
@@ -375,14 +415,45 @@ def build_dim_reference(k, lam, user_index):
     return prior.tolist(), cdf.tolist(), int(np.argmax(prior))
 
 
-def assert_dim_matches_reference(dim):
-    prior, cdf, argmax = build_dim_reference(dim.k, dim.lam, dim.user_index)
+def engine_dims(world):
+    """(argmax, cdf) per task of world, as the engine builds them: the
+    prior default of each dimension in _block_grids' argmax grid, and
+    each dimension's row, cut to its K, of the CDF table _sample_grid
+    hands _kernels.sample_block."""
+    tables = []
+    sample_block = _kernels.sample_block
+
+    def spy(master, task_ixs, dim_ixs, draws, cdf, ks):
+        tables.append(cdf.copy())
+        return sample_block(master, task_ixs, dim_ixs, draws, cdf, ks)
+
+    out = []
+    with mock.patch.object(_kernels, "sample_block", spy):
+        for task in world.tasks:
+            (_, grid), = _block_grids(world, [task], [1], "argmax")
+            _sample_grid(world.seed, [task], np.zeros(1, dtype=np.uint64))
+            cdf = [row[:k].tolist() for row, k in zip(tables.pop()[0], task.ks)]
+            out.append((grid[0, :, 0].tolist(), cdf))
+    return out
+
+
+def assert_dim_matches_reference(task, j, engine_argmax, engine_cdf):
+    k, lam = task.ks[j], task.lams[j]
+    prior, cdf, argmax = build_dim_reference(k, lam, task.users[j])
+    scalar_prior = task_prior(task, j)
     # bit for bit: compare the IEEE-754 encodings, not values within a tolerance
-    assert [x.hex() for x in dim.prior] == [x.hex() for x in prior], (dim.k, dim.lam)
-    assert [x.hex() for x in dim.cdf] == [x.hex() for x in cdf], (dim.k, dim.lam)
-    assert dim.argmax_index == argmax, (dim.k, dim.lam)
-    assert all(type(x) is float for x in dim.prior + dim.cdf)
-    assert type(dim.argmax_index) is int
+    assert [x.hex() for x in scalar_prior] == [x.hex() for x in prior], (k, lam)
+    assert [x.hex() for x in cdf_reference(scalar_prior)] == [x.hex() for x in cdf], (k, lam)
+    assert [x.hex() for x in engine_cdf] == [x.hex() for x in cdf], (k, lam)
+    assert engine_argmax == argmax, (k, lam)
+    assert all(type(x) is float for x in scalar_prior + tuple(engine_cdf))
+    assert type(engine_argmax) is int
+
+
+def assert_world_matches_reference(world):
+    for task, (argmax, cdf) in zip(world.tasks, engine_dims(world)):
+        for j in range(len(task.dims)):
+            assert_dim_matches_reference(task, j, argmax[j], cdf[j])
 
 
 def test_build_dim_equals_numpy_reference_on_the_tie_grid():
@@ -390,8 +461,7 @@ def test_build_dim_equals_numpy_reference_on_the_tie_grid():
     for k in (2, 3, 4, 7, 10, 33, 64, 100):
         for lam in lams:
             for seed in range(4):
-                assert_dim_matches_reference(
-                    build_world(one_dim_config(lam, k), seed=seed).tasks[0].dims[0])
+                assert_world_matches_reference(build_world(one_dim_config(lam, k), seed=seed))
 
 
 def test_build_dim_equals_numpy_reference_on_random_dims():
@@ -399,13 +469,14 @@ def test_build_dim_equals_numpy_reference_on_random_dims():
     for _ in range(300):
         k = rng.randint(2, 200)
         lam = rng.choice([0.0, 5e-324, 1e-17, 1.0, rng.random()])
-        world = build_world(one_dim_config(lam, k), seed=rng.getrandbits(64))
-        assert_dim_matches_reference(world.tasks[0].dims[0])
+        assert_world_matches_reference(
+            build_world(one_dim_config(lam, k), seed=rng.getrandbits(64)))
 
 
 def test_every_dim_of_a_built_world_equals_the_scalar_build():
     # the one array derive of the build against one scalar derive and
-    # uniform_index per (task, dim), and every prior and CDF against numpy
+    # uniform_index per (task, dim), and every prior, CDF row and prior
+    # default against numpy
     rng = random.Random(9)
     tasks = []
     for t in range(40):
@@ -418,18 +489,18 @@ def test_every_dim_of_a_built_world_equals_the_scalar_build():
     for seed in (0, 77, 2 ** 63 + 3, 2 ** 64 - 1):
         world = build_world({"tasks": tasks}, seed=seed)
         assert [len(t.dims) for t in world.tasks] == [len(t["dims"]) for t in tasks]
-        for task_ix, task in enumerate(world.tasks):
+        for task_ix, (task, (argmax, cdf)) in enumerate(zip(world.tasks, engine_dims(world))):
             assert task.index == task_ix
-            for dim_ix, dim in enumerate(task.dims):
-                want = uniform_index(derive(seed, USER_VALUE_STREAM, task_ix, dim_ix), dim.k)
-                assert type(dim.user_index) is int and dim.user_index == want
-                assert_dim_matches_reference(dim)
+            for dim_ix, (k, user) in enumerate(zip(task.ks, task.users)):
+                want = uniform_index(derive(seed, USER_VALUE_STREAM, task_ix, dim_ix), k)
+                assert type(user) is int and user == want
+                assert_dim_matches_reference(task, dim_ix, argmax[dim_ix], cdf[dim_ix])
 
 
 def test_a_world_holds_no_table_per_dim(tmp_path):
-    # prior and cdf are computed when read: 50 dims at K = 10**6 load
-    # under an address-space limit that two 10**6-float tuples per dim
-    # (about 40 MB each dim) would exceed
+    # a world holds only its columns: 50 dims at K = 10**6 load under an
+    # address-space limit that two 10**6-float tuples per dim (about 40 MB
+    # each dim) would exceed
     dims = [{"id": f"d{i}", "weight": 0.02, "K": CELL_CAP, "lambda": 0.5}
             for i in range(50)]
     path = tmp_path / "wide.json"
@@ -476,9 +547,9 @@ def test_monotone_mask_loop():
         up[i] = 1
         for mode in ("sample", "argmax"):
             lo = expected_f_icmw(world, "t",
-                                 EncodingMask(task.dim_ids, tuple(bits)), mode=mode)
+                                 EncodingMask(task.dims, tuple(bits)), mode=mode)
             hi = expected_f_icmw(world, "t",
-                                 EncodingMask(task.dim_ids, tuple(up)), mode=mode)
+                                 EncodingMask(task.dims, tuple(up)), mode=mode)
             assert hi >= lo - 1e-12
 
 
@@ -496,7 +567,8 @@ if HAVE_HYPOTHESIS:
            st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=150, deadline=None)
     def test_prior_is_distribution(seed, k, lam):
-        dim = build_world(one_dim_config(lam, k), seed=seed).tasks[0].dims[0]
-        assert abs(math.fsum(dim.prior) - 1.0) < 1e-12
-        assert all(p >= 0 for p in dim.prior)
-        assert dim.prior[dim.user_index] == max(dim.prior)
+        task = build_world(one_dim_config(lam, k), seed=seed).tasks[0]
+        prior = task_prior(task, 0)
+        assert abs(math.fsum(prior) - 1.0) < 1e-12
+        assert all(p >= 0 for p in prior)
+        assert prior[task.users[0]] == max(prior)
