@@ -253,6 +253,8 @@ def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, f
     drop_i = mean f_icmw(FULL) - mean f_icmw(ABL_i), floored at zero,
     then normalized (_weights_from_means). All-zero drops mean the world
     is all-public and the weights are unidentifiable by this method.
+    Dimension ids compare case-insensitively, in a condition's ABL_ id as
+    in the mask, and the weights are keyed by the lowercase ids.
     """
     by_condition: dict[str, list[float]] = {}
     dims: tuple[str, ...] | None = None
@@ -264,7 +266,10 @@ def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, f
         elif rec.task_id != task_id:
             raise Inconsistent(
                 f"records mix tasks {task_id!r} and {rec.task_id!r}")
-        by_condition.setdefault(rec.condition, []).append(rec.f_icmw)
+        cond = rec.condition
+        if cond.startswith(ABLATION_PREFIX):
+            cond = ABLATION_PREFIX + cond[len(ABLATION_PREFIX):].lower()
+        by_condition.setdefault(cond, []).append(rec.f_icmw)
     if FULL_CONDITION not in by_condition:
         raise MissingCondition(FULL_CONDITION)
     means = [float(np.mean(by_condition[FULL_CONDITION]))]

@@ -29,19 +29,9 @@ form, correctly rounded, without building the joint, so `ist audit
 --world` labels without numpy; the tests keep the exact fractions as its
 reference. Mutual information is computed here, on the joint.
 
-A joint is checked once, when it is built from outside: the public
-DiscreteJoint constructor copies the table (so the caller's array stays
-writeable and unchanged) and checks rank, names, the cell cap,
-emptiness, that every entry is >= 0 (so NaN fails) and the total. Marginals and
-decoder extensions are derived from checked joints and decoders, which
-already guarantee all of that but the total, so they are built by
-DiscreteJoint._derived, which checks only the total: a marginal's total
-is the parent's summed in another order, and an extension compounds the
-joint's and the decoder's tolerances, so an input at the edge of the
-tolerance raises exactly where the checked constructor would. Likewise
-the public Decoder constructor copies and checks its rows, while the
-constant, random and Bayes decoders, whose rows are point masses, are
-built by _point_mass_decoder, which checks only their rank.
+Every joint and decoder is built by its public constructor, which
+copies the table or rows (so the caller's array stays writeable and
+unchanged), checks them and freezes the copy.
 
 Units are bits (log base 2) throughout.
 """
@@ -89,23 +79,9 @@ class DiscreteJoint:
         if tab.size == 0:
             raise InvalidDistribution("empty table")
         _check_entries(tab)
-        _check_total(tab)
+        _check_totals(tab.sum())
+        tab.flags.writeable = False
         object.__setattr__(self, "table", tab)
-
-    @classmethod
-    def _derived(cls, variables: tuple[str, ...], table: np.ndarray) -> "DiscreteJoint":
-        """A joint computed from checked joints and decoders.
-
-        table must be a C-contiguous float64 array of one axis per
-        distinct variable, within the cell cap, nonempty and nonnegative,
-        as every marginal and extension of checked inputs is; only its
-        total is checked.
-        """
-        _check_total(table)
-        joint = object.__new__(cls)
-        object.__setattr__(joint, "variables", variables)
-        object.__setattr__(joint, "table", table)
-        return joint
 
     def axis(self, name: str) -> int:
         try:
@@ -126,9 +102,8 @@ class DiscreteJoint:
         # sum() put kept axes in original order; permute to requested order
         kept = sorted(keep)
         if kept != keep:
-            marg = np.ascontiguousarray(
-                np.transpose(marg, [kept.index(a) for a in keep]))
-        return DiscreteJoint._derived(tuple(names), marg)
+            marg = np.transpose(marg, [kept.index(a) for a in keep])
+        return DiscreteJoint(tuple(names), marg)
 
 
 def _check_entries(p: np.ndarray) -> None:
@@ -136,12 +111,6 @@ def _check_entries(p: np.ndarray) -> None:
     if not np.all(p >= 0):
         raise InvalidDistribution("NaN entry" if np.isnan(p).any()
                                   else f"negative entry {float(p.min())}")
-
-
-def _check_total(tab: np.ndarray) -> None:
-    """The table sums to 1 within _SUM_TOL (NaN fails); freezes it."""
-    _check_totals(tab.sum())
-    tab.flags.writeable = False
 
 
 def _check_totals(totals) -> None:
@@ -231,7 +200,9 @@ class Decoder:
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=np.float64, order="C")
-        _check_rank(rows, self.evidence_vars)
+        if rows.ndim != len(self.evidence_vars) + 1:
+            raise InvalidDistribution(
+                f"rows rank {rows.ndim} for {len(self.evidence_vars)} evidence vars")
         if not np.all(rows >= 0):
             raise InvalidDistribution("NaN decoder entry" if np.isnan(rows).any()
                                       else "negative decoder entry")
@@ -250,31 +221,13 @@ class Decoder:
         return self.rows.shape[-1]
 
 
-def _check_rank(rows: np.ndarray, evidence_vars: tuple[str, ...]) -> None:
-    if rows.ndim != len(evidence_vars) + 1:
-        raise InvalidDistribution(
-            f"rows rank {rows.ndim} for {len(evidence_vars)} evidence vars")
-
-
 def _point_mass_decoder(evidence_vars, evidence_sizes, output_size: int, picks,
                         output_var: str) -> Decoder:
-    """The decoder sending evidence cell i (in C order) to output picks[i].
-
-    Point-mass rows are nonnegative and sum to exactly 1, so they skip
-    the constructor's checks, all but the rank, which the names and the
-    sizes, given apart, fix.
-    """
+    """The decoder sending evidence cell i (in C order) to output picks[i]."""
     shape = tuple(evidence_sizes)
     rows = np.zeros((int(np.prod(shape, dtype=np.int64)), output_size))
     rows[np.arange(len(rows)), picks] = 1.0
-    rows = rows.reshape(shape + (output_size,))
-    _check_rank(rows, evidence_vars)
-    rows.flags.writeable = False
-    decoder = object.__new__(Decoder)
-    for name, value in (("evidence_vars", tuple(evidence_vars)),
-                        ("output_var", output_var), ("rows", rows)):
-        object.__setattr__(decoder, name, value)
-    return decoder
+    return Decoder(tuple(evidence_vars), output_var, rows.reshape(shape + (output_size,)))
 
 
 def constant_decoder(evidence_vars, evidence_sizes, output_size: int,
@@ -337,8 +290,8 @@ def apply_decoder(joint: DiscreteJoint, decoder: Decoder) -> DiscreteJoint:
     out_letter = letters[joint.table.ndim]
     r_sub = "".join(j_sub[joint.axis(n)] for n in decoder.evidence_vars) + out_letter
     new_table = np.einsum(f"{j_sub},{r_sub}->{j_sub}{out_letter}",
-                          joint.table, decoder.rows, order="C")
-    return DiscreteJoint._derived(joint.variables + (decoder.output_var,), new_table)
+                          joint.table, decoder.rows)
+    return DiscreteJoint(joint.variables + (decoder.output_var,), new_table)
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +376,13 @@ def _regeneration_channel(k: int, lam: float, mode: str) -> np.ndarray:
 
 
 def _world_channel(world: SyntheticWorld, task_id: str, dim_id: str) -> tuple[int, float]:
-    """(K, lambda) of one dimension of a world task."""
+    """(K, lambda) of one dimension of a world task; ids compare
+    case-insensitively, as the world stores them lowercase."""
     task = world.task(task_id)
-    if dim_id not in task.dims:
-        raise UnknownVariable(dim_id)
-    j = task.dims.index(dim_id)
+    try:
+        j = task.dims.index(dim_id.lower())
+    except ValueError:
+        raise UnknownVariable(dim_id) from None
     return task.ks[j], task.lams[j]
 
 
@@ -478,7 +433,8 @@ def classify_privacy(world: SyntheticWorld, task_id: str, dim_id: str,
     prior, never an intrinsic property of the dimension.
     """
     check_theta_pub(theta_pub)
-    return _channel_verdict(dim_id, *_world_channel(world, task_id, dim_id), theta_pub)[1]
+    return _channel_verdict(dim_id.lower(), *_world_channel(world, task_id, dim_id),
+                            theta_pub)[1]
 
 
 def _point_mass_rows(p: np.ndarray, picks: np.ndarray, verdict: PrivacyVerdict,
@@ -492,16 +448,17 @@ def _point_mass_rows(p: np.ndarray, picks: np.ndarray, verdict: PrivacyVerdict,
     mutual_information sums it for I(v; y), and the total is p's,
     checked when the joint was built. H(g), H(v, g) and the accuracy are
     the floats mutual_information and decoder_accuracy give on the
-    decoder's _point_mass_decoder: the (v, g) and g marginals are
-    bincounts over the (v, y) cells in C order, as numpy sums an
-    extension over y and over (v, y), each total checked as
-    DiscreteJoint._derived would, and decoder_accuracy's einsum adds
-    p[picks[d, y], y] over y in order, as np.cumsum does. Decoders are
-    scored a block at a time, as many as fit in _kernels._CHUNK_DRAWS // 4
-    cells of (v, y) (at least one): the index, the weights, the (v, g)
-    table and the entropy's sort each hold one 8-byte value per cell, so
-    a block's arrays stay near _CHUNK_DRAWS * 8 bytes (512 KB) until one
-    channel's K**2 cells pass that, and none holds K**3 cells.
+    decoder's extension, apply_decoder(joint, decoder): the (v, g) and g
+    marginals are bincounts over the (v, y) cells in C order, as numpy
+    sums an extension over y and over (v, y), each total checked as the
+    DiscreteJoint constructor checks a marginal's, and decoder_accuracy's
+    einsum adds p[picks[d, y], y] over y in order, as np.cumsum does.
+    Decoders are scored a block at a time, as many as fit in
+    _kernels._CHUNK_DRAWS // 4 cells of (v, y) (at least one): the index,
+    the weights, the (v, g) table and the entropy's sort each hold one
+    8-byte value per cell, so a block's arrays stay near _CHUNK_DRAWS * 8
+    bytes (512 KB) until one channel's K**2 cells pass that, and none
+    holds K**3 cells.
     """
     i_v_y, chance = verdict.mi_bits, verdict.chance
     n, k = picks.shape

@@ -134,7 +134,10 @@ class Carrier:
 
 @dataclass(frozen=True)
 class EncodingMask:
-    """Per-dimension 0/1 bits aligned with a spec's flatten order."""
+    """Per-dimension 0/1 bits aligned with a spec's flatten order.
+
+    Ids are stored lowercase, as Dimension stores them.
+    """
 
     dims: tuple[str, ...]
     bits: tuple[int, ...]
@@ -145,14 +148,17 @@ class EncodingMask:
         for b in self.bits:
             if b not in (0, 1):
                 raise ValueError(f"mask bit must be 0 or 1, got {b!r}")
-        object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "dims", tuple(d.lower() for d in self.dims))
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
 
     def __len__(self) -> int:
         return len(self.bits)
 
     def bit(self, dim_id: str) -> int:
-        return self.bits[self.dims.index(dim_id.lower())]
+        try:
+            return self.bits[self.dims.index(dim_id.lower())]
+        except ValueError:
+            raise UnknownDimension(dim_id) from None
 
     def encoded_ids(self) -> frozenset[str]:
         return frozenset(d for d, b in zip(self.dims, self.bits) if b)

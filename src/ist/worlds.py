@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import BadConfig, LengthMismatch, UnknownTask
+from .errors import BadConfig, Inconsistent, LengthMismatch, UnknownTask
 from .metrics import _float_weighted_sum, weighted_sum
 from .model import Dimension, EncodingMask, IntentSpec, ValueRef
 from .priors import check_flat_tasks, check_world_fields, parse_world_config
@@ -160,8 +160,7 @@ def _check_mask(task: WorldTask, mask: EncodingMask) -> None:
     if mask.dims != task.dims:
         if len(mask.dims) != len(task.dims):
             raise LengthMismatch(len(task.dims), len(mask.dims), "mask bits")
-        raise LengthMismatch(len(task.dims), len(mask.dims),
-                             f"mask dims {mask.dims!r} vs task dims {task.dims!r}")
+        raise Inconsistent(f"mask dims {mask.dims!r} vs task dims {task.dims!r}")
 
 
 def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,

@@ -51,7 +51,13 @@ from ist.infotheory import tiil_check
 from ist.metrics import score_output, synthesize_ga, weighted_sum
 from ist.model import EncodingMask, normalize_weights
 from ist.rng import PERTURB_STREAM, derive, unit_float
-from ist.spec_io import OutputRecord, dumps_canonical, record_to_line, record_to_obj
+from ist.spec_io import (
+    OutputRecord,
+    dumps_canonical,
+    read_records,
+    record_to_line,
+    record_to_obj,
+)
 from ist.worlds import (
     SyntheticWorld,
     WorldTask,
@@ -426,6 +432,27 @@ def test_estimate_weights_floors_a_negative_drop_at_zero():
     with pytest.raises(ZeroSignal):
         estimate_weights_by_ablation(
             [replace(r, f_icmw=0.5 if r.condition == "FULL" else 0.75) for r in records])
+
+
+def test_estimate_weights_reads_a_hand_written_mixed_case_file(tmp_path):
+    # a record file written by hand may name a dimension "Who" in its masks
+    # and its ABL_ conditions; the mask reads back as "who", and so does
+    # the condition's id
+    world = world_from(private_dims([0.6, 0.4], k=50))
+    records = list(run_ablation(world, mode="argmax"))
+    path = tmp_path / "records.jsonl"
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in records:
+            obj = record_to_obj(rec)
+            obj["condition"] = obj["condition"].replace("ABL_d0", "ABL_D0")
+            for bit in obj["mask"]:
+                bit["dimension"] = bit["dimension"].replace("d0", "D0")
+            f.write(dumps_canonical(obj) + "\n")
+    back = list(read_records(path))
+    assert {r.condition for r in back} == {"FULL", "ABL_D0", "ABL_d1"}
+    assert {r.mask.dims for r in back} == {("d0", "d1")}
+    assert estimate_weights_by_ablation(back) == estimate_weights_by_ablation(records)
+    assert list(estimate_weights_by_ablation(back)) == ["d0", "d1"]
 
 
 def test_estimate_weights_missing_condition():

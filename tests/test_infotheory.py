@@ -752,7 +752,7 @@ def test_every_decoder_extension_is_bit_equal_to_the_checked_one():
                                 == outcome(lambda: checked_marginal(ext, sub)))
 
 
-def test_derived_joints_raise_exactly_where_the_checked_ones_raise():
+def test_marginals_and_extensions_raise_exactly_where_the_checked_ones_raise():
     # totals scanned ulp by ulp across the 1e-9 edge: a marginal's total is
     # its parent's summed in another order, and an extension's compounds the
     # joint's and the decoder's tolerance, so each must keep its own check
@@ -786,11 +786,15 @@ def test_derived_joints_raise_exactly_where_the_checked_ones_raise():
                     "extension raises", "extension passes"}
 
 
-def test_the_derived_total_check_fails_on_nan():
-    # derived tables hold no NaN when their inputs were checked; if one
-    # ever did, its total check would still refuse it
+def test_the_constructor_refuses_a_nan_table_by_its_own_message():
+    # a NaN fails the entry check, and is named, before the total is taken
+    with pytest.raises(InvalidDistribution, match=r"^NaN entry$"):
+        DiscreteJoint(("x",), np.array([math.nan, 1.0]))
+    # the battery's block totals go through the total check, which a NaN
+    # total fails too
+    import ist.infotheory as infotheory
     with pytest.raises(InvalidDistribution, match=r"^table sums to nan, expected 1$"):
-        DiscreteJoint._derived(("x",), np.array([math.nan, 1.0]))
+        infotheory._check_totals(np.array([1.0, math.nan]))
 
 
 def test_constructors_leave_the_callers_array_alone():
@@ -808,8 +812,8 @@ def test_constructors_leave_the_callers_array_alone():
 
 
 def test_builder_decoders_equal_the_checked_ones():
-    # point-mass rows skip the checks; they must be what the checked
-    # constructor would make of them
+    # the point-mass builders go through the constructor; their rows must
+    # be what it makes of the same rows given by hand
     rng = random.Random(47)
     for trial in range(20):
         joint = awkward_joint(rng, ("v", "a", "b"))

@@ -47,25 +47,56 @@ def test_no_unused_imports():
     assert unused == []
 
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_private(node: ast.AST) -> bool:
+    return isinstance(node, _DEFINITIONS) and node.name.startswith("_") \
+        and not node.name.startswith("__")
+
+
 def _unused_private_definitions(paths: list[Path]) -> list[str]:
-    """Module-level _-prefixed functions and classes (dunders aside) that no
-    code in paths names outside the definition itself."""
+    """Module-level _-prefixed functions and classes, and _-prefixed methods
+    of module-level classes (dunders aside), that no code in paths names
+    outside the definition itself."""
     defined, used = [], set()
+
+    def scan(node: ast.AST, owners: frozenset) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = child.id if isinstance(child, ast.Name) else \
+                child.attr if isinstance(child, ast.Attribute) else None
+            if name is not None and name not in owners:
+                used.add(name)
+            scan(child, owners | {child.name} if isinstance(child, _DEFINITIONS) else owners)
+
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for stmt in tree.body:
-            owner = getattr(stmt, "name", None)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    and owner.startswith("_") and not owner.startswith("__"):
-                defined.append((path.name, owner))
-            for node in ast.walk(stmt):
-                name = node.id if isinstance(node, ast.Name) else \
-                    node.attr if isinstance(node, ast.Attribute) else None
-                if name is not None and name != owner:
-                    used.add(name)
-    return [f"{module}: {name}" for module, name in defined if name not in used]
+            if _is_private(stmt):
+                defined.append((path.name, stmt.name, stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                defined += [(path.name, f"{stmt.name}.{m.name}", m.name)
+                            for m in stmt.body if _is_private(m)]
+        scan(tree, frozenset())
+    return [f"{module}: {label}" for module, label, name in defined if name not in used]
 
 
 def test_no_unused_private_definitions():
     paths = sorted((PYPROJECT.parent / "src" / "ist").glob("*.py"))
     assert _unused_private_definitions(paths) == []
+
+
+def test_the_private_guard_sees_methods(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "class Joint:\n"
+        "    def __init__(self):\n"
+        "        self._used()\n"
+        "    def _used(self):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def _orphan(cls):\n"
+        "        return cls._orphan()\n"
+        "def _helper():\n"
+        "    return Joint()\n", encoding="utf-8")
+    assert _unused_private_definitions([module]) == ["m.py: Joint._orphan", "m.py: _helper"]

@@ -18,7 +18,8 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from ist import _kernels
-from ist.errors import BadConfig, LengthMismatch, UnknownTask
+from ist.errors import BadConfig, Inconsistent, LengthMismatch, UnknownDimension, UnknownTask
+from ist.infotheory import classify_privacy, dimension_channel_joint
 from ist.metrics import bundle_for_output, score_output, weighted_sum
 from ist.model import EncodingMask, ValueRef, validate_spec
 from ist.priors import CELL_CAP, check_world_config
@@ -172,6 +173,44 @@ def test_build_world_deterministic():
     assert a.tasks == b.tasks
     c = build_world(two_dim_config(0.3, 6), seed=12)
     assert a.tasks[0].users != c.tasks[0].users
+
+
+def mixed_case_world():
+    return build_world({"tasks": [{"task_id": "t", "dims": [
+        {"id": "Who", "weight": 0.6, "K": 4, "lambda": 0.5},
+        {"id": "what", "weight": 0.4, "K": 3, "lambda": 0.0}]}]}, seed=2)
+
+
+# each call, given a dimension id, returns comparable bytes or values
+MIXED_CASE_CALLS = {
+    "classify_privacy": lambda world, d: classify_privacy(world, "t", d),
+    "dimension_channel_joint": lambda world, d: dimension_channel_joint(
+        world, "t", d).table.tobytes(),
+    "simulate_output": lambda world, d: simulate_output(
+        world, "t", EncodingMask((d, "what"), (0, 1)), mode="sample", draw=3),
+    "expected_f_icmw": lambda world, d: expected_f_icmw(
+        world, "t", EncodingMask((d, "What"), (0, 1)), mode="sample"),
+    "EncodingMask.bit": lambda world, d: EncodingMask((d, "what"), (1, 0)).bit(d),
+}
+
+
+@pytest.mark.parametrize("call", list(MIXED_CASE_CALLS.values()), ids=list(MIXED_CASE_CALLS))
+def test_a_mixed_case_dimension_id_works_on_a_built_world(call):
+    # the world stores "who"; every call folds the id where it enters
+    world = mixed_case_world()
+    assert world.tasks[0].dims == ("who", "what")
+    assert call(world, "Who") == call(world, "who") == call(world, "WHO")
+
+
+def test_mask_faults_name_the_ids():
+    world = mixed_case_world()
+    with pytest.raises(Inconsistent, match=r"^mask dims \('what', 'who'\) "
+                                           r"vs task dims \('who', 'what'\)$"):
+        simulate_output(world, "t", EncodingMask(("What", "Who"), (0, 1)))
+    with pytest.raises(LengthMismatch, match=r"^mask bits length 1, expected 2$"):
+        expected_f_icmw(world, "t", EncodingMask(("Who",), (0,)))
+    with pytest.raises(UnknownDimension, match=r"^unknown dimension: 'Where'$"):
+        EncodingMask(("Who", "what"), (1, 0)).bit("Where")
 
 
 def test_to_intent_spec_shape():
