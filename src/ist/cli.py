@@ -195,6 +195,9 @@ def cmd_ablate(args) -> int:
     from .experiments import _weights_from_means, write_ablation
 
     cfg = _experiment_config(args, "demo_world.json")
+    for name in ("budget", "perturbations"):
+        if getattr(cfg, name) is not None:
+            raise BadConfig(f"{name} applies only to perturb, not ablate")
     replicates = cfg.replicates if args.replicates is None else args.replicates
     summaries = {}
     # each task's condition means arrive once its records are written

@@ -10,7 +10,7 @@ replicate count that defaults to default_replicates(mode):
   write_ablation, behind `ist ablate`, writes the same records as JSONL
   joined from fragments of each run's token and f_icmw columns, with no
   record object, and hands back each condition's mean f_icmw; a task
-  holds only its f_icmw floats.
+  holds one running total per condition.
 
 * run_weight_perturbation: encode a carrier under a budget using
   perturbed weights, score it under the true weights (WAS). Because a
@@ -29,13 +29,15 @@ block at a time; the bytes are those of simulating and scoring each
 record in turn (the tests keep that per-record loop as the reference).
 
 Perturbation masks are planned by rows (perturb_weight_rows and
-encode_rows), for all tasks with one dimension count at once.
+encode_rows), for each run of consecutive tasks with one dimension
+count at once. Every mean f_icmw, of a condition or of a mask, is its
+records' f_icmw added in draw order from 0.0, divided by their count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import groupby
 from json.encoder import encode_basestring
@@ -116,7 +118,7 @@ def _ablation_columns(world: SyntheticWorld, mode: str, reps: int):
     world order. pieces yields (conds, real, f) for each run of the task's
     draws, in draw order: the condition index of each draw (FULL is 0,
     the ablation of dimension i is 1 + i), the realized tokens (draws x
-    dims) and the f_icmw column.
+    dims) and their f_icmw.
 
     The draw index is condition_index * reps + replicate, fixed by the
     record's position alone, so a task's records are one run of draws and
@@ -200,7 +202,7 @@ def write_ablation(dest, world: SyntheticWorld, mode: str = "argmax",
     condition, model tag and mask per condition of a tuple of dimension
     ids, and per run of a task's draws the realized values and f_icmw of
     each distinct token row. No record object is made, and a task holds
-    only its f_icmw column, conditions x replicates floats.
+    one running f_icmw total per condition, whatever the replicates.
     """
     return _write_ablation(dest, world, mode, _replicates(mode, replicates))
 
@@ -224,11 +226,8 @@ def _write_ablation(dest, world: SyntheticWorld, mode: str, reps: int):
                   for head in cond_heads]
         keys = [f'{enc(d)}:{{"kind":"token","value":"v' for d in ids]
         scores = f'}},"ga":{ga},"s_icmw":{_fmt_float(s)},"f_icmw":'
-        column = np.empty(len(starts) * reps)
-        done = 0
+        totals = [0.0] * len(starts)
         for cond_ixs, real, f in pieces:
-            column[done:done + len(f)] = f
-            done += len(f)
             tails: dict[tuple[int, ...], str] = {}  # token row -> rest of line
             for lo in range(0, len(f), _WRITE_LINES):
                 batch = slice(lo, lo + _WRITE_LINES)
@@ -242,9 +241,9 @@ def _write_ablation(dest, world: SyntheticWorld, mode: str, reps: int):
                             ",".join([f'{key}{j}"}}' for key, j in zip(keys, row)])
                             + scores + _fmt_float(f_icmw) + "}\n")
                     lines.append(starts[c] + tail)
+                    totals[c] += f_icmw
                 dest.write("".join(lines))
-        # each row's mean is np.mean of that condition's f_icmw list, bit for bit
-        yield task, column.reshape(len(starts), reps).mean(axis=1).tolist()
+        yield task, [total / reps for total in totals]
 
 
 def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, float]:
@@ -255,29 +254,33 @@ def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, f
     is all-public and the weights are unidentifiable by this method.
     Dimension ids compare case-insensitively, in a condition's ABL_ id as
     in the mask, and the weights are keyed by the lowercase ids.
+
+    The records must be one task's ablation: another task, mask ids or
+    condition raises Inconsistent, a condition without records
+    MissingCondition.
     """
-    by_condition: dict[str, list[float]] = {}
-    dims: tuple[str, ...] | None = None
-    task_id: str | None = None
+    sums = {FULL_CONDITION: (0.0, 0)}  # condition -> (f_icmw total, count)
+    task_id, dims = None, ()
     for rec in records:
         if task_id is None:
-            task_id = rec.task_id
-            dims = rec.mask.dims
+            task_id, dims = rec.task_id, rec.mask.dims
+            sums.update({ABLATION_PREFIX + d: (0.0, 0) for d in dims})
         elif rec.task_id != task_id:
-            raise Inconsistent(
-                f"records mix tasks {task_id!r} and {rec.task_id!r}")
+            raise Inconsistent(f"records mix tasks {task_id!r} and {rec.task_id!r}")
+        elif rec.mask.dims != dims:
+            raise Inconsistent(f"records mix dimension ids {dims!r} and {rec.mask.dims!r}")
         cond = rec.condition
         if cond.startswith(ABLATION_PREFIX):
             cond = ABLATION_PREFIX + cond[len(ABLATION_PREFIX):].lower()
-        by_condition.setdefault(cond, []).append(rec.f_icmw)
-    if FULL_CONDITION not in by_condition:
-        raise MissingCondition(FULL_CONDITION)
-    means = [float(np.mean(by_condition[FULL_CONDITION]))]
-    for dim_id in dims:
-        cond = ABLATION_PREFIX + dim_id
-        if cond not in by_condition:
+        if cond not in sums:
+            raise Inconsistent(
+                f"condition {rec.condition!r} is not in the ablation of {dims!r}")
+        total, count = sums[cond]
+        sums[cond] = total + rec.f_icmw, count + 1
+    for cond, (_, count) in sums.items():
+        if count == 0:
             raise MissingCondition(cond)
-        means.append(float(np.mean(by_condition[cond])))
+    means = [total / count for total, count in sums.values()]
     return _weights_from_means(task_id, dims, means)
 
 
@@ -473,11 +476,11 @@ def run_weight_perturbation(world: SyntheticWorld,
     cells whose WAS delta is exactly zero; cliff_rate is the share of
     tasks where full inversion lands strictly below baseline.
 
-    The masks of all tasks with one dimension count are planned at once,
-    group by group in order of first appearance, before any draw. In a
-    built (so valid) world only a budget or a perturbation that does not
-    fit a dimension count fails, so the first error is the one that
-    planning task by task raises.
+    The masks of each run of consecutive tasks with one dimension count
+    are planned at once, before the run's draws. In a built (so valid)
+    world only a budget or a perturbation that does not fit a dimension
+    count fails, so the first error is the one that planning task by
+    task raises.
     """
     replicates = _replicates(mode, replicates)
     if perturbations is None:
@@ -486,24 +489,18 @@ def run_weight_perturbation(world: SyntheticWorld,
     if not any(p.kind == "identity" for p in specs):
         specs.insert(0, PerturbationSpec("identity"))
 
-    groups: dict[int, list[int]] = {}
-    for pos, task in enumerate(world.tasks):
-        groups.setdefault(len(task.dims), []).append(pos)
-    bits, changed = [None] * len(world.tasks), [None] * len(world.tasks)
-    for positions in groups.values():
-        plan = _plan_masks(world, [world.tasks[pos] for pos in positions], specs, budget)
-        moved = (plan[:, 1:] != plan[:, :1]).any(axis=2).tolist()
-        for pos, task_bits, task_moved in zip(positions, plan, moved):
-            bits[pos], changed[pos] = task_bits, task_moved
     names = [p.name for p in specs]
     cells = []
-    # The exact-zero plateau follows from mask-independent draws: an
-    # identical mask gives identical fidelity rows.
-    for task, (baseline, *was), moved in zip(
-            world.tasks, _mean_f_icmw(world, world.tasks, bits, replicates, mode),
-            changed):
-        cells += [CellSummary(task.task_id, world.tag, name, w, w - baseline, c)
-                  for name, w, c in zip(names, was, moved)]
+    for _, run in groupby(world.tasks, lambda task: len(task.dims)):
+        tasks = list(run)
+        plan = _plan_masks(world, tasks, specs, budget)
+        moved = (plan[:, 1:] != plan[:, :1]).any(axis=2).tolist()
+        # The exact-zero plateau follows from mask-independent draws: an
+        # identical mask gives identical fidelity rows.
+        for task, (baseline, *was), task_moved in zip(
+                tasks, _mean_f_icmw(world, tasks, plan, replicates, mode), moved):
+            cells += [CellSummary(task.task_id, world.tag, name, w, w - baseline, c)
+                      for name, w, c in zip(names, was, task_moved)]
 
     preserving = [c for c in cells
                   if c.perturbation != "identity" and not c.mask_changed]
@@ -548,8 +545,7 @@ def report_to_json(rep: PerturbationReport) -> str:
 class ExperimentConfig:
     world: SyntheticWorld
     budget: int | None = None
-    perturbations: tuple[PerturbationSpec, ...] = field(
-        default_factory=lambda: tuple(default_perturbations()))
+    perturbations: tuple[PerturbationSpec, ...] | None = None  # None: the default ladder
     replicates: int | None = None
     mode: str = "argmax"
 
@@ -620,14 +616,13 @@ def parse_experiment_config(data: bytes | str, *, base_dir=None,
     replicates = doc.get("replicates")
     if replicates is not None:
         _check_count("replicates", replicates)
+    perturbations = None
     if "perturbations" in doc:
         raw = doc["perturbations"]
         if not isinstance(raw, list) or not raw:
             raise BadConfig("perturbations must be a non-empty array")
         perturbations = tuple(_parse_perturbation(p, f"perturbations[{i}]")
                               for i, p in enumerate(raw))
-    else:
-        perturbations = tuple(default_perturbations())
     return ExperimentConfig(world=world, budget=budget,
                             perturbations=perturbations,
                             replicates=replicates, mode=mode)

@@ -306,21 +306,21 @@ def _score_block(tasks, grid: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return _f_icmw(tasks, np.arange(b).repeat(m * n), hits.reshape(-1, d)).reshape(b, m, n)
 
 
-def _mean_f_icmw(world: SyntheticWorld, tasks, bits, n: int, mode: str):
-    """Mean f_icmw of each task over its draws 0..n-1 under each row of
-    bits[i], task i's (masks x dims) bit matrix; one list per task, in
-    task order. Every task has the same number of masks.
+def _mean_f_icmw(world: SyntheticWorld, tasks, bits: np.ndarray, n: int, mode: str):
+    """Mean f_icmw of each task over its draws 0..n-1 under each mask of
+    bits, a (tasks x masks x dims) bool array of tasks that share one
+    dimension count; one list per task, in task order.
 
     Each block scores every mask of each of its tasks on every draw at
     once. A task whose draws span blocks is alone in each, and they come
     in draw order, so each (task, mask) sum runs on across them
-    (np.cumsum adds in order), as a loop over simulated records would
-    sum it.
+    (np.cumsum adds in order) from 0.0, as a loop over simulated records
+    would sum it.
     """
     counts = [n] * len(tasks)
     for (positions, start, stop), grid in _block_grids(world, tasks, counts, mode):
         lo, hi = positions.start, positions.stop
-        f = _score_block(tasks[lo:hi], grid, np.stack(bits[lo:hi])[:, :, None])
+        f = _score_block(tasks[lo:hi], grid, bits[lo:hi, :, None])
         if start == 0:
             sums = np.zeros(f.shape[:2])
         sums = np.cumsum(np.concatenate([sums[..., None], f], axis=-1), axis=-1)[..., -1]
@@ -395,5 +395,5 @@ def mc_mean_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,
     _check_count("n", n)
     task = world.task(task_id)
     _check_mask(task, mask)
-    return next(_mean_f_icmw(world, [task], [np.array([mask.bits], dtype=bool)],
+    return next(_mean_f_icmw(world, [task], np.array([[mask.bits]], dtype=bool),
                              n, "sample"))[0]

@@ -23,6 +23,16 @@ def run_ist(*argv, hash_seed: int) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True)
 
 
+def mixed_ablation_config(tmp_path: Path) -> Path:
+    """tests/data/mixed_experiment.json without its perturbation ladder,
+    which ablate rejects, written under tmp_path: the same world and seed."""
+    doc = json.loads((TESTS_DATA / "mixed_experiment.json").read_text(encoding="utf-8"))
+    del doc["perturbations"]
+    path = tmp_path / "mixed_ablation.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
 @pytest.fixture
 def data_dir() -> Path:
     return DATA

@@ -29,7 +29,7 @@ from ist.spec_io import (
 )
 from ist.worlds import build_world, to_intent_spec
 
-from conftest import DATA, SRC, TESTS_DATA, run_ist
+from conftest import DATA, SRC, TESTS_DATA, mixed_ablation_config, run_ist
 
 TS = "2026-08-15T00:00:00Z"
 
@@ -749,7 +749,7 @@ def spy_on_block_grids(monkeypatch, events):
 
 
 def test_ablate_writes_a_tasks_records_before_the_last_task_is_simulated(
-        capsys, monkeypatch):
+        capsys, monkeypatch, tmp_path):
     # the engine samples, realizes and scores a block at a time; at 200
     # cells a block, the mixed world's ablation spans 12 blocks
     monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", 200)
@@ -763,7 +763,7 @@ def test_ablate_writes_a_tasks_records_before_the_last_task_is_simulated(
 
     spy_on_block_grids(monkeypatch, events)
     monkeypatch.setattr(sys, "stdout", LoggedStdout())
-    code = main(["ablate", "--config", str(TESTS_DATA / "mixed_experiment.json")])
+    code = main(["ablate", "--config", str(mixed_ablation_config(tmp_path))])
     assert code == 0
     blocks = [event for event in events if event[0] == "sample"]
     assert len(blocks) == 12
@@ -778,7 +778,7 @@ def test_ablate_writes_a_tasks_records_before_the_last_task_is_simulated(
 # blocks=None: at the default budget, one block per run of consecutive
 # tasks with one dimension count
 @pytest.mark.parametrize("budget,blocks", [(None, None), (200, 12)])
-def test_ablate_scores_each_block_with_one_f_icmw_call(capsys, monkeypatch,
+def test_ablate_scores_each_block_with_one_f_icmw_call(capsys, monkeypatch, tmp_path,
                                                        budget, blocks):
     if budget is not None:
         monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
@@ -796,8 +796,7 @@ def test_ablate_scores_each_block_with_one_f_icmw_call(capsys, monkeypatch,
     # where the engine's one block step, _score_block, looks the scorer up
     monkeypatch.setattr(ist.worlds, "_f_icmw", logged_f_icmw)
     spy_on_block_grids(monkeypatch, events)
-    code, _, _ = run(capsys, "ablate", "--config",
-                     str(TESTS_DATA / "mixed_experiment.json"))
+    code, _, _ = run(capsys, "ablate", "--config", str(mixed_ablation_config(tmp_path)))
     assert code == 0
     # each block is sampled, then scored once, all its tasks together
     assert [kind for kind, _ in events] == ["sample", "score"] * blocks
@@ -850,8 +849,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def test_ablate_memory_does_not_grow_with_replicates(tmp_path):
-    # a task holds its f_icmw column (conditions x replicates floats), not
-    # its records: 200,000 records of a one-dim world peak within 20 MB of
+    # a task holds one running f_icmw total per condition, not its
+    # records: 200,000 records of a one-dim world peak within 20 MB of
     # 2,000 (they grew by ~80 MB when a task's records were held)
     config = tmp_path / "one_dim.json"
     config.write_text(json.dumps({"seed": 1, "world_config": {"tasks": [{
@@ -1109,6 +1108,19 @@ def test_bad_experiment_config_exits_2(capsys, tmp_path, command, case):
     assert_input_error(code, err)
     assert fragment in err
     assert out == ""
+
+
+@pytest.mark.parametrize("field,value,perturb_code", [("budget", 99, 2), ("budget", 2, 0),
+                                                      ("perturbations", ["full_inversion"], 0)])
+def test_ablate_rejects_the_perturbation_fields(capsys, tmp_path, field, value, perturb_code):
+    # ablate has no budget and no perturbation ladder: a config that sets
+    # either exits 2 naming the field, where ablate used to ignore it;
+    # perturb reads the same config as before
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"world_path": GRID, field: value}), encoding="utf-8")
+    assert run(capsys, "ablate", "--config", str(cfg)) == (
+        2, "", f"error: {field} applies only to perturb, not ablate\n")
+    assert run(capsys, "perturb", "--config", str(cfg))[0] == perturb_code
 
 
 def test_internal_error_names_the_subcommand(capsys, monkeypatch):

@@ -1,7 +1,9 @@
+import io
 import json
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from functools import cache
 from itertools import groupby, product
@@ -33,6 +35,7 @@ from ist.experiments import (
     CellSummary,
     PerturbationReport,
     PerturbationSpec,
+    _weights_from_means,
     default_budget,
     default_perturbations,
     default_replicates,
@@ -46,6 +49,7 @@ from ist.experiments import (
     report_to_obj,
     run_ablation,
     run_weight_perturbation,
+    write_ablation,
 )
 from ist.infotheory import tiil_check
 from ist.metrics import score_output, synthesize_ga, weighted_sum
@@ -473,6 +477,23 @@ def test_estimate_weights_rejects_mixed_tasks():
         estimate_weights_by_ablation(records)
 
 
+@pytest.mark.parametrize("case", ["unknown-condition", "wider-mask"])
+def test_estimate_weights_rejects_records_outside_the_ablation(case):
+    # a record whose condition is not FULL or an ABL_ of the task's ids, or
+    # whose mask lists other ids, is not part of the task's ablation
+    world = world_from(private_dims([0.5, 0.5], k=30))
+    records = list(run_ablation(world, "argmax"))
+    assert estimate_weights_by_ablation(records) == {"d0": 0.5, "d1": 0.5}
+    if case == "unknown-condition":
+        records.append(replace(records[0], condition="ABL_zzz"))
+        message = "condition 'ABL_zzz' is not in the ablation of ('d0', 'd1')"
+    else:
+        records.insert(1, replace(records[1], mask=EncodingMask(("d0", "d1", "d2"), (0, 1, 1))))
+        message = "records mix dimension ids ('d0', 'd1') and ('d0', 'd1', 'd2')"
+    with pytest.raises(Inconsistent, match=f"^{re.escape(message)}$"):
+        estimate_weights_by_ablation(records)
+
+
 # -- perturbation harness ----------------------------------------------------
 
 def test_perturbation_grid_plateau_and_cliff(grid_config):
@@ -777,7 +798,9 @@ def escaped_experiment(seed):
 
 
 ABLATE_EXPERIMENTS = {
-    "mixed": lambda: json.loads((TESTS_DATA / "mixed_experiment.json").read_text()),
+    # ablate rejects a perturbation ladder; the world and seed are the same
+    "mixed": lambda: {k: v for k, v in json.loads(
+        (TESTS_DATA / "mixed_experiment.json").read_text()).items() if k != "perturbations"},
     "escaped": lambda: escaped_experiment(3),
 }
 
@@ -814,20 +837,71 @@ def test_ablate_cli_equals_the_record_reference(capsys, monkeypatch, tmp_path, n
     assert out.read_bytes() == records.encode("utf-8")
 
 
-@pytest.mark.parametrize("replicates", [1, 3, 7, 8, 9, 50, 127, 128, 129, 8191, 8192,
-                                        8193, 16_385, 100_000])
-def test_row_means_are_np_mean_of_each_list(replicates):
-    # write_ablation takes each condition's mean as a row of one axis=1
-    # mean over the task's (conditions x replicates) f_icmw column;
-    # estimate_weights_by_ablation takes np.mean of a list per condition.
-    # Rows past numpy's pairwise block (128) and buffer (8192) included.
-    rng = np.random.default_rng(replicates)
-    columns = [rng.random((9, replicates)),
-               rng.choice([0.0, 0.1, 1 / 3, 0.30000000000000004, 0.7, 1.0], (9, replicates)),
-               rng.random((2, replicates)) * 10.0 ** rng.integers(-300, 1, (2, replicates))]
-    for column in columns:
-        assert_same_floats(column.mean(axis=1).tolist(),
-                           [float(np.mean(row.tolist())) for row in column])
+@cache
+def draw_order_means_reference(replicates):
+    """(task id, dims, records, means) per task of the hetero world in
+    sample mode, from run_ablation_reference: each condition's mean is its
+    records' f_icmw added in draw order from 0.0, divided by the count,
+    FULL's first."""
+    world = ENGINE_WORLDS["hetero"]()
+    all_records = list(run_ablation_reference(world, "sample", replicates))
+    out = []
+    for task in world.tasks:
+        records = [r for r in all_records if r.task_id == task.task_id]
+        totals, counts = {}, {}
+        for r in records:
+            totals[r.condition] = totals.get(r.condition, 0.0) + r.f_icmw
+            counts[r.condition] = counts.get(r.condition, 0) + 1
+        out.append((task.task_id, task.dims, records,
+                    [totals[c] / counts[c] for c in totals]))
+    return out
+
+
+@pytest.mark.parametrize("replicates", [9, 50, 129])
+def test_ablation_means_are_draw_order_sums(monkeypatch, replicates):
+    # write_ablation's means and estimate_weights_by_ablation both add each
+    # condition's f_icmw in draw order; at these counts numpy's pairwise
+    # np.mean differs in the last ulps for some condition. A budget of 100
+    # hash cells cuts every task's draws into several blocks
+    want = draw_order_means_reference(replicates)
+    world = ENGINE_WORLDS["hetero"]()
+    for budget in (_kernels._CHUNK_DRAWS, 100):
+        monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
+        got = list(write_ablation(io.StringIO(), world, "sample", replicates))
+        assert [task.task_id for task, _ in got] == [task_id for task_id, *_ in want]
+        for (_, means), (_, _, _, want_means) in zip(got, want):
+            assert_same_floats(means, want_means)
+    for task_id, dims, records, want_means in want:
+        assert_same_outcome(lambda: list(estimate_weights_by_ablation(records).values()),
+                            outcome(lambda: list(_weights_from_means(
+                                task_id, dims, want_means).values())))
+    assert any(float(np.mean([r.f_icmw for r in records if r.condition == c])) != mean
+               for _, _, records, means in want
+               for c, mean in zip(dict.fromkeys(r.condition for r in records), means))
+
+
+class _Discard:
+    """A text stream that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_write_ablation_memory_does_not_grow_with_replicates(monkeypatch):
+    # each condition's mean is a running total, so a one-dimension task at
+    # 20,000 replicates peaks no higher than at 2,000 (a column of f_icmw
+    # floats peaked at 350 KB against 73 KB)
+    monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", 64)
+    world = world_from([{"id": "a", "weight": 1.0, "K": 10, "lambda": 0.0}])
+    peaks = []
+    for replicates in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            list(write_ablation(_Discard(), world, "sample", replicates))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4096, peaks
 
 
 def all_rows(n):
@@ -988,9 +1062,9 @@ def means_reference(world, bits, n, mode):
 @pytest.mark.parametrize("mode", ["argmax", "sample"])
 @pytest.mark.parametrize("budget,n", [(7, 20), (40, 33), (None, 3)])
 def test_block_means_equal_a_per_record_loop(monkeypatch, mode, budget, n):
-    # tasks of 2-9 dims under four random masks each: with a small budget
-    # every task's draws span several blocks, and a block ends inside one
-    # task's draws and holds the next tasks' first draws
+    # tasks of 2-9 dims under four random masks each, one _mean_f_icmw
+    # call per run of tasks with one dimension count: with a small budget
+    # every task's draws span several blocks
     if budget is not None:
         monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
     calls = spy_on_sample_block(monkeypatch)
@@ -998,7 +1072,11 @@ def test_block_means_equal_a_per_record_loop(monkeypatch, mode, budget, n):
     rng = random.Random(n)
     bits = [np.array([[rng.random() < 0.5 for _ in task.dims] for _ in range(4)])
             for task in world.tasks]
-    got = list(_mean_f_icmw(world, world.tasks, bits, n, mode))
+    got = []
+    for _, run in groupby(range(len(world.tasks)), lambda pos: len(world.tasks[pos].dims)):
+        run = list(run)
+        got += _mean_f_icmw(world, world.tasks[run[0]:run[-1] + 1],
+                            np.array([bits[pos] for pos in run]), n, mode)
     if mode == "sample":
         assert (len(calls) > len(world.tasks)) == (budget is not None)
     assert got == means_reference(world, bits, n, mode)

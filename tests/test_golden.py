@@ -13,7 +13,7 @@ import pytest
 
 from ist.cli import main
 
-from conftest import TESTS_DATA, run_ist
+from conftest import TESTS_DATA, mixed_ablation_config, run_ist
 
 ABLATE_ARGMAX_RECORDS = "bef5d9fbdcfe2321dedb1dcdfa70d815759ab0f430a93988ca58133015253f79"
 ABLATE_ARGMAX_SUMMARY = "8780a9be568b71345fbc535cc207315d06f0781d25abc877752049f3fa225a2f"
@@ -91,14 +91,15 @@ def test_perturb_sample_golden_bytes(capsys):
     assert sha256(capsys.readouterr().out) == PERTURB_SAMPLE_REPORT
 
 
-def test_mixed_world_golden_bytes(capsys):
-    config = str(TESTS_DATA / "mixed_experiment.json")
-    sample = ["--config", config, "--mode", "sample", "--replicates", "3"]
-    assert main(["ablate", *sample]) == 0
+def test_mixed_world_golden_bytes(capsys, tmp_path):
+    # ablate runs the same world and seed without the perturbation ladder
+    sample = ["--mode", "sample", "--replicates", "3"]
+    assert main(["ablate", "--config", str(mixed_ablation_config(tmp_path)), *sample]) == 0
     captured = capsys.readouterr()
     assert (sha256(captured.out), sha256(captured.err)) == (
         MIXED_ABLATE_RECORDS, MIXED_ABLATE_SUMMARY)
-    assert main(["perturb", *sample]) == 0
+    assert main(["perturb", "--config", str(TESTS_DATA / "mixed_experiment.json"),
+                 *sample]) == 0
     assert sha256(capsys.readouterr().out) == MIXED_PERTURB_REPORT
 
 
