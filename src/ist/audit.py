@@ -9,9 +9,10 @@ what the drift score is.
 build_audit_record resolves the privacy labels itself, in priority
 order: explicit hints in the spec, then oracle verdicts when a prior
 world is supplied, else "unlabeled". An oracle verdict is
-priors.privacy_label of the dimension's (K, lambda), read from the ks
-and lams columns of the task, in a built SyntheticWorld or in the rows
-of priors.check_world_config, so labelling needs no world build and no
+priors.privacy_label of the dimension's (K, lambda), which
+priors.dim_channels, the one (K, lambda) lookup that the information
+oracle also reads, finds in a built SyntheticWorld or in the rows of
+priors.check_world_config, so labelling needs no world build and no
 numpy. An unlabeled record has an empty private_at_risk list; absence
 of knowledge is reported as absence of knowledge, never guessed. The
 split zone uses the one metrics threshold, SPLIT_ZONE_THRESHOLD, so a
@@ -26,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import SchemaError, UnknownTask, UnknownVariable
+from .errors import SchemaError
 from .metrics import Matcher, bundle_for_output, detect_split_zone, synthesize_ga
 from .model import Carrier, IntentSpec, ValueRef
 from .spec_io import (
@@ -83,29 +84,12 @@ def resolve_privacy_labels(spec: IntentSpec, world=None,
         return {d.id: hinted.get(d.id) for d in flat}, "hint"
     if world is None:
         return {d.id: None for d in flat}, "unlabeled"
-    from .priors import THETA_PUB_DEFAULT, check_theta_pub, privacy_label
+    from .priors import THETA_PUB_DEFAULT, check_theta_pub, dim_channels, privacy_label
     theta = THETA_PUB_DEFAULT if theta_pub is None else theta_pub
     check_theta_pub(theta)
-    channels = _task_channels(world, spec.task_id)
-    labels = {}
-    for d in flat:
-        if d.id not in channels:
-            raise UnknownVariable(d.id)
-        labels[d.id] = privacy_label(*channels[d.id], theta)[2]
-    return labels, "oracle"
-
-
-def _task_channels(world, task_id: str) -> dict[str, tuple[int, float]]:
-    """{dimension id: (K, lambda)} of one task of a world."""
-    if isinstance(world, list):  # check_world_config rows
-        row = next((row for row in world if row[0] == task_id), None)
-        if row is None:
-            raise UnknownTask(task_id)
-        _, dims, _, ks, lams = row
-    else:
-        task = world.task(task_id)
-        dims, ks, lams = task.dims, task.ks, task.lams
-    return dict(zip(dims, zip(ks, lams)))
+    channels = dim_channels(world, spec.task_id, [d.id for d in flat])
+    return {d.id: privacy_label(k, lam, theta)[2]
+            for d, (k, lam) in zip(flat, channels)}, "oracle"
 
 
 def build_audit_record(spec: IntentSpec,

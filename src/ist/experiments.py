@@ -256,8 +256,9 @@ def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, f
     in the mask, and the weights are keyed by the lowercase ids.
 
     The records must be one task's ablation: another task, mask ids or
-    condition raises Inconsistent, a condition without records
-    MissingCondition.
+    condition, or mask bits other than the condition's (all ones for
+    FULL, one zero at i for ABL_i), raises Inconsistent, a condition
+    without records MissingCondition.
     """
     sums = {FULL_CONDITION: (0.0, 0)}  # condition -> (f_icmw total, count)
     task_id, dims = None, ()
@@ -275,6 +276,8 @@ def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, f
         if cond not in sums:
             raise Inconsistent(
                 f"condition {rec.condition!r} is not in the ablation of {dims!r}")
+        if rec.mask.bits != tuple(int(ABLATION_PREFIX + d != cond) for d in dims):
+            raise Inconsistent(f"condition {rec.condition!r} has mask bits {rec.mask.bits!r}")
         total, count = sums[cond]
         sums[cond] = total + rec.f_icmw, count + 1
     for cond, (_, count) in sums.items():
@@ -307,6 +310,11 @@ def default_budget(n_dims: int) -> int:
     return math.ceil(n_dims / 2)
 
 
+def _check_budget(budget: int, n: int) -> None:
+    if not isinstance(budget, int) or isinstance(budget, bool) or not 0 <= budget <= n:
+        raise BadBudget(f"budget must be an integer in [0, {n}], got {budget!r}")
+
+
 def encode_rows(weights: np.ndarray, budget: int) -> np.ndarray:
     """Top-`budget` mask bits of each row of a weight array, as a bool
     array of its shape (rows run along the last axis).
@@ -314,9 +322,7 @@ def encode_rows(weights: np.ndarray, budget: int) -> np.ndarray:
     Ties break toward earlier flatten order (one stable sort of each row's
     negated weights).
     """
-    n = weights.shape[-1]
-    if not isinstance(budget, int) or isinstance(budget, bool) or not 0 <= budget <= n:
-        raise BadBudget(f"budget must be an integer in [0, {n}], got {budget!r}")
+    _check_budget(budget, weights.shape[-1])
     order = np.argsort(-weights, axis=-1, kind="stable")
     bits = np.zeros(weights.shape, dtype=bool)
     np.put_along_axis(bits, order[..., :budget], True, axis=-1)
@@ -430,20 +436,22 @@ def perturb_weights(weights: Sequence[float], spec: PerturbationSpec,
 
 def _plan_masks(world: SyntheticWorld, tasks: Sequence[WorldTask],
                 specs: Sequence[PerturbationSpec], budget: int | None) -> np.ndarray:
-    """Mask bits (tasks x (1 + specs) x dims) of tasks that share one
-    dimension count: the top-budget mask of the true weights, then that
-    of each perturbation's weights, perturbed with the seed
-    derive(world seed, PERTURB_STREAM, task index, perturbation index)."""
+    """Mask bits (tasks x specs x dims) of tasks that share one dimension
+    count: the top-budget mask of each perturbation's weights, perturbed
+    with the seed derive(world seed, PERTURB_STREAM, task index,
+    perturbation index). The budget is checked before any perturbation,
+    so a budget that does not fit is named before a perturbation that
+    does not."""
     n = len(tasks[0].dims)
     b = default_budget(n) if budget is None else budget
+    _check_budget(b, n)
     weights = np.array([t.weights for t in tasks], dtype=np.float64)
-    base = encode_rows(weights, b)
     seeds = derive(world.seed, PERTURB_STREAM,
                    np.array([t.index for t in tasks], dtype=np.uint64)[:, None],
                    np.arange(len(specs), dtype=np.uint64))
     perturbed = np.stack([perturb_weight_rows(weights, p, seeds[:, p_ix])
                           for p_ix, p in enumerate(specs)], axis=1)
-    return np.concatenate([base[:, None], encode_rows(perturbed, b)], axis=1)
+    return encode_rows(perturbed, b)
 
 
 @dataclass(frozen=True)
@@ -471,10 +479,11 @@ def run_weight_perturbation(world: SyntheticWorld,
                             replicates: int | None = None) -> PerturbationReport:
     """WAS per (task, perturbation) plus plateau and cliff rates.
 
-    Baseline is the identity perturbation (always evaluated, listed or
-    not). plateau_rate is the share of non-identity, mask-preserving
-    cells whose WAS delta is exactly zero; cliff_rate is the share of
-    tasks where full inversion lands strictly below baseline.
+    Baseline is the first identity cell of each task (identity is always
+    evaluated, listed or not), whose mask is the true weights'.
+    plateau_rate is the share of non-identity, mask-preserving cells
+    whose WAS delta is exactly zero; cliff_rate is the share of tasks
+    where full inversion lands strictly below baseline.
 
     The masks of each run of consecutive tasks with one dimension count
     are planned at once, before the run's draws. In a built (so valid)
@@ -490,16 +499,17 @@ def run_weight_perturbation(world: SyntheticWorld,
         specs.insert(0, PerturbationSpec("identity"))
 
     names = [p.name for p in specs]
+    base = next(i for i, p in enumerate(specs) if p.kind == "identity")
     cells = []
     for _, run in groupby(world.tasks, lambda task: len(task.dims)):
         tasks = list(run)
         plan = _plan_masks(world, tasks, specs, budget)
-        moved = (plan[:, 1:] != plan[:, :1]).any(axis=2).tolist()
+        moved = (plan != plan[:, base:base + 1]).any(axis=2).tolist()
         # The exact-zero plateau follows from mask-independent draws: an
         # identical mask gives identical fidelity rows.
-        for task, (baseline, *was), task_moved in zip(
+        for task, was, task_moved in zip(
                 tasks, _mean_f_icmw(world, tasks, plan, replicates, mode), moved):
-            cells += [CellSummary(task.task_id, world.tag, name, w, w - baseline, c)
+            cells += [CellSummary(task.task_id, world.tag, name, w, w - was[base], c)
                       for name, w, c in zip(names, was, task_moved)]
 
     preserving = [c for c in cells

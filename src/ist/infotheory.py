@@ -7,27 +7,25 @@ distributions, and the data processing inequality is checked by
 literally computing both mutual informations. No estimation anywhere.
 
 A world dimension's channel depends only on its alphabet size K and
-mixture weight lambda, so tiil_check enumerates each distinct (K, lambda)
-channel once (joint, verdict, constant and Bayes decoders) and checks
-only the task-keyed random decoder per task. Its report is byte-identical
-to running the whole battery per dimension; the tests keep that per-
-dimension loop as the reference.
+mixture weight lambda, so tiil_check evaluates each distinct (K, lambda)
+channel once and checks only the task-keyed random decoder per task;
+the tests keep the per-dimension loop as the byte-identical reference.
 
 Every decoder of the battery is a point mass, so tiil_check scores a
-channel's decoders in blocks of (v, y) cells, with no einsum or
-DiscreteJoint per extension and nothing of K**3 cells: numpy sums an
-extension over y, and over (v, y), in order, as np.bincount does, so the
-(v, g) and g marginals are bincounts; every extension (v, y, g) has the
-channel's v marginal, so H(v) is taken once per channel, from the float
-I(v; y) uses. verify_dpi on an explicit extension sums H(v) over its K**3
-cells instead, so its I(v; g) may differ in the last ulps. Entropies
-come row-wise from entropy()'s kernel.
+channel's decoders in blocks, with no DiscreteJoint and nothing of K**3
+cells: an extension's (v, g) and g marginals are bincounts, and its H(v)
+is the channel's. The first decoder is the identity, whose (v, g) table
+is the channel, so its I(v; g) is I(v; y): tiil_check and
+classify_privacy read mi_bits from that row. verify_dpi sums H(v) over
+an extension's K**3 cells instead, so its I(v; g) may differ in the
+last ulps.
 
 A verdict's Bayes accuracy, chance level and label come from the one
-(K, lambda) label rule, priors.privacy_label, which takes both in closed
-form, correctly rounded, without building the joint, so `ist audit
---world` labels without numpy; the tests keep the exact fractions as its
-reference. Mutual information is computed here, on the joint.
+(K, lambda) label rule, priors.privacy_label, in closed form, correctly
+rounded, so `ist audit --world` labels without numpy; its (K, lambda)
+comes from priors.dim_channels, the one lookup. DiscreteJoint,
+mutual_information, verify_dpi, the decoder builders and
+dimension_channel_joint are the general oracle and the tests' reference.
 
 Every joint and decoder is built by its public constructor, which
 copies the table or rows (so the caller's array stays writeable and
@@ -50,7 +48,7 @@ from .errors import (
     UnknownVariable,
     WorldTooLarge,
 )
-from .priors import CELL_CAP, THETA_PUB_DEFAULT, check_theta_pub, privacy_label
+from .priors import CELL_CAP, THETA_PUB_DEFAULT, check_theta_pub, dim_channels, privacy_label
 from .rng import DECODER_STREAM, check_uint64, derive, uniform_index
 from .worlds import SyntheticWorld, _argmax_finds_user
 
@@ -375,17 +373,6 @@ def _regeneration_channel(k: int, lam: float, mode: str) -> np.ndarray:
     return table
 
 
-def _world_channel(world: SyntheticWorld, task_id: str, dim_id: str) -> tuple[int, float]:
-    """(K, lambda) of one dimension of a world task; ids compare
-    case-insensitively, as the world stores them lowercase."""
-    task = world.task(task_id)
-    try:
-        j = task.dims.index(dim_id.lower())
-    except ValueError:
-        raise UnknownVariable(dim_id) from None
-    return task.ks[j], task.lams[j]
-
-
 def dimension_channel_joint(world: SyntheticWorld, task_id: str, dim_id: str,
                             mode: str = "sample") -> DiscreteJoint:
     """Joint of (v, y) for one carrier-absent dimension of a world.
@@ -395,8 +382,8 @@ def dimension_channel_joint(world: SyntheticWorld, task_id: str, dim_id: str,
     """
     if mode not in ("argmax", "sample"):
         raise DomainMismatch(f"mode must be 'argmax' or 'sample', got {mode!r}")
-    return DiscreteJoint(("v", "y"),
-                         _regeneration_channel(*_world_channel(world, task_id, dim_id), mode))
+    [(k, lam)] = dim_channels(world, task_id, [dim_id])
+    return DiscreteJoint(("v", "y"), _regeneration_channel(k, lam, mode))
 
 
 @dataclass(frozen=True)
@@ -408,21 +395,6 @@ class PrivacyVerdict:
     label: str  # public | private
 
 
-def _channel_verdict(dim_id: str, k: int, lam: float, theta_pub: float,
-                     ) -> tuple[DiscreteJoint, PrivacyVerdict]:
-    """Sample-mode joint of a dimension's (K, lambda) channel and its verdict.
-
-    The one channel evaluation behind classify_privacy and tiil_check;
-    the verdict depends on the dimension only through K and lambda, and
-    its accuracy, chance and label are privacy_label's.
-    """
-    acc, chance, label = privacy_label(k, lam, theta_pub)
-    joint = DiscreteJoint(("v", "y"), _regeneration_channel(k, lam, "sample"))
-    mi = mutual_information(joint, "v", "y")
-    return joint, PrivacyVerdict(dimension=dim_id, mi_bits=mi, bayes_accuracy=acc,
-                                 chance=chance, label=label)
-
-
 def classify_privacy(world: SyntheticWorld, task_id: str, dim_id: str,
                      theta_pub: float = THETA_PUB_DEFAULT) -> PrivacyVerdict:
     """Operational public/private call for one dimension.
@@ -430,29 +402,29 @@ def classify_privacy(world: SyntheticWorld, task_id: str, dim_id: str,
     Public means the sampled-output channel decodes the user value with
     Bayes accuracy at least theta_pub, and materially above chance
     (chance + 0.1); everything else is private. Relative to this world's
-    prior, never an intrinsic property of the dimension.
+    prior, never an intrinsic property of the dimension. The accuracy,
+    chance and label are privacy_label's, and mi_bits is I(v; y), the
+    identity decoder's score on the sampled channel, as in tiil_check.
     """
     check_theta_pub(theta_pub)
-    return _channel_verdict(dim_id.lower(), *_world_channel(world, task_id, dim_id),
-                            theta_pub)[1]
+    [(k, lam)] = dim_channels(world, task_id, [dim_id])
+    acc, chance, label = privacy_label(k, lam, theta_pub)
+    [(_, mi)] = _point_mass_scores(_regeneration_channel(k, lam, "sample"), np.arange(k)[None])
+    return PrivacyVerdict(dimension=dim_id.lower(), mi_bits=mi, bayes_accuracy=acc,
+                          chance=chance, label=label)
 
 
-def _point_mass_rows(p: np.ndarray, picks: np.ndarray, verdict: PrivacyVerdict,
-                     chance_level_dim: bool) -> list[dict]:
-    """The battery's line, less its name, for each decoder y -> picks[d, y]
-    of a (v, y) channel p; I(v; y) is the verdict's.
+def _point_mass_scores(p: np.ndarray, picks: np.ndarray) -> list[tuple[float, float]]:
+    """(accuracy, I(v; g)) of each decoder y -> picks[d, y] on a (v, y)
+    channel p, in order.
 
-    Each decoder's extension (v, y, g) holds p[v, y] at g = picks[d, y]
-    and zeros elsewhere, so its v marginal and its total are the
-    channel's: H(v) is taken once, from p.sum(axis=1) as
-    mutual_information sums it for I(v; y), and the total is p's,
-    checked when the joint was built. H(g), H(v, g) and the accuracy are
-    the floats mutual_information and decoder_accuracy give on the
-    decoder's extension, apply_decoder(joint, decoder): the (v, g) and g
-    marginals are bincounts over the (v, y) cells in C order, as numpy
-    sums an extension over y and over (v, y), each total checked as the
-    DiscreteJoint constructor checks a marginal's, and decoder_accuracy's
-    einsum adds p[picks[d, y], y] over y in order, as np.cumsum does.
+    Each decoder's extension (v, y, g) holds p[v, y] at g = picks[d, y],
+    so its v marginal is the channel's and H(v) is taken once, from
+    p.sum(axis=1); its (v, g) and g marginals are bincounts over the
+    (v, y) cells in C order, their totals checked as the DiscreteJoint
+    constructor checks a table's, and its accuracy adds p[picks[d, y], y]
+    over y in order. The identity decoder (picks np.arange(K)) has p as
+    its (v, g) table, so its I(v; g) is I(v; y), every other row's bound.
     Decoders are scored a block at a time, as many as fit in
     _kernels._CHUNK_DRAWS // 4 cells of (v, y) (at least one): the index,
     the weights, the (v, g) table and the entropy's sort each hold one
@@ -460,12 +432,11 @@ def _point_mass_rows(p: np.ndarray, picks: np.ndarray, verdict: PrivacyVerdict,
     bytes (512 KB) until one channel's K**2 cells pass that, and none
     holds K**3 cells.
     """
-    i_v_y, chance = verdict.mi_bits, verdict.chance
     n, k = picks.shape
     v = np.arange(k)[:, None]
     h_v = _nonnegative(_kernels.entropy_bits(p.sum(axis=1)))
     per_block = max(1, _kernels._CHUNK_DRAWS // (4 * k * k))
-    rows = []
+    scores = []
     for start in range(0, n, per_block):
         block = picks[start:start + per_block]
         m = len(block)
@@ -475,19 +446,13 @@ def _point_mass_rows(p: np.ndarray, picks: np.ndarray, verdict: PrivacyVerdict,
                          m * k * k).reshape(m, k * k)
         g = np.bincount(np.broadcast_to(d * k + block[:, None, :], (m, k, k)).ravel(),
                         weights, m * k).reshape(m, k)
-        for t in (g.sum(axis=1), vg.sum(axis=1)):
-            _check_totals(t)
+        _check_totals([g.sum(axis=1), vg.sum(axis=1)])
         accuracy = np.cumsum(p[block, np.arange(k)], axis=1)[:, -1].tolist()
         hs = [[_nonnegative(h) for h in _kernels.entropy_bits(t, rows=True)]
               for t in (g, vg)]
-        for acc, h_g, h_vg in zip(accuracy, *hs):
-            i_v_g = _mi_of_entropies([h_v, h_g, h_vg], [k, k, k * k])
-            holds = i_v_g <= i_v_y + DPI_TOL
-            beats_chance = acc > chance + DPI_TOL
-            ok = holds and not (chance_level_dim and (beats_chance or i_v_g > DPI_TOL))
-            rows.append({"dpi_holds": holds, "slack": i_v_y - i_v_g,
-                         "accuracy": acc, "i_v_g": i_v_g, "ok": ok})
-    return rows
+        scores += [(acc, _mi_of_entropies([h_v, h_g, h_vg], [k, k, k * k]))
+                   for acc, h_g, h_vg in zip(accuracy, *hs)]
+    return scores
 
 
 def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
@@ -501,16 +466,17 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
 
     Everything but the task-keyed random decoder depends only on the
     dimension's (K, lambda) channel, so dimensions are grouped by
-    channel and each channel's joint, verdict, constant and Bayes rows
-    are enumerated once; the random decoder is checked per task. Every
-    decoder is a point mass, so a channel's decoders are one (decoders x
-    K) matrix of picks, one rng.derive call hashes every task's random
-    row, and _point_mass_rows scores them a block at a time, with H(v)
-    taken once per channel. The one cap is the channel's K**2 cells,
-    which privacy_label checks before anything of the battery is hashed
-    or allocated. The report lists dimensions in world order, with the
-    same bytes as checking each dimension on its own. A seed outside
-    [0, 2**64), or a bool, raises BadConfig.
+    channel, and each channel's label (privacy_label's), constant and
+    Bayes rows are evaluated once. A channel's decoders are one (decoders
+    x K) matrix of picks, headed by the identity decoder: one rng.derive
+    call hashes every task's random row, and _point_mass_scores scores
+    them a block at a time. The identity row's I(v; g) is I(v; y), the
+    verdict's mi_bits and the bound every other row is checked against.
+    The one cap is the channel's K**2 cells, which privacy_label checks
+    before anything of the battery is hashed or allocated. The report
+    lists dimensions in world order, with the same bytes as checking
+    each dimension on its own. A seed outside [0, 2**64), or a bool,
+    raises BadConfig.
     """
     check_theta_pub(theta_pub)
     check_uint64("seed", seed)
@@ -520,19 +486,25 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
         by_channel.setdefault((task.ks[j], task.lams[j]), []).append(i)
     dims_report: list = [None] * len(dims)
     for (k, lam), members in by_channel.items():
-        task, j = dims[members[0]]
-        joint, verdict = _channel_verdict(task.dims[j], k, lam, theta_pub)
-        chance_level_dim = verdict.bayes_accuracy <= verdict.chance + DPI_TOL
+        acc_bayes, chance, label = privacy_label(k, lam, theta_pub)
+        p = _regeneration_channel(k, lam, "sample")
+        at_chance = acc_bayes <= chance + DPI_TOL
         tasks = list(dict.fromkeys(dims[i][0].index for i in members))
-        picks = np.zeros((2 + len(tasks), k), dtype=np.int64)  # constant: token 0
-        picks[1] = np.argmax(joint.table, axis=0)  # bayes_decoder's picks
+        picks = np.zeros((3 + len(tasks), k), dtype=np.int64)  # constant: token 0
+        picks[0] = np.arange(k)  # the identity decoder, whose I(v; g) is I(v; y)
+        picks[2] = np.argmax(p, axis=0)  # bayes_decoder's picks
         # random_deterministic_decoder's picks, seeded derive(seed, task)
         masters = derive(seed, np.array(tasks, dtype=np.uint64))
-        picks[2:] = uniform_index(derive(masters[:, None], DECODER_STREAM,
+        picks[3:] = uniform_index(derive(masters[:, None], DECODER_STREAM,
                                          np.arange(k, dtype=np.uint64)), k)
-        rows = [{"decoder": name, **row} for name, row in zip(
-            ["constant", "bayes"] + ["random_deterministic"] * len(tasks),
-            _point_mass_rows(joint.table, picks, verdict, chance_level_dim))]
+        (_, mi), *scores = _point_mass_scores(p, picks)
+        rows = []
+        for name, (acc, i_v_g) in zip(
+                ["constant", "bayes"] + ["random_deterministic"] * len(tasks), scores):
+            holds = i_v_g <= mi + DPI_TOL
+            ok = holds and not (at_chance and (acc > chance + DPI_TOL or i_v_g > DPI_TOL))
+            rows.append({"decoder": name, "dpi_holds": holds, "slack": mi - i_v_g,
+                         "accuracy": acc, "i_v_g": i_v_g, "ok": ok})
         constant_row, bayes_row = rows[:2]
         random_rows = dict(zip(tasks, rows[2:]))
         for i in members:
@@ -541,11 +513,11 @@ def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
                 "task_id": task.task_id,
                 "dimension": task.dims[j],
                 "lambda": task.lams[j],
-                "label": verdict.label,
-                "mi_bits": verdict.mi_bits,
-                "bayes_accuracy": verdict.bayes_accuracy,
-                "chance": verdict.chance,
-                "chance_level": chance_level_dim,
+                "label": label,
+                "mi_bits": mi,
+                "bayes_accuracy": acc_bayes,
+                "chance": chance,
+                "chance_level": at_chance,
                 "decoders": [dict(constant_row), dict(random_rows[task.index]),
                              dict(bayes_row)],
             }

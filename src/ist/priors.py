@@ -1,6 +1,7 @@
 """World configs and (K, lambda) privacy labels, in pure Python.
 
-Two rules about synthetic prior worlds that need no world and no numpy:
+Three rules about synthetic prior worlds that need no world build and no
+numpy:
 
 * check_world_config is the one check pass of a world config. It makes
   every check a world build makes and returns the checked, normalized
@@ -9,6 +10,9 @@ Two rules about synthetic prior worlds that need no world and no numpy:
   then check_flat_tasks, the rules of a flat intent spec. build_world
   realizes the rows of check_world_fields into a SyntheticWorld, whose
   constructor applies check_flat_tasks, so the rules run once there too.
+* dim_channels is the one (K, lambda) lookup: it reads the named
+  dimensions of one task of a built SyntheticWorld or of those rows, so
+  the audit labels and the information oracle find a channel alike.
 * privacy_label is the one public/private rule of a (K, lambda) channel.
   It takes the channel's Bayes accuracy, (1 + (K - 1) lambda)/K, and its
   chance level, 1/K, in closed form, each correctly rounded, without
@@ -21,7 +25,8 @@ import math
 import sys
 from typing import Iterator
 
-from .errors import BadConfig, IstError, RangeError, SpecSyntaxError, WorldTooLarge
+from .errors import (BadConfig, IstError, RangeError, SpecSyntaxError, UnknownTask,
+                     UnknownVariable, WorldTooLarge)
 from .model import TOP_WEIGHT_TOL, normalize_weights
 from .rng import check_uint64
 from .spec_io import _check_keys, loads_strict
@@ -165,6 +170,30 @@ def _task_rows(raw_tasks: list) -> Iterator[tuple]:
         ks, lams = zip(*[_check_channel(d, task_ix, dim_ix)
                          for dim_ix, d in enumerate(raw_dims)])
         yield t["task_id"], tuple(d["id"].lower() for d in raw_dims), tuple(weights), ks, lams
+
+
+def dim_channels(world, task_id: str, dim_ids) -> Iterator[tuple[int, float]]:
+    """Yield (K, lambda) of each of dim_ids, in order, in one task of a
+    world: a built SyntheticWorld or the rows of check_world_config.
+
+    Both store ids lower-cased, so a given id is folded. An unknown task
+    raises UnknownTask at the first id, and an unknown id raises
+    UnknownVariable naming it as given when it is reached, so a caller
+    that labels each channel in turn meets errors in dimension order.
+    """
+    if isinstance(world, list):  # check_world_config rows
+        row = next((row for row in world if row[0] == task_id), None)
+        if row is None:
+            raise UnknownTask(task_id)
+        _, dims, _, ks, lams = row
+    else:
+        task = world.task(task_id)
+        dims, ks, lams = task.dims, task.ks, task.lams
+    for dim_id in dim_ids:
+        if dim_id.lower() not in dims:
+            raise UnknownVariable(dim_id)
+        j = dims.index(dim_id.lower())
+        yield ks[j], lams[j]
 
 
 # ---------------------------------------------------------------------------

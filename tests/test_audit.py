@@ -175,6 +175,34 @@ def test_oracle_label_errors_keep_their_order():
             resolve_privacy_labels(spec, world)
 
 
+def test_oracle_lookup_errors_keep_their_messages():
+    # one (K, lambda) lookup serves the audit labels and classify_privacy:
+    # a task id is matched as given, a dimension id folded, and an unknown
+    # one is named as the caller gave it
+    config = {"seed": 1, "tasks": [{"task_id": "T", "dims": [
+        {"id": "Who", "weight": 0.5, "K": 4, "lambda": 0.5},
+        {"id": "what", "weight": 0.5, "K": 3, "lambda": 1.0}]}]}
+    world = build_world(config)
+
+    def spec(task_id, *ids):
+        return IntentSpec(task_id=task_id, task_type="report", dimensions=tuple(
+            Dimension(id=d, weight=1 / len(ids), intended_value=ValueRef.token("v0"))
+            for d in ids))
+
+    for w in (world, check_world_config(config)[2]):
+        assert resolve_privacy_labels(spec("T", "WHO", "What"), w) == (
+            {"who": "private", "what": "public"}, "oracle")
+        with pytest.raises(UnknownTask, match=r"^unknown task: 't'$"):
+            resolve_privacy_labels(spec("t", "who"), w)
+        with pytest.raises(UnknownVariable, match=r"^unknown variable: 'where'$"):
+            resolve_privacy_labels(spec("T", "Who", "Where"), w)
+    assert classify_privacy(world, "T", "WHO") == classify_privacy(world, "T", "who")
+    with pytest.raises(UnknownTask, match=r"^unknown task: 't'$"):
+        classify_privacy(world, "t", "Who")
+    with pytest.raises(UnknownVariable, match=r"^unknown variable: 'Where'$"):
+        classify_privacy(world, "T", "Where")
+
+
 def test_build_audit_record_flattens_the_spec_once(monkeypatch, demo_world_config):
     calls = []
 

@@ -494,6 +494,19 @@ def test_estimate_weights_rejects_records_outside_the_ablation(case):
         estimate_weights_by_ablation(records)
 
 
+@pytest.mark.parametrize("condition", ["FULL", "ABL_d0", "ABL_d1"])
+def test_estimate_weights_rejects_mask_bits_other_than_the_conditions(condition):
+    # FULL encodes every dimension and ABL_i all but i; a record whose mask
+    # says otherwise is not part of the ablation, whatever its condition
+    records = list(run_ablation(world_from(private_dims([0.5, 0.5], k=30)), "argmax"))
+    wrong = {"FULL": (1, 0), "ABL_d0": (1, 1), "ABL_d1": (0, 1)}[condition]
+    records = [replace(r, mask=EncodingMask(r.mask.dims, wrong))
+               if r.condition == condition else r for r in records]
+    with pytest.raises(Inconsistent, match=f"^condition '{condition}' has mask bits "
+                                           rf"{re.escape(repr(wrong))}$"):
+        estimate_weights_by_ablation(records)
+
+
 # -- perturbation harness ----------------------------------------------------
 
 def test_perturbation_grid_plateau_and_cliff(grid_config):
@@ -1267,6 +1280,17 @@ NARROW_CASES = {
     "swap": (None, [{"kind": "jitter", "epsilon": 0.1},
                     {"kind": "adjacent_swap", "count": 2}, "full_inversion"], 3),
 }
+
+
+def test_a_budget_too_wide_is_named_before_a_perturbation_too_wide(capsys, tmp_path):
+    # both the budget and adjacent_swap(2) need more than two dims; the
+    # budget is checked before any perturbation, so its error comes first
+    config = {"seed": 1, "budget": 5, "perturbations": [{"kind": "adjacent_swap", "count": 2}],
+              "world_config": {"tasks": [{"task_id": "t", "dims": dims_config("d", 2)}]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["perturb", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: budget must be an integer in [0, 2], got 5\n"
 
 
 @pytest.mark.parametrize("with_invalid_task", [True, False])

@@ -563,10 +563,27 @@ def test_tiil_check_refuses_k_1001_before_the_battery(monkeypatch):
         raise AssertionError("the battery ran")
 
     monkeypatch.setattr(infotheory, "derive", boom)
-    monkeypatch.setattr(infotheory, "_point_mass_rows", boom)
+    monkeypatch.setattr(infotheory, "_point_mass_scores", boom)
     with pytest.raises(WorldTooLarge, match=r"^enumeration would need 1002001 cells "
                                             r"\(cap 1000000\)$"):
         tiil_check(one_dim_world(0.5, 1001))
+
+
+def test_the_oracle_route_builds_no_joint_and_takes_no_mutual_information(monkeypatch):
+    # I(v; y) is the battery's identity row: tiil_check and classify_privacy
+    # read it there, with no DiscreteJoint and no mutual_information
+    import ist.infotheory as infotheory
+    world = shared_channel_world(9)
+    want = dumps_canonical(tiil_check(world, seed=7))
+    verdict = classify_privacy(world, "t0", "d2")
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a second route to I(v; y) ran")
+
+    monkeypatch.setattr(infotheory, "DiscreteJoint", boom)
+    monkeypatch.setattr(infotheory, "mutual_information", boom)
+    assert dumps_canonical(tiil_check(world, seed=7)) == want
+    assert classify_privacy(world, "t0", "D2") == verdict
 
 
 def test_classify_privacy_matches_reference():
@@ -634,6 +651,22 @@ def test_privacy_label_equals_the_exact_verdict_bit_for_bit():
             assert [x.hex() for x in got[:2]] == [acc.hex(), chance.hex()], (k, lam)
             public = acc >= theta and acc >= chance + CHANCE_FLOOR
             assert got[2] == ("public" if public else "private"), (k, lam, theta)
+
+
+# every edge lambda at K = 2..130, and K = 1,000, the largest channel
+IDENTITY_ROW_CHANNELS = ([(k, lam) for k in range(2, 131) for lam in EDGE_LAMBDAS]
+                         + [(1000, lam) for lam in (0.0, 1e-12, 0.5, 1.0)])
+
+
+def test_the_identity_row_is_mutual_information_bit_for_bit():
+    # the identity decoder's (v, g) table is the channel and its g marginal
+    # is the channel's in-order sum over v, so its I(v; g) is I(v; y)
+    import ist.infotheory as infotheory
+    for k, lam in IDENTITY_ROW_CHANNELS:
+        p = infotheory._regeneration_channel(k, lam, "sample")
+        [(_, got)] = infotheory._point_mass_scores(p, np.arange(k)[None])
+        want = mutual_information(DiscreteJoint(("v", "y"), p), "v", "y")
+        assert got.hex() == want.hex(), (k, lam)
 
 
 def test_privacy_label_is_the_joints_accuracy_and_chance():
