@@ -9,13 +9,14 @@ The package is organized bottom-up:
   rule, in pure Python
 * worlds: finite-alphabet prior simulation with derived seeds
 * infotheory: dense-enumeration entropy/MI, decoders, DPI, privacy
+* tiil: the irreversibility (TIIL) decoder battery, in pure Python
 * experiments: ablation and weight-perturbation harnesses
 * audit: per-interaction audit records and reports
 * cli: the `ist` command
 
 Public names load lazily (PEP 562): `from ist import X` imports only the
 module that defines X, so `errors`, `model`, `spec_io`, `metrics` and
-`audit` work without importing numpy.
+`audit` work without importing numpy, as does `ist.tiil`.
 """
 
 import importlib

@@ -1,10 +1,9 @@
 """Hot numeric loops: Shannon entropy, token sampling, a match counter.
 
 Entropy is a running sum over the positive cells of a dense probability
-table, or of each row of one, returned as Python floats. sample_block is
-the one draw-to-token rule: one rng.derive call hashes a whole (task,
-dim, draw) grid, and one bisect over the CDFs, padded with +inf to a
-common K, picks every token.
+table, returned as a Python float. sample_block is the one draw-to-token
+rule: one rng.derive call hashes a whole (task, dim, draw) grid, and one
+bisect over the CDFs, padded with +inf to a common K, picks every token.
 The record engine of worlds (the experiments, simulate_output, every
 mean fidelity) samples through it, over a CDF table it builds in numpy
 per block, and so does match_counts, a per-dimension hit counter only
@@ -26,30 +25,22 @@ __all__ = ["entropy_bits", "match_counts", "sample_block"]
 _CHUNK_DRAWS = 65_536
 
 
-def entropy_bits(p, rows: bool = False):
-    """-sum(p log2 p) in bits over a nonnegative array, as a Python float;
-    with rows=True, over each row of a 2-D array, as a list of them.
+def entropy_bits(p) -> float:
+    """-sum(p log2 p) in bits over a nonnegative array, as a Python float.
 
-    Python floats, because callers compare the values and the resulting
-    bools reach dumps_canonical, which rejects numpy scalars. Each value
-    is the float of a loop over the cells in C order that adds
-    x * math.log2(x) for each positive x: math.log2 runs once per
-    distinct positive value (numpy's log2 differs from it in the last
-    bit on some machines), and np.cumsum, which is sequential, adds each
-    row's terms in that order, padded with zeros at the end.
+    A Python float, because callers compare the value and the resulting
+    bools reach dumps_canonical, which rejects numpy scalars. It is the
+    float of a loop over the cells in C order that adds x * math.log2(x)
+    for each positive x: math.log2 runs once per distinct positive value
+    (numpy's log2 differs from it in the last bit on some machines), and
+    np.cumsum, which is sequential, adds the terms in that order.
     """
-    p = np.asarray(p, dtype=np.float64)
-    table = p if rows else p.reshape(1, -1)
-    positive = table > 0.0
-    values = table[positive]
+    values = np.asarray(p, dtype=np.float64).ravel()
+    values = values[values > 0.0]
     distinct, which = np.unique(values, return_inverse=True)
     logs = np.fromiter(map(math.log2, distinct.tolist()), np.float64, len(distinct))
-    counts = np.count_nonzero(positive, axis=1)
-    width = int(counts.max(initial=0)) + 1  # a zero column ends every row
-    terms = np.zeros((len(table), width))
-    terms[np.arange(width) < counts[:, None]] = values * logs[which]
-    h = (-np.cumsum(terms, axis=1)[:, -1]).tolist()
-    return h if rows else h[0]
+    terms = np.append(values * logs[which], 0.0)  # no positive cell: -0.0
+    return -float(np.cumsum(terms)[-1])
 
 
 def sample_block(master: int, task_ixs, dim_ixs, draws, cdf_pad, ks):

@@ -30,7 +30,8 @@ from .spec_io import (
 )
 
 # Past the parsing layer, each subcommand imports what it runs, so
-# validate, mask, score, report, demo and audit never load numpy.
+# validate, mask, score, report, demo, audit and tiil-check never load
+# numpy.
 
 PROG = "ist"
 
@@ -41,6 +42,13 @@ def _data_path(name: str) -> Path:
 
 def _read(path) -> bytes:
     return Path(path).read_bytes()
+
+
+def _world_rows(path, seed: int | None) -> list:
+    """The checked rows of the world config at path (priors.check_world_config)."""
+    from .priors import check_world_config, parse_world_config
+
+    return check_world_config(parse_world_config(_read(path)), seed)[2]
 
 
 def _write_out(args, text: str) -> None:
@@ -160,10 +168,7 @@ def _audit(args, spec_path, carrier_path, output_path, lenient=False,
     if out_doc.task_id != spec.task_id:
         raise BadConfig(f"output task {out_doc.task_id!r} does not match "
                         f"spec task {spec.task_id!r}")
-    world = None
-    if world_path:
-        from .priors import check_world_config, parse_world_config
-        world = check_world_config(parse_world_config(_read(world_path)), seed)[2]
+    world = _world_rows(world_path, seed) if world_path else None
     record = build_audit_record(spec, carrier, out_doc.realized_values, world,
                                 timestamp=args.timestamp, **thresholds)
     _write_out(args, dumps_canonical(audit_record_to_obj(record)) + "\n")
@@ -230,13 +235,11 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_tiil_check(args) -> int:
-    from .infotheory import THETA_PUB_DEFAULT, tiil_check
-    from .worlds import load_world
+    from .tiil import THETA_PUB_DEFAULT, tiil_check
 
-    path = args.world or _data_path("demo_world.json")
-    world = load_world(path, args.seed)
+    rows = _world_rows(args.world or _data_path("demo_world.json"), args.seed)
     theta_pub = THETA_PUB_DEFAULT if args.theta_pub is None else args.theta_pub
-    result = tiil_check(world, theta_pub=theta_pub, seed=args.seed or 0)
+    result = tiil_check(rows, theta_pub=theta_pub, seed=args.seed or 0)
     if args.format == "json":
         _write_out(args, dumps_canonical(result) + "\n")
     else:

@@ -6,26 +6,18 @@ explicit row-stochastic maps from evidence cells to output
 distributions, and the data processing inequality is checked by
 literally computing both mutual informations. No estimation anywhere.
 
-A world dimension's channel depends only on its alphabet size K and
-mixture weight lambda, so tiil_check evaluates each distinct (K, lambda)
-channel once and checks only the task-keyed random decoder per task;
-the tests keep the per-dimension loop as the byte-identical reference.
-
-Every decoder of the battery is a point mass, so tiil_check scores a
-channel's decoders in blocks, with no DiscreteJoint and nothing of K**3
-cells: an extension's (v, g) and g marginals are bincounts, and its H(v)
-is the channel's. The first decoder is the identity, whose (v, g) table
-is the channel, so its I(v; g) is I(v; y): tiil_check and
-classify_privacy read mi_bits from that row. verify_dpi sums H(v) over
-an extension's K**3 cells instead, so its I(v; g) may differ in the
-last ulps.
+This is the general oracle and the tests' reference for the TIIL
+battery, tiil.tiil_check, which scores the same point-mass decoders on
+a world's (K, lambda) channels in pure Python with these floats, bit for
+bit, and builds no table. classify_privacy reads its mi_bits, I(v; y),
+from that scorer's identity decoder, whose (v, g) table is the channel.
+verify_dpi sums H(v) over an extension's K**3 cells instead, so its
+I(v; g) may differ from the battery's in the last ulps.
 
 A verdict's Bayes accuracy, chance level and label come from the one
 (K, lambda) label rule, priors.privacy_label, in closed form, correctly
 rounded, so `ist audit --world` labels without numpy; its (K, lambda)
-comes from priors.dim_channels, the one lookup. DiscreteJoint,
-mutual_information, verify_dpi, the decoder builders and
-dimension_channel_joint are the general oracle and the tests' reference.
+comes from priors.dim_channels, the one lookup.
 
 Every joint and decoder is built by its public constructor, which
 copies the table or rows (so the caller's array stays writeable and
@@ -44,18 +36,13 @@ from . import _kernels
 from .errors import (
     DomainMismatch,
     InvalidDistribution,
-    RangeError,
     UnknownVariable,
     WorldTooLarge,
 )
 from .priors import CELL_CAP, THETA_PUB_DEFAULT, check_theta_pub, dim_channels, privacy_label
-from .rng import DECODER_STREAM, check_uint64, derive, uniform_index
+from .rng import DECODER_STREAM, derive, uniform_index
+from .tiil import DPI_TOL, _SUM_TOL, _Channel, _mi_of_entropies, _nonnegative
 from .worlds import SyntheticWorld, _argmax_finds_user
-
-_SUM_TOL = 1e-9
-_MI_NEG_TOL = 1e-12  # per bit of entropy summed; see mutual_information
-_TERM_ULPS = 4  # rounding of one p log2 p term, in units of 2**-53
-DPI_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,11 +123,6 @@ def entropy(dist) -> float:
     return _nonnegative(_kernels.entropy_bits(p))
 
 
-def _nonnegative(h: float) -> float:
-    """An entropy's rounding below zero clamped away (-0.0 stays)."""
-    return 0.0 if h < 0.0 else h
-
-
 def _as_group(x) -> tuple[str, ...]:
     if isinstance(x, str):
         return (x,)
@@ -151,11 +133,7 @@ def mutual_information(joint: DiscreteJoint, x, y) -> float:
     """I(x; y) = H(x) + H(y) - H(x, y) over variable groups, in bits.
 
     Tiny negative results clamp to zero; anything more negative is
-    treated as a bug and raised. A running sum of n nonnegative terms
-    errs by at most (n - 1) * 2**-53 of its value, and each p log2 p term
-    by a few ulps, so each entropy H over n cells contributes
-    (n - 1 + _TERM_ULPS) * 2**-53 * H to the tolerance; it is never less
-    than 1e-12 times H(x) + H(y) + H(x, y), nor less than 1e-12.
+    treated as a bug and raised, by tiil._mi_of_entropies.
     """
     gx, gy = _as_group(x), _as_group(y)
     if set(gx) & set(gy):
@@ -163,21 +141,6 @@ def mutual_information(joint: DiscreteJoint, x, y) -> float:
     tables = [joint.marginal(*gx), joint.marginal(*gy), joint.marginal(*gx, *gy)]
     return _mi_of_entropies([entropy(t) for t in tables],
                             [t.table.size for t in tables])
-
-
-def _mi_of_entropies(hs, sizes) -> float:
-    """H(x) + H(y) - H(x, y) from the three entropies and the cell counts
-    of their tables, clamped or raised as mutual_information says."""
-    hx, hy, hxy = hs
-    mi = hx + hy - hxy
-    if mi < 0.0:
-        tol = max(_MI_NEG_TOL * max(1.0, sum(hs)),
-                  sum((n - 1 + _TERM_ULPS) * 2.0 ** -53 * h
-                      for n, h in zip(sizes, hs)))
-        if mi < -tol:
-            raise RangeError(f"mutual information {mi} below -{tol:.3g}")
-        return 0.0
-    return mi
 
 
 # ---------------------------------------------------------------------------
@@ -409,117 +372,6 @@ def classify_privacy(world: SyntheticWorld, task_id: str, dim_id: str,
     check_theta_pub(theta_pub)
     [(k, lam)] = dim_channels(world, task_id, [dim_id])
     acc, chance, label = privacy_label(k, lam, theta_pub)
-    [(_, mi)] = _point_mass_scores(_regeneration_channel(k, lam, "sample"), np.arange(k)[None])
+    _, mi = _Channel(k, lam).score(range(k))
     return PrivacyVerdict(dimension=dim_id.lower(), mi_bits=mi, bayes_accuracy=acc,
                           chance=chance, label=label)
-
-
-def _point_mass_scores(p: np.ndarray, picks: np.ndarray) -> list[tuple[float, float]]:
-    """(accuracy, I(v; g)) of each decoder y -> picks[d, y] on a (v, y)
-    channel p, in order.
-
-    Each decoder's extension (v, y, g) holds p[v, y] at g = picks[d, y],
-    so its v marginal is the channel's and H(v) is taken once, from
-    p.sum(axis=1); its (v, g) and g marginals are bincounts over the
-    (v, y) cells in C order, their totals checked as the DiscreteJoint
-    constructor checks a table's, and its accuracy adds p[picks[d, y], y]
-    over y in order. The identity decoder (picks np.arange(K)) has p as
-    its (v, g) table, so its I(v; g) is I(v; y), every other row's bound.
-    Decoders are scored a block at a time, as many as fit in
-    _kernels._CHUNK_DRAWS // 4 cells of (v, y) (at least one): the index,
-    the weights, the (v, g) table and the entropy's sort each hold one
-    8-byte value per cell, so a block's arrays stay near _CHUNK_DRAWS * 8
-    bytes (512 KB) until one channel's K**2 cells pass that, and none
-    holds K**3 cells.
-    """
-    n, k = picks.shape
-    v = np.arange(k)[:, None]
-    h_v = _nonnegative(_kernels.entropy_bits(p.sum(axis=1)))
-    per_block = max(1, _kernels._CHUNK_DRAWS // (4 * k * k))
-    scores = []
-    for start in range(0, n, per_block):
-        block = picks[start:start + per_block]
-        m = len(block)
-        d = np.arange(m)[:, None, None]
-        weights = np.broadcast_to(p, (m, k, k)).ravel()
-        vg = np.bincount(((d * k + v) * k + block[:, None, :]).ravel(), weights,
-                         m * k * k).reshape(m, k * k)
-        g = np.bincount(np.broadcast_to(d * k + block[:, None, :], (m, k, k)).ravel(),
-                        weights, m * k).reshape(m, k)
-        _check_totals([g.sum(axis=1), vg.sum(axis=1)])
-        accuracy = np.cumsum(p[block, np.arange(k)], axis=1)[:, -1].tolist()
-        hs = [[_nonnegative(h) for h in _kernels.entropy_bits(t, rows=True)]
-              for t in (g, vg)]
-        scores += [(acc, _mi_of_entropies([h_v, h_g, h_vg], [k, k, k * k]))
-                   for acc, h_g, h_vg in zip(accuracy, *hs)]
-    return scores
-
-
-def tiil_check(world: SyntheticWorld, theta_pub: float = THETA_PUB_DEFAULT,
-               seed: int = 0) -> dict:
-    """Run the irreversibility battery over every dimension of a world.
-
-    For each dimension (carrier-absent throughout): classify privacy,
-    then check the three decoder families against the DPI bound. For
-    chance-level channels (Bayes accuracy == chance), additionally
-    record that no decoder beats generic substitution.
-
-    Everything but the task-keyed random decoder depends only on the
-    dimension's (K, lambda) channel, so dimensions are grouped by
-    channel, and each channel's label (privacy_label's), constant and
-    Bayes rows are evaluated once. A channel's decoders are one (decoders
-    x K) matrix of picks, headed by the identity decoder: one rng.derive
-    call hashes every task's random row, and _point_mass_scores scores
-    them a block at a time. The identity row's I(v; g) is I(v; y), the
-    verdict's mi_bits and the bound every other row is checked against.
-    The one cap is the channel's K**2 cells, which privacy_label checks
-    before anything of the battery is hashed or allocated. The report
-    lists dimensions in world order, with the same bytes as checking
-    each dimension on its own. A seed outside [0, 2**64), or a bool,
-    raises BadConfig.
-    """
-    check_theta_pub(theta_pub)
-    check_uint64("seed", seed)
-    dims = [(task, j) for task in world.tasks for j in range(len(task.dims))]
-    by_channel: dict[tuple[int, float], list[int]] = {}
-    for i, (task, j) in enumerate(dims):
-        by_channel.setdefault((task.ks[j], task.lams[j]), []).append(i)
-    dims_report: list = [None] * len(dims)
-    for (k, lam), members in by_channel.items():
-        acc_bayes, chance, label = privacy_label(k, lam, theta_pub)
-        p = _regeneration_channel(k, lam, "sample")
-        at_chance = acc_bayes <= chance + DPI_TOL
-        tasks = list(dict.fromkeys(dims[i][0].index for i in members))
-        picks = np.zeros((3 + len(tasks), k), dtype=np.int64)  # constant: token 0
-        picks[0] = np.arange(k)  # the identity decoder, whose I(v; g) is I(v; y)
-        picks[2] = np.argmax(p, axis=0)  # bayes_decoder's picks
-        # random_deterministic_decoder's picks, seeded derive(seed, task)
-        masters = derive(seed, np.array(tasks, dtype=np.uint64))
-        picks[3:] = uniform_index(derive(masters[:, None], DECODER_STREAM,
-                                         np.arange(k, dtype=np.uint64)), k)
-        (_, mi), *scores = _point_mass_scores(p, picks)
-        rows = []
-        for name, (acc, i_v_g) in zip(
-                ["constant", "bayes"] + ["random_deterministic"] * len(tasks), scores):
-            holds = i_v_g <= mi + DPI_TOL
-            ok = holds and not (at_chance and (acc > chance + DPI_TOL or i_v_g > DPI_TOL))
-            rows.append({"decoder": name, "dpi_holds": holds, "slack": mi - i_v_g,
-                         "accuracy": acc, "i_v_g": i_v_g, "ok": ok})
-        constant_row, bayes_row = rows[:2]
-        random_rows = dict(zip(tasks, rows[2:]))
-        for i in members:
-            task, j = dims[i]
-            dims_report[i] = {
-                "task_id": task.task_id,
-                "dimension": task.dims[j],
-                "lambda": task.lams[j],
-                "label": label,
-                "mi_bits": mi,
-                "bayes_accuracy": acc_bayes,
-                "chance": chance,
-                "chance_level": at_chance,
-                "decoders": [dict(constant_row), dict(random_rows[task.index]),
-                             dict(bayes_row)],
-            }
-    all_hold = all(row["ok"] for d in dims_report for row in d["decoders"])
-    return {"theta_pub": theta_pub, "all_hold": all_hold, "dims": dims_report}

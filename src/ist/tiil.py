@@ -1,0 +1,333 @@
+"""The TIIL decoder battery, in pure Python.
+
+tiil_check checks the irreversibility bound on every dimension of a
+world: on the dimension's sampled (K, lambda) channel p(v, y), no
+decoder g of y carries more information about v than y does, and on a
+channel at chance level no decoder beats chance. It reads the rows of
+priors.check_world_config or a built SyntheticWorld, so `ist tiil-check`
+needs no world build and no numpy.
+
+Every decoder of the battery is a point mass, y -> picks[y], and
+_Channel.score gives its (accuracy, I(v; g)) with the floats of the dense
+oracle in infotheory, bit for bit, without building a table. The channel
+holds off = base/K off its diagonal and dg = (base + lam)/K on it, with
+base = (1 - lam)/K, and every float the dense oracle prints is one of:
+
+* an in-order sum from 0.0: a (v, g) or g cell (bincount's order, y
+  within v), or the accuracy (cumsum's);
+* an entropy's running sum of x * log2(x) over the positive cells;
+* numpy's pairwise sum of a channel row, for H(v).
+
+Each is repeated here in the same order. Since all off-diagonal cells
+are off, a run of them is summed in closed form per binade
+(_Channel.run); column g of a decoder's (v, g) table holds S[n_g], the
+sum of n_g offs, off g's preimage of n_g tokens and a memoized T(n, r)
+on it, so each row of that table is one row with one entry replaced;
+and a g cell of a single token's preimage is a column sum of the
+channel. Sequential sums use functools.reduce(operator.add), never
+builtin sum, which compensates from Python 3.12 on.
+
+Units are bits (log base 2) throughout.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import reduce
+from itertools import repeat
+from operator import add
+
+from .errors import InvalidDistribution, RangeError
+from .priors import THETA_PUB_DEFAULT, check_theta_pub, privacy_label
+from .rng import DECODER_STREAM, check_uint64, derive, splitmix64, uniform_index
+
+_SUM_TOL = 1e-9
+_MI_NEG_TOL = 1e-12  # per bit of entropy summed; see _mi_of_entropies
+_TERM_ULPS = 4  # rounding of one p log2 p term, in units of 2**-53
+DPI_TOL = 1e-9
+_SHORT_RUN = 40  # runs of offs up to this long are added one by one
+
+
+def _nonnegative(h: float) -> float:
+    """An entropy's rounding below zero clamped away (-0.0 stays)."""
+    return 0.0 if h < 0.0 else h
+
+
+def _mi_of_entropies(hs, sizes) -> float:
+    """H(x) + H(y) - H(x, y) from the three entropies and the cell counts
+    of their tables.
+
+    Tiny negative results clamp to zero; anything more negative is
+    treated as a bug and raised. A running sum of n nonnegative terms
+    errs by at most (n - 1) * 2**-53 of its value, and each p log2 p term
+    by a few ulps, so each entropy H over n cells contributes
+    (n - 1 + _TERM_ULPS) * 2**-53 * H to the tolerance; it is never less
+    than 1e-12 times H(x) + H(y) + H(x, y), nor less than 1e-12.
+    """
+    hx, hy, hxy = hs
+    mi = hx + hy - hxy
+    if mi < 0.0:
+        tol = max(_MI_NEG_TOL * max(1.0, sum(hs)),
+                  sum((n - 1 + _TERM_ULPS) * 2.0 ** -53 * h
+                      for n, h in zip(sizes, hs)))
+        if mi < -tol:
+            raise RangeError(f"mutual information {mi} below -{tol:.3g}")
+        return 0.0
+    return mi
+
+
+def _check_total(total: float) -> None:
+    if not abs(total - 1.0) <= _SUM_TOL:
+        raise InvalidDistribution(f"table sums to {total!r}, expected 1")
+
+
+class _Terms(dict):
+    """x -> x * log2(x) of each cell value met, 0.0 for x = 0: adding 0.0
+    to a running sum of nonpositive terms is exact, so zero cells may
+    stand in the sums."""
+
+    def __missing__(self, x: float) -> float:
+        t = self[x] = x * math.log2(x) if x else 0.0
+        return t
+
+
+class _Channel:
+    """The sampled (K, lambda) channel p(v, y), with the partial sums its
+    decoders share: s[n], n offs summed from 0.0; T(n, r), n cells summed
+    from 0.0 that are off but for dg at r, a row of them per n; numpy's
+    pairwise row sums; and the x log2 x term of each cell value met."""
+
+    def __init__(self, k: int, lam: float):
+        base = (1.0 - lam) / k
+        self.k, self.off, self.dg = k, base / k, (base + lam) / k
+        self.s = [0.0]
+        self.s_at(k)
+        self._t_rows: dict[int, list[float]] = {}
+        self._t_terms: dict[int, list[float]] = {}
+        self._pairwise: dict[tuple[int, int], float] = {}
+        self.terms = _Terms()
+        self._h_v: float | None = None
+        self._binades: dict[int, tuple[float, float, int, bool]] = {}
+
+    def run(self, x: float, j: int) -> float:
+        """x plus j offs added one at a time, as a loop computes it (x >= 0).
+
+        Within the binade [top/2, top) of x, whose floats are the multiples
+        of its ulp u, x + off rounds to x + d for one multiple d of u: off
+        rounded to the grid, or on a tie the even neighbour, which keeps
+        an even x even. |off - d| <= u/2, so while x + d stays at most top
+        the sum rounds to it (top itself is on both grids), and t such
+        additions make x + t*d, exactly; the binade's next addition is
+        made as it is.
+        """
+        off = self.off
+        while j > _SHORT_RUN:
+            if x:
+                e = math.frexp(x)[1]
+                binade = self._binades.get(e)
+                if binade is None:
+                    binade = self._binades[e] = self._binade(x, e)
+                top, u, step, tie = binade
+                if not (tie and int(x / u) % 2):
+                    if not step:  # x + off rounds to x, now and after
+                        return x
+                    t = min(j, int((top - x) / u) // step)
+                    x += t * step * u
+                    j -= t
+                    if not j:
+                        break
+            x += off
+            j -= 1
+        return reduce(add, repeat(off, j), x)
+
+    def _binade(self, x: float, e: int) -> tuple[float, float, int, bool]:
+        """(top, u, d/u, tie) of the binade [top/2, top) that holds x."""
+        u = math.ulp(x)
+        q = self.off / u
+        m = math.floor(q)
+        if q - m == 0.5:
+            return math.ldexp(1.0, e), u, m + m % 2, True
+        return math.ldexp(1.0, e), u, round(q), False
+
+    def s_at(self, n: int) -> float:
+        """S[n], extending s as far as asked."""
+        s = self.s
+        while len(s) <= n:
+            s.append(s[-1] + self.off)
+        return s[n]
+
+    def t_row(self, n: int) -> list[float]:
+        """[T(n, r) for r < n]."""
+        row = self._t_rows.get(n)
+        if row is None:
+            s, dg = self.s, self.dg
+            row = self._t_rows[n] = [self.run(s[r] + dg, n - 1 - r) for r in range(n)]
+        return row
+
+    def t_terms(self, n: int) -> list[float]:
+        """The terms of t_row(n)."""
+        row = self._t_terms.get(n)
+        if row is None:
+            row = self._t_terms[n] = [self.terms[x] for x in self.t_row(n)]
+        return row
+
+    def pairwise(self, n: int, j: int) -> float:
+        """numpy's pairwise sum of n cells that are off but for dg at j
+        (none for j < 0): a running sum from 0.0 below 8 cells; up to 128,
+        eight strided lanes added as ((0+1)+(2+3))+((4+5)+(6+7)), then the
+        tail; above, the two halves split at n//2 rounded down to a
+        multiple of 8."""
+        key = (n, j)
+        v = self._pairwise.get(key)
+        if v is not None:
+            return v
+        if n < 8:
+            v = self.t_row(n)[j] if j >= 0 else self.s[n]
+        elif n <= 128:
+            m = n // 8
+            lanes = [self.s[m]] * 8
+            if 0 <= j < 8 * m:
+                lanes[j % 8] = self.t_row(m)[j // 8]
+            v = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + \
+                ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+            for i in range(8 * m, n):
+                v += self.dg if i == j else self.off
+        else:
+            half = n // 2 - (n // 2) % 8
+            v = self.pairwise(half, j if j < half else -1) + \
+                self.pairwise(n - half, j - half if j >= half else -1)
+        self._pairwise[key] = v
+        return v
+
+    def h_v(self) -> float:
+        """H(v), from the channel's row sums as numpy sums them."""
+        if self._h_v is None:
+            terms = [self.terms[self.pairwise(self.k, v)] for v in range(self.k)]
+            self._h_v = _nonnegative(-reduce(add, terms, 0.0))
+        return self._h_v
+
+    def g_cell(self, preimage: list[int]) -> float:
+        """p(g) of the output whose preimage is the given ascending
+        tokens, summed over (v, y) in C order: runs of offs, with dg at
+        (y, y) for each y of the preimage."""
+        n = len(preimage)
+        if n == 1:
+            return self.t_row(self.k)[preimage[0]]  # the channel's column sum
+        acc = self.s_at(preimage[0] * n) + self.dg
+        for r, y in enumerate(preimage[1:], 1):
+            acc = self.run(acc, (y - preimage[r - 1]) * n) + self.dg
+        return self.run(acc, (self.k - 1 - preimage[-1]) * n)
+
+    def score(self, picks) -> tuple[float, float]:
+        """(accuracy, I(v; g)) of the decoder y -> picks[y].
+
+        Its extension (v, y, g) has the channel's v marginal, so H(v) is
+        the channel's. Output g with preimage Y_g of n_g tokens has (v, g)
+        cell S[n_g] for v outside Y_g and T(n_g, r) for the r-th token of
+        Y_g; both tables' totals are checked as the dense oracle checks a
+        table's, and the accuracy adds p[picks[y], y] over y in order.
+        """
+        k, s = self.k, self.s
+        preimages: dict[int, list[int]] = {}
+        ranks = []  # ranks[y]: y's place in its output's preimage
+        for y, g in enumerate(picks):
+            preimage = preimages.setdefault(g, [])
+            ranks.append(len(preimage))
+            preimage.append(y)
+        outs = sorted(preimages)
+        sizes = [len(preimages[g]) for g in outs]
+        accuracy = reduce(add, [self.dg if g == y else self.off
+                                for y, g in enumerate(picks)], 0.0)
+        g_cells = [self.g_cell(preimages[g]) for g in outs]
+        # the (v, g) table's terms over the outputs' columns (the others
+        # are 0): k copies of the S[n_g] row, row v's cell at picks[v]
+        # replaced
+        width = len(outs)
+        terms = [self.terms[s[n]] for n in sizes] * k
+        diagonal = {g: (i, self.t_terms(n)) for i, (g, n) in enumerate(zip(outs, sizes))}
+        at = 0
+        for g, r in zip(picks, ranks):
+            i, t_terms = diagonal[g]
+            terms[at + i] = t_terms[r]
+            at += width
+        _check_total(math.fsum(g_cells))
+        _check_total(math.fsum([(k - n) * s[n] for n in sizes]
+                               + [x for n in sizes for x in self.t_row(n)]))
+        h_g = -reduce(add, map(self.terms.__getitem__, g_cells), 0.0)
+        h_vg = -reduce(add, terms, 0.0)
+        return accuracy, _mi_of_entropies(
+            [self.h_v(), _nonnegative(h_g), _nonnegative(h_vg)], [k, k, k * k])
+
+
+def tiil_check(world, theta_pub: float = THETA_PUB_DEFAULT, seed: int = 0) -> dict:
+    """Run the irreversibility battery over every dimension of a world:
+    the rows of priors.check_world_config or a built SyntheticWorld.
+
+    For each dimension (carrier-absent throughout): classify privacy,
+    then check the three decoder families against the DPI bound. For
+    chance-level channels (Bayes accuracy == chance), additionally
+    record that no decoder beats generic substitution.
+
+    Everything but the task-keyed random decoder depends only on the
+    dimension's (K, lambda) channel, so dimensions are grouped by
+    channel, and each channel's label (privacy_label's), constant and
+    Bayes rows are evaluated once. The identity decoder's I(v; g) is
+    I(v; y), the verdict's mi_bits and the bound every other row is
+    checked against. Task i's random decoder maps y to uniform_index(
+    derive(derive(seed, i), DECODER_STREAM, y), K), the picks of
+    infotheory.random_deterministic_decoder seeded derive(seed, i). The
+    one cap is the channel's K**2 cells, which privacy_label checks
+    before anything of the battery is hashed. The report lists
+    dimensions in world order, with the same bytes as checking each
+    dimension on its own. A seed outside [0, 2**64), or a bool, raises
+    BadConfig.
+    """
+    check_theta_pub(theta_pub)
+    check_uint64("seed", seed)
+    tasks = ([(row[0], row[1], row[3], row[4]) for row in world] if isinstance(world, list)
+             else [(t.task_id, t.dims, t.ks, t.lams) for t in world.tasks])
+    dims = [(i, j) for i, task in enumerate(tasks) for j in range(len(task[1]))]
+    by_channel: dict[tuple[int, float], list[int]] = {}
+    for n, (i, j) in enumerate(dims):
+        by_channel.setdefault((tasks[i][2][j], tasks[i][3][j]), []).append(n)
+    dims_report: list = [None] * len(dims)
+    for (k, lam), members in by_channel.items():
+        acc_bayes, chance, label = privacy_label(k, lam, theta_pub)
+        at_chance = acc_bayes <= chance + DPI_TOL
+        channel = _Channel(k, lam)
+        identity = channel.score(range(k))
+        constant = channel.score([0] * k)
+        mi = identity[1]
+
+        def row(name, score):
+            acc, i_v_g = score
+            holds = i_v_g <= mi + DPI_TOL
+            ok = holds and not (at_chance and (acc > chance + DPI_TOL or i_v_g > DPI_TOL))
+            return {"decoder": name, "dpi_holds": holds, "slack": mi - i_v_g,
+                    "accuracy": acc, "i_v_g": i_v_g, "ok": ok}
+
+        constant_row = row("constant", constant)
+        # bayes_decoder's picks, argmax over v of column y: the diagonal
+        # unless dg ties off, then token 0
+        bayes_row = row("bayes", identity if channel.dg > channel.off else constant)
+        random_rows = {}
+        for n in members:
+            i, j = dims[n]
+            if i not in random_rows:
+                prefix = derive(derive(seed, i), DECODER_STREAM)
+                random_rows[i] = row("random_deterministic", channel.score(
+                    [uniform_index(splitmix64(prefix ^ y), k) for y in range(k)]))
+            task_id, ids, _, lams = tasks[i]
+            dims_report[n] = {
+                "task_id": task_id,
+                "dimension": ids[j],
+                "lambda": lams[j],
+                "label": label,
+                "mi_bits": mi,
+                "bayes_accuracy": acc_bayes,
+                "chance": chance,
+                "chance_level": at_chance,
+                "decoders": [dict(constant_row), dict(random_rows[i]), dict(bayes_row)],
+            }
+    all_hold = all(row["ok"] for d in dims_report for row in d["decoders"])
+    return {"theta_pub": theta_pub, "all_hold": all_hold, "dims": dims_report}

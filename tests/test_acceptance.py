@@ -27,7 +27,6 @@ from ist.infotheory import (
     entropy,
     mutual_information,
     random_deterministic_decoder,
-    tiil_check,
     verify_dpi,
 )
 from ist.audit import audit_record_from_obj
@@ -51,6 +50,7 @@ from ist.worlds import (
     simulate_output,
     to_intent_spec,
 )
+from ist.tiil import tiil_check
 
 from conftest import all_private_config, random_spec
 

@@ -343,9 +343,9 @@ def test_tiil_check_json(capsys):
 
 
 def test_tiil_check_names_each_violation(capsys, monkeypatch):
-    import ist.infotheory as infotheory
+    import ist.tiil as tiil
     # a negative DPI tolerance makes every low-slack decoder row fail
-    monkeypatch.setattr(infotheory, "DPI_TOL", -1.0)
+    monkeypatch.setattr(tiil, "DPI_TOL", -1.0)
     code, out, err = run(capsys, "tiil-check", "--format", "json")
     assert code == 3
     doc = json.loads(out)
@@ -442,16 +442,16 @@ def tiil_check_peak_rss_kib(tmp_path, k):
 
 
 def test_tiil_check_holds_one_extension_at_a_time(tmp_path):
-    # at K = 100 one decoder's extension is 10**6 cells (8 MB): the battery's
-    # buffer may hold one of them, never the three decoders' at once
+    # at K = 100 one decoder's extension would be 10**6 cells (8 MB); the
+    # battery builds none, and the bound allows at most one
     gap_kib = tiil_check_peak_rss_kib(tmp_path, 100) - tiil_check_peak_rss_kib(tmp_path, 4)
     assert gap_kib <= 12 * 1024, gap_kib
 
 
-def test_tiil_check_runs_to_k_1000_within_one_block(tmp_path):
-    # at K = 1000 a block is one decoder, 10**6 cells of (v, y): the channel
-    # table, the block's weights and (v, g) table and the entropy kernel's
-    # sort over one of them stay under 12 arrays of K**2 floats (96 MB)
+def test_tiil_check_runs_to_k_1000_within_bounded_memory(tmp_path):
+    # at K = 1000 a decoder's (v, g) table is 10**6 cells, and the battery
+    # holds one decoder's list of their entropy terms at a time; it stays
+    # under 12 arrays of K**2 floats (96 MB)
     gap_kib = tiil_check_peak_rss_kib(tmp_path, 1000) - tiil_check_peak_rss_kib(tmp_path, 4)
     assert gap_kib <= 12 * 8 * 1000 ** 2 // 1024, gap_kib
 
@@ -565,6 +565,15 @@ BAD_WORLDS = {
     "k-above-cap": ({"tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1.0, "K": 10 ** 400, "lambda": 0.5}]}]},
         "tasks[0].dims[0]: K is larger than the cap of 1000000"),
+    "k-one": ({"tasks": [{"task_id": "t", "dims": [
+        {"id": "a", "weight": 1.0, "K": 1, "lambda": 0.5}]}]},
+        "tasks[0].dims[0]: K must be an integer >= 2, got 1"),
+    "weight-sum": ({"tasks": [{"task_id": "t", "dims": world_dims(
+        ("a", 0.5, {}), ("b", 0.4, {}))}]},
+        "tasks[0]: weights sum to 0.9, expected 1"),
+    "no-seed": ("""{"tasks": [{"task_id": "t", "dims": [
+        {"id": "a", "weight": 1.0, "K": 4, "lambda": 0.5}]}]}""",
+        "seed must be an integer, got None"),
     "infinite-weights": ("""{"seed": 1, "tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1e309, "K": 4, "lambda": 0.5},
         {"id": "b", "weight": -1e309, "K": 4, "lambda": 0.5}]}]}""",
@@ -581,6 +590,8 @@ BAD_WORLDS = {
 
 @pytest.mark.parametrize("case", list(BAD_WORLDS))
 def test_bad_world_config_exits_2_alike_in_every_subcommand(tmp_path, case):
+    # tiil-check and audit check the config (priors.check_world_config),
+    # ablate and perturb build the world from it: one message either way
     config, message = BAD_WORLDS[case]
     world = tmp_path / "world.json"
     world.write_text(config if isinstance(config, str)

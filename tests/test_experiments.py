@@ -51,7 +51,6 @@ from ist.experiments import (
     run_weight_perturbation,
     write_ablation,
 )
-from ist.infotheory import tiil_check
 from ist.metrics import score_output, synthesize_ga, weighted_sum
 from ist.model import EncodingMask, normalize_weights
 from ist.rng import PERTURB_STREAM, derive, unit_float
@@ -76,6 +75,7 @@ from ist.worlds import (
     simulate_output,
     to_intent_spec,
 )
+from ist.tiil import tiil_check
 
 from conftest import DATA, TESTS_DATA
 from test_worlds import sample_token_index_reference

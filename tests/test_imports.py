@@ -1,6 +1,7 @@
-"""Import boundary: the light subcommands, and audit with a world, run
-without numpy, and the package's public names load lazily from one
-export table."""
+"""Import boundary: the light subcommands, audit with a world and
+tiil-check run without numpy, only tiil-check loads the decoder battery
+(ist.tiil), and the package's public names load lazily from one export
+table."""
 
 import importlib
 import json
@@ -24,13 +25,14 @@ TRIPLE = ["--spec", str(DATA / "report_task.json"),
 TS = "2026-08-15T00:00:00Z"
 
 # run one `ist` command in a fresh interpreter; report its exit code and
-# whether numpy was imported
+# whether numpy and the decoder battery were imported
 CHILD = """
 import contextlib, io, json, sys
 from ist.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "tiil": "ist.tiil" in sys.modules}))
 """
 
 
@@ -61,7 +63,7 @@ LIGHT = {
 @pytest.mark.parametrize("command", [*LIGHT, "report"])
 def test_light_subcommands_do_not_import_numpy(command, records):
     args, code = LIGHT.get(command, (["--records", records], 0))
-    assert run_child(command, *args) == {"code": code, "numpy": False}
+    assert run_child(command, *args) == {"code": code, "numpy": False, "tiil": False}
 
 
 def oracle_triple(tmp_path) -> list[str]:
@@ -81,11 +83,27 @@ def oracle_triple(tmp_path) -> list[str]:
 
 @pytest.mark.parametrize("triple", ["hinted", "oracle"])
 def test_audit_with_a_world_does_not_import_numpy(tmp_path, triple):
-    # the world is checked, not built, and labels come from (K, lambda)
+    # the world is checked, not built, and labels come from (K, lambda);
+    # the decoder battery is never compiled for an audit call
     args, code = (TRIPLE, 1) if triple == "hinted" else (oracle_triple(tmp_path), 0)
     got = run_child("audit", *args, "--timestamp", TS,
                     "--world", str(DATA / "demo_world.json"))
-    assert got == {"code": code, "numpy": False}
+    assert got == {"code": code, "numpy": False, "tiil": False}
+
+
+TIIL_WORLDS = {
+    "packaged": [],
+    "mixed": ["--world", str(Path(__file__).resolve().parent / "data" / "tiil_world.json"),
+              "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("world", list(TIIL_WORLDS))
+def test_tiil_check_does_not_import_numpy(world, fmt):
+    # the battery scores the checked rows of the world config in pure Python
+    got = run_child("tiil-check", "--format", fmt, *TIIL_WORLDS[world])
+    assert got == {"code": 0, "numpy": False, "tiil": True}
 
 
 def test_rng_imports_without_numpy():

@@ -18,7 +18,6 @@ from ist.infotheory import (
     DPI_TOL,
     Decoder,
     DiscreteJoint,
-    _mi_of_entropies,
     apply_decoder,
     bayes_accuracy,
     bayes_decoder,
@@ -31,12 +30,12 @@ from ist.infotheory import (
     identity_decoder,
     mutual_information,
     random_deterministic_decoder,
-    tiil_check,
     verify_dpi,
 )
 from ist.priors import CELL_CAP, CHANCE_FLOOR, privacy_label
 from ist.rng import DECODER_STREAM, MASK64, derive, uniform_index, unit_float
 from ist.spec_io import dumps_canonical
+from ist.tiil import _Channel, _mi_of_entropies, tiil_check
 from ist.worlds import build_world
 
 H_THREE_QUARTERS = 0.8112781244591328  # -(0.75 log2 0.75 + 0.25 log2 0.25)
@@ -424,7 +423,10 @@ def tiil_check_reference(world, theta_pub=0.9, seed=0):
     I(v; g) takes H(v) from the channel, joint.marginal("v"), as I(v; y)
     does: every extension has the channel's v marginal. verify_dpi on the
     extension sums H(v) over its K**3 cells instead, so its I(v; g) may
-    differ in the last ulps, never in whether the bound holds."""
+    differ in the last ulps, never in whether the bound holds. Past
+    CELL_CAP cells (K > 100) the extension is built by apply_decoder's
+    einsum and summed over y and v as DiscreteJoint.marginal sums it,
+    without the constructor, and verify_dpi is not run."""
     dims_report = []
     all_hold = True
     for task in world.tasks:
@@ -443,15 +445,19 @@ def tiil_check_reference(world, theta_pub=0.9, seed=0):
             h_v = entropy(joint.marginal("v"))
             rows = []
             for name, dec in decoders:
-                extended = apply_decoder(joint, dec)
+                if k ** 3 <= CELL_CAP:
+                    extended = apply_decoder(joint, dec)
+                    g, vg = extended.marginal("g").table, extended.marginal("v", "g").table
+                else:
+                    extended = np.einsum("ab,bc->abc", joint.table, dec.rows)
+                    g, vg = extended.sum(axis=(0, 1)), extended.sum(axis=1)
                 acc = decoder_accuracy(joint, dec, "v")
-                i_v_g = _mi_of_entropies(
-                    [h_v, entropy(extended.marginal("g")),
-                     entropy(extended.marginal("v", "g"))], [k, k, k ** 2])
+                i_v_g = _mi_of_entropies([h_v, entropy(g), entropy(vg)], [k, k, k ** 2])
                 holds = i_v_g <= mi + DPI_TOL
-                rep = verify_dpi(joint, dec)
-                assert rep.holds == holds and rep.i_v_evidence == mi
-                assert math.isclose(rep.i_v_g, i_v_g, rel_tol=1e-12, abs_tol=1e-12)
+                if k ** 3 <= CELL_CAP:
+                    rep = verify_dpi(joint, dec)
+                    assert rep.holds == holds and rep.i_v_evidence == mi
+                    assert math.isclose(rep.i_v_g, i_v_g, rel_tol=1e-12, abs_tol=1e-12)
                 beats_chance = acc > chance + DPI_TOL
                 ok = holds and not (chance_level_dim and
                                     (beats_chance or i_v_g > DPI_TOL))
@@ -480,6 +486,11 @@ def random_world_config(rng, channel, n_tasks, n_dims):
     return {"tasks": tasks}
 
 
+# numpy sums a row of n cells as one run below 8, as eight lanes up to
+# 128, and as two halves past that, split at a multiple of 8
+PAIRWISE_BRANCH_KS = (7, 8, 9, 127, 128, 129, 136, 137)
+
+
 def reference_worlds():
     rng = random.Random(31)
     repeating = [(3, 0.0), (3, 0.5), (4, 1.0), (10, 0.25), (10, 0.0)]
@@ -495,6 +506,13 @@ def reference_worlds():
         for world_seed in (0, 13):
             cfg = random_world_config(rng, channel, n_tasks, n_dims)
             yield kind, build_world(cfg, seed=world_seed)
+    # one dimension at each K next to a branch of numpy's pairwise row sum
+    for world_seed in (0, 13):
+        cfg = {"tasks": [{"task_id": "t0", "dims": [
+            {"id": f"d{i}", "weight": 1.0 if i == 0 else 0.0, "K": k,
+             "lambda": rng.choice((0.0, 5e-324, rng.random(), 1.0))}
+            for i, k in enumerate(PAIRWISE_BRANCH_KS)]}]}
+        yield "pairwise_branches", build_world(cfg, seed=world_seed)
 
 
 def test_tiil_check_bytes_match_reference(demo_world_config):
@@ -508,7 +526,8 @@ def test_tiil_check_bytes_match_reference(demo_world_config):
                 want = dumps_canonical(tiil_check_reference(world, theta, seed))
                 assert got == want, (kind, theta, seed)
         kinds.add(kind)
-    assert kinds == {"demo", "repeating", "distinct", "large_k", "edge_lambda"}
+    assert kinds == {"demo", "repeating", "distinct", "large_k", "edge_lambda",
+                     "pairwise_branches"}
 
 
 TIIL_EDGE_LAMBDAS = (0.0, 5e-324, 1e-17, 1e-12, 1.0 - 2.0 ** -53, 1.0 - 1e-16, 1.0)
@@ -527,22 +546,16 @@ def shared_channel_world(k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 99, 100])
-def test_tiil_check_bytes_match_reference_across_blocks(monkeypatch, k):
-    # a channel's decoders are scored in blocks of _CHUNK_DRAWS // 4 cells
-    # of (v, y); at one and at two decoders per block the 9 decoders of the
-    # shared channel span several blocks, the last one short, and the bytes
-    # must not move. K = 100 puts exactly CELL_CAP cells in each extension,
-    # the most the reference's apply_decoder builds.
-    from ist import _kernels
+def test_tiil_check_bytes_match_reference_across_blocks(k):
+    # the shared channel's 9 decoders (2 + 7 tasks) share its partial sums
+    # and memo tables, and the bytes must be those of checking each
+    # dimension anew. K = 100 puts exactly CELL_CAP cells in each
+    # extension, the most the reference's apply_decoder builds.
     world = shared_channel_world(k)
     for seed in (0, 7, MASK64):
         want = dumps_canonical(tiil_check_reference(world, 0.9, seed))
-        for per_block in (None, 1, 2):
-            if per_block is not None:
-                monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", 4 * per_block * k ** 2)
-            got = dumps_canonical(tiil_check(world, theta_pub=0.9, seed=seed))
-            assert got == want, (k, seed, per_block)
-            monkeypatch.undo()
+        got = dumps_canonical(tiil_check(world, theta_pub=0.9, seed=seed))
+        assert got == want, (k, seed)
 
 
 @pytest.mark.parametrize("k", [101, 331, 1000])
@@ -556,14 +569,14 @@ def test_tiil_check_runs_to_k_1000(k):
 
 def test_tiil_check_refuses_k_1001_before_the_battery(monkeypatch):
     # 1001**2 cells pass the cap; nothing of the decoder battery may be
-    # hashed or allocated first
-    import ist.infotheory as infotheory
+    # hashed or scored first
+    import ist.tiil as tiil
 
     def boom(*args, **kwargs):
         raise AssertionError("the battery ran")
 
-    monkeypatch.setattr(infotheory, "derive", boom)
-    monkeypatch.setattr(infotheory, "_point_mass_scores", boom)
+    for name in ("derive", "splitmix64", "_Channel"):
+        monkeypatch.setattr(tiil, name, boom)
     with pytest.raises(WorldTooLarge, match=r"^enumeration would need 1002001 cells "
                                             r"\(cap 1000000\)$"):
         tiil_check(one_dim_world(0.5, 1001))
@@ -664,9 +677,85 @@ def test_the_identity_row_is_mutual_information_bit_for_bit():
     import ist.infotheory as infotheory
     for k, lam in IDENTITY_ROW_CHANNELS:
         p = infotheory._regeneration_channel(k, lam, "sample")
-        [(_, got)] = infotheory._point_mass_scores(p, np.arange(k)[None])
+        _, got = _Channel(k, lam).score(range(k))
         want = mutual_information(DiscreteJoint(("v", "y"), p), "v", "y")
         assert got.hex() == want.hex(), (k, lam)
+
+
+PAIRWISE_KS = [*range(2, 301), 511, 512, 513, 1000]
+
+
+def test_the_pairwise_replica_is_numpys_row_sum_bit_for_bit():
+    # H(v) takes each channel row's sum as numpy's pairwise sum adds it
+    import ist.infotheory as infotheory
+    for lam in TIIL_EDGE_LAMBDAS:
+        for k in PAIRWISE_KS:
+            want = infotheory._regeneration_channel(k, lam, "sample").sum(axis=1)
+            channel = _Channel(k, lam)
+            got = [channel.pairwise(k, v) for v in range(k)]
+            assert [x.hex() for x in got] == [x.hex() for x in want.tolist()], (k, lam)
+
+
+def test_a_run_of_offs_is_the_loop_bit_for_bit():
+    # run() jumps within each binade; the loop adds one off at a time
+    rng = random.Random(8)
+    offs = [0.0, 5e-324, 3e-320, 2.0 ** -54, 1.5 * 2.0 ** -50, 2.5 * 2.0 ** -60,
+            *((1.0 - lam) / k / k for k in (2, 64, 1000) for lam in TIIL_EDGE_LAMBDAS)]
+    for off in offs:
+        channel = _Channel(2, 0.5)
+        channel.off = off
+        for _ in range(40):
+            x = rng.choice([0.0, off * rng.randint(1, 9), rng.random(), 1.0 - 2.0 ** -53,
+                            rng.random() * 2.0 ** rng.randint(-80, -10)])
+            j = rng.choice([rng.randint(0, 60), rng.randint(0, 20_000)])
+            want = x
+            for _ in range(j):
+                want += off
+            assert channel.run(x, j).hex() == want.hex(), (off, x, j)
+    # a few ulps u below a binade's top, with off a few u, on the grid,
+    # half way between two of its points, or anywhere
+    for _ in range(3000):
+        u = 2.0 ** rng.randint(-120, -53)
+        x = 2.0 ** 53 * u - rng.randint(1, 40) * u
+        channel = _Channel(2, 0.5)
+        channel.off = rng.choice([rng.randint(1, 9) * u, (rng.randint(0, 9) + 0.5) * u,
+                                  rng.uniform(0.1, 9.0) * u])
+        j = rng.randint(41, 200)
+        want = x
+        for _ in range(j):
+            want += channel.off
+        assert channel.run(x, j).hex() == want.hex(), (channel.off, x, j)
+
+
+def point_mass_scores_reference(p, picks):
+    """(accuracy, I(v; g)) of the decoder y -> picks[y] on the channel p,
+    in numpy: the extension's (v, g) and g marginals are bincounts over
+    the (v, y) cells in C order, H(v) is taken from p.sum(axis=1), and the
+    accuracy is the cumsum of p[picks[y], y]."""
+    k = len(picks)
+    vg = np.bincount((np.arange(k)[:, None] * k + picks).ravel(), p.ravel(), k * k)
+    g = np.bincount(np.broadcast_to(picks, (k, k)).ravel(), p.ravel(), k)
+    accuracy = float(np.cumsum(p[picks, np.arange(k)])[-1])
+    hs = [entropy(t) for t in (p.sum(axis=1), g, vg)]
+    return accuracy, _mi_of_entropies(hs, [k, k, k * k])
+
+
+@pytest.mark.parametrize("k", [101, 331, 1000])
+def test_the_scorer_is_numpys_bincount_past_the_dense_cap(k):
+    # past K = 100 the dense extension passes CELL_CAP, so the battery's
+    # decoders at large K are checked against numpy's in-order tables
+    import ist.infotheory as infotheory
+    rng = random.Random(k)
+    for lam in (0.0, 5e-324, 1e-12, rng.random(), 1.0 - 2.0 ** -53, 1.0):
+        p = infotheory._regeneration_channel(k, lam, "sample")
+        channel = _Channel(k, lam)
+        hashed = uniform_index(derive(rng.getrandbits(64), DECODER_STREAM,
+                                      np.arange(k, dtype=np.uint64)), k)
+        for picks in (np.arange(k), np.zeros(k, dtype=np.int64), hashed,
+                      hashed // 7):
+            got = channel.score(picks.tolist())
+            want = point_mass_scores_reference(p, picks)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (k, lam)
 
 
 def test_privacy_label_is_the_joints_accuracy_and_chance():
