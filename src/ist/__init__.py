@@ -2,14 +2,17 @@
 
 The package is organized bottom-up:
 
+* jsonio: canonical JSON, the strict reader, schema-field checks and the
+  top-level weight rule; only ist.errors and the standard library
 * model: weighted intent specs, carriers, masks, validation, flattening
-* spec_io: canonical JSON serialization and the record formats
+* spec_io: parsing and serialization of specs, carriers and records
 * metrics: encoding loss, s_icmw/f_icmw/drift, GA synthesis, split zone
 * priors: the world-config check pass and the (K, lambda) privacy label
   rule, in pure Python
 * worlds: finite-alphabet prior simulation with derived seeds
 * infotheory: dense-enumeration entropy/MI, decoders, DPI, privacy
-* tiil: the irreversibility (TIIL) decoder battery, in pure Python
+* tiil: the irreversibility (TIIL) decoder battery, in pure Python, on
+  jsonio, priors and rng alone: no dataclasses, model or spec_io
 * experiments: ablation and weight-perturbation harnesses
 * audit: per-interaction audit records and reports
 * cli: the `ist` command

@@ -28,18 +28,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .errors import SchemaError
+from .jsonio import _check_keys, _get_number, _get_str, _require_obj, dumps_canonical
 from .metrics import Matcher, bundle_for_output, detect_split_zone, synthesize_ga
 from .model import Carrier, IntentSpec, ValueRef
-from .spec_io import (
-    _check_keys,
-    _get_number,
-    _get_str,
-    _read_jsonl,
-    _require_obj,
-    _write_jsonl,
-    compute_mask,
-    dumps_canonical,
-)
+from .spec_io import _read_jsonl, _write_jsonl, compute_mask
 
 PRIVACY_SOURCES = ("hint", "oracle", "unlabeled")
 

@@ -20,18 +20,12 @@ import sys
 from pathlib import Path
 
 from .errors import BadConfig, IstError, ValidationError
-from .spec_io import (
-    compute_mask,
-    dumps_canonical,
-    mask_to_obj,
-    parse_carrier,
-    parse_intent_spec,
-    parse_output_document,
-)
+from .jsonio import dumps_canonical
 
-# Past the parsing layer, each subcommand imports what it runs, so
-# validate, mask, score, report, demo, audit and tiil-check never load
-# numpy.
+# Each subcommand imports what it runs, so validate, mask, score, report,
+# demo, audit and tiil-check never load numpy, and tiil-check, which
+# reads a world config and no spec, loads neither spec_io, the spec
+# model nor dataclasses.
 
 PROG = "ist"
 
@@ -68,6 +62,8 @@ def _print_err(*lines: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
+    from .spec_io import parse_intent_spec
+
     spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
     if args.format == "json":
         _write_out(args, dumps_canonical({
@@ -84,6 +80,7 @@ def cmd_validate(args) -> int:
 
 def cmd_mask(args) -> int:
     from .metrics import encoding_loss
+    from .spec_io import compute_mask, mask_to_obj, parse_carrier, parse_intent_spec
 
     spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
     carrier = parse_carrier(_read(args.carrier), lenient=args.lenient)
@@ -105,6 +102,7 @@ def cmd_mask(args) -> int:
 
 def cmd_score(args) -> int:
     from .metrics import bundle_for_output
+    from .spec_io import compute_mask, parse_carrier, parse_intent_spec, parse_output_document
 
     spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
     out_doc = parse_output_document(_read(args.output), lenient=args.lenient)
@@ -161,6 +159,7 @@ def _audit(args, spec_path, carrier_path, output_path, lenient=False,
     the record; returns it. The world is only checked, never built: a
     label needs just the (K, lambda) of its dimension."""
     from .audit import audit_record_to_obj, build_audit_record
+    from .spec_io import parse_carrier, parse_intent_spec, parse_output_document
 
     spec = parse_intent_spec(_read(spec_path), lenient=lenient)
     carrier = parse_carrier(_read(carrier_path), lenient=lenient)
@@ -397,9 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=cmd_perturb)
 
-    p = sub.add_parser("tiil-check", parents=[out, seed, text_or_json],
+    p = sub.add_parser("tiil-check", parents=[out, text_or_json],
                        help="verify the irreversibility bounds on a world")
     p.add_argument("--world", default=None, help="world config JSON")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the random decoders (default 0; the world's "
+                        "own seed never seeds them)")
     p.add_argument("--theta-pub", type=_theta_pub, default=None)
     p.set_defaults(func=cmd_tiil_check)
 

@@ -55,16 +55,11 @@ from .errors import (
     MissingCondition,
     ZeroSignal,
 )
+from .jsonio import _fmt_float, dumps_canonical, loads_strict, normalize_weights
 from .metrics import synthesize_ga, weighted_sum
-from .model import EncodingMask, ValueRef, normalize_weights
+from .model import EncodingMask, ValueRef
 from .rng import PERTURB_STREAM, check_uint64, derive, unit_float
-from .spec_io import (
-    OutputRecord,
-    _fmt_float,
-    dumps_canonical,
-    loads_strict,
-    mask_to_obj,
-)
+from .spec_io import OutputRecord, mask_to_obj
 from .worlds import (
     SyntheticWorld,
     WorldTask,

@@ -1,0 +1,178 @@
+"""Canonical JSON, the strict reader, schema-field checks and the weight rule.
+
+The helpers that the world-config check (priors) shares with the spec
+parsers (spec_io). This module imports only ist.errors and the standard
+library, so `ist tiil-check`, which checks a world config and runs the
+decoder battery, loads neither dataclasses nor the spec model.
+
+* dumps_canonical: fixed key order, floats rendered with 17 significant
+  digits, NaN/Infinity refused; equal values give equal bytes.
+* loads_strict: the one JSON decode path.
+* _require_obj, _check_keys, _get_str, _get_number: the field checks of
+  every schema, raising SchemaError with the field's path. Lenient
+  parsing logs unknown fields on the ``ist.spec_io`` logger.
+* TOP_WEIGHT_TOL, normalize_weights: the top-level weight rule of specs
+  and world configs.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+from json.encoder import encode_basestring
+
+from .errors import EmptyWeights, NegativeWeight, SchemaError, SpecSyntaxError, ZeroMass
+
+TOP_WEIGHT_TOL = 1e-6
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON
+# ---------------------------------------------------------------------------
+
+def _fmt_float(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError("NaN/Infinity are forbidden in numeric fields")
+    # 17 significant digits pin down a double exactly, so parse(emit(x))
+    # is the identity even when the rendering is longer than repr's.
+    return format(x, ".17g")
+
+
+def dumps_canonical(value) -> str:
+    """Serialize to canonical JSON: dict insertion order, 17-digit floats.
+
+    Scalars must be exact builtins. numpy scalars raise TypeError, even
+    np.float64 (a float subclass), so a type leak fails where it starts.
+    """
+    parts: list[str] = []
+    _emit(value, parts)
+    return "".join(parts)
+
+
+def _emit(value, parts: list[str]) -> None:
+    if value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif type(value) is int:
+        parts.append(str(value))
+    elif type(value) is float:
+        parts.append(_fmt_float(value))
+    elif isinstance(value, str):
+        # what json.dumps(value, ensure_ascii=False) returns, without
+        # building a JSONEncoder per string
+        parts.append(encode_basestring(value))
+    elif isinstance(value, dict):
+        parts.append("{")
+        for i, (k, v) in enumerate(value.items()):
+            if i:
+                parts.append(",")
+            parts.append(encode_basestring(str(k)))
+            parts.append(":")
+            _emit(v, parts)
+        parts.append("}")
+    elif isinstance(value, (list, tuple)):
+        parts.append("[")
+        for i, v in enumerate(value):
+            if i:
+                parts.append(",")
+            _emit(v, parts)
+        parts.append("]")
+    else:
+        kind = type(value)
+        raise TypeError(f"cannot serialize {kind.__module__}.{kind.__qualname__}")
+
+
+def _reject_constant(name: str):
+    raise SchemaError("$", f"forbidden JSON constant {name}")
+
+
+def loads_strict(data: bytes | str):
+    """The one JSON decode path: json.loads that rejects bytes that are not
+    UTF-8, NaN/Infinity and integer literals past Python's digit limit, as
+    SpecSyntaxError (with line/column) or SchemaError."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line_start = data.rfind(b"\n", 0, e.start) + 1
+            raise SpecSyntaxError(f"not UTF-8: {e.reason}",
+                                  data.count(b"\n", 0, e.start) + 1,
+                                  e.start - line_start + 1) from None
+    try:
+        return json.loads(data, parse_constant=_reject_constant)
+    except json.JSONDecodeError as e:
+        raise SpecSyntaxError(e.msg, e.lineno, e.colno) from None
+    except ValueError:  # the only other one: the int digit limit
+        raise SchemaError("$", "integer literal longer than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise SchemaError("$", "arrays or objects nested too deep") from None
+
+
+# ---------------------------------------------------------------------------
+# schema helpers
+# ---------------------------------------------------------------------------
+
+def _require_obj(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(path, f"expected object, got {type(value).__name__}")
+    return value
+
+
+def _check_keys(obj: dict, path: str, required: tuple, optional: tuple,
+                lenient: bool) -> None:
+    # tuples, not sets: the first missing field named must not depend on
+    # the hash seed
+    for key in required:
+        if key not in obj:
+            raise SchemaError(path, f"missing required field {key!r}")
+    for key in obj:
+        if key not in required and key not in optional:
+            if lenient:
+                import logging  # only lenient parsing logs
+                logging.getLogger("ist.spec_io").warning(
+                    "%s: ignoring unknown field %r", path, key)
+            else:
+                raise SchemaError(path, f"unknown field {key!r}")
+
+
+def _get_str(obj: dict, key: str, path: str) -> str:
+    v = obj[key]
+    if not isinstance(v, str):
+        raise SchemaError(f"{path}.{key}", "expected string")
+    return v
+
+
+def _get_number(obj: dict, key: str, path: str) -> float:
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(f"{path}.{key}", "expected number")
+    v = float(v)
+    if math.isnan(v) or math.isinf(v):
+        raise SchemaError(f"{path}.{key}", "NaN/Infinity forbidden")
+    return v
+
+
+# ---------------------------------------------------------------------------
+# the top-level weight rule
+# ---------------------------------------------------------------------------
+
+def normalize_weights(raw) -> list[float]:
+    """Scale a nonnegative weight list so it sums to 1.
+
+    Raises EmptyWeights, NegativeWeight, or ZeroMass on degenerate input.
+    """
+    weights = [float(w) for w in raw]
+    if not weights:
+        raise EmptyWeights("cannot normalize an empty weight list")
+    for i, w in enumerate(weights):
+        if w < 0:
+            raise NegativeWeight(i, w)
+    total = math.fsum(weights)
+    if total == 0.0:
+        raise ZeroMass("all weights are zero")
+    return [w / total for w in weights]

@@ -19,38 +19,13 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .errors import (
-    ChildWeightSum,
-    EmptyWeights,
-    NegativeWeight,
-    NotALeaf,
-    UnknownDimension,
-    ValidationError,
-    ZeroMass,
-)
+from .errors import ChildWeightSum, NotALeaf, UnknownDimension, ValidationError
+from .jsonio import TOP_WEIGHT_TOL
 
-TOP_WEIGHT_TOL = 1e-6
 CHILD_WEIGHT_TOL = 1e-9
 
 PRIVACY_HINTS = ("public", "private", "unknown")
 VALUE_KINDS = ("token", "text")
-
-
-def normalize_weights(raw) -> list[float]:
-    """Scale a nonnegative weight list so it sums to 1.
-
-    Raises EmptyWeights, NegativeWeight, or ZeroMass on degenerate input.
-    """
-    weights = [float(w) for w in raw]
-    if not weights:
-        raise EmptyWeights("cannot normalize an empty weight list")
-    for i, w in enumerate(weights):
-        if w < 0:
-            raise NegativeWeight(i, w)
-    total = math.fsum(weights)
-    if total == 0.0:
-        raise ZeroMass("all weights are zero")
-    return [w / total for w in weights]
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,8 @@ from typing import Iterator
 
 from .errors import (BadConfig, IstError, RangeError, SpecSyntaxError, UnknownTask,
                      UnknownVariable, WorldTooLarge)
-from .model import TOP_WEIGHT_TOL, normalize_weights
+from .jsonio import TOP_WEIGHT_TOL, _check_keys, loads_strict, normalize_weights
 from .rng import check_uint64
-from .spec_io import _check_keys, loads_strict
 
 # The most cells one table may hold: a dimension's alphabet (K) in a
 # world, a joint in infotheory.

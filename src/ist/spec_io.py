@@ -16,24 +16,22 @@ File formats (all UTF-8, NaN/Infinity forbidden):
   task_id, condition, model_tag, mask, realized_values, ga, s_icmw,
   f_icmw, text.
 
-Serialization is canonical: fixed key order, floats rendered with 17
-significant digits, optional fields omitted when absent. Equal values
-always produce byte-identical output. A record line is
-``dumps_canonical(record_to_obj(r))``; ``ist ablate`` joins the same
+Serialization is canonical (jsonio.dumps_canonical): fixed key order,
+floats rendered with 17 significant digits, optional fields omitted when
+absent. Equal values always produce byte-identical output. A record line
+is ``dumps_canonical(record_to_obj(r))``; ``ist ablate`` joins the same
 bytes from fragments (experiments.write_ablation).
 
-Parsing is strict by default; ``lenient=True`` downgrades unknown fields
+Documents decode through jsonio.loads_strict. Parsing is strict by
+default; ``lenient=True`` downgrades unknown fields
 to warnings on the ``ist.spec_io`` logger. compute_mask reads the spec's
 one flattened view, ``IntentSpec.flat``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from dataclasses import dataclass
-from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -42,15 +40,22 @@ from .errors import (
     SpecSyntaxError,
     UnknownDimension,
 )
+from .jsonio import (
+    TOP_WEIGHT_TOL,
+    _check_keys,
+    _get_number,
+    _get_str,
+    _require_obj,
+    dumps_canonical,
+    loads_strict,
+)
 from .model import (
     Carrier,
     Dimension,
     EncodingMask,
     IntentSpec,
-    TOP_WEIGHT_TOL,
     ValueRef,
 )
-
 
 FORMAT_VERSION = "1"
 
@@ -58,136 +63,6 @@ FORMAT_VERSION = "1"
 # below it they are already a float-level fixpoint and must not be touched,
 # or serialize/parse round trips would drift by an ulp.
 _RENORM_SKIP = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# canonical JSON
-# ---------------------------------------------------------------------------
-
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("NaN/Infinity are forbidden in numeric fields")
-    # 17 significant digits pin down a double exactly, so parse(emit(x))
-    # is the identity even when the rendering is longer than repr's.
-    return format(x, ".17g")
-
-
-def dumps_canonical(value) -> str:
-    """Serialize to canonical JSON: dict insertion order, 17-digit floats.
-
-    Scalars must be exact builtins. numpy scalars raise TypeError, even
-    np.float64 (a float subclass), so a type leak fails where it starts.
-    """
-    parts: list[str] = []
-    _emit(value, parts)
-    return "".join(parts)
-
-
-def _emit(value, parts: list[str]) -> None:
-    if value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif type(value) is int:
-        parts.append(str(value))
-    elif type(value) is float:
-        parts.append(_fmt_float(value))
-    elif isinstance(value, str):
-        # what json.dumps(value, ensure_ascii=False) returns, without
-        # building a JSONEncoder per string
-        parts.append(encode_basestring(value))
-    elif isinstance(value, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                parts.append(",")
-            parts.append(encode_basestring(str(k)))
-            parts.append(":")
-            _emit(v, parts)
-        parts.append("}")
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(value):
-            if i:
-                parts.append(",")
-            _emit(v, parts)
-        parts.append("]")
-    else:
-        kind = type(value)
-        raise TypeError(f"cannot serialize {kind.__module__}.{kind.__qualname__}")
-
-
-def _reject_constant(name: str):
-    raise SchemaError("$", f"forbidden JSON constant {name}")
-
-
-def loads_strict(data: bytes | str):
-    """The one JSON decode path: json.loads that rejects bytes that are not
-    UTF-8, NaN/Infinity and integer literals past Python's digit limit, as
-    SpecSyntaxError (with line/column) or SchemaError."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            line_start = data.rfind(b"\n", 0, e.start) + 1
-            raise SpecSyntaxError(f"not UTF-8: {e.reason}",
-                                  data.count(b"\n", 0, e.start) + 1,
-                                  e.start - line_start + 1) from None
-    try:
-        return json.loads(data, parse_constant=_reject_constant)
-    except json.JSONDecodeError as e:
-        raise SpecSyntaxError(e.msg, e.lineno, e.colno) from None
-    except ValueError:  # the only other one: the int digit limit
-        raise SchemaError("$", "integer literal longer than "
-                          f"{sys.get_int_max_str_digits()} digits") from None
-    except RecursionError:
-        raise SchemaError("$", "arrays or objects nested too deep") from None
-
-
-# ---------------------------------------------------------------------------
-# schema helpers
-# ---------------------------------------------------------------------------
-
-def _require_obj(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, f"expected object, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(obj: dict, path: str, required: tuple, optional: tuple,
-                lenient: bool) -> None:
-    # tuples, not sets: the first missing field named must not depend on
-    # the hash seed
-    for key in required:
-        if key not in obj:
-            raise SchemaError(path, f"missing required field {key!r}")
-    for key in obj:
-        if key not in required and key not in optional:
-            if lenient:
-                import logging  # only lenient parsing logs
-                logging.getLogger("ist.spec_io").warning(
-                    "%s: ignoring unknown field %r", path, key)
-            else:
-                raise SchemaError(path, f"unknown field {key!r}")
-
-
-def _get_str(obj: dict, key: str, path: str) -> str:
-    v = obj[key]
-    if not isinstance(v, str):
-        raise SchemaError(f"{path}.{key}", "expected string")
-    return v
-
-
-def _get_number(obj: dict, key: str, path: str) -> float:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{path}.{key}", "expected number")
-    v = float(v)
-    if math.isnan(v) or math.isinf(v):
-        raise SchemaError(f"{path}.{key}", "NaN/Infinity forbidden")
-    return v
 
 
 # ---------------------------------------------------------------------------

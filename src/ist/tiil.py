@@ -204,6 +204,9 @@ class _Channel:
         if self._h_v is None:
             terms = [self.terms[self.pairwise(self.k, v)] for v in range(self.k)]
             self._h_v = _nonnegative(-reduce(add, terms, 0.0))
+            # only H(v) reads the row sums, and tiil_check holds every
+            # channel of one K at a time
+            self._pairwise.clear()
         return self._h_v
 
     def g_cell(self, preimage: list[int]) -> float:
@@ -259,6 +262,34 @@ class _Channel:
             [self.h_v(), _nonnegative(h_g), _nonnegative(h_vg)], [k, k, k * k])
 
 
+class _Battery:
+    """The part of the report that one (K, lambda) channel shares among its
+    dimensions: the verdict, the identity decoder's I(v; g), which is
+    I(v; y), and the constant and Bayes rows; its channel scores each
+    task's random decoder."""
+
+    def __init__(self, k: int, lam: float, verdict: tuple[float, float, str]):
+        self.bayes_accuracy, self.chance, self.label = verdict
+        self.at_chance = self.bayes_accuracy <= self.chance + DPI_TOL
+        self.channel = _Channel(k, lam)
+        identity = self.channel.score(range(k))
+        constant = self.channel.score([0] * k)
+        self.mi = identity[1]
+        self.constant = self.row("constant", constant)
+        # bayes_decoder's picks, argmax over v of column y: the diagonal
+        # unless dg ties off, then token 0
+        self.bayes = self.row("bayes", identity if self.channel.dg > self.channel.off
+                              else constant)
+
+    def row(self, name: str, score: tuple[float, float]) -> dict:
+        acc, i_v_g = score
+        holds = i_v_g <= self.mi + DPI_TOL
+        ok = holds and not (self.at_chance
+                            and (acc > self.chance + DPI_TOL or i_v_g > DPI_TOL))
+        return {"decoder": name, "dpi_holds": holds, "slack": self.mi - i_v_g,
+                "accuracy": acc, "i_v_g": i_v_g, "ok": ok}
+
+
 def tiil_check(world, theta_pub: float = THETA_PUB_DEFAULT, seed: int = 0) -> dict:
     """Run the irreversibility battery over every dimension of a world:
     the rows of priors.check_world_config or a built SyntheticWorld.
@@ -268,66 +299,61 @@ def tiil_check(world, theta_pub: float = THETA_PUB_DEFAULT, seed: int = 0) -> di
     chance-level channels (Bayes accuracy == chance), additionally
     record that no decoder beats generic substitution.
 
+    Every channel's label (privacy_label's) comes first, and the one cap,
+    the channel's K**2 cells, is checked there: a world past it raises
+    WorldTooLarge before anything of the battery is hashed or scored.
     Everything but the task-keyed random decoder depends only on the
-    dimension's (K, lambda) channel, so dimensions are grouped by
-    channel, and each channel's label (privacy_label's), constant and
-    Bayes rows are evaluated once. The identity decoder's I(v; g) is
-    I(v; y), the verdict's mi_bits and the bound every other row is
-    checked against. Task i's random decoder maps y to uniform_index(
+    dimension's (K, lambda) channel, so each channel's constant and Bayes
+    rows are evaluated once. The identity decoder's I(v; g) is I(v; y),
+    the verdict's mi_bits and the bound every other row is checked
+    against. Task i's random decoder maps y to uniform_index(
     derive(derive(seed, i), DECODER_STREAM, y), K), the picks of
-    infotheory.random_deterministic_decoder seeded derive(seed, i). The
-    one cap is the channel's K**2 cells, which privacy_label checks
-    before anything of the battery is hashed. The report lists
-    dimensions in world order, with the same bytes as checking each
-    dimension on its own. A seed outside [0, 2**64), or a bool, raises
-    BadConfig.
+    infotheory.random_deterministic_decoder seeded derive(seed, i): they
+    depend on (seed, i, K) only, so each task's picks are hashed once per
+    K and scored on each of its channels at that K. One K's channels and
+    one task's picks are held at a time. The report lists dimensions in
+    world order, with the same bytes as checking each dimension on its
+    own. A seed outside [0, 2**64), or a bool, raises BadConfig.
     """
     check_theta_pub(theta_pub)
     check_uint64("seed", seed)
     tasks = ([(row[0], row[1], row[3], row[4]) for row in world] if isinstance(world, list)
              else [(t.task_id, t.dims, t.ks, t.lams) for t in world.tasks])
-    dims = [(i, j) for i, task in enumerate(tasks) for j in range(len(task[1]))]
-    by_channel: dict[tuple[int, float], list[int]] = {}
-    for n, (i, j) in enumerate(dims):
-        by_channel.setdefault((tasks[i][2][j], tasks[i][3][j]), []).append(n)
-    dims_report: list = [None] * len(dims)
-    for (k, lam), members in by_channel.items():
-        acc_bayes, chance, label = privacy_label(k, lam, theta_pub)
-        at_chance = acc_bayes <= chance + DPI_TOL
-        channel = _Channel(k, lam)
-        identity = channel.score(range(k))
-        constant = channel.score([0] * k)
-        mi = identity[1]
-
-        def row(name, score):
-            acc, i_v_g = score
-            holds = i_v_g <= mi + DPI_TOL
-            ok = holds and not (at_chance and (acc > chance + DPI_TOL or i_v_g > DPI_TOL))
-            return {"decoder": name, "dpi_holds": holds, "slack": mi - i_v_g,
-                    "accuracy": acc, "i_v_g": i_v_g, "ok": ok}
-
-        constant_row = row("constant", constant)
-        # bayes_decoder's picks, argmax over v of column y: the diagonal
-        # unless dg ties off, then token 0
-        bayes_row = row("bayes", identity if channel.dg > channel.off else constant)
-        random_rows = {}
-        for n in members:
-            i, j = dims[n]
-            if i not in random_rows:
-                prefix = derive(derive(seed, i), DECODER_STREAM)
-                random_rows[i] = row("random_deterministic", channel.score(
-                    [uniform_index(splitmix64(prefix ^ y), k) for y in range(k)]))
-            task_id, ids, _, lams = tasks[i]
-            dims_report[n] = {
-                "task_id": task_id,
-                "dimension": ids[j],
-                "lambda": lams[j],
-                "label": label,
-                "mi_bits": mi,
-                "bayes_accuracy": acc_bayes,
-                "chance": chance,
-                "chance_level": at_chance,
-                "decoders": [dict(constant_row), dict(random_rows[i]), dict(bayes_row)],
-            }
+    verdicts: dict[tuple[int, float], tuple[float, float, str]] = {}
+    # K -> task index -> the task's (dimension index, lambda) at K
+    by_k: dict[int, dict[int, list[tuple[int, float]]]] = {}
+    for i, (_, _, ks, lams) in enumerate(tasks):
+        for j, channel in enumerate(zip(ks, lams)):
+            if channel not in verdicts:
+                verdicts[channel] = privacy_label(*channel, theta_pub)
+            by_k.setdefault(channel[0], {}).setdefault(i, []).append((j, channel[1]))
+    report: list[list] = [[None] * len(task[1]) for task in tasks]
+    for k, members in by_k.items():
+        batteries: dict[float, _Battery] = {}
+        for i, dims in members.items():
+            prefix = derive(derive(seed, i), DECODER_STREAM)
+            picks = [uniform_index(splitmix64(prefix ^ y), k) for y in range(k)]
+            random_rows: dict[float, dict] = {}
+            task_id, ids, _, _ = tasks[i]
+            for j, lam in dims:
+                battery = batteries.get(lam)
+                if battery is None:
+                    battery = batteries[lam] = _Battery(k, lam, verdicts[k, lam])
+                if lam not in random_rows:
+                    random_rows[lam] = battery.row("random_deterministic",
+                                                   battery.channel.score(picks))
+                report[i][j] = {
+                    "task_id": task_id,
+                    "dimension": ids[j],
+                    "lambda": lam,
+                    "label": battery.label,
+                    "mi_bits": battery.mi,
+                    "bayes_accuracy": battery.bayes_accuracy,
+                    "chance": battery.chance,
+                    "chance_level": battery.at_chance,
+                    "decoders": [dict(battery.constant), dict(random_rows[lam]),
+                                 dict(battery.bayes)],
+                }
+    dims_report = [d for task_report in report for d in task_report]
     all_hold = all(row["ok"] for d in dims_report for row in d["decoders"])
     return {"theta_pub": theta_pub, "all_hold": all_hold, "dims": dims_report}

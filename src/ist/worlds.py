@@ -18,7 +18,7 @@ A SyntheticWorld is valid once it is built. Its constructor applies the
 rules of a flat intent spec to every task (priors.check_flat_tasks: a
 task id no other task uses; non-empty dimension ids, distinct after
 lower-casing; weights in [0, 1] whose fsum is within
-model.TOP_WEIGHT_TOL of 1, so at least one dimension) and raises
+jsonio.TOP_WEIGHT_TOL of 1, so at least one dimension) and raises
 BadConfig naming tasks[i]. build_world realizes the rows of
 priors.check_world_fields, which rejects unknown fields, bad K and
 lambda and non-finite weights, so with the constructor's rules it makes

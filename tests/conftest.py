@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from ist.model import Dimension, IntentSpec, ValueRef, normalize_weights
+from ist.jsonio import normalize_weights
+from ist.model import Dimension, IntentSpec, ValueRef
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "ist" / "data"

@@ -31,10 +31,10 @@ from ist.infotheory import (
 )
 from ist.audit import audit_record_from_obj
 from ist.metrics import DimensionScores, build_bundle, encoding_loss, score_output
-from ist.model import Carrier, EncodingMask as Mask, flatten, normalize_weights
+from ist.jsonio import loads_strict, normalize_weights
+from ist.model import Carrier, EncodingMask as Mask, flatten
 from ist.spec_io import (
     OutputRecord,
-    loads_strict,
     parse_carrier,
     parse_intent_spec,
     record_from_obj,

@@ -20,9 +20,9 @@ from ist import _kernels
 from ist.audit import audit_record_from_obj
 from ist.cli import build_parser, main
 from ist.errors import BadConfig
+from ist.jsonio import loads_strict
 from ist.model import flatten
 from ist.spec_io import (
-    loads_strict,
     parse_intent_spec,
     read_records,
     serialize_intent_spec,

@@ -51,12 +51,12 @@ from ist.experiments import (
     run_weight_perturbation,
     write_ablation,
 )
+from ist.jsonio import dumps_canonical, normalize_weights
 from ist.metrics import score_output, synthesize_ga, weighted_sum
-from ist.model import EncodingMask, normalize_weights
+from ist.model import EncodingMask
 from ist.rng import PERTURB_STREAM, derive, unit_float
 from ist.spec_io import (
     OutputRecord,
-    dumps_canonical,
     read_records,
     record_to_line,
     record_to_obj,

@@ -1,7 +1,8 @@
 """Import boundary: the light subcommands, audit with a world and
 tiil-check run without numpy, only tiil-check loads the decoder battery
-(ist.tiil), and the package's public names load lazily from one export
-table."""
+(ist.tiil), tiil-check loads neither dataclasses nor the spec modules,
+only a world config loads the world check (ist.priors, ist.rng), and the
+package's public names load lazily from one export table."""
 
 import importlib
 import json
@@ -25,15 +26,20 @@ TRIPLE = ["--spec", str(DATA / "report_task.json"),
 TS = "2026-08-15T00:00:00Z"
 
 # run one `ist` command in a fresh interpreter; report its exit code and
-# whether numpy and the decoder battery were imported
-CHILD = """
+# which of these modules it imported, in this order
+WATCHED = ("numpy", "ist.tiil", "dataclasses", "ist.model", "ist.spec_io",
+           "ist.priors", "ist.rng")
+CHILD = f"""
 import contextlib, io, json, sys
 from ist.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
-                  "tiil": "ist.tiil" in sys.modules}))
+print(json.dumps({{"code": code,
+                  "loaded": [m for m in {WATCHED!r} if m in sys.modules]}}))
 """
+# what a command that parses specs loads, and what a world config adds
+SPECS = ["dataclasses", "ist.model", "ist.spec_io"]
+WORLD_CHECK = ["ist.priors", "ist.rng"]
 
 
 def run_child(*argv) -> dict:
@@ -62,8 +68,9 @@ LIGHT = {
 
 @pytest.mark.parametrize("command", [*LIGHT, "report"])
 def test_light_subcommands_do_not_import_numpy(command, records):
+    # nor the battery, nor, without a world, priors and rng
     args, code = LIGHT.get(command, (["--records", records], 0))
-    assert run_child(command, *args) == {"code": code, "numpy": False, "tiil": False}
+    assert run_child(command, *args) == {"code": code, "loaded": SPECS}
 
 
 def oracle_triple(tmp_path) -> list[str]:
@@ -88,7 +95,7 @@ def test_audit_with_a_world_does_not_import_numpy(tmp_path, triple):
     args, code = (TRIPLE, 1) if triple == "hinted" else (oracle_triple(tmp_path), 0)
     got = run_child("audit", *args, "--timestamp", TS,
                     "--world", str(DATA / "demo_world.json"))
-    assert got == {"code": code, "numpy": False, "tiil": False}
+    assert got == {"code": code, "loaded": SPECS + WORLD_CHECK}
 
 
 TIIL_WORLDS = {
@@ -101,9 +108,11 @@ TIIL_WORLDS = {
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("world", list(TIIL_WORLDS))
 def test_tiil_check_does_not_import_numpy(world, fmt):
-    # the battery scores the checked rows of the world config in pure Python
+    # the battery scores the checked rows of the world config in pure
+    # Python; it reads no spec, so neither dataclasses, ist.model nor
+    # ist.spec_io is loaded
     got = run_child("tiil-check", "--format", fmt, *TIIL_WORLDS[world])
-    assert got == {"code": 0, "numpy": False, "tiil": True}
+    assert got == {"code": 0, "loaded": ["ist.tiil", *WORLD_CHECK]}
 
 
 def test_rng_imports_without_numpy():

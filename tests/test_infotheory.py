@@ -32,9 +32,9 @@ from ist.infotheory import (
     random_deterministic_decoder,
     verify_dpi,
 )
-from ist.priors import CELL_CAP, CHANCE_FLOOR, privacy_label
-from ist.rng import DECODER_STREAM, MASK64, derive, uniform_index, unit_float
-from ist.spec_io import dumps_canonical
+from ist.jsonio import dumps_canonical
+from ist.priors import CELL_CAP, CHANCE_FLOOR, check_world_config, privacy_label
+from ist.rng import DECODER_STREAM, MASK64, derive, splitmix64, uniform_index, unit_float
 from ist.tiil import _Channel, _mi_of_entropies, tiil_check
 from ist.worlds import build_world
 
@@ -569,17 +569,51 @@ def test_tiil_check_runs_to_k_1000(k):
 
 def test_tiil_check_refuses_k_1001_before_the_battery(monkeypatch):
     # 1001**2 cells pass the cap; nothing of the decoder battery may be
-    # hashed or scored first
+    # hashed or scored first, not even for the valid channels before it
     import ist.tiil as tiil
+
+    after_valid_channels = check_world_config({"seed": 1, "tasks": [
+        {"task_id": "t0", "dims": [{"id": "d", "weight": 1.0, "K": 10, "lambda": 0.5}]},
+        {"task_id": "t1", "dims": [
+            {"id": "d", "weight": 0.5, "K": 3, "lambda": 0.0},
+            {"id": "e", "weight": 0.5, "K": 1001, "lambda": 0.5}]}]})[2]
 
     def boom(*args, **kwargs):
         raise AssertionError("the battery ran")
 
     for name in ("derive", "splitmix64", "_Channel"):
         monkeypatch.setattr(tiil, name, boom)
-    with pytest.raises(WorldTooLarge, match=r"^enumeration would need 1002001 cells "
-                                            r"\(cap 1000000\)$"):
-        tiil_check(one_dim_world(0.5, 1001))
+    for world in (one_dim_world(0.5, 1001), after_valid_channels):
+        with pytest.raises(WorldTooLarge, match=r"^enumeration would need 1002001 cells "
+                                                r"\(cap 1000000\)$"):
+            tiil_check(world)
+
+
+def test_tiil_check_hashes_each_tasks_picks_once_per_k(monkeypatch, demo_world_config):
+    # a task's random picks depend on (seed, task, K) only: they are hashed
+    # once per K and scored on each of the task's channels at that K. derive
+    # calls rng's own splitmix64, so the spy counts decoder cells alone.
+    import ist.tiil as tiil
+
+    calls = 0
+
+    def spy(x):
+        nonlocal calls
+        calls += 1
+        return splitmix64(x)
+
+    monkeypatch.setattr(tiil, "splitmix64", spy)
+    # the packaged world: one task, lambda 1.0 and 0.0 at K = 10
+    world = build_world(demo_world_config)
+    for seed in (0, 7):
+        calls = 0
+        got = dumps_canonical(tiil_check(world, seed=seed))
+        assert calls == 10
+        assert got == dumps_canonical(tiil_check_reference(world, 0.9, seed))
+    for _, world in reference_worlds():
+        calls = 0
+        tiil_check(world, seed=7)
+        assert calls == sum(sum(set(task.ks)) for task in world.tasks)
 
 
 def test_the_oracle_route_builds_no_joint_and_takes_no_mutual_information(monkeypatch):

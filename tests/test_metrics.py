@@ -12,6 +12,7 @@ except ImportError:
 
 from ist.errors import (Inconsistent, LengthMismatch, MissingScores, RangeError,
                         UnknownDimension)
+from ist.jsonio import normalize_weights
 from ist.metrics import (
     DimensionScores,
     _clamp_unit,
@@ -29,7 +30,6 @@ from ist.model import (
     EncodingMask,
     IntentSpec,
     ValueRef,
-    normalize_weights,
 )
 
 

@@ -13,13 +13,13 @@ from ist.errors import (
     ValidationError,
     ZeroMass,
 )
+from ist.jsonio import normalize_weights
 from ist.model import (
     Dimension,
     EncodingMask,
     IntentSpec,
     ValueRef,
     flatten,
-    normalize_weights,
     refine_dimension,
     validate_spec,
 )

@@ -20,11 +20,11 @@ from ist.errors import (
     UnknownDimension,
     ValidationError,
 )
+from ist.jsonio import dumps_canonical
 from ist.model import Carrier, Dimension, EncodingMask, IntentSpec, ValueRef
 from ist.spec_io import (
     OutputRecord,
     compute_mask,
-    dumps_canonical,
     parse_carrier,
     parse_intent_spec,
     parse_output_document,

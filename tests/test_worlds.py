@@ -20,11 +20,11 @@ except ImportError:
 from ist import _kernels
 from ist.errors import BadConfig, Inconsistent, LengthMismatch, UnknownDimension, UnknownTask
 from ist.infotheory import classify_privacy, dimension_channel_joint
+from ist.jsonio import dumps_canonical
 from ist.metrics import bundle_for_output, score_output, weighted_sum
 from ist.model import EncodingMask, ValueRef, validate_spec
 from ist.priors import CELL_CAP, check_world_config
 from ist.rng import SAMPLE_STREAM, USER_VALUE_STREAM, derive, uniform_index, unit_float
-from ist.spec_io import dumps_canonical
 from ist.worlds import (
     _argmax_match_prob,
     _block_grids,
