@@ -43,7 +43,7 @@ _EXPORTS = {name: module for module, names in {
                   "bayes_accuracy classify_privacy dimension_channel_joint "
                   "entropy identity_decoder mutual_information verify_dpi",
     "experiments": "PerturbationSpec encode_with_budget "
-                   "estimate_weights_by_ablation perturb_weights run_ablation "
+                   "estimate_weights_by_ablation perturb_weights "
                    "run_weight_perturbation",
     "audit": "AuditRecord build_audit_record render_report "
              "resolve_privacy_labels write_audit_records",

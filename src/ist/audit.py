@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import SchemaError
@@ -237,7 +239,8 @@ def aggregate_records(records: list[AuditRecord]) -> Aggregate:
     if n == 0:
         return Aggregate(0, 0, None, None, ())
     flagged = sum(1 for r in records if r.split_zone)
-    drift = sum(r.d_drift for r in records) / n
+    # in order from 0.0: builtin sum compensates from Python 3.12 on
+    drift = reduce(add, (r.d_drift for r in records), 0.0) / n
     counts: dict[str, int] = {}
     for r in records:
         for d in r.private_at_risk:

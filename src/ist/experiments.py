@@ -4,13 +4,14 @@ Two experiment designs live here. Each runs every task of a world, in
 order, and takes the world, a mode ("argmax" or "sample") and a
 replicate count that defaults to default_replicates(mode):
 
-* run_ablation: FULL condition plus one condition per dimension with
-  that dimension's mask bit zeroed. Fidelity drops under ablation
-  identify the weights (estimate_weights_by_ablation).
-  write_ablation, behind `ist ablate`, writes the same records as JSONL
-  joined from fragments of each run's token and f_icmw columns, with no
-  record object, and hands back each condition's mean f_icmw; a task
-  holds one running total per condition.
+* write_ablation, behind `ist ablate`: FULL condition plus one
+  condition per dimension with that dimension's mask bit zeroed. It
+  writes the records as JSONL joined from fragments of each run's
+  token and f_icmw columns, with no record object, and hands back each
+  condition's mean f_icmw; a task holds one running total per
+  condition. Fidelity drops under ablation identify the weights:
+  spec_io.read_records reads the lines back as records, and
+  estimate_weights_by_ablation takes one task's.
 
 * run_weight_perturbation: encode a carrier under a budget using
   perturbed weights, score it under the true weights (WAS). Because a
@@ -57,7 +58,7 @@ from .errors import (
 )
 from .jsonio import _fmt_float, dumps_canonical, loads_strict, normalize_weights
 from .metrics import synthesize_ga, weighted_sum
-from .model import EncodingMask, ValueRef
+from .model import EncodingMask
 from .rng import PERTURB_STREAM, check_uint64, derive, unit_float
 from .spec_io import OutputRecord, mask_to_obj
 from .worlds import (
@@ -73,7 +74,6 @@ from .worlds import (
     full_mask,
     load_world,
     mask_without,
-    token,
 )
 
 FULL_CONDITION = "FULL"
@@ -101,36 +101,18 @@ def _replicates(mode: str, replicates: int | None) -> int:
 # ablation
 # ---------------------------------------------------------------------------
 
-def _conditions(task: WorldTask) -> list[tuple[str, EncodingMask]]:
-    conds = [(FULL_CONDITION, full_mask(task))]
-    for dim_id in task.dims:
-        conds.append((ABLATION_PREFIX + dim_id, mask_without(task, {dim_id})))
-    return conds
-
-
-def _ablation_columns(world: SyntheticWorld, mode: str, reps: int):
-    """The ablation's record engine: (task, s_icmw, ga, pieces) per task, in
-    world order. pieces yields (conds, real, f) for each run of the task's
-    draws, in draw order: the condition index of each draw (FULL is 0,
-    the ablation of dimension i is 1 + i), the realized tokens (draws x
-    dims) and their f_icmw.
+def _ablation_runs(world: SyntheticWorld, mode: str, reps: int):
+    """(position, conds, real, f) per run of a task's draws, in world
+    and draw order: the condition index of each draw (FULL is 0, the
+    ablation of dimension i is 1 + i), the realized tokens (draws x dims)
+    and their f_icmw.
 
     The draw index is condition_index * reps + replicate, fixed by the
     record's position alone, so a task's records are one run of draws and
-    output bytes never depend on evaluation order. Records stream a block
-    of tasks at a time (_ablation_runs).
-    """
-    for pos, group in groupby(_ablation_runs(world, mode, reps), itemgetter(0)):
-        task = world.tasks[pos]
-        s = weighted_sum(task.weights, [1.0] * len(task.dims))
-        yield task, s, synthesize_ga(s), map(itemgetter(1), group)
-
-
-def _ablation_runs(world: SyntheticWorld, mode: str, reps: int):
-    """(position, (conds, real, f)) per run of draws, a block at a time:
-    every task of a block is realized at once (under condition c each
-    dimension but the (c - 1)-th copies the user value) and scored by
-    one _score_block call."""
+    output bytes never depend on evaluation order. Runs come a block at
+    a time: every task of a block is realized at once (under condition c
+    each dimension but the (c - 1)-th copies the user value) and scored
+    by one _score_block call."""
     counts = [(1 + len(task.dims)) * reps for task in world.tasks]
     for (positions, start, stop), grid in _block_grids(world, world.tasks, counts, mode):
         tasks = world.tasks[positions.start:positions.stop]
@@ -139,45 +121,7 @@ def _ablation_runs(world: SyntheticWorld, mode: str, reps: int):
         real = np.where(masks, _dim_column(tasks, "users")[:, None], grid.transpose(0, 2, 1))
         f = _score_block(tasks, grid, masks)
         for t, pos in enumerate(positions):
-            yield pos, (conds, real[t], f[t, 0])
-
-
-class _TokenRefs(dict):
-    """Token index -> ValueRef, each made once and shared by records."""
-
-    def __missing__(self, j: int) -> ValueRef:
-        ref = self[j] = ValueRef.token(token(j))
-        return ref
-
-
-def run_ablation(world: SyntheticWorld, mode: str = "argmax",
-                 replicates: int | None = None) -> Iterator[OutputRecord]:
-    """Records of one (task, condition, replicate) each, in world order.
-
-    A bad mode or replicates raises here, before any record is made.
-    """
-    return _ablation_records(world, mode, _replicates(mode, replicates))
-
-
-def _ablation_records(world: SyntheticWorld, mode: str,
-                      reps: int) -> Iterator[OutputRecord]:
-    refs = _TokenRefs()
-    for task, s, ga, pieces in _ablation_columns(world, mode, reps):
-        conds = _conditions(task)
-        ids = task.dims
-        for cond_ixs, real, f in pieces:
-            for c, row, f_icmw in zip(cond_ixs.tolist(), real.tolist(), f.tolist()):
-                condition, mask = conds[c]
-                yield OutputRecord(
-                    task_id=task.task_id,
-                    condition=condition,
-                    model_tag=world.tag,
-                    mask=mask,
-                    realized_values={d: refs[j] for d, j in zip(ids, row)},
-                    ga=ga,
-                    s_icmw=s,
-                    f_icmw=f_icmw,
-                )
+            yield pos, conds, real[t], f[t, 0]
 
 
 # lines per write call of write_ablation: bounds the text held at once
@@ -187,10 +131,11 @@ _WRITE_LINES = 4096
 def write_ablation(dest, world: SyntheticWorld, mode: str = "argmax",
                    replicates: int | None = None,
                    ) -> Iterator[tuple[WorldTask, list[float]]]:
-    """Write the records of run_ablation to dest, a path or an open text
-    stream, with the bytes of write_records, and yield (task, means)
-    for each task once its lines are written: means holds each
-    condition's mean f_icmw, FULL's first, then each dimension's ablation.
+    """Write the ablation's records to dest, a path or an open text
+    stream: one per (task, condition, replicate) in world order, with the
+    bytes write_records gives those records. Yield (task, means) for each
+    task once its lines are written: means holds each condition's mean
+    f_icmw, FULL's first, then each dimension's ablation.
 
     A bad mode or replicates raises here, before dest is opened. Lines
     are joined from canonical fragments, each rendered once: the
@@ -209,20 +154,24 @@ def _write_ablation(dest, world: SyntheticWorld, mode: str, reps: int):
         return
     enc = cache(encode_basestring)
     heads: dict[tuple[str, ...], list[str]] = {}  # dim ids -> per condition
-    for task, s, ga, pieces in _ablation_columns(world, mode, reps):
+    for pos, runs in groupby(_ablation_runs(world, mode, reps), itemgetter(0)):
+        task = world.tasks[pos]
         ids = task.dims
+        s = weighted_sum(task.weights, [1.0] * len(ids))
         cond_heads = heads.get(ids)
         if cond_heads is None:
+            conds = [(FULL_CONDITION, full_mask(task))] + [
+                (ABLATION_PREFIX + d, mask_without(task, {d})) for d in ids]
             cond_heads = heads[ids] = [
                 dumps_canonical({"condition": condition, "model_tag": world.tag,
                                  "mask": mask_to_obj(mask)})[1:-1]
-                for condition, mask in _conditions(task)]
+                for condition, mask in conds]
         starts = [f'{{"task_id":{enc(task.task_id)},{head},"realized_values":{{'
                   for head in cond_heads]
         keys = [f'{enc(d)}:{{"kind":"token","value":"v' for d in ids]
-        scores = f'}},"ga":{ga},"s_icmw":{_fmt_float(s)},"f_icmw":'
+        scores = f'}},"ga":{synthesize_ga(s)},"s_icmw":{_fmt_float(s)},"f_icmw":'
         totals = [0.0] * len(starts)
-        for cond_ixs, real, f in pieces:
+        for _, cond_ixs, real, f in runs:
             tails: dict[tuple[int, ...], str] = {}  # token row -> rest of line
             for lo in range(0, len(f), _WRITE_LINES):
                 batch = slice(lo, lo + _WRITE_LINES)

@@ -67,9 +67,9 @@ def _mi_of_entropies(hs, sizes) -> float:
     hx, hy, hxy = hs
     mi = hx + hy - hxy
     if mi < 0.0:
-        tol = max(_MI_NEG_TOL * max(1.0, sum(hs)),
-                  sum((n - 1 + _TERM_ULPS) * 2.0 ** -53 * h
-                      for n, h in zip(sizes, hs)))
+        tol = max(_MI_NEG_TOL * max(1.0, reduce(add, hs, 0.0)),
+                  reduce(add, [(n - 1 + _TERM_ULPS) * 2.0 ** -53 * h
+                               for n, h in zip(sizes, hs)], 0.0))
         if mi < -tol:
             raise RangeError(f"mutual information {mi} below -{tol:.3g}")
         return 0.0
@@ -306,7 +306,8 @@ def tiil_check(world, theta_pub: float = THETA_PUB_DEFAULT, seed: int = 0) -> di
     dimension's (K, lambda) channel, so each channel's constant and Bayes
     rows are evaluated once. The identity decoder's I(v; g) is I(v; y),
     the verdict's mi_bits and the bound every other row is checked
-    against. Task i's random decoder maps y to uniform_index(
+    against. The random decoder of the task with index i (task.index on a
+    built world, the row's position in the rows) maps y to uniform_index(
     derive(derive(seed, i), DECODER_STREAM, y), K), the picks of
     infotheory.random_deterministic_decoder seeded derive(seed, i): they
     depend on (seed, i, K) only, so each task's picks are hashed once per
@@ -317,24 +318,25 @@ def tiil_check(world, theta_pub: float = THETA_PUB_DEFAULT, seed: int = 0) -> di
     """
     check_theta_pub(theta_pub)
     check_uint64("seed", seed)
-    tasks = ([(row[0], row[1], row[3], row[4]) for row in world] if isinstance(world, list)
-             else [(t.task_id, t.dims, t.ks, t.lams) for t in world.tasks])
+    # (index, task id, dims, ks, lams) per task
+    tasks = ([(i, *row[:2], *row[3:]) for i, row in enumerate(world)] if isinstance(world, list)
+             else [(t.index, t.task_id, t.dims, t.ks, t.lams) for t in world.tasks])
     verdicts: dict[tuple[int, float], tuple[float, float, str]] = {}
-    # K -> task index -> the task's (dimension index, lambda) at K
+    # K -> task position -> the task's (dimension index, lambda) at K
     by_k: dict[int, dict[int, list[tuple[int, float]]]] = {}
-    for i, (_, _, ks, lams) in enumerate(tasks):
+    for i, (_, _, _, ks, lams) in enumerate(tasks):
         for j, channel in enumerate(zip(ks, lams)):
             if channel not in verdicts:
                 verdicts[channel] = privacy_label(*channel, theta_pub)
             by_k.setdefault(channel[0], {}).setdefault(i, []).append((j, channel[1]))
-    report: list[list] = [[None] * len(task[1]) for task in tasks]
+    report: list[list] = [[None] * len(task[2]) for task in tasks]
     for k, members in by_k.items():
         batteries: dict[float, _Battery] = {}
         for i, dims in members.items():
-            prefix = derive(derive(seed, i), DECODER_STREAM)
+            index, task_id, ids, _, _ = tasks[i]
+            prefix = derive(derive(seed, index), DECODER_STREAM)
             picks = [uniform_index(splitmix64(prefix ^ y), k) for y in range(k)]
             random_rows: dict[float, dict] = {}
-            task_id, ids, _, _ = tasks[i]
             for j, lam in dims:
                 battery = batteries.get(lam)
                 if battery is None:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from ist.jsonio import normalize_weights
+from ist.experiments import write_ablation
+from ist.jsonio import loads_strict, normalize_weights
 from ist.model import Dimension, IntentSpec, ValueRef
+from ist.spec_io import OutputRecord, record_from_obj
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "ist" / "data"
@@ -22,6 +25,19 @@ def run_ist(*argv, hash_seed: int) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "ist", *map(str, argv)],
                           env=env, capture_output=True, text=True)
+
+
+def ablation_text(world, mode="argmax", replicates=None) -> str:
+    """Everything write_ablation writes for world, as one string."""
+    out = io.StringIO()
+    list(write_ablation(out, world, mode, replicates))
+    return out.getvalue()
+
+
+def ablation_records(world, mode="argmax", replicates=None) -> list[OutputRecord]:
+    """write_ablation's lines read back as records, in the order written."""
+    return [record_from_obj(loads_strict(line))
+            for line in ablation_text(world, mode, replicates).split("\n")[:-1]]
 
 
 def mixed_ablation_config(tmp_path: Path) -> Path:

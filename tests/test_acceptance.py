@@ -16,7 +16,6 @@ import numpy as np
 from ist.cli import main as cli_main
 from ist.experiments import (
     estimate_weights_by_ablation,
-    run_ablation,
     run_weight_perturbation,
 )
 from ist.infotheory import (
@@ -52,7 +51,7 @@ from ist.worlds import (
 )
 from ist.tiil import tiil_check
 
-from conftest import all_private_config, random_spec
+from conftest import ablation_records, all_private_config, random_spec
 
 TS = "2026-08-15T00:00:00Z"
 
@@ -220,13 +219,13 @@ def test_weight_recovery(capsys):
     true_w = (0.5, 0.3, 0.2)
 
     world = build_world(all_private_config(true_w, k=1000, seed=1))
-    records = run_ablation(world, mode="argmax")
+    records = ablation_records(world, mode="argmax")
     got = estimate_weights_by_ablation(records)
     l1_analytic = sum(abs(got[f"d{i}"] - w) for i, w in enumerate(true_w))
 
     world_s = build_world(all_private_config(true_w, k=10, seed=1))
     got_s = estimate_weights_by_ablation(
-        run_ablation(world_s, mode="sample", replicates=2000))
+        ablation_records(world_s, mode="sample", replicates=2000))
     l1_sample = sum(abs(got_s[f"d{i}"] - w) for i, w in enumerate(true_w))
 
     ok = l1_analytic <= 1e-9 and l1_sample <= 0.02

@@ -1,5 +1,9 @@
 import json
+import random
 import re
+from dataclasses import replace
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -359,6 +363,18 @@ def test_aggregate_records():
     assert abs(agg.mean_drift - (r1.d_drift + 0.0) / 2) < 1e-12
     assert agg.at_risk_counts == (
         ("how_feel", 1), ("how_to", 1), ("who", 1), ("why", 1))
+
+
+def test_aggregate_mean_drift_is_an_in_order_sum():
+    # d_drift added one at a time from 0.0 on every Python: builtin sum
+    # compensates from 3.12 on, where ten drifts of 0.1 would sum to 1.0
+    r = sample_record()
+    rng = random.Random(5)
+    for drifts in ([0.1] * 10, [rng.random() for _ in range(37)]):
+        agg = aggregate_records([replace(r, d_drift=x) for x in drifts])
+        assert agg.mean_drift.hex() == (reduce(add, drifts, 0.0) / len(drifts)).hex()
+    assert aggregate_records([replace(r, d_drift=0.1)] * 10).mean_drift \
+        == 0.9999999999999999 / 10
 
 
 def test_aggregate_empty():

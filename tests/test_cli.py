@@ -29,7 +29,7 @@ from ist.spec_io import (
 )
 from ist.worlds import build_world, to_intent_spec
 
-from conftest import DATA, SRC, TESTS_DATA, mixed_ablation_config, run_ist
+from conftest import DATA, SRC, TESTS_DATA, ablation_records, mixed_ablation_config, run_ist
 
 TS = "2026-08-15T00:00:00Z"
 
@@ -825,7 +825,7 @@ def test_ablate_builds_no_output_record(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(ist.spec_io.OutputRecord, "__init__", counted_init)
     world = build_world(json.loads((DATA / "demo_world.json").read_text()))
-    assert len(list(ist.experiments.run_ablation(world))) == len(made) == 9
+    assert len(ablation_records(world)) == len(made) == 9
     made.clear()
     for args in ([], ["--out", str(tmp_path / "r.jsonl")], ["--mode", "sample"]):
         assert run(capsys, "ablate", *args)[0] == 0
@@ -1037,6 +1037,24 @@ def test_bad_numeric_flag_exits_2(capsys, data_dir, case):
     assert f"argument {flag}: must be" in capsys.readouterr().err
 
 
+def test_a_count_that_is_not_a_number_exits_2(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["ablate", "--replicates", "abc"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "ist ablate: error: argument --replicates: must be a positive integer, got 'abc'\n")
+
+
+def test_an_infinite_spec_weight_exits_2(capsys, tmp_path):
+    # JSON reads 1e400 as inf
+    spec = {"format_version": "1", "task_id": "t", "task_type": "x", "dimensions": [
+        {"id": "a", "weight": 1e400, "intended_value": {"kind": "token", "value": "v"}}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec).replace("Infinity", "1e400"), encoding="utf-8")
+    assert run(capsys, "validate", str(path)) == (
+        2, "", "error: $.dimensions[0].weight: NaN/Infinity forbidden\n")
+
+
 def assert_input_error(code, err):
     assert code == 2, err
     assert err.startswith("error: ")
@@ -1119,6 +1137,62 @@ def test_bad_experiment_config_exits_2(capsys, tmp_path, command, case):
     assert_input_error(code, err)
     assert fragment in err
     assert out == ""
+
+
+def one_dim_world(**dim):
+    return {"tasks": [{"task_id": "t", "dims": [
+        {"id": "a", "weight": 1.0, "K": 4, "lambda": 0.5, **dim}]}]}
+
+
+# experiment configs that parse_experiment_config refuses, with the whole
+# message: (fields added to a valid config, or the whole document; message)
+EXPERIMENT_CONFIG_REFUSALS = {
+    "not-an-object": ([], "experiment config must be a JSON object"),
+    "perturbation-a-number": ({"perturbations": [3]},
+                              "perturbations[0]: expected string or object"),
+    "perturbation-without-kind": ({"perturbations": [{"epsilon": 0.1}]},
+                                  "perturbations[0]: perturbation needs a string kind"),
+    "jitter-epsilon-2": ({"perturbations": [{"kind": "jitter", "epsilon": 2}]},
+                         "perturbations[0]: jitter epsilon must be in (0, 1), got 2.0"),
+    "budget-a-string": ({"budget": "2"}, "budget must be an integer, got '2'"),
+    "zero-replicates": ({"replicates": 0}, "replicates must be a positive integer, got 0"),
+    "no-perturbations": ({"perturbations": []}, "perturbations must be a non-empty array"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXPERIMENT_CONFIG_REFUSALS))
+def test_experiment_config_refusal_exits_2_with_its_message(capsys, tmp_path, case):
+    fields, message = EXPERIMENT_CONFIG_REFUSALS[case]
+    config = fields if isinstance(fields, list) else \
+        {"seed": 1, "world_config": one_dim_world(), **fields}
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(capsys, "perturb", "--config", str(path)) == (2, "", f"error: {message}\n")
+
+
+# world configs that the world check refuses: (world config, message)
+WORLD_CONFIG_REFUSALS = {
+    # the weights sum to 1, so normalize_weights meets the negative one
+    "negative-weight": ({"tasks": [{"task_id": "t", "dims": [
+        {"id": "a", "weight": 1.5, "K": 4, "lambda": 0.5},
+        {"id": "b", "weight": -0.5, "K": 4, "lambda": 0.5}]}]},
+        "tasks[0]: weight at index 1 is negative (-0.5)"),
+    "lambda-not-a-number": (one_dim_world(**{"lambda": "x"}),
+                            "tasks[0].dims[0]: lambda must be a number, got 'x'"),
+    "id-not-a-string": (one_dim_world(id=3), "tasks[0].dims[0]: needs a string id"),
+    "not-an-object": ([], "config must be an object, got list"),
+}
+
+
+@pytest.mark.parametrize("case", list(WORLD_CONFIG_REFUSALS))
+def test_world_config_refusal_exits_2_with_its_message(capsys, tmp_path, case):
+    world, message = WORLD_CONFIG_REFUSALS[case]
+    with pytest.raises(BadConfig) as err:
+        build_world(world, seed=1)
+    assert str(err.value) == message
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({"seed": 1, "world_config": world}), encoding="utf-8")
+    assert run(capsys, "perturb", "--config", str(path)) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("field,value,perturb_code", [("budget", 99, 2), ("budget", 2, 0),

@@ -47,7 +47,6 @@ from ist.experiments import (
     perturb_weights,
     report_to_json,
     report_to_obj,
-    run_ablation,
     run_weight_perturbation,
     write_ablation,
 )
@@ -77,7 +76,7 @@ from ist.worlds import (
 )
 from ist.tiil import tiil_check
 
-from conftest import DATA, TESTS_DATA
+from conftest import DATA, TESTS_DATA, ablation_records, ablation_text
 from test_worlds import sample_token_index_reference
 
 
@@ -344,9 +343,9 @@ if HAVE_HYPOTHESIS:
 
 # -- ablation ----------------------------------------------------------------
 
-def test_run_ablation_record_count_and_conditions():
+def test_ablation_record_count_and_conditions():
     world = world_from(private_dims([0.5, 0.3, 0.2]), seed=2)
-    records = list(run_ablation(world, mode="sample", replicates=4))
+    records = ablation_records(world, mode="sample", replicates=4)
     assert len(records) == (1 + 3) * 4
     conditions = {r.condition for r in records}
     assert conditions == {"FULL", "ABL_d0", "ABL_d1", "ABL_d2"}
@@ -358,7 +357,7 @@ def test_run_ablation_record_count_and_conditions():
 
 def test_ablating_public_dimension_costs_nothing():
     world = world_from(public_dims([0.6, 0.4]), seed=3)
-    records = list(run_ablation(world, mode="argmax"))
+    records = ablation_records(world, mode="argmax")
     assert all(r.f_icmw == 1.0 for r in records)
 
 
@@ -367,8 +366,7 @@ def test_ablating_private_dimension_drops_by_weight():
     world = world_from(private_dims([0.5, 0.3, 0.2], k=1000), seed=1)
     task = world.tasks[0]
     assert all(u != 0 for u in task.users)
-    records = {r.condition: r for r in
-               run_ablation(world, mode="argmax")}
+    records = {r.condition: r for r in ablation_records(world, mode="argmax")}
     for i, w in enumerate([0.5, 0.3, 0.2]):
         got = records[f"ABL_d{i}"].f_icmw
         oracle = expected_f_icmw(world, "t",
@@ -377,12 +375,12 @@ def test_ablating_private_dimension_drops_by_weight():
         assert abs(oracle - (1.0 - w * (1 - 1 / 1000))) < 1e-12
 
 
-def test_run_ablation_checks_its_arguments_when_called():
+def test_write_ablation_checks_its_arguments_when_called():
     world = world_from(private_dims([1.0]), seed=1)
     with pytest.raises(BadConfig):
-        run_ablation(world, mode="nope")
+        write_ablation(io.StringIO(), world, mode="nope")
     with pytest.raises(BadConfig):
-        run_ablation(world, mode="sample", replicates=0)
+        write_ablation(io.StringIO(), world, mode="sample", replicates=0)
     assert default_replicates("sample") == 50
     assert default_replicates("argmax") == 1
 
@@ -391,7 +389,7 @@ def test_run_ablation_checks_its_arguments_when_called():
 
 def test_estimate_weights_analytic():
     world = world_from(private_dims([0.5, 0.3, 0.2], k=1000), seed=1)
-    records = list(run_ablation(world, mode="argmax"))
+    records = ablation_records(world, mode="argmax")
     got = estimate_weights_by_ablation(records)
     l1 = sum(abs(got[f"d{i}"] - w) for i, w in enumerate([0.5, 0.3, 0.2]))
     assert l1 <= 1e-9
@@ -400,7 +398,7 @@ def test_estimate_weights_analytic():
 def test_estimate_weights_sampling():
     world = world_from(private_dims([0.5, 0.3, 0.2], k=50), seed=2)
     got = estimate_weights_by_ablation(
-        run_ablation(world, mode="sample", replicates=600))
+        ablation_records(world, mode="sample", replicates=600))
     l1 = sum(abs(got[f"d{i}"] - w) for i, w in enumerate([0.5, 0.3, 0.2]))
     assert l1 <= 0.08
 
@@ -409,7 +407,7 @@ def test_estimate_weights_mixed_world_oracle():
     dims = [{"id": "a", "weight": 0.6, "K": 4, "lambda": 0.5},
             {"id": "b", "weight": 0.4, "K": 8, "lambda": 0.0}]
     world = world_from(dims, seed=3)
-    records = list(run_ablation(world, mode="sample", replicates=4000))
+    records = ablation_records(world, mode="sample", replicates=4000)
     got = estimate_weights_by_ablation(records)
     # drops converge to w_i * (1 - prior_i(user)) normalized
     raw = [0.6 * (1 - (0.5 + 0.5 / 4)), 0.4 * (1 - 1 / 8)]
@@ -420,7 +418,7 @@ def test_estimate_weights_mixed_world_oracle():
 
 def test_estimate_weights_zero_signal():
     world = world_from(public_dims([0.5, 0.5]), seed=1)
-    records = list(run_ablation(world, mode="argmax"))
+    records = ablation_records(world, mode="argmax")
     with pytest.raises(ZeroSignal):
         estimate_weights_by_ablation(records)
 
@@ -429,7 +427,7 @@ def test_estimate_weights_floors_a_negative_drop_at_zero():
     # records from elsewhere (a real model's outputs) can score better under
     # an ablation: that dimension weighs 0, and if every ablation scores
     # better there is no signal
-    records = list(run_ablation(world_from(private_dims([0.5, 0.5]))))
+    records = ablation_records(world_from(private_dims([0.5, 0.5])))
     f = {"FULL": 0.5, "ABL_d0": 0.75, "ABL_d1": 0.25}
     records = [replace(r, f_icmw=f[r.condition]) for r in records]
     assert estimate_weights_by_ablation(records) == {"d0": 0.0, "d1": 1.0}
@@ -443,7 +441,7 @@ def test_estimate_weights_reads_a_hand_written_mixed_case_file(tmp_path):
     # and its ABL_ conditions; the mask reads back as "who", and so does
     # the condition's id
     world = world_from(private_dims([0.6, 0.4], k=50))
-    records = list(run_ablation(world, mode="argmax"))
+    records = ablation_records(world, mode="argmax")
     path = tmp_path / "records.jsonl"
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:
@@ -461,7 +459,7 @@ def test_estimate_weights_reads_a_hand_written_mixed_case_file(tmp_path):
 
 def test_estimate_weights_missing_condition():
     world = world_from(private_dims([0.5, 0.5], k=30), seed=1)
-    records = [r for r in run_ablation(world, "argmax")
+    records = [r for r in ablation_records(world, "argmax")
                if r.condition != "ABL_d1"]
     with pytest.raises(MissingCondition):
         estimate_weights_by_ablation(records)
@@ -472,7 +470,7 @@ def test_estimate_weights_missing_condition():
 def test_estimate_weights_rejects_mixed_tasks():
     w1 = world_from(private_dims([0.5, 0.5], k=30), seed=1, task_id="t1")
     w2 = world_from(private_dims([0.5, 0.5], k=30), seed=1, task_id="t2")
-    records = list(run_ablation(w1, "argmax")) + list(run_ablation(w2, "argmax"))
+    records = ablation_records(w1, "argmax") + ablation_records(w2, "argmax")
     with pytest.raises(Inconsistent):
         estimate_weights_by_ablation(records)
 
@@ -482,7 +480,7 @@ def test_estimate_weights_rejects_records_outside_the_ablation(case):
     # a record whose condition is not FULL or an ABL_ of the task's ids, or
     # whose mask lists other ids, is not part of the task's ablation
     world = world_from(private_dims([0.5, 0.5], k=30))
-    records = list(run_ablation(world, "argmax"))
+    records = ablation_records(world, "argmax")
     assert estimate_weights_by_ablation(records) == {"d0": 0.5, "d1": 0.5}
     if case == "unknown-condition":
         records.append(replace(records[0], condition="ABL_zzz"))
@@ -498,7 +496,7 @@ def test_estimate_weights_rejects_records_outside_the_ablation(case):
 def test_estimate_weights_rejects_mask_bits_other_than_the_conditions(condition):
     # FULL encodes every dimension and ABL_i all but i; a record whose mask
     # says otherwise is not part of the ablation, whatever its condition
-    records = list(run_ablation(world_from(private_dims([0.5, 0.5], k=30)), "argmax"))
+    records = ablation_records(world_from(private_dims([0.5, 0.5], k=30)), "argmax")
     wrong = {"FULL": (1, 0), "ABL_d0": (1, 1), "ABL_d1": (0, 1)}[condition]
     records = [replace(r, mask=EncodingMask(r.mask.dims, wrong))
                if r.condition == condition else r for r in records]
@@ -725,9 +723,9 @@ def test_engine_worlds_cover_inexact_weight_sums():
 @pytest.mark.parametrize("name", list(ENGINE_WORLDS))
 def test_run_ablation_equals_reference(name, mode, replicates):
     world = ENGINE_WORLDS[name]()
-    got = [record_to_line(r) for r in run_ablation(world, mode, replicates)]
-    want = [record_to_line(r) for r in run_ablation_reference(world, mode, replicates)]
-    assert got == want
+    want = "".join(record_to_line(r) + "\n"
+                   for r in run_ablation_reference(world, mode, replicates))
+    assert ablation_text(world, mode, replicates) == want
 
 
 @pytest.mark.parametrize("replicates", [1, 7])
@@ -759,10 +757,10 @@ def test_perturbation_draw_blocks_equal_reference(monkeypatch, name):
 @pytest.mark.parametrize("name", ["random-d9", "mixed"])
 def test_ablation_draw_blocks_equal_reference(monkeypatch, name):
     world = ENGINE_WORLDS[name]()
-    want = [record_to_line(r) for r in run_ablation_reference(world, "sample", 7)]
+    want = "".join(record_to_line(r) + "\n" for r in run_ablation_reference(world, "sample", 7))
     for budget in (3, 7):
         monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", budget)
-        assert [record_to_line(r) for r in run_ablation(world, "sample", 7)] == want, budget
+        assert ablation_text(world, "sample", 7) == want, budget
 
 
 def ablate_reference(world, mode, replicates):
@@ -1021,7 +1019,7 @@ def test_mixed_ablation_hashes_only_the_cells_it_reads(monkeypatch):
         assert len({len(world.tasks[pos].dims) for pos in positions}) == 1
         assert len({counts[pos] for pos in positions}) == 1
         assert 0 <= start < stop <= counts[positions[0]]
-    records = list(run_ablation(world, "sample", 50))
+    records = ablation_records(world, "sample", 50)
     assert [(task_ixs, draws) for task_ixs, draws, _ in calls] == [
         ([world.tasks[pos].index for pos in positions], list(range(start, stop)))
         for positions, start, stop in blocks]
@@ -1045,7 +1043,7 @@ def test_sampled_blocks_stay_within_the_cell_budget(monkeypatch):
         {"task_id": f"t{i}", "dims": dims if i % 2 else [
             {**d, "K": 2} for d in dims]} for i in range(60)]}, seed=5)
     run_weight_perturbation(world, mode="sample", replicates=40)
-    list(run_ablation(world, "sample", 60))
+    list(write_ablation(_Discard(), world, "sample", 60))
     budget = _kernels._CHUNK_DRAWS
     hashes = [n_tasks * n_dims * len(draws) for _, draws, (n_tasks, n_dims, _) in calls]
     cdf_cells = [math.prod(shape) for _, _, shape in calls]
@@ -1103,7 +1101,7 @@ def test_run_weight_perturbation_rejects_bad_replicates(demo_world_config, repli
         with pytest.raises(BadConfig, match="replicates must be a positive integer"):
             run_weight_perturbation(world, mode=mode, replicates=replicates)
     with pytest.raises(BadConfig, match="replicates must be a positive integer"):
-        run_ablation(world, "sample", replicates)
+        write_ablation(io.StringIO(), world, "sample", replicates)
 
 
 # -- a world is valid once built ----------------------------------------------
@@ -1261,7 +1259,7 @@ if HAVE_HYPOTHESIS:
         except IstError:
             return
         for mode in ("argmax", "sample"):
-            list(run_ablation(world, mode, 2))
+            list(write_ablation(_Discard(), world, mode, 2))
             run_weight_perturbation(world, mode=mode, replicates=2)
         tiil_check(world)
 

@@ -36,7 +36,7 @@ from ist.jsonio import dumps_canonical
 from ist.priors import CELL_CAP, CHANCE_FLOOR, check_world_config, privacy_label
 from ist.rng import DECODER_STREAM, MASK64, derive, splitmix64, uniform_index, unit_float
 from ist.tiil import _Channel, _mi_of_entropies, tiil_check
-from ist.worlds import build_world
+from ist.worlds import SyntheticWorld, build_world
 
 H_THREE_QUARTERS = 0.8112781244591328  # -(0.75 log2 0.75 + 0.25 log2 0.25)
 
@@ -515,8 +515,17 @@ def reference_worlds():
         yield "pairwise_branches", build_world(cfg, seed=world_seed)
 
 
+def sub_world():
+    """Tasks 1 and 2 of a three-task world: each keeps the index that
+    build_world gave it, and that index, not its position in the world,
+    seeds its random decoder."""
+    world = build_world({"tasks": [{"task_id": f"t{i}", "dims": [
+        {"id": "d", "weight": 1.0, "K": 6, "lambda": 0.3}]} for i in range(3)]}, seed=0)
+    return SyntheticWorld(world.seed, world.tag, world.tasks[1:])
+
+
 def test_tiil_check_bytes_match_reference(demo_world_config):
-    worlds = [("demo", build_world(demo_world_config))]
+    worlds = [("demo", build_world(demo_world_config)), ("sub_world", sub_world())]
     worlds += list(reference_worlds())
     kinds = set()
     for kind, world in worlds:
@@ -526,8 +535,8 @@ def test_tiil_check_bytes_match_reference(demo_world_config):
                 want = dumps_canonical(tiil_check_reference(world, theta, seed))
                 assert got == want, (kind, theta, seed)
         kinds.add(kind)
-    assert kinds == {"demo", "repeating", "distinct", "large_k", "edge_lambda",
-                     "pairwise_branches"}
+    assert kinds == {"demo", "sub_world", "repeating", "distinct", "large_k",
+                     "edge_lambda", "pairwise_branches"}
 
 
 TIIL_EDGE_LAMBDAS = (0.0, 5e-324, 1e-17, 1e-12, 1.0 - 2.0 ** -53, 1.0 - 1e-16, 1.0)

@@ -100,3 +100,41 @@ def test_the_private_guard_sees_methods(tmp_path):
         "def _helper():\n"
         "    return Joint()\n", encoding="utf-8")
     assert _unused_private_definitions([module]) == ["m.py: Joint._orphan", "m.py: _helper"]
+
+
+def _float_sums(path: Path) -> list[str]:
+    """Calls of builtin sum in a module, but for counts: sum over a
+    generator or list whose element is an int literal."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"):
+            continue
+        arg = node.args[0] if len(node.args) == 1 and not node.keywords else None
+        if isinstance(arg, (ast.GeneratorExp, ast.ListComp)) \
+                and isinstance(arg.elt, ast.Constant) and type(arg.elt.value) is int:
+            continue
+        hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_floats_are_not_added_by_builtin_sum():
+    # builtin sum adds floats with compensation from Python 3.12 on, so a
+    # float it returns would depend on the interpreter; src/ist adds in
+    # order (functools.reduce(operator.add)) or exactly (math.fsum)
+    paths = sorted((PYPROJECT.parent / "src" / "ist").glob("*.py"))
+    assert [hit for path in paths for hit in _float_sums(path)] == []
+
+
+def test_the_sum_guard_allows_only_counts(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "a = sum(1 for x in xs if x)\n"
+        "b = sum([1 for x in xs])\n"
+        "c = sum(x for x in xs)\n"
+        "d = sum(xs)\n"
+        "e = sum((1 for x in xs), 0.0)\n"
+        "f = sum(1.0 for x in xs)\n"
+        "g = sum(True for x in xs)\n"
+        "h = xs.sum()\n", encoding="utf-8")
+    assert _float_sums(module) == ["m.py:3", "m.py:4", "m.py:5", "m.py:6", "m.py:7"]
