@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .errors import BadConfig, IstError, ValidationError
-from .jsonio import dumps_canonical
+from .jsonio import dumps_canonical, loads_strict
 
 # Each subcommand imports what it runs, so validate, mask, score, report,
 # demo, audit and tiil-check never load numpy, and tiil-check, which
@@ -40,9 +40,9 @@ def _read(path) -> bytes:
 
 def _world_rows(path, seed: int | None) -> list:
     """The checked rows of the world config at path (priors.check_world_config)."""
-    from .priors import check_world_config, parse_world_config
+    from .priors import check_world_config
 
-    return check_world_config(parse_world_config(_read(path)), seed)[2]
+    return check_world_config(loads_strict(_read(path)), seed)[2]
 
 
 def _write_out(args, text: str) -> None:

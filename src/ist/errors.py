@@ -102,6 +102,13 @@ class BadConfig(IstError):
     pass
 
 
+def refusal(name: str, reason: str) -> IstError:
+    """SchemaError at name if it is a document field's $-path, else BadConfig."""
+    if name.startswith("$"):
+        return SchemaError(name, reason)
+    return BadConfig(f"{name} {reason}")
+
+
 class UnknownTask(IstError):
     def __init__(self, task_id: str):
         super().__init__(f"unknown task: {task_id!r}")

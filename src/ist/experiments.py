@@ -50,13 +50,15 @@ import numpy as np
 
 from .errors import (
     BadBudget,
-    BadConfig,
     BadPerturbation,
     Inconsistent,
     MissingCondition,
+    SchemaError,
+    SpecSyntaxError,
     ZeroSignal,
 )
-from .jsonio import _fmt_float, dumps_canonical, loads_strict, normalize_weights
+from .jsonio import (_check_keys, _fmt_float, _get_number, _get_str, _require_obj,
+                     dumps_canonical, loads_strict, normalize_weights)
 from .metrics import synthesize_ga, weighted_sum
 from .model import EncodingMask
 from .rng import PERTURB_STREAM, check_uint64, derive, unit_float
@@ -506,76 +508,72 @@ class ExperimentConfig:
 
 # the one parameter field each parameterized kind takes besides "kind"
 _PERTURBATION_PARAMS = {"jitter": "epsilon", "adjacent_swap": "count"}
+_EXPERIMENT_FIELDS = ("world_config", "world_path", "budget", "perturbations",
+                      "replicates", "mode", "seed")
 
 
-def _parse_perturbation(item, where: str) -> PerturbationSpec:
+def _parse_perturbation(item, path: str) -> PerturbationSpec:
     if isinstance(item, str):
         item = {"kind": item}
     elif not isinstance(item, dict):
-        raise BadConfig(f"{where}: expected string or object")
-    kind = item.get("kind")
-    if not isinstance(kind, str):
-        raise BadConfig(f"{where}: perturbation needs a string kind")
-    unknown = set(item) - {"kind", _PERTURBATION_PARAMS.get(kind)}
-    if unknown:
-        raise BadConfig(f"{where}: unknown fields {sorted(unknown)!r} for {kind!r}")
+        raise SchemaError(path, f"expected string or object, got {type(item).__name__}")
+    kind = _get_str(item, "kind", path) if "kind" in item else None
+    _check_keys(item, path, ("kind",), (_PERTURBATION_PARAMS.get(kind),), False)
     try:
         if kind == "jitter":
-            epsilon = item.get("epsilon", 0.05)
-            if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-                raise BadConfig(f"{where}: epsilon must be a number, got {epsilon!r}")
-            return PerturbationSpec("jitter", epsilon=float(epsilon))
+            epsilon = _get_number(item, "epsilon", path) if "epsilon" in item else 0.05
+            return PerturbationSpec("jitter", epsilon=epsilon)
         if kind == "adjacent_swap":
             count = item.get("count", 1)
             if isinstance(count, bool) or not isinstance(count, int):
-                raise BadConfig(f"{where}: count must be an integer, got {count!r}")
+                raise SchemaError(f"{path}.count", f"must be an integer, got {count!r}")
             return PerturbationSpec("adjacent_swap", count=count)
         return PerturbationSpec(kind)
     except BadPerturbation as e:
-        raise BadConfig(f"{where}: {e}") from None
+        raise SchemaError(path, str(e)) from None
 
 
 def parse_experiment_config(data: bytes | str, *, base_dir=None,
                             seed: int | None = None) -> ExperimentConfig:
     """Parse {world_config | world_path, budget, perturbations,
     replicates, mode, seed}; relative world_path resolves against
-    base_dir."""
-    doc = loads_strict(data)
-    if not isinstance(doc, dict):
-        raise BadConfig("experiment config must be a JSON object")
-    known = {"world_config", "world_path", "budget", "perturbations",
-             "replicates", "mode", "seed"}
-    unknown = set(doc) - known
-    if unknown:
-        raise BadConfig(f"unknown config fields {sorted(unknown)!r}")
-    if seed is None:
-        seed = doc.get("seed")
+    base_dir. A bad field raises SchemaError at its $-path, a world's under
+    $.world_config or after the world_path file's name as written."""
+    doc = _require_obj(loads_strict(data), "$")
+    _check_keys(doc, "$", (), _EXPERIMENT_FIELDS, False)
+    if seed is None and doc.get("seed") is not None:
+        seed = doc["seed"]
+        check_uint64("$.seed", seed)
     if ("world_config" in doc) == ("world_path" in doc):
-        raise BadConfig("config needs exactly one of world_config, world_path")
+        raise SchemaError("$", "needs exactly one of world_config, world_path")
     if "world_config" in doc:
-        world = build_world(doc["world_config"], seed)
+        try:
+            world = build_world(doc["world_config"], seed)
+        except SchemaError as e:
+            raise SchemaError("$.world_config" + e.path[1:], e.reason) from None
     else:
-        path = doc["world_path"]
-        if not isinstance(path, str):
-            raise BadConfig(f"world_path must be a string, got {path!r}")
-        path = Path(path)
+        name = _get_str(doc, "world_path", "$")
+        path = Path(name)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
-        world = load_world(path, seed)
+        try:
+            world = load_world(path, seed)
+        except (SchemaError, SpecSyntaxError) as e:
+            raise SchemaError(name, str(e)) from None
     budget = doc.get("budget")
     if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)):
-        raise BadConfig(f"budget must be an integer, got {budget!r}")
+        raise SchemaError("$.budget", f"must be an integer, got {budget!r}")
     mode = doc.get("mode", "argmax")
-    _check_mode(mode)
+    _check_mode(mode, "$.mode")
     replicates = doc.get("replicates")
     if replicates is not None:
-        _check_count("replicates", replicates)
+        _check_count("$.replicates", replicates)
     perturbations = None
     if "perturbations" in doc:
         raw = doc["perturbations"]
         if not isinstance(raw, list) or not raw:
-            raise BadConfig("perturbations must be a non-empty array")
-        perturbations = tuple(_parse_perturbation(p, f"perturbations[{i}]")
+            raise SchemaError("$.perturbations", "expected a non-empty array")
+        perturbations = tuple(_parse_perturbation(p, f"$.perturbations[{i}]")
                               for i, p in enumerate(raw))
     return ExperimentConfig(world=world, budget=budget,
                             perturbations=perturbations,

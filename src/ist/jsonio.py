@@ -1,15 +1,15 @@
 """Canonical JSON, the strict reader, schema-field checks and the weight rule.
 
-The helpers that the world-config check (priors) shares with the spec
-parsers (spec_io). This module imports only ist.errors and the standard
-library, so `ist tiil-check`, which checks a world config and runs the
-decoder battery, loads neither dataclasses nor the spec model.
+The helpers that the spec parsers (spec_io) share with the world- and
+experiment-config checks (priors, experiments). It imports only ist.errors
+and the standard library, so `ist tiil-check`, which checks a world config
+and runs the decoder battery, loads neither dataclasses nor the spec model.
 
 * dumps_canonical: fixed key order, floats rendered with 17 significant
   digits, NaN/Infinity refused; equal values give equal bytes.
 * loads_strict: the one JSON decode path.
 * _require_obj, _check_keys, _get_str, _get_number: the field checks of
-  every schema, raising SchemaError with the field's path. Lenient
+  every schema, raising SchemaError with the field's $-path. Lenient
   parsing logs unknown fields on the ``ist.spec_io`` logger.
 * TOP_WEIGHT_TOL, normalize_weights: the top-level weight rule of specs
   and world configs.

@@ -10,6 +10,7 @@ numpy:
   then check_flat_tasks, the rules of a flat intent spec. build_world
   realizes the rows of check_world_fields into a SyntheticWorld, whose
   constructor applies check_flat_tasks, so the rules run once there too.
+  Each refusal is a SchemaError at its field's $-path, as in any document.
 * dim_channels is the one (K, lambda) lookup: it reads the named
   dimensions of one task of a built SyntheticWorld or of those rows, so
   the audit labels and the information oracle find a channel alike.
@@ -25,9 +26,9 @@ import math
 import sys
 from typing import Iterator
 
-from .errors import (BadConfig, IstError, RangeError, SpecSyntaxError, UnknownTask,
-                     UnknownVariable, WorldTooLarge)
-from .jsonio import TOP_WEIGHT_TOL, _check_keys, loads_strict, normalize_weights
+from .errors import (NegativeWeight, RangeError, SchemaError, UnknownTask, UnknownVariable,
+                     WorldTooLarge)
+from .jsonio import TOP_WEIGHT_TOL, _check_keys, _get_str, _require_obj, normalize_weights
 from .rng import check_uint64
 
 # The most cells one table may hold: a dimension's alphabet (K) in a
@@ -44,63 +45,54 @@ CHANCE_FLOOR = 0.1
 # the world-config check pass
 # ---------------------------------------------------------------------------
 
-def parse_world_config(data: bytes | str) -> dict:
-    try:
-        doc = loads_strict(data)
-    except SpecSyntaxError as exc:
-        raise BadConfig(f"world config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise BadConfig("world config must be a JSON object")
-    return doc
-
-
 def check_flat_tasks(tasks) -> None:
     """The rules validate_spec applies to a flat spec, on (task_id,
     dimension ids, weights) triples: a task id no other task uses;
     non-empty dimension ids, distinct after lower-casing; weights in
     [0, 1] whose fsum is within TOP_WEIGHT_TOL of 1 (a task without dims
-    fails the sum). Raises BadConfig naming tasks[i]."""
+    fails the sum), else SchemaError at $.tasks[i] (or its dims[j])."""
     task_ids = set()
     for task_ix, (task_id, ids, weights) in enumerate(tasks):
-        where = f"tasks[{task_ix}]"
+        where = f"$.tasks[{task_ix}]"
         if task_id in task_ids:
-            raise BadConfig(f"{where}: duplicate task_id {task_id!r}")
+            raise SchemaError(where, f"duplicate task_id {task_id!r}")
         task_ids.add(task_id)
         for dim_ix, (dim_id, weight) in enumerate(zip(ids, weights)):
             if not dim_id:
-                raise BadConfig(f"{where}.dims[{dim_ix}]: empty dimension id")
+                raise SchemaError(f"{where}.dims[{dim_ix}].id", "must be non-empty")
             if not 0.0 <= weight <= 1.0:
-                raise BadConfig(f"{where}.dims[{dim_ix}]: weight {weight!r} "
-                                "outside [0, 1]")
+                raise SchemaError(f"{where}.dims[{dim_ix}].weight",
+                                  f"must be in [0, 1], got {weight!r}")
         if len({i.lower() for i in ids}) != len(ids):
-            raise BadConfig(f"{where}: duplicate dimension ids")
+            raise SchemaError(where, "duplicate dimension ids")
         total = math.fsum(weights)
         if abs(total - 1.0) > TOP_WEIGHT_TOL:
-            raise BadConfig(f"{where}: weights sum to {total!r}, expected 1")
+            raise SchemaError(where, f"weights sum to {total!r}, expected 1")
 
 
 def _check_channel(dim_cfg: dict, task_ix: int, dim_ix: int) -> tuple[int, float]:
     k = dim_cfg.get("K")
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise BadConfig(f"{_where(task_ix, dim_ix)}: K must be an integer >= 2, got {k!r}")
+        raise SchemaError(_where(task_ix, dim_ix, ".K"), f"must be an integer >= 2, got {k!r}")
     if k > CELL_CAP:
-        raise BadConfig(f"{_where(task_ix, dim_ix)}: K is larger than the cap of {CELL_CAP}")
+        raise SchemaError(_where(task_ix, dim_ix, ".K"), f"larger than the cap of {CELL_CAP}")
     lam = dim_cfg.get("lambda")
     if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-        raise BadConfig(f"{_where(task_ix, dim_ix)}: lambda must be a number, got {lam!r}")
+        raise SchemaError(_where(task_ix, dim_ix, ".lambda"), f"must be a number, got {lam!r}")
     if not 0 <= lam <= 1:  # exact for any int, false for NaN
-        raise BadConfig(f"{_where(task_ix, dim_ix)}: lambda must be in [0, 1], got {lam!r}")
+        raise SchemaError(_where(task_ix, dim_ix, ".lambda"), f"must be in [0, 1], got {lam!r}")
     return k, float(lam)
 
 
-def _where(task_ix: int, dim_ix: int) -> str:
+def _where(task_ix: int, dim_ix: int, field: str = "") -> str:
     # built only for a message: a world build checks thousands of dims
-    return f"tasks[{task_ix}].dims[{dim_ix}]"
+    return f"$.tasks[{task_ix}].dims[{dim_ix}]{field}"
 
 
 def check_world_config(config: dict, seed: int | None = None,
                        ) -> tuple[int, str, list]:
-    """(seed, tag, rows) of a valid world config, else BadConfig.
+    """(seed, tag, rows) of a valid world config, else SchemaError at the
+    first bad field's $-path (BadConfig for a bad seed argument).
 
     Config shape: {"tasks": [{"task_id", "dims": [{"id", "weight", "K",
     "lambda"}]}], "seed"?, "tag"?}; any other field is rejected. An
@@ -120,18 +112,17 @@ def check_world_fields(config: dict, seed: int | None = None,
     """check_world_config up to the flat-spec rules, which a built
     SyntheticWorld applies itself: the top-level fields, then each task's
     row in turn."""
-    if not isinstance(config, dict):
-        raise BadConfig(f"config must be an object, got {type(config).__name__}")
-    _check_keys(config, "world config", (), ("tasks", "seed", "tag"), False)
+    _check_keys(_require_obj(config, "$"), "$", (), ("tasks", "seed", "tag"), False)
+    name = "seed"
     if seed is None:
-        seed = config.get("seed")
-    check_uint64("seed", seed)
+        seed, name = config.get("seed"), "$.seed"
+    check_uint64(name, seed)
     tag = config.get("tag", "synthetic")
     if not isinstance(tag, str) or not tag:
-        raise BadConfig(f"tag must be a non-empty string, got {tag!r}")
+        raise SchemaError("$.tag", f"must be a non-empty string, got {tag!r}")
     raw_tasks = config.get("tasks")
     if not isinstance(raw_tasks, list) or not raw_tasks:
-        raise BadConfig("config needs a non-empty 'tasks' array")
+        raise SchemaError("$.tasks", "expected a non-empty array")
     return seed, tag, list(_task_rows(raw_tasks))
 
 
@@ -141,34 +132,35 @@ _DIM_KEYS = frozenset(_DIM_FIELDS)
 
 def _task_rows(raw_tasks: list) -> Iterator[tuple]:
     for task_ix, t in enumerate(raw_tasks):
-        where = f"tasks[{task_ix}]"
-        if not isinstance(t, dict) or not isinstance(t.get("task_id"), str):
-            raise BadConfig(f"{where}: needs a string task_id")
-        _check_keys(t, where, (), ("task_id", "dims"), False)
-        raw_dims = t.get("dims")
+        where = f"$.tasks[{task_ix}]"
+        _check_keys(_require_obj(t, where), where, ("task_id", "dims"), (), False)
+        task_id = _get_str(t, "task_id", where)
+        raw_dims = t["dims"]
         if not isinstance(raw_dims, list) or not raw_dims:
-            raise BadConfig(f"{where}: needs a non-empty 'dims' array")
+            raise SchemaError(f"{where}.dims", "expected a non-empty array")
         raw_weights = []
         for dim_ix, d in enumerate(raw_dims):
-            if not isinstance(d, dict) or not isinstance(d.get("id"), str):
-                raise BadConfig(f"{_where(task_ix, dim_ix)}: needs a string id")
-            if not d.keys() <= _DIM_KEYS:
-                _check_keys(d, _where(task_ix, dim_ix), (), _DIM_FIELDS, False)
+            if not isinstance(d, dict) or not isinstance(d.get("id"), str) \
+                    or not d.keys() <= _DIM_KEYS:
+                dim = _where(task_ix, dim_ix)
+                _check_keys(_require_obj(d, dim), dim, ("id",), _DIM_FIELDS, False)
+                _get_str(d, "id", dim)
             w = d.get("weight")
             if isinstance(w, bool) or not isinstance(w, (int, float)) \
                     or not abs(w) <= sys.float_info.max:
-                raise BadConfig(f"{_where(task_ix, dim_ix)}: weight must be a finite number")
+                raise SchemaError(_where(task_ix, dim_ix, ".weight"), "must be a finite number")
             raw_weights.append(float(w))
         total = math.fsum(raw_weights)
         if abs(total - 1.0) > TOP_WEIGHT_TOL:
-            raise BadConfig(f"{where}: weights sum to {total!r}, expected 1")
+            raise SchemaError(where, f"weights sum to {total!r}, expected 1")
         try:
             weights = normalize_weights(raw_weights)
-        except IstError as e:
-            raise BadConfig(f"{where}: {e}") from None
+        except NegativeWeight as e:  # the sum is near 1, so nothing else
+            raise SchemaError(_where(task_ix, e.index, ".weight"),
+                              f"must be >= 0, got {e.value!r}") from None
         ks, lams = zip(*[_check_channel(d, task_ix, dim_ix)
                          for dim_ix, d in enumerate(raw_dims)])
-        yield t["task_id"], tuple(d["id"].lower() for d in raw_dims), tuple(weights), ks, lams
+        yield task_id, tuple(d["id"].lower() for d in raw_dims), tuple(weights), ks, lams
 
 
 def dim_channels(world, task_id: str, dim_ids) -> Iterator[tuple[int, float]]:

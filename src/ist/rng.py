@@ -14,7 +14,7 @@ The mixing function is::
 
 from __future__ import annotations
 
-from .errors import BadConfig
+from .errors import refusal
 
 MASK64 = (1 << 64) - 1
 
@@ -52,12 +52,12 @@ def derive(master: int, *indices: int) -> int:
 
 
 def check_uint64(name: str, value) -> None:
-    """BadConfig unless value is an int, not a bool, in [0, 2**64): a seed
-    or draw index that derive would otherwise wrap onto another one."""
+    """refusal(name, ...) unless value is an int, not a bool, in [0, 2**64):
+    a seed or draw index that derive would otherwise wrap onto another one."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise BadConfig(f"{name} must be an integer, got {value!r}")
+        raise refusal(name, f"must be an integer, got {value!r}")
     if not 0 <= value < 2 ** 64:
-        raise BadConfig(f"{name} must be in [0, 2**64), got {value!r}")
+        raise refusal(name, f"must be in [0, 2**64), got {value!r}")
 
 
 def unit_float(h: int) -> float:

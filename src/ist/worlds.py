@@ -19,7 +19,7 @@ rules of a flat intent spec to every task (priors.check_flat_tasks: a
 task id no other task uses; non-empty dimension ids, distinct after
 lower-casing; weights in [0, 1] whose fsum is within
 jsonio.TOP_WEIGHT_TOL of 1, so at least one dimension) and raises
-BadConfig naming tasks[i]. build_world realizes the rows of
+SchemaError at $.tasks[i]. build_world realizes the rows of
 priors.check_world_fields, which rejects unknown fields, bad K and
 lambda and non-finite weights, so with the constructor's rules it makes
 the one check pass, priors.check_world_config, and no check of its own.
@@ -59,10 +59,11 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import BadConfig, Inconsistent, LengthMismatch, UnknownTask
+from .errors import Inconsistent, LengthMismatch, UnknownTask, refusal
+from .jsonio import loads_strict
 from .metrics import _float_weighted_sum, weighted_sum
 from .model import Dimension, EncodingMask, IntentSpec, ValueRef
-from .priors import check_flat_tasks, check_world_fields, parse_world_config
+from .priors import check_flat_tasks, check_world_fields
 from .rng import USER_VALUE_STREAM, check_uint64, derive, uniform_index
 
 
@@ -134,7 +135,7 @@ def build_world(config: dict, seed: int | None = None) -> SyntheticWorld:
 
 
 def load_world(path, seed: int | None = None) -> SyntheticWorld:
-    return build_world(parse_world_config(Path(path).read_bytes()), seed)
+    return build_world(loads_strict(Path(path).read_bytes()), seed)
 
 
 def to_intent_spec(task: WorldTask, task_type: str = "synthetic") -> IntentSpec:
@@ -330,12 +331,12 @@ def _mean_f_icmw(world: SyntheticWorld, tasks, bits: np.ndarray, n: int, mode: s
 
 def _check_count(name: str, n) -> None:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise BadConfig(f"{name} must be a positive integer, got {n!r}")
+        raise refusal(name, f"must be a positive integer, got {n!r}")
 
 
-def _check_mode(mode) -> None:
+def _check_mode(mode, name: str = "mode") -> None:
     if mode not in ("argmax", "sample"):
-        raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
+        raise refusal(name, f"must be 'argmax' or 'sample', got {mode!r}")
 
 
 # ---------------------------------------------------------------------------

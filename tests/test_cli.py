@@ -19,7 +19,7 @@ import ist.worlds
 from ist import _kernels
 from ist.audit import audit_record_from_obj
 from ist.cli import build_parser, main
-from ist.errors import BadConfig
+from ist.errors import BadConfig, SchemaError
 from ist.jsonio import loads_strict
 from ist.model import flatten
 from ist.spec_io import (
@@ -27,6 +27,8 @@ from ist.spec_io import (
     read_records,
     serialize_intent_spec,
 )
+from ist.experiments import parse_experiment_config
+from ist.priors import check_world_config
 from ist.worlds import build_world, to_intent_spec
 
 from conftest import DATA, SRC, TESTS_DATA, ablation_records, mixed_ablation_config, run_ist
@@ -513,7 +515,7 @@ def test_audit_seed_needs_a_world(capsys, data_dir, tmp_path):
     world = tmp_path / "world.json"
     world.write_text(json.dumps(config))
     code, out, err = run(capsys, "audit", *triple, "--world", str(world))
-    assert (code, out, err) == (2, "", "error: seed must be an integer, got None\n")
+    assert (code, out, err) == (2, "", "error: $.seed: must be an integer, got None\n")
     code, out, _ = run(capsys, "audit", *triple, "--world", str(world), "--seed", "5")
     assert code == 1
     assert json.loads(out)["privacy_source"] == "hint"
@@ -522,8 +524,9 @@ def test_audit_seed_needs_a_world(capsys, data_dir, tmp_path):
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_seed_outside_64_bits_exits_2(capsys, tmp_path, seed):
     # derive reduces a seed mod 2**64, so -1 would print the bytes of
-    # 2**64 - 1 and 2**64 those of 0: --seed and a config's seed are refused
-    message = f"error: seed must be in [0, 2**64), got {seed}\n"
+    # 2**64 - 1 and 2**64 those of 0: --seed and a config's seed are refused,
+    # the config's named by its path in the document
+    rule = f"must be in [0, 2**64), got {seed}"
     config = json.loads((DATA / "demo_world.json").read_text())
     config["seed"] = seed
     world = tmp_path / "world.json"
@@ -531,11 +534,12 @@ def test_seed_outside_64_bits_exits_2(capsys, tmp_path, seed):
     experiment = tmp_path / "experiment.json"
     experiment.write_text(json.dumps({"world_config": config}))
     out = tmp_path / "records.jsonl"
-    for argv in (["tiil-check", "--seed", str(seed)],
-                 ["tiil-check", "--world", str(world)],
-                 ["ablate", "--seed", str(seed), "--out", str(out)],
-                 ["ablate", "--config", str(experiment), "--out", str(out)]):
-        assert run(capsys, *argv) == (2, "", message), argv
+    for argv, name in ((["tiil-check", "--seed", str(seed)], "seed "),
+                       (["tiil-check", "--world", str(world)], "$.seed: "),
+                       (["ablate", "--seed", str(seed), "--out", str(out)], "seed "),
+                       (["ablate", "--config", str(experiment), "--out", str(out)],
+                        "$.world_config.seed: ")):
+        assert run(capsys, *argv) == (2, "", f"error: {name}{rule}\n"), argv
     assert not out.exists()
 
 
@@ -549,55 +553,63 @@ def world_dims(*dims):
 BAD_WORLDS = {
     "empty-id": ({"tasks": [{"task_id": "t", "dims": world_dims(
         ("a", 0.5, {}), ("", 0.5, {}))}]},
-        "tasks[0].dims[1]: empty dimension id"),
+        "$.tasks[0].dims[1].id: must be non-empty"),
     "case-folded-ids": ({"tasks": [{"task_id": "t", "dims": world_dims(
         ("Tone", 0.5, {}), ("tone", 0.5, {}))}]},
-        "tasks[0]: duplicate dimension ids"),
+        "$.tasks[0]: duplicate dimension ids"),
     "unknown-top-field": ({"tasks": [{"task_id": "t", "dims": world_dims(
         ("a", 1.0, {}))}], "sede": 3},
-        "world config: unknown field 'sede'"),
+        "$: unknown field 'sede'"),
     "unknown-task-field": ({"tasks": [{"task_id": "t", "dim": [], "dims": world_dims(
         ("a", 1.0, {}))}]},
-        "tasks[0]: unknown field 'dim'"),
+        "$.tasks[0]: unknown field 'dim'"),
     "unknown-dim-field": ({"tasks": [{"task_id": "t", "dims": world_dims(
         ("a", 0.5, {}), ("b", 0.5, {"lamda": 0.9}))}]},
-        "tasks[0].dims[1]: unknown field 'lamda'"),
+        "$.tasks[0].dims[1]: unknown field 'lamda'"),
     "k-above-cap": ({"tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1.0, "K": 10 ** 400, "lambda": 0.5}]}]},
-        "tasks[0].dims[0]: K is larger than the cap of 1000000"),
+        "$.tasks[0].dims[0].K: larger than the cap of 1000000"),
     "k-one": ({"tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1.0, "K": 1, "lambda": 0.5}]}]},
-        "tasks[0].dims[0]: K must be an integer >= 2, got 1"),
+        "$.tasks[0].dims[0].K: must be an integer >= 2, got 1"),
     "weight-sum": ({"tasks": [{"task_id": "t", "dims": world_dims(
         ("a", 0.5, {}), ("b", 0.4, {}))}]},
-        "tasks[0]: weights sum to 0.9, expected 1"),
+        "$.tasks[0]: weights sum to 0.9, expected 1"),
     "no-seed": ("""{"tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1.0, "K": 4, "lambda": 0.5}]}]}""",
-        "seed must be an integer, got None"),
+        "$.seed: must be an integer, got None"),
     "infinite-weights": ("""{"seed": 1, "tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1e309, "K": 4, "lambda": 0.5},
         {"id": "b", "weight": -1e309, "K": 4, "lambda": 0.5}]}]}""",
-        "tasks[0].dims[0]: weight must be a finite number"),
+        "$.tasks[0].dims[0].weight: must be a finite number"),
     # every task's field, K and lambda checks come before the flat-spec
     # rules: the duplicate ids of tasks[0] and the duplicate task id of
     # tasks[1] go unreported
     "faults-in-two-tasks": ({"tasks": [
         {"task_id": "t", "dims": world_dims(("a", 0.5, {}), ("A", 0.5, {}))},
         {"task_id": "t", "dims": world_dims(("b", 1.0, {"lambda": 2}))}]},
-        "tasks[1].dims[0]: lambda must be in [0, 1], got 2"),
+        "$.tasks[1].dims[0].lambda: must be in [0, 1], got 2"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_WORLDS))
 def test_bad_world_config_exits_2_alike_in_every_subcommand(tmp_path, case):
     # tiil-check and audit check the config (priors.check_world_config),
-    # ablate and perturb build the world from it: one message either way
+    # ablate and perturb build the world from it: one message either way,
+    # after the file's name where an experiment config names the world
     config, message = BAD_WORLDS[case]
     world = tmp_path / "world.json"
     world.write_text(config if isinstance(config, str)
                      else json.dumps({"seed": 1, **config}))
     experiment = tmp_path / "experiment.json"
     experiment.write_text(json.dumps({"world_path": "world.json"}))
+    with pytest.raises(SchemaError) as err:
+        check_world_config(loads_strict(world.read_bytes()))
+    assert err.value.path.startswith("$") and str(err.value) == message
+    with pytest.raises(SchemaError) as err:
+        parse_experiment_config(experiment.read_bytes(), base_dir=tmp_path)
+    assert err.value.path.startswith("world.json")
+    assert str(err.value) == f"world.json: {message}"
     calls = {
         "tiil-check": ["tiil-check", "--world", world],
         "audit": ["audit", "--world", world, "--spec", DATA / "report_task.json",
@@ -607,9 +619,10 @@ def test_bad_world_config_exits_2_alike_in_every_subcommand(tmp_path, case):
         "perturb": ["perturb", "--config", experiment],
     }
     for name, argv in calls.items():
+        source = "world.json: " if "--config" in argv else ""
         proc = run_ist(*argv, hash_seed=0)
         assert (proc.returncode, proc.stdout, proc.stderr) == \
-            (2, "", f"error: {message}\n"), name
+            (2, "", f"error: {source}{message}\n"), name
 
 
 # -- report ------------------------------------------------------------------
@@ -839,7 +852,7 @@ def test_ablate_bad_mode_exits_2_before_opening_out(capsys, tmp_path):
     out = tmp_path / "records.jsonl"
     code, stdout, err = run(capsys, "ablate", "--config", str(config), "--out", str(out))
     assert (code, stdout) == (2, "")
-    assert err == "error: mode must be 'argmax' or 'sample', got 'greedy'\n"
+    assert err == "error: $.mode: must be 'argmax' or 'sample', got 'greedy'\n"
     assert not out.exists()
     world = build_world(json.loads((DATA / "demo_world.json").read_text()))
     for mode, replicates in (("greedy", None), ("sample", 0)):
@@ -1147,16 +1160,16 @@ def one_dim_world(**dim):
 # experiment configs that parse_experiment_config refuses, with the whole
 # message: (fields added to a valid config, or the whole document; message)
 EXPERIMENT_CONFIG_REFUSALS = {
-    "not-an-object": ([], "experiment config must be a JSON object"),
+    "not-an-object": ([], "$: expected object, got list"),
     "perturbation-a-number": ({"perturbations": [3]},
-                              "perturbations[0]: expected string or object"),
+                              "$.perturbations[0]: expected string or object, got int"),
     "perturbation-without-kind": ({"perturbations": [{"epsilon": 0.1}]},
-                                  "perturbations[0]: perturbation needs a string kind"),
+                                  "$.perturbations[0]: missing required field 'kind'"),
     "jitter-epsilon-2": ({"perturbations": [{"kind": "jitter", "epsilon": 2}]},
-                         "perturbations[0]: jitter epsilon must be in (0, 1), got 2.0"),
-    "budget-a-string": ({"budget": "2"}, "budget must be an integer, got '2'"),
-    "zero-replicates": ({"replicates": 0}, "replicates must be a positive integer, got 0"),
-    "no-perturbations": ({"perturbations": []}, "perturbations must be a non-empty array"),
+                         "$.perturbations[0]: jitter epsilon must be in (0, 1), got 2.0"),
+    "budget-a-string": ({"budget": "2"}, "$.budget: must be an integer, got '2'"),
+    "zero-replicates": ({"replicates": 0}, "$.replicates: must be a positive integer, got 0"),
+    "no-perturbations": ({"perturbations": []}, "$.perturbations: expected a non-empty array"),
 }
 
 
@@ -1167,6 +1180,9 @@ def test_experiment_config_refusal_exits_2_with_its_message(capsys, tmp_path, ca
         {"seed": 1, "world_config": one_dim_world(), **fields}
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        parse_experiment_config(path.read_bytes())
+    assert err.value.path.startswith("$") and str(err.value) == message
     assert run(capsys, "perturb", "--config", str(path)) == (2, "", f"error: {message}\n")
 
 
@@ -1176,22 +1192,45 @@ WORLD_CONFIG_REFUSALS = {
     "negative-weight": ({"tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1.5, "K": 4, "lambda": 0.5},
         {"id": "b", "weight": -0.5, "K": 4, "lambda": 0.5}]}]},
-        "tasks[0]: weight at index 1 is negative (-0.5)"),
+        "$.tasks[0].dims[1].weight: must be >= 0, got -0.5"),
     "lambda-not-a-number": (one_dim_world(**{"lambda": "x"}),
-                            "tasks[0].dims[0]: lambda must be a number, got 'x'"),
-    "id-not-a-string": (one_dim_world(id=3), "tasks[0].dims[0]: needs a string id"),
-    "not-an-object": ([], "config must be an object, got list"),
+                            "$.tasks[0].dims[0].lambda: must be a number, got 'x'"),
+    "id-not-a-string": (one_dim_world(id=3), "$.tasks[0].dims[0].id: expected string"),
+    "k-zero": (one_dim_world(K=0), "$.tasks[0].dims[0].K: must be an integer >= 2, got 0"),
+    "not-an-object": ([], "$: expected object, got list"),
 }
 
 
 @pytest.mark.parametrize("case", list(WORLD_CONFIG_REFUSALS))
 def test_world_config_refusal_exits_2_with_its_message(capsys, tmp_path, case):
+    # the world's own message, rooted at $.world_config when nested
     world, message = WORLD_CONFIG_REFUSALS[case]
-    with pytest.raises(BadConfig) as err:
+    with pytest.raises(SchemaError) as err:
         build_world(world, seed=1)
-    assert str(err.value) == message
+    assert err.value.path.startswith("$") and str(err.value) == message
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps({"seed": 1, "world_config": world}), encoding="utf-8")
+    assert run(capsys, "perturb", "--config", str(path)) == (
+        2, "", f"error: $.world_config{message[1:]}\n")
+
+
+# a world_path file's refusal is named by that file: (its text, message)
+WORLD_PATH_REFUSALS = {
+    "an-experiment-config": (json.dumps({"world_config": one_dim_world()}),
+                             "w.json: $: unknown field 'world_config'"),
+    "not-json": ('{"tasks": [}', "w.json: Expecting value (line 1, column 12)"),
+}
+
+
+@pytest.mark.parametrize("case", list(WORLD_PATH_REFUSALS))
+def test_world_path_refusal_names_its_file(capsys, tmp_path, case):
+    text, message = WORLD_PATH_REFUSALS[case]
+    (tmp_path / "w.json").write_text(text, encoding="utf-8")
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({"seed": 1, "world_path": "w.json"}), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        parse_experiment_config(path.read_bytes(), base_dir=tmp_path)
+    assert err.value.path.startswith("w.json") and str(err.value) == message
     assert run(capsys, "perturb", "--config", str(path)) == (2, "", f"error: {message}\n")
 
 

@@ -27,6 +27,7 @@ from ist.errors import (
     Inconsistent,
     IstError,
     MissingCondition,
+    SchemaError,
     ZeroSignal,
 )
 from ist.experiments import (
@@ -562,12 +563,12 @@ def test_parse_experiment_config_perturbation_forms():
 
 
 def test_parse_experiment_config_rejects_bad_shapes():
-    with pytest.raises(BadConfig):
+    with pytest.raises(SchemaError):
         parse_experiment_config(b'{"seed": 1}')  # no world at all
-    with pytest.raises(BadConfig):
+    with pytest.raises(SchemaError):
         parse_experiment_config(
             b'{"world_config": {"tasks": []}, "world_path": "x.json"}')
-    with pytest.raises(BadConfig):
+    with pytest.raises(SchemaError):
         parse_experiment_config(
             b'{"world_config": {"tasks": []}, "mystery": true}')
 
@@ -1125,12 +1126,12 @@ def _break_task(task, case):
 
 
 INVALID_WORLD_CASES = {
-    "weight-sum": r"tasks\[1\]: weights sum to 0\.6\d*, expected 1",
-    "negative-weight": r"tasks\[1\]\.dims\[0\]: weight -0\.1 outside \[0, 1\]",
-    "nan-weight": r"tasks\[1\]\.dims\[0\]: weight nan outside \[0, 1\]",
-    "empty-id": r"tasks\[1\]\.dims\[0\]: empty dimension id",
-    "case-folded-ids": r"tasks\[1\]: duplicate dimension ids",
-    "duplicate-task-id": r"tasks\[1\]: duplicate task_id 'r0'",
+    "weight-sum": r"\$\.tasks\[1\]: weights sum to 0\.6\d*, expected 1",
+    "negative-weight": r"\$\.tasks\[1\]\.dims\[0\]\.weight: must be in \[0, 1\], got -0\.1",
+    "nan-weight": r"\$\.tasks\[1\]\.dims\[0\]\.weight: must be in \[0, 1\], got nan",
+    "empty-id": r"\$\.tasks\[1\]\.dims\[0\]\.id: must be non-empty",
+    "case-folded-ids": r"\$\.tasks\[1\]: duplicate dimension ids",
+    "duplicate-task-id": r"\$\.tasks\[1\]: duplicate task_id 'r0'",
 }
 
 
@@ -1140,14 +1141,15 @@ def test_hand_built_invalid_world_fails_at_construction(case):
     # and the planner never meet a broken task
     world = random_world(11, 4)
     tasks = (world.tasks[0], _break_task(world.tasks[1], case), world.tasks[2])
-    with pytest.raises(BadConfig, match=f"^{INVALID_WORLD_CASES[case]}$"):
+    with pytest.raises(SchemaError, match=f"^{INVALID_WORLD_CASES[case]}$") as err:
         SyntheticWorld(seed=world.seed, tag=world.tag, tasks=tasks)
+    assert err.value.path.startswith("$")
 
 
 def test_scaled_weights_fail_when_the_world_is_built():
     world = random_world(11, 4)
     SyntheticWorld(seed=world.seed, tag=world.tag, tasks=world.tasks)
-    with pytest.raises(BadConfig, match=r"^tasks\[0\]: weights sum to 0\.6\d*, expected 1$"):
+    with pytest.raises(SchemaError, match=r"^\$\.tasks\[0\]: weights sum to 0\.6\d*, expected 1$"):
         scaled_world(world, 0.6)
 
 
@@ -1308,10 +1310,10 @@ def test_group_errors_match_the_task_by_task_reference(capsys, tmp_path, case,
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     if with_invalid_task:
-        with pytest.raises(BadConfig) as built:
+        with pytest.raises(SchemaError) as built:
             parse_experiment_config(path.read_bytes())
         want = built.value
-        assert str(want) == "tasks[0].dims[2]: empty dimension id"
+        assert str(want) == "$.world_config.tasks[0].dims[2].id: must be non-empty"
     else:
         cfg = parse_experiment_config(path.read_bytes())
         specs = list(cfg.perturbations)

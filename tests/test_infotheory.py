@@ -668,7 +668,7 @@ def test_channel_closed_form_is_bit_identical():
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, True, 1.5])
 def test_tiil_check_rejects_a_seed_derive_would_wrap(seed):
     # derive reduces a seed mod 2**64: -1 gave the bytes of 2**64 - 1, and
-    # 2**64 those of 0; the message is that of a world config's seed
+    # 2**64 those of 0; the message is that of an explicit --seed
     world = one_dim_world(0.5, 9)
     rule = "an integer" if isinstance(seed, (bool, float)) else "in [0, 2**64)"
     with pytest.raises(BadConfig) as info:

@@ -18,7 +18,8 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from ist import _kernels
-from ist.errors import BadConfig, Inconsistent, LengthMismatch, UnknownDimension, UnknownTask
+from ist.errors import (BadConfig, Inconsistent, LengthMismatch, SchemaError, SpecSyntaxError,
+                        UnknownDimension, UnknownTask)
 from ist.infotheory import classify_privacy, dimension_channel_joint
 from ist.jsonio import dumps_canonical
 from ist.metrics import bundle_for_output, score_output, weighted_sum
@@ -34,7 +35,7 @@ from ist.worlds import (
     full_mask,
     mask_without,
     mc_mean_f_icmw,
-    parse_world_config,
+    load_world,
     simulate_output,
     to_intent_spec,
     token,
@@ -100,21 +101,21 @@ def test_prior_mixture_any_seed():
 
 
 def test_build_world_rejects_bad_config():
-    with pytest.raises(BadConfig):
+    with pytest.raises(SchemaError):
         build_world(one_dim_config(0.0, 1), seed=1)  # K < 2
-    with pytest.raises(BadConfig):
+    with pytest.raises(SchemaError):
         build_world(one_dim_config(1.5, 4), seed=1)  # lambda > 1
-    with pytest.raises(BadConfig):
+    with pytest.raises(SchemaError):
         build_world(one_dim_config(-0.1, 4), seed=1)
     dup = {"tasks": [{"task_id": "t", "dims": [
         {"id": "d", "weight": 0.5, "K": 4, "lambda": 0.0},
         {"id": "d", "weight": 0.5, "K": 4, "lambda": 0.0}]}]}
-    with pytest.raises(BadConfig):
+    with pytest.raises(SchemaError):
         build_world(dup, seed=1)
-    with pytest.raises(BadConfig):
+    with pytest.raises(SchemaError):
         build_world({"tasks": []}, seed=1)
     off = one_dim_config(0.0, 4, weight=0.4)
-    with pytest.raises(BadConfig):
+    with pytest.raises(SchemaError):
         build_world(off, seed=1)  # weights sum far from 1
 
 
@@ -123,7 +124,7 @@ def test_k_is_bounded_by_the_cell_cap():
     assert task.ks == (CELL_CAP,) and 0 <= task.users[0] < CELL_CAP
     assert len(task_prior(task, 0)) == CELL_CAP
     for k in (CELL_CAP + 1, 10 ** 400):
-        with pytest.raises(BadConfig, match=r"tasks\[0\]\.dims\[0\]: K is larger"):
+        with pytest.raises(SchemaError, match=r"^\$\.tasks\[0\]\.dims\[0\]\.K: larger than"):
             build_world(one_dim_config(0.5, k), seed=1)
 
 
@@ -159,11 +160,11 @@ def test_check_pass_reports_field_faults_before_the_flat_spec_rules():
         {"task_id": "t", "dims": [{"id": "b", "weight": 1.0, "K": 4, "lambda": 0.5}]},
         {"task_id": "u", "dims": [{"id": "c", "weight": 1.0, "K": 1, "lambda": 0.5}]}]}
     for check in (check_world_config, build_world):
-        with pytest.raises(BadConfig, match=r"^tasks\[2\]\.dims\[0\]: K must "
-                                            r"be an integer >= 2, got 1$"):
+        with pytest.raises(SchemaError, match=r"^\$\.tasks\[2\]\.dims\[0\]\.K: must "
+                                              r"be an integer >= 2, got 1$"):
             check(config)
         fixed = {**config, "tasks": config["tasks"][:2]}
-        with pytest.raises(BadConfig, match=r"^tasks\[0\]: duplicate dimension ids$"):
+        with pytest.raises(SchemaError, match=r"^\$\.tasks\[0\]: duplicate dimension ids$"):
             check(fixed)
 
 
@@ -592,11 +593,17 @@ def test_monotone_mask_loop():
             assert hi >= lo - 1e-12
 
 
-def test_parse_world_config_rejects_junk():
-    with pytest.raises(BadConfig):
-        parse_world_config(b"{not json")
-    with pytest.raises(BadConfig):
-        parse_world_config(b"[1, 2]")
+def test_load_world_rejects_junk(tmp_path):
+    # a world file is read as a document, like a spec: not JSON raises
+    # SpecSyntaxError with its line and column, a non-object SchemaError at $
+    path = tmp_path / "world.json"
+    path.write_bytes(b"{not json")
+    with pytest.raises(SpecSyntaxError):
+        load_world(path)
+    path.write_bytes(b"[1, 2]")
+    with pytest.raises(SchemaError) as info:
+        load_world(path)
+    assert str(info.value) == "$: expected object, got list"
 
 
 if HAVE_HYPOTHESIS:
