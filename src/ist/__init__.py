@@ -8,18 +8,21 @@ The package is organized bottom-up:
 * spec_io: parsing and serialization of specs, carriers and records
 * metrics: encoding loss, s_icmw/f_icmw/drift, GA synthesis, split zone
 * priors: the world-config check pass and the (K, lambda) privacy label
-  rule, in pure Python
+  and argmax rules, in pure Python
 * worlds: finite-alphabet prior simulation with derived seeds
-* infotheory: dense-enumeration entropy/MI, decoders, DPI, privacy
-* tiil: the irreversibility (TIIL) decoder battery, in pure Python, on
-  jsonio, priors and rng alone: no dataclasses, model or spec_io
+* infotheory: the dense oracle: enumerated entropy/MI, decoders, DPI;
+  no worlds, metrics or model
+* tiil: the irreversibility (TIIL) decoder battery and the privacy
+  verdict, in pure Python, on jsonio, priors and rng alone: no
+  dataclasses, model or spec_io
 * experiments: ablation and weight-perturbation harnesses
 * audit: per-interaction audit records and reports
 * cli: the `ist` command
 
 Public names load lazily (PEP 562): `from ist import X` imports only the
 module that defines X, so `errors`, `model`, `spec_io`, `metrics` and
-`audit` work without importing numpy, as does `ist.tiil`.
+`audit` work without importing numpy, as do `ist.tiil` and its
+`classify_privacy`.
 """
 
 import importlib
@@ -39,9 +42,10 @@ _EXPORTS = {name: module for module, names in {
                "score_output synthesize_ga",
     "worlds": "SyntheticWorld build_world expected_f_icmw mc_mean_f_icmw "
               "simulate_output",
-    "infotheory": "Decoder DiscreteJoint PrivacyVerdict apply_decoder "
-                  "bayes_accuracy classify_privacy dimension_channel_joint "
-                  "entropy identity_decoder mutual_information verify_dpi",
+    "infotheory": "Decoder DiscreteJoint apply_decoder bayes_accuracy "
+                  "dimension_channel_joint entropy identity_decoder "
+                  "mutual_information verify_dpi",
+    "tiil": "PrivacyVerdict classify_privacy",
     "experiments": "PerturbationSpec encode_with_budget "
                    "estimate_weights_by_ablation perturb_weights "
                    "run_weight_perturbation",

@@ -541,7 +541,7 @@ def parse_experiment_config(data: bytes | str, *, base_dir=None,
     $.world_config or after the world_path file's name as written."""
     doc = _require_obj(loads_strict(data), "$")
     _check_keys(doc, "$", (), _EXPERIMENT_FIELDS, False)
-    if seed is None and doc.get("seed") is not None:
+    if seed is None and "seed" in doc:
         seed = doc["seed"]
         check_uint64("$.seed", seed)
     if ("world_config" in doc) == ("world_path" in doc):
@@ -561,12 +561,12 @@ def parse_experiment_config(data: bytes | str, *, base_dir=None,
         except (SchemaError, SpecSyntaxError) as e:
             raise SchemaError(name, str(e)) from None
     budget = doc.get("budget")
-    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)):
+    if "budget" in doc and (isinstance(budget, bool) or not isinstance(budget, int)):
         raise SchemaError("$.budget", f"must be an integer, got {budget!r}")
     mode = doc.get("mode", "argmax")
     _check_mode(mode, "$.mode")
     replicates = doc.get("replicates")
-    if replicates is not None:
+    if "replicates" in doc:
         _check_count("$.replicates", replicates)
     perturbations = None
     if "perturbations" in doc:

@@ -7,17 +7,15 @@ distributions, and the data processing inequality is checked by
 literally computing both mutual informations. No estimation anywhere.
 
 This is the general oracle and the tests' reference for the TIIL
-battery, tiil.tiil_check, which scores the same point-mass decoders on
-a world's (K, lambda) channels in pure Python with these floats, bit for
-bit, and builds no table. classify_privacy reads its mi_bits, I(v; y),
-from that scorer's identity decoder, whose (v, g) table is the channel.
+battery, tiil.tiil_check, and its verdict, tiil.classify_privacy, which
+score the same point-mass decoders on a world's (K, lambda) channels in
+pure Python with these floats, bit for bit, and build no table.
 verify_dpi sums H(v) over an extension's K**3 cells instead, so its
-I(v; g) may differ from the battery's in the last ulps.
-
-A verdict's Bayes accuracy, chance level and label come from the one
-(K, lambda) label rule, priors.privacy_label, in closed form, correctly
-rounded, so `ist audit --world` labels without numpy; its (K, lambda)
-comes from priors.dim_channels, the one lookup.
+I(v; g) may differ from the battery's in the last ulps. A channel's
+(K, lambda) comes from priors.dim_channels, the one lookup, and its
+argmax rows from priors.argmax_finds_user; the tolerances and the
+MI-of-entropies rule are tiil's. Nothing here reads a built world's
+type or another module's private name.
 
 Every joint and decoder is built by its public constructor, which
 copies the table or rows (so the caller's array stays writeable and
@@ -39,10 +37,9 @@ from .errors import (
     UnknownVariable,
     WorldTooLarge,
 )
-from .priors import CELL_CAP, THETA_PUB_DEFAULT, check_theta_pub, dim_channels, privacy_label
+from .priors import CELL_CAP, argmax_finds_user, dim_channels
 from .rng import DECODER_STREAM, derive, uniform_index
-from .tiil import DPI_TOL, _SUM_TOL, _Channel, _mi_of_entropies, _nonnegative
-from .worlds import SyntheticWorld, _argmax_finds_user
+from .tiil import DPI_TOL, SUM_TOL, mi_of_entropies, nonnegative
 
 
 @dataclass(frozen=True)
@@ -99,10 +96,10 @@ def _check_entries(p: np.ndarray) -> None:
 
 
 def _check_totals(totals) -> None:
-    """Each total is 1 within _SUM_TOL (NaN fails); the first that is
+    """Each total is 1 within SUM_TOL (NaN fails); the first that is
     not is named."""
     totals = np.ravel(totals)
-    bad = ~(np.abs(totals - 1.0) <= _SUM_TOL)
+    bad = ~(np.abs(totals - 1.0) <= SUM_TOL)
     if bad.any():
         raise InvalidDistribution(
             f"table sums to {float(totals[bad][0])!r}, expected 1")
@@ -118,9 +115,9 @@ def entropy(dist) -> float:
             raise InvalidDistribution("empty distribution")
         _check_entries(p)
         total = float(p.sum())
-        if not abs(total - 1.0) <= _SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:
             raise InvalidDistribution(f"sums to {total!r}, expected 1")
-    return _nonnegative(_kernels.entropy_bits(p))
+    return nonnegative(_kernels.entropy_bits(p))
 
 
 def _as_group(x) -> tuple[str, ...]:
@@ -133,13 +130,13 @@ def mutual_information(joint: DiscreteJoint, x, y) -> float:
     """I(x; y) = H(x) + H(y) - H(x, y) over variable groups, in bits.
 
     Tiny negative results clamp to zero; anything more negative is
-    treated as a bug and raised, by tiil._mi_of_entropies.
+    treated as a bug and raised, by tiil.mi_of_entropies.
     """
     gx, gy = _as_group(x), _as_group(y)
     if set(gx) & set(gy):
         raise DomainMismatch(f"groups overlap: {gx!r} vs {gy!r}")
     tables = [joint.marginal(*gx), joint.marginal(*gy), joint.marginal(*gx, *gy)]
-    return _mi_of_entropies([entropy(t) for t in tables],
+    return mi_of_entropies([entropy(t) for t in tables],
                             [t.table.size for t in tables])
 
 
@@ -168,7 +165,7 @@ class Decoder:
             raise InvalidDistribution("NaN decoder entry" if np.isnan(rows).any()
                                       else "negative decoder entry")
         sums = rows.sum(axis=-1)
-        if not np.all(np.abs(sums - 1.0) <= _SUM_TOL):
+        if not np.all(np.abs(sums - 1.0) <= SUM_TOL):
             raise InvalidDistribution("decoder row does not sum to 1")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
@@ -189,12 +186,6 @@ def _point_mass_decoder(evidence_vars, evidence_sizes, output_size: int, picks,
     rows = np.zeros((int(np.prod(shape, dtype=np.int64)), output_size))
     rows[np.arange(len(rows)), picks] = 1.0
     return Decoder(tuple(evidence_vars), output_var, rows.reshape(shape + (output_size,)))
-
-
-def constant_decoder(evidence_vars, evidence_sizes, output_size: int,
-                     index: int = 0, output_var: str = "g") -> Decoder:
-    return _point_mass_decoder(evidence_vars, evidence_sizes, output_size, index,
-                               output_var)
 
 
 def identity_decoder(var: str, size: int, output_var: str = "g") -> Decoder:
@@ -309,7 +300,7 @@ def chance_level(joint: DiscreteJoint, v) -> float:
 
 
 # ---------------------------------------------------------------------------
-# world channels and privacy classification
+# world channels
 # ---------------------------------------------------------------------------
 
 def _regeneration_channel(k: int, lam: float, mode: str) -> np.ndarray:
@@ -330,48 +321,21 @@ def _regeneration_channel(k: int, lam: float, mode: str) -> np.ndarray:
         np.fill_diagonal(table, (base + lam) / k)
     else:
         table = np.zeros((k, k))
-        picks = (np.arange(k) if _argmax_finds_user(k, lam)
+        picks = (np.arange(k) if argmax_finds_user(k, lam)
                  else np.zeros(k, dtype=np.int64))
         table[np.arange(k), picks] = 1.0 / k
     return table
 
 
-def dimension_channel_joint(world: SyntheticWorld, task_id: str, dim_id: str,
+def dimension_channel_joint(world, task_id: str, dim_id: str,
                             mode: str = "sample") -> DiscreteJoint:
     """Joint of (v, y) for one carrier-absent dimension of a world.
 
     v is the user value and y the model's output token; the table is
-    the (K, lambda) channel tiil_check and classify_privacy evaluate.
+    the (K, lambda) channel tiil.tiil_check and tiil.classify_privacy
+    evaluate.
     """
     if mode not in ("argmax", "sample"):
         raise DomainMismatch(f"mode must be 'argmax' or 'sample', got {mode!r}")
     [(k, lam)] = dim_channels(world, task_id, [dim_id])
     return DiscreteJoint(("v", "y"), _regeneration_channel(k, lam, mode))
-
-
-@dataclass(frozen=True)
-class PrivacyVerdict:
-    dimension: str
-    mi_bits: float
-    bayes_accuracy: float
-    chance: float
-    label: str  # public | private
-
-
-def classify_privacy(world: SyntheticWorld, task_id: str, dim_id: str,
-                     theta_pub: float = THETA_PUB_DEFAULT) -> PrivacyVerdict:
-    """Operational public/private call for one dimension.
-
-    Public means the sampled-output channel decodes the user value with
-    Bayes accuracy at least theta_pub, and materially above chance
-    (chance + 0.1); everything else is private. Relative to this world's
-    prior, never an intrinsic property of the dimension. The accuracy,
-    chance and label are privacy_label's, and mi_bits is I(v; y), the
-    identity decoder's score on the sampled channel, as in tiil_check.
-    """
-    check_theta_pub(theta_pub)
-    [(k, lam)] = dim_channels(world, task_id, [dim_id])
-    acc, chance, label = privacy_label(k, lam, theta_pub)
-    _, mi = _Channel(k, lam).score(range(k))
-    return PrivacyVerdict(dimension=dim_id.lower(), mi_bits=mi, bayes_accuracy=acc,
-                          chance=chance, label=label)

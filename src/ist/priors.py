@@ -1,6 +1,6 @@
 """World configs and (K, lambda) privacy labels, in pure Python.
 
-Three rules about synthetic prior worlds that need no world build and no
+Four rules about synthetic prior worlds that need no world build and no
 numpy:
 
 * check_world_config is the one check pass of a world config. It makes
@@ -18,6 +18,8 @@ numpy:
   It takes the channel's Bayes accuracy, (1 + (K - 1) lambda)/K, and its
   chance level, 1/K, in closed form, each correctly rounded, without
   building the K x K table.
+* argmax_finds_user is the one argmax rule of a (K, lambda) prior, read
+  by the world simulator and the dense oracle alike.
 """
 
 from __future__ import annotations
@@ -216,3 +218,15 @@ def privacy_label(k: int, lam: float, theta_pub: float,
     chance = 1 / k
     public = acc >= theta_pub and acc >= chance + CHANCE_FLOOR
     return acc, chance, "public" if public else "private"
+
+
+def argmax_finds_user(k: int, lam: float) -> bool:
+    """Whether argmax of the (K, lambda) prior lands on the user value;
+    elementwise on arrays of K and lambda.
+
+    The user's entry is base + lam over a flat base = (1 - lam)/K. When
+    lam is below the float resolution of base, every entry ties and
+    argmax picks token 0, whatever the user value.
+    """
+    base = (1.0 - lam) / k
+    return base + lam > base

@@ -5,7 +5,10 @@ world: on the dimension's sampled (K, lambda) channel p(v, y), no
 decoder g of y carries more information about v than y does, and on a
 channel at chance level no decoder beats chance. It reads the rows of
 priors.check_world_config or a built SyntheticWorld, so `ist tiil-check`
-needs no world build and no numpy.
+needs no world build and no numpy. classify_privacy is the battery's
+verdict on one dimension of either form, a PrivacyVerdict named tuple:
+privacy_label's accuracy, chance and label, and the identity decoder's
+I(v; y) as mi_bits. Nothing here loads numpy or dataclasses.
 
 Every decoder of the battery is a point mass, y -> picks[y], and
 _Channel.score gives its (accuracy, I(v; g)) with the floats of the dense
@@ -25,7 +28,8 @@ sum of n_g offs, off g's preimage of n_g tokens and a memoized T(n, r)
 on it, so each row of that table is one row with one entry replaced;
 and a g cell of a single token's preimage is a column sum of the
 channel. Sequential sums use functools.reduce(operator.add), never
-builtin sum, which compensates from Python 3.12 on.
+builtin sum, which compensates from Python 3.12 on. The dense oracle
+shares SUM_TOL, nonnegative and mi_of_entropies with this scorer.
 
 Units are bits (log base 2) throughout.
 """
@@ -33,27 +37,28 @@ Units are bits (log base 2) throughout.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import reduce
 from itertools import repeat
 from operator import add
 
 from .errors import InvalidDistribution, RangeError
-from .priors import THETA_PUB_DEFAULT, check_theta_pub, privacy_label
+from .priors import THETA_PUB_DEFAULT, check_theta_pub, dim_channels, privacy_label
 from .rng import DECODER_STREAM, check_uint64, derive, splitmix64, uniform_index
 
-_SUM_TOL = 1e-9
-_MI_NEG_TOL = 1e-12  # per bit of entropy summed; see _mi_of_entropies
+SUM_TOL = 1e-9
+_MI_NEG_TOL = 1e-12  # per bit of entropy summed; see mi_of_entropies
 _TERM_ULPS = 4  # rounding of one p log2 p term, in units of 2**-53
 DPI_TOL = 1e-9
 _SHORT_RUN = 40  # runs of offs up to this long are added one by one
 
 
-def _nonnegative(h: float) -> float:
+def nonnegative(h: float) -> float:
     """An entropy's rounding below zero clamped away (-0.0 stays)."""
     return 0.0 if h < 0.0 else h
 
 
-def _mi_of_entropies(hs, sizes) -> float:
+def mi_of_entropies(hs, sizes) -> float:
     """H(x) + H(y) - H(x, y) from the three entropies and the cell counts
     of their tables.
 
@@ -77,7 +82,7 @@ def _mi_of_entropies(hs, sizes) -> float:
 
 
 def _check_total(total: float) -> None:
-    if not abs(total - 1.0) <= _SUM_TOL:
+    if not abs(total - 1.0) <= SUM_TOL:
         raise InvalidDistribution(f"table sums to {total!r}, expected 1")
 
 
@@ -203,7 +208,7 @@ class _Channel:
         """H(v), from the channel's row sums as numpy sums them."""
         if self._h_v is None:
             terms = [self.terms[self.pairwise(self.k, v)] for v in range(self.k)]
-            self._h_v = _nonnegative(-reduce(add, terms, 0.0))
+            self._h_v = nonnegative(-reduce(add, terms, 0.0))
             # only H(v) reads the row sums, and tiil_check holds every
             # channel of one K at a time
             self._pairwise.clear()
@@ -258,8 +263,31 @@ class _Channel:
                                + [x for n in sizes for x in self.t_row(n)]))
         h_g = -reduce(add, map(self.terms.__getitem__, g_cells), 0.0)
         h_vg = -reduce(add, terms, 0.0)
-        return accuracy, _mi_of_entropies(
-            [self.h_v(), _nonnegative(h_g), _nonnegative(h_vg)], [k, k, k * k])
+        return accuracy, mi_of_entropies(
+            [self.h_v(), nonnegative(h_g), nonnegative(h_vg)], [k, k, k * k])
+
+
+PrivacyVerdict = namedtuple("PrivacyVerdict", "dimension mi_bits bayes_accuracy chance label")
+
+
+def classify_privacy(world, task_id: str, dim_id: str,
+                     theta_pub: float = THETA_PUB_DEFAULT) -> PrivacyVerdict:
+    """Operational public/private call for one dimension of a world: the
+    rows of priors.check_world_config or a built SyntheticWorld.
+
+    Public means the sampled-output channel decodes the user value with
+    Bayes accuracy at least theta_pub, and materially above chance
+    (chance + 0.1); everything else is private. Relative to this world's
+    prior, never an intrinsic property of the dimension. The accuracy,
+    chance and label are privacy_label's, and mi_bits is I(v; y), the
+    identity decoder's score on the sampled channel, as in tiil_check.
+    """
+    check_theta_pub(theta_pub)
+    [(k, lam)] = dim_channels(world, task_id, [dim_id])
+    acc, chance, label = privacy_label(k, lam, theta_pub)
+    _, mi = _Channel(k, lam).score(range(k))
+    return PrivacyVerdict(dimension=dim_id.lower(), mi_bits=mi, bayes_accuracy=acc,
+                          chance=chance, label=label)
 
 
 class _Battery:

@@ -11,8 +11,9 @@ lam=1 makes the dimension trivially recoverable (public); lam=0 makes
 the prior carry nothing about the user value (private). Simulated
 outputs copy encoded dimensions from the carrier verbatim and fill
 absent ones from the prior, either by argmax (ties to the lowest token
-index) or by sampling. Slots are always filled, so structure is always
-perfect and only fidelity varies.
+index; priors.argmax_finds_user says when argmax finds the user value)
+or by sampling. Slots are always filled, so structure is always perfect
+and only fidelity varies.
 
 A SyntheticWorld is valid once it is built. Its constructor applies the
 rules of a flat intent spec to every task (priors.check_flat_tasks: a
@@ -62,8 +63,8 @@ from . import _kernels
 from .errors import Inconsistent, LengthMismatch, UnknownTask, refusal
 from .jsonio import loads_strict
 from .metrics import _float_weighted_sum, weighted_sum
-from .model import Dimension, EncodingMask, IntentSpec, ValueRef
-from .priors import check_flat_tasks, check_world_fields
+from .model import EncodingMask, ValueRef
+from .priors import argmax_finds_user, check_flat_tasks, check_world_fields
 from .rng import USER_VALUE_STREAM, check_uint64, derive, uniform_index
 
 
@@ -138,13 +139,6 @@ def load_world(path, seed: int | None = None) -> SyntheticWorld:
     return build_world(loads_strict(Path(path).read_bytes()), seed)
 
 
-def to_intent_spec(task: WorldTask, task_type: str = "synthetic") -> IntentSpec:
-    """Project a world task into a scoreable spec (intended = user values)."""
-    dims = tuple(Dimension(id=d, weight=w, intended_value=ValueRef.token(token(u)))
-                 for d, w, u in zip(task.dims, task.weights, task.users))
-    return IntentSpec(task_id=task.task_id, task_type=task_type, dimensions=dims)
-
-
 def full_mask(task: WorldTask) -> EncodingMask:
     return EncodingMask(task.dims, (1,) * len(task.dims))
 
@@ -202,8 +196,8 @@ def _dim_column(tasks, name: str) -> np.ndarray:
 
 def _argmax_grid(tasks) -> np.ndarray:
     """Each dimension's prior default (tasks x dims): the user index
-    where _argmax_finds_user, else token 0."""
-    return np.where(_argmax_finds_user(_dim_column(tasks, "ks"), _dim_column(tasks, "lams")),
+    where argmax_finds_user, else token 0."""
+    return np.where(argmax_finds_user(_dim_column(tasks, "ks"), _dim_column(tasks, "lams")),
                     _dim_column(tasks, "users"), 0)
 
 
@@ -343,25 +337,13 @@ def _check_mode(mode, name: str = "mode") -> None:
 # analytic expectations and Monte Carlo means
 # ---------------------------------------------------------------------------
 
-def _argmax_finds_user(k: int, lam: float) -> bool:
-    """Whether argmax of the (K, lambda) prior lands on the user value;
-    elementwise on arrays of K and lambda.
-
-    The user's entry is base + lam over a flat base = (1 - lam)/K. When
-    lam is below the float resolution of base, every entry ties and
-    argmax picks token 0, whatever the user value.
-    """
-    base = (1.0 - lam) / k
-    return base + lam > base
-
-
 def _argmax_match_prob(k: int, lam: float) -> float:
     """P(argmax of prior == user value) under world regeneration.
 
     Certain when lam lifts the user's entry; otherwise argmax is token 0,
     which is the user value for 1 of the K equally likely values.
     """
-    return 1.0 if _argmax_finds_user(k, lam) else 1.0 / k
+    return 1.0 if argmax_finds_user(k, lam) else 1.0 / k
 
 
 def expected_f_icmw(world: SyntheticWorld, task_id: str, mask: EncodingMask,

@@ -21,8 +21,6 @@ from ist.experiments import (
 from ist.infotheory import (
     DiscreteJoint,
     bayes_decoder,
-    classify_privacy,
-    constant_decoder,
     entropy,
     mutual_information,
     random_deterministic_decoder,
@@ -47,11 +45,11 @@ from ist.worlds import (
     mask_without,
     mc_mean_f_icmw,
     simulate_output,
-    to_intent_spec,
 )
-from ist.tiil import tiil_check
+from ist.tiil import classify_privacy, tiil_check
 
 from conftest import ablation_records, all_private_config, random_spec
+from reference import constant_decoder, to_intent_spec
 
 TS = "2026-08-15T00:00:00Z"
 

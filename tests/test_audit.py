@@ -25,12 +25,14 @@ from ist.audit import (
 )
 from ist.errors import (Inconsistent, RangeError, SchemaError, UnknownTask,
                         UnknownVariable, WorldTooLarge)
-from ist.infotheory import classify_privacy
 from ist.metrics import bundle_for_output, score_output
 from ist.model import Carrier, Dimension, IntentSpec, ValueRef, flatten
 from ist.priors import check_world_config
 from ist.spec_io import compute_mask
-from ist.worlds import build_world, to_intent_spec
+from ist.tiil import classify_privacy
+from ist.worlds import build_world
+
+from reference import to_intent_spec
 
 TS = "2026-08-15T00:00:00Z"
 

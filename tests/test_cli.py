@@ -29,9 +29,10 @@ from ist.spec_io import (
 )
 from ist.experiments import parse_experiment_config
 from ist.priors import check_world_config
-from ist.worlds import build_world, to_intent_spec
+from ist.worlds import build_world
 
 from conftest import DATA, SRC, TESTS_DATA, ablation_records, mixed_ablation_config, run_ist
+from reference import to_intent_spec
 
 TS = "2026-08-15T00:00:00Z"
 
@@ -1170,6 +1171,11 @@ EXPERIMENT_CONFIG_REFUSALS = {
     "budget-a-string": ({"budget": "2"}, "$.budget: must be an integer, got '2'"),
     "zero-replicates": ({"replicates": 0}, "$.replicates: must be a positive integer, got 0"),
     "no-perturbations": ({"perturbations": []}, "$.perturbations: expected a non-empty array"),
+    # null is not absence: each field is refused as a world's null seed is
+    "null-seed": ({"seed": None}, "$.seed: must be an integer, got None"),
+    "null-budget": ({"budget": None}, "$.budget: must be an integer, got None"),
+    "null-replicates": ({"replicates": None},
+                        "$.replicates: must be a positive integer, got None"),
 }
 
 

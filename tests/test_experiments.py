@@ -73,11 +73,11 @@ from ist.worlds import (
     full_mask,
     mask_without,
     simulate_output,
-    to_intent_spec,
 )
 from ist.tiil import tiil_check
 
 from conftest import DATA, TESTS_DATA, ablation_records, ablation_text
+from reference import to_intent_spec
 from test_worlds import sample_token_index_reference
 
 

@@ -1,8 +1,10 @@
 """Import boundary: the light subcommands, audit with a world and
 tiil-check run without numpy, only tiil-check loads the decoder battery
 (ist.tiil), tiil-check loads neither dataclasses nor the spec modules,
-only a world config loads the world check (ist.priors, ist.rng), and the
-package's public names load lazily from one export table."""
+only a world config loads the world check (ist.priors, ist.rng), the
+privacy verdict on a world's rows loads neither numpy nor ist.worlds,
+the dense oracle loads no world, metrics or model, and the package's
+public names load lazily from one export table."""
 
 import importlib
 import json
@@ -16,7 +18,9 @@ import pytest
 import ist
 from ist.cli import main
 from ist.spec_io import serialize_intent_spec
-from ist.worlds import load_world, to_intent_spec
+from ist.worlds import load_world
+
+from reference import to_intent_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "ist" / "data"
@@ -42,12 +46,16 @@ SPECS = ["dataclasses", "ist.model", "ist.spec_io"]
 WORLD_CHECK = ["ist.priors", "ist.rng"]
 
 
-def run_child(*argv) -> dict:
+def run_python(code: str, *argv) -> str:
+    """stdout of code run in a fresh interpreter that imports ist from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def run_child(*argv) -> dict:
+    return json.loads(run_python(CHILD, *argv))
 
 
 @pytest.fixture(scope="module")
@@ -118,12 +126,47 @@ def test_tiil_check_does_not_import_numpy(world, fmt):
 def test_rng_imports_without_numpy():
     # derive, unit_float and uniform_index take np.uint64 arrays by duck
     # typing, so the hash module itself never needs numpy
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ist.rng; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert run_python("import sys, ist.rng; print('numpy' in sys.modules)") == "False\n"
+
+
+VERDICT_CHILD = """
+import json, sys
+from ist import classify_privacy
+from ist.priors import check_world_config
+with open(sys.argv[1], encoding="utf-8") as f:
+    _, _, rows = check_world_config(json.load(f))
+task_id, dims = rows[0][:2]
+print(json.dumps({"verdicts": [classify_privacy(rows, task_id, d) for d in dims],
+                  "loaded": [m for m in ("numpy", "dataclasses", "ist.worlds")
+                             if m in sys.modules]}))
+"""
+
+
+def test_classify_privacy_on_world_rows_does_not_import_numpy():
+    # the verdict is the battery's, in pure Python on the checked rows of a
+    # world config, with no world build; a named tuple, it prints as a list
+    got = json.loads(run_python(VERDICT_CHILD, str(DATA / "demo_world.json")))
+    world = load_world(DATA / "demo_world.json")
+    task = world.tasks[0]
+    assert got == {"verdicts": [list(ist.classify_privacy(world, task.task_id, d))
+                                for d in task.dims], "loaded": []}
+
+
+def test_the_dense_oracle_loads_no_world_metrics_or_model():
+    # infotheory reads its (K, lambda) lookup and argmax rule from priors,
+    # and its tolerances and MI rule from tiil
+    assert run_python("import sys, ist.infotheory; print(sorted(m for m in sys.modules "
+                      "if m in ('ist.worlds', 'ist.metrics', 'ist.model')))") == "[]\n"
+
+
+def test_the_verdict_lives_with_the_battery():
+    import ist.infotheory
+    import ist.tiil
+    assert ist.classify_privacy is ist.tiil.classify_privacy
+    assert ist.PrivacyVerdict is ist.tiil.PrivacyVerdict
+    assert not {"classify_privacy", "PrivacyVerdict"} & set(vars(ist.infotheory))
+    verdict = ist.tiil.PrivacyVerdict("d", 0.5, 0.75, 0.5, "private")
+    assert verdict == ("d", 0.5, 0.75, 0.5, "private") and verdict.mi_bits == 0.5
 
 
 def test_every_public_name_resolves_lazily():

@@ -22,8 +22,6 @@ from ist.infotheory import (
     bayes_accuracy,
     bayes_decoder,
     chance_level,
-    classify_privacy,
-    constant_decoder,
     decoder_accuracy,
     dimension_channel_joint,
     entropy,
@@ -35,8 +33,10 @@ from ist.infotheory import (
 from ist.jsonio import dumps_canonical
 from ist.priors import CELL_CAP, CHANCE_FLOOR, check_world_config, privacy_label
 from ist.rng import DECODER_STREAM, MASK64, derive, splitmix64, uniform_index, unit_float
-from ist.tiil import _Channel, _mi_of_entropies, tiil_check
+from ist.tiil import _Channel, classify_privacy, mi_of_entropies, tiil_check
 from ist.worlds import SyntheticWorld, build_world
+
+from reference import constant_decoder
 
 H_THREE_QUARTERS = 0.8112781244591328  # -(0.75 log2 0.75 + 0.25 log2 0.25)
 
@@ -452,7 +452,7 @@ def tiil_check_reference(world, theta_pub=0.9, seed=0):
                     extended = np.einsum("ab,bc->abc", joint.table, dec.rows)
                     g, vg = extended.sum(axis=(0, 1)), extended.sum(axis=1)
                 acc = decoder_accuracy(joint, dec, "v")
-                i_v_g = _mi_of_entropies([h_v, entropy(g), entropy(vg)], [k, k, k ** 2])
+                i_v_g = mi_of_entropies([h_v, entropy(g), entropy(vg)], [k, k, k ** 2])
                 holds = i_v_g <= mi + DPI_TOL
                 if k ** 3 <= CELL_CAP:
                     rep = verify_dpi(joint, dec)
@@ -780,7 +780,7 @@ def point_mass_scores_reference(p, picks):
     g = np.bincount(np.broadcast_to(picks, (k, k)).ravel(), p.ravel(), k)
     accuracy = float(np.cumsum(p[picks, np.arange(k)])[-1])
     hs = [entropy(t) for t in (p.sum(axis=1), g, vg)]
-    return accuracy, _mi_of_entropies(hs, [k, k, k * k])
+    return accuracy, mi_of_entropies(hs, [k, k, k * k])
 
 
 @pytest.mark.parametrize("k", [101, 331, 1000])

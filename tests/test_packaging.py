@@ -50,9 +50,12 @@ def test_no_unused_imports():
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _is_private_name(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _is_private(node: ast.AST) -> bool:
-    return isinstance(node, _DEFINITIONS) and node.name.startswith("_") \
-        and not node.name.startswith("__")
+    return isinstance(node, _DEFINITIONS) and _is_private_name(node.name)
 
 
 def _unused_private_definitions(paths: list[Path]) -> list[str]:
@@ -100,6 +103,46 @@ def test_the_private_guard_sees_methods(tmp_path):
         "def _helper():\n"
         "    return Joint()\n", encoding="utf-8")
     assert _unused_private_definitions([module]) == ["m.py: Joint._orphan", "m.py: _helper"]
+
+
+def _private_imports(path: Path) -> list[str]:
+    """_-prefixed names (dunders aside) that a module of the package
+    imports from another, or reads as an attribute of a module it
+    imported; a private module itself, such as _kernels, is a module
+    and not a name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hits, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "ist"):
+            for alias in node.names:
+                if node.module in (None, "ist"):  # from . import module
+                    modules.add(alias.asname or alias.name)
+                elif _is_private_name(alias.name):
+                    hits.append(f"{path.name}:{node.lineno}: {alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and _is_private_name(node.attr):
+            hits.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    return hits
+
+
+def test_the_dense_oracle_imports_no_private_name():
+    # infotheory stands alone: what it shares with the battery and the
+    # world rules is their public API
+    path = PYPROJECT.parent / "src" / "ist" / "infotheory.py"
+    assert _private_imports(path) == []
+
+
+def test_the_private_import_guard_sees_names_and_attributes(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from . import _kernels, rng\n"
+        "from .tiil import SUM_TOL, _Channel\n"
+        "from ist.worlds import _argmax as argmax\n"
+        "from .errors import __doc__\n"
+        "a = _kernels.entropy_bits(rng._mix, _kernels._cap)\n", encoding="utf-8")
+    assert _private_imports(module) == ["m.py:2: _Channel", "m.py:3: _argmax",
+                                        "m.py:5: rng._mix", "m.py:5: _kernels._cap"]
 
 
 def _float_sums(path: Path) -> list[str]:

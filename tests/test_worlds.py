@@ -20,12 +20,13 @@ except ImportError:
 from ist import _kernels
 from ist.errors import (BadConfig, Inconsistent, LengthMismatch, SchemaError, SpecSyntaxError,
                         UnknownDimension, UnknownTask)
-from ist.infotheory import classify_privacy, dimension_channel_joint
+from ist.infotheory import dimension_channel_joint
 from ist.jsonio import dumps_canonical
 from ist.metrics import bundle_for_output, score_output, weighted_sum
 from ist.model import EncodingMask, ValueRef, validate_spec
 from ist.priors import CELL_CAP, check_world_config
 from ist.rng import SAMPLE_STREAM, USER_VALUE_STREAM, derive, uniform_index, unit_float
+from ist.tiil import classify_privacy
 from ist.worlds import (
     _argmax_match_prob,
     _block_grids,
@@ -37,11 +38,11 @@ from ist.worlds import (
     mc_mean_f_icmw,
     load_world,
     simulate_output,
-    to_intent_spec,
     token,
 )
 
 from conftest import SRC
+from reference import to_intent_spec
 
 
 def one_dim_config(lam, k, weight=1.0):
