@@ -7,8 +7,8 @@ The package is organized bottom-up:
 * model: weighted intent specs, carriers, masks, validation, flattening
 * spec_io: parsing and serialization of specs, carriers and records
 * metrics: encoding loss, s_icmw/f_icmw/drift, GA synthesis, split zone
-* priors: the world-config check pass and the (K, lambda) privacy label
-  and argmax rules, in pure Python
+* priors: the world-config check pass (a WorldConfig) and the (K, lambda)
+  privacy label and argmax rules, in pure Python
 * worlds: finite-alphabet prior simulation with derived seeds
 * infotheory: the dense oracle: enumerated entropy/MI, decoders, DPI;
   no worlds, metrics or model

@@ -11,8 +11,8 @@ order: explicit hints in the spec, then oracle verdicts when a prior
 world is supplied, else "unlabeled". An oracle verdict is
 priors.privacy_label of the dimension's (K, lambda), which
 priors.dim_channels, the one (K, lambda) lookup that the information
-oracle also reads, finds in a built SyntheticWorld or in the rows of
-priors.check_world_config, so labelling needs no world build and no
+oracle also reads, finds in a built SyntheticWorld or in the WorldConfig
+of priors.check_world_config, so labelling needs no world build and no
 numpy. An unlabeled record has an empty private_at_risk list; absence
 of knowledge is reported as absence of knowledge, never guessed. The
 split zone uses the one metrics threshold, SPLIT_ZONE_THRESHOLD, so a
@@ -69,7 +69,7 @@ def resolve_privacy_labels(spec: IntentSpec, world=None,
     (or hinted "unknown") stay None and never count as at risk. With no
     hints and a world given, every dimension gets an oracle label from
     the (K, lambda) of its world dimension. world is a built
-    SyntheticWorld or the rows of priors.check_world_config.
+    SyntheticWorld or the WorldConfig of priors.check_world_config.
     """
     flat = spec.flat
     hinted = {d.id: d.privacy_hint for d in flat

@@ -38,11 +38,11 @@ def _read(path) -> bytes:
     return Path(path).read_bytes()
 
 
-def _world_rows(path, seed: int | None) -> list:
-    """The checked rows of the world config at path (priors.check_world_config)."""
+def _checked_world(path, seed: int | None):
+    """The checked world config at path, a priors.WorldConfig."""
     from .priors import check_world_config
 
-    return check_world_config(loads_strict(_read(path)), seed)[2]
+    return check_world_config(loads_strict(_read(path)), seed)
 
 
 def _write_out(args, text: str) -> None:
@@ -167,7 +167,7 @@ def _audit(args, spec_path, carrier_path, output_path, lenient=False,
     if out_doc.task_id != spec.task_id:
         raise BadConfig(f"output task {out_doc.task_id!r} does not match "
                         f"spec task {spec.task_id!r}")
-    world = _world_rows(world_path, seed) if world_path else None
+    world = _checked_world(world_path, seed) if world_path else None
     record = build_audit_record(spec, carrier, out_doc.realized_values, world,
                                 timestamp=args.timestamp, **thresholds)
     _write_out(args, dumps_canonical(audit_record_to_obj(record)) + "\n")
@@ -236,9 +236,9 @@ def cmd_perturb(args) -> int:
 def cmd_tiil_check(args) -> int:
     from .tiil import THETA_PUB_DEFAULT, tiil_check
 
-    rows = _world_rows(args.world or _data_path("demo_world.json"), args.seed)
+    world = _checked_world(args.world or _data_path("demo_world.json"), args.seed)
     theta_pub = THETA_PUB_DEFAULT if args.theta_pub is None else args.theta_pub
-    result = tiil_check(rows, theta_pub=theta_pub, seed=args.seed or 0)
+    result = tiil_check(world, theta_pub=theta_pub, seed=args.seed or 0)
     if args.format == "json":
         _write_out(args, dumps_canonical(result) + "\n")
     else:

@@ -14,8 +14,8 @@ verify_dpi sums H(v) over an extension's K**3 cells instead, so its
 I(v; g) may differ from the battery's in the last ulps. A channel's
 (K, lambda) comes from priors.dim_channels, the one lookup, and its
 argmax rows from priors.argmax_finds_user; the tolerances and the
-MI-of-entropies rule are tiil's. Nothing here reads a built world's
-type or another module's private name.
+MI-of-entropies rule are tiil's. Nothing here tests a world's form or
+reads another module's private name.
 
 Every joint and decoder is built by its public constructor, which
 copies the table or rows (so the caller's array stays writeable and

@@ -135,9 +135,6 @@ class EncodingMask:
         except ValueError:
             raise UnknownDimension(dim_id) from None
 
-    def encoded_ids(self) -> frozenset[str]:
-        return frozenset(d for d, b in zip(self.dims, self.bits) if b)
-
 
 @dataclass(frozen=True)
 class FlatDimension:

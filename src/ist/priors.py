@@ -4,16 +4,16 @@ Four rules about synthetic prior worlds that need no world build and no
 numpy:
 
 * check_world_config is the one check pass of a world config. It makes
-  every check a world build makes and returns the checked, normalized
-  rows, one (task_id, ids, weights, Ks, lambdas) of columns per task,
-  and `ist audit --world` labels from them alone. It is check_world_fields
-  then check_flat_tasks, the rules of a flat intent spec. build_world
-  realizes the rows of check_world_fields into a SyntheticWorld, whose
-  constructor applies check_flat_tasks, so the rules run once there too.
-  Each refusal is a SchemaError at its field's $-path, as in any document.
+  every check a world build makes and returns a WorldConfig, the built
+  world less its user values (ids lower-cased, weights normalized), which
+  `ist audit --world` and `ist tiil-check` read alone. It is
+  check_world_fields then check_flat_tasks, the rules of a flat intent
+  spec. build_world realizes the tasks of check_world_fields into a
+  SyntheticWorld, whose constructor applies check_flat_tasks, so the
+  rules run once there too. Each refusal is a SchemaError at its $-path.
 * dim_channels is the one (K, lambda) lookup: it reads the named
-  dimensions of one task of a built SyntheticWorld or of those rows, so
-  the audit labels and the information oracle find a channel alike.
+  dimensions of one task of world.tasks, built or checked alike, so the
+  audit labels and the information oracle find a channel alike.
 * privacy_label is the one public/private rule of a (K, lambda) channel.
   It takes the channel's Bayes accuracy, (1 + (K - 1) lambda)/K, and its
   chance level, 1/K, in closed form, each correctly rounded, without
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from typing import Iterator
 
 from .errors import (NegativeWeight, RangeError, SchemaError, UnknownTask, UnknownVariable,
@@ -42,32 +43,36 @@ THETA_PUB_DEFAULT = 0.9
 # labeled public no matter how low theta_pub is set.
 CHANCE_FLOOR = 0.1
 
+# a SyntheticWorld's fields, and each task a WorldTask's but for its users
+WorldConfig = namedtuple("WorldConfig", "seed tag tasks")
+TaskRow = namedtuple("TaskRow", "task_id index dims weights ks lams")
+
 
 # ---------------------------------------------------------------------------
 # the world-config check pass
 # ---------------------------------------------------------------------------
 
 def check_flat_tasks(tasks) -> None:
-    """The rules validate_spec applies to a flat spec, on (task_id,
-    dimension ids, weights) triples: a task id no other task uses;
-    non-empty dimension ids, distinct after lower-casing; weights in
-    [0, 1] whose fsum is within TOP_WEIGHT_TOL of 1 (a task without dims
-    fails the sum), else SchemaError at $.tasks[i] (or its dims[j])."""
+    """The rules validate_spec applies to a flat spec, on each task's
+    task_id, dims and weights: a task id no other task uses; non-empty
+    dimension ids, distinct after lower-casing; weights in [0, 1] whose
+    fsum is within TOP_WEIGHT_TOL of 1 (a task without dims fails the
+    sum), else SchemaError at $.tasks[i] (or its dims[j])."""
     task_ids = set()
-    for task_ix, (task_id, ids, weights) in enumerate(tasks):
+    for task_ix, task in enumerate(tasks):
         where = f"$.tasks[{task_ix}]"
-        if task_id in task_ids:
-            raise SchemaError(where, f"duplicate task_id {task_id!r}")
-        task_ids.add(task_id)
-        for dim_ix, (dim_id, weight) in enumerate(zip(ids, weights)):
+        if task.task_id in task_ids:
+            raise SchemaError(where, f"duplicate task_id {task.task_id!r}")
+        task_ids.add(task.task_id)
+        for dim_ix, (dim_id, weight) in enumerate(zip(task.dims, task.weights)):
             if not dim_id:
                 raise SchemaError(f"{where}.dims[{dim_ix}].id", "must be non-empty")
             if not 0.0 <= weight <= 1.0:
                 raise SchemaError(f"{where}.dims[{dim_ix}].weight",
                                   f"must be in [0, 1], got {weight!r}")
-        if len({i.lower() for i in ids}) != len(ids):
+        if len({i.lower() for i in task.dims}) != len(task.dims):
             raise SchemaError(where, "duplicate dimension ids")
-        total = math.fsum(weights)
+        total = math.fsum(task.weights)
         if abs(total - 1.0) > TOP_WEIGHT_TOL:
             raise SchemaError(where, f"weights sum to {total!r}, expected 1")
 
@@ -91,26 +96,25 @@ def _where(task_ix: int, dim_ix: int, field: str = "") -> str:
     return f"$.tasks[{task_ix}].dims[{dim_ix}]{field}"
 
 
-def check_world_config(config: dict, seed: int | None = None,
-                       ) -> tuple[int, str, list]:
-    """(seed, tag, rows) of a valid world config, else SchemaError at the
-    first bad field's $-path (BadConfig for a bad seed argument).
+def check_world_config(config: dict, seed: int | None = None) -> WorldConfig:
+    """The WorldConfig (seed, tag, tasks) of a valid world config, else
+    SchemaError at the first bad field's $-path (BadConfig for a bad seed
+    argument).
 
     Config shape: {"tasks": [{"task_id", "dims": [{"id", "weight", "K",
     "lambda"}]}], "seed"?, "tag"?}; any other field is rejected. An
-    explicit seed argument wins over the config's. rows holds one
-    (task_id, ids, weights, ks, lams) per task, the last four tuples with
-    one entry per dimension, ids lower-cased and weights normalized.
-    Every task's field, weight, K and lambda checks come before the
-    flat-spec rules of check_flat_tasks.
+    explicit seed argument wins over the config's. tasks holds one
+    TaskRow per task: its task_id, its position as index, and dims,
+    weights, ks and lams, tuples with one entry per dimension, ids
+    lower-cased and weights normalized. Every task's field, weight, K and
+    lambda checks come before the flat-spec rules of check_flat_tasks.
     """
-    seed, tag, rows = check_world_fields(config, seed)
-    check_flat_tasks(row[:3] for row in rows)
-    return seed, tag, rows
+    world = check_world_fields(config, seed)
+    check_flat_tasks(world.tasks)
+    return world
 
 
-def check_world_fields(config: dict, seed: int | None = None,
-                       ) -> tuple[int, str, list]:
+def check_world_fields(config: dict, seed: int | None = None) -> WorldConfig:
     """check_world_config up to the flat-spec rules, which a built
     SyntheticWorld applies itself: the top-level fields, then each task's
     row in turn."""
@@ -125,14 +129,14 @@ def check_world_fields(config: dict, seed: int | None = None,
     raw_tasks = config.get("tasks")
     if not isinstance(raw_tasks, list) or not raw_tasks:
         raise SchemaError("$.tasks", "expected a non-empty array")
-    return seed, tag, list(_task_rows(raw_tasks))
+    return WorldConfig(seed, tag, tuple(_task_rows(raw_tasks)))
 
 
 _DIM_FIELDS = ("id", "weight", "K", "lambda")
 _DIM_KEYS = frozenset(_DIM_FIELDS)
 
 
-def _task_rows(raw_tasks: list) -> Iterator[tuple]:
+def _task_rows(raw_tasks: list) -> Iterator[TaskRow]:
     for task_ix, t in enumerate(raw_tasks):
         where = f"$.tasks[{task_ix}]"
         _check_keys(_require_obj(t, where), where, ("task_id", "dims"), (), False)
@@ -162,31 +166,27 @@ def _task_rows(raw_tasks: list) -> Iterator[tuple]:
                               f"must be >= 0, got {e.value!r}") from None
         ks, lams = zip(*[_check_channel(d, task_ix, dim_ix)
                          for dim_ix, d in enumerate(raw_dims)])
-        yield task_id, tuple(d["id"].lower() for d in raw_dims), tuple(weights), ks, lams
+        yield TaskRow(task_id, task_ix, tuple(d["id"].lower() for d in raw_dims),
+                      tuple(weights), ks, lams)
 
 
 def dim_channels(world, task_id: str, dim_ids) -> Iterator[tuple[int, float]]:
     """Yield (K, lambda) of each of dim_ids, in order, in one task of a
-    world: a built SyntheticWorld or the rows of check_world_config.
+    world: a built SyntheticWorld or the WorldConfig of check_world_config.
 
     Both store ids lower-cased, so a given id is folded. An unknown task
     raises UnknownTask at the first id, and an unknown id raises
     UnknownVariable naming it as given when it is reached, so a caller
     that labels each channel in turn meets errors in dimension order.
     """
-    if isinstance(world, list):  # check_world_config rows
-        row = next((row for row in world if row[0] == task_id), None)
-        if row is None:
-            raise UnknownTask(task_id)
-        _, dims, _, ks, lams = row
-    else:
-        task = world.task(task_id)
-        dims, ks, lams = task.dims, task.ks, task.lams
+    task = next((t for t in world.tasks if t.task_id == task_id), None)
+    if task is None:
+        raise UnknownTask(task_id)
     for dim_id in dim_ids:
-        if dim_id.lower() not in dims:
+        if dim_id.lower() not in task.dims:
             raise UnknownVariable(dim_id)
-        j = dims.index(dim_id.lower())
-        yield ks[j], lams[j]
+        j = task.dims.index(dim_id.lower())
+        yield task.ks[j], task.lams[j]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 tiil_check checks the irreversibility bound on every dimension of a
 world: on the dimension's sampled (K, lambda) channel p(v, y), no
 decoder g of y carries more information about v than y does, and on a
-channel at chance level no decoder beats chance. It reads the rows of
-priors.check_world_config or a built SyntheticWorld, so `ist tiil-check`
-needs no world build and no numpy. classify_privacy is the battery's
-verdict on one dimension of either form, a PrivacyVerdict named tuple:
-privacy_label's accuracy, chance and label, and the identity decoder's
-I(v; y) as mi_bits. Nothing here loads numpy or dataclasses.
+channel at chance level no decoder beats chance. It reads world.tasks,
+of a built world or of priors.check_world_config's WorldConfig alike, so
+the tiil-check command needs no world build and no numpy.
+classify_privacy is the battery's verdict on one dimension, a
+PrivacyVerdict named tuple: privacy_label's accuracy, chance and label,
+and the identity decoder's I(v; y) as mi_bits. Nothing here loads numpy
+or dataclasses.
 
 Every decoder of the battery is a point mass, y -> picks[y], and
 _Channel.score gives its (accuracy, I(v; g)) with the floats of the dense
@@ -273,7 +274,7 @@ PrivacyVerdict = namedtuple("PrivacyVerdict", "dimension mi_bits bayes_accuracy 
 def classify_privacy(world, task_id: str, dim_id: str,
                      theta_pub: float = THETA_PUB_DEFAULT) -> PrivacyVerdict:
     """Operational public/private call for one dimension of a world: the
-    rows of priors.check_world_config or a built SyntheticWorld.
+    WorldConfig of priors.check_world_config or a built SyntheticWorld.
 
     Public means the sampled-output channel decodes the user value with
     Bayes accuracy at least theta_pub, and materially above chance
@@ -320,7 +321,7 @@ class _Battery:
 
 def tiil_check(world, theta_pub: float = THETA_PUB_DEFAULT, seed: int = 0) -> dict:
     """Run the irreversibility battery over every dimension of a world:
-    the rows of priors.check_world_config or a built SyntheticWorld.
+    the WorldConfig of priors.check_world_config or a built SyntheticWorld.
 
     For each dimension (carrier-absent throughout): classify privacy,
     then check the three decoder families against the DPI bound. For
@@ -334,9 +335,9 @@ def tiil_check(world, theta_pub: float = THETA_PUB_DEFAULT, seed: int = 0) -> di
     dimension's (K, lambda) channel, so each channel's constant and Bayes
     rows are evaluated once. The identity decoder's I(v; g) is I(v; y),
     the verdict's mi_bits and the bound every other row is checked
-    against. The random decoder of the task with index i (task.index on a
-    built world, the row's position in the rows) maps y to uniform_index(
-    derive(derive(seed, i), DECODER_STREAM, y), K), the picks of
+    against. The random decoder of the task with index i (task.index, its
+    position in the config, built or checked alike) maps y to
+    uniform_index(derive(derive(seed, i), DECODER_STREAM, y), K), the picks of
     infotheory.random_deterministic_decoder seeded derive(seed, i): they
     depend on (seed, i, K) only, so each task's picks are hashed once per
     K and scored on each of its channels at that K. One K's channels and
@@ -346,23 +347,21 @@ def tiil_check(world, theta_pub: float = THETA_PUB_DEFAULT, seed: int = 0) -> di
     """
     check_theta_pub(theta_pub)
     check_uint64("seed", seed)
-    # (index, task id, dims, ks, lams) per task
-    tasks = ([(i, *row[:2], *row[3:]) for i, row in enumerate(world)] if isinstance(world, list)
-             else [(t.index, t.task_id, t.dims, t.ks, t.lams) for t in world.tasks])
+    tasks = world.tasks
     verdicts: dict[tuple[int, float], tuple[float, float, str]] = {}
     # K -> task position -> the task's (dimension index, lambda) at K
     by_k: dict[int, dict[int, list[tuple[int, float]]]] = {}
-    for i, (_, _, _, ks, lams) in enumerate(tasks):
-        for j, channel in enumerate(zip(ks, lams)):
+    for i, task in enumerate(tasks):
+        for j, channel in enumerate(zip(task.ks, task.lams)):
             if channel not in verdicts:
                 verdicts[channel] = privacy_label(*channel, theta_pub)
             by_k.setdefault(channel[0], {}).setdefault(i, []).append((j, channel[1]))
-    report: list[list] = [[None] * len(task[2]) for task in tasks]
+    report: list[list] = [[None] * len(task.dims) for task in tasks]
     for k, members in by_k.items():
         batteries: dict[float, _Battery] = {}
         for i, dims in members.items():
-            index, task_id, ids, _, _ = tasks[i]
-            prefix = derive(derive(seed, index), DECODER_STREAM)
+            task = tasks[i]
+            prefix = derive(derive(seed, task.index), DECODER_STREAM)
             picks = [uniform_index(splitmix64(prefix ^ y), k) for y in range(k)]
             random_rows: dict[float, dict] = {}
             for j, lam in dims:
@@ -373,8 +372,8 @@ def tiil_check(world, theta_pub: float = THETA_PUB_DEFAULT, seed: int = 0) -> di
                     random_rows[lam] = battery.row("random_deterministic",
                                                    battery.channel.score(picks))
                 report[i][j] = {
-                    "task_id": task_id,
-                    "dimension": ids[j],
+                    "task_id": task.task_id,
+                    "dimension": task.dims[j],
                     "lambda": lam,
                     "label": battery.label,
                     "mi_bits": battery.mi,

@@ -20,7 +20,7 @@ rules of a flat intent spec to every task (priors.check_flat_tasks: a
 task id no other task uses; non-empty dimension ids, distinct after
 lower-casing; weights in [0, 1] whose fsum is within
 jsonio.TOP_WEIGHT_TOL of 1, so at least one dimension) and raises
-SchemaError at $.tasks[i]. build_world realizes the rows of
+SchemaError at $.tasks[i]. build_world realizes the WorldConfig of
 priors.check_world_fields, which rejects unknown fields, bad K and
 lambda and non-finite weights, so with the constructor's rules it makes
 the one check pass, priors.check_world_config, and no check of its own.
@@ -28,10 +28,11 @@ Nothing that runs on a world checks it again.
 
 build_world realizes a world in columns: one array rng.derive call
 hashes every (task, dimension) pair, and uniform_index maps the hashes
-to user indices. A WorldTask is one row of columns: its dimensions'
-ids, weights, Ks, lambdas and user indices, one tuple each, so a
-world's size does not grow with K and the engine reads a column of a
-block of tasks with one attribute read per task.
+to user indices. A WorldTask is one row of columns: a priors.TaskRow's
+fields (task id, index, its dimensions' ids, weights, Ks and lambdas,
+one tuple each), then the user indices, so a world's size does not grow
+with K and the engine reads a column of a block of tasks with one
+attribute read per task.
 
 The record engine simulates outputs in bulk: draws never depend on the
 mask, so the draws of a block of tasks are hashed together, one
@@ -94,7 +95,7 @@ class SyntheticWorld:
     tasks: tuple[WorldTask, ...]
 
     def __post_init__(self):
-        check_flat_tasks((t.task_id, t.dims, t.weights) for t in self.tasks)
+        check_flat_tasks(self.tasks)
 
     @cached_property
     def _tasks_by_id(self) -> dict[str, WorldTask]:
@@ -118,21 +119,20 @@ class SimulatedOutput:
 # ---------------------------------------------------------------------------
 
 def build_world(config: dict, seed: int | None = None) -> SyntheticWorld:
-    """Deterministically instantiate a world from its config dict: the
-    rows of priors.check_world_fields(config, seed), each with its slice
-    of the user indices; the world then applies the flat-spec rules.
+    """Deterministically instantiate a world from its config dict: each
+    TaskRow of priors.check_world_fields(config, seed) with its slice of
+    the user indices; the world then applies the flat-spec rules.
     Dimension j of task i draws its user index from
     derive(seed, USER_VALUE_STREAM, i, j), every pair in one array call."""
     seed, tag, rows = check_world_fields(config, seed)
-    sizes = [len(row[1]) for row in rows]
+    sizes = [len(row.dims) for row in rows]
     task_ixs = np.repeat(np.arange(len(rows)), sizes)
     dim_ixs = np.arange(len(task_ixs)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    ks = np.array([k for row in rows for k in row[3]])
+    ks = np.array([k for row in rows for k in row.ks])
     users = iter(uniform_index(derive(seed, USER_VALUE_STREAM, task_ixs.astype(np.uint64),
                                       dim_ixs.astype(np.uint64)), ks).tolist())
     return SyntheticWorld(seed=seed, tag=tag, tasks=tuple(
-        WorldTask(task_id, task_ix, ids, *cols, tuple(islice(users, len(ids))))
-        for task_ix, (task_id, ids, *cols) in enumerate(rows)))
+        WorldTask(*row, tuple(islice(users, len(row.dims)))) for row in rows))
 
 
 def load_world(path, seed: int | None = None) -> SyntheticWorld:

@@ -144,13 +144,13 @@ def test_oracle_labels_from_world(demo_world_config):
 
 
 def test_oracle_labels_from_checked_rows_equal_the_built_world(demo_world_config):
-    # rows of the check pass label alike to a built world, and to the
-    # numpy verdict of classify_privacy
+    # the checked world config labels alike to a built world, and to the
+    # verdict of classify_privacy
     world = build_world(demo_world_config)
-    rows = check_world_config(demo_world_config)[2]
+    checked = check_world_config(demo_world_config)
     spec = to_intent_spec(world.tasks[0])
     for theta in (None, 0.5, 0.99):
-        got = resolve_privacy_labels(spec, rows, theta)
+        got = resolve_privacy_labels(spec, checked, theta)
         assert got == resolve_privacy_labels(spec, world, theta)
         assert got[0] == {d.id: classify_privacy(world, spec.task_id, d.id,
                                                  theta or 0.9).label
@@ -170,7 +170,7 @@ def test_oracle_label_errors_keep_their_order():
     narrow = IntentSpec(task_id="t", task_type="report", dimensions=tuple(
         Dimension(id=d, weight=0.5, intended_value=ValueRef.token("v0"))
         for d in ("other", "big")))
-    for world in (build_world(config), check_world_config(config)[2]):
+    for world in (build_world(config), check_world_config(config)):
         with pytest.raises(RangeError):
             resolve_privacy_labels(stranger, world, 1.5)
         with pytest.raises(UnknownTask):
@@ -195,7 +195,7 @@ def test_oracle_lookup_errors_keep_their_messages():
             Dimension(id=d, weight=1 / len(ids), intended_value=ValueRef.token("v0"))
             for d in ids))
 
-    for w in (world, check_world_config(config)[2]):
+    for w in (world, check_world_config(config)):
         assert resolve_privacy_labels(spec("T", "WHO", "What"), w) == (
             {"who": "private", "what": "public"}, "oracle")
         with pytest.raises(UnknownTask, match=r"^unknown task: 't'$"):

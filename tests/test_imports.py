@@ -2,9 +2,10 @@
 tiil-check run without numpy, only tiil-check loads the decoder battery
 (ist.tiil), tiil-check loads neither dataclasses nor the spec modules,
 only a world config loads the world check (ist.priors, ist.rng), the
-privacy verdict on a world's rows loads neither numpy nor ist.worlds,
-the dense oracle loads no world, metrics or model, and the package's
-public names load lazily from one export table."""
+privacy verdict and the battery on a checked world config load neither
+numpy, ist.worlds nor the dense oracle (ist.infotheory), the dense
+oracle loads no world, metrics or model, and the package's public names
+load lazily from one export table."""
 
 import importlib
 import json
@@ -18,6 +19,7 @@ import pytest
 import ist
 from ist.cli import main
 from ist.spec_io import serialize_intent_spec
+from ist.tiil import tiil_check
 from ist.worlds import load_world
 
 from reference import to_intent_spec
@@ -133,23 +135,27 @@ VERDICT_CHILD = """
 import json, sys
 from ist import classify_privacy
 from ist.priors import check_world_config
+from ist.tiil import tiil_check
 with open(sys.argv[1], encoding="utf-8") as f:
-    _, _, rows = check_world_config(json.load(f))
-task_id, dims = rows[0][:2]
-print(json.dumps({"verdicts": [classify_privacy(rows, task_id, d) for d in dims],
-                  "loaded": [m for m in ("numpy", "dataclasses", "ist.worlds")
+    world = check_world_config(json.load(f))
+task = world.tasks[0]
+print(json.dumps({"verdicts": [classify_privacy(world, task.task_id, d) for d in task.dims],
+                  "report": tiil_check(world, seed=7),
+                  "loaded": [m for m in ("numpy", "dataclasses", "ist.worlds", "ist.infotheory")
                              if m in sys.modules]}))
 """
 
 
 def test_classify_privacy_on_world_rows_does_not_import_numpy():
-    # the verdict is the battery's, in pure Python on the checked rows of a
-    # world config, with no world build; a named tuple, it prints as a list
+    # the verdict and the battery are scored in pure Python on the checked
+    # world config, with no world build and no second route to I(v; y)
+    # through the dense oracle; a named tuple, a verdict prints as a list
     got = json.loads(run_python(VERDICT_CHILD, str(DATA / "demo_world.json")))
     world = load_world(DATA / "demo_world.json")
     task = world.tasks[0]
     assert got == {"verdicts": [list(ist.classify_privacy(world, task.task_id, d))
-                                for d in task.dims], "loaded": []}
+                                for d in task.dims],
+                   "report": tiil_check(world, seed=7), "loaded": []}
 
 
 def test_the_dense_oracle_loads_no_world_metrics_or_model():

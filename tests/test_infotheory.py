@@ -31,7 +31,8 @@ from ist.infotheory import (
     verify_dpi,
 )
 from ist.jsonio import dumps_canonical
-from ist.priors import CELL_CAP, CHANCE_FLOOR, check_world_config, privacy_label
+from ist.priors import (CELL_CAP, CHANCE_FLOOR, TaskRow, WorldConfig, check_world_config,
+                        dim_channels, privacy_label)
 from ist.rng import DECODER_STREAM, MASK64, derive, splitmix64, uniform_index, unit_float
 from ist.tiil import _Channel, classify_privacy, mi_of_entropies, tiil_check
 from ist.worlds import SyntheticWorld, build_world
@@ -524,8 +525,16 @@ def sub_world():
     return SyntheticWorld(world.seed, world.tag, world.tasks[1:])
 
 
+def checked_form(world):
+    """A built world in check_world_config's form: its tasks as TaskRows,
+    each keeping its index."""
+    return WorldConfig(world.seed, world.tag, tuple(
+        TaskRow(t.task_id, t.index, t.dims, t.weights, t.ks, t.lams) for t in world.tasks))
+
+
 def test_tiil_check_bytes_match_reference(demo_world_config):
-    worlds = [("demo", build_world(demo_world_config)), ("sub_world", sub_world())]
+    worlds = [("demo", build_world(demo_world_config)), ("sub_world", sub_world()),
+              ("sub_world_config", checked_form(sub_world()))]
     worlds += list(reference_worlds())
     kinds = set()
     for kind, world in worlds:
@@ -535,8 +544,19 @@ def test_tiil_check_bytes_match_reference(demo_world_config):
                 want = dumps_canonical(tiil_check_reference(world, theta, seed))
                 assert got == want, (kind, theta, seed)
         kinds.add(kind)
-    assert kinds == {"demo", "sub_world", "repeating", "distinct", "large_k",
-                     "edge_lambda", "pairwise_branches"}
+    assert kinds == {"demo", "sub_world", "sub_world_config", "repeating", "distinct",
+                     "large_k", "edge_lambda", "pairwise_branches"}
+    # the oracle reads both forms of one world alike
+    world = sub_world()
+    config = checked_form(world)
+    for task in world.tasks:
+        assert list(dim_channels(config, task.task_id, task.dims)) == \
+            list(dim_channels(world, task.task_id, task.dims))
+        for dim_id in task.dims:
+            assert classify_privacy(config, task.task_id, dim_id) == \
+                classify_privacy(world, task.task_id, dim_id)
+            assert dimension_channel_joint(config, task.task_id, dim_id).table.tobytes() == \
+                dimension_channel_joint(world, task.task_id, dim_id).table.tobytes()
 
 
 TIIL_EDGE_LAMBDAS = (0.0, 5e-324, 1e-17, 1e-12, 1.0 - 2.0 ** -53, 1.0 - 1e-16, 1.0)
@@ -585,7 +605,7 @@ def test_tiil_check_refuses_k_1001_before_the_battery(monkeypatch):
         {"task_id": "t0", "dims": [{"id": "d", "weight": 1.0, "K": 10, "lambda": 0.5}]},
         {"task_id": "t1", "dims": [
             {"id": "d", "weight": 0.5, "K": 3, "lambda": 0.0},
-            {"id": "e", "weight": 0.5, "K": 1001, "lambda": 0.5}]}]})[2]
+            {"id": "e", "weight": 0.5, "K": 1001, "lambda": 0.5}]}]})
 
     def boom(*args, **kwargs):
         raise AssertionError("the battery ran")
@@ -623,23 +643,6 @@ def test_tiil_check_hashes_each_tasks_picks_once_per_k(monkeypatch, demo_world_c
         calls = 0
         tiil_check(world, seed=7)
         assert calls == sum(sum(set(task.ks)) for task in world.tasks)
-
-
-def test_the_oracle_route_builds_no_joint_and_takes_no_mutual_information(monkeypatch):
-    # I(v; y) is the battery's identity row: tiil_check and classify_privacy
-    # read it there, with no DiscreteJoint and no mutual_information
-    import ist.infotheory as infotheory
-    world = shared_channel_world(9)
-    want = dumps_canonical(tiil_check(world, seed=7))
-    verdict = classify_privacy(world, "t0", "d2")
-
-    def boom(*args, **kwargs):
-        raise AssertionError("a second route to I(v; y) ran")
-
-    monkeypatch.setattr(infotheory, "DiscreteJoint", boom)
-    monkeypatch.setattr(infotheory, "mutual_information", boom)
-    assert dumps_canonical(tiil_check(world, seed=7)) == want
-    assert classify_privacy(world, "t0", "D2") == verdict
 
 
 def test_classify_privacy_matches_reference():

@@ -145,6 +145,41 @@ def test_the_private_import_guard_sees_names_and_attributes(tmp_path):
                                         "m.py:5: rng._mix", "m.py:5: _kernels._cap"]
 
 
+def _world_type_tests(path: Path) -> list[str]:
+    """isinstance calls on a parameter named world, in the functions of a
+    module that take one."""
+    hits = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or "world" not in {
+                a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}:
+            continue
+        hits += [f"{path.name}:{node.lineno}: {fn.name}" for node in ast.walk(fn)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "isinstance" and node.args
+                 and isinstance(node.args[0], ast.Name) and node.args[0].id == "world"]
+    return hits
+
+
+def test_no_function_branches_on_the_world_form():
+    # a built SyntheticWorld and a checked WorldConfig share their field
+    # names, so whatever takes a world reads world.tasks alike
+    paths = sorted((PYPROJECT.parent / "src" / "ist").glob("*.py"))
+    assert [hit for path in paths for hit in _world_type_tests(path)] == []
+
+
+def test_the_world_form_guard_sees_parameters(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def f(world, task_id):\n"
+        "    if isinstance(world, list):\n"
+        "        return world\n"
+        "def g(*, world=None):\n"
+        "    return isinstance(world, dict) or isinstance(task, list)\n"
+        "def h(config):\n"
+        "    return isinstance(world, list)\n", encoding="utf-8")
+    assert _world_type_tests(module) == ["m.py:2: f", "m.py:5: g"]
+
+
 def _float_sums(path: Path) -> list[str]:
     """Calls of builtin sum in a module, but for counts: sum over a
     generator or list whose element is an int literal."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -24,10 +25,12 @@ from ist.infotheory import dimension_channel_joint
 from ist.jsonio import dumps_canonical
 from ist.metrics import bundle_for_output, score_output, weighted_sum
 from ist.model import EncodingMask, ValueRef, validate_spec
-from ist.priors import CELL_CAP, check_world_config
+from ist.priors import CELL_CAP, TaskRow, WorldConfig, check_world_config
 from ist.rng import SAMPLE_STREAM, USER_VALUE_STREAM, derive, uniform_index, unit_float
 from ist.tiil import classify_privacy
 from ist.worlds import (
+    SyntheticWorld,
+    WorldTask,
     _argmax_match_prob,
     _block_grids,
     _sample_grid,
@@ -141,7 +144,9 @@ def test_check_pass_rows_are_the_built_world(grid_config):
         seed, tag, rows = check_world_config(config, seed=3)
         world = build_world(config, seed=3)
         assert (seed, tag) == (world.seed, world.tag)
-        assert rows == [(t.task_id, t.dims, t.weights, t.ks, t.lams) for t in world.tasks]
+        assert rows == tuple(TaskRow(t.task_id, t.index, t.dims, t.weights, t.ks, t.lams)
+                             for t in world.tasks)
+        assert [row.index for row in rows] == list(range(len(rows)))
         for task, raw in zip(world.tasks, config["tasks"]):
             assert task.dims == tuple(d["id"].lower() for d in raw["dims"])
             columns = (task.weights, task.ks, task.lams, task.users)
@@ -150,6 +155,15 @@ def test_check_pass_rows_are_the_built_world(grid_config):
             assert all(type(n) is int for n in task.ks + task.users + (task.index,))
             dumps_canonical([list(c) for c in columns])
     assert world.tasks[0].dims == ("who", "what")
+
+
+def test_a_checked_world_has_the_built_worlds_fields():
+    # build_world makes WorldTask(*row, users), so a TaskRow is a
+    # WorldTask's fields but for users, in order, and a WorldConfig is a
+    # SyntheticWorld's
+    task_fields = tuple(f.name for f in dataclasses.fields(WorldTask))
+    assert TaskRow._fields + ("users",) == task_fields
+    assert WorldConfig._fields == tuple(f.name for f in dataclasses.fields(SyntheticWorld))
 
 
 def test_check_pass_reports_field_faults_before_the_flat_spec_rules():
