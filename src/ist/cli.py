@@ -100,15 +100,23 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def cmd_score(args) -> int:
-    from .metrics import bundle_for_output
-    from .spec_io import compute_mask, parse_carrier, parse_intent_spec, parse_output_document
+def _output_document(path, spec, lenient: bool):
+    """The output document at path, refused unless it is of spec's task."""
+    from .spec_io import parse_output_document
 
-    spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
-    out_doc = parse_output_document(_read(args.output), lenient=args.lenient)
+    out_doc = parse_output_document(_read(path), lenient=lenient)
     if out_doc.task_id != spec.task_id:
         raise BadConfig(f"output task {out_doc.task_id!r} does not match "
                         f"spec task {spec.task_id!r}")
+    return out_doc
+
+
+def cmd_score(args) -> int:
+    from .metrics import bundle_for_output
+    from .spec_io import compute_mask, parse_carrier, parse_intent_spec
+
+    spec = parse_intent_spec(_read(args.spec), lenient=args.lenient)
+    out_doc = _output_document(args.output, spec, args.lenient)
     mask = None
     if args.carrier:
         carrier = parse_carrier(_read(args.carrier), lenient=args.lenient)
@@ -159,14 +167,11 @@ def _audit(args, spec_path, carrier_path, output_path, lenient=False,
     the record; returns it. The world is only checked, never built: a
     label needs just the (K, lambda) of its dimension."""
     from .audit import audit_record_to_obj, build_audit_record
-    from .spec_io import parse_carrier, parse_intent_spec, parse_output_document
+    from .spec_io import parse_carrier, parse_intent_spec
 
     spec = parse_intent_spec(_read(spec_path), lenient=lenient)
     carrier = parse_carrier(_read(carrier_path), lenient=lenient)
-    out_doc = parse_output_document(_read(output_path), lenient=lenient)
-    if out_doc.task_id != spec.task_id:
-        raise BadConfig(f"output task {out_doc.task_id!r} does not match "
-                        f"spec task {spec.task_id!r}")
+    out_doc = _output_document(output_path, spec, lenient)
     world = _checked_world(world_path, seed) if world_path else None
     record = build_audit_record(spec, carrier, out_doc.realized_values, world,
                                 timestamp=args.timestamp, **thresholds)

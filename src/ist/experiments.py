@@ -38,7 +38,7 @@ records' f_icmw added in draw order from 0.0, divided by their count.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
 from json.encoder import encode_basestring
@@ -472,13 +472,8 @@ def run_weight_perturbation(world: SyntheticWorld,
                               mean_inversion_drop=mean_drop)
 
 
-def report_to_obj(rep: PerturbationReport) -> dict:
-    """The report as JSON values, keys in field order, cells included."""
-    return asdict(rep)
-
-
 def report_to_json(rep: PerturbationReport) -> str:
-    """dumps_canonical(report_to_obj(rep)), joined from fragments: each
+    """dumps_canonical(dataclasses.asdict(rep)), joined from fragments: each
     distinct task id, model tag and perturbation label is encoded once,
     and floats take the canonical 17-digit form."""
     enc = cache(encode_basestring)

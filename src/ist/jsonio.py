@@ -11,8 +11,8 @@ and runs the decoder battery, loads neither dataclasses nor the spec model.
 * _require_obj, _check_keys, _get_str, _get_number: the field checks of
   every schema, raising SchemaError with the field's $-path. Lenient
   parsing logs unknown fields on the ``ist.spec_io`` logger.
-* TOP_WEIGHT_TOL, normalize_weights: the top-level weight rule of specs
-  and world configs.
+* TOP_WEIGHT_TOL, weight_sum, normalize_weights: the top-level weight
+  rule of specs and world configs.
 """
 
 from __future__ import annotations
@@ -151,7 +151,10 @@ def _get_number(obj: dict, key: str, path: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{path}.{key}", "expected number")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer literal of 309 digits or more
+        raise SchemaError(f"{path}.{key}", "integer too large for a float") from None
     if math.isnan(v) or math.isinf(v):
         raise SchemaError(f"{path}.{key}", "NaN/Infinity forbidden")
     return v
@@ -160,6 +163,16 @@ def _get_number(obj: dict, key: str, path: str) -> float:
 # ---------------------------------------------------------------------------
 # the top-level weight rule
 # ---------------------------------------------------------------------------
+
+def weight_sum(weights) -> float:
+    """math.fsum of finite weights, or inf where a partial sum passes the
+    float range, so that an overflow reads as a sum that is not 1. Only
+    weights outside [0, 1], which are refused anyway, can overflow it."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        return math.inf
+
 
 def normalize_weights(raw) -> list[float]:
     """Scale a nonnegative weight list so it sums to 1.

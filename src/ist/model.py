@@ -15,12 +15,11 @@ first use on, and masks, scores and privacy labels all read it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import ChildWeightSum, NotALeaf, UnknownDimension, ValidationError
-from .jsonio import TOP_WEIGHT_TOL
+from .jsonio import TOP_WEIGHT_TOL, weight_sum
 
 CHILD_WEIGHT_TOL = 1e-9
 
@@ -167,7 +166,7 @@ def validate_spec(spec: IntentSpec) -> list[Violation]:
         report.append(Violation("NoDimensions", None, "spec has no dimensions"))
         return report
 
-    top_sum = math.fsum(d.weight for d in spec.dimensions)
+    top_sum = weight_sum(d.weight for d in spec.dimensions)
     if abs(top_sum - 1.0) > TOP_WEIGHT_TOL:
         report.append(Violation(
             "TopLevelWeightSum", None,
@@ -192,7 +191,7 @@ def validate_spec(spec: IntentSpec) -> list[Violation]:
             report.append(Violation(
                 "BadValueKind", dim.id, f"kind {dim.intended_value.kind!r}"))
         if dim.children:
-            child_sum = math.fsum(c.weight for c in dim.children)
+            child_sum = weight_sum(c.weight for c in dim.children)
             if abs(child_sum - 1.0) > CHILD_WEIGHT_TOL:
                 report.append(Violation(
                     "ChildWeightSum", dim.id,
@@ -236,7 +235,7 @@ def refine_dimension(spec: IntentSpec, target: str,
     """
     target = target.lower()
     sub_dims = tuple(sub_dims)
-    sub_sum = math.fsum(d.weight for d in sub_dims)
+    sub_sum = weight_sum(d.weight for d in sub_dims)
     if abs(sub_sum - 1.0) > CHILD_WEIGHT_TOL:
         raise ChildWeightSum(target, sub_sum)
 

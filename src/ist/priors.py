@@ -24,14 +24,14 @@ numpy:
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import namedtuple
 from typing import Iterator
 
 from .errors import (NegativeWeight, RangeError, SchemaError, UnknownTask, UnknownVariable,
                      WorldTooLarge)
-from .jsonio import TOP_WEIGHT_TOL, _check_keys, _get_str, _require_obj, normalize_weights
+from .jsonio import (TOP_WEIGHT_TOL, _check_keys, _get_str, _require_obj, normalize_weights,
+                     weight_sum)
 from .rng import check_uint64
 
 # The most cells one table may hold: a dimension's alphabet (K) in a
@@ -72,7 +72,7 @@ def check_flat_tasks(tasks) -> None:
                                   f"must be in [0, 1], got {weight!r}")
         if len({i.lower() for i in task.dims}) != len(task.dims):
             raise SchemaError(where, "duplicate dimension ids")
-        total = math.fsum(task.weights)
+        total = weight_sum(task.weights)
         if abs(total - 1.0) > TOP_WEIGHT_TOL:
             raise SchemaError(where, f"weights sum to {total!r}, expected 1")
 
@@ -156,7 +156,7 @@ def _task_rows(raw_tasks: list) -> Iterator[TaskRow]:
                     or not abs(w) <= sys.float_info.max:
                 raise SchemaError(_where(task_ix, dim_ix, ".weight"), "must be a finite number")
             raw_weights.append(float(w))
-        total = math.fsum(raw_weights)
+        total = weight_sum(raw_weights)
         if abs(total - 1.0) > TOP_WEIGHT_TOL:
             raise SchemaError(where, f"weights sum to {total!r}, expected 1")
         try:

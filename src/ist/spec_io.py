@@ -30,7 +30,6 @@ one flattened view, ``IntentSpec.flat``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -48,6 +47,7 @@ from .jsonio import (
     _require_obj,
     dumps_canonical,
     loads_strict,
+    weight_sum,
 )
 from .model import (
     Carrier,
@@ -140,7 +140,7 @@ def spec_from_obj(doc, *, path: str = "$", lenient: bool = False) -> IntentSpec:
 
 
 def _renormalize_top(dims: list[Dimension]) -> list[Dimension]:
-    total = math.fsum(d.weight for d in dims)
+    total = weight_sum(d.weight for d in dims)
     if not dims or total <= 0:
         return dims  # validate_spec reports the real problem
     if abs(total - 1.0) <= _RENORM_SKIP or abs(total - 1.0) > TOP_WEIGHT_TOL:

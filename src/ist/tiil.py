@@ -22,15 +22,15 @@ base = (1 - lam)/K, and every float the dense oracle prints is one of:
 * an entropy's running sum of x * log2(x) over the positive cells;
 * numpy's pairwise sum of a channel row, for H(v).
 
-Each is repeated here in the same order. Since all off-diagonal cells
-are off, a run of them is summed in closed form per binade
-(_Channel.run); column g of a decoder's (v, g) table holds S[n_g], the
-sum of n_g offs, off g's preimage of n_g tokens and a memoized T(n, r)
-on it, so each row of that table is one row with one entry replaced;
-and a g cell of a single token's preimage is a column sum of the
-channel. Sequential sums use functools.reduce(operator.add), never
-builtin sum, which compensates from Python 3.12 on. The dense oracle
-shares SUM_TOL, nonnegative and mi_of_entropies with this scorer.
+Each is repeated here in the same order, one addition at a time, so a
+decoder's g cells cost K**2 additions (_Channel.run adds a run of offs
+in a loop); column g of a decoder's (v, g) table holds S[n_g], the sum
+of n_g offs, off g's preimage of n_g tokens and a memoized T(n, r) on
+it, so each row of that table is one row with one entry replaced; and a
+g cell of a single token's preimage is a column sum of the channel.
+Sequential sums use functools.reduce(operator.add), never builtin sum,
+which compensates from Python 3.12 on. The dense oracle shares SUM_TOL,
+nonnegative and mi_of_entropies with this scorer.
 
 Units are bits (log base 2) throughout.
 """
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add
 
 from .errors import InvalidDistribution, RangeError
@@ -51,7 +51,6 @@ SUM_TOL = 1e-9
 _MI_NEG_TOL = 1e-12  # per bit of entropy summed; see mi_of_entropies
 _TERM_ULPS = 4  # rounding of one p log2 p term, in units of 2**-53
 DPI_TOL = 1e-9
-_SHORT_RUN = 40  # runs of offs up to this long are added one by one
 
 
 def nonnegative(h: float) -> float:
@@ -99,68 +98,23 @@ class _Terms(dict):
 
 class _Channel:
     """The sampled (K, lambda) channel p(v, y), with the partial sums its
-    decoders share: s[n], n offs summed from 0.0; T(n, r), n cells summed
-    from 0.0 that are off but for dg at r, a row of them per n; numpy's
-    pairwise row sums; and the x log2 x term of each cell value met."""
+    decoders share: s[n], n offs summed from 0.0 for n <= K; T(n, r), n
+    cells summed from 0.0 that are off but for dg at r, a row of them per
+    n; numpy's pairwise row sums; and the x log2 x term of each cell value
+    met."""
 
     def __init__(self, k: int, lam: float):
         base = (1.0 - lam) / k
         self.k, self.off, self.dg = k, base / k, (base + lam) / k
-        self.s = [0.0]
-        self.s_at(k)
+        self.s = list(accumulate(repeat(self.off, k), initial=0.0))
         self._t_rows: dict[int, list[float]] = {}
-        self._t_terms: dict[int, list[float]] = {}
         self._pairwise: dict[tuple[int, int], float] = {}
         self.terms = _Terms()
         self._h_v: float | None = None
-        self._binades: dict[int, tuple[float, float, int, bool]] = {}
 
     def run(self, x: float, j: int) -> float:
-        """x plus j offs added one at a time, as a loop computes it (x >= 0).
-
-        Within the binade [top/2, top) of x, whose floats are the multiples
-        of its ulp u, x + off rounds to x + d for one multiple d of u: off
-        rounded to the grid, or on a tie the even neighbour, which keeps
-        an even x even. |off - d| <= u/2, so while x + d stays at most top
-        the sum rounds to it (top itself is on both grids), and t such
-        additions make x + t*d, exactly; the binade's next addition is
-        made as it is.
-        """
-        off = self.off
-        while j > _SHORT_RUN:
-            if x:
-                e = math.frexp(x)[1]
-                binade = self._binades.get(e)
-                if binade is None:
-                    binade = self._binades[e] = self._binade(x, e)
-                top, u, step, tie = binade
-                if not (tie and int(x / u) % 2):
-                    if not step:  # x + off rounds to x, now and after
-                        return x
-                    t = min(j, int((top - x) / u) // step)
-                    x += t * step * u
-                    j -= t
-                    if not j:
-                        break
-            x += off
-            j -= 1
-        return reduce(add, repeat(off, j), x)
-
-    def _binade(self, x: float, e: int) -> tuple[float, float, int, bool]:
-        """(top, u, d/u, tie) of the binade [top/2, top) that holds x."""
-        u = math.ulp(x)
-        q = self.off / u
-        m = math.floor(q)
-        if q - m == 0.5:
-            return math.ldexp(1.0, e), u, m + m % 2, True
-        return math.ldexp(1.0, e), u, round(q), False
-
-    def s_at(self, n: int) -> float:
-        """S[n], extending s as far as asked."""
-        s = self.s
-        while len(s) <= n:
-            s.append(s[-1] + self.off)
-        return s[n]
+        """x plus j offs, added one at a time."""
+        return reduce(add, repeat(self.off, j), x)
 
     def t_row(self, n: int) -> list[float]:
         """[T(n, r) for r < n]."""
@@ -168,13 +122,6 @@ class _Channel:
         if row is None:
             s, dg = self.s, self.dg
             row = self._t_rows[n] = [self.run(s[r] + dg, n - 1 - r) for r in range(n)]
-        return row
-
-    def t_terms(self, n: int) -> list[float]:
-        """The terms of t_row(n)."""
-        row = self._t_terms.get(n)
-        if row is None:
-            row = self._t_terms[n] = [self.terms[x] for x in self.t_row(n)]
         return row
 
     def pairwise(self, n: int, j: int) -> float:
@@ -222,7 +169,7 @@ class _Channel:
         n = len(preimage)
         if n == 1:
             return self.t_row(self.k)[preimage[0]]  # the channel's column sum
-        acc = self.s_at(preimage[0] * n) + self.dg
+        acc = self.run(0.0, preimage[0] * n) + self.dg
         for r, y in enumerate(preimage[1:], 1):
             acc = self.run(acc, (y - preimage[r - 1]) * n) + self.dg
         return self.run(acc, (self.k - 1 - preimage[-1]) * n)
@@ -253,11 +200,11 @@ class _Channel:
         # replaced
         width = len(outs)
         terms = [self.terms[s[n]] for n in sizes] * k
-        diagonal = {g: (i, self.t_terms(n)) for i, (g, n) in enumerate(zip(outs, sizes))}
+        diagonal = {g: (i, self.t_row(n)) for i, (g, n) in enumerate(zip(outs, sizes))}
         at = 0
         for g, r in zip(picks, ranks):
-            i, t_terms = diagonal[g]
-            terms[at + i] = t_terms[r]
+            i, t_row = diagonal[g]
+            terms[at + i] = self.terms[t_row[r]]
             at += width
         _check_total(math.fsum(g_cells))
         _check_total(math.fsum([(k - n) * s[n] for n in sizes]

@@ -1,5 +1,9 @@
-"""Plain helpers the tests build inputs with, which nothing in src/ist calls."""
+"""Plain helpers the tests build inputs or reference values with, which
+nothing in src/ist calls."""
 
+from dataclasses import asdict
+
+from ist.experiments import PerturbationReport
 from ist.infotheory import Decoder, _point_mass_decoder
 from ist.model import Dimension, IntentSpec, ValueRef
 from ist.worlds import WorldTask, token
@@ -17,3 +21,9 @@ def constant_decoder(evidence_vars, evidence_sizes, output_size: int,
     """The decoder sending every evidence cell to output token index."""
     return _point_mass_decoder(evidence_vars, evidence_sizes, output_size, index,
                                output_var)
+
+
+def report_to_obj(rep: PerturbationReport) -> dict:
+    """The report as JSON values, keys in field order, cells included: the
+    reference that experiments.report_to_json is held to."""
+    return asdict(rep)

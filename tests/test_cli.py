@@ -576,6 +576,11 @@ BAD_WORLDS = {
     "weight-sum": ({"tasks": [{"task_id": "t", "dims": world_dims(
         ("a", 0.5, {}), ("b", 0.4, {}))}]},
         "$.tasks[0]: weights sum to 0.9, expected 1"),
+    # finite weights whose math.fsum overflows: the sum reads as inf
+    "overflowing-weight-sum": ({"tasks": [{"task_id": "t", "dims": world_dims(
+        ("a", 1e308, {}), ("b", 1e308, {}), ("c", -1e308, {}), ("d", -1e308, {}),
+        ("e", 1.0, {}))}]},
+        "$.tasks[0]: weights sum to inf, expected 1"),
     "no-seed": ("""{"tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1.0, "K": 4, "lambda": 0.5}]}]}""",
         "$.seed: must be an integer, got None"),
@@ -1067,6 +1072,43 @@ def test_an_infinite_spec_weight_exits_2(capsys, tmp_path):
     path.write_text(json.dumps(spec).replace("Infinity", "1e400"), encoding="utf-8")
     assert run(capsys, "validate", str(path)) == (
         2, "", "error: $.dimensions[0].weight: NaN/Infinity forbidden\n")
+
+
+@pytest.mark.parametrize("kind", ["spec", "audit-record", "experiment-config"])
+def test_an_integer_past_the_float_range_exits_2(capsys, data_dir, tmp_path, kind):
+    # float() overflows on an integer literal of 309 digits or more; each
+    # document kind refuses one at its field's path, as it refuses 1e400
+    big = 10 ** 400
+    path = tmp_path / "doc.json"
+    if kind == "spec":
+        doc = {"format_version": "1", "task_id": "t", "task_type": "x", "dimensions": [
+            {"id": "a", "weight": big, "intended_value": {"kind": "token", "value": "v"}}]}
+        argv, where = ["validate", path], "$.dimensions[0].weight"
+    elif kind == "audit-record":
+        doc = json.loads(audit_jsonl(capsys, data_dir, tmp_path).read_text(encoding="utf-8"))
+        doc["l_enc"] = big
+        argv, where = ["report", "--records", path], "line 1: $.l_enc"
+    else:
+        doc = {"world_path": GRID,
+               "perturbations": ["identity", {"kind": "jitter", "epsilon": big}]}
+        argv, where = ["perturb", "--config", path], "$.perturbations[1].epsilon"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    assert run(capsys, *map(str, argv)) == (
+        2, "", f"error: {where}: integer too large for a float\n")
+
+
+def test_spec_weights_whose_sum_overflows_exit_2(capsys, tmp_path):
+    # math.fsum of these finite weights overflows: the sum reads as inf
+    spec = {"format_version": "1", "task_id": "t", "task_type": "x", "dimensions": [
+        {"id": i, "weight": 1e308, "intended_value": {"kind": "token", "value": "v"}}
+        for i in "ab"]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert run(capsys, "validate", str(path)) == (2, "", (
+        "error: spec failed validation:\n"
+        "  TopLevelWeightSum: top-level weights sum to inf, expected 1\n"
+        "  WeightRange [a]: weight 1e+308 outside [0, 1]\n"
+        "  WeightRange [b]: weight 1e+308 outside [0, 1]\n"))
 
 
 def assert_input_error(code, err):

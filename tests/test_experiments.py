@@ -47,7 +47,6 @@ from ist.experiments import (
     perturb_weight_rows,
     perturb_weights,
     report_to_json,
-    report_to_obj,
     run_weight_perturbation,
     write_ablation,
 )
@@ -77,7 +76,7 @@ from ist.worlds import (
 from ist.tiil import tiil_check
 
 from conftest import DATA, TESTS_DATA, ablation_records, ablation_text
-from reference import to_intent_spec
+from reference import report_to_obj, to_intent_spec
 from test_worlds import sample_token_index_reference
 
 

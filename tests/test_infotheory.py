@@ -742,37 +742,6 @@ def test_the_pairwise_replica_is_numpys_row_sum_bit_for_bit():
             assert [x.hex() for x in got] == [x.hex() for x in want.tolist()], (k, lam)
 
 
-def test_a_run_of_offs_is_the_loop_bit_for_bit():
-    # run() jumps within each binade; the loop adds one off at a time
-    rng = random.Random(8)
-    offs = [0.0, 5e-324, 3e-320, 2.0 ** -54, 1.5 * 2.0 ** -50, 2.5 * 2.0 ** -60,
-            *((1.0 - lam) / k / k for k in (2, 64, 1000) for lam in TIIL_EDGE_LAMBDAS)]
-    for off in offs:
-        channel = _Channel(2, 0.5)
-        channel.off = off
-        for _ in range(40):
-            x = rng.choice([0.0, off * rng.randint(1, 9), rng.random(), 1.0 - 2.0 ** -53,
-                            rng.random() * 2.0 ** rng.randint(-80, -10)])
-            j = rng.choice([rng.randint(0, 60), rng.randint(0, 20_000)])
-            want = x
-            for _ in range(j):
-                want += off
-            assert channel.run(x, j).hex() == want.hex(), (off, x, j)
-    # a few ulps u below a binade's top, with off a few u, on the grid,
-    # half way between two of its points, or anywhere
-    for _ in range(3000):
-        u = 2.0 ** rng.randint(-120, -53)
-        x = 2.0 ** 53 * u - rng.randint(1, 40) * u
-        channel = _Channel(2, 0.5)
-        channel.off = rng.choice([rng.randint(1, 9) * u, (rng.randint(0, 9) + 0.5) * u,
-                                  rng.uniform(0.1, 9.0) * u])
-        j = rng.randint(41, 200)
-        want = x
-        for _ in range(j):
-            want += channel.off
-        assert channel.run(x, j).hex() == want.hex(), (channel.off, x, j)
-
-
 def point_mass_scores_reference(p, picks):
     """(accuracy, I(v; g)) of the decoder y -> picks[y] on the channel p,
     in numpy: the extension's (v, g) and g marginals are bincounts over
