@@ -30,7 +30,8 @@ from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import SchemaError
-from .jsonio import _check_keys, _get_number, _get_str, _require_obj, dumps_canonical
+from .jsonio import (_check_keys, _get_int, _get_number, _get_str, _get_str_list, _require_obj,
+                     dumps_canonical)
 from .metrics import Matcher, bundle_for_output, detect_split_zone, synthesize_ga
 from .model import Carrier, IntentSpec, ValueRef
 from .spec_io import _read_jsonl, _write_jsonl, compute_mask
@@ -148,65 +149,50 @@ def audit_record_to_obj(rec: AuditRecord) -> dict:
     }
 
 
-def _get_str_list(obj: dict, key: str, path: str) -> tuple[str, ...]:
-    v = obj[key]
-    if not isinstance(v, list) or any(not isinstance(x, str) for x in v):
-        raise SchemaError(f"{path}.{key}", "expected array of strings")
-    return tuple(v)
-
-
-def audit_record_from_obj(doc, *, path: str = "$") -> AuditRecord:
-    obj = _require_obj(doc, path)
-    _check_keys(obj, path,
+def audit_record_from_obj(doc) -> AuditRecord:
+    obj = _require_obj(doc, "$")
+    _check_keys(obj, "$",
                 ("task_id", "timestamp", "encoded_dims", "absent_dims",
                  "private_at_risk", "structurally_recovered",
                  "fidelity_preserved", "l_enc", "s_icmw", "f_icmw",
                  "d_drift", "ga", "split_zone", "privacy_source"),
                 (), False)
-    ga = obj["ga"]
-    if isinstance(ga, bool) or not isinstance(ga, int) or not 1 <= ga <= 5:
-        raise SchemaError(f"{path}.ga", f"expected integer in 1..5, got {ga!r}")
+    ga = _get_int(obj, "ga", "$", 1, 5)
     split = obj["split_zone"]
     if not isinstance(split, bool):
-        raise SchemaError(f"{path}.split_zone", "expected boolean")
-    source = _get_str(obj, "privacy_source", path)
+        raise SchemaError("$.split_zone", "expected boolean")
+    source = _get_str(obj, "privacy_source", "$")
     if source not in PRIVACY_SOURCES:
-        raise SchemaError(f"{path}.privacy_source", f"bad value {source!r}")
-    nums = {}
-    for key in ("l_enc", "s_icmw", "f_icmw", "d_drift"):
-        v = _get_number(obj, key, path)
-        if not 0.0 <= v <= 1.0:
-            raise SchemaError(f"{path}.{key}", f"must be in [0, 1], got {v}")
-        nums[key] = v
+        raise SchemaError("$.privacy_source", f"bad value {source!r}")
+    nums = {key: _get_number(obj, key, "$", 0, 1)
+            for key in ("l_enc", "s_icmw", "f_icmw", "d_drift")}
     rec = AuditRecord(
-        task_id=_get_str(obj, "task_id", path),
-        timestamp=_get_str(obj, "timestamp", path),
-        encoded_dims=_get_str_list(obj, "encoded_dims", path),
-        absent_dims=_get_str_list(obj, "absent_dims", path),
-        private_at_risk=_get_str_list(obj, "private_at_risk", path),
-        structurally_recovered=_get_str_list(obj, "structurally_recovered", path),
-        fidelity_preserved=_get_str_list(obj, "fidelity_preserved", path),
+        task_id=_get_str(obj, "task_id", "$"),
+        timestamp=_get_str(obj, "timestamp", "$"),
+        encoded_dims=_get_str_list(obj, "encoded_dims", "$"),
+        absent_dims=_get_str_list(obj, "absent_dims", "$"),
+        private_at_risk=_get_str_list(obj, "private_at_risk", "$"),
+        structurally_recovered=_get_str_list(obj, "structurally_recovered", "$"),
+        fidelity_preserved=_get_str_list(obj, "fidelity_preserved", "$"),
         ga=ga,
         split_zone=split,
         privacy_source=source,
         **nums,
     )
     if set(rec.encoded_dims) & set(rec.absent_dims):
-        raise SchemaError(path, "encoded_dims and absent_dims overlap")
+        raise SchemaError("$", "encoded_dims and absent_dims overlap")
     if not set(rec.private_at_risk) <= set(rec.absent_dims):
-        raise SchemaError(path, "private_at_risk not a subset of absent_dims")
+        raise SchemaError("$", "private_at_risk not a subset of absent_dims")
     # exact on records we emit; one-ulp slack for hand-written files
     if abs(rec.d_drift - (1.0 - rec.f_icmw)) > 1e-12:
-        raise SchemaError(
-            path, f"d_drift {rec.d_drift!r} is not 1 - f_icmw ({rec.f_icmw!r})")
+        raise SchemaError("$", f"d_drift {rec.d_drift!r} is not 1 - f_icmw ({rec.f_icmw!r})")
     want_ga = synthesize_ga(rec.s_icmw)
     if ga != want_ga:
-        raise SchemaError(f"{path}.ga", f"expected {want_ga} for s_icmw "
-                                        f"{rec.s_icmw!r}, got {ga}")
+        raise SchemaError("$.ga", f"expected {want_ga} for s_icmw {rec.s_icmw!r}, got {ga}")
     want_split = detect_split_zone(ga, rec.f_icmw)
     if split != want_split:
-        raise SchemaError(f"{path}.split_zone", f"expected {want_split} for ga "
-                                                f"{ga} and f_icmw {rec.f_icmw!r}, got {split}")
+        raise SchemaError("$.split_zone", f"expected {want_split} for ga {ga} and "
+                                          f"f_icmw {rec.f_icmw!r}, got {split}")
     return rec
 
 

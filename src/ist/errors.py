@@ -1,7 +1,10 @@
 """Exception taxonomy for the ist toolkit.
 
 Every error raised by the library derives from :class:`IstError` so callers
-(and the CLI exit-code mapping) can distinguish bad inputs from bugs.
+(and the CLI exit-code mapping) can distinguish bad inputs from bugs. A
+document field that breaks its schema raises :class:`SchemaError` at its
+$-path (the checks of ist.jsonio); a bad library argument, such as a seed,
+a draw index or a count, raises :class:`BadConfig` naming the argument.
 """
 
 from __future__ import annotations
@@ -100,13 +103,6 @@ class RangeError(IstError):
 
 class BadConfig(IstError):
     pass
-
-
-def refusal(name: str, reason: str) -> IstError:
-    """SchemaError at name if it is a document field's $-path, else BadConfig."""
-    if name.startswith("$"):
-        return SchemaError(name, reason)
-    return BadConfig(f"{name} {reason}")
 
 
 class UnknownTask(IstError):

@@ -57,11 +57,11 @@ from .errors import (
     SpecSyntaxError,
     ZeroSignal,
 )
-from .jsonio import (_check_keys, _fmt_float, _get_number, _get_str, _require_obj,
+from .jsonio import (_check_keys, _fmt_float, _get_int, _get_number, _get_str, _require_obj,
                      dumps_canonical, loads_strict, normalize_weights)
 from .metrics import synthesize_ga, weighted_sum
 from .model import EncodingMask
-from .rng import PERTURB_STREAM, check_uint64, derive, unit_float
+from .rng import MASK64, PERTURB_STREAM, check_uint64, derive, unit_float
 from .spec_io import OutputRecord, mask_to_obj
 from .worlds import (
     SyntheticWorld,
@@ -292,9 +292,13 @@ def encode_with_budget(dim_ids: Sequence[str], assumed_weights: Sequence[float],
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    kind: str  # identity | jitter | adjacent_swap | full_inversion
-    epsilon: float = 0.0
-    count: int = 0
+    """One perturbation: identity, jitter(epsilon), adjacent_swap(count) or
+    full_inversion. epsilon and count default to the ladder's, 0.05 and 1,
+    and only their own kind reads them."""
+
+    kind: str
+    epsilon: float = 0.05
+    count: int = 1
 
     def __post_init__(self):
         if self.kind == "jitter":
@@ -317,14 +321,10 @@ class PerturbationSpec:
         return self.kind
 
 
-def default_perturbations(epsilon: float = 0.05) -> list[PerturbationSpec]:
+def default_perturbations() -> list[PerturbationSpec]:
     """The severity ladder: none, moderate noise, rank nudge, inversion."""
-    return [
-        PerturbationSpec("identity"),
-        PerturbationSpec("jitter", epsilon=epsilon),
-        PerturbationSpec("adjacent_swap", count=1),
-        PerturbationSpec("full_inversion"),
-    ]
+    return [PerturbationSpec(kind)
+            for kind in ("identity", "jitter", "adjacent_swap", "full_inversion")]
 
 
 def perturb_weight_rows(weights: np.ndarray, spec: PerturbationSpec,
@@ -501,8 +501,9 @@ class ExperimentConfig:
     mode: str = "argmax"
 
 
-# the one parameter field each parameterized kind takes besides "kind"
-_PERTURBATION_PARAMS = {"jitter": "epsilon", "adjacent_swap": "count"}
+# the one parameter field each parameterized kind takes besides "kind",
+# and its reader
+_PERTURBATION_PARAMS = {"jitter": ("epsilon", _get_number), "adjacent_swap": ("count", _get_int)}
 _EXPERIMENT_FIELDS = ("world_config", "world_path", "budget", "perturbations",
                       "replicates", "mode", "seed")
 
@@ -513,17 +514,11 @@ def _parse_perturbation(item, path: str) -> PerturbationSpec:
     elif not isinstance(item, dict):
         raise SchemaError(path, f"expected string or object, got {type(item).__name__}")
     kind = _get_str(item, "kind", path) if "kind" in item else None
-    _check_keys(item, path, ("kind",), (_PERTURBATION_PARAMS.get(kind),), False)
+    param, read = _PERTURBATION_PARAMS.get(kind, (None, None))
+    _check_keys(item, path, ("kind",), (param,), False)
+    params = {param: read(item, param, path)} if param in item else {}
     try:
-        if kind == "jitter":
-            epsilon = _get_number(item, "epsilon", path) if "epsilon" in item else 0.05
-            return PerturbationSpec("jitter", epsilon=epsilon)
-        if kind == "adjacent_swap":
-            count = item.get("count", 1)
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise SchemaError(f"{path}.count", f"must be an integer, got {count!r}")
-            return PerturbationSpec("adjacent_swap", count=count)
-        return PerturbationSpec(kind)
+        return PerturbationSpec(kind, **params)
     except BadPerturbation as e:
         raise SchemaError(path, str(e)) from None
 
@@ -537,8 +532,7 @@ def parse_experiment_config(data: bytes | str, *, base_dir=None,
     doc = _require_obj(loads_strict(data), "$")
     _check_keys(doc, "$", (), _EXPERIMENT_FIELDS, False)
     if seed is None and "seed" in doc:
-        seed = doc["seed"]
-        check_uint64("$.seed", seed)
+        seed = _get_int(doc, "seed", "$", 0, MASK64)
     if ("world_config" in doc) == ("world_path" in doc):
         raise SchemaError("$", "needs exactly one of world_config, world_path")
     if "world_config" in doc:
@@ -555,14 +549,12 @@ def parse_experiment_config(data: bytes | str, *, base_dir=None,
             world = load_world(path, seed)
         except (SchemaError, SpecSyntaxError) as e:
             raise SchemaError(name, str(e)) from None
-    budget = doc.get("budget")
-    if "budget" in doc and (isinstance(budget, bool) or not isinstance(budget, int)):
-        raise SchemaError("$.budget", f"must be an integer, got {budget!r}")
+    # budget's range is encode_rows' [0, n], n the dims of each task
+    budget = _get_int(doc, "budget", "$") if "budget" in doc else None
     mode = doc.get("mode", "argmax")
-    _check_mode(mode, "$.mode")
-    replicates = doc.get("replicates")
-    if "replicates" in doc:
-        _check_count("$.replicates", replicates)
+    if mode not in ("argmax", "sample"):
+        raise SchemaError("$.mode", f"must be 'argmax' or 'sample', got {mode!r}")
+    replicates = _get_int(doc, "replicates", "$", 1) if "replicates" in doc else None
     perturbations = None
     if "perturbations" in doc:
         raw = doc["perturbations"]

@@ -8,9 +8,13 @@ and runs the decoder battery, loads neither dataclasses nor the spec model.
 * dumps_canonical: fixed key order, floats rendered with 17 significant
   digits, NaN/Infinity refused; equal values give equal bytes.
 * loads_strict: the one JSON decode path.
-* _require_obj, _check_keys, _get_str, _get_number: the field checks of
-  every schema, raising SchemaError with the field's $-path. Lenient
-  parsing logs unknown fields on the ``ist.spec_io`` logger.
+* _require_obj, _check_keys, _get_str, _get_str_list, _get_int,
+  _get_number: the field checks of every schema, raising SchemaError
+  with the field's $-path. Lenient parsing logs unknown fields on the
+  ``ist.spec_io`` logger. An integer or number field is read by
+  _get_int or _get_number alone, with its bounds, and refused in one
+  form: "must be an integer in [2, 1000000], got 1". A rule of a library
+  type (a jitter's epsilon, a budget's [0, n]) stays with the type.
 * TOP_WEIGHT_TOL, weight_sum, normalize_weights: the top-level weight
   rule of specs and world configs.
 """
@@ -25,6 +29,7 @@ from json.encoder import encode_basestring
 from .errors import EmptyWeights, NegativeWeight, SchemaError, SpecSyntaxError, ZeroMass
 
 TOP_WEIGHT_TOL = 1e-6
+_FLOAT_MAX = sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +152,40 @@ def _get_str(obj: dict, key: str, path: str) -> str:
     return v
 
 
-def _get_number(obj: dict, key: str, path: str) -> float:
+def _get_str_list(obj: dict, key: str, path: str) -> tuple[str, ...]:
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{path}.{key}", "expected number")
-    try:
-        v = float(v)
-    except OverflowError:  # an integer literal of 309 digits or more
-        raise SchemaError(f"{path}.{key}", "integer too large for a float") from None
-    if math.isnan(v) or math.isinf(v):
-        raise SchemaError(f"{path}.{key}", "NaN/Infinity forbidden")
+    if not isinstance(v, list):
+        raise SchemaError(f"{path}.{key}", "expected array")
+    for i, item in enumerate(v):
+        if not isinstance(item, str):
+            raise SchemaError(f"{path}.{key}[{i}]", "expected string")
+    return tuple(v)
+
+
+def _get_int(obj: dict, key: str, path: str, lo=-math.inf, hi=math.inf) -> int:
+    """obj[key] if it is an int, not a bool, in [lo, hi]."""
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, int) or not lo <= v <= hi:
+        raise _scalar_error(path, key, "an integer", v, lo, hi)
     return v
+
+
+def _get_number(obj: dict, key: str, path: str, lo=-math.inf, hi=math.inf) -> float:
+    """float(obj[key]) if it is an int or float, not a bool, finite as a
+    float and in [lo, hi]."""
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not -_FLOAT_MAX <= v <= _FLOAT_MAX or not lo <= v <= hi:
+        raise _scalar_error(path, key, "a finite number", v, lo, hi)
+    return float(v)
+
+
+def _scalar_error(path: str, key: str, kind: str, v, lo, hi) -> SchemaError:
+    # an integer past 20 digits is not echoed: a 400-digit K prints no digits
+    bounds = f" in [{lo}, {hi}]" if hi < math.inf else f" >= {lo}" if lo > -math.inf else ""
+    got = "an integer of more than 20 digits" if type(v) is int and abs(v) >= 10 ** 20 \
+        else repr(v)
+    return SchemaError(f"{path}.{key}", f"must be {kind}{bounds}, got {got}")
 
 
 # ---------------------------------------------------------------------------

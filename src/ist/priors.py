@@ -10,7 +10,9 @@ numpy:
   check_world_fields then check_flat_tasks, the rules of a flat intent
   spec. build_world realizes the tasks of check_world_fields into a
   SyntheticWorld, whose constructor applies check_flat_tasks, so the
-  rules run once there too. Each refusal is a SchemaError at its $-path.
+  rules run once there too. Each refusal is a SchemaError at its $-path;
+  seed, weight, K and lambda are read by jsonio's _get_int and
+  _get_number, so a world config refuses a number as a spec does.
 * dim_channels is the one (K, lambda) lookup: it reads the named
   dimensions of one task of world.tasks, built or checked alike, so the
   audit labels and the information oracle find a channel alike.
@@ -24,15 +26,13 @@ numpy:
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from typing import Iterator
 
-from .errors import (NegativeWeight, RangeError, SchemaError, UnknownTask, UnknownVariable,
-                     WorldTooLarge)
-from .jsonio import (TOP_WEIGHT_TOL, _check_keys, _get_str, _require_obj, normalize_weights,
-                     weight_sum)
-from .rng import check_uint64
+from .errors import RangeError, SchemaError, UnknownTask, UnknownVariable, WorldTooLarge
+from .jsonio import (TOP_WEIGHT_TOL, _check_keys, _get_int, _get_number, _get_str, _require_obj,
+                     normalize_weights, weight_sum)
+from .rng import MASK64, check_uint64
 
 # The most cells one table may hold: a dimension's alphabet (K) in a
 # world, a joint in infotheory.
@@ -77,37 +77,19 @@ def check_flat_tasks(tasks) -> None:
             raise SchemaError(where, f"weights sum to {total!r}, expected 1")
 
 
-def _check_channel(dim_cfg: dict, task_ix: int, dim_ix: int) -> tuple[int, float]:
-    k = dim_cfg.get("K")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise SchemaError(_where(task_ix, dim_ix, ".K"), f"must be an integer >= 2, got {k!r}")
-    if k > CELL_CAP:
-        raise SchemaError(_where(task_ix, dim_ix, ".K"), f"larger than the cap of {CELL_CAP}")
-    lam = dim_cfg.get("lambda")
-    if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-        raise SchemaError(_where(task_ix, dim_ix, ".lambda"), f"must be a number, got {lam!r}")
-    if not 0 <= lam <= 1:  # exact for any int, false for NaN
-        raise SchemaError(_where(task_ix, dim_ix, ".lambda"), f"must be in [0, 1], got {lam!r}")
-    return k, float(lam)
-
-
-def _where(task_ix: int, dim_ix: int, field: str = "") -> str:
-    # built only for a message: a world build checks thousands of dims
-    return f"$.tasks[{task_ix}].dims[{dim_ix}]{field}"
-
-
 def check_world_config(config: dict, seed: int | None = None) -> WorldConfig:
     """The WorldConfig (seed, tag, tasks) of a valid world config, else
     SchemaError at the first bad field's $-path (BadConfig for a bad seed
     argument).
 
     Config shape: {"tasks": [{"task_id", "dims": [{"id", "weight", "K",
-    "lambda"}]}], "seed"?, "tag"?}; any other field is rejected. An
-    explicit seed argument wins over the config's. tasks holds one
-    TaskRow per task: its task_id, its position as index, and dims,
-    weights, ks and lams, tuples with one entry per dimension, ids
-    lower-cased and weights normalized. Every task's field, weight, K and
-    lambda checks come before the flat-spec rules of check_flat_tasks.
+    "lambda"}]}], "seed", "tag"?}; any other field is rejected. An
+    explicit seed argument wins over the config's, which it makes
+    optional. tasks holds one TaskRow per task: its task_id, its position
+    as index, and dims, weights, ks and lams, tuples with one entry per
+    dimension, ids lower-cased and weights normalized. Every task's field,
+    weight, K and lambda checks come before the flat-spec rules of
+    check_flat_tasks.
     """
     world = check_world_fields(config, seed)
     check_flat_tasks(world.tasks)
@@ -118,11 +100,12 @@ def check_world_fields(config: dict, seed: int | None = None) -> WorldConfig:
     """check_world_config up to the flat-spec rules, which a built
     SyntheticWorld applies itself: the top-level fields, then each task's
     row in turn."""
-    _check_keys(_require_obj(config, "$"), "$", (), ("tasks", "seed", "tag"), False)
-    name = "seed"
+    _check_keys(_require_obj(config, "$"), "$", ("seed",) if seed is None else (),
+                ("tasks", "seed", "tag"), False)
     if seed is None:
-        seed, name = config.get("seed"), "$.seed"
-    check_uint64(name, seed)
+        seed = _get_int(config, "seed", "$", 0, MASK64)
+    else:
+        check_uint64("seed", seed)
     tag = config.get("tag", "synthetic")
     if not isinstance(tag, str) or not tag:
         raise SchemaError("$.tag", f"must be a non-empty string, got {tag!r}")
@@ -133,7 +116,15 @@ def check_world_fields(config: dict, seed: int | None = None) -> WorldConfig:
 
 
 _DIM_FIELDS = ("id", "weight", "K", "lambda")
-_DIM_KEYS = frozenset(_DIM_FIELDS)
+
+
+def _dim_fields(d) -> tuple[str, float, int, float]:
+    """(id, weight, K, lambda) of one dimension, checked at "$": a world
+    build checks thousands of dims, so its caller builds their path only
+    for a message."""
+    _check_keys(_require_obj(d, "$"), "$", _DIM_FIELDS, (), False)
+    return (_get_str(d, "id", "$"), _get_number(d, "weight", "$", 0),
+            _get_int(d, "K", "$", 2, CELL_CAP), _get_number(d, "lambda", "$", 0, 1))
 
 
 def _task_rows(raw_tasks: list) -> Iterator[TaskRow]:
@@ -144,30 +135,18 @@ def _task_rows(raw_tasks: list) -> Iterator[TaskRow]:
         raw_dims = t["dims"]
         if not isinstance(raw_dims, list) or not raw_dims:
             raise SchemaError(f"{where}.dims", "expected a non-empty array")
-        raw_weights = []
+        fields = []
         for dim_ix, d in enumerate(raw_dims):
-            if not isinstance(d, dict) or not isinstance(d.get("id"), str) \
-                    or not d.keys() <= _DIM_KEYS:
-                dim = _where(task_ix, dim_ix)
-                _check_keys(_require_obj(d, dim), dim, ("id",), _DIM_FIELDS, False)
-                _get_str(d, "id", dim)
-            w = d.get("weight")
-            if isinstance(w, bool) or not isinstance(w, (int, float)) \
-                    or not abs(w) <= sys.float_info.max:
-                raise SchemaError(_where(task_ix, dim_ix, ".weight"), "must be a finite number")
-            raw_weights.append(float(w))
-        total = weight_sum(raw_weights)
+            try:
+                fields.append(_dim_fields(d))
+            except SchemaError as e:
+                raise SchemaError(f"{where}.dims[{dim_ix}]{e.path[1:]}", e.reason) from None
+        ids, weights, ks, lams = zip(*fields)
+        total = weight_sum(weights)
         if abs(total - 1.0) > TOP_WEIGHT_TOL:
             raise SchemaError(where, f"weights sum to {total!r}, expected 1")
-        try:
-            weights = normalize_weights(raw_weights)
-        except NegativeWeight as e:  # the sum is near 1, so nothing else
-            raise SchemaError(_where(task_ix, e.index, ".weight"),
-                              f"must be >= 0, got {e.value!r}") from None
-        ks, lams = zip(*[_check_channel(d, task_ix, dim_ix)
-                         for dim_ix, d in enumerate(raw_dims)])
-        yield TaskRow(task_id, task_ix, tuple(d["id"].lower() for d in raw_dims),
-                      tuple(weights), ks, lams)
+        yield TaskRow(task_id, task_ix, tuple(i.lower() for i in ids),
+                      tuple(normalize_weights(weights)), ks, lams)
 
 
 def dim_channels(world, task_id: str, dim_ids) -> Iterator[tuple[int, float]]:

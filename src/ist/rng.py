@@ -14,7 +14,7 @@ The mixing function is::
 
 from __future__ import annotations
 
-from .errors import refusal
+from .errors import BadConfig
 
 MASK64 = (1 << 64) - 1
 
@@ -52,12 +52,13 @@ def derive(master: int, *indices: int) -> int:
 
 
 def check_uint64(name: str, value) -> None:
-    """refusal(name, ...) unless value is an int, not a bool, in [0, 2**64):
-    a seed or draw index that derive would otherwise wrap onto another one."""
+    """BadConfig naming the argument unless value is an int, not a bool,
+    in [0, 2**64): a seed or draw index that derive would otherwise wrap
+    onto another one. A document's seed is read by jsonio._get_int."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise refusal(name, f"must be an integer, got {value!r}")
+        raise BadConfig(f"{name} must be an integer, got {value!r}")
     if not 0 <= value < 2 ** 64:
-        raise refusal(name, f"must be in [0, 2**64), got {value!r}")
+        raise BadConfig(f"{name} must be in [0, 2**64), got {value!r}")
 
 
 def unit_float(h: int) -> float:

@@ -42,8 +42,10 @@ from .errors import (
 from .jsonio import (
     TOP_WEIGHT_TOL,
     _check_keys,
+    _get_int,
     _get_number,
     _get_str,
+    _get_str_list,
     _require_obj,
     dumps_canonical,
     loads_strict,
@@ -83,9 +85,7 @@ def _parse_dimension(value, path: str, lenient: bool) -> Dimension:
     _check_keys(obj, path, ("id", "weight"),
                 ("intended_value", "privacy_hint", "children"), lenient)
     dim_id = _get_str(obj, "id", path)
-    weight = _get_number(obj, "weight", path)
-    if weight < 0:
-        raise SchemaError(f"{path}.weight", f"must be >= 0, got {weight}")
+    weight = _get_number(obj, "weight", path, 0)
     intended = None
     if obj.get("intended_value") is not None:
         intended = _parse_value_ref(obj["intended_value"],
@@ -116,25 +116,24 @@ def parse_intent_spec(data: bytes | str, *, lenient: bool = False) -> IntentSpec
     return spec_from_obj(doc, lenient=lenient)
 
 
-def spec_from_obj(doc, *, path: str = "$", lenient: bool = False) -> IntentSpec:
-    obj = _require_obj(doc, path)
-    _check_keys(obj, path, ("format_version", "task_id", "task_type", "dimensions"),
+def spec_from_obj(doc, *, lenient: bool = False) -> IntentSpec:
+    obj = _require_obj(doc, "$")
+    _check_keys(obj, "$", ("format_version", "task_id", "task_type", "dimensions"),
                 (), lenient)
-    version = _get_str(obj, "format_version", path)
+    version = _get_str(obj, "format_version", "$")
     if version != FORMAT_VERSION:
-        raise SchemaError(f"{path}.format_version",
-                          f"unsupported version {version!r}")
+        raise SchemaError("$.format_version", f"unsupported version {version!r}")
     raw_dims = obj["dimensions"]
     if not isinstance(raw_dims, list):
-        raise SchemaError(f"{path}.dimensions", "expected array")
+        raise SchemaError("$.dimensions", "expected array")
     dims = [
-        _parse_dimension(d, f"{path}.dimensions[{i}]", lenient)
+        _parse_dimension(d, f"$.dimensions[{i}]", lenient)
         for i, d in enumerate(raw_dims)
     ]
     dims = _renormalize_top(dims)
     return IntentSpec(
-        task_id=_get_str(obj, "task_id", path),
-        task_type=_get_str(obj, "task_type", path),
+        task_id=_get_str(obj, "task_id", "$"),
+        task_type=_get_str(obj, "task_type", "$"),
         dimensions=tuple(dims),
     )
 
@@ -187,21 +186,14 @@ def parse_carrier(data: bytes | str, *, lenient: bool = False) -> Carrier:
     return carrier_from_obj(doc, lenient=lenient)
 
 
-def carrier_from_obj(doc, *, path: str = "$", lenient: bool = False) -> Carrier:
-    obj = _require_obj(doc, path)
-    _check_keys(obj, path, ("task_id", "encoded_dimensions"), ("text",), lenient)
-    raw = obj["encoded_dimensions"]
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}.encoded_dimensions", "expected array")
-    ids = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, str):
-            raise SchemaError(f"{path}.encoded_dimensions[{i}]", "expected string")
-        ids.append(item)
+def carrier_from_obj(doc, *, lenient: bool = False) -> Carrier:
+    obj = _require_obj(doc, "$")
+    _check_keys(obj, "$", ("task_id", "encoded_dimensions"), ("text",), lenient)
+    ids = _get_str_list(obj, "encoded_dimensions", "$")
     text = None
     if obj.get("text") is not None:
-        text = _get_str(obj, "text", path)
-    return Carrier(task_id=_get_str(obj, "task_id", path),
+        text = _get_str(obj, "text", "$")
+    return Carrier(task_id=_get_str(obj, "task_id", "$"),
                    encoded_dimensions=frozenset(ids), text=text)
 
 
@@ -249,10 +241,7 @@ def mask_from_obj(value, path: str, lenient: bool = False) -> EncodingMask:
         obj = _require_obj(item, f"{path}[{i}]")
         _check_keys(obj, f"{path}[{i}]", ("dimension", "m"), (), lenient)
         dims.append(_get_str(obj, "dimension", f"{path}[{i}]"))
-        m = obj["m"]
-        if m not in (0, 1) or isinstance(m, bool):
-            raise SchemaError(f"{path}[{i}].m", f"expected 0 or 1, got {m!r}")
-        bits.append(int(m))
+        bits.append(_get_int(obj, "m", f"{path}[{i}]", 0, 1))
     return EncodingMask(tuple(dims), tuple(bits))
 
 
@@ -292,40 +281,32 @@ def record_to_obj(rec: OutputRecord) -> dict:
     return out
 
 
-def record_from_obj(doc, *, path: str = "$", lenient: bool = False) -> OutputRecord:
-    obj = _require_obj(doc, path)
-    _check_keys(obj, path,
+def record_from_obj(doc, *, lenient: bool = False) -> OutputRecord:
+    obj = _require_obj(doc, "$")
+    _check_keys(obj, "$",
                 ("task_id", "condition", "model_tag", "mask",
                  "realized_values", "ga", "s_icmw", "f_icmw"),
                 ("text",), lenient)
-    ga = obj["ga"]
-    if isinstance(ga, bool) or not isinstance(ga, int):
-        raise SchemaError(f"{path}.ga", "expected integer")
-    if not 1 <= ga <= 5:
-        raise SchemaError(f"{path}.ga", f"must be in 1..5, got {ga}")
-    scores = {}
-    for key in ("s_icmw", "f_icmw"):
-        v = _get_number(obj, key, path)
-        if not 0.0 <= v <= 1.0:
-            raise SchemaError(f"{path}.{key}", f"must be in [0, 1], got {v}")
-        scores[key] = v
-    raw_values = _require_obj(obj["realized_values"], f"{path}.realized_values")
+    ga = _get_int(obj, "ga", "$", 1, 5)
+    s_icmw = _get_number(obj, "s_icmw", "$", 0, 1)
+    f_icmw = _get_number(obj, "f_icmw", "$", 0, 1)
+    raw_values = _require_obj(obj["realized_values"], "$.realized_values")
     realized = {
-        k: _parse_value_ref(v, f"{path}.realized_values.{k}", lenient)
+        k: _parse_value_ref(v, f"$.realized_values.{k}", lenient)
         for k, v in raw_values.items()
     }
     text = None
     if obj.get("text") is not None:
-        text = _get_str(obj, "text", path)
+        text = _get_str(obj, "text", "$")
     return OutputRecord(
-        task_id=_get_str(obj, "task_id", path),
-        condition=_get_str(obj, "condition", path),
-        model_tag=_get_str(obj, "model_tag", path),
-        mask=mask_from_obj(obj["mask"], f"{path}.mask", lenient),
+        task_id=_get_str(obj, "task_id", "$"),
+        condition=_get_str(obj, "condition", "$"),
+        model_tag=_get_str(obj, "model_tag", "$"),
+        mask=mask_from_obj(obj["mask"], "$.mask", lenient),
         realized_values=realized,
         ga=ga,
-        s_icmw=scores["s_icmw"],
-        f_icmw=scores["f_icmw"],
+        s_icmw=s_icmw,
+        f_icmw=f_icmw,
         text=text,
     )
 

@@ -169,7 +169,8 @@ class _Channel:
         n = len(preimage)
         if n == 1:
             return self.t_row(self.k)[preimage[0]]  # the channel's column sum
-        acc = self.run(0.0, preimage[0] * n) + self.dg
+        m = preimage[0] * n  # s[m] is run(0.0, m), the same floats
+        acc = (self.s[m] if m <= self.k else self.run(0.0, m)) + self.dg
         for r, y in enumerate(preimage[1:], 1):
             acc = self.run(acc, (y - preimage[r - 1]) * n) + self.dg
         return self.run(acc, (self.k - 1 - preimage[-1]) * n)

@@ -22,8 +22,9 @@ lower-casing; weights in [0, 1] whose fsum is within
 jsonio.TOP_WEIGHT_TOL of 1, so at least one dimension) and raises
 SchemaError at $.tasks[i]. build_world realizes the WorldConfig of
 priors.check_world_fields, which rejects unknown fields, bad K and
-lambda and non-finite weights, so with the constructor's rules it makes
-the one check pass, priors.check_world_config, and no check of its own.
+lambda and weights that are not finite and >= 0, so with the
+constructor's rules it makes the one check pass,
+priors.check_world_config, and no check of its own.
 Nothing that runs on a world checks it again.
 
 build_world realizes a world in columns: one array rng.derive call
@@ -61,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import Inconsistent, LengthMismatch, UnknownTask, refusal
+from .errors import BadConfig, Inconsistent, LengthMismatch, UnknownTask
 from .jsonio import loads_strict
 from .metrics import _float_weighted_sum, weighted_sum
 from .model import EncodingMask, ValueRef
@@ -325,12 +326,12 @@ def _mean_f_icmw(world: SyntheticWorld, tasks, bits: np.ndarray, n: int, mode: s
 
 def _check_count(name: str, n) -> None:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise refusal(name, f"must be a positive integer, got {n!r}")
+        raise BadConfig(f"{name} must be a positive integer, got {n!r}")
 
 
-def _check_mode(mode, name: str = "mode") -> None:
+def _check_mode(mode) -> None:
     if mode not in ("argmax", "sample"):
-        raise refusal(name, f"must be 'argmax' or 'sample', got {mode!r}")
+        raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,18 @@ def test_record_round_trip():
     assert back == rec
 
 
+@pytest.mark.parametrize("value,message", [
+    ("what", "$.encoded_dims: expected array"),
+    (["what", 3], "$.encoded_dims[1]: expected string")])
+def test_a_string_list_field_names_its_bad_item(value, message):
+    # audit records read their string lists as carriers do, through
+    # jsonio._get_str_list, which names the item
+    bad = {**audit_record_to_obj(sample_record()), "encoded_dims": value}
+    with pytest.raises(SchemaError) as err:
+        audit_record_from_obj(bad)
+    assert str(err.value) == message
+
+
 def test_record_from_obj_rejects_violations():
     good = audit_record_to_obj(sample_record())
 

@@ -516,7 +516,7 @@ def test_audit_seed_needs_a_world(capsys, data_dir, tmp_path):
     world = tmp_path / "world.json"
     world.write_text(json.dumps(config))
     code, out, err = run(capsys, "audit", *triple, "--world", str(world))
-    assert (code, out, err) == (2, "", "error: $.seed: must be an integer, got None\n")
+    assert (code, out, err) == (2, "", "error: $: missing required field 'seed'\n")
     code, out, _ = run(capsys, "audit", *triple, "--world", str(world), "--seed", "5")
     assert code == 1
     assert json.loads(out)["privacy_source"] == "hint"
@@ -528,6 +528,7 @@ def test_seed_outside_64_bits_exits_2(capsys, tmp_path, seed):
     # 2**64 - 1 and 2**64 those of 0: --seed and a config's seed are refused,
     # the config's named by its path in the document
     rule = f"must be in [0, 2**64), got {seed}"
+    field_rule = f"must be an integer in [0, {2 ** 64 - 1}], got {seed}"
     config = json.loads((DATA / "demo_world.json").read_text())
     config["seed"] = seed
     world = tmp_path / "world.json"
@@ -535,12 +536,12 @@ def test_seed_outside_64_bits_exits_2(capsys, tmp_path, seed):
     experiment = tmp_path / "experiment.json"
     experiment.write_text(json.dumps({"world_config": config}))
     out = tmp_path / "records.jsonl"
-    for argv, name in ((["tiil-check", "--seed", str(seed)], "seed "),
-                       (["tiil-check", "--world", str(world)], "$.seed: "),
-                       (["ablate", "--seed", str(seed), "--out", str(out)], "seed "),
-                       (["ablate", "--config", str(experiment), "--out", str(out)],
-                        "$.world_config.seed: ")):
-        assert run(capsys, *argv) == (2, "", f"error: {name}{rule}\n"), argv
+    for argv, message in ((["tiil-check", "--seed", str(seed)], f"seed {rule}"),
+                          (["tiil-check", "--world", str(world)], f"$.seed: {field_rule}"),
+                          (["ablate", "--seed", str(seed), "--out", str(out)], f"seed {rule}"),
+                          (["ablate", "--config", str(experiment), "--out", str(out)],
+                           f"$.world_config.seed: {field_rule}")):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
     assert not out.exists()
 
 
@@ -569,32 +570,32 @@ BAD_WORLDS = {
         "$.tasks[0].dims[1]: unknown field 'lamda'"),
     "k-above-cap": ({"tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1.0, "K": 10 ** 400, "lambda": 0.5}]}]},
-        "$.tasks[0].dims[0].K: larger than the cap of 1000000"),
+        "$.tasks[0].dims[0].K: must be an integer in [2, 1000000], "
+        "got an integer of more than 20 digits"),
     "k-one": ({"tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1.0, "K": 1, "lambda": 0.5}]}]},
-        "$.tasks[0].dims[0].K: must be an integer >= 2, got 1"),
+        "$.tasks[0].dims[0].K: must be an integer in [2, 1000000], got 1"),
     "weight-sum": ({"tasks": [{"task_id": "t", "dims": world_dims(
         ("a", 0.5, {}), ("b", 0.4, {}))}]},
         "$.tasks[0]: weights sum to 0.9, expected 1"),
     # finite weights whose math.fsum overflows: the sum reads as inf
     "overflowing-weight-sum": ({"tasks": [{"task_id": "t", "dims": world_dims(
-        ("a", 1e308, {}), ("b", 1e308, {}), ("c", -1e308, {}), ("d", -1e308, {}),
-        ("e", 1.0, {}))}]},
+        ("a", 1e308, {}), ("b", 1e308, {}))}]},
         "$.tasks[0]: weights sum to inf, expected 1"),
     "no-seed": ("""{"tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1.0, "K": 4, "lambda": 0.5}]}]}""",
-        "$.seed: must be an integer, got None"),
+        "$: missing required field 'seed'"),
     "infinite-weights": ("""{"seed": 1, "tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1e309, "K": 4, "lambda": 0.5},
         {"id": "b", "weight": -1e309, "K": 4, "lambda": 0.5}]}]}""",
-        "$.tasks[0].dims[0].weight: must be a finite number"),
+        "$.tasks[0].dims[0].weight: must be a finite number >= 0, got inf"),
     # every task's field, K and lambda checks come before the flat-spec
     # rules: the duplicate ids of tasks[0] and the duplicate task id of
     # tasks[1] go unreported
     "faults-in-two-tasks": ({"tasks": [
         {"task_id": "t", "dims": world_dims(("a", 0.5, {}), ("A", 0.5, {}))},
         {"task_id": "t", "dims": world_dims(("b", 1.0, {"lambda": 2}))}]},
-        "$.tasks[1].dims[0].lambda: must be in [0, 1], got 2"),
+        "$.tasks[1].dims[0].lambda: must be a finite number in [0, 1], got 2"),
 }
 
 
@@ -1071,30 +1072,33 @@ def test_an_infinite_spec_weight_exits_2(capsys, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec).replace("Infinity", "1e400"), encoding="utf-8")
     assert run(capsys, "validate", str(path)) == (
-        2, "", "error: $.dimensions[0].weight: NaN/Infinity forbidden\n")
+        2, "", "error: $.dimensions[0].weight: must be a finite number >= 0, got inf\n")
 
 
 @pytest.mark.parametrize("kind", ["spec", "audit-record", "experiment-config"])
 def test_an_integer_past_the_float_range_exits_2(capsys, data_dir, tmp_path, kind):
     # float() overflows on an integer literal of 309 digits or more; each
-    # document kind refuses one at its field's path, as it refuses 1e400
+    # document kind refuses one at its field's path, as it refuses 1e400,
+    # without echoing its digits
     big = 10 ** 400
     path = tmp_path / "doc.json"
     if kind == "spec":
         doc = {"format_version": "1", "task_id": "t", "task_type": "x", "dimensions": [
             {"id": "a", "weight": big, "intended_value": {"kind": "token", "value": "v"}}]}
-        argv, where = ["validate", path], "$.dimensions[0].weight"
+        argv, where = ["validate", path], "$.dimensions[0].weight: must be a finite number >= 0"
     elif kind == "audit-record":
         doc = json.loads(audit_jsonl(capsys, data_dir, tmp_path).read_text(encoding="utf-8"))
         doc["l_enc"] = big
-        argv, where = ["report", "--records", path], "line 1: $.l_enc"
+        argv, where = ["report", "--records", path], \
+            "line 1: $.l_enc: must be a finite number in [0, 1]"
     else:
         doc = {"world_path": GRID,
                "perturbations": ["identity", {"kind": "jitter", "epsilon": big}]}
-        argv, where = ["perturb", "--config", path], "$.perturbations[1].epsilon"
+        argv, where = ["perturb", "--config", path], \
+            "$.perturbations[1].epsilon: must be a finite number"
     path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
     assert run(capsys, *map(str, argv)) == (
-        2, "", f"error: {where}: integer too large for a float\n")
+        2, "", f"error: {where}, got an integer of more than 20 digits\n")
 
 
 def test_spec_weights_whose_sum_overflows_exit_2(capsys, tmp_path):
@@ -1109,6 +1113,141 @@ def test_spec_weights_whose_sum_overflows_exit_2(capsys, tmp_path):
         "  TopLevelWeightSum: top-level weights sum to inf, expected 1\n"
         "  WeightRange [a]: weight 1e+308 outside [0, 1]\n"
         "  WeightRange [b]: weight 1e+308 outside [0, 1]\n"))
+
+
+# valid documents with integer and number fields; scalar_doc adds a world
+# and an experiment config
+SCALAR_DOCS = {
+    "spec": {"format_version": "1", "task_id": "t", "task_type": "x", "dimensions": [
+        {"id": "a", "weight": 1.0, "intended_value": {"kind": "token", "value": "v"}}]},
+    "record": {"task_id": "t", "condition": "FULL", "model_tag": "m",
+               "mask": [{"dimension": "a", "m": 1}], "realized_values": {},
+               "ga": 5, "s_icmw": 1.0, "f_icmw": 1.0},
+    "audit": {"task_id": "t", "timestamp": TS, "encoded_dims": ["a"], "absent_dims": [],
+              "private_at_risk": [], "structurally_recovered": ["a"],
+              "fidelity_preserved": ["a"], "l_enc": 0.0, "s_icmw": 1.0, "f_icmw": 1.0,
+              "d_drift": 0.0, "ga": 5, "split_zone": False, "privacy_source": "hint"},
+}
+MISSING = object()
+BIG = 10 ** 400
+LONG = "an integer of more than 20 digits"
+U64 = f"[0, {2 ** 64 - 1}]"
+
+# (document kind, where the value goes, the value or MISSING, message)
+SCALAR_REFUSALS = {
+    "spec-weight-negative": ("spec", ("dimensions", 0, "weight"), -0.5,
+                             "$.dimensions[0].weight: must be a finite number >= 0, got -0.5"),
+    "spec-weight-text": ("spec", ("dimensions", 0, "weight"), "1",
+                         "$.dimensions[0].weight: must be a finite number >= 0, got '1'"),
+    "spec-weight-401-digits": ("spec", ("dimensions", 0, "weight"), BIG,
+                               "$.dimensions[0].weight: must be a finite number >= 0, "
+                               f"got {LONG}"),
+    "spec-weight-missing": ("spec", ("dimensions", 0, "weight"), MISSING,
+                            "$.dimensions[0]: missing required field 'weight'"),
+    "record-ga-0": ("record", ("ga",), 0, "$.ga: must be an integer in [1, 5], got 0"),
+    "record-ga-float": ("record", ("ga",), 5.0, "$.ga: must be an integer in [1, 5], got 5.0"),
+    "record-s_icmw": ("record", ("s_icmw",), 1.5,
+                      "$.s_icmw: must be a finite number in [0, 1], got 1.5"),
+    "record-f_icmw": ("record", ("f_icmw",), True,
+                      "$.f_icmw: must be a finite number in [0, 1], got True"),
+    "record-m-2": ("record", ("mask", 0, "m"), 2,
+                   "$.mask[0].m: must be an integer in [0, 1], got 2"),
+    "record-m-float-1": ("record", ("mask", 0, "m"), 1.0,
+                         "$.mask[0].m: must be an integer in [0, 1], got 1.0"),
+    "record-m-float-0": ("record", ("mask", 0, "m"), 0.0,
+                         "$.mask[0].m: must be an integer in [0, 1], got 0.0"),
+    "audit-ga": ("audit", ("ga",), 6, "$.ga: must be an integer in [1, 5], got 6"),
+    "audit-l_enc-401-digits": ("audit", ("l_enc",), BIG,
+                               f"$.l_enc: must be a finite number in [0, 1], got {LONG}"),
+    "audit-s_icmw": ("audit", ("s_icmw",), "x",
+                     "$.s_icmw: must be a finite number in [0, 1], got 'x'"),
+    "audit-f_icmw": ("audit", ("f_icmw",), 1.5,
+                     "$.f_icmw: must be a finite number in [0, 1], got 1.5"),
+    "audit-d_drift": ("audit", ("d_drift",), -1,
+                      "$.d_drift: must be a finite number in [0, 1], got -1"),
+    "world-seed": ("world", ("seed",), -1, f"$.seed: must be an integer in {U64}, got -1"),
+    "world-seed-401-digits": ("world", ("seed",), BIG,
+                              f"$.seed: must be an integer in {U64}, got {LONG}"),
+    "world-k": ("world", ("tasks", 0, "dims", 0, "K"), 2.0,
+                "$.tasks[0].dims[0].K: must be an integer in [2, 1000000], got 2.0"),
+    "world-k-missing": ("world", ("tasks", 0, "dims", 0, "K"), MISSING,
+                        "$.tasks[0].dims[0]: missing required field 'K'"),
+    "world-lambda": ("world", ("tasks", 0, "dims", 0, "lambda"), -0.5,
+                     "$.tasks[0].dims[0].lambda: must be a finite number in [0, 1], got -0.5"),
+    "world-lambda-missing": ("world", ("tasks", 0, "dims", 0, "lambda"), MISSING,
+                             "$.tasks[0].dims[0]: missing required field 'lambda'"),
+    "world-weight-401-digits": ("world", ("tasks", 0, "dims", 0, "weight"), BIG,
+                                "$.tasks[0].dims[0].weight: must be a finite number >= 0, "
+                                f"got {LONG}"),
+    "world-weight-missing": ("world", ("tasks", 0, "dims", 0, "weight"), MISSING,
+                             "$.tasks[0].dims[0]: missing required field 'weight'"),
+    "experiment-seed": ("experiment", ("seed",), 2 ** 64,
+                        f"$.seed: must be an integer in {U64}, got {2 ** 64}"),
+    "experiment-budget": ("experiment", ("budget",), 1.5, "$.budget: must be an integer, got 1.5"),
+    "experiment-replicates": ("experiment", ("replicates",), 0,
+                              "$.replicates: must be an integer >= 1, got 0"),
+    "experiment-count": ("experiment", ("perturbations", 2, "count"), "2",
+                         "$.perturbations[2].count: must be an integer, got '2'"),
+    "experiment-epsilon": ("experiment", ("perturbations", 1, "epsilon"), [0.1],
+                           "$.perturbations[1].epsilon: must be a finite number, got [0.1]"),
+    "experiment-epsilon-401-digits": ("experiment", ("perturbations", 1, "epsilon"), BIG,
+                                      "$.perturbations[1].epsilon: must be a finite number, "
+                                      f"got {LONG}"),
+}
+
+
+def scalar_doc(kind):
+    if kind == "world":
+        return {"seed": 1, **one_dim_world()}
+    if kind == "experiment":
+        return {"seed": 1, "budget": 1, "replicates": 1, "world_config": {"tasks": [
+            {"task_id": "t", "dims": [{"id": i, "weight": 0.5, "K": 4, "lambda": 0.5}
+                                      for i in "ab"]}]},
+            "perturbations": ["identity", {"kind": "jitter", "epsilon": 0.1},
+                              {"kind": "adjacent_swap", "count": 1}]}
+    return json.loads(json.dumps(SCALAR_DOCS[kind]))
+
+
+def scalar_refusal(capsys, tmp_path, kind, doc):
+    """(exit code, stderr) of the subcommand that reads doc: output
+    records, which no subcommand reads, go through read_records."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    if kind == "record":
+        try:
+            list(read_records(path))
+        except SchemaError as e:
+            return 2, f"error: {e}\n"
+        return 0, ""
+    argv = {"spec": ["validate", path], "audit": ["report", "--records", path],
+            "world": ["tiil-check", "--world", path],
+            "experiment": ["perturb", "--config", path]}[kind]
+    code, _, err = run(capsys, *map(str, argv))
+    return code, err
+
+
+@pytest.mark.parametrize("kind", ["spec", "record", "audit", "world", "experiment"])
+def test_each_scalar_document_is_valid_before_its_field_is_broken(capsys, tmp_path, kind):
+    assert scalar_refusal(capsys, tmp_path, kind, scalar_doc(kind)) == (0, "")
+
+
+@pytest.mark.parametrize("case", list(SCALAR_REFUSALS))
+def test_every_integer_and_number_field_is_refused_in_one_form(capsys, tmp_path, case):
+    # jsonio's _get_int and _get_number read every integer and number
+    # field: one form with the bounds and the value, an integer of more
+    # than 20 digits not echoed, and a missing field named as missing
+    kind, where, value, message = SCALAR_REFUSALS[case]
+    doc = scalar_doc(kind)
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
+    if kind in ("record", "audit"):  # JSONL: the line comes first
+        message = f"line 1: {message}"
+    assert scalar_refusal(capsys, tmp_path, kind, doc) == (2, f"error: {message}\n")
 
 
 def assert_input_error(code, err):
@@ -1211,13 +1350,14 @@ EXPERIMENT_CONFIG_REFUSALS = {
     "jitter-epsilon-2": ({"perturbations": [{"kind": "jitter", "epsilon": 2}]},
                          "$.perturbations[0]: jitter epsilon must be in (0, 1), got 2.0"),
     "budget-a-string": ({"budget": "2"}, "$.budget: must be an integer, got '2'"),
-    "zero-replicates": ({"replicates": 0}, "$.replicates: must be a positive integer, got 0"),
+    "zero-replicates": ({"replicates": 0}, "$.replicates: must be an integer >= 1, got 0"),
     "no-perturbations": ({"perturbations": []}, "$.perturbations: expected a non-empty array"),
     # null is not absence: each field is refused as a world's null seed is
-    "null-seed": ({"seed": None}, "$.seed: must be an integer, got None"),
+    "null-seed": ({"seed": None},
+                  f"$.seed: must be an integer in [0, {2 ** 64 - 1}], got None"),
     "null-budget": ({"budget": None}, "$.budget: must be an integer, got None"),
     "null-replicates": ({"replicates": None},
-                        "$.replicates: must be a positive integer, got None"),
+                        "$.replicates: must be an integer >= 1, got None"),
 }
 
 
@@ -1240,11 +1380,13 @@ WORLD_CONFIG_REFUSALS = {
     "negative-weight": ({"tasks": [{"task_id": "t", "dims": [
         {"id": "a", "weight": 1.5, "K": 4, "lambda": 0.5},
         {"id": "b", "weight": -0.5, "K": 4, "lambda": 0.5}]}]},
-        "$.tasks[0].dims[1].weight: must be >= 0, got -0.5"),
+        "$.tasks[0].dims[1].weight: must be a finite number >= 0, got -0.5"),
     "lambda-not-a-number": (one_dim_world(**{"lambda": "x"}),
-                            "$.tasks[0].dims[0].lambda: must be a number, got 'x'"),
+                            "$.tasks[0].dims[0].lambda: must be a finite number in [0, 1], "
+                            "got 'x'"),
     "id-not-a-string": (one_dim_world(id=3), "$.tasks[0].dims[0].id: expected string"),
-    "k-zero": (one_dim_world(K=0), "$.tasks[0].dims[0].K: must be an integer >= 2, got 0"),
+    "k-zero": (one_dim_world(K=0),
+               "$.tasks[0].dims[0].K: must be an integer in [2, 1000000], got 0"),
     "not-an-object": ([], "$: expected object, got list"),
 }
 

@@ -216,3 +216,56 @@ def test_the_sum_guard_allows_only_counts(tmp_path):
         "g = sum(True for x in xs)\n"
         "h = xs.sum()\n", encoding="utf-8")
     assert _float_sums(module) == ["m.py:3", "m.py:4", "m.py:5", "m.py:6", "m.py:7"]
+
+
+def _scalar_checks(path: Path) -> list[str]:
+    """Functions of a module that test one name with isinstance against
+    bool and against int (alone or in a tuple): an integer or number
+    check that refuses True and False."""
+    hits = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        tested: dict[str, set] = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "isinstance" and len(node.args) == 2 \
+                    and isinstance(node.args[0], ast.Name):
+                kinds = node.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                tested.setdefault(node.args[0].id, set()).update(
+                    k.id for k in kinds if isinstance(k, ast.Name))
+        if any({"bool", "int"} <= kinds for kinds in tested.values()):
+            hits.append(f"{path.name}: {fn.name}")
+    return hits
+
+
+# the checkers of library arguments, which no document field reaches
+LIBRARY_ARGUMENT_CHECKS = {"rng.py: check_uint64", "worlds.py: _check_count",
+                           "experiments.py: _check_budget"}
+
+
+def test_only_jsonio_reads_a_document_integer_or_number():
+    # every integer and number field of a document is read by jsonio's
+    # _get_int or _get_number, so no other module writes the check again
+    paths = sorted((PYPROJECT.parent / "src" / "ist").glob("*.py"))
+    hits = [hit for path in paths for hit in _scalar_checks(path)]
+    assert {"jsonio.py: _get_int", "jsonio.py: _get_number"} <= set(hits)
+    assert [hit for hit in hits if not hit.startswith("jsonio.py: ")
+            and hit not in LIBRARY_ARGUMENT_CHECKS] == []
+
+
+def test_the_scalar_guard_sees_bool_excluding_checks(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def f(v):\n"
+        "    return isinstance(v, bool) or not isinstance(v, int)\n"
+        "def g(n):\n"
+        "    return not isinstance(n, (int, float)) or isinstance(n, bool)\n"
+        "def h(v, w):\n"
+        "    return isinstance(v, bool) and isinstance(w, int)\n"
+        "def k(v):\n"
+        "    return isinstance(v, int) or isinstance(v, float)\n"
+        "def m(split):\n"
+        "    return isinstance(split, bool)\n", encoding="utf-8")
+    assert _scalar_checks(module) == ["m.py: f", "m.py: g"]

@@ -128,7 +128,8 @@ def test_k_is_bounded_by_the_cell_cap():
     assert task.ks == (CELL_CAP,) and 0 <= task.users[0] < CELL_CAP
     assert len(task_prior(task, 0)) == CELL_CAP
     for k in (CELL_CAP + 1, 10 ** 400):
-        with pytest.raises(SchemaError, match=r"^\$\.tasks\[0\]\.dims\[0\]\.K: larger than"):
+        with pytest.raises(SchemaError, match=r"^\$\.tasks\[0\]\.dims\[0\]\.K: must be an "
+                                              r"integer in \[2, 1000000\], got "):
             build_world(one_dim_config(0.5, k), seed=1)
 
 
@@ -176,7 +177,7 @@ def test_check_pass_reports_field_faults_before_the_flat_spec_rules():
         {"task_id": "u", "dims": [{"id": "c", "weight": 1.0, "K": 1, "lambda": 0.5}]}]}
     for check in (check_world_config, build_world):
         with pytest.raises(SchemaError, match=r"^\$\.tasks\[2\]\.dims\[0\]\.K: must "
-                                              r"be an integer >= 2, got 1$"):
+                                              r"be an integer in \[2, 1000000\], got 1$"):
             check(config)
         fixed = {**config, "tasks": config["tasks"][:2]}
         with pytest.raises(SchemaError, match=r"^\$\.tasks\[0\]: duplicate dimension ids$"):
