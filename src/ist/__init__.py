@@ -13,11 +13,14 @@ The package is organized bottom-up:
 * infotheory: the dense oracle: enumerated entropy/MI, decoders, DPI;
   no worlds, metrics or model
 * tiil: the irreversibility (TIIL) decoder battery and the privacy
-  verdict, in pure Python, on jsonio, priors and rng alone: no
-  dataclasses, model or spec_io
+  verdict, in pure Python, on jsonio, priors and rng alone: no model
+  or spec_io
 * experiments: ablation and weight-perturbation harnesses
 * audit: per-interaction audit records and reports
 * cli: the `ist` command
+
+Every record type is an immutable named tuple: _replace copies one with
+fields changed and _fields lists its fields.
 
 Public names load lazily (PEP 562): `from ist import X` imports only the
 module that defines X, so `errors`, `model`, `spec_io`, `metrics` and

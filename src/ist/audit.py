@@ -24,7 +24,7 @@ the spec's one flattened view, IntentSpec.flat.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import reduce
 from operator import add
 from typing import Iterable, Iterator, Mapping
@@ -39,22 +39,10 @@ from .spec_io import _read_jsonl, _write_jsonl, compute_mask
 PRIVACY_SOURCES = ("hint", "oracle", "unlabeled")
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    task_id: str
-    timestamp: str  # RFC 3339, UTC
-    encoded_dims: tuple[str, ...]
-    absent_dims: tuple[str, ...]
-    private_at_risk: tuple[str, ...]
-    structurally_recovered: tuple[str, ...]
-    fidelity_preserved: tuple[str, ...]
-    l_enc: float
-    s_icmw: float
-    f_icmw: float
-    d_drift: float
-    ga: int
-    split_zone: bool
-    privacy_source: str  # hint | oracle | unlabeled
+# timestamp is RFC 3339 in UTC, privacy_source one of PRIVACY_SOURCES
+AuditRecord = namedtuple("AuditRecord", "task_id timestamp encoded_dims absent_dims "
+                         "private_at_risk structurally_recovered fidelity_preserved "
+                         "l_enc s_icmw f_icmw d_drift ga split_zone privacy_source")
 
 
 def now_rfc3339() -> str:
@@ -211,13 +199,8 @@ def read_audit_records(path) -> Iterator[AuditRecord]:
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Aggregate:
-    n_records: int
-    split_zone_count: int
-    split_zone_rate: float | None
-    mean_drift: float | None
-    at_risk_counts: tuple[tuple[str, int], ...] = field(default_factory=tuple)
+Aggregate = namedtuple("Aggregate", "n_records split_zone_count split_zone_rate "
+                       "mean_drift at_risk_counts", defaults=((),))
 
 
 def aggregate_records(records: list[AuditRecord]) -> Aggregate:

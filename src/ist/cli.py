@@ -24,8 +24,8 @@ from .jsonio import dumps_canonical, loads_strict
 
 # Each subcommand imports what it runs, so validate, mask, score, report,
 # demo, audit and tiil-check never load numpy, and tiil-check, which
-# reads a world config and no spec, loads neither spec_io, the spec
-# model nor dataclasses.
+# reads a world config and no spec, loads neither spec_io nor the spec
+# model.
 
 PROG = "ist"
 
@@ -227,9 +227,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    from .experiments import report_to_json, run_weight_perturbation
+    from .experiments import check_experiment_fits, report_to_json, run_weight_perturbation
 
     cfg = _experiment_config(args, "perturb_grid.json")
+    check_experiment_fits(cfg)
     replicates = cfg.replicates if args.replicates is None else args.replicates
     report = run_weight_perturbation(
         cfg.world, budget=cfg.budget, perturbations=cfg.perturbations,

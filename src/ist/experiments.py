@@ -38,7 +38,7 @@ records' f_icmw added in draw order from 0.0, divided by their count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import groupby
 from json.encoder import encode_basestring
@@ -58,7 +58,8 @@ from .errors import (
     ZeroSignal,
 )
 from .jsonio import (_check_keys, _fmt_float, _get_int, _get_number, _get_str, _require_obj,
-                     dumps_canonical, loads_strict, normalize_weights)
+                     _scalar_error, checked_make, dumps_canonical, loads_strict,
+                     normalize_weights)
 from .metrics import synthesize_ga, weighted_sum
 from .model import EncodingMask
 from .rng import MASK64, PERTURB_STREAM, check_uint64, derive, unit_float
@@ -290,27 +291,24 @@ def encode_with_budget(dim_ids: Sequence[str], assumed_weights: Sequence[float],
 # weight perturbations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PerturbationSpec:
+class PerturbationSpec(namedtuple("PerturbationSpec", "kind epsilon count")):
     """One perturbation: identity, jitter(epsilon), adjacent_swap(count) or
     full_inversion. epsilon and count default to the ladder's, 0.05 and 1,
     and only their own kind reads them."""
 
-    kind: str
-    epsilon: float = 0.05
-    count: int = 1
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if self.kind == "jitter":
-            if not 0.0 < self.epsilon < 1.0:
-                raise BadPerturbation(
-                    f"jitter epsilon must be in (0, 1), got {self.epsilon}")
-        elif self.kind == "adjacent_swap":
-            if self.count < 1:
-                raise BadPerturbation(
-                    f"adjacent_swap count must be >= 1, got {self.count}")
-        elif self.kind not in ("identity", "full_inversion"):
-            raise BadPerturbation(f"unknown perturbation kind {self.kind!r}")
+    def __new__(cls, kind: str, epsilon: float = 0.05, count: int = 1):
+        if kind == "jitter":
+            if not 0.0 < epsilon < 1.0:
+                raise BadPerturbation(f"jitter epsilon must be in (0, 1), got {epsilon}")
+        elif kind == "adjacent_swap":
+            if count < 1:
+                raise BadPerturbation(f"adjacent_swap count must be >= 1, got {count}")
+        elif kind not in ("identity", "full_inversion"):
+            raise BadPerturbation(f"unknown perturbation kind {kind!r}")
+        return super().__new__(cls, kind, epsilon, count)
 
     @property
     def name(self) -> str:
@@ -400,22 +398,10 @@ def _plan_masks(world: SyntheticWorld, tasks: Sequence[WorldTask],
     return encode_rows(perturbed, b)
 
 
-@dataclass(frozen=True)
-class CellSummary:
-    task_id: str
-    model_tag: str
-    perturbation: str
-    was: float
-    delta_vs_baseline: float
-    mask_changed: bool
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    cells: tuple[CellSummary, ...]
-    plateau_rate: float | None
-    cliff_rate: float | None
-    mean_inversion_drop: float | None
+CellSummary = namedtuple("CellSummary", "task_id model_tag perturbation was "
+                         "delta_vs_baseline mask_changed")
+PerturbationReport = namedtuple("PerturbationReport", "cells plateau_rate cliff_rate "
+                                "mean_inversion_drop")
 
 
 def run_weight_perturbation(world: SyntheticWorld,
@@ -473,9 +459,10 @@ def run_weight_perturbation(world: SyntheticWorld,
 
 
 def report_to_json(rep: PerturbationReport) -> str:
-    """dumps_canonical(dataclasses.asdict(rep)), joined from fragments: each
-    distinct task id, model tag and perturbation label is encoded once,
-    and floats take the canonical 17-digit form."""
+    """dumps_canonical of the report's fields as nested objects, in field
+    order, joined from fragments: each distinct task id, model tag and
+    perturbation label is encoded once, and floats take the canonical
+    17-digit form."""
     enc = cache(encode_basestring)
     cells = ",".join(
         f'{{"task_id":{enc(c.task_id)},"model_tag":{enc(c.model_tag)}'
@@ -492,13 +479,9 @@ def report_to_json(rep: PerturbationReport) -> str:
 # experiment configs (JSON side)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    world: SyntheticWorld
-    budget: int | None = None
-    perturbations: tuple[PerturbationSpec, ...] | None = None  # None: the default ladder
-    replicates: int | None = None
-    mode: str = "argmax"
+# perturbations None runs the default ladder
+ExperimentConfig = namedtuple("ExperimentConfig", "world budget perturbations replicates mode",
+                              defaults=(None, None, None, "argmax"))
 
 
 # the one parameter field each parameterized kind takes besides "kind",
@@ -549,7 +532,8 @@ def parse_experiment_config(data: bytes | str, *, base_dir=None,
             world = load_world(path, seed)
         except (SchemaError, SpecSyntaxError) as e:
             raise SchemaError(name, str(e)) from None
-    # budget's range is encode_rows' [0, n], n the dims of each task
+    # budget's range is encode_rows' [0, n], n the dims of each task:
+    # check_experiment_fits holds it against the world
     budget = _get_int(doc, "budget", "$") if "budget" in doc else None
     mode = doc.get("mode", "argmax")
     if mode not in ("argmax", "sample"):
@@ -565,3 +549,17 @@ def parse_experiment_config(data: bytes | str, *, base_dir=None,
     return ExperimentConfig(world=world, budget=budget,
                             perturbations=perturbations,
                             replicates=replicates, mode=mode)
+
+
+def check_experiment_fits(cfg: ExperimentConfig) -> None:
+    """Refuse a document's budget or adjacent_swap count that a task of
+    its world has too few dimensions for, as SchemaError at $.budget or
+    $.perturbations[i].count: each range is the one of the task with the
+    fewest dimensions, so a config that passes plans every task. The
+    budget is named first, as planning names it first within a task."""
+    n = min(len(task.dims) for task in cfg.world.tasks)
+    if cfg.budget is not None and not 0 <= cfg.budget <= n:
+        raise _scalar_error("$", "budget", "an integer", cfg.budget, 0, n)
+    for i, p in enumerate(cfg.perturbations or ()):
+        if p.kind == "adjacent_swap" and p.count > n // 2:
+            raise _scalar_error(f"$.perturbations[{i}]", "count", "an integer", p.count, 1, n // 2)

@@ -26,7 +26,7 @@ Units are bits (log base 2) throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -37,25 +37,25 @@ from .errors import (
     UnknownVariable,
     WorldTooLarge,
 )
+from .jsonio import checked_make
 from .priors import CELL_CAP, argmax_finds_user, dim_channels
 from .rng import DECODER_STREAM, derive, uniform_index
 from .tiil import DPI_TOL, SUM_TOL, mi_of_entropies, nonnegative
 
 
-@dataclass(frozen=True)
-class DiscreteJoint:
+class DiscreteJoint(namedtuple("DiscreteJoint", "variables table")):
     """Dense joint distribution over named finite variables."""
 
-    variables: tuple[str, ...]
-    table: np.ndarray
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        tab = np.array(self.table, dtype=np.float64, order="C")
-        if tab.ndim != len(self.variables):
+    def __new__(cls, variables: tuple[str, ...], table: np.ndarray):
+        tab = np.array(table, dtype=np.float64, order="C")
+        if tab.ndim != len(variables):
             raise InvalidDistribution(
-                f"table has {tab.ndim} axes for {len(self.variables)} variables")
-        if len(set(self.variables)) != len(self.variables):
-            raise InvalidDistribution(f"duplicate variable names {self.variables!r}")
+                f"table has {tab.ndim} axes for {len(variables)} variables")
+        if len(set(variables)) != len(variables):
+            raise InvalidDistribution(f"duplicate variable names {variables!r}")
         if tab.size > CELL_CAP:
             raise WorldTooLarge(tab.size, CELL_CAP)
         if tab.size == 0:
@@ -63,7 +63,7 @@ class DiscreteJoint:
         _check_entries(tab)
         _check_totals(tab.sum())
         tab.flags.writeable = False
-        object.__setattr__(self, "table", tab)
+        return super().__new__(cls, variables, tab)
 
     def axis(self, name: str) -> int:
         try:
@@ -144,23 +144,21 @@ def mutual_information(joint: DiscreteJoint, x, y) -> float:
 # decoders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Decoder:
+class Decoder(namedtuple("Decoder", "evidence_vars output_var rows")):
     """Row-stochastic map from evidence cells to an output distribution.
 
     rows has shape evidence_sizes + (output_size,); deterministic
     decoders are the special case of point-mass rows.
     """
 
-    evidence_vars: tuple[str, ...]
-    output_var: str
-    rows: np.ndarray
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.float64, order="C")
-        if rows.ndim != len(self.evidence_vars) + 1:
+    def __new__(cls, evidence_vars: tuple[str, ...], output_var: str, rows: np.ndarray):
+        rows = np.array(rows, dtype=np.float64, order="C")
+        if rows.ndim != len(evidence_vars) + 1:
             raise InvalidDistribution(
-                f"rows rank {rows.ndim} for {len(self.evidence_vars)} evidence vars")
+                f"rows rank {rows.ndim} for {len(evidence_vars)} evidence vars")
         if not np.all(rows >= 0):
             raise InvalidDistribution("NaN decoder entry" if np.isnan(rows).any()
                                       else "negative decoder entry")
@@ -168,7 +166,7 @@ class Decoder:
         if not np.all(np.abs(sums - 1.0) <= SUM_TOL):
             raise InvalidDistribution("decoder row does not sum to 1")
         rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, evidence_vars, output_var, rows)
 
     @property
     def evidence_sizes(self) -> tuple[int, ...]:
@@ -250,12 +248,7 @@ def apply_decoder(joint: DiscreteJoint, decoder: Decoder) -> DiscreteJoint:
 # DPI and decoding accuracy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DpiReport:
-    i_v_evidence: float
-    i_v_g: float
-    holds: bool
-    slack: float
+DpiReport = namedtuple("DpiReport", "i_v_evidence i_v_g holds slack")
 
 
 def verify_dpi(joint: DiscreteJoint, decoder: Decoder) -> DpiReport:

@@ -3,10 +3,12 @@
 The helpers that the spec parsers (spec_io) share with the world- and
 experiment-config checks (priors, experiments). It imports only ist.errors
 and the standard library, so `ist tiil-check`, which checks a world config
-and runs the decoder battery, loads neither dataclasses nor the spec model.
+and runs the decoder battery, loads no spec model.
 
 * dumps_canonical: fixed key order, floats rendered with 17 significant
-  digits, NaN/Infinity refused; equal values give equal bytes.
+  digits, NaN/Infinity refused; equal values give equal bytes. Only an
+  exact list or tuple is an array, so a record, a named tuple, is refused
+  like any other object.
 * loads_strict: the one JSON decode path.
 * _require_obj, _check_keys, _get_str, _get_str_list, _get_int,
   _get_number: the field checks of every schema, raising SchemaError
@@ -17,6 +19,7 @@ and runs the decoder battery, loads neither dataclasses nor the spec model.
   type (a jitter's epsilon, a budget's [0, n]) stays with the type.
 * TOP_WEIGHT_TOL, weight_sum, normalize_weights: the top-level weight
   rule of specs and world configs.
+* checked_make: the _make of every record type that checks its fields.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def _emit(value, parts: list[str]) -> None:
             parts.append(":")
             _emit(v, parts)
         parts.append("}")
-    elif isinstance(value, (list, tuple)):
+    elif type(value) in (list, tuple):
         parts.append("[")
         for i, v in enumerate(value):
             if i:
@@ -217,3 +220,14 @@ def normalize_weights(raw) -> list[float]:
     if total == 0.0:
         raise ZeroMass("all weights are zero")
     return [w / total for w in weights]
+
+
+# ---------------------------------------------------------------------------
+# record types
+# ---------------------------------------------------------------------------
+
+def checked_make(cls, fields):
+    """_make, as a classmethod, of a record type that checks or normalizes
+    its fields in __new__: namedtuple's own _make, which _replace calls,
+    skips __new__, so _replace would skip the checks."""
+    return cls(*fields)

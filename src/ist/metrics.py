@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Mapping
 
 from .errors import (Inconsistent, LengthMismatch, MissingScores, RangeError,
                      UnknownDimension)
+from .jsonio import checked_make
 from .model import EncodingMask, FlatDimension, IntentSpec, ValueRef
 
 SPLIT_ZONE_THRESHOLD = 0.8
@@ -31,39 +32,32 @@ SPLIT_ZONE_THRESHOLD = 0.8
 _CLAMP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DimensionScores:
+class DimensionScores(namedtuple("DimensionScores", "dims r f")):
     """Per-dimension structure (r) and fidelity (f), both in [0, 1]."""
 
-    dims: tuple[str, ...]
-    r: tuple[float, ...]
-    f: tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if len(self.r) != len(self.dims):
-            raise LengthMismatch(len(self.dims), len(self.r), "r scores")
-        if len(self.f) != len(self.dims):
-            raise LengthMismatch(len(self.dims), len(self.f), "f scores")
-        for name, vec in (("r", self.r), ("f", self.f)):
+    def __new__(cls, dims: tuple[str, ...], r: tuple[float, ...], f: tuple[float, ...]):
+        if len(r) != len(dims):
+            raise LengthMismatch(len(dims), len(r), "r scores")
+        if len(f) != len(dims):
+            raise LengthMismatch(len(dims), len(f), "f scores")
+        for name, vec in (("r", r), ("f", f)):
             for i, v in enumerate(vec):
                 if not 0.0 <= v <= 1.0:
-                    raise RangeError(
-                        f"{name}[{i}] ({self.dims[i]}) = {v}, outside [0, 1]")
+                    raise RangeError(f"{name}[{i}] ({dims[i]}) = {v}, outside [0, 1]")
+        return super().__new__(cls, dims, r, f)
 
 
-@dataclass(frozen=True)
-class MetricBundle:
+class MetricBundle(namedtuple("MetricBundle", "s_icmw f_icmw d_drift ga split_zone l_enc",
+                              defaults=(None,))):
     """Everything the audit layer needs about one scored output.
 
     l_enc is None when no carrier was available to compute a mask from.
     """
 
-    s_icmw: float
-    f_icmw: float
-    d_drift: float
-    ga: int
-    split_zone: bool
-    l_enc: float | None = None
+    __slots__ = ()
 
 
 def _clamp_unit(x: float) -> float:

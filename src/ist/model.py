@@ -5,7 +5,10 @@ each carrying the value the user actually meant. A :class:`Carrier` is what
 was explicitly written down for the model; an :class:`EncodingMask` records,
 per flattened dimension, whether the carrier represents it.
 
-All types are immutable after construction and safe to share across workers.
+All types are immutable named tuples, safe to share across workers: copy
+one with a field changed by ``_replace`` and list its fields with
+``_fields``. A type that checks or normalizes its fields does so in
+``__new__``, which ``_replace`` runs again.
 An IntentSpec is valid once it is built: its constructor runs
 :func:`validate_spec` and raises ValidationError listing every violated
 rule, so nothing that takes a spec checks it again. A spec flattens once:
@@ -15,11 +18,11 @@ first use on, and masks, scores and privacy labels all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import ChildWeightSum, NotALeaf, UnknownDimension, ValidationError
-from .jsonio import TOP_WEIGHT_TOL, weight_sum
+from .jsonio import TOP_WEIGHT_TOL, checked_make, weight_sum
 
 CHILD_WEIGHT_TOL = 1e-9
 
@@ -27,12 +30,10 @@ PRIVACY_HINTS = ("public", "private", "unknown")
 VALUE_KINDS = ("token", "text")
 
 
-@dataclass(frozen=True)
-class ValueRef:
+class ValueRef(namedtuple("ValueRef", "kind value")):
     """An intended or realized value: a categorical token or free text."""
 
-    kind: str
-    value: str
+    __slots__ = ()
 
     @staticmethod
     def token(value: str) -> "ValueRef":
@@ -43,90 +44,79 @@ class ValueRef:
         return ValueRef("text", value)
 
 
-@dataclass(frozen=True)
-class Dimension:
+class Dimension(namedtuple("Dimension", "id weight intended_value privacy_hint children")):
     """One intent dimension: id, relative weight, intended value, children.
 
     Ids compare case-insensitively and are stored lowercase. Child weights
     are relative to the parent and must sum to 1.
     """
 
-    id: str
-    weight: float
-    intended_value: ValueRef | None = None
-    privacy_hint: str | None = None
-    children: tuple["Dimension", ...] = ()
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        object.__setattr__(self, "id", self.id.lower())
-        object.__setattr__(self, "weight", float(self.weight))
-        object.__setattr__(self, "children", tuple(self.children))
+    def __new__(cls, id: str, weight: float, intended_value: ValueRef | None = None,
+                privacy_hint: str | None = None, children: tuple[Dimension, ...] = ()):
+        return super().__new__(cls, id.lower(), float(weight), intended_value,
+                               privacy_hint, tuple(children))
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
 
-@dataclass(frozen=True)
-class IntentSpec:
+class IntentSpec(namedtuple("IntentSpec", "task_id task_type dimensions")):
     """A task-conditioned weighted dimension set with intended values.
 
     Raises ValidationError when the dimensions break a validate_spec rule.
     """
 
-    task_id: str
-    task_type: str
-    dimensions: tuple[Dimension, ...]
+    # no __slots__ = (): flat is cached in the instance's __dict__
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        object.__setattr__(self, "dimensions", tuple(self.dimensions))
+    def __new__(cls, task_id: str, task_type: str, dimensions: tuple[Dimension, ...]):
+        self = super().__new__(cls, task_id, task_type, tuple(dimensions))
         report = validate_spec(self)
         if report:
             raise ValidationError(report)
+        return self
 
     @cached_property
     def flat(self) -> tuple[FlatDimension, ...]:
-        """flatten(self), computed on first use. The spec is frozen, so the
-        view cannot go stale; it is not a field, so equality, hashing and
-        serialization ignore it."""
+        """flatten(self), computed on first use. The spec is immutable, so
+        the view cannot go stale; it is not a field, so equality, hashing
+        and serialization ignore it."""
         return tuple(flatten(self))
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(namedtuple("Carrier", "task_id encoded_dimensions text")):
     """The explicit signal actually supplied: which dimensions it encodes."""
 
-    task_id: str
-    encoded_dimensions: frozenset[str]
-    text: str | None = None
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "encoded_dimensions",
-            frozenset(d.lower() for d in self.encoded_dimensions))
+    def __new__(cls, task_id: str, encoded_dimensions: frozenset[str],
+                text: str | None = None):
+        return super().__new__(cls, task_id,
+                               frozenset(d.lower() for d in encoded_dimensions), text)
 
 
-@dataclass(frozen=True)
-class EncodingMask:
+class EncodingMask(namedtuple("EncodingMask", "dims bits")):
     """Per-dimension 0/1 bits aligned with a spec's flatten order.
 
     Ids are stored lowercase, as Dimension stores them.
     """
 
-    dims: tuple[str, ...]
-    bits: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if len(self.dims) != len(self.bits):
+    def __new__(cls, dims: tuple[str, ...], bits: tuple[int, ...]):
+        if len(dims) != len(bits):
             raise ValueError("dims and bits must have equal length")
-        for b in self.bits:
+        for b in bits:
             if b not in (0, 1):
                 raise ValueError(f"mask bit must be 0 or 1, got {b!r}")
-        object.__setattr__(self, "dims", tuple(d.lower() for d in self.dims))
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-
-    def __len__(self) -> int:
-        return len(self.bits)
+        return super().__new__(cls, tuple(d.lower() for d in dims),
+                               tuple(int(b) for b in bits))
 
     def bit(self, dim_id: str) -> int:
         try:
@@ -135,23 +125,17 @@ class EncodingMask:
             raise UnknownDimension(dim_id) from None
 
 
-@dataclass(frozen=True)
-class FlatDimension:
+class FlatDimension(namedtuple("FlatDimension", "id weight intended_value privacy_hint",
+                               defaults=(None,))):
     """A leaf dimension with its effective (path-product) weight."""
 
-    id: str
-    weight: float
-    intended_value: ValueRef | None
-    privacy_hint: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "rule dimension message")):
     """One validation finding: which dimension broke which rule."""
 
-    rule: str
-    dimension: str | None
-    message: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         where = f" [{self.dimension}]" if self.dimension else ""
@@ -247,12 +231,12 @@ def refine_dimension(spec: IntentSpec, target: str,
             if not dim.is_leaf:
                 raise NotALeaf(target)
             found = True
-            return replace(dim, children=sub_dims)
+            return dim._replace(children=sub_dims)
         if dim.children:
-            return replace(dim, children=tuple(rewrite(c) for c in dim.children))
+            return dim._replace(children=tuple(rewrite(c) for c in dim.children))
         return dim
 
     new_dims = tuple(rewrite(d) for d in spec.dimensions)
     if not found:
         raise UnknownDimension(target)
-    return replace(spec, dimensions=new_dims)
+    return spec._replace(dimensions=new_dims)

@@ -30,7 +30,7 @@ one flattened view, ``IntentSpec.flat``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -144,8 +144,7 @@ def _renormalize_top(dims: list[Dimension]) -> list[Dimension]:
         return dims  # validate_spec reports the real problem
     if abs(total - 1.0) <= _RENORM_SKIP or abs(total - 1.0) > TOP_WEIGHT_TOL:
         return dims
-    from dataclasses import replace
-    return [replace(d, weight=d.weight / total) for d in dims]
+    return [d._replace(weight=d.weight / total) for d in dims]
 
 
 def _value_ref_obj(v: ValueRef) -> dict:
@@ -249,19 +248,11 @@ def mask_from_obj(value, path: str, lenient: bool = False) -> EncodingMask:
 # output records (JSONL)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(namedtuple("OutputRecord", "task_id condition model_tag mask "
+                              "realized_values ga s_icmw f_icmw text", defaults=(None,))):
     """One scored model output under a named condition."""
 
-    task_id: str
-    condition: str
-    model_tag: str
-    mask: EncodingMask
-    realized_values: dict[str, ValueRef]
-    ga: int
-    s_icmw: float
-    f_icmw: float
-    text: str | None = None
+    __slots__ = ()
 
 
 def record_to_obj(rec: OutputRecord) -> dict:
@@ -377,11 +368,8 @@ def read_records(path, *, lenient: bool = False,
 # output documents (realized values for one task)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OutputDocument:
-    task_id: str
-    realized_values: dict[str, ValueRef]
-    text: str | None = None
+OutputDocument = namedtuple("OutputDocument", "task_id realized_values text",
+                            defaults=(None,))
 
 
 def parse_output_document(data: bytes | str, *, lenient: bool = False) -> OutputDocument:

@@ -9,7 +9,7 @@ the tiil-check command needs no world build and no numpy.
 classify_privacy is the battery's verdict on one dimension, a
 PrivacyVerdict named tuple: privacy_label's accuracy, chance and label,
 and the identity decoder's I(v; y) as mi_bits. Nothing here loads numpy
-or dataclasses.
+or the spec model.
 
 Every decoder of the battery is a point mass, y -> picks[y], and
 _Channel.score gives its (accuracy, I(v; g)) with the floats of the dense

@@ -54,7 +54,7 @@ is no shared PRNG state and calls are safe to run in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import groupby, islice
 from pathlib import Path
@@ -63,7 +63,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BadConfig, Inconsistent, LengthMismatch, UnknownTask
-from .jsonio import loads_strict
+from .jsonio import checked_make, loads_strict
 from .metrics import _float_weighted_sum, weighted_sum
 from .model import EncodingMask, ValueRef
 from .priors import argmax_finds_user, check_flat_tasks, check_world_fields
@@ -74,29 +74,21 @@ def token(index: int) -> str:
     return f"v{index}"
 
 
-@dataclass(frozen=True)
-class WorldTask:
+class WorldTask(namedtuple("WorldTask", "task_id index dims weights ks lams users")):
     """One task of a world, in columns: dimension j has the lower-cased
     id dims[j], weight weights[j], an alphabet of ks[j] tokens, prior
     mix lams[j] and hidden user value token(users[j])."""
 
-    task_id: str
-    index: int
-    dims: tuple[str, ...]
-    weights: tuple[float, ...]
-    ks: tuple[int, ...]
-    lams: tuple[float, ...]
-    users: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SyntheticWorld:
-    seed: int
-    tag: str
-    tasks: tuple[WorldTask, ...]
+class SyntheticWorld(namedtuple("SyntheticWorld", "seed tag tasks")):
+    # no __slots__ = (): _tasks_by_id is cached in the instance's __dict__
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        check_flat_tasks(self.tasks)
+    def __new__(cls, seed: int, tag: str, tasks: tuple[WorldTask, ...]):
+        check_flat_tasks(tasks)
+        return super().__new__(cls, seed, tag, tasks)
 
     @cached_property
     def _tasks_by_id(self) -> dict[str, WorldTask]:
@@ -109,10 +101,8 @@ class SyntheticWorld:
             raise UnknownTask(task_id) from None
 
 
-@dataclass(frozen=True)
-class SimulatedOutput:
-    realized_values: dict[str, ValueRef]
-    provenance: dict[str, str]  # copied_from_carrier | prior_default | prior_sample
+# provenance maps a dimension to copied_from_carrier, prior_default or prior_sample
+SimulatedOutput = namedtuple("SimulatedOutput", "realized_values provenance")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 """Plain helpers the tests build inputs or reference values with, which
 nothing in src/ist calls."""
 
-from dataclasses import asdict
-
 from ist.experiments import PerturbationReport
 from ist.infotheory import Decoder, _point_mass_decoder
 from ist.model import Dimension, IntentSpec, ValueRef
@@ -26,4 +24,4 @@ def constant_decoder(evidence_vars, evidence_sizes, output_size: int,
 def report_to_obj(rep: PerturbationReport) -> dict:
     """The report as JSON values, keys in field order, cells included: the
     reference that experiments.report_to_json is held to."""
-    return asdict(rep)
+    return {**rep._asdict(), "cells": [cell._asdict() for cell in rep.cells]}

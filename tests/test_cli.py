@@ -837,13 +837,13 @@ def test_ablate_scores_each_block_with_one_f_icmw_call(capsys, monkeypatch, tmp_
 
 def test_ablate_builds_no_output_record(capsys, monkeypatch, tmp_path):
     made = []
-    init = ist.spec_io.OutputRecord.__init__
+    new = ist.spec_io.OutputRecord.__new__
 
-    def counted_init(self, *args, **kwargs):
+    def counted_new(cls, *args, **kwargs):
         made.append(1)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(ist.spec_io.OutputRecord, "__init__", counted_init)
+    monkeypatch.setattr(ist.spec_io.OutputRecord, "__new__", counted_new)
     world = build_world(json.loads((DATA / "demo_world.json").read_text()))
     assert len(ablation_records(world)) == len(made) == 9
     made.clear()

@@ -4,7 +4,6 @@ import math
 import random
 import re
 import tracemalloc
-from dataclasses import replace
 from functools import cache
 from itertools import groupby, product
 from operator import attrgetter
@@ -37,6 +36,7 @@ from ist.experiments import (
     PerturbationReport,
     PerturbationSpec,
     _weights_from_means,
+    check_experiment_fits,
     default_budget,
     default_perturbations,
     default_replicates,
@@ -429,11 +429,11 @@ def test_estimate_weights_floors_a_negative_drop_at_zero():
     # better there is no signal
     records = ablation_records(world_from(private_dims([0.5, 0.5])))
     f = {"FULL": 0.5, "ABL_d0": 0.75, "ABL_d1": 0.25}
-    records = [replace(r, f_icmw=f[r.condition]) for r in records]
+    records = [r._replace(f_icmw=f[r.condition]) for r in records]
     assert estimate_weights_by_ablation(records) == {"d0": 0.0, "d1": 1.0}
     with pytest.raises(ZeroSignal):
         estimate_weights_by_ablation(
-            [replace(r, f_icmw=0.5 if r.condition == "FULL" else 0.75) for r in records])
+            [r._replace(f_icmw=0.5 if r.condition == "FULL" else 0.75) for r in records])
 
 
 def test_estimate_weights_reads_a_hand_written_mixed_case_file(tmp_path):
@@ -483,10 +483,10 @@ def test_estimate_weights_rejects_records_outside_the_ablation(case):
     records = ablation_records(world, "argmax")
     assert estimate_weights_by_ablation(records) == {"d0": 0.5, "d1": 0.5}
     if case == "unknown-condition":
-        records.append(replace(records[0], condition="ABL_zzz"))
+        records.append(records[0]._replace(condition="ABL_zzz"))
         message = "condition 'ABL_zzz' is not in the ablation of ('d0', 'd1')"
     else:
-        records.insert(1, replace(records[1], mask=EncodingMask(("d0", "d1", "d2"), (0, 1, 1))))
+        records.insert(1, records[1]._replace(mask=EncodingMask(("d0", "d1", "d2"), (0, 1, 1))))
         message = "records mix dimension ids ('d0', 'd1') and ('d0', 'd1', 'd2')"
     with pytest.raises(Inconsistent, match=f"^{re.escape(message)}$"):
         estimate_weights_by_ablation(records)
@@ -498,7 +498,7 @@ def test_estimate_weights_rejects_mask_bits_other_than_the_conditions(condition)
     # says otherwise is not part of the ablation, whatever its condition
     records = ablation_records(world_from(private_dims([0.5, 0.5], k=30)), "argmax")
     wrong = {"FULL": (1, 0), "ABL_d0": (1, 1), "ABL_d1": (0, 1)}[condition]
-    records = [replace(r, mask=EncodingMask(r.mask.dims, wrong))
+    records = [r._replace(mask=EncodingMask(r.mask.dims, wrong))
                if r.condition == condition else r for r in records]
     with pytest.raises(Inconsistent, match=f"^condition '{condition}' has mask bits "
                                            rf"{re.escape(repr(wrong))}$"):
@@ -662,7 +662,7 @@ def random_world(seed, n_dims, n_tasks=3):
 def scaled_world(world, factor):
     """The same world with every weight scaled, so weights sum to about
     factor: s_icmw must come from the weights, not a constant 1."""
-    tasks = tuple(replace(t, weights=tuple(w * factor for w in t.weights))
+    tasks = tuple(t._replace(weights=tuple(w * factor for w in t.weights))
                   for t in world.tasks)
     return SyntheticWorld(seed=world.seed, tag=world.tag, tasks=tasks)
 
@@ -1120,8 +1120,8 @@ def _break_task(task, case):
     elif case == "case-folded-ids":
         dims = (dims[0], dims[0].upper(), *dims[2:])
     elif case == "duplicate-task-id":
-        return replace(task, task_id="r0")
-    return replace(task, dims=dims, weights=weights)
+        return task._replace(task_id="r0")
+    return task._replace(dims=dims, weights=weights)
 
 
 INVALID_WORLD_CASES = {
@@ -1272,12 +1272,14 @@ def dims_config(prefix, n, empty_id_at=None):
              "K": 10, "lambda": 0.0} for i in range(n)]
 
 
-# (budget, ladder, dims of the narrow task): too narrow for the budget, or
-# for adjacent_swap(2)
+# (budget, ladder, dims of the narrow task, the document's refusal): too
+# narrow for the budget, or for adjacent_swap(2)
 NARROW_CASES = {
-    "budget": (3, ["identity", {"kind": "jitter", "epsilon": 0.1}], 2),
+    "budget": (3, ["identity", {"kind": "jitter", "epsilon": 0.1}], 2,
+               "$.budget: must be an integer in [0, 2], got 3"),
     "swap": (None, [{"kind": "jitter", "epsilon": 0.1},
-                    {"kind": "adjacent_swap", "count": 2}, "full_inversion"], 3),
+                    {"kind": "adjacent_swap", "count": 2}, "full_inversion"], 3,
+             "$.perturbations[1].count: must be an integer in [1, 1], got 2"),
 }
 
 
@@ -1289,7 +1291,51 @@ def test_a_budget_too_wide_is_named_before_a_perturbation_too_wide(capsys, tmp_p
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["perturb", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "error: budget must be an integer in [0, 2], got 5\n"
+    assert capsys.readouterr().err == "error: $.budget: must be an integer in [0, 2], got 5\n"
+
+
+# fields of a document too wide for its world's two-dimension task, and
+# perturb's refusal: the field's path, the range that fits every task, and
+# no value of more than 20 digits
+FIT_REFUSALS = {
+    "budget": ({"budget": 5}, "$.budget: must be an integer in [0, 2], got 5"),
+    "negative-budget": ({"budget": -1}, "$.budget: must be an integer in [0, 2], got -1"),
+    "huge-budget": ({"budget": 10 ** 40}, "$.budget: must be an integer in [0, 2], "
+                                          "got an integer of more than 20 digits"),
+    "count": ({"perturbations": ["identity", {"kind": "adjacent_swap", "count": 3}]},
+              "$.perturbations[1].count: must be an integer in [1, 1], got 3"),
+    "huge-count": ({"perturbations": [{"kind": "adjacent_swap", "count": 10 ** 40}]},
+                   "$.perturbations[0].count: must be an integer in [1, 1], "
+                   "got an integer of more than 20 digits"),
+}
+
+
+def two_width_config(tmp_path, **fields):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 1, **fields, "world_config": {"tasks": [
+        {"task_id": "wide", "dims": dims_config("w", 4)},
+        {"task_id": "narrow", "dims": dims_config("n", 2)}]}}))
+    return path
+
+
+@pytest.mark.parametrize("case", list(FIT_REFUSALS))
+def test_a_document_too_wide_for_a_task_is_refused_at_its_path(capsys, tmp_path, case):
+    fields, message = FIT_REFUSALS[case]
+    path = two_width_config(tmp_path, **fields)
+    assert main(["perturb", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # a direct call keeps the library's text, of the first task it fails
+    cfg = parse_experiment_config(path.read_bytes())
+    with pytest.raises((BadBudget, BadPerturbation)):
+        run_weight_perturbation(cfg.world, budget=cfg.budget, perturbations=cfg.perturbations)
+
+
+def test_a_document_that_fits_its_narrowest_task_runs(capsys, tmp_path):
+    path = two_width_config(tmp_path, budget=2, perturbations=[
+        {"kind": "adjacent_swap", "count": 1}])
+    check_experiment_fits(parse_experiment_config(path.read_bytes()))
+    assert main(["perturb", "--config", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["cells"]) == 4
 
 
 @pytest.mark.parametrize("with_invalid_task", [True, False])
@@ -1298,8 +1344,9 @@ def test_group_errors_match_the_task_by_task_reference(capsys, tmp_path, case,
                                                        with_invalid_task):
     # a 6-dim task with an empty dimension id, then a narrower task whose
     # group cannot be planned: the empty id fails the world's build, and
-    # without it the narrow task's BadBudget or BadPerturbation comes first
-    budget, ladder, narrow = NARROW_CASES[case]
+    # without it the narrow task's BadBudget or BadPerturbation comes first,
+    # which perturb names at the document's path
+    budget, ladder, narrow, refusal = NARROW_CASES[case]
     tasks = [{"task_id": "narrow", "dims": dims_config("n", narrow)}]
     if with_invalid_task:
         tasks.insert(0, {"task_id": "bad-id", "dims": dims_config("b", 6, empty_id_at=2)})
@@ -1322,5 +1369,8 @@ def test_group_errors_match_the_task_by_task_reference(capsys, tmp_path, case,
         assert_same_outcome(lambda: run_weight_perturbation(
             cfg.world, budget=cfg.budget, perturbations=specs, mode="sample",
             replicates=2), want)
+        with pytest.raises(SchemaError, match=re.escape(refusal)):
+            check_experiment_fits(cfg)
+        want = refusal
     assert main(["perturb", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {want}\n"

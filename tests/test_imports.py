@@ -1,7 +1,7 @@
-"""Import boundary: the light subcommands, audit with a world and
-tiil-check run without numpy, only tiil-check loads the decoder battery
-(ist.tiil), tiil-check loads neither dataclasses nor the spec modules,
-only a world config loads the world check (ist.priors, ist.rng), the
+"""Import boundary: no subcommand loads dataclasses, the light
+subcommands, audit with a world and tiil-check run without numpy, only
+tiil-check loads the decoder battery (ist.tiil), tiil-check loads no spec
+module, only a world config loads the world check (ist.priors, ist.rng), the
 privacy verdict and the battery on a checked world config load neither
 numpy, ist.worlds nor the dense oracle (ist.infotheory), the dense
 oracle loads no world, metrics or model, and the package's public names
@@ -43,8 +43,9 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps({{"code": code,
                   "loaded": [m for m in {WATCHED!r} if m in sys.modules]}}))
 """
-# what a command that parses specs loads, and what a world config adds
-SPECS = ["dataclasses", "ist.model", "ist.spec_io"]
+# what a command that parses specs loads, and what a world config adds;
+# dataclasses is watched, and no command loads it
+SPECS = ["ist.model", "ist.spec_io"]
 WORLD_CHECK = ["ist.priors", "ist.rng"]
 
 
@@ -119,10 +120,17 @@ TIIL_WORLDS = {
 @pytest.mark.parametrize("world", list(TIIL_WORLDS))
 def test_tiil_check_does_not_import_numpy(world, fmt):
     # the battery scores the checked rows of the world config in pure
-    # Python; it reads no spec, so neither dataclasses, ist.model nor
-    # ist.spec_io is loaded
+    # Python; it reads no spec, so neither ist.model nor ist.spec_io is
+    # loaded
     got = run_child("tiil-check", "--format", fmt, *TIIL_WORLDS[world])
     assert got == {"code": 0, "loaded": ["ist.tiil", *WORLD_CHECK]}
+
+
+@pytest.mark.parametrize("command", ["ablate", "perturb"])
+def test_the_experiments_do_not_import_dataclasses(command):
+    # the record types are named tuples, so the numpy subcommands load no
+    # dataclasses either
+    assert run_child(command) == {"code": 0, "loaded": ["numpy", *SPECS, *WORLD_CHECK]}
 
 
 def test_rng_imports_without_numpy():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -218,7 +217,7 @@ def test_refine_and_replace_give_a_fresh_flat():
     refined = refine_dimension(spec, "a", [leaf("a1", 0.5), leaf("a2", 0.5)])
     assert [(d.id, d.weight) for d in refined.flat] == [
         ("a1", 0.2), ("a2", 0.2), ("b", 0.6)]
-    swapped = dataclasses.replace(spec, dimensions=(leaf("c", 1.0),))
+    swapped = spec._replace(dimensions=(leaf("c", 1.0),))
     assert [(d.id, d.weight) for d in swapped.flat] == [("c", 1.0)]
     assert [d.id for d in spec.flat] == ["a", "b"]
 
@@ -228,7 +227,7 @@ def test_flat_is_not_a_field():
     used = spec_of(leaf("a", 0.4), leaf("b", 0.6))
     blob = serialize_intent_spec(used)
     assert used.flat
-    assert "flat" not in {f.name for f in dataclasses.fields(IntentSpec)}
+    assert "flat" not in IntentSpec._fields
     assert used == fresh and hash(used) == hash(fresh)
     assert serialize_intent_spec(used) == blob == serialize_intent_spec(fresh)
 
@@ -240,3 +239,96 @@ def test_mask_validation():
         EncodingMask(("a",), (2,))
     with pytest.raises(Exception):
         EncodingMask(("a", "b"), (1,))
+
+
+# --- record types ------------------------------------------------------------
+
+def record_samples() -> list:
+    """One record of every named tuple type in src/ist."""
+    from ist.audit import Aggregate, AuditRecord
+    from ist.experiments import (CellSummary, ExperimentConfig, PerturbationReport,
+                                 PerturbationSpec)
+    from ist.infotheory import DiscreteJoint, DpiReport, identity_decoder
+    from ist.metrics import DimensionScores, MetricBundle
+    from ist.model import Carrier, FlatDimension, Violation
+    from ist.priors import check_world_config
+    from ist.spec_io import OutputRecord, parse_output_document
+    from ist.tiil import classify_privacy
+    from ist.worlds import build_world, full_mask, simulate_output
+
+    config = {"seed": 1, "tasks": [{"task_id": "t", "dims": [
+        {"id": "a", "weight": 0.5, "K": 2, "lambda": 0.5},
+        {"id": "b", "weight": 0.5, "K": 3, "lambda": 0.0}]}]}
+    world, checked = build_world(config), check_world_config(config)
+    mask = full_mask(world.tasks[0])
+    cell = CellSummary("t", "m", "identity", 1.0, 0.0, False)
+    return [
+        ValueRef.token("v0"), Dimension("a", 1.0), spec_of(leaf("a", 1.0)),
+        Carrier("t", {"a"}), mask, FlatDimension("a", 1.0, None),
+        Violation("EmptyId", "", "dimension id is empty"),
+        DimensionScores(("a",), (1.0,), (0.5,)), MetricBundle(1.0, 0.5, 0.5, 5, True),
+        OutputRecord("t", "FULL", "m", mask, {"a": ValueRef.token("v0")}, 5, 1.0, 1.0),
+        parse_output_document('{"task_id": "t", "realized_values": {}}'),
+        AuditRecord("t", "2026-08-15T00:00:00Z", ("a",), (), (), ("a",), ("a",),
+                    0.0, 1.0, 1.0, 0.0, 5, False, "unlabeled"),
+        Aggregate(0, 0, None, None),
+        world.tasks[0], world, simulate_output(world, "t", mask),
+        checked, checked.tasks[0], classify_privacy(checked, "t", "a"),
+        DiscreteJoint(("v",), [0.5, 0.5]), identity_decoder("v", 2),
+        DpiReport(1.0, 0.5, True, 0.5),
+        PerturbationSpec("jitter", 0.1), cell, PerturbationReport((cell,), None, None, None),
+        ExperimentConfig(world),
+    ]
+
+
+RECORDS = record_samples()
+# records holding a dict or an array, which hash as their fields do: not at all
+UNHASHABLE = {"OutputRecord", "OutputDocument", "SimulatedOutput", "DiscreteJoint", "Decoder"}
+
+
+def test_the_samples_cover_every_record_type():
+    import importlib
+    import pkgutil
+
+    import ist
+
+    types = set()
+    for info in pkgutil.iter_modules(ist.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"ist.{info.name}")
+            types |= {obj for obj in vars(module).values() if isinstance(obj, type)
+                      and issubclass(obj, tuple) and obj.__module__ == module.__name__}
+    assert {type(r) for r in RECORDS} == types and len(types) == len(RECORDS) == 26
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_a_record_is_an_immutable_named_tuple(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    twin = type(record)._make(record)
+    assert type(twin) is type(record)
+    if type(record).__name__ in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert twin == record and hash(twin) == hash(record)
+        assert record == tuple(record)
+
+
+def test_replace_runs_the_checks_again():
+    spec = spec_of(leaf("a", 0.4), leaf("B", 0.6))
+    with pytest.raises(ValidationError):
+        spec._replace(dimensions=())
+    mask = EncodingMask(("a",), (1,))
+    with pytest.raises(ValueError, match="mask bit must be 0 or 1, got 2"):
+        mask._replace(bits=(2,))
+    assert mask._replace(dims=("A",)) == EncodingMask(("a",), (1,))
+    assert spec.dimensions[1]._replace(id="C").id == "c"
+
+
+def test_a_dimension_normalizes_its_fields():
+    dim = Dimension("A", 1)
+    assert dim.id == "a" and type(dim.weight) is float and dim.children == ()
+    assert dim == Dimension("a", 1.0) == ("a", 1.0, None, None, ())
+    assert Dimension("a", 1, children=[leaf("x", 1.0)]).children == (leaf("x", 1.0),)

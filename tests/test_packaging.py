@@ -269,3 +269,32 @@ def test_the_scalar_guard_sees_bool_excluding_checks(tmp_path):
         "def m(split):\n"
         "    return isinstance(split, bool)\n", encoding="utf-8")
     assert _scalar_checks(module) == ["m.py: f", "m.py: g"]
+
+
+def _imported_packages(path: Path) -> set[str]:
+    """The top-level package of every absolute import in a module, at any
+    depth of its code."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_no_module_imports_dataclasses():
+    # the record types are named tuples: importing dataclasses (with
+    # inspect) and generating each type's methods cost every command
+    paths = sorted((PYPROJECT.parent / "src" / "ist").glob("*.py"))
+    assert [path.name for path in paths if "dataclasses" in _imported_packages(path)] == []
+
+
+def test_the_dataclasses_guard_sees_local_and_aliased_imports(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from . import jsonio\n"
+        "def f():\n"
+        "    from dataclasses import replace\n"
+        "    import dataclasses as dc, os.path\n", encoding="utf-8")
+    assert _imported_packages(module) == {"dataclasses", "os"}

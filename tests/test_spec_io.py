@@ -2,7 +2,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
+from ist.audit import AuditRecord
 from ist.errors import (
     Inconsistent,
     SchemaError,
@@ -36,6 +37,7 @@ from ist.spec_io import (
     serialize_intent_spec,
     write_records,
 )
+from ist.tiil import PrivacyVerdict
 
 from conftest import random_spec
 
@@ -81,6 +83,21 @@ def test_canonical_rejects_numpy_scalars():
             dumps_canonical({"x": [value]})
     with pytest.raises(TypeError, match="cannot serialize builtins.set"):
         dumps_canonical({1, 2})
+
+
+def test_canonical_rejects_a_record():
+    # a record is a named tuple, but only an exact list or tuple is an
+    # array: a record is serialized by its own *_to_obj, never as a bare
+    # array of its fields
+    audit = AuditRecord("t1", "2026-08-15T00:00:00Z", ("what",), ("who",), (), ("what",),
+                        ("what",), 0.5, 1.0, 0.5, 0.5, 5, True, "unlabeled")
+    verdict = PrivacyVerdict("who", 0.0, 0.5, 0.5, "private")
+    for record, where in ((ValueRef.token("v1"), "ist.model.ValueRef"),
+                          (audit, "ist.audit.AuditRecord"),
+                          (verdict, "ist.tiil.PrivacyVerdict")):
+        with pytest.raises(TypeError, match=f"^cannot serialize {re.escape(where)}$"):
+            dumps_canonical({"x": [record]})
+    assert dumps_canonical(([1, (2,)], ())) == "[[1,[2]],[]]"
 
 
 STRINGS = {
@@ -327,7 +344,7 @@ def test_write_records_twice_with_new_values(tmp_path):
 @pytest.mark.parametrize("field", ["s_icmw", "f_icmw"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
 def test_write_records_rejects_non_finite_scores(tmp_path, field, bad):
-    rec = replace(make_record(0), **{field: bad})
+    rec = make_record(0)._replace(**{field: bad})
     with pytest.raises(ValueError):
         record_to_line(rec)
     with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -162,9 +161,8 @@ def test_a_checked_world_has_the_built_worlds_fields():
     # build_world makes WorldTask(*row, users), so a TaskRow is a
     # WorldTask's fields but for users, in order, and a WorldConfig is a
     # SyntheticWorld's
-    task_fields = tuple(f.name for f in dataclasses.fields(WorldTask))
-    assert TaskRow._fields + ("users",) == task_fields
-    assert WorldConfig._fields == tuple(f.name for f in dataclasses.fields(SyntheticWorld))
+    assert TaskRow._fields + ("users",) == WorldTask._fields
+    assert WorldConfig._fields == SyntheticWorld._fields
 
 
 def test_check_pass_reports_field_faults_before_the_flat_spec_rules():
