@@ -29,7 +29,7 @@ from functools import reduce
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
-from .errors import SchemaError
+from .errors import BadConfig, SchemaError
 from .jsonio import (_check_keys, _get_int, _get_number, _get_str, _get_str_list, _require_obj,
                      dumps_canonical)
 from .metrics import Matcher, bundle_for_output, detect_split_zone, synthesize_ga
@@ -246,7 +246,7 @@ def render_report(records: Iterable[AuditRecord], fmt: str = "text") -> str:
         return _render_markdown(recs, agg)
     if fmt == "text":
         return _render_text(recs, agg)
-    raise ValueError(f"unknown report format {fmt!r}")
+    raise BadConfig(f"unknown report format {fmt!r}")
 
 
 def _record_lines(i: int, r: AuditRecord) -> list[str]:

@@ -1,10 +1,22 @@
 """Exception taxonomy for the ist toolkit.
 
-Every error raised by the library derives from :class:`IstError` so callers
-(and the CLI exit-code mapping) can distinguish bad inputs from bugs. A
-document field that breaks its schema raises :class:`SchemaError` at its
-$-path (the checks of ist.jsonio); a bad library argument, such as a seed,
-a draw index or a count, raises :class:`BadConfig` naming the argument.
+Every refusal of a bad input raises an :class:`IstError`, which the CLI
+reports as ``error: {e}`` with exit 2. Each of the four kinds locates
+the fault its own way:
+
+* :class:`SpecSyntaxError`: the input is not JSON; it names the line and
+  column.
+* :class:`SchemaError`: a document field breaks its schema; it names the
+  field's $-path (the checks of ist.jsonio), and a JSONL line's number.
+* :class:`ValidationError`: an intent spec breaks the rules of
+  model.validate_spec; it lists every violation.
+* :class:`BadConfig`: any other refused argument, such as a seed, a
+  draw index, a count, a weight list, a mask or a table; its message
+  names the argument.
+
+A broken invariant of the toolkit's own arithmetic, such as an oracle
+table that does not sum to 1, is not an IstError: it raises a builtin
+exception (ArithmeticError), which the CLI reports with exit 3.
 """
 
 from __future__ import annotations
@@ -13,46 +25,6 @@ from __future__ import annotations
 class IstError(Exception):
     """Base class for all toolkit errors."""
 
-
-# --- weight vectors ---------------------------------------------------------
-
-class EmptyWeights(IstError):
-    pass
-
-
-class NegativeWeight(IstError):
-    def __init__(self, index: int, value: float):
-        super().__init__(f"weight at index {index} is negative ({value})")
-        self.index = index
-        self.value = value
-
-
-class ZeroMass(IstError):
-    pass
-
-
-# --- spec structure ---------------------------------------------------------
-
-class UnknownDimension(IstError):
-    def __init__(self, dimension: str):
-        super().__init__(f"unknown dimension: {dimension!r}")
-        self.dimension = dimension
-
-
-class NotALeaf(IstError):
-    def __init__(self, dimension: str):
-        super().__init__(f"dimension {dimension!r} already has children")
-        self.dimension = dimension
-
-
-class ChildWeightSum(IstError):
-    def __init__(self, dimension: str, total: float):
-        super().__init__(f"child weights of {dimension!r} sum to {total}, expected 1")
-        self.dimension = dimension
-        self.total = total
-
-
-# --- parsing / serialization ------------------------------------------------
 
 class SpecSyntaxError(IstError):
     """Malformed JSON input (not valid JSON at all)."""
@@ -86,79 +58,5 @@ class ValidationError(IstError):
         self.violations = list(violations)
 
 
-# --- metrics ----------------------------------------------------------------
-
-class LengthMismatch(IstError):
-    def __init__(self, expected: int, got: int, what: str = "vector"):
-        super().__init__(f"{what} length {got}, expected {expected}")
-        self.expected = expected
-        self.got = got
-
-
-class RangeError(IstError):
-    pass
-
-
-# --- synthetic worlds -------------------------------------------------------
-
 class BadConfig(IstError):
-    pass
-
-
-class UnknownTask(IstError):
-    def __init__(self, task_id: str):
-        super().__init__(f"unknown task: {task_id!r}")
-        self.task_id = task_id
-
-
-# --- information oracle -----------------------------------------------------
-
-class InvalidDistribution(IstError):
-    pass
-
-
-class UnknownVariable(IstError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown variable: {name!r}")
-        self.name = name
-
-
-class DomainMismatch(IstError):
-    pass
-
-
-class WorldTooLarge(IstError):
-    def __init__(self, cells: int, cap: int):
-        super().__init__(f"enumeration would need {cells} cells (cap {cap})")
-        self.cells = cells
-        self.cap = cap
-
-
-# --- experiments ------------------------------------------------------------
-
-class BadBudget(IstError):
-    pass
-
-
-class BadPerturbation(IstError):
-    pass
-
-
-class MissingCondition(IstError):
-    def __init__(self, condition: str):
-        super().__init__(f"missing condition: {condition!r}")
-        self.condition = condition
-
-
-class ZeroSignal(IstError):
-    """All ablation drops are zero: weights are unidentifiable from fidelity."""
-
-
-# --- audit ------------------------------------------------------------------
-
-class Inconsistent(IstError):
-    pass
-
-
-class MissingScores(IstError):
-    pass
+    """A refused argument that is not a document field or a spec."""

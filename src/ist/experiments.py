@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cache
+from functools import cache, partial
 from itertools import groupby
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -48,15 +48,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadBudget,
-    BadPerturbation,
-    Inconsistent,
-    MissingCondition,
-    SchemaError,
-    SpecSyntaxError,
-    ZeroSignal,
-)
+from .errors import BadConfig, SchemaError, SpecSyntaxError
 from .jsonio import (_check_keys, _fmt_float, _get_int, _get_number, _get_str, _require_obj,
                      _scalar_error, checked_make, dumps_canonical, loads_strict,
                      normalize_weights)
@@ -204,8 +196,8 @@ def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, f
 
     The records must be one task's ablation: another task, mask ids or
     condition, or mask bits other than the condition's (all ones for
-    FULL, one zero at i for ABL_i), raises Inconsistent, a condition
-    without records MissingCondition.
+    FULL, one zero at i for ABL_i), or a condition without records,
+    raises BadConfig.
     """
     sums = {FULL_CONDITION: (0.0, 0)}  # condition -> (f_icmw total, count)
     task_id, dims = None, ()
@@ -214,22 +206,22 @@ def estimate_weights_by_ablation(records: Iterable[OutputRecord]) -> dict[str, f
             task_id, dims = rec.task_id, rec.mask.dims
             sums.update({ABLATION_PREFIX + d: (0.0, 0) for d in dims})
         elif rec.task_id != task_id:
-            raise Inconsistent(f"records mix tasks {task_id!r} and {rec.task_id!r}")
+            raise BadConfig(f"records mix tasks {task_id!r} and {rec.task_id!r}")
         elif rec.mask.dims != dims:
-            raise Inconsistent(f"records mix dimension ids {dims!r} and {rec.mask.dims!r}")
+            raise BadConfig(f"records mix dimension ids {dims!r} and {rec.mask.dims!r}")
         cond = rec.condition
         if cond.startswith(ABLATION_PREFIX):
             cond = ABLATION_PREFIX + cond[len(ABLATION_PREFIX):].lower()
         if cond not in sums:
-            raise Inconsistent(
+            raise BadConfig(
                 f"condition {rec.condition!r} is not in the ablation of {dims!r}")
         if rec.mask.bits != tuple(int(ABLATION_PREFIX + d != cond) for d in dims):
-            raise Inconsistent(f"condition {rec.condition!r} has mask bits {rec.mask.bits!r}")
+            raise BadConfig(f"condition {rec.condition!r} has mask bits {rec.mask.bits!r}")
         total, count = sums[cond]
         sums[cond] = total + rec.f_icmw, count + 1
     for cond, (_, count) in sums.items():
         if count == 0:
-            raise MissingCondition(cond)
+            raise BadConfig(f"missing condition: {cond!r}")
     means = [total / count for total, count in sums.values()]
     return _weights_from_means(task_id, dims, means)
 
@@ -238,11 +230,11 @@ def _weights_from_means(task_id: str, dims: Sequence[str],
                         means: Sequence[float]) -> dict[str, float]:
     """Weights from each condition's mean f_icmw, FULL's first, then the
     ablation of each of dims: the drops from FULL, floored at zero and
-    normalized. ZeroSignal when every drop is zero."""
+    normalized. BadConfig when every drop is zero."""
     full, *ablated = means
     drops = [max(0.0, full - mean) for mean in ablated]
     if all(d == 0.0 for d in drops):
-        raise ZeroSignal(
+        raise BadConfig(
             f"no fidelity drop under any ablation of task {task_id!r}; "
             "weights unidentifiable (all-public world?)")
     return dict(zip(dims, normalize_weights(drops)))
@@ -259,7 +251,7 @@ def default_budget(n_dims: int) -> int:
 
 def _check_budget(budget: int, n: int) -> None:
     if not isinstance(budget, int) or isinstance(budget, bool) or not 0 <= budget <= n:
-        raise BadBudget(f"budget must be an integer in [0, {n}], got {budget!r}")
+        raise BadConfig(f"budget must be an integer in [0, {n}], got {budget!r}")
 
 
 def encode_rows(weights: np.ndarray, budget: int) -> np.ndarray:
@@ -282,7 +274,7 @@ def encode_with_budget(dim_ids: Sequence[str], assumed_weights: Sequence[float],
     one row."""
     n = len(dim_ids)
     if len(assumed_weights) != n:
-        raise BadBudget(f"{n} ids vs {len(assumed_weights)} weights")
+        raise BadConfig(f"{n} ids vs {len(assumed_weights)} weights")
     bits = encode_rows(np.array([assumed_weights], dtype=np.float64), budget)
     return EncodingMask(tuple(dim_ids), tuple(bits[0].astype(int).tolist()))
 
@@ -302,12 +294,12 @@ class PerturbationSpec(namedtuple("PerturbationSpec", "kind epsilon count")):
     def __new__(cls, kind: str, epsilon: float = 0.05, count: int = 1):
         if kind == "jitter":
             if not 0.0 < epsilon < 1.0:
-                raise BadPerturbation(f"jitter epsilon must be in (0, 1), got {epsilon}")
+                raise BadConfig(f"jitter epsilon must be in (0, 1), got {epsilon}")
         elif kind == "adjacent_swap":
             if count < 1:
-                raise BadPerturbation(f"adjacent_swap count must be >= 1, got {count}")
+                raise BadConfig(f"adjacent_swap count must be >= 1, got {count}")
         elif kind not in ("identity", "full_inversion"):
-            raise BadPerturbation(f"unknown perturbation kind {kind!r}")
+            raise BadConfig(f"unknown perturbation kind {kind!r}")
         return super().__new__(cls, kind, epsilon, count)
 
     @property
@@ -339,7 +331,7 @@ def perturb_weight_rows(weights: np.ndarray, spec: PerturbationSpec,
     """
     n = weights.shape[1]
     if n == 0:
-        raise BadPerturbation("empty weight vector")
+        raise BadConfig("empty weight vector")
     if spec.kind == "identity":
         return weights
     if spec.kind == "jitter":
@@ -353,7 +345,7 @@ def perturb_weight_rows(weights: np.ndarray, spec: PerturbationSpec,
     out = weights.copy()
     if spec.kind == "adjacent_swap":
         if spec.count > n // 2:
-            raise BadPerturbation(
+            raise BadConfig(
                 f"adjacent_swap({spec.count}) needs {2 * spec.count} dims, have {n}")
         a, b = order[:, 0:2 * spec.count:2], order[:, 1:2 * spec.count:2]
         out[rows, a], out[rows, b] = weights[rows, b], weights[rows, a]
@@ -485,8 +477,9 @@ ExperimentConfig = namedtuple("ExperimentConfig", "world budget perturbations re
 
 
 # the one parameter field each parameterized kind takes besides "kind",
-# and its reader
-_PERTURBATION_PARAMS = {"jitter": ("epsilon", _get_number), "adjacent_swap": ("count", _get_int)}
+# and its reader (a jitter's epsilon keeps its library rule)
+_PERTURBATION_PARAMS = {"jitter": ("epsilon", _get_number),
+                        "adjacent_swap": ("count", partial(_get_int, lo=1))}
 _EXPERIMENT_FIELDS = ("world_config", "world_path", "budget", "perturbations",
                       "replicates", "mode", "seed")
 
@@ -502,7 +495,7 @@ def _parse_perturbation(item, path: str) -> PerturbationSpec:
     params = {param: read(item, param, path)} if param in item else {}
     try:
         return PerturbationSpec(kind, **params)
-    except BadPerturbation as e:
+    except BadConfig as e:
         raise SchemaError(path, str(e)) from None
 
 

@@ -31,14 +31,9 @@ from collections import namedtuple
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    DomainMismatch,
-    InvalidDistribution,
-    UnknownVariable,
-    WorldTooLarge,
-)
+from .errors import BadConfig
 from .jsonio import checked_make
-from .priors import CELL_CAP, argmax_finds_user, dim_channels
+from .priors import argmax_finds_user, check_cells, dim_channels
 from .rng import DECODER_STREAM, derive, uniform_index
 from .tiil import DPI_TOL, SUM_TOL, mi_of_entropies, nonnegative
 
@@ -52,14 +47,13 @@ class DiscreteJoint(namedtuple("DiscreteJoint", "variables table")):
     def __new__(cls, variables: tuple[str, ...], table: np.ndarray):
         tab = np.array(table, dtype=np.float64, order="C")
         if tab.ndim != len(variables):
-            raise InvalidDistribution(
+            raise BadConfig(
                 f"table has {tab.ndim} axes for {len(variables)} variables")
         if len(set(variables)) != len(variables):
-            raise InvalidDistribution(f"duplicate variable names {variables!r}")
-        if tab.size > CELL_CAP:
-            raise WorldTooLarge(tab.size, CELL_CAP)
+            raise BadConfig(f"duplicate variable names {variables!r}")
+        check_cells(tab.size)
         if tab.size == 0:
-            raise InvalidDistribution("empty table")
+            raise BadConfig("empty table")
         _check_entries(tab)
         _check_totals(tab.sum())
         tab.flags.writeable = False
@@ -69,7 +63,7 @@ class DiscreteJoint(namedtuple("DiscreteJoint", "variables table")):
         try:
             return self.variables.index(name)
         except ValueError:
-            raise UnknownVariable(name) from None
+            raise BadConfig(f"unknown variable: {name!r}") from None
 
     def size(self, name: str) -> int:
         return self.table.shape[self.axis(name)]
@@ -77,7 +71,7 @@ class DiscreteJoint(namedtuple("DiscreteJoint", "variables table")):
     def marginal(self, *names: str) -> "DiscreteJoint":
         """Marginal over the named variables, axes in the order given."""
         if len(set(names)) != len(names) or not names:
-            raise DomainMismatch(f"bad marginal request {names!r}")
+            raise BadConfig(f"bad marginal request {names!r}")
         keep = [self.axis(n) for n in names]
         drop = tuple(i for i in range(self.table.ndim) if i not in keep)
         marg = self.table.sum(axis=drop) if drop else self.table
@@ -91,8 +85,8 @@ class DiscreteJoint(namedtuple("DiscreteJoint", "variables table")):
 def _check_entries(p: np.ndarray) -> None:
     """Every entry >= 0, written so that NaN fails; NaN is named first."""
     if not np.all(p >= 0):
-        raise InvalidDistribution("NaN entry" if np.isnan(p).any()
-                                  else f"negative entry {float(p.min())}")
+        raise BadConfig("NaN entry" if np.isnan(p).any()
+                        else f"negative entry {float(p.min())}")
 
 
 def _check_totals(totals) -> None:
@@ -101,7 +95,7 @@ def _check_totals(totals) -> None:
     totals = np.ravel(totals)
     bad = ~(np.abs(totals - 1.0) <= SUM_TOL)
     if bad.any():
-        raise InvalidDistribution(
+        raise BadConfig(
             f"table sums to {float(totals[bad][0])!r}, expected 1")
 
 
@@ -112,11 +106,11 @@ def entropy(dist) -> float:
     else:
         p = np.asarray(dist, dtype=np.float64)
         if p.size == 0:
-            raise InvalidDistribution("empty distribution")
+            raise BadConfig("empty distribution")
         _check_entries(p)
         total = float(p.sum())
         if not abs(total - 1.0) <= SUM_TOL:
-            raise InvalidDistribution(f"sums to {total!r}, expected 1")
+            raise BadConfig(f"sums to {total!r}, expected 1")
     return nonnegative(_kernels.entropy_bits(p))
 
 
@@ -134,7 +128,7 @@ def mutual_information(joint: DiscreteJoint, x, y) -> float:
     """
     gx, gy = _as_group(x), _as_group(y)
     if set(gx) & set(gy):
-        raise DomainMismatch(f"groups overlap: {gx!r} vs {gy!r}")
+        raise BadConfig(f"groups overlap: {gx!r} vs {gy!r}")
     tables = [joint.marginal(*gx), joint.marginal(*gy), joint.marginal(*gx, *gy)]
     return mi_of_entropies([entropy(t) for t in tables],
                             [t.table.size for t in tables])
@@ -157,14 +151,14 @@ class Decoder(namedtuple("Decoder", "evidence_vars output_var rows")):
     def __new__(cls, evidence_vars: tuple[str, ...], output_var: str, rows: np.ndarray):
         rows = np.array(rows, dtype=np.float64, order="C")
         if rows.ndim != len(evidence_vars) + 1:
-            raise InvalidDistribution(
+            raise BadConfig(
                 f"rows rank {rows.ndim} for {len(evidence_vars)} evidence vars")
         if not np.all(rows >= 0):
-            raise InvalidDistribution("NaN decoder entry" if np.isnan(rows).any()
-                                      else "negative decoder entry")
+            raise BadConfig("NaN decoder entry" if np.isnan(rows).any()
+                            else "negative decoder entry")
         sums = rows.sum(axis=-1)
         if not np.all(np.abs(sums - 1.0) <= SUM_TOL):
-            raise InvalidDistribution("decoder row does not sum to 1")
+            raise BadConfig("decoder row does not sum to 1")
         rows.flags.writeable = False
         return super().__new__(cls, evidence_vars, output_var, rows)
 
@@ -224,18 +218,16 @@ def apply_decoder(joint: DiscreteJoint, decoder: Decoder) -> DiscreteJoint:
     """
     for name, size in zip(decoder.evidence_vars, decoder.evidence_sizes):
         if joint.size(name) != size:
-            raise DomainMismatch(
+            raise BadConfig(
                 f"evidence {name!r}: joint size {joint.size(name)}, "
                 f"decoder expects {size}")
     if decoder.output_var in joint.variables:
-        raise DomainMismatch(f"variable {decoder.output_var!r} already present")
+        raise BadConfig(f"variable {decoder.output_var!r} already present")
     letters = "abcdefghijklmnopqrstuvwxyz"
     if joint.table.ndim + 1 > len(letters):
-        raise DomainMismatch("too many variables to extend")
+        raise BadConfig("too many variables to extend")
     # the cap the extended joint would fail, checked before einsum builds it
-    cells = joint.table.size * decoder.output_size
-    if cells > CELL_CAP:
-        raise WorldTooLarge(cells, CELL_CAP)
+    check_cells(joint.table.size * decoder.output_size)
     j_sub = letters[:joint.table.ndim]
     out_letter = letters[joint.table.ndim]
     r_sub = "".join(j_sub[joint.axis(n)] for n in decoder.evidence_vars) + out_letter
@@ -255,7 +247,7 @@ def verify_dpi(joint: DiscreteJoint, decoder: Decoder) -> DpiReport:
     """Check I(v; g) <= I(v; evidence) with v = all non-evidence variables."""
     v_group = tuple(n for n in joint.variables if n not in decoder.evidence_vars)
     if not v_group:
-        raise DomainMismatch("decoder evidence covers every variable")
+        raise BadConfig("decoder evidence covers every variable")
     i_v_e = mutual_information(joint, v_group, decoder.evidence_vars)
     extended = apply_decoder(joint, decoder)
     i_v_g = mutual_information(extended, v_group, decoder.output_var)
@@ -267,7 +259,7 @@ def bayes_accuracy(joint: DiscreteJoint, v, evidence) -> float:
     """Best achievable decoder accuracy: sum over evidence of max_v p."""
     gv, ge = _as_group(v), _as_group(evidence)
     if set(gv) & set(ge):
-        raise DomainMismatch(f"groups overlap: {gv!r} vs {ge!r}")
+        raise BadConfig(f"groups overlap: {gv!r} vs {ge!r}")
     marg = joint.marginal(*gv, *ge)
     nv = int(np.prod(marg.table.shape[:len(gv)], dtype=np.int64))
     flat = marg.table.reshape(nv, -1)
@@ -279,7 +271,7 @@ def decoder_accuracy(joint: DiscreteJoint, decoder: Decoder, v: str) -> float:
     marg = joint.marginal(v, *decoder.evidence_vars)
     v_size = marg.table.shape[0]
     if decoder.output_size != v_size:
-        raise DomainMismatch(
+        raise BadConfig(
             f"decoder output alphabet {decoder.output_size} != |{v}| = {v_size}")
     p2d = marg.table.reshape(v_size, -1)
     rows2d = decoder.rows.reshape(-1, v_size)
@@ -306,8 +298,7 @@ def _regeneration_channel(k: int, lam: float, mode: str) -> np.ndarray:
     resolution of the prior and every entry ties. These are the same
     floats as building and dividing the prior for each v in turn.
     """
-    if k * k > CELL_CAP:
-        raise WorldTooLarge(k * k, CELL_CAP)
+    check_cells(k * k)
     base = (1.0 - lam) / k
     if mode == "sample":
         table = np.full((k, k), base / k)
@@ -329,6 +320,6 @@ def dimension_channel_joint(world, task_id: str, dim_id: str,
     evaluate.
     """
     if mode not in ("argmax", "sample"):
-        raise DomainMismatch(f"mode must be 'argmax' or 'sample', got {mode!r}")
+        raise BadConfig(f"mode must be 'argmax' or 'sample', got {mode!r}")
     [(k, lam)] = dim_channels(world, task_id, [dim_id])
     return DiscreteJoint(("v", "y"), _regeneration_channel(k, lam, mode))

@@ -29,7 +29,7 @@ import math
 import sys
 from json.encoder import encode_basestring
 
-from .errors import EmptyWeights, NegativeWeight, SchemaError, SpecSyntaxError, ZeroMass
+from .errors import BadConfig, SchemaError, SpecSyntaxError
 
 TOP_WEIGHT_TOL = 1e-6
 _FLOAT_MAX = sys.float_info.max
@@ -208,17 +208,17 @@ def weight_sum(weights) -> float:
 def normalize_weights(raw) -> list[float]:
     """Scale a nonnegative weight list so it sums to 1.
 
-    Raises EmptyWeights, NegativeWeight, or ZeroMass on degenerate input.
+    Raises BadConfig on an empty list, a negative weight or a zero total.
     """
     weights = [float(w) for w in raw]
     if not weights:
-        raise EmptyWeights("cannot normalize an empty weight list")
+        raise BadConfig("cannot normalize an empty weight list")
     for i, w in enumerate(weights):
         if w < 0:
-            raise NegativeWeight(i, w)
+            raise BadConfig(f"weight at index {i} is negative ({w})")
     total = math.fsum(weights)
     if total == 0.0:
-        raise ZeroMass("all weights are zero")
+        raise BadConfig("all weights are zero")
     return [w / total for w in weights]
 
 

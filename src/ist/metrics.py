@@ -21,8 +21,7 @@ import operator
 from collections import namedtuple
 from typing import Callable, Mapping
 
-from .errors import (Inconsistent, LengthMismatch, MissingScores, RangeError,
-                     UnknownDimension)
+from .errors import BadConfig
 from .jsonio import checked_make
 from .model import EncodingMask, FlatDimension, IntentSpec, ValueRef
 
@@ -40,13 +39,13 @@ class DimensionScores(namedtuple("DimensionScores", "dims r f")):
 
     def __new__(cls, dims: tuple[str, ...], r: tuple[float, ...], f: tuple[float, ...]):
         if len(r) != len(dims):
-            raise LengthMismatch(len(dims), len(r), "r scores")
+            raise BadConfig(f"r scores length {len(r)}, expected {len(dims)}")
         if len(f) != len(dims):
-            raise LengthMismatch(len(dims), len(f), "f scores")
+            raise BadConfig(f"f scores length {len(f)}, expected {len(dims)}")
         for name, vec in (("r", r), ("f", f)):
             for i, v in enumerate(vec):
                 if not 0.0 <= v <= 1.0:
-                    raise RangeError(f"{name}[{i}] ({dims[i]}) = {v}, outside [0, 1]")
+                    raise BadConfig(f"{name}[{i}] ({dims[i]}) = {v}, outside [0, 1]")
         return super().__new__(cls, dims, r, f)
 
 
@@ -63,11 +62,11 @@ class MetricBundle(namedtuple("MetricBundle", "s_icmw f_icmw d_drift ga split_zo
 def _clamp_unit(x: float) -> float:
     if x < 0.0:
         if x < -_CLAMP_TOL:
-            raise RangeError(f"weighted sum {x} below 0 beyond tolerance")
+            raise BadConfig(f"weighted sum {x} below 0 beyond tolerance")
         return 0.0
     if x > 1.0:
         if x > 1.0 + _CLAMP_TOL:
-            raise RangeError(f"weighted sum {x} above 1 beyond tolerance")
+            raise BadConfig(f"weighted sum {x} above 1 beyond tolerance")
         return 1.0
     return x
 
@@ -85,7 +84,7 @@ def weighted_sum(weights, values) -> float:
     w = list(map(float, weights))
     v = list(map(float, values))
     if len(w) != len(v):
-        raise LengthMismatch(len(w), len(v), "weighted values")
+        raise BadConfig(f"weighted values length {len(v)}, expected {len(w)}")
     return _float_weighted_sum(w, v)
 
 
@@ -112,7 +111,7 @@ def synthesize_ga(s_icmw: float) -> int:
     banker's rounding, so grade boundaries sit exactly on eighths.
     """
     if not 0.0 <= s_icmw <= 1.0:
-        raise RangeError(f"s_icmw = {s_icmw}, outside [0, 1]")
+        raise BadConfig(f"s_icmw = {s_icmw}, outside [0, 1]")
     grade = 1 + math.floor(4.0 * s_icmw + 0.5)
     return max(1, min(5, grade))
 
@@ -147,14 +146,14 @@ def score_output(spec: IntentSpec,
     known = {d.id for d in flat}
     for key in realized_values:
         if key.lower() not in known:
-            raise UnknownDimension(key)
+            raise BadConfig(f"unknown dimension: {key!r}")
     lowered: dict[str, ValueRef] = {}
     for key, value in realized_values.items():
         low = key.lower()
         if low in lowered:
             first = next(k for k in realized_values if k.lower() == low)
-            raise Inconsistent(f"realized keys {first!r} and {key!r} both "
-                               f"name dimension {low!r}")
+            raise BadConfig(f"realized keys {first!r} and {key!r} both "
+                            f"name dimension {low!r}")
         lowered[low] = value
     r, f = [], []
     for dim in flat:
@@ -167,10 +166,10 @@ def score_output(spec: IntentSpec,
         if matcher is not None:
             fv = float(matcher(dim, got))
             if not 0.0 <= fv <= 1.0:
-                raise RangeError(
+                raise BadConfig(
                     f"matcher returned {fv} for {dim.id}, outside [0, 1]")
         elif dim.intended_value is None:
-            raise MissingScores(
+            raise BadConfig(
                 f"dimension {dim.id!r} has no intended value; "
                 "supply a matcher to score it")
         else:

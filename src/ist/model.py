@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .errors import ChildWeightSum, NotALeaf, UnknownDimension, ValidationError
+from .errors import BadConfig, ValidationError
 from .jsonio import TOP_WEIGHT_TOL, checked_make, weight_sum
 
 CHILD_WEIGHT_TOL = 1e-9
@@ -111,10 +111,10 @@ class EncodingMask(namedtuple("EncodingMask", "dims bits")):
 
     def __new__(cls, dims: tuple[str, ...], bits: tuple[int, ...]):
         if len(dims) != len(bits):
-            raise ValueError("dims and bits must have equal length")
+            raise BadConfig("dims and bits must have equal length")
         for b in bits:
             if b not in (0, 1):
-                raise ValueError(f"mask bit must be 0 or 1, got {b!r}")
+                raise BadConfig(f"mask bit must be 0 or 1, got {b!r}")
         return super().__new__(cls, tuple(d.lower() for d in dims),
                                tuple(int(b) for b in bits))
 
@@ -122,7 +122,7 @@ class EncodingMask(namedtuple("EncodingMask", "dims bits")):
         try:
             return self.bits[self.dims.index(dim_id.lower())]
         except ValueError:
-            raise UnknownDimension(dim_id) from None
+            raise BadConfig(f"unknown dimension: {dim_id!r}") from None
 
 
 class FlatDimension(namedtuple("FlatDimension", "id weight intended_value privacy_hint",
@@ -221,7 +221,7 @@ def refine_dimension(spec: IntentSpec, target: str,
     sub_dims = tuple(sub_dims)
     sub_sum = weight_sum(d.weight for d in sub_dims)
     if abs(sub_sum - 1.0) > CHILD_WEIGHT_TOL:
-        raise ChildWeightSum(target, sub_sum)
+        raise BadConfig(f"child weights of {target!r} sum to {sub_sum}, expected 1")
 
     found = False
 
@@ -229,7 +229,7 @@ def refine_dimension(spec: IntentSpec, target: str,
         nonlocal found
         if dim.id == target:
             if not dim.is_leaf:
-                raise NotALeaf(target)
+                raise BadConfig(f"dimension {target!r} already has children")
             found = True
             return dim._replace(children=sub_dims)
         if dim.children:
@@ -238,5 +238,5 @@ def refine_dimension(spec: IntentSpec, target: str,
 
     new_dims = tuple(rewrite(d) for d in spec.dimensions)
     if not found:
-        raise UnknownDimension(target)
+        raise BadConfig(f"unknown dimension: {target!r}")
     return spec._replace(dimensions=new_dims)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterator
 
-from .errors import RangeError, SchemaError, UnknownTask, UnknownVariable, WorldTooLarge
+from .errors import BadConfig, SchemaError
 from .jsonio import (TOP_WEIGHT_TOL, _check_keys, _get_int, _get_number, _get_str, _require_obj,
                      normalize_weights, weight_sum)
 from .rng import MASK64, check_uint64
@@ -154,16 +154,16 @@ def dim_channels(world, task_id: str, dim_ids) -> Iterator[tuple[int, float]]:
     world: a built SyntheticWorld or the WorldConfig of check_world_config.
 
     Both store ids lower-cased, so a given id is folded. An unknown task
-    raises UnknownTask at the first id, and an unknown id raises
-    UnknownVariable naming it as given when it is reached, so a caller
-    that labels each channel in turn meets errors in dimension order.
+    raises BadConfig at the first id, and an unknown id raises BadConfig
+    naming it as given when it is reached, so a caller that labels each
+    channel in turn meets errors in dimension order.
     """
     task = next((t for t in world.tasks if t.task_id == task_id), None)
     if task is None:
-        raise UnknownTask(task_id)
+        raise BadConfig(f"unknown task: {task_id!r}")
     for dim_id in dim_ids:
         if dim_id.lower() not in task.dims:
-            raise UnknownVariable(dim_id)
+            raise BadConfig(f"unknown variable: {dim_id!r}")
         j = task.dims.index(dim_id.lower())
         yield task.ks[j], task.lams[j]
 
@@ -172,9 +172,15 @@ def dim_channels(world, task_id: str, dim_ids) -> Iterator[tuple[int, float]]:
 # the (K, lambda) label rule
 # ---------------------------------------------------------------------------
 
+def check_cells(cells: int) -> None:
+    """Refuse a dense table of more than CELL_CAP cells."""
+    if cells > CELL_CAP:
+        raise BadConfig(f"enumeration would need {cells} cells (cap {CELL_CAP})")
+
+
 def check_theta_pub(theta_pub: float) -> None:
     if not 0.0 < theta_pub <= 1.0:
-        raise RangeError(f"theta_pub = {theta_pub}, outside (0, 1]")
+        raise BadConfig(f"theta_pub = {theta_pub}, outside (0, 1]")
 
 
 def privacy_label(k: int, lam: float, theta_pub: float,
@@ -187,11 +193,10 @@ def privacy_label(k: int, lam: float, theta_pub: float,
     largest row sum, is 1/K. Both are computed from lam = a/b exactly and
     rounded once (int true division is correctly rounded), so lam = 1 is
     exactly 1 at every K. Public means accuracy at least theta_pub and at
-    least chance + CHANCE_FLOOR; a channel with K*K > CELL_CAP raises
-    WorldTooLarge, as its joint would.
+    least chance + CHANCE_FLOOR; a channel with K*K > CELL_CAP cells is
+    refused by check_cells, as its joint would be.
     """
-    if k * k > CELL_CAP:
-        raise WorldTooLarge(k * k, CELL_CAP)
+    check_cells(k * k)
     a, b = float(lam).as_integer_ratio()
     acc = (b + (k - 1) * a) / (k * b)
     chance = 1 / k

@@ -33,12 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Callable, Iterable, Iterator
 
-from .errors import (
-    Inconsistent,
-    SchemaError,
-    SpecSyntaxError,
-    UnknownDimension,
-)
+from .errors import BadConfig, SchemaError, SpecSyntaxError
 from .jsonio import (
     TOP_WEIGHT_TOL,
     _check_keys,
@@ -216,13 +211,13 @@ def compute_mask(spec: IntentSpec, carrier: Carrier) -> EncodingMask:
     """Bit per flattened dimension (spec.flat): 1 exactly when the carrier
     encodes it. The carrier must be for the spec's task."""
     if carrier.task_id != spec.task_id:
-        raise Inconsistent(f"carrier task {carrier.task_id!r} does not match "
-                           f"spec task {spec.task_id!r}")
+        raise BadConfig(f"carrier task {carrier.task_id!r} does not match "
+                        f"spec task {spec.task_id!r}")
     ids = [f.id for f in spec.flat]
     known = set(ids)
     for dim_id in carrier.encoded_dimensions:
         if dim_id not in known:
-            raise UnknownDimension(dim_id)
+            raise BadConfig(f"unknown dimension: {dim_id!r}")
     return EncodingMask(tuple(ids),
                         tuple(1 if i in carrier.encoded_dimensions else 0
                               for i in ids))
@@ -272,6 +267,15 @@ def record_to_obj(rec: OutputRecord) -> dict:
     return out
 
 
+def _realized_and_text(obj: dict, lenient: bool) -> tuple[dict[str, ValueRef], str | None]:
+    """The realized_values and optional text of an output record or
+    document."""
+    raw = _require_obj(obj["realized_values"], "$.realized_values")
+    realized = {k: _parse_value_ref(v, f"$.realized_values.{k}", lenient)
+                for k, v in raw.items()}
+    return realized, _get_str(obj, "text", "$") if obj.get("text") is not None else None
+
+
 def record_from_obj(doc, *, lenient: bool = False) -> OutputRecord:
     obj = _require_obj(doc, "$")
     _check_keys(obj, "$",
@@ -281,14 +285,7 @@ def record_from_obj(doc, *, lenient: bool = False) -> OutputRecord:
     ga = _get_int(obj, "ga", "$", 1, 5)
     s_icmw = _get_number(obj, "s_icmw", "$", 0, 1)
     f_icmw = _get_number(obj, "f_icmw", "$", 0, 1)
-    raw_values = _require_obj(obj["realized_values"], "$.realized_values")
-    realized = {
-        k: _parse_value_ref(v, f"$.realized_values.{k}", lenient)
-        for k, v in raw_values.items()
-    }
-    text = None
-    if obj.get("text") is not None:
-        text = _get_str(obj, "text", "$")
+    realized, text = _realized_and_text(obj, lenient)
     return OutputRecord(
         task_id=_get_str(obj, "task_id", "$"),
         condition=_get_str(obj, "condition", "$"),
@@ -376,14 +373,7 @@ def parse_output_document(data: bytes | str, *, lenient: bool = False) -> Output
     doc = loads_strict(data)
     obj = _require_obj(doc, "$")
     _check_keys(obj, "$", ("task_id", "realized_values"), ("text",), lenient)
-    raw = _require_obj(obj["realized_values"], "$.realized_values")
-    realized = {
-        k: _parse_value_ref(v, f"$.realized_values.{k}", lenient)
-        for k, v in raw.items()
-    }
-    text = None
-    if obj.get("text") is not None:
-        text = _get_str(obj, "text", "$")
+    realized, text = _realized_and_text(obj, lenient)
     return OutputDocument(task_id=_get_str(obj, "task_id", "$"),
                           realized_values=realized, text=text)
 

@@ -43,7 +43,6 @@ from functools import reduce
 from itertools import accumulate, repeat
 from operator import add
 
-from .errors import InvalidDistribution, RangeError
 from .priors import THETA_PUB_DEFAULT, check_theta_pub, dim_channels, privacy_label
 from .rng import DECODER_STREAM, check_uint64, derive, splitmix64, uniform_index
 
@@ -76,14 +75,14 @@ def mi_of_entropies(hs, sizes) -> float:
                   reduce(add, [(n - 1 + _TERM_ULPS) * 2.0 ** -53 * h
                                for n, h in zip(sizes, hs)], 0.0))
         if mi < -tol:
-            raise RangeError(f"mutual information {mi} below -{tol:.3g}")
+            raise ArithmeticError(f"mutual information {mi} below -{tol:.3g}")
         return 0.0
     return mi
 
 
 def _check_total(total: float) -> None:
     if not abs(total - 1.0) <= SUM_TOL:
-        raise InvalidDistribution(f"table sums to {total!r}, expected 1")
+        raise ArithmeticError(f"table sums to {total!r}, expected 1")
 
 
 class _Terms(dict):
@@ -278,7 +277,7 @@ def tiil_check(world, theta_pub: float = THETA_PUB_DEFAULT, seed: int = 0) -> di
 
     Every channel's label (privacy_label's) comes first, and the one cap,
     the channel's K**2 cells, is checked there: a world past it raises
-    WorldTooLarge before anything of the battery is hashed or scored.
+    BadConfig before anything of the battery is hashed or scored.
     Everything but the task-keyed random decoder depends only on the
     dimension's (K, lambda) channel, so each channel's constant and Bayes
     rows are evaluated once. The identity decoder's I(v; g) is I(v; y),

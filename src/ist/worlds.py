@@ -62,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import BadConfig, Inconsistent, LengthMismatch, UnknownTask
+from .errors import BadConfig
 from .jsonio import checked_make, loads_strict
 from .metrics import _float_weighted_sum, weighted_sum
 from .model import EncodingMask, ValueRef
@@ -98,7 +98,7 @@ class SyntheticWorld(namedtuple("SyntheticWorld", "seed tag tasks")):
         try:
             return self._tasks_by_id[task_id]
         except KeyError:
-            raise UnknownTask(task_id) from None
+            raise BadConfig(f"unknown task: {task_id!r}") from None
 
 
 # provenance maps a dimension to copied_from_carrier, prior_default or prior_sample
@@ -145,8 +145,8 @@ def mask_without(task: WorldTask, ablated: set[str] | frozenset[str]) -> Encodin
 def _check_mask(task: WorldTask, mask: EncodingMask) -> None:
     if mask.dims != task.dims:
         if len(mask.dims) != len(task.dims):
-            raise LengthMismatch(len(task.dims), len(mask.dims), "mask bits")
-        raise Inconsistent(f"mask dims {mask.dims!r} vs task dims {task.dims!r}")
+            raise BadConfig(f"mask bits length {len(mask.dims)}, expected {len(task.dims)}")
+        raise BadConfig(f"mask dims {mask.dims!r} vs task dims {task.dims!r}")
 
 
 def simulate_output(world: SyntheticWorld, task_id: str, mask: EncodingMask,
@@ -194,25 +194,34 @@ def _argmax_grid(tasks) -> np.ndarray:
 
 def _sample_grid(seed: int, tasks, draws: np.ndarray) -> np.ndarray:
     """Sampled tokens (tasks x dims x draws) of tasks that share one
-    dimension count, by one sample_block call.
+    dimension count, by one sample_block call per slice of dimensions.
 
     Its CDF table (tasks x dims x largest K) is built in columns: each
     row is the flat base (1 - lam)/K plus lam at the user index, summed
     in order by np.cumsum (as a running sum over the prior adds it), with
-    entry K - 1 set to 1 and the entries past K to +inf.
+    entry K - 1 set to 1 and the entries past K to +inf. A table of more
+    than _kernels._CHUNK_DRAWS cells is built and sampled in slices of as
+    many dimensions as fit, at least one. A cell's hash is keyed by
+    (task, dim, draw) and each CDF row is its own dimension's, so the
+    slices join into the grid one table would give.
     """
     ks, user = _dim_column(tasks, "ks"), _dim_column(tasks, "users")
     lam = _dim_column(tasks, "lams")[..., None]
-    cols = np.arange(ks.max())
-    # one table, filled in place: a task's K can make it the whole block
-    cdf = np.where(cols == user[..., None], lam, 0.0)
-    cdf += (1.0 - lam) / ks[..., None]
-    np.cumsum(cdf, axis=-1, out=cdf)
-    cdf[cols == ks[..., None] - 1] = 1.0
-    cdf[cols >= ks[..., None]] = np.inf
-    return _kernels.sample_block(
-        seed, np.array([t.index for t in tasks], dtype=np.uint64),
-        np.arange(ks.shape[1], dtype=np.uint64), draws, cdf, ks)
+    task_ixs = np.array([t.index for t in tasks], dtype=np.uint64)
+    width = max(1, _kernels._CHUNK_DRAWS // (len(tasks) * int(ks.max())))
+    grids = []
+    for lo in range(0, ks.shape[1], width):
+        k, u, mix = ks[:, lo:lo + width], user[:, lo:lo + width], lam[:, lo:lo + width]
+        cols = np.arange(k.max())
+        # one table per slice, filled in place
+        cdf = np.where(cols == u[..., None], mix, 0.0)
+        cdf += (1.0 - mix) / k[..., None]
+        np.cumsum(cdf, axis=-1, out=cdf)
+        cdf[cols == k[..., None] - 1] = 1.0
+        cdf[cols >= k[..., None]] = np.inf
+        grids.append(_kernels.sample_block(
+            seed, task_ixs, np.arange(lo, lo + k.shape[1], dtype=np.uint64), draws, cdf, k))
+    return np.concatenate(grids, axis=1)
 
 
 def _blocks(tasks, counts):
@@ -225,8 +234,9 @@ def _blocks(tasks, counts):
     table (tasks x dims x largest K) are whole arrays. Each holds at most
     _kernels._CHUNK_DRAWS cells, unless one task alone needs more: a
     task whose draws do not fit is cut into ranges that do, a block
-    each, and tasks whose draws fit one range join a block while both
-    arrays still fit.
+    each, a table that does not fit is sliced by _sample_grid, and
+    tasks whose draws fit one range join a block while both arrays
+    still fit.
     """
     budget = _kernels._CHUNK_DRAWS
     hi = 0

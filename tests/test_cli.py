@@ -383,10 +383,21 @@ def test_tiil_check_accepts_flat_priors_at_every_k(capsys, tmp_path, lam):
         assert (code, out.splitlines()[-1:]) == (0, ["all bounds hold"]), (k, err)
 
 
+def test_a_broken_oracle_sum_exits_3(capsys, monkeypatch):
+    # the battery's table totals are the toolkit's own sums, not its input:
+    # one off 1 beyond SUM_TOL is an internal error
+    import ist.tiil as tiil
+    monkeypatch.setattr(tiil, "SUM_TOL", -1.0)
+    code, out, err = run(capsys, "tiil-check")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error in tiil-check: ArithmeticError: table sums to ")
+    assert err.endswith(", expected 1\n") and err.count("\n") == 1
+
+
 def test_tiil_check_refuses_the_largest_k_within_bounded_memory(tmp_path):
     # a config accepts K up to CELL_CAP, whose channel would be K**2 = 10**12
     # cells (8 TB) if built before the cap is checked; under a 1.5 GB
-    # address-space limit the child must still exit 2 with WorldTooLarge's message
+    # address-space limit the child must still exit 2 with the cell cap's message
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"seed": 1, "tasks": [{
         "task_id": "t", "dims": [{"id": "d", "weight": 1.0, "K": 10 ** 6, "lambda": 0.5}]}]}))
@@ -868,6 +879,45 @@ def test_ablate_bad_mode_exits_2_before_opening_out(capsys, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["ablate", "perturb"])
+def test_sampled_bytes_do_not_depend_on_the_block_budget(capsys, monkeypatch, tmp_path,
+                                                         command):
+    # at 5 cells every CDF table of more than one dimension at K >= 3 is
+    # built and sampled in slices of dimensions, and tasks split into many
+    # more blocks; the bytes are those of the default budget
+    config = (mixed_ablation_config(tmp_path) if command == "ablate"
+              else TESTS_DATA / "mixed_experiment.json")
+    argv = [command, "--config", str(config), "--mode", "sample", "--replicates", "3"]
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    monkeypatch.setattr(_kernels, "_CHUNK_DRAWS", 5)
+    assert run(capsys, *argv) == want
+
+
+def test_a_wide_world_at_large_k_samples_within_bounded_memory(tmp_path):
+    # 40 dimensions at K = 10**6: one CDF table of the task would hold
+    # 4 * 10**7 floats (305 MiB), past a 256 MiB address-space limit;
+    # sliced by dimension, each piece holds one dimension's 10**6
+    dims = [{"id": f"d{i}", "weight": 0.025, "K": 10 ** 6, "lambda": 0.3} for i in range(40)]
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"seed": 1, "mode": "sample", "replicates": 1,
+                                  "world_config": {"tasks": [{"task_id": "t", "dims": dims}]}}))
+    limit = 256 * 2 ** 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for command in ("ablate", "perturb"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ist", command, "--config", str(config),
+             "--out", str(tmp_path / f"{command}.out")],
+            env=env, capture_output=True, text=True, preexec_fn=cap_address_space,
+            timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), (command, proc.stderr[-2000:])
+
+
 # runs ARGV and prints its exit code and peak RSS (KiB). A process's
 # ru_maxrss starts at its parent's size at the fork, so the test runs ist
 # under this small launcher, not straight from pytest.
@@ -1187,7 +1237,12 @@ SCALAR_REFUSALS = {
     "experiment-replicates": ("experiment", ("replicates",), 0,
                               "$.replicates: must be an integer >= 1, got 0"),
     "experiment-count": ("experiment", ("perturbations", 2, "count"), "2",
-                         "$.perturbations[2].count: must be an integer, got '2'"),
+                         "$.perturbations[2].count: must be an integer >= 1, got '2'"),
+    "experiment-count-0": ("experiment", ("perturbations", 2, "count"), 0,
+                           "$.perturbations[2].count: must be an integer >= 1, got 0"),
+    "experiment-count-41-digits": ("experiment", ("perturbations", 2, "count"), -10 ** 40,
+                                   "$.perturbations[2].count: must be an integer >= 1, "
+                                   f"got {LONG}"),
     "experiment-epsilon": ("experiment", ("perturbations", 1, "epsilon"), [0.1],
                            "$.perturbations[1].epsilon: must be a finite number, got [0.1]"),
     "experiment-epsilon-401-digits": ("experiment", ("perturbations", 1, "epsilon"), BIG,

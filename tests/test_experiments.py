@@ -20,14 +20,9 @@ except ImportError:
 from ist import _kernels
 from ist.cli import main
 from ist.errors import (
-    BadBudget,
     BadConfig,
-    BadPerturbation,
-    Inconsistent,
     IstError,
-    MissingCondition,
     SchemaError,
-    ZeroSignal,
 )
 from ist.experiments import (
     ABLATION_PREFIX,
@@ -111,11 +106,11 @@ def test_encode_with_budget_ties_prefer_declaration_order():
 
 
 def test_encode_with_budget_errors():
-    with pytest.raises(BadBudget):
+    with pytest.raises(BadConfig, match=r"^budget must be an integer in \[0, 1\], got 2$"):
         encode_with_budget(("a",), [1.0], 2)
-    with pytest.raises(BadBudget):
+    with pytest.raises(BadConfig, match=r"^budget must be an integer in \[0, 1\], got -1$"):
         encode_with_budget(("a",), [1.0], -1)
-    with pytest.raises(BadBudget):
+    with pytest.raises(BadConfig, match=r"^2 ids vs 1 weights$"):
         encode_with_budget(("a", "b"), [1.0], 1)
 
 
@@ -177,7 +172,8 @@ def test_perturbations_always_yield_valid_weights():
         w = [x / total for x in raw]
         for spec in specs:
             if spec.kind == "adjacent_swap" and spec.count > n // 2:
-                with pytest.raises(BadPerturbation):
+                message = f"^adjacent_swap\\(3\\) needs 6 dims, have {n}$"
+                with pytest.raises(BadConfig, match=message):
                     perturb_weights(w, spec, seed=trial)
                 continue
             got = perturb_weights(w, spec, seed=trial)
@@ -188,13 +184,13 @@ def test_perturbations_always_yield_valid_weights():
 
 
 def test_bad_perturbations():
-    with pytest.raises(BadPerturbation):
+    with pytest.raises(BadConfig, match=r"^unknown perturbation kind 'nope'$"):
         PerturbationSpec("nope")
-    with pytest.raises(BadPerturbation):
+    with pytest.raises(BadConfig, match=r"^jitter epsilon must be in \(0, 1\), got 0\.0$"):
         PerturbationSpec("jitter", epsilon=0.0)
-    with pytest.raises(BadPerturbation):
+    with pytest.raises(BadConfig, match=r"^jitter epsilon must be in \(0, 1\), got 1\.0$"):
         PerturbationSpec("jitter", epsilon=1.0)
-    with pytest.raises(BadPerturbation):
+    with pytest.raises(BadConfig, match=r"^adjacent_swap count must be >= 1, got 0$"):
         PerturbationSpec("adjacent_swap", count=0)
 
 
@@ -210,9 +206,9 @@ def encode_with_budget_reference(dim_ids, assumed_weights, budget):
     """Top-`budget` mask of one weight vector: one stable argsort, a set."""
     n = len(dim_ids)
     if len(assumed_weights) != n:
-        raise BadBudget(f"{n} ids vs {len(assumed_weights)} weights")
+        raise BadConfig(f"{n} ids vs {len(assumed_weights)} weights")
     if not isinstance(budget, int) or isinstance(budget, bool) or not 0 <= budget <= n:
-        raise BadBudget(f"budget must be an integer in [0, {n}], got {budget!r}")
+        raise BadConfig(f"budget must be an integer in [0, {n}], got {budget!r}")
     order = np.argsort(-np.asarray(assumed_weights, dtype=np.float64),
                        kind="stable")
     chosen = set(int(i) for i in order[:budget])
@@ -226,7 +222,7 @@ def perturb_weights_reference(weights, spec, seed=0):
     w = [float(x) for x in weights]
     n = len(w)
     if n == 0:
-        raise BadPerturbation("empty weight vector")
+        raise BadConfig("empty weight vector")
     if spec.kind == "identity":
         return w
     if spec.kind == "jitter":
@@ -238,7 +234,7 @@ def perturb_weights_reference(weights, spec, seed=0):
     out = list(w)
     if spec.kind == "adjacent_swap":
         if spec.count > n // 2:
-            raise BadPerturbation(
+            raise BadConfig(
                 f"adjacent_swap({spec.count}) needs {2 * spec.count} dims, have {n}")
         for j in range(spec.count):
             a, b = int(order[2 * j]), int(order[2 * j + 1])
@@ -419,7 +415,8 @@ def test_estimate_weights_mixed_world_oracle():
 def test_estimate_weights_zero_signal():
     world = world_from(public_dims([0.5, 0.5]), seed=1)
     records = ablation_records(world, mode="argmax")
-    with pytest.raises(ZeroSignal):
+    with pytest.raises(BadConfig, match=r"^no fidelity drop under any ablation of task 't'; "
+                                        r"weights unidentifiable \(all-public world\?\)$"):
         estimate_weights_by_ablation(records)
 
 
@@ -431,7 +428,8 @@ def test_estimate_weights_floors_a_negative_drop_at_zero():
     f = {"FULL": 0.5, "ABL_d0": 0.75, "ABL_d1": 0.25}
     records = [r._replace(f_icmw=f[r.condition]) for r in records]
     assert estimate_weights_by_ablation(records) == {"d0": 0.0, "d1": 1.0}
-    with pytest.raises(ZeroSignal):
+    with pytest.raises(BadConfig, match=r"^no fidelity drop under any ablation of task 't'; "
+                                        r"weights unidentifiable \(all-public world\?\)$"):
         estimate_weights_by_ablation(
             [r._replace(f_icmw=0.5 if r.condition == "FULL" else 0.75) for r in records])
 
@@ -461,9 +459,9 @@ def test_estimate_weights_missing_condition():
     world = world_from(private_dims([0.5, 0.5], k=30), seed=1)
     records = [r for r in ablation_records(world, "argmax")
                if r.condition != "ABL_d1"]
-    with pytest.raises(MissingCondition):
+    with pytest.raises(BadConfig, match=r"^missing condition: 'ABL_d1'$"):
         estimate_weights_by_ablation(records)
-    with pytest.raises(MissingCondition):
+    with pytest.raises(BadConfig, match=r"^missing condition: 'FULL'$"):
         estimate_weights_by_ablation([])
 
 
@@ -471,7 +469,7 @@ def test_estimate_weights_rejects_mixed_tasks():
     w1 = world_from(private_dims([0.5, 0.5], k=30), seed=1, task_id="t1")
     w2 = world_from(private_dims([0.5, 0.5], k=30), seed=1, task_id="t2")
     records = ablation_records(w1, "argmax") + ablation_records(w2, "argmax")
-    with pytest.raises(Inconsistent):
+    with pytest.raises(BadConfig, match=r"^records mix tasks 't1' and 't2'$"):
         estimate_weights_by_ablation(records)
 
 
@@ -488,7 +486,7 @@ def test_estimate_weights_rejects_records_outside_the_ablation(case):
     else:
         records.insert(1, records[1]._replace(mask=EncodingMask(("d0", "d1", "d2"), (0, 1, 1))))
         message = "records mix dimension ids ('d0', 'd1') and ('d0', 'd1', 'd2')"
-    with pytest.raises(Inconsistent, match=f"^{re.escape(message)}$"):
+    with pytest.raises(BadConfig, match=f"^{re.escape(message)}$"):
         estimate_weights_by_ablation(records)
 
 
@@ -500,8 +498,8 @@ def test_estimate_weights_rejects_mask_bits_other_than_the_conditions(condition)
     wrong = {"FULL": (1, 0), "ABL_d0": (1, 1), "ABL_d1": (0, 1)}[condition]
     records = [r._replace(mask=EncodingMask(r.mask.dims, wrong))
                if r.condition == condition else r for r in records]
-    with pytest.raises(Inconsistent, match=f"^condition '{condition}' has mask bits "
-                                           rf"{re.escape(repr(wrong))}$"):
+    with pytest.raises(BadConfig, match=f"^condition '{condition}' has mask bits "
+                                        rf"{re.escape(repr(wrong))}$"):
         estimate_weights_by_ablation(records)
 
 
@@ -1003,7 +1001,10 @@ def test_blocks_span_tasks_and_split_tasks(monkeypatch, budget):
     # 9 dims: the hashes of one draw more than a block holds
     wide = world.tasks[5]
     list(_block_grids(world, [wide], [_kernels._CHUNK_DRAWS // 9 + 2], "sample"))
-    assert len(calls) == 2 and calls[1][1][0] > 0
+    ranges = list(dict.fromkeys(tuple(draws) for _, draws, _ in calls))
+    assert len(ranges) == 2 and ranges[1][0] > 0
+    # at 7 cells each of the 9 dimensions' CDF rows is its own slice
+    assert len(calls) == (2 if budget is None else 2 * 9)
 
 
 def test_mixed_ablation_hashes_only_the_cells_it_reads(monkeypatch):
@@ -1309,6 +1310,15 @@ FIT_REFUSALS = {
                    "got an integer of more than 20 digits"),
 }
 
+# the library's text of each case: the wide task is planned first and fails first
+FIT_LIBRARY_TEXT = {
+    "budget": "budget must be an integer in [0, 4], got 5",
+    "negative-budget": "budget must be an integer in [0, 4], got -1",
+    "huge-budget": f"budget must be an integer in [0, 4], got {10 ** 40}",
+    "count": "adjacent_swap(3) needs 6 dims, have 4",
+    "huge-count": f"adjacent_swap({10 ** 40}) needs {2 * 10 ** 40} dims, have 4",
+}
+
 
 def two_width_config(tmp_path, **fields):
     path = tmp_path / "config.json"
@@ -1326,7 +1336,7 @@ def test_a_document_too_wide_for_a_task_is_refused_at_its_path(capsys, tmp_path,
     assert capsys.readouterr().err == f"error: {message}\n"
     # a direct call keeps the library's text, of the first task it fails
     cfg = parse_experiment_config(path.read_bytes())
-    with pytest.raises((BadBudget, BadPerturbation)):
+    with pytest.raises(BadConfig, match=f"^{re.escape(FIT_LIBRARY_TEXT[case])}$"):
         run_weight_perturbation(cfg.world, budget=cfg.budget, perturbations=cfg.perturbations)
 
 
@@ -1344,7 +1354,7 @@ def test_group_errors_match_the_task_by_task_reference(capsys, tmp_path, case,
                                                        with_invalid_task):
     # a 6-dim task with an empty dimension id, then a narrower task whose
     # group cannot be planned: the empty id fails the world's build, and
-    # without it the narrow task's BadBudget or BadPerturbation comes first,
+    # without it the narrow task's budget or perturbation refusal comes first,
     # which perturb names at the document's path
     budget, ladder, narrow, refusal = NARROW_CASES[case]
     tasks = [{"task_id": "narrow", "dims": dims_config("n", narrow)}]
@@ -1365,7 +1375,9 @@ def test_group_errors_match_the_task_by_task_reference(capsys, tmp_path, case,
         specs = list(cfg.perturbations)
         want = outcome(run_weight_perturbation_reference, cfg.world, specs, "sample", 2,
                        cfg.budget)
-        assert type(want) is {"budget": BadBudget, "swap": BadPerturbation}[case]
+        assert type(want) is BadConfig
+        assert str(want) == {"budget": "budget must be an integer in [0, 2], got 3",
+                             "swap": "adjacent_swap(2) needs 4 dims, have 3"}[case]
         assert_same_outcome(lambda: run_weight_perturbation(
             cfg.world, budget=cfg.budget, perturbations=specs, mode="sample",
             replicates=2), want)

@@ -298,3 +298,21 @@ def test_the_dataclasses_guard_sees_local_and_aliased_imports(tmp_path):
         "    from dataclasses import replace\n"
         "    import dataclasses as dc, os.path\n", encoding="utf-8")
     assert _imported_packages(module) == {"dataclasses", "os"}
+
+
+def test_ist_errors_keeps_one_class_per_kind_of_refusal():
+    # callers tell refusals apart only by how they locate the fault; the
+    # message names the cause, so no other subclass of IstError is defined
+    from ist.errors import IstError
+
+    for path in sorted((PYPROJECT.parent / "src" / "ist").glob("*.py")):
+        if path.stem != "__main__":
+            importlib.import_module("ist" if path.stem == "__init__" else f"ist.{path.stem}")
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    assert sorted(cls.__name__ for cls in subclasses(IstError)) == [
+        "BadConfig", "SchemaError", "SpecSyntaxError", "ValidationError"]

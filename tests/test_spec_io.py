@@ -15,10 +15,9 @@ except ImportError:
 
 from ist.audit import AuditRecord
 from ist.errors import (
-    Inconsistent,
+    BadConfig,
     SchemaError,
     SpecSyntaxError,
-    UnknownDimension,
     ValidationError,
 )
 from ist.jsonio import dumps_canonical
@@ -247,14 +246,14 @@ def test_compute_mask_all_and_none():
 
 def test_compute_mask_unknown_dimension():
     spec = parse_intent_spec(minimal_spec_json())
-    with pytest.raises(UnknownDimension):
+    with pytest.raises(BadConfig, match=r"^unknown dimension: 'nope'$"):
         compute_mask(spec, Carrier("t1", frozenset({"nope"})))
 
 
 def test_compute_mask_rejects_another_tasks_carrier():
     spec = parse_intent_spec(minimal_spec_json())
-    with pytest.raises(Inconsistent, match="carrier task 'other' does not "
-                                           "match spec task 't1'"):
+    with pytest.raises(BadConfig, match="^carrier task 'other' does not "
+                                        "match spec task 't1'$"):
         compute_mask(spec, Carrier("other", frozenset({"what"})))
 
 
